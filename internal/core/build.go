@@ -127,8 +127,7 @@ func (s *SMA) RecomputeBucket(h *storage.HeapFile, b int) error {
 	}
 	for key, a := range accs {
 		if _, ok := s.groups[key]; !ok {
-			g := s.addGroup(key, a.vals, s.NumBuckets)
-			_ = g
+			s.addGroup(key, a.vals, s.NumBuckets)
 		}
 	}
 	for key, g := range s.groups {
@@ -149,8 +148,7 @@ func (s *SMA) OnAppend(h *storage.HeapFile, t tuple.Tuple, rid storage.RID) erro
 	b := h.BucketOf(rid.Page)
 	for b >= s.NumBuckets {
 		// Open a new bucket: one absent entry in every group file.
-		for _, key := range s.order {
-			g := s.groups[key]
+		for _, g := range s.files {
 			g.Vec.Append(0)
 			g.Present.Append(false)
 		}
@@ -306,6 +304,9 @@ func (s *SMA) OnDelete(h *storage.HeapFile, old tuple.Tuple, rid storage.RID) er
 // Verify checks the SMA against the heap file, returning the first
 // discrepancy found. It is used by tests and by `smactl verify`.
 func (s *SMA) Verify(h *storage.HeapFile) error {
+	if err := s.checkFiles(); err != nil {
+		return err
+	}
 	fresh, err := Build(h, s.Def)
 	if err != nil {
 		return err

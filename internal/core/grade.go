@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"strings"
 
 	"sma/internal/pred"
@@ -260,82 +262,190 @@ func (g *Grader) HasSelectionSMA(p pred.Predicate) bool {
 	return false
 }
 
-// minOf returns the bucket minimum of col, if a min SMA covers it.
-func (g *Grader) minOf(col string, b int) bound {
-	if s := g.mins[col]; s != nil && b < s.NumBuckets {
-		if v, ok := s.BucketMin(b); ok {
-			return bound{v, true}
-		}
-	}
-	return bound{}
+// bounds carries what a min or a max SMA knows about up to 64 consecutive
+// buckets sharing one presence word: v[i] is a bound iff bit i of ok is set.
+type bounds struct {
+	v  [64]float64
+	ok uint64
 }
 
-// maxOf returns the bucket maximum of col, if a max SMA covers it.
-func (g *Grader) maxOf(col string, b int) bound {
-	if s := g.maxs[col]; s != nil && b < s.NumBuckets {
-		if v, ok := s.BucketMax(b); ok {
-			return bound{v, true}
+func (bs *bounds) at(i int) bound { return bound{bs.v[i], bs.ok>>uint(i)&1 != 0} }
+
+// wordBounds loads the bucket minima of a min SMA (or, with upper, the
+// bucket maxima of a max SMA) for buckets [lo, lo+n), which must share a
+// presence word: the vector form of BucketMin/BucketMax, reading each
+// SMA-file's presence bits a word at a time. A nil SMA and buckets it does
+// not cover yield unknown bounds.
+func (s *SMA) wordBounds(upper bool, lo, n int, out *bounds) {
+	out.ok = 0
+	if s == nil {
+		return
+	}
+	if n = min(n, s.NumBuckets-lo); n <= 0 {
+		return
+	}
+	inf := math.Inf(1)
+	if upper {
+		inf = math.Inf(-1)
+	}
+	for i := range out.v[:n] {
+		out.v[i] = inf
+	}
+	for _, g := range s.files {
+		m := g.Present.bits(lo, n)
+		out.ok |= m
+		switch v := g.Vec; v.typ {
+		case EInt32:
+			loadBounds(v.i32[lo:], m, upper, out)
+		case EInt64:
+			loadBounds(v.i64[lo:], m, upper, out)
+		default:
+			loadBounds(v.f64[lo:], m, upper, out)
 		}
 	}
-	return bound{}
 }
 
-// Grade classifies bucket b against predicate p, combining atom grades with
-// the §3.1 partition algebra. It never errs toward Qualifies/Disqualifies:
-// any atom it cannot decide contributes Ambivalent.
+// loadBounds tightens out with the entries of vals selected by mask m.
+func loadBounds[T int32 | int64 | float64](vals []T, m uint64, upper bool, out *bounds) {
+	for ; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(m)
+		v := float64(vals[i])
+		if upper {
+			if v > out.v[i] {
+				out.v[i] = v
+			}
+		} else if v < out.v[i] {
+			out.v[i] = v
+		}
+	}
+}
+
+// Grade classifies bucket b against predicate p: the one-bucket case of
+// GradeAll.
 func (g *Grader) Grade(b int, p pred.Predicate) Grade {
+	var out [1]Grade
+	g.gradeRange(p, b, out[:], nil)
+	return out[0]
+}
+
+// GradeAll grades every bucket and returns the slice of grades.
+func (g *Grader) GradeAll(p pred.Predicate) []Grade {
+	out := make([]Grade, g.numBuckets)
+	g.gradeRange(p, 0, out, nil)
+	return out
+}
+
+// gradeRange grades the len(out) buckets from lo on against p. Each atom
+// is resolved to its SMAs once and graded over the whole range; And, Or
+// and Not combine their operands' vectors element-wise with the §3.1
+// partition algebra. It never errs toward Qualifies/Disqualifies: anything
+// it cannot decide contributes Ambivalent. A non-nil need marks the buckets
+// whose grade the caller will use: a sibling operand has already settled
+// the others, so they may be left at whatever the min/max SMAs say.
+func (g *Grader) gradeRange(p pred.Predicate, lo int, out []Grade, need []bool) {
 	switch q := p.(type) {
 	case *pred.Atom:
-		return g.gradeAtom(b, q)
+		g.gradeAtomRange(q, lo, out, need)
 	case *pred.And:
-		out := Qualifies
-		for _, k := range q.Kids {
-			out = out.and(g.Grade(b, k))
-			if out == Disqualifies {
-				return Disqualifies
-			}
-		}
-		return out
+		g.combineRange(q.Kids, true, lo, out, need)
 	case *pred.Or:
-		out := Disqualifies
-		for _, k := range q.Kids {
-			out = out.or(g.Grade(b, k))
-			if out == Qualifies {
-				return Qualifies
-			}
-		}
-		return out
+		g.combineRange(q.Kids, false, lo, out, need)
 	case *pred.Not:
-		return g.Grade(b, q.Kid).not()
+		g.gradeRange(q.Kid, lo, out, need)
+		for i, k := range out {
+			out[i] = k.not()
+		}
 	case pred.True, *pred.True:
-		return Qualifies
+		fill(out, Qualifies)
 	default:
-		return Ambivalent
+		fill(out, Ambivalent)
 	}
 }
 
-// gradeAtom grades one atomic comparison, preferring min/max SMAs and
-// falling back to a count-group-by-A SMA when min/max information is absent
-// or indecisive.
-func (g *Grader) gradeAtom(b int, a *pred.Atom) Grade {
-	var grade Grade
-	if a.RightCol != "" {
-		grade = gradeColCol(
-			g.minOf(a.Col, b), g.maxOf(a.Col, b),
-			g.minOf(a.RightCol, b), g.maxOf(a.RightCol, b),
-			a.Op)
-	} else {
-		grade = gradeConst(g.minOf(a.Col, b), g.maxOf(a.Col, b), a.Op, a.Value)
+// combineRange grades a conjunction (conj) or disjunction of kids into out.
+// A bucket one operand disqualifies (conj) or qualifies (disjunction) is
+// settled whatever the later operands say — the per-bucket short-circuit —
+// so where value-count SMAs make an atom cost a walk over all their
+// SMA-files per bucket, later kids are asked only for the unsettled ones.
+func (g *Grader) combineRange(kids []pred.Predicate, conj bool, lo int, out []Grade, need []bool) {
+	settled := Qualifies
+	if conj {
+		settled = Disqualifies
 	}
-	if grade != Ambivalent {
-		return grade
+	if len(kids) == 0 {
+		// The empty conjunction holds everywhere, the empty disjunction nowhere.
+		fill(out, settled.not())
+		return
 	}
-	if a.RightCol == "" {
-		if s := g.counts[a.Col]; s != nil {
-			return gradeByValueCounts(s, b, a.Op, a.Value)
+	g.gradeRange(kids[0], lo, out, need)
+	if len(kids) == 1 {
+		return
+	}
+	kid := make([]Grade, len(out))
+	var open []bool
+	if len(g.counts) > 0 {
+		open = make([]bool, len(out))
+	}
+	for _, k := range kids[1:] {
+		if open != nil {
+			left := false
+			for i, h := range out {
+				open[i] = h != settled && (need == nil || need[i])
+				left = left || open[i]
+			}
+			if !left {
+				return
+			}
+		}
+		g.gradeRange(k, lo, kid, open)
+		for i, h := range kid {
+			if conj {
+				out[i] = out[i].and(h)
+			} else {
+				out[i] = out[i].or(h)
+			}
 		}
 	}
-	return Ambivalent
+}
+
+func fill(out []Grade, g Grade) {
+	for i := range out {
+		out[i] = g
+	}
+}
+
+// gradeAtomRange grades one atomic comparison over the buckets starting at
+// lo, a presence word at a time, preferring min/max SMAs and falling back
+// to a count-group-by-A SMA where min/max information is absent or
+// indecisive and the bucket's grade is needed.
+func (g *Grader) gradeAtomRange(a *pred.Atom, lo int, out []Grade, need []bool) {
+	minA, maxA := g.mins[a.Col], g.maxs[a.Col]
+	minB, maxB := g.mins[a.RightCol], g.maxs[a.RightCol]
+	counts := g.counts[a.Col]
+	var mnA, mxA, mnB, mxB bounds
+	for len(out) > 0 {
+		n := min(len(out), 64-lo&63)
+		minA.wordBounds(false, lo, n, &mnA)
+		maxA.wordBounds(true, lo, n, &mxA)
+		if a.RightCol != "" {
+			minB.wordBounds(false, lo, n, &mnB)
+			maxB.wordBounds(true, lo, n, &mxB)
+			for i := range out[:n] {
+				out[i] = gradeColCol(mnA.at(i), mxA.at(i), mnB.at(i), mxB.at(i), a.Op)
+			}
+		} else {
+			for i := range out[:n] {
+				out[i] = gradeConst(mnA.at(i), mxA.at(i), a.Op, a.Value)
+				if out[i] == Ambivalent && counts != nil && (need == nil || need[i]) {
+					out[i] = gradeByValueCounts(counts, lo+i, a.Op, a.Value)
+				}
+			}
+		}
+		lo, out = lo+n, out[n:]
+		if need != nil {
+			need = need[n:]
+		}
+	}
 }
 
 // gradeByValueCounts grades bucket b of a count(*) SMA grouped by exactly
@@ -348,8 +458,7 @@ func gradeByValueCounts(s *SMA, b int, op pred.CmpOp, c float64) Grade {
 	}
 	sawAny := false
 	allSat, noneSat := true, true
-	for _, key := range s.order {
-		gf := s.groups[key]
+	for _, gf := range s.files {
 		v, present := gf.ValueAt(b)
 		if !present || v <= 0 {
 			continue
@@ -378,12 +487,15 @@ func gradeByValueCounts(s *SMA, b int, op pred.CmpOp, c float64) Grade {
 	return Disqualifies
 }
 
-// GradeAll grades every bucket and returns the slice of grades.
-func (g *Grader) GradeAll(p pred.Predicate) []Grade {
-	out := make([]Grade, g.numBuckets)
-	for b := range out {
-		out[b] = g.Grade(b, p)
+// PadGrades cuts or extends a whole-vector grading pass to nb buckets. A
+// bucket beyond the vector — one the SMAs do not cover — is Ambivalent:
+// missing information degrades to inspection, never to a wrong skip.
+func PadGrades(grades []Grade, nb int) []Grade {
+	if len(grades) >= nb {
+		return grades[:nb]
 	}
+	out := make([]Grade, nb) // the zero Grade is Ambivalent
+	copy(out, grades)
 	return out
 }
 

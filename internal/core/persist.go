@@ -43,8 +43,8 @@ func (s *SMA) Save(dir string) error {
 	if err != nil {
 		return err
 	}
-	for i, key := range s.order {
-		g := s.groups[key]
+	for i, g := range s.files {
+		key := g.Key
 		buf := make([]byte, 0, 24+len(key)+int(g.Vec.SizeBytes())+8*((s.NumBuckets+63)/64))
 		buf = append(buf, smafMagic[:]...)
 		buf = binary.LittleEndian.AppendUint16(buf, smafVersion)
@@ -63,7 +63,7 @@ func (s *SMA) Save(dir string) error {
 	for _, p := range stale {
 		var idx int
 		base := filepath.Base(p)
-		if _, err := fmt.Sscanf(base[strings.LastIndex(base, ".g")+2:], "%04d.smaf", &idx); err == nil && idx < len(s.order) {
+		if _, err := fmt.Sscanf(base[strings.LastIndex(base, ".g")+2:], "%04d.smaf", &idx); err == nil && idx < len(s.files) {
 			continue // just rewritten
 		}
 		if err := os.Remove(p); err != nil {

@@ -43,7 +43,10 @@ type SMA struct {
 	gx     *Extractor // nil for ungrouped SMAs
 
 	groups map[GroupKey]*GroupFile
-	order  []GroupKey // deterministic iteration order
+	// files holds the SMA-files in ascending key order: the deterministic
+	// iteration order, and what the grading and fold loops walk so that
+	// nothing hashes a key per bucket.
+	files []*GroupFile
 }
 
 // newSMA allocates an empty SMA skeleton bound to schema.
@@ -79,8 +82,10 @@ func (s *SMA) NumFiles() int { return len(s.groups) }
 
 // GroupKeys returns the group keys in deterministic order.
 func (s *SMA) GroupKeys() []GroupKey {
-	out := make([]GroupKey, len(s.order))
-	copy(out, s.order)
+	out := make([]GroupKey, len(s.files))
+	for i, g := range s.files {
+		out[i] = g.Key
+	}
 	return out
 }
 
@@ -89,8 +94,8 @@ func (s *SMA) Group(key GroupKey) *GroupFile { return s.groups[key] }
 
 // Groups visits every SMA-file in deterministic order.
 func (s *SMA) Groups(visit func(g *GroupFile) error) error {
-	for _, k := range s.order {
-		if err := visit(s.groups[k]); err != nil {
+	for _, g := range s.files {
+		if err := visit(g); err != nil {
 			return err
 		}
 	}
@@ -106,9 +111,29 @@ func (s *SMA) addGroup(key GroupKey, vals []GroupVal, backfill int) *GroupFile {
 		g.Present.Append(false)
 	}
 	s.groups[key] = g
-	s.order = append(s.order, key)
-	sort.Slice(s.order, func(i, j int) bool { return s.order[i] < s.order[j] })
+	at := sort.Search(len(s.files), func(i int) bool { return s.files[i].Key >= key })
+	s.files = append(s.files, nil)
+	copy(s.files[at+1:], s.files[at:])
+	s.files[at] = g
 	return g
+}
+
+// checkFiles reports a files slice that fell out of step with the group
+// index: it must hold every group exactly once, in ascending key order.
+func (s *SMA) checkFiles() error {
+	if len(s.files) != len(s.groups) {
+		return errf("sma %s: %d ordered SMA-files for %d groups", s.Def.Name, len(s.files), len(s.groups))
+	}
+	for i, g := range s.files {
+		if s.groups[g.Key] != g {
+			return errf("sma %s: ordered SMA-file %d (group %q) is not the indexed one", s.Def.Name, i, string(g.Key))
+		}
+		if i > 0 && s.files[i-1].Key >= g.Key {
+			return errf("sma %s: SMA-files out of key order at %d (%q after %q)",
+				s.Def.Name, i, string(g.Key), string(s.files[i-1].Key))
+		}
+	}
+	return nil
 }
 
 // BucketMin returns the smallest aggregate value over all groups present in
@@ -117,8 +142,8 @@ func (s *SMA) addGroup(key GroupKey, vals []GroupVal, backfill int) *GroupFile {
 // SMAs are usable for selection by taking the min over all groups (§3.1).
 func (s *SMA) BucketMin(b int) (float64, bool) {
 	lo, ok := math.Inf(1), false
-	for _, k := range s.order {
-		if v, present := s.groups[k].ValueAt(b); present {
+	for _, g := range s.files {
+		if v, present := g.ValueAt(b); present {
 			if v < lo {
 				lo = v
 			}
@@ -132,8 +157,8 @@ func (s *SMA) BucketMin(b int) (float64, bool) {
 // bucket b (the paper's max_i(A) for max SMAs).
 func (s *SMA) BucketMax(b int) (float64, bool) {
 	hi, ok := math.Inf(-1), false
-	for _, k := range s.order {
-		if v, present := s.groups[k].ValueAt(b); present {
+	for _, g := range s.files {
+		if v, present := g.ValueAt(b); present {
 			if v > hi {
 				hi = v
 			}

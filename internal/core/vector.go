@@ -188,6 +188,12 @@ func (b *Bitmap) Get(i int) bool {
 	return b.words[i/64]&(1<<(i%64)) != 0
 }
 
+// bits returns the bits of [lo, lo+n) — bit i for position lo+i — which
+// must lie within one word: 1 <= n <= 64-lo%64 and lo+n <= Len.
+func (b *Bitmap) bits(lo, n int) uint64 {
+	return b.words[lo>>6] >> (lo & 63) & (^uint64(0) >> (64 - n))
+}
+
 // Set sets bit i to v; i must be < Len.
 func (b *Bitmap) Set(i int, v bool) {
 	if i < 0 || i >= b.n {

@@ -56,6 +56,8 @@ func (db *DB) insertInto(ctx context.Context, s *parser.InsertStmt) (int64, uint
 	if err != nil {
 		return 0, 0, err
 	}
+	maintained := 0
+	defer func() { t.recordMaint(maintained) }()
 	for _, tp := range tuples {
 		if err := ctx.Err(); err != nil {
 			return 0, 0, db.abortStmt(j, err)
@@ -65,8 +67,8 @@ func (db *DB) insertInto(ctx context.Context, s *parser.InsertStmt) (int64, uint
 			return 0, 0, db.abortStmt(j, err)
 		}
 		t.markSMAsDirty()
-		for name, sm := range t.smas {
-			db.statsC().RecordMaint(t.Name, name)
+		maintained++
+		for _, sm := range t.smas {
 			if err := j.maint(func() error { return sm.OnAppend(t.Heap, tp, rid) }); err != nil {
 				return 0, 0, db.abortStmt(j, err)
 			}
@@ -281,6 +283,8 @@ func (db *DB) updateWhere(ctx context.Context, s *parser.UpdateStmt) (int64, uin
 	if err != nil {
 		return 0, 0, err
 	}
+	maintained := 0
+	defer func() { t.recordMaint(maintained) }()
 	for _, pu := range pending {
 		if err := ctx.Err(); err != nil {
 			return 0, 0, db.abortStmt(j, err)
@@ -289,8 +293,8 @@ func (db *DB) updateWhere(ctx context.Context, s *parser.UpdateStmt) (int64, uin
 			return 0, 0, db.abortStmt(j, err)
 		}
 		t.markSMAsDirty()
-		for name, sm := range t.smas {
-			db.statsC().RecordMaint(t.Name, name)
+		maintained++
+		for _, sm := range t.smas {
 			if err := j.maint(func() error { return sm.OnUpdate(t.Heap, pu.old, pu.new, pu.rid) }); err != nil {
 				return 0, 0, db.abortStmt(j, err)
 			}

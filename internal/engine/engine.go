@@ -138,6 +138,17 @@ func (t *Table) markSMAsDirty() {
 	}
 }
 
+// recordMaint credits every SMA of t with the maintenance hooks of rows
+// heap mutations. DML statements tally their rows and call it once, after
+// the row loop (an aborted statement reports the rows it reached), so the
+// statistics collector is not visited per row per SMA.
+func (t *Table) recordMaint(rows int) {
+	c := t.db.statsC()
+	for name := range t.smas {
+		c.RecordMaint(t.Name, name, int64(rows))
+	}
+}
+
 // DB is an embedded warehouse instance rooted at a directory. A DB is safe
 // for concurrent use: queries take a read lock, while DDL and data
 // modifications (which mutate SMA vectors in place) take the write lock.
@@ -496,8 +507,8 @@ func (t *Table) Append(tp tuple.Tuple) (storage.RID, error) {
 		return storage.RID{}, db.abortStmt(j, err)
 	}
 	t.markSMAsDirty()
-	for name, s := range t.smas {
-		db.statsC().RecordMaint(t.Name, name)
+	t.recordMaint(1)
+	for _, s := range t.smas {
 		if err := j.maint(func() error { return s.OnAppend(t.Heap, tp, rid) }); err != nil {
 			return storage.RID{}, db.abortStmt(j, err)
 		}
@@ -529,8 +540,8 @@ func (t *Table) Update(rid storage.RID, tp tuple.Tuple) error {
 		return db.abortStmt(j, err)
 	}
 	t.markSMAsDirty()
-	for name, s := range t.smas {
-		db.statsC().RecordMaint(t.Name, name)
+	t.recordMaint(1)
+	for _, s := range t.smas {
 		if err := j.maint(func() error { return s.OnUpdate(t.Heap, old, tp, rid) }); err != nil {
 			return db.abortStmt(j, err)
 		}
@@ -558,8 +569,8 @@ func (t *Table) Delete(rid storage.RID) error {
 		return db.abortStmt(j, err)
 	}
 	t.markSMAsDirty()
-	for name, s := range t.smas {
-		db.statsC().RecordMaint(t.Name, name)
+	t.recordMaint(1)
+	for _, s := range t.smas {
 		if err := j.maint(func() error { return s.OnDelete(t.Heap, old, rid) }); err != nil {
 			return db.abortStmt(j, err)
 		}

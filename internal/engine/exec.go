@@ -211,6 +211,8 @@ func (db *DB) deleteWhere(ctx context.Context, table string, p pred.Predicate) (
 	if err != nil {
 		return 0, 0, err
 	}
+	maintained := 0
+	defer func() { t.recordMaint(maintained) }()
 	for _, rid := range rids {
 		if err := ctx.Err(); err != nil {
 			return 0, 0, db.abortStmt(j, err)
@@ -220,8 +222,8 @@ func (db *DB) deleteWhere(ctx context.Context, table string, p pred.Predicate) (
 			return 0, 0, db.abortStmt(j, err)
 		}
 		t.markSMAsDirty()
-		for name, s := range t.smas {
-			db.statsC().RecordMaint(t.Name, name)
+		maintained++
+		for _, s := range t.smas {
 			if err := j.maint(func() error { return s.OnDelete(t.Heap, old, rid) }); err != nil {
 				return 0, 0, db.abortStmt(j, err)
 			}

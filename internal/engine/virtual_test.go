@@ -225,8 +225,18 @@ func TestExecStatsDML(t *testing.T) {
 	}
 
 	smas := mustQuery(t, db, "select * from sma_stat_smas")
-	if len(smas) != 1 || smas[0][7].(int64) <= 0 { // MAINT_OPS
+	if len(smas) != 1 || smas[0][7].(int64) != 2 { // MAINT_OPS: one append, one delete
 		t.Errorf("sma maintenance = %v", smas)
+	}
+
+	// A multi-row statement is recorded once, with its row count.
+	multi := "insert into SALES values (date '2022-01-02', 'N', 1), (date '2022-01-03', 'N', 2), (date '2022-01-04', 'R', 3)"
+	if _, err := db.ExecContext(context.Background(), multi); err != nil {
+		t.Fatal(err)
+	}
+	smas = mustQuery(t, db, "select * from sma_stat_smas")
+	if len(smas) != 1 || smas[0][7].(int64) != 5 {
+		t.Errorf("sma maintenance after a 3-row insert = %v, want 5 ops", smas)
 	}
 }
 

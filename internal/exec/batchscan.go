@@ -182,14 +182,7 @@ func (s *BatchSMAScan) Open() error {
 	}
 	s.grades = s.Grades
 	if s.grades == nil {
-		s.grades = make([]core.Grade, s.numBucket)
-		for i := range s.grades {
-			if s.Pred == nil {
-				s.grades[i] = core.Qualifies
-			} else {
-				s.grades[i] = s.Grader.Grade(s.bucketAt(i), s.Pred)
-			}
-		}
+		s.grades = GradeBuckets(s.Grader, s.Pred, s.Buckets, s.numBucket)
 	}
 	s.inBucket = false
 	s.cap = batchCap(s.Opts, s.H.RecordsPerPage())

@@ -198,6 +198,48 @@ func TestSMAScanEqualsTableScan(t *testing.T) {
 	}
 }
 
+// TestSMAScanGradesInOpenThenPrefetches: a row SMA_Scan given a predicate,
+// no pre-computed Grades and a prefetch window grades in Open, so its
+// prefetcher reads ahead over the surviving buckets only — same tuples and
+// grade counts as the synchronous scan, no page of a disqualified bucket
+// touched.
+func TestSMAScanGradesInOpenThenPrefetches(t *testing.T) {
+	h := loadLineItems(t, tpcd.Config{ScaleFactor: 0.001, Seed: 3, Order: tpcd.OrderDiagonal}, 1)
+	smas := buildQ1SMAs(t, h)
+	grader := core.NewGrader(smas["min"], smas["max"])
+	p := q1Pred("1995-01-01")
+
+	plain := exec.NewSMAScan(h, p, grader)
+	want, err := exec.CollectTuples(plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Pool().DropAll(); err != nil { // cold pool: every page is a physical read
+		t.Fatal(err)
+	}
+	scan := exec.NewSMAScan(h, clonePred(p), grader)
+	scan.PrefetchWindow = 4
+	got, err := exec.CollectTuples(scan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !tuplesEqual(got, want) {
+		t.Fatalf("prefetching scan returned %d tuples, synchronous scan %d", len(got), len(want))
+	}
+	st, ref := scan.Stats(), plain.Stats()
+	if st.PagesPrefetched == 0 {
+		t.Errorf("no page prefetched on a cold pool: %+v", st)
+	}
+	if st.Disqualifying == 0 || st.PagesPrefetched > st.PagesRead {
+		t.Errorf("prefetched %d pages for %d surviving ones (%d buckets disqualified)",
+			st.PagesPrefetched, st.PagesRead, st.Disqualifying)
+	}
+	st.PagesPrefetched, st.PrefetchHits = 0, 0
+	if st != ref {
+		t.Errorf("stats with prefetch %+v, without %+v", st, ref)
+	}
+}
+
 // TestSMAScanNoPredicate: without a predicate every bucket qualifies.
 func TestSMAScanNoPredicate(t *testing.T) {
 	h := loadLineItems(t, tpcd.Config{ScaleFactor: 0.0005, Seed: 3}, 1)

@@ -171,23 +171,6 @@ func (g *Partial) addTuple(specs []AggSpec, t tuple.Tuple) {
 	}
 }
 
-// addSMA folds one per-bucket SMA value into slot i.
-func (g *Partial) addSMA(specs []AggSpec, i int, v float64) {
-	switch specs[i].Func {
-	case AggCount, AggSum, AggAvg:
-		g.Aggs[i] += v
-	case AggMin:
-		if !g.Seen[i] || v < g.Aggs[i] {
-			g.Aggs[i] = v
-		}
-	case AggMax:
-		if !g.Seen[i] || v > g.Aggs[i] {
-			g.Aggs[i] = v
-		}
-	}
-	g.Seen[i] = true
-}
-
 // Merge folds another partial of the same group into g: counts and
 // additive aggregates (count/sum/avg-sums) add, min/max combine, and the
 // seen flags union. Both partials must have been built for the same specs.

@@ -3,6 +3,7 @@ package exec
 import (
 	"context"
 	"fmt"
+	"sort"
 	"strings"
 
 	"sma/internal/core"
@@ -36,7 +37,8 @@ type SMAGAggr struct {
 	// contain a count(*) and if averages are demanded by the query, we add
 	// it").
 	CountSMA *core.SMA
-	// Ctx, when set, is checked once per bucket during init() so a
+	// Ctx, when set, is checked once per run of equally graded buckets and
+	// before every ambivalent page or bucket read during init(), so a
 	// cancelled query aborts the aggregation pass with the context's error.
 	Ctx context.Context
 	// Buckets, when non-nil, restricts the operator to the given ascending
@@ -58,9 +60,12 @@ type SMAGAggr struct {
 	schema *tuple.Schema
 	gx     *core.Extractor
 
-	// per-spec: SMA group files with their projected query-level group.
-	projected [][]projectedGroup
-	countProj []projectedGroup
+	// The resolved fold: the query-level groups the SMA-files roll up into,
+	// and every SMA-file bound to the accumulator slot it advances. Sources
+	// that share a slot and a target (a grouping finer than the query's)
+	// are adjacent, in SMA-file order.
+	targets []foldTarget
+	sources []foldSource
 
 	groups map[core.GroupKey]*Partial
 	out    []Row
@@ -68,13 +73,24 @@ type SMAGAggr struct {
 	stats  ScanStats
 }
 
-// projectedGroup caches the roll-up mapping from one SMA-file to the query
-// group it contributes to.
-type projectedGroup struct {
-	gf   *core.GroupFile
+// foldTarget is one query-level group that SMA-files contribute to. Its
+// accumulator appears with the first contribution, so a group with nothing
+// in the surviving buckets yields no row.
+type foldTarget struct {
 	key  core.GroupKey
 	vals []core.GroupVal
+	acc  *Partial
 }
+
+// foldSource binds one SMA-file to what it advances: slot is the spec
+// position, or countSlot for the AVG divisor.
+type foldSource struct {
+	gf     *core.GroupFile
+	target int32
+	slot   int32
+}
+
+const countSlot = -1
 
 // NewSMAGAggr constructs the operator; see the field docs for parameters.
 func NewSMAGAggr(h *storage.HeapFile, p pred.Predicate, specs []AggSpec, groupBy []string,
@@ -83,35 +99,52 @@ func NewSMAGAggr(h *storage.HeapFile, p pred.Predicate, specs []AggSpec, groupBy
 		Grader: grader, AggSMAs: aggSMAs, CountSMA: countSMA}
 }
 
-// projectGroups validates that s's grouping is equal to or finer than the
-// query grouping and computes, for every SMA-file, the query-level group it
-// rolls up into.
-func projectGroups(s *core.SMA, queryGroupBy []string) ([]projectedGroup, error) {
-	pos := make([]int, len(queryGroupBy))
-	for i, q := range queryGroupBy {
+// addSources validates that s's grouping is equal to or finer than the
+// query grouping and binds each of its SMA-files to slot of the query-level
+// group it rolls up into.
+func (g *SMAGAggr) addSources(s *core.SMA, slot int32, index map[core.GroupKey]int32, pos []int) error {
+	same := len(s.Def.GroupBy) == len(g.GroupBy) // same columns in the same order
+	for i, q := range g.GroupBy {
 		found := -1
-		for j, g := range s.Def.GroupBy {
-			if strings.EqualFold(q, g) {
+		for j, c := range s.Def.GroupBy {
+			if strings.EqualFold(q, c) {
 				found = j
 				break
 			}
 		}
 		if found < 0 {
-			return nil, fmt.Errorf("exec: sma %s groups by (%s), which does not cover query group-by column %s",
+			return fmt.Errorf("exec: sma %s groups by (%s), which does not cover query group-by column %s",
 				s.Def.Name, strings.Join(s.Def.GroupBy, ","), q)
 		}
 		pos[i] = found
+		same = same && found == i
 	}
-	var out []projectedGroup
+	first := len(g.sources)
 	err := s.Groups(func(gf *core.GroupFile) error {
-		vals := make([]core.GroupVal, len(pos))
-		for i, j := range pos {
-			vals[i] = gf.Vals[j]
+		key, vals := gf.Key, gf.Vals
+		if !same {
+			vals = make([]core.GroupVal, len(pos))
+			for i, j := range pos {
+				vals[i] = gf.Vals[j]
+			}
+			key = core.MakeGroupKey(vals)
 		}
-		out = append(out, projectedGroup{gf: gf, key: core.MakeGroupKey(vals), vals: vals})
+		t, ok := index[key]
+		if !ok {
+			t = int32(len(g.targets))
+			index[key] = t
+			g.targets = append(g.targets, foldTarget{key: key, vals: vals})
+		}
+		g.sources = append(g.sources, foldSource{gf: gf, target: t, slot: slot})
 		return nil
 	})
-	return out, err
+	if !same {
+		// Several files may share a target now: make them adjacent,
+		// keeping SMA-file order among them.
+		added := g.sources[first:]
+		sort.SliceStable(added, func(i, j int) bool { return added[i].target < added[j].target })
+	}
+	return err
 }
 
 // Open computes the result, the paper's three phases: initialize, advance
@@ -132,6 +165,7 @@ func (g *SMAGAggr) Open() error {
 		return fmt.Errorf("exec: %d aggregate SMAs for %d specs", len(g.AggSMAs), len(g.Specs))
 	}
 	needCount := false
+	files := 0 // SMA-files to bind
 	for i := range g.Specs {
 		s := g.AggSMAs[i]
 		if s == nil {
@@ -147,6 +181,7 @@ func (g *SMAGAggr) Open() error {
 		if g.Specs[i].Func == AggAvg {
 			needCount = true
 		}
+		files += s.NumFiles()
 	}
 	if needCount && g.CountSMA == nil {
 		return fmt.Errorf("exec: AVG aggregates require a count SMA")
@@ -159,14 +194,20 @@ func (g *SMAGAggr) Open() error {
 			return err
 		}
 	}
-	g.projected = make([][]projectedGroup, len(g.Specs))
+	if g.CountSMA != nil {
+		files += g.CountSMA.NumFiles()
+	}
+	g.targets = nil
+	g.sources = make([]foldSource, 0, files)
+	index := make(map[core.GroupKey]int32)
+	pos := make([]int, len(g.GroupBy))
 	for i, s := range g.AggSMAs {
-		if g.projected[i], err = projectGroups(s, g.GroupBy); err != nil {
+		if err := g.addSources(s, int32(i), index, pos); err != nil {
 			return err
 		}
 	}
 	if g.CountSMA != nil {
-		if g.countProj, err = projectGroups(g.CountSMA, g.GroupBy); err != nil {
+		if err := g.addSources(g.CountSMA, countSlot, index, pos); err != nil {
 			return err
 		}
 	}
@@ -177,6 +218,11 @@ func (g *SMAGAggr) Open() error {
 	if g.Buckets != nil {
 		nb = len(g.Buckets)
 	}
+	grades := g.Grades
+	if grades == nil {
+		grades = GradeBuckets(g.Grader, g.Pred, g.Buckets, nb)
+	}
+	grades = grades[:nb]
 	bucketNo := func(i int) int {
 		if g.Buckets != nil {
 			return g.Buckets[i]
@@ -184,76 +230,69 @@ func (g *SMAGAggr) Open() error {
 		return i
 	}
 
-	// Batched mode grades every bucket up front (reusing pre-computed
-	// grades when given), so the ambivalent page set — the only pages this
-	// operator ever touches — is known before the first access and can
-	// stream in behind an asynchronous prefetcher.
+	// The ambivalent buckets' pages are the only ones this operator ever
+	// touches, and the grades name them before the first access: batched
+	// mode streams them in behind an asynchronous prefetcher — unless
+	// there is a single page, whose demand read is that read already.
 	var folder *groupFolder
 	var batch *Batch
 	var pf *storage.Prefetcher
-	var grades []core.Grade
 	if g.Opts.Batching() {
-		grades = g.Grades
-		if grades == nil {
-			grades = make([]core.Grade, nb)
-			for i := range grades {
-				if g.Pred == nil {
-					grades[i] = core.Qualifies
-				} else {
-					grades[i] = g.Grader.Grade(bucketNo(i), g.Pred)
-				}
-			}
-		}
 		if w := g.Opts.EffectivePrefetchWindow(); w > 0 {
 			var spans []storage.PageSpan
+			pages := 0
 			for i, gr := range grades {
 				if gr != core.Ambivalent {
 					continue
 				}
 				first, last := g.H.BucketRange(bucketNo(i))
 				spans = append(spans, storage.PageSpan{First: first, Last: last})
+				pages += int(last-first) + 1
 			}
-			pf = g.H.Pool().StartPrefetch(spans, w)
-			defer func() {
-				pf.Close()
-				g.stats.PagesPrefetched += pf.Issued()
-			}()
+			if pages > 1 {
+				pf = g.H.Pool().StartPrefetch(spans, w)
+				defer func() {
+					pf.Close()
+					g.stats.PagesPrefetched += pf.Issued()
+				}()
+			}
 		}
 		folder = newGroupFolder(g.Specs, g.gx, g.groups)
 		batch = getBatch(g.schema, batchCap(g.Opts, g.H.RecordsPerPage()))
 		defer putBatch(batch)
 	}
 
-	for i := 0; i < nb; i++ {
+	// Walk the grade vector as maximal runs of equal grades over
+	// consecutive buckets (a Buckets subset may have gaps).
+	for i := 0; i < len(grades); {
 		if err := ctxErr(g.Ctx); err != nil {
 			return err
 		}
-		b := bucketNo(i)
-		grade := core.Qualifies
-		switch {
-		case grades != nil:
-			grade = grades[i]
-		case g.Grades != nil:
-			grade = g.Grades[i]
-		case g.Pred != nil:
-			grade = g.Grader.Grade(b, g.Pred)
+		lo := bucketNo(i)
+		j := i + 1
+		for j < len(grades) && grades[j] == grades[i] && bucketNo(j) == lo+j-i {
+			j++
 		}
-		switch grade {
+		switch grades[i] {
 		case core.Disqualifies:
-			g.stats.Disqualifying++ // "do nothing"
+			g.stats.Disqualifying += j - i // "do nothing"
 		case core.Qualifies:
-			g.stats.Qualifying++
-			g.advanceFromSMAs(b)
+			g.stats.Qualifying += j - i
+			g.advanceRun(lo, lo+j-i)
 		default:
-			g.stats.Ambivalent++
-			if folder != nil {
-				if err := g.advanceFromBucketBatched(b, batch, folder, pf); err != nil {
+			g.stats.Ambivalent += j - i
+			for b := lo; b < lo+j-i; b++ {
+				if folder != nil {
+					err = g.advanceFromBucketBatched(b, batch, folder, pf)
+				} else {
+					err = g.advanceFromBucket(b)
+				}
+				if err != nil {
 					return err
 				}
-			} else if err := g.advanceFromBucket(b); err != nil {
-				return err
 			}
 		}
+		i = j
 	}
 	if !g.KeepPartials {
 		g.out = FinishPartials(g.groups, g.Specs, len(g.GroupBy) == 0)
@@ -266,35 +305,73 @@ func (g *SMAGAggr) Open() error {
 // is owned by the operator and valid until Close.
 func (g *SMAGAggr) Partials() map[core.GroupKey]*Partial { return g.groups }
 
-// acc returns (creating if needed) the accumulator for a query group.
-func (g *SMAGAggr) acc(key core.GroupKey, vals []core.GroupVal) *Partial {
-	a := g.groups[key]
-	if a == nil {
-		a = newGroupAcc(vals, len(g.Specs))
-		g.groups[key] = a
-	}
-	return a
-}
-
-// advanceFromSMAs advances the result aggregates of a qualifying bucket
-// using only SMA entries — no page access.
-func (g *SMAGAggr) advanceFromSMAs(b int) {
-	for i := range g.Specs {
-		for _, pg := range g.projected[i] {
-			if v, ok := pg.gf.ValueAt(b); ok {
-				g.acc(pg.key, pg.vals).addSMA(g.Specs, i, v)
+// advanceRun advances the result aggregates over the qualifying buckets
+// [lo, hi) using only SMA entries — no page access. Each accumulator slot
+// receives its entries in ascending bucket order (SMA-file order within a
+// bucket where several files roll up into one group), which is the order a
+// bucket-at-a-time pass adds them in: floating-point results do not depend
+// on how the buckets fall into runs.
+func (g *SMAGAggr) advanceRun(lo, hi int) {
+	for i := 0; i < len(g.sources); {
+		src := g.sources[i]
+		j := i + 1
+		for j < len(g.sources) && g.sources[j].slot == src.slot && g.sources[j].target == src.target {
+			j++
+		}
+		if j-i == 1 {
+			g.advanceFile(src, lo, hi)
+		} else {
+			for b := lo; b < hi; b++ {
+				for _, s := range g.sources[i:j] {
+					g.advanceFile(s, b, b+1)
+				}
 			}
 		}
+		i = j
 	}
-	for _, pg := range g.countProj {
-		if v, ok := pg.gf.ValueAt(b); ok {
-			g.acc(pg.key, pg.vals).Count += v
+}
+
+// advanceFile folds buckets [lo, hi) of one SMA-file into its slot.
+func (g *SMAGAggr) advanceFile(src foldSource, lo, hi int) {
+	t := &g.targets[src.target]
+	if t.acc == nil {
+		// An ambivalent bucket may have created the group meanwhile.
+		t.acc = g.groups[t.key]
+	}
+	acc := t.acc
+	kind := core.Count
+	if src.slot != countSlot {
+		kind = g.Specs[src.slot].Func.NeededSMAKind()
+	}
+	var cur float64
+	var seen bool
+	if acc != nil {
+		if src.slot == countSlot {
+			cur = acc.Count
+		} else {
+			cur, seen = acc.Aggs[src.slot], acc.Seen[src.slot]
 		}
+	}
+	v, any := src.gf.FoldRange(kind, lo, hi, cur, seen)
+	if !any {
+		return // nothing present, and nothing seen before either
+	}
+	if acc == nil {
+		acc = newGroupAcc(t.vals, len(g.Specs))
+		t.acc, g.groups[t.key] = acc, acc
+	}
+	if src.slot == countSlot {
+		acc.Count = v
+	} else {
+		acc.Aggs[src.slot], acc.Seen[src.slot] = v, true
 	}
 }
 
 // advanceFromBucket inspects an ambivalent bucket tuple by tuple.
 func (g *SMAGAggr) advanceFromBucket(b int) error {
+	if err := ctxErr(g.Ctx); err != nil {
+		return err
+	}
 	first, last := g.H.BucketRange(b)
 	g.stats.PagesRead += int(last-first) + 1
 	return g.H.ScanBucket(b, func(t tuple.Tuple, _ storage.RID) error {
@@ -307,7 +384,12 @@ func (g *SMAGAggr) advanceFromBucket(b int) error {
 			vals = g.gx.Vals(t)
 			key = core.MakeGroupKey(vals)
 		}
-		g.acc(key, vals).addTuple(g.Specs, t)
+		acc := g.groups[key]
+		if acc == nil {
+			acc = newGroupAcc(vals, len(g.Specs))
+			g.groups[key] = acc
+		}
+		acc.addTuple(g.Specs, t)
 		return nil
 	})
 }
@@ -363,6 +445,7 @@ func (g *SMAGAggr) Next() (Row, bool, error) {
 
 // Close drops the result.
 func (g *SMAGAggr) Close() error {
+	g.targets, g.sources = nil, nil
 	g.groups = nil
 	g.out = nil
 	return nil

@@ -31,15 +31,15 @@ type SMAScan struct {
 	// bucket numbers; the parallel subsystem dispatches one partition of
 	// buckets per worker this way. Grades, when non-nil, runs parallel to
 	// Buckets (or to all buckets when Buckets is nil) and carries each
-	// bucket's pre-computed grade, saving the per-bucket grading pass.
+	// bucket's pre-computed grade, saving the grading pass in Open.
 	Buckets []int
 	Grades  []core.Grade
-	// PrefetchWindow, when > 0 and the grades are known up front (Grades
-	// set, or no predicate), starts an asynchronous prefetcher over the
+	// PrefetchWindow, when > 0, starts an asynchronous prefetcher over the
 	// surviving buckets' pages. 0 keeps the legacy synchronous behaviour.
 	PrefetchWindow int
 
-	bucket    int // currBucketNo (an index into Buckets when set)
+	grades    []core.Grade // effective grades, one per scan position
+	bucket    int          // currBucketNo (an index into Buckets when set)
 	numBucket int
 
 	grade    core.Grade
@@ -82,12 +82,41 @@ func (s *ScanStats) Add(o ScanStats) {
 	s.PrefetchHits += o.PrefetchHits
 }
 
+// GradeBuckets returns one grade per scan position — the buckets listed in
+// buckets, or buckets 0..nb-1 when it is nil — from a single GradeAll pass
+// over the grader's SMA vectors. A nil predicate qualifies every bucket; a
+// bucket the SMAs do not cover is Ambivalent (core.PadGrades).
+func GradeBuckets(g *core.Grader, p pred.Predicate, buckets []int, nb int) []core.Grade {
+	if buckets != nil {
+		nb = len(buckets)
+	}
+	if p == nil {
+		out := make([]core.Grade, nb)
+		for i := range out {
+			out[i] = core.Qualifies
+		}
+		return out
+	}
+	all := g.GradeAll(p)
+	if buckets == nil {
+		return core.PadGrades(all, nb)
+	}
+	out := make([]core.Grade, nb)
+	for i, b := range buckets {
+		if b < len(all) {
+			out[i] = all[b]
+		}
+	}
+	return out
+}
+
 // NewSMAScan creates the operator. grader must cover the heap's buckets.
 func NewSMAScan(h *storage.HeapFile, p pred.Predicate, grader *core.Grader) *SMAScan {
 	return &SMAScan{H: h, Pred: p, Grader: grader}
 }
 
-// Open implements the paper's init(): position before bucket 0.
+// Open implements the paper's init(): grade the buckets (reusing
+// pre-computed grades when given) and position before bucket 0.
 func (s *SMAScan) Open() error {
 	if s.Pred != nil {
 		if err := s.Pred.Bind(s.H.Schema()); err != nil {
@@ -100,13 +129,17 @@ func (s *SMAScan) Open() error {
 	} else {
 		s.numBucket = s.H.NumBuckets()
 	}
+	s.grades = s.Grades
+	if s.grades == nil {
+		s.grades = GradeBuckets(s.Grader, s.Pred, s.Buckets, s.numBucket)
+	}
 	s.inBucket = false
 	s.cur = nil
 	s.stats = ScanStats{}
-	if s.PrefetchWindow > 0 && (s.Grades != nil || s.Pred == nil) {
+	if s.PrefetchWindow > 0 {
 		var spans []storage.PageSpan
 		for i := 0; i < s.numBucket; i++ {
-			if s.Grades != nil && s.Grades[i] == core.Disqualifies {
+			if s.grades[i] == core.Disqualifies {
 				continue
 			}
 			first, last := s.H.BucketRange(s.bucketAt(i))
@@ -130,14 +163,7 @@ func (s *SMAScan) bucketAt(i int) int {
 // currGrade = grade(...)" until qualifying or ambivalent).
 func (s *SMAScan) getBucket() bool {
 	for ; s.bucket < s.numBucket; s.bucket++ {
-		b := s.bucketAt(s.bucket)
-		grade := core.Qualifies
-		switch {
-		case s.Grades != nil:
-			grade = s.Grades[s.bucket]
-		case s.Pred != nil:
-			grade = s.Grader.Grade(b, s.Pred)
-		}
+		grade := s.grades[s.bucket]
 		switch grade {
 		case core.Disqualifies:
 			s.stats.Disqualifying++
@@ -148,7 +174,7 @@ func (s *SMAScan) getBucket() bool {
 			s.stats.Ambivalent++
 		}
 		s.grade = grade
-		s.page, s.lastPage = s.H.BucketRange(b)
+		s.page, s.lastPage = s.H.BucketRange(s.bucketAt(s.bucket))
 		s.inBucket = true
 		s.bucket++
 		return true

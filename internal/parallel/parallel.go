@@ -28,6 +28,7 @@ package parallel
 
 import (
 	"sma/internal/core"
+	"sma/internal/exec"
 	"sma/internal/pred"
 	"sma/internal/storage"
 )
@@ -42,28 +43,12 @@ type Partition struct {
 }
 
 // PreGrade grades every bucket of h once against p, in memory, using the
-// grader's SMA vectors (delegating to core.Grader.GradeAll and padding to
-// the heap's bucket count — missing information degrades to Ambivalent,
-// never to a wrong skip). A nil predicate grades every bucket qualifying.
+// grader's SMA vectors (see exec.GradeBuckets: one GradeAll pass padded to
+// the heap's bucket count). A nil predicate grades every bucket qualifying.
 // The result is shared by the partitioner and the partition workers, so
 // no bucket is graded twice.
 func PreGrade(h *storage.HeapFile, g *core.Grader, p pred.Predicate) []core.Grade {
-	nb := h.NumBuckets()
-	if p == nil {
-		grades := make([]core.Grade, nb)
-		for b := range grades {
-			grades[b] = core.Qualifies
-		}
-		return grades
-	}
-	grades := g.GradeAll(p)
-	if len(grades) > nb {
-		grades = grades[:nb]
-	}
-	for len(grades) < nb {
-		grades = append(grades, core.Ambivalent)
-	}
-	return grades
+	return exec.GradeBuckets(g, p, nil, h.NumBuckets())
 }
 
 // smaAnsweredQualWeight is the balance weight of a qualifying bucket when

@@ -536,17 +536,7 @@ func (p *Plan) serialGrades() []core.Grade {
 	if p.gradeVec == nil {
 		return nil
 	}
-	nb := p.Heap.NumBuckets()
-	g := p.gradeVec
-	if len(g) >= nb {
-		return g[:nb]
-	}
-	out := make([]core.Grade, nb)
-	copy(out, g)
-	for i := len(g); i < nb; i++ {
-		out[i] = core.Ambivalent
-	}
-	return out
+	return core.PadGrades(p.gradeVec, p.Heap.NumBuckets())
 }
 
 // RowIterator builds the aggregation pipeline of the plan. The context, if

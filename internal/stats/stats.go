@@ -368,10 +368,10 @@ func (c *Collector) RecordSMA(table, name, column, kind string, disqualified, pa
 	c.mu.Unlock()
 }
 
-// RecordMaint counts one SMA maintenance-hook invocation. Called per row
-// per SMA on the DML path, so it must stay cheap.
-func (c *Collector) RecordMaint(table, name string) {
-	if c == nil {
+// RecordMaint counts n SMA maintenance-hook invocations. The DML path
+// tallies its rows and calls it once per statement per SMA, never per row.
+func (c *Collector) RecordMaint(table, name string, n int64) {
+	if c == nil || n == 0 {
 		return
 	}
 	key := smaKey(table, name)
@@ -382,7 +382,7 @@ func (c *Collector) RecordMaint(table, name string) {
 		s = c.sma(table, name, "", "")
 	}
 	c.mu.Lock()
-	s.MaintOps++
+	s.MaintOps += n
 	c.mu.Unlock()
 }
 

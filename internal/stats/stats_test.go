@@ -101,13 +101,15 @@ func TestSMACountersAndMaint(t *testing.T) {
 	c := New()
 	c.RecordSMA("SALES", "dmin", "SALE_DATE", "min", 5, 10)
 	c.RecordSMA("SALES", "dmin", "SALE_DATE", "min", 0, 0)
-	c.RecordMaint("SALES", "dmin")
-	c.RecordMaint("SALES", "other") // maintenance before any plan consults it
+	c.RecordMaint("SALES", "dmin", 1)
+	c.RecordMaint("SALES", "dmin", 99) // a 99-row statement, recorded once
+	c.RecordMaint("SALES", "dmin", 0)
+	c.RecordMaint("SALES", "other", 1) // maintenance before any plan consults it
 	smas := c.SMAs()
 	if len(smas) != 2 {
 		t.Fatalf("smas = %+v", smas)
 	}
-	if s := smas[0]; s.Name != "dmin" || s.Consulted != 2 || s.Disqualified != 5 || s.PagesSaved != 10 || s.MaintOps != 1 {
+	if s := smas[0]; s.Name != "dmin" || s.Consulted != 2 || s.Disqualified != 5 || s.PagesSaved != 10 || s.MaintOps != 100 {
 		t.Errorf("dmin = %+v", s)
 	}
 	if s := smas[1]; s.Name != "other" || s.Consulted != 0 || s.MaintOps != 1 {
@@ -152,7 +154,7 @@ func TestNilCollector(t *testing.T) {
 	c.RecordQuery(QueryRecord{})
 	c.RecordExec(ExecRecord{})
 	c.RecordSMA("t", "s", "c", "min", 1, 1)
-	c.RecordMaint("t", "s")
+	c.RecordMaint("t", "s", 1)
 	c.EndActivity(c.BeginActivity("query", "q", 1))
 	c.Reset()
 	if c.Statements() != nil || c.SMAs() != nil || c.Tables() != nil || c.Activities() != nil {
@@ -196,7 +198,7 @@ func TestAdvise(t *testing.T) {
 	}
 	// dead: consulted, never disqualified → drop. live: disqualified → keep.
 	c.RecordSMA("SALES", "dead", "SALE_DATE", "min", 0, 0)
-	c.RecordMaint("SALES", "dead")
+	c.RecordMaint("SALES", "dead", 1)
 	c.RecordSMA("SALES", "live", "SALE_DATE", "max", 3, 9)
 
 	catalog := []CatalogSMA{
@@ -292,7 +294,7 @@ func TestCollectorConcurrency(t *testing.T) {
 				c.RecordQuery(QueryRecord{Fingerprint: fp, Norm: fmt.Sprintf("q%d", fp),
 					Table: "T", Dur: time.Microsecond, FilterCols: []FilterCol{{Col: "A", NeedMin: true}}})
 				c.RecordSMA("T", "s", "A", "min", 1, 1)
-				c.RecordMaint("T", "s")
+				c.RecordMaint("T", "s", 1)
 				c.EndActivity(c.BeginActivity("query", "q", fp))
 			}
 		}(g)

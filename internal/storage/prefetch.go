@@ -55,7 +55,8 @@ type Prefetcher struct {
 }
 
 // prefetchReaders caps the concurrent prefetch reads; beyond a handful the
-// simulated (and real) disks serialize anyway.
+// simulated (and real) disks serialize anyway. A prefetcher never starts
+// more readers than its window or its page sequence can occupy.
 const prefetchReaders = 8
 
 // StartPrefetch launches background readers over the page sequence the
@@ -91,10 +92,7 @@ func (bp *BufferPool) StartPrefetch(spans []PageSpan, window int) *Prefetcher {
 		started: make(map[PageID]struct{}, window),
 	}
 	p.cond = sync.NewCond(&p.mu)
-	readers := prefetchReaders
-	if readers > window {
-		readers = window
-	}
+	readers := int(min(prefetchReaders, p.window, total))
 	p.wg.Add(readers)
 	for i := 0; i < readers; i++ {
 		go p.reader()
@@ -132,9 +130,9 @@ func (p *Prefetcher) claimIndex() (int64, bool) {
 // reader pulls in-window pages into the pool. The page is marked before
 // the read starts: a scan that arrives mid-read coalesces on the frame's
 // loading channel, and the prefetcher still counts as having got there
-// first. Read errors are swallowed — the demand fetch will retry the read
-// and surface the error on the query path — but the mark is rolled back so
-// a failed prefetch is never reported as a hit.
+// first. The mark is rolled back when the prefetch fails, so a failed
+// prefetch is never reported as a hit and the consumer does a (correct)
+// demand fetch of its own.
 func (p *Prefetcher) reader() {
 	defer p.wg.Done()
 	for {
@@ -146,26 +144,39 @@ func (p *Prefetcher) reader() {
 		p.mu.Lock()
 		p.started[id] = struct{}{}
 		p.mu.Unlock()
-		_, missed, err := p.bp.fetch(id, true)
-		if err != nil {
-			p.mu.Lock()
-			delete(p.started, id)
-			p.mu.Unlock()
-			continue
-		}
-		if missed {
-			p.issued.Add(1)
-		}
-		if err := p.bp.UnpinPage(id); err != nil {
-			// A failed unpin means the frame is gone or the pin count is
-			// off — an invariant breach, not an I/O error. Roll back the
-			// mark so the consumer does a (correct) demand fetch instead
-			// of claiming a page whose pin state is unknown.
+		if !p.prefetchPage(id) {
 			p.mu.Lock()
 			delete(p.started, id)
 			p.mu.Unlock()
 		}
 	}
+}
+
+// prefetchPage reads page id into the pool and releases it again,
+// reporting whether the page is now resident and unpinned. Failures are
+// swallowed here because the query path reports them: the demand fetch
+// repeats a failed read and surfaces its error, and it re-raises a panic
+// (a fault-injection hook, or a bug in a lower layer) on the statement's
+// own goroutine, inside the statement's panic boundary — a reader
+// goroutine that let it escape would take the whole process down instead.
+// fetch has already deregistered the frame and woken co-fetchers by the
+// time the panic arrives here. A failed unpin means the frame is gone or
+// the pin count is off — an invariant breach, not an I/O error — and is
+// treated the same way.
+func (p *Prefetcher) prefetchPage(id PageID) (ok bool) {
+	defer func() {
+		if recover() != nil {
+			ok = false
+		}
+	}()
+	_, missed, err := p.bp.fetch(id, true)
+	if err != nil {
+		return false
+	}
+	if missed {
+		p.issued.Add(1)
+	}
+	return p.bp.UnpinPage(id) == nil
 }
 
 // Advance reports that the consumer finished one page, sliding the

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -161,6 +162,75 @@ func TestPrefetcherCloseReleasesPool(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("fetch after shutdown hung on a leaked loading channel")
+	}
+}
+
+// TestPrefetchReaderContainsPanickingRead: a read that panics on a prefetch
+// reader's goroutine (a fault hook here; any lower-layer bug in general)
+// would, uncontained, kill the process — no statement panic boundary
+// covers that goroutine. The reader must swallow it like a read error: the
+// failed pages are not claimable as hits, the demand fetch re-raises the
+// fault on its caller's goroutine, Close drains, and no frame stays pinned.
+func TestPrefetchReaderContainsPanickingRead(t *testing.T) {
+	const numPages, window = 8, 4
+	dm := prefetchDisk(t, numPages)
+	bp := NewBufferPool(dm, 16)
+	var faulted atomic.Int64
+	dm.SetFault(func(op string, _ PageID) error {
+		if op == "read" {
+			faulted.Add(1)
+			panic("injected read panic")
+		}
+		return nil
+	})
+
+	p := bp.StartPrefetch([]PageSpan{{First: 0, Last: numPages - 1}}, window)
+	if p == nil {
+		t.Fatal("StartPrefetch returned nil for a valid window")
+	}
+	for deadline := time.Now().Add(5 * time.Second); faulted.Load() < window; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("readers attempted %d of %d in-window reads", faulted.Load(), window)
+		}
+	}
+
+	// The demand fetch meets the same fault on the caller's goroutine,
+	// where a statement's panic boundary can turn it into an error (or,
+	// had it coalesced with an in-flight prefetch read, as a load error).
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("demand fetch of a faulted page neither panicked nor failed")
+			}
+		}()
+		if _, err := bp.FetchPage(0); err != nil {
+			panic(err)
+		}
+	}()
+
+	p.Close()
+	for id := PageID(0); id < numPages; id++ {
+		if p.Claim(id) {
+			t.Errorf("page %d: a failed prefetch is claimable as a hit", id)
+		}
+	}
+	if p.Issued() != 0 {
+		t.Errorf("prefetcher reports %d pages read", p.Issued())
+	}
+
+	dm.SetFault(nil)
+	if err := bp.DropAll(); err != nil {
+		t.Fatalf("DropAll after the faulted prefetch (a frame is still pinned?): %v", err)
+	}
+	fr, err := bp.FetchPage(1)
+	if err != nil {
+		t.Fatalf("fetch after the fault cleared: %v", err)
+	}
+	if fr.Data()[0] != 1 {
+		t.Fatal("page 1 has wrong contents")
+	}
+	if err := bp.UnpinPage(1); err != nil {
+		t.Fatal(err)
 	}
 }
 
