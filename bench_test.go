@@ -474,67 +474,43 @@ func BenchmarkParallelQ1FullScanWarm(b *testing.B) {
 	}
 }
 
-// --- batch execution + prefetch (PR 4 trajectory) -----------------------------
-
-// execModes are the before/after pair of the PR-4 perf work: the legacy
-// row-at-a-time iterators without readahead vs vectorized batch execution
-// with SMA-guided asynchronous prefetch.
-var execModes = []struct {
-	name string
-	opts engine.Options
-}{
-	{"row", engine.Options{BatchSize: -1, PrefetchWindow: -1}},
-	{"batch", engine.Options{}},
-}
+// --- execution + prefetch ------------------------------------------------------
 
 // BenchmarkQuery1ExecModeWarm runs the TPC-D Query 1 full scan at dop=1
-// entirely from the buffer pool — pure CPU — in row vs batch mode. The
-// ratio is the CPU-side win of batch execution (selection vectors +
-// alloc-free aggregation fold).
+// entirely from the buffer pool — pure CPU: page decode, selection vector
+// and the alloc-free aggregation fold.
 func BenchmarkQuery1ExecModeWarm(b *testing.B) {
-	for _, mode := range execModes {
-		b.Run(mode.name, func(b *testing.B) {
-			opts := mode.opts
-			opts.PoolPages = 16384 // hold the whole table: no re-reads
-			db := parQ1DB(b, 0.02, opts)
-			drainQ1(b, db, 1) // warm the pool
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				drainQ1(b, db, 1)
-			}
-		})
+	db := parQ1DB(b, 0.02, engine.Options{PoolPages: 16384}) // hold the whole table: no re-reads
+	drainQ1(b, db, 1)                                        // warm the pool
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		drainQ1(b, db, 1)
 	}
 }
 
 // BenchmarkQuery1ExecModeColdDisk runs the same query cold against the
 // simulated disk at dop=1 (1ms page reads, the time.Sleep regime, so
-// prefetch I/O genuinely overlaps even on a single core). In batch mode
-// the prefetcher streams the pages in ahead of the cursor, overlapping
-// I/O with computation; in row mode every page miss is paid synchronously.
+// prefetch I/O genuinely overlaps even on a single core): the prefetcher
+// streams the pages in ahead of the cursor, overlapping I/O with
+// computation.
 func BenchmarkQuery1ExecModeColdDisk(b *testing.B) {
-	for _, mode := range execModes {
-		b.Run(mode.name, func(b *testing.B) {
-			opts := mode.opts
-			opts.ReadLatency = time.Millisecond
-			db := parQ1DB(b, 0.002, opts)
-			tbl, err := db.Table("LINEITEM")
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				if err := tbl.Pool().DropAll(); err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-				drainQ1(b, db, 1)
-			}
-			st := tbl.Pool().Stats()
-			b.ReportMetric(float64(tbl.Heap.NumPages()), "pages")
-			b.ReportMetric(float64(st.PrefetchHits)/float64(b.N), "prefetch-hits/op")
-		})
+	db := parQ1DB(b, 0.002, engine.Options{ReadLatency: time.Millisecond})
+	tbl, err := db.Table("LINEITEM")
+	if err != nil {
+		b.Fatal(err)
 	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		if err := tbl.Pool().DropAll(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		drainQ1(b, db, 1)
+	}
+	st := tbl.Pool().Stats()
+	b.ReportMetric(float64(tbl.Heap.NumPages()), "pages")
+	b.ReportMetric(float64(st.PrefetchHits)/float64(b.N), "prefetch-hits/op")
 }
 
 // --- micro benchmarks (no simulated disk) ------------------------------------
@@ -629,45 +605,32 @@ func BenchmarkGradeAll(b *testing.B) {
 func BenchmarkSMAScanVsTableScan(b *testing.B) {
 	e := cachedEnv(b, "plain-sorted", experiments.Config{SF: benchSF, Order: tpcd.OrderSorted})
 	p := experiments.Q1Pred(2200) // selective cutoff
-	b.Run("TableScan", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			n := 0
-			it := exec.NewTableScan(e.LineItem, p)
-			if err := it.Open(); err != nil {
+	count := func(b *testing.B, it exec.BatchIter) {
+		if err := it.Open(); err != nil {
+			b.Fatal(err)
+		}
+		defer it.Close()
+		n := 0
+		for {
+			batch, err := it.NextBatch()
+			if err != nil {
 				b.Fatal(err)
 			}
-			for {
-				_, ok, err := it.Next()
-				if err != nil {
-					b.Fatal(err)
-				}
-				if !ok {
-					break
-				}
-				n++
+			if batch == nil {
+				return
 			}
-			it.Close()
+			n += len(batch.Sel)
+		}
+	}
+	b.Run("TableScan", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			count(b, exec.NewBatchTableScan(e.LineItem, p, exec.ExecOptions{}))
 		}
 	})
 	b.Run("SMAScan", func(b *testing.B) {
 		g := e.Grader()
 		for i := 0; i < b.N; i++ {
-			n := 0
-			it := exec.NewSMAScan(e.LineItem, p, g)
-			if err := it.Open(); err != nil {
-				b.Fatal(err)
-			}
-			for {
-				_, ok, err := it.Next()
-				if err != nil {
-					b.Fatal(err)
-				}
-				if !ok {
-					break
-				}
-				n++
-			}
-			it.Close()
+			count(b, exec.NewBatchSMAScan(e.LineItem, p, g, exec.ExecOptions{}))
 		}
 	})
 }

@@ -114,7 +114,7 @@ func WithDOP(n int) QueryOption {
 }
 
 // WithBatchSize overrides the server's tuples-per-batch target for one
-// query; negative runs the row-at-a-time fallback.
+// query; 0 means the engine default. The server refuses a negative n.
 func WithBatchSize(n int) QueryOption {
 	return func(q *queryRequest) { q.BatchSize = &n }
 }
@@ -290,7 +290,7 @@ func (r *Rows) Trailer() (rowCount int64, elapsed time.Duration, stats *Stats, o
 // how the query classified the relation's buckets (qualify /
 // disqualify / ambivalent) and the pages it touched. ok is false until
 // Next has returned false without error, or when the plan tracks no
-// stats (pure projections on the row path).
+// stats.
 func (r *Rows) Stats() (Stats, bool) {
 	if r.trl == nil || r.trl.Stats == nil {
 		return Stats{}, false

@@ -3,16 +3,13 @@
 //
 // Usage:
 //
-//	smabench [-exp all|e1|e2|...|e10|pr4] [-sf 0.02] [-latency] [-delta 90]
-//	smabench -exp pr4 -out BENCH_pr4.json   # batch/prefetch trajectory
+//	smabench [-exp all|e1|e2|...|e11] [-sf 0.02] [-latency] [-delta 90]
 //	smabench -exp obs -out BENCH_obs.json   # observability overhead (off/metrics/trace)
 //	smabench -exp wal -out BENCH_wal.json   # group-commit throughput per sync policy
 //	smabench -exp chaos -out BENCH_chaos.json # availability under injected faults + crashes
 //
 // Each experiment prints the measured rows next to the paper's published
 // numbers; EXPERIMENTS.md records a full paper-vs-measured comparison.
-// The pr4 experiment measures the vectorized-batch + prefetch read path
-// against the legacy row path and records the trajectory as JSON.
 package main
 
 import (
@@ -40,7 +37,6 @@ var experimentCatalog = []struct{ ID, Desc string }{
 	{"e9", "§4 ablation: batch size sweep"},
 	{"e10", "§4 ablation: maintenance cost under appends"},
 	{"e11", "§4 ablation: SMA scan vs index plan by selectivity"},
-	{"pr4", "batch/prefetch read-path trajectory (BENCH_pr4.json)"},
 	{"serve", "HTTP serve throughput under concurrent clients (BENCH_serve.json)"},
 	{"obs", "observability + stats overhead vs disabled, 2% budget (BENCH_obs.json)"},
 	{"wal", "group-commit throughput per sync policy (BENCH_wal.json)"},
@@ -48,13 +44,13 @@ var experimentCatalog = []struct{ ID, Desc string }{
 }
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run: all, e1..e11, pr4, serve, obs, wal, chaos")
+	exp := flag.String("exp", "all", "experiment to run: all, e1..e11, serve, obs, wal, chaos")
 	list := flag.Bool("list", false, "list every experiment with a one-line description and exit")
 	sf := flag.Float64("sf", 0.02, "TPC-D scale factor (paper: 1.0)")
 	delta := flag.Int("delta", 90, "Query 1 delta in days")
 	latency := flag.Bool("latency", true, "simulate disk latency (100µs sequential page read, +500µs seek on random access)")
 	seed := flag.Int64("seed", 1998, "data generation seed")
-	out := flag.String("out", "", "write the pr4/serve JSON artifact to this file")
+	out := flag.String("out", "", "write the experiment's JSON artifact to this file")
 	serveClients := flag.Int("serve-clients", 16, "serve experiment: concurrent clients")
 	serveOps := flag.Int("serve-ops", 200, "serve experiment: statements per client")
 	serveRows := flag.Int("serve-rows", 20000, "serve experiment: seed rows")
@@ -151,12 +147,6 @@ func main() {
 		}
 		fmt.Println(res.Render())
 	}
-	if run("pr4") && want == "pr4" {
-		ok = true
-		if err := runPR4(*sf, *seed, *delta, *out); err != nil {
-			fatal(err)
-		}
-	}
 	if run("serve") && want == "serve" {
 		ok = true
 		if err := runServe(*serveClients, *serveOps, *serveRows, *out); err != nil {
@@ -182,7 +172,7 @@ func main() {
 		}
 	}
 	if !ok {
-		fatal(fmt.Errorf("unknown experiment %q (want all, e1..e11, pr4, serve, obs, wal, or chaos)", *exp))
+		fatal(fmt.Errorf("unknown experiment %q (want all, e1..e11, serve, obs, wal, or chaos)", *exp))
 	}
 }
 

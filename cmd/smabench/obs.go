@@ -30,7 +30,10 @@ import (
 	"time"
 
 	"sma/internal/engine"
+	"sma/internal/experiments"
 	"sma/internal/obs"
+	"sma/internal/tpcd"
+	"sma/internal/tuple"
 )
 
 // obsResult is one configuration's measurement.
@@ -87,10 +90,10 @@ func runObs(sf float64, seed int64, delta int, out string) error {
 			return err
 		}
 		defer os.RemoveAll(dir)
-		if err := pr4Load(dir, sf, seed); err != nil {
+		if err := loadQ1(dir, sf, seed); err != nil {
 			return err
 		}
-		query = pr4Queries(delta)["q1_sma"]
+		query = q1SMAQuery(delta)
 		opts := engine.Options{PoolPages: 16384}
 		if cfg.obs {
 			// A fresh observer per open: observers must not be shared
@@ -232,4 +235,48 @@ func obsRun(db *engine.DB, query string, trace bool) (obsResult, time.Duration, 
 		res.Strategy = p.StrategyName()
 	}
 	return res, elapsed, nil
+}
+
+// loadQ1 creates the LINEITEM table (shipdate-sorted, the paper's layout)
+// and its eight Query-1 SMAs in dir.
+func loadQ1(dir string, sf float64, seed int64) error {
+	db, err := engine.Open(dir, engine.Options{})
+	if err != nil {
+		return err
+	}
+	defer closeOrWarn("database", db.Close)
+	tbl, err := db.CreateTable("LINEITEM", tpcd.LineItemSchema().Columns())
+	if err != nil {
+		return err
+	}
+	items := tpcd.GenLineItems(tpcd.Config{ScaleFactor: sf, Seed: seed, Order: tpcd.OrderSorted})
+	tp := tuple.NewTuple(tbl.Schema)
+	for i := range items {
+		items[i].FillTuple(tp)
+		if _, err := tbl.Append(tp); err != nil {
+			return err
+		}
+	}
+	for _, def := range experiments.Q1SMADefs() {
+		if _, err := db.DefineSMADef(def); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// q1SMAQuery is the paper's Query 1, covered by the eight SMAs (plan
+// SMA_GAggr); delta is its parameter in days.
+func q1SMAQuery(delta int) string {
+	cutoff := tuple.FormatDate(tpcd.EndDate - int32(delta))
+	return fmt.Sprintf(`SELECT L_RETURNFLAG, L_LINESTATUS,
+		SUM(L_QUANTITY) AS SUM_QTY,
+		SUM(L_EXTENDEDPRICE) AS SUM_BASE_PRICE,
+		SUM(L_EXTENDEDPRICE*(1-L_DISCOUNT)) AS SUM_DISC_PRICE,
+		SUM(L_EXTENDEDPRICE*(1-L_DISCOUNT)*(1+L_TAX)) AS SUM_CHARGE,
+		AVG(L_QUANTITY) AS AVG_QTY, AVG(L_EXTENDEDPRICE) AS AVG_PRICE,
+		AVG(L_DISCOUNT) AS AVG_DISC, COUNT(*) AS COUNT_ORDER
+		FROM LINEITEM WHERE L_SHIPDATE <= DATE '%s'
+		GROUP BY L_RETURNFLAG, L_LINESTATUS
+		ORDER BY L_RETURNFLAG, L_LINESTATUS`, cutoff)
 }

@@ -38,8 +38,7 @@ func main() {
 	explain := flag.Bool("explain", false, "print the plan instead of executing")
 	stats := flag.Bool("stats", false, "print the query's scan statistics (bucket grading, pages, batches, prefetch) after the result")
 	dop := flag.Int("dop", 0, "degree of intra-query parallelism (0 = serial; buckets are partitioned across this many workers)")
-	batch := flag.Bool("batch", true, "vectorized batch execution (false = legacy row-at-a-time iterators, for A/B runs)")
-	batchSize := flag.Int("batchsize", 0, "tuples per batch (0 = default 1024)")
+	batchSize := flag.Int("batchsize", 0, "tuples per batch (0 or negative = default 1024)")
 	prefetch := flag.Int("prefetch", 0, "pages of asynchronous readahead per scan (0 = default 16, negative disables; for A/B runs)")
 	flag.Parse()
 	if *dir == "" {
@@ -58,10 +57,7 @@ func main() {
 	}
 
 	opts := []sma.Option{sma.WithParallelism(*dop)}
-	switch {
-	case !*batch:
-		opts = append(opts, sma.WithBatchSize(-1))
-	case *batchSize != 0:
+	if *batchSize != 0 {
 		opts = append(opts, sma.WithBatchSize(*batchSize))
 	}
 	if *prefetch != 0 {

@@ -61,8 +61,8 @@ func TestCubeAnswersQuery1(t *testing.T) {
 	for _, cutoff := range []string{"1998-09-02", "1995-06-17", "1993-01-01"} {
 		cut := tuple.MustParseDate(cutoff)
 		rows := c.QueryShipdateLE(cut)
-		agg := exec.NewGAggr(exec.NewTableScan(h, experiments.Q1Pred(int(tuple.MustParseDate("1998-12-01")-cut))),
-			h.Schema(), experiments.Q1Specs(), experiments.Q1GroupBy())
+		scan := exec.NewBatchTableScan(h, experiments.Q1Pred(int(tuple.MustParseDate("1998-12-01")-cut)), exec.ExecOptions{})
+		agg := exec.NewBatchGAggr(scan, h.Schema(), experiments.Q1Specs(), experiments.Q1GroupBy())
 		want, err := exec.CollectRows(exec.NewSortRows(agg))
 		if err != nil {
 			t.Fatal(err)

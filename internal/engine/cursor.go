@@ -32,8 +32,8 @@ func WithDOP(n int) QueryOption {
 }
 
 // WithBatchSize overrides the engine's tuples-per-batch target for one
-// query: 0 batches at the default size, negative falls the plan back to
-// the legacy row-at-a-time iterators. The prefetch window is unaffected.
+// query; values <= 0 batch at the default size. The prefetch window is
+// unaffected.
 func WithBatchSize(n int) QueryOption {
 	return func(c *queryConfig) { c.batch = &n }
 }
@@ -489,7 +489,6 @@ func (db *DB) queryContext(ctx context.Context, sql string, opts ...QueryOption)
 		plan.DOP = db.pl.ChooseDOP(plan, cfg.dop)
 	}
 	if cfg.batch != nil {
-		plan.Exec.RowMode = *cfg.batch < 0
 		plan.Exec.BatchSize = *cfg.batch
 	}
 	plan.Span = tr.Root().Child("execute")

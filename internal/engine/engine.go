@@ -49,9 +49,8 @@ type Options struct {
 	// are divided across. 0 or 1 executes serially. Individual queries
 	// can override it with the WithDOP query option.
 	Parallelism int
-	// BatchSize is the tuples-per-batch target of the vectorized read
-	// path (default 1024). Negative values disable batching entirely:
-	// plans fall back to the legacy row-at-a-time iterators.
+	// BatchSize is the tuples-per-batch target of the read path; values
+	// <= 0 mean the default (1024).
 	BatchSize int
 	// PrefetchWindow is the number of pages of SMA-guided asynchronous
 	// readahead per scan (default 16, derated per worker under
@@ -221,7 +220,6 @@ func Open(dir string, opts Options) (*DB, error) {
 	db := &DB{dir: dir, opts: opts, tables: make(map[string]*Table), pl: planner.New(), lock: lock}
 	db.pl.DOP = opts.Parallelism
 	db.pl.Exec = exec.ExecOptions{
-		RowMode:        opts.BatchSize < 0,
 		BatchSize:      opts.BatchSize,
 		PrefetchWindow: opts.PrefetchWindow,
 	}
@@ -784,7 +782,11 @@ func (db *DB) Query(sql string) (res *Result, err error) {
 	if err != nil {
 		return nil, err
 	}
-	rows, err := plan.Execute()
+	it, err := plan.RowIterator(nil)
+	if err != nil {
+		return nil, err
+	}
+	rows, err := exec.CollectRows(it)
 	if err != nil {
 		return nil, err
 	}

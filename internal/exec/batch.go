@@ -18,21 +18,16 @@ const DefaultBatchSize = 1024
 // pages the asynchronous prefetcher keeps in flight ahead of the cursor.
 const DefaultPrefetchWindow = 16
 
-// ExecOptions selects the physical execution mode of the hot read path.
-// The zero value means batch execution with default batch size and
-// prefetch window; the engine maps its user-facing options onto it.
+// ExecOptions sizes the read path. The zero value means the default batch
+// size and prefetch window; the engine maps its user-facing options onto it.
 type ExecOptions struct {
-	// RowMode falls back to the legacy tuple-at-a-time iterators.
-	RowMode bool
-	// BatchSize is the tuples-per-batch target; 0 means DefaultBatchSize.
+	// BatchSize is the tuples-per-batch target; values <= 0 mean
+	// DefaultBatchSize. Scans raise it to one full page.
 	BatchSize int
 	// PrefetchWindow is the page readahead per scan; 0 means
 	// DefaultPrefetchWindow, negative disables prefetch.
 	PrefetchWindow int
 }
-
-// Batching reports whether plans should use the batched operators.
-func (o ExecOptions) Batching() bool { return !o.RowMode }
 
 // EffectiveBatchSize resolves the tuples-per-batch target.
 func (o ExecOptions) EffectiveBatchSize() int {
@@ -141,7 +136,7 @@ func batchCap(opts ExecOptions, perPage int) int {
 	return n
 }
 
-// BatchIter produces tuple batches; the batched counterpart of TupleIter.
+// BatchIter produces tuple batches: the interface between operators.
 type BatchIter interface {
 	// Open initializes the iterator; it must be called before NextBatch.
 	Open() error
@@ -153,9 +148,8 @@ type BatchIter interface {
 	Close() error
 }
 
-// BatchToTuples adapts a batch iterator to the legacy TupleIter contract,
-// so row-at-a-time consumers (projection streaming, tests) can sit on top
-// of a batched scan unchanged.
+// BatchToTuples adapts a batch iterator to the TupleIter contract: the edge
+// of a projection pipeline, where the cursor pulls one tuple at a time.
 type BatchToTuples struct {
 	Input BatchIter
 
@@ -328,9 +322,8 @@ func (f *groupFolder) fold(b *Batch) {
 			accs[k] = acc
 		}
 	}
-	// Phase 2: one tight loop per aggregate spec. Per-group accumulation
-	// order matches the row path (tuples in selection order), so results
-	// are bit-identical.
+	// Phase 2: one tight loop per aggregate spec. Each group accumulates
+	// its tuples in selection order, whatever the batch boundaries.
 	for i := range f.specs {
 		sp := &f.specs[i]
 		switch sp.Func {

@@ -38,8 +38,8 @@ func deleteEveryNth(t *testing.T, h *storage.HeapFile, n int) {
 	}
 }
 
-// collectBatched drains a batch iterator through the row adapter, copying
-// every tuple.
+// collectBatched drains a batch iterator through the tuple adapter,
+// copying every tuple.
 func collectBatched(t *testing.T, it exec.BatchIter) []tuple.Tuple {
 	t.Helper()
 	out, err := exec.CollectTuples(exec.NewBatchToTuples(it))
@@ -63,8 +63,8 @@ func tuplesEqual(a, b []tuple.Tuple) bool {
 }
 
 // TestBatchTableScanEqualsRowScan: for random predicates, orders, bucket
-// sizes and deleted records, the batched scan yields exactly the row
-// scan's tuple sequence.
+// sizes and deleted records, the scan yields exactly the reference
+// filter's tuple sequence across small batches.
 func TestBatchTableScanEqualsRowScan(t *testing.T) {
 	orders := []tpcd.Order{tpcd.OrderSorted, tpcd.OrderSpec, tpcd.OrderShuffled}
 	f := func(seed int64) bool {
@@ -74,13 +74,10 @@ func TestBatchTableScanEqualsRowScan(t *testing.T) {
 			deleteEveryNth(t, h, 2+rng.Intn(9))
 		}
 		p := randPred(rng, 2)
-		want, err := exec.CollectTuples(exec.NewTableScan(h, clonePred(p)))
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := refTuples(t, h, p)
 		got := collectBatched(t, exec.NewBatchTableScan(h, p, batchOpts))
 		if !tuplesEqual(got, want) {
-			t.Logf("seed %d: %d batched tuples vs %d (pred %s)", seed, len(got), len(want), p)
+			t.Logf("seed %d: %d scanned tuples vs %d (pred %s)", seed, len(got), len(want), p)
 			return false
 		}
 		return true
@@ -90,8 +87,9 @@ func TestBatchTableScanEqualsRowScan(t *testing.T) {
 	}
 }
 
-// TestBatchSMAScanEqualsRowScan: the batched SMA_Scan returns exactly the
-// row SMA_Scan's tuples and classifies buckets identically.
+// TestBatchSMAScanEqualsRowScan: SMA_Scan returns exactly the reference
+// filter's tuples across small batches, and counts the buckets and pages
+// the grades imply.
 func TestBatchSMAScanEqualsRowScan(t *testing.T) {
 	orders := []tpcd.Order{tpcd.OrderSorted, tpcd.OrderDiagonal, tpcd.OrderShuffled}
 	f := func(seed int64) bool {
@@ -101,21 +99,17 @@ func TestBatchSMAScanEqualsRowScan(t *testing.T) {
 		grader := core.NewGrader(smas["min"], smas["max"])
 		p := randPred(rng, 2)
 
-		rowScan := exec.NewSMAScan(h, clonePred(p), grader)
-		want, err := exec.CollectTuples(rowScan)
-		if err != nil {
-			t.Fatal(err)
-		}
-		batchScan := exec.NewBatchSMAScan(h, p, grader, batchOpts)
-		got := collectBatched(t, batchScan)
+		want := refTuples(t, h, p)
+		scan := exec.NewBatchSMAScan(h, p, grader, batchOpts)
+		got := collectBatched(t, scan)
 		if !tuplesEqual(got, want) {
-			t.Logf("seed %d: %d batched tuples vs %d (pred %s)", seed, len(got), len(want), p)
+			t.Logf("seed %d: %d scanned tuples vs %d (pred %s)", seed, len(got), len(want), p)
 			return false
 		}
-		bs, rs := batchScan.Stats(), rowScan.Stats()
-		if bs.Qualifying != rs.Qualifying || bs.Disqualifying != rs.Disqualifying ||
-			bs.Ambivalent != rs.Ambivalent || bs.PagesRead != rs.PagesRead {
-			t.Logf("seed %d: batch stats %+v vs row %+v", seed, bs, rs)
+		st, ref := scan.Stats(), refGrades(t, h, grader, p)
+		if st.Qualifying != ref.Qualifying || st.Disqualifying != ref.Disqualifying ||
+			st.Ambivalent != ref.Ambivalent || st.PagesRead != ref.PagesRead {
+			t.Logf("seed %d: scan stats %+v vs graded %+v", seed, st, ref)
 			return false
 		}
 		return true
@@ -125,9 +119,9 @@ func TestBatchSMAScanEqualsRowScan(t *testing.T) {
 	}
 }
 
-// TestBatchGAggrEqualsGAggr: the batched aggregation produces bit-identical
-// rows to the row-path hash aggregation — same fold order, same groups —
-// over both scan shapes, with and without GROUP BY.
+// TestBatchGAggrEqualsGAggr: hash aggregation over small batches produces
+// rows bit-identical to the reference fold — same accumulation order, same
+// groups — with and without GROUP BY.
 func TestBatchGAggrEqualsGAggr(t *testing.T) {
 	groupings := [][]string{{"L_RETURNFLAG", "L_LINESTATUS"}, {"L_RETURNFLAG"}, nil}
 	f := func(seed int64) bool {
@@ -138,34 +132,15 @@ func TestBatchGAggrEqualsGAggr(t *testing.T) {
 		}
 		groupBy := groupings[rng.Intn(len(groupings))]
 		p := randPred(rng, 2)
-		specs := q1Specs()
 
-		row := exec.NewGAggr(exec.NewTableScan(h, clonePred(p)), h.Schema(), exec.CloneSpecs(specs), groupBy)
-		want, err := exec.CollectRows(exec.NewSortRows(row))
+		want := refRows(t, h, p, q1Specs(), groupBy)
+		got, err := exec.CollectRows(exec.NewBatchGAggr(exec.NewBatchTableScan(h, p, batchOpts), h.Schema(), q1Specs(), groupBy))
 		if err != nil {
 			t.Fatal(err)
 		}
-		batch := exec.NewBatchGAggr(exec.NewBatchTableScan(h, p, batchOpts), h.Schema(), exec.CloneSpecs(specs), groupBy)
-		got, err := exec.CollectRows(exec.NewSortRows(batch))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Logf("seed %d: %d groups vs %d (pred %s)", seed, len(got), len(want), p)
+		if !sameRows(t, got, want, 0) {
+			t.Logf("seed %d (pred %s)", seed, p)
 			return false
-		}
-		for i := range want {
-			if got[i].Key != want[i].Key {
-				t.Logf("seed %d: key %q vs %q", seed, got[i].Key, want[i].Key)
-				return false
-			}
-			for j := range want[i].Aggs {
-				// Same accumulation order ⇒ bit-identical floats.
-				if got[i].Aggs[j] != want[i].Aggs[j] {
-					t.Logf("seed %d: agg[%d][%d] %v vs %v (pred %s)", seed, i, j, got[i].Aggs[j], want[i].Aggs[j], p)
-					return false
-				}
-			}
 		}
 		return true
 	}
@@ -174,51 +149,30 @@ func TestBatchGAggrEqualsGAggr(t *testing.T) {
 	}
 }
 
-// TestSMAGAggrBatchedEqualsRow: the batched ambivalent-bucket path of
-// SMA_GAggr produces bit-identical results to its row path.
+// TestSMAGAggrBatchedEqualsRow: SMA_GAggr inspecting its ambivalent buckets
+// in small batches behind a short prefetch window equals the reference
+// fold (SMA entries add in bucket order, so up to float tolerance).
 func TestSMAGAggrBatchedEqualsRow(t *testing.T) {
 	orders := []tpcd.Order{tpcd.OrderSorted, tpcd.OrderDiagonal, tpcd.OrderShuffled}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		h := loadLineItems(t, tpcd.Config{ScaleFactor: 0.0008, Seed: seed, Order: orders[rng.Intn(3)]}, 1+rng.Intn(3))
 		smas := buildQ1SMAs(t, h)
-		grader := core.NewGrader(smas["min"], smas["max"])
 		groupBy := []string{"L_RETURNFLAG", "L_LINESTATUS"}
-		specs := q1Specs()
 		aggSMAs := []*core.SMA{smas["qty"], smas["ext"], smas["extdis"], smas["extdistax"],
 			smas["qty"], smas["ext"], smas["dis"], smas["count"]}
 		p := randPred(rng, 2)
 
-		build := func(rowMode bool, q pred.Predicate) *exec.SMAGAggr {
-			op := exec.NewSMAGAggr(h, q, exec.CloneSpecs(specs), groupBy, grader, aggSMAs, smas["count"])
-			op.Opts = batchOpts
-			op.Opts.RowMode = rowMode
-			return op
-		}
-		want, err := exec.CollectRows(exec.NewSortRows(build(true, clonePred(p))))
+		want := refRows(t, h, p, q1Specs(), groupBy)
+		op := exec.NewSMAGAggr(h, p, q1Specs(), groupBy, core.NewGrader(smas["min"], smas["max"]), aggSMAs, smas["count"])
+		op.Opts = batchOpts
+		got, err := exec.CollectRows(op)
 		if err != nil {
 			t.Fatal(err)
 		}
-		batched := build(false, p)
-		got, err := exec.CollectRows(exec.NewSortRows(batched))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Logf("seed %d: %d groups vs %d (pred %s)", seed, len(got), len(want), p)
+		if !sameRows(t, got, want, 1e-6) {
+			t.Logf("seed %d (pred %s)", seed, p)
 			return false
-		}
-		for i := range want {
-			if got[i].Key != want[i].Key {
-				t.Logf("seed %d: key %q vs %q", seed, got[i].Key, want[i].Key)
-				return false
-			}
-			for j := range want[i].Aggs {
-				if got[i].Aggs[j] != want[i].Aggs[j] {
-					t.Logf("seed %d: agg[%d][%d] %v vs %v (pred %s)", seed, i, j, got[i].Aggs[j], want[i].Aggs[j], p)
-					return false
-				}
-			}
 		}
 		return true
 	}
@@ -276,15 +230,12 @@ func TestBatchScanCancelMidBatch(t *testing.T) {
 	}
 }
 
-// TestBatchToTuplesAdapter spot-checks the adapter against a plain scan on
-// a page with deleted slots.
+// TestBatchToTuplesAdapter spot-checks the adapter against the reference
+// filter on pages with deleted slots.
 func TestBatchToTuplesAdapter(t *testing.T) {
 	h := loadLineItems(t, tpcd.Config{ScaleFactor: 0.0008, Seed: 3, Order: tpcd.OrderSorted}, 2)
 	deleteEveryNth(t, h, 5)
-	want, err := exec.CollectTuples(exec.NewTableScan(h, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := refTuples(t, h, nil)
 	got := collectBatched(t, exec.NewBatchTableScan(h, nil, batchOpts))
 	if !tuplesEqual(got, want) {
 		t.Fatalf("adapter sequence differs: %d vs %d tuples", len(got), len(want))

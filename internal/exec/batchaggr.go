@@ -5,12 +5,14 @@ import (
 	"sma/internal/tuple"
 )
 
-// BatchGAggr is hash aggregation over a batch input: the batched
-// counterpart of GAggr. Open drains the input batch by batch, folding the
-// selected tuples of each batch into the mergeable per-group Partials with
-// an allocation-free inner loop (no per-tuple group-key strings, no
-// per-tuple interface hop through a tuple iterator). Like GAggr it is a
-// pipeline breaker and supports KeepPartials for the parallel workers.
+// BatchGAggr is Dayal's grouping-with-aggregation operator computed by hash
+// aggregation over a batch input: the non-SMA baseline of "Query 1 without
+// SMAs" (above a BatchTableScan) and the aggregation above a BatchSMAScan.
+// Open drains the input batch by batch, folding the selected tuples of each
+// batch into the mergeable per-group Partials with an allocation-free inner
+// loop (no per-tuple group-key strings, no per-tuple interface hop). It is
+// a pipeline breaker, like SMA_GAggr in the paper, and supports
+// KeepPartials for the parallel workers.
 type BatchGAggr struct {
 	Input   BatchIter
 	Specs   []AggSpec

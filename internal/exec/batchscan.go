@@ -8,11 +8,12 @@ import (
 	"sma/internal/storage"
 )
 
-// BatchTableScan is the batch-at-a-time counterpart of TableScan: it decodes
-// pages into a reusable batch (one memcpy per page when no records are
-// deleted), runs the predicate as a tight loop producing a selection vector,
-// and — when a prefetch window is configured — streams the pages of its
-// range into the buffer pool ahead of the cursor.
+// BatchTableScan reads every page of its range in physical order — the
+// baseline the paper's "Query 1 without SMAs" runs on. It decodes pages into
+// a reusable batch (one memcpy per page when no records are deleted), runs
+// the predicate as a tight loop producing a selection vector, and — when a
+// prefetch window is configured — streams the pages of its range into the
+// buffer pool ahead of the cursor. No page stays pinned between calls.
 type BatchTableScan struct {
 	H    *storage.HeapFile
 	Pred pred.Predicate // nil means no filter
@@ -20,7 +21,8 @@ type BatchTableScan struct {
 	// query aborts mid-batch with the context's error.
 	Ctx context.Context
 	// StartPage and EndPage bound the scan to pages [StartPage, EndPage);
-	// EndPage 0 means the end of the file.
+	// EndPage 0 means the end of the file. The parallel subsystem assigns
+	// one page range per worker.
 	StartPage storage.PageID
 	EndPage   storage.PageID
 	// Opts carries the batch size and prefetch window.
@@ -116,8 +118,10 @@ func (s *BatchTableScan) Close() error {
 // Stats reports pages read, batches produced, and prefetch activity.
 func (s *BatchTableScan) Stats() ScanStats { return s.stats }
 
-// BatchSMAScan is the batch-at-a-time counterpart of SMAScan (the paper's
-// SMA_Scan, Fig. 6): buckets are graded up front, disqualifying buckets are
+// BatchSMAScan is the paper's SMA_Scan operator (Fig. 6), whose "three
+// parameters ... are the relation R to be scanned, the predicate to be
+// evaluated on its tuples and a set of SMAs useful for partitioning the
+// buckets of R": buckets are graded up front, disqualifying buckets are
 // skipped without touching a page, qualifying buckets are decoded straight
 // into batches with an all-selected vector, and only ambivalent buckets pay
 // the predicate loop. Because grading precedes the first page access, the
@@ -130,8 +134,9 @@ type BatchSMAScan struct {
 	// Ctx, when set, is checked before every page read.
 	Ctx context.Context
 	// Buckets, when non-nil, restricts the scan to the given ascending
-	// bucket numbers; Grades, when non-nil, runs parallel to Buckets (or
-	// to all buckets) and carries pre-computed grades.
+	// bucket numbers (one partition of the parallel subsystem); Grades,
+	// when non-nil, runs parallel to Buckets (or to all buckets) and
+	// carries pre-computed grades, saving the grading pass in Open.
 	Buckets []int
 	Grades  []core.Grade
 	// Opts carries the batch size and prefetch window.
@@ -150,6 +155,34 @@ type BatchSMAScan struct {
 	batch *Batch
 	pf    *storage.Prefetcher
 	stats ScanStats
+}
+
+// GradeBuckets returns one grade per scan position — the buckets listed in
+// buckets, or buckets 0..nb-1 when it is nil — from a single GradeAll pass
+// over the grader's SMA vectors. A nil predicate qualifies every bucket; a
+// bucket the SMAs do not cover is Ambivalent (core.PadGrades).
+func GradeBuckets(g *core.Grader, p pred.Predicate, buckets []int, nb int) []core.Grade {
+	if buckets != nil {
+		nb = len(buckets)
+	}
+	if p == nil {
+		out := make([]core.Grade, nb)
+		for i := range out {
+			out[i] = core.Qualifies
+		}
+		return out
+	}
+	all := g.GradeAll(p)
+	if buckets == nil {
+		return core.PadGrades(all, nb)
+	}
+	out := make([]core.Grade, nb)
+	for i, b := range buckets {
+		if b < len(all) {
+			out[i] = all[b]
+		}
+	}
+	return out
 }
 
 // NewBatchSMAScan creates the operator. grader must cover the heap's
@@ -202,7 +235,8 @@ func (s *BatchSMAScan) Open() error {
 	return nil
 }
 
-// getBucket advances past disqualifying buckets to the next surviving one.
+// getBucket advances past disqualifying buckets to the next surviving one,
+// mirroring Fig. 6's getBucket subroutine.
 func (s *BatchSMAScan) getBucket() bool {
 	for ; s.bucket < s.numBucket; s.bucket++ {
 		grade := s.grades[s.bucket]

@@ -42,7 +42,7 @@ func randPred(rng *rand.Rand, depth int) pred.Predicate {
 
 // TestQuickSMAGAggrEqualsGAggr is the whole-plan equivalence property: for
 // random predicates, orderings and groupings, the SMA_GAggr result equals
-// the TableScan+GAggr result exactly (up to float tolerance).
+// the reference fold's exactly (up to float tolerance).
 func TestQuickSMAGAggrEqualsGAggr(t *testing.T) {
 	orders := []tpcd.Order{tpcd.OrderSorted, tpcd.OrderSpec, tpcd.OrderDiagonal, tpcd.OrderShuffled}
 	groupings := [][]string{
@@ -66,47 +66,16 @@ func TestQuickSMAGAggrEqualsGAggr(t *testing.T) {
 		grader := core.NewGrader(smas["min"], smas["max"])
 		smaAgg := exec.NewSMAGAggr(h, p, specs, groupBy, grader,
 			[]*core.SMA{smas["qty"], smas["count"], smas["dis"]}, smas["count"])
-		got, err := exec.CollectRows(exec.NewSortRows(smaAgg))
+		got, err := exec.CollectRows(smaAgg)
 		if err != nil {
 			t.Logf("seed %d: %v", seed, err)
 			return false
 		}
-		base := exec.NewGAggr(exec.NewTableScan(h, clonePred(p)), h.Schema(), specs, groupBy)
-		want, err := exec.CollectRows(exec.NewSortRows(base))
-		if err != nil {
-			t.Logf("seed %d: %v", seed, err)
+		// A global aggregate over zero qualifying tuples is one zero row on
+		// both sides.
+		if !sameRows(t, got, refRows(t, h, p, specs, groupBy), 1e-6) {
+			t.Logf("seed %d (pred %s)", seed, p)
 			return false
-		}
-		if len(got) != len(want) {
-			// A global aggregate over zero qualifying tuples: GAggr emits a
-			// zero row, SMA_GAggr may too — both paths use finishGroups, so
-			// the counts must match.
-			t.Logf("seed %d: %d groups vs %d (pred %s)", seed, len(got), len(want), p)
-			return false
-		}
-		for i := range want {
-			if got[i].Key != want[i].Key {
-				t.Logf("seed %d: key %q vs %q", seed, got[i].Key, want[i].Key)
-				return false
-			}
-			for j := range want[i].Aggs {
-				a, b := got[i].Aggs[j], want[i].Aggs[j]
-				diff := a - b
-				if diff < 0 {
-					diff = -diff
-				}
-				scale := 1.0
-				if b > 1 || b < -1 {
-					scale = b
-					if scale < 0 {
-						scale = -scale
-					}
-				}
-				if diff > 1e-6*scale {
-					t.Logf("seed %d: agg[%d][%d] %v vs %v (pred %s)", seed, i, j, a, b, p)
-					return false
-				}
-			}
 		}
 		return true
 	}
@@ -143,7 +112,8 @@ func clonePred(p pred.Predicate) pred.Predicate {
 }
 
 // TestQuickSMAScanEqualsFilteredScan: the Fig.-6 operator returns exactly
-// the filtered-scan tuple sequence for random predicates and bucket sizes.
+// the reference filter's tuple sequence for random predicates and bucket
+// sizes.
 func TestQuickSMAScanEqualsFilteredScan(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -154,25 +124,11 @@ func TestQuickSMAScanEqualsFilteredScan(t *testing.T) {
 		smas := buildQ1SMAs(t, h)
 		p := randPred(rng, 2)
 
-		scan := exec.NewSMAScan(h, p, core.NewGrader(smas["min"], smas["max"]))
-		got, err := exec.CollectTuples(scan)
-		if err != nil {
-			return false
-		}
-		want, err := exec.CollectTuples(exec.NewTableScan(h, clonePred(p)))
-		if err != nil {
-			return false
-		}
-		if len(got) != len(want) {
+		scan := exec.NewBatchSMAScan(h, p, core.NewGrader(smas["min"], smas["max"]), exec.ExecOptions{})
+		got, want := collectBatched(t, scan), refTuples(t, h, p)
+		if !tuplesEqual(got, want) {
 			t.Logf("seed %d: %d vs %d tuples (pred %s)", seed, len(got), len(want), p)
 			return false
-		}
-		ok := h.Schema().ColumnIndex("L_ORDERKEY")
-		ln := h.Schema().ColumnIndex("L_LINENUMBER")
-		for i := range want {
-			if got[i].Int64(ok) != want[i].Int64(ok) || got[i].Int32(ln) != want[i].Int32(ln) {
-				return false
-			}
 		}
 		return true
 	}
@@ -181,12 +137,12 @@ func TestQuickSMAScanEqualsFilteredScan(t *testing.T) {
 	}
 }
 
-// TestTupleAliasingContract: tuples from scans are invalidated by the next
-// Next call, so CollectTuples must copy — this test would catch a missing
-// Copy by seeing duplicated contents.
+// TestTupleAliasingContract: tuples from a scan pipeline are valid until
+// the next Next call, so CollectTuples must copy — this test would catch a
+// missing Copy by seeing duplicated contents.
 func TestTupleAliasingContract(t *testing.T) {
 	h := loadLineItems(t, tpcd.Config{ScaleFactor: 0.0005, Seed: 4}, 1)
-	it := exec.NewTableScan(h, nil)
+	it := exec.NewBatchToTuples(exec.NewBatchTableScan(h, nil, exec.ExecOptions{}))
 	if err := it.Open(); err != nil {
 		t.Fatal(err)
 	}

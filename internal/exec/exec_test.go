@@ -1,8 +1,8 @@
 package exec_test
 
 import (
-	"math"
 	"testing"
+	"time"
 
 	"sma/internal/core"
 	"sma/internal/exec"
@@ -83,16 +83,9 @@ func q1Pred(cutoff string) pred.Predicate {
 	return pred.NewAtom("L_SHIPDATE", pred.Le, float64(tuple.MustParseDate(cutoff)))
 }
 
-// runQ1Baseline evaluates Query 1 with TableScan + GAggr.
-func runQ1Baseline(t testing.TB, h *storage.HeapFile, p pred.Predicate) []exec.Row {
-	t.Helper()
-	agg := exec.NewGAggr(exec.NewTableScan(h, p), h.Schema(), q1Specs(),
-		[]string{"L_RETURNFLAG", "L_LINESTATUS"})
-	rows, err := exec.CollectRows(exec.NewSortRows(agg))
-	if err != nil {
-		t.Fatalf("baseline Q1: %v", err)
-	}
-	return rows
+// scanAgg is "Query 1 without SMAs": hash aggregation above a table scan.
+func scanAgg(h *storage.HeapFile, p pred.Predicate, specs []exec.AggSpec, groupBy []string) *exec.BatchGAggr {
+	return exec.NewBatchGAggr(exec.NewBatchTableScan(h, p, exec.ExecOptions{}), h.Schema(), specs, groupBy)
 }
 
 // runQ1SMA evaluates Query 1 with SMA_GAggr over the eight SMAs.
@@ -105,7 +98,7 @@ func runQ1SMA(t testing.TB, h *storage.HeapFile, smas map[string]*core.SMA, p pr
 	}
 	agg := exec.NewSMAGAggr(h, p, q1Specs(), []string{"L_RETURNFLAG", "L_LINESTATUS"},
 		grader, aggSMAs, smas["count"])
-	rows, err := exec.CollectRows(exec.NewSortRows(agg))
+	rows, err := exec.CollectRows(agg)
 	if err != nil {
 		t.Fatalf("SMA Q1: %v", err)
 	}
@@ -114,35 +107,29 @@ func runQ1SMA(t testing.TB, h *storage.HeapFile, smas map[string]*core.SMA, p pr
 
 func rowsEqual(t *testing.T, got, want []exec.Row) {
 	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("got %d groups, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i].Key != want[i].Key {
-			t.Fatalf("group %d key %q, want %q", i, got[i].Key, want[i].Key)
-		}
-		for j := range want[i].Aggs {
-			g, w := got[i].Aggs[j], want[i].Aggs[j]
-			if math.Abs(g-w) > 1e-6*math.Max(1, math.Abs(w)) {
-				t.Errorf("group %d agg %d = %v, want %v", i, j, g, w)
-			}
-		}
+	if !sameRows(t, got, want, 1e-6) {
+		t.Fatal("rows differ from the reference")
 	}
 }
 
 // TestQuery1SMAEqualsBaseline is the central correctness test: the
-// SMA-based plan must produce exactly the aggregates of the scan plan, for
-// several physical orderings and cutoffs.
+// SMA-based plan and the scan plan must both produce exactly the aggregates
+// of the reference fold, for several physical orderings and cutoffs.
 func TestQuery1SMAEqualsBaseline(t *testing.T) {
 	for _, order := range []tpcd.Order{tpcd.OrderSorted, tpcd.OrderSpec, tpcd.OrderDiagonal, tpcd.OrderShuffled} {
 		for _, cutoff := range []string{"1998-09-02", "1995-06-17", "1992-02-01"} {
 			h := loadLineItems(t, tpcd.Config{ScaleFactor: 0.002, Seed: 42, Order: order}, 1)
 			smas := buildQ1SMAs(t, h)
 			p := q1Pred(cutoff)
-			want := runQ1Baseline(t, h, p)
+			want := refRows(t, h, p, q1Specs(), []string{"L_RETURNFLAG", "L_LINESTATUS"})
 			got, _ := runQ1SMA(t, h, smas, p)
+			scanned, err := exec.CollectRows(scanAgg(h, p, q1Specs(), []string{"L_RETURNFLAG", "L_LINESTATUS"}))
+			if err != nil {
+				t.Fatal(err)
+			}
 			t.Run(order.String()+"/"+cutoff, func(t *testing.T) {
 				rowsEqual(t, got, want)
+				rowsEqual(t, scanned, want)
 			})
 		}
 	}
@@ -166,31 +153,18 @@ func TestQuery1SortedSkipsPages(t *testing.T) {
 	}
 }
 
-// TestSMAScanEqualsTableScan: SMA_Scan returns exactly the tuples of a
-// filtered table scan, in the same physical order.
+// TestSMAScanEqualsTableScan: SMA_Scan returns exactly the tuples of the
+// reference filter, in the same physical order.
 func TestSMAScanEqualsTableScan(t *testing.T) {
 	h := loadLineItems(t, tpcd.Config{ScaleFactor: 0.001, Seed: 3, Order: tpcd.OrderDiagonal}, 1)
 	smas := buildQ1SMAs(t, h)
 	p := q1Pred("1995-01-01")
 
-	want, err := exec.CollectTuples(exec.NewTableScan(h, p))
-	if err != nil {
-		t.Fatal(err)
-	}
-	scan := exec.NewSMAScan(h, p, core.NewGrader(smas["min"], smas["max"]))
-	got, err := exec.CollectTuples(scan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("SMA scan returned %d tuples, table scan %d", len(got), len(want))
-	}
-	okIdx := h.Schema().ColumnIndex("L_ORDERKEY")
-	lnIdx := h.Schema().ColumnIndex("L_LINENUMBER")
-	for i := range want {
-		if got[i].Int64(okIdx) != want[i].Int64(okIdx) || got[i].Int32(lnIdx) != want[i].Int32(lnIdx) {
-			t.Fatalf("tuple %d differs: %v vs %v", i, got[i], want[i])
-		}
+	want := refTuples(t, h, p)
+	scan := exec.NewBatchSMAScan(h, p, core.NewGrader(smas["min"], smas["max"]), exec.ExecOptions{})
+	got := collectBatched(t, scan)
+	if !tuplesEqual(got, want) {
+		t.Fatalf("SMA scan returned %d tuples, reference filter %d", len(got), len(want))
 	}
 	st := scan.Stats()
 	if st.Disqualifying == 0 {
@@ -198,8 +172,8 @@ func TestSMAScanEqualsTableScan(t *testing.T) {
 	}
 }
 
-// TestSMAScanGradesInOpenThenPrefetches: a row SMA_Scan given a predicate,
-// no pre-computed Grades and a prefetch window grades in Open, so its
+// TestSMAScanGradesInOpenThenPrefetches: an SMA_Scan given a predicate, no
+// pre-computed Grades and a prefetch window grades in Open, so its
 // prefetcher reads ahead over the surviving buckets only — same tuples and
 // grade counts as the synchronous scan, no page of a disqualified bucket
 // touched.
@@ -209,20 +183,16 @@ func TestSMAScanGradesInOpenThenPrefetches(t *testing.T) {
 	grader := core.NewGrader(smas["min"], smas["max"])
 	p := q1Pred("1995-01-01")
 
-	plain := exec.NewSMAScan(h, p, grader)
-	want, err := exec.CollectTuples(plain)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plain := exec.NewBatchSMAScan(h, p, grader, exec.ExecOptions{PrefetchWindow: -1})
+	want := collectBatched(t, plain)
 	if err := h.Pool().DropAll(); err != nil { // cold pool: every page is a physical read
 		t.Fatal(err)
 	}
-	scan := exec.NewSMAScan(h, clonePred(p), grader)
-	scan.PrefetchWindow = 4
-	got, err := exec.CollectTuples(scan)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// A page read that takes a millisecond lets the readahead get in front
+	// of the cursor; from the OS cache the scan would outrun it.
+	h.Pool().Disk().SetReadLatency(time.Millisecond)
+	scan := exec.NewBatchSMAScan(h, clonePred(p), grader, exec.ExecOptions{PrefetchWindow: 4})
+	got := collectBatched(t, scan)
 	if !tuplesEqual(got, want) {
 		t.Fatalf("prefetching scan returned %d tuples, synchronous scan %d", len(got), len(want))
 	}
@@ -247,10 +217,7 @@ func TestSMAScanNoPredicate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := exec.CollectTuples(exec.NewSMAScan(h, nil, core.NewGrader()))
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := collectBatched(t, exec.NewBatchSMAScan(h, nil, core.NewGrader(), exec.ExecOptions{}))
 	if int64(len(got)) != n {
 		t.Fatalf("scan returned %d tuples, want %d", len(got), n)
 	}
@@ -265,7 +232,7 @@ func TestGAggrGlobalAggregate(t *testing.T) {
 		{Func: exec.AggMax, Arg: expr.NewCol("L_QUANTITY"), Name: "MAXQ"},
 		{Func: exec.AggAvg, Arg: expr.NewCol("L_QUANTITY"), Name: "AVGQ"},
 	}
-	rows, err := exec.CollectRows(exec.NewGAggr(exec.NewTableScan(h, nil), h.Schema(), specs, nil))
+	rows, err := exec.CollectRows(scanAgg(h, nil, specs, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,16 +264,11 @@ func TestSMAGAggrFinerGroupingRollup(t *testing.T) {
 	grader := core.NewGrader(smas["min"], smas["max"])
 	agg := exec.NewSMAGAggr(h, p, specs, []string{"L_RETURNFLAG"},
 		grader, []*core.SMA{smas["qty"], smas["count"]}, smas["count"])
-	got, err := exec.CollectRows(exec.NewSortRows(agg))
+	got, err := exec.CollectRows(agg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := exec.NewGAggr(exec.NewTableScan(h, p), h.Schema(), specs, []string{"L_RETURNFLAG"})
-	want, err := exec.CollectRows(exec.NewSortRows(base))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rowsEqual(t, got, want)
+	rowsEqual(t, got, refRows(t, h, p, specs, []string{"L_RETURNFLAG"}))
 }
 
 // TestSMAGAggrIncompatibleGrouping: an SMA grouped coarser than the query

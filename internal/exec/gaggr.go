@@ -8,100 +8,6 @@ import (
 	"sma/internal/tuple"
 )
 
-// GAggr is Dayal's grouping-with-aggregation operator computed by hash
-// aggregation over an arbitrary tuple input. It is the non-SMA baseline
-// used by "Query 1 without SMAs" (below a TableScan) and the post-filter
-// aggregation below an SMAScan.
-type GAggr struct {
-	Input   TupleIter
-	Specs   []AggSpec
-	GroupBy []string
-	// KeepPartials makes Open keep the merge-ready per-group state instead
-	// of finishing it into rows; retrieve it with Partials before Close.
-	// Next yields nothing in this mode. Parallel partition workers use it.
-	KeepPartials bool
-
-	schema *tuple.Schema
-	gx     *core.Extractor
-	groups map[core.GroupKey]*Partial
-	out    []Row
-	pos    int
-}
-
-// NewGAggr creates the operator. schema is the input tuple schema.
-func NewGAggr(input TupleIter, schema *tuple.Schema, specs []AggSpec, groupBy []string) *GAggr {
-	return &GAggr{Input: input, Specs: specs, GroupBy: groupBy, schema: schema}
-}
-
-// Open consumes the entire input and computes all groups: the operator is a
-// pipeline breaker, like SMA_GAggr in the paper.
-func (g *GAggr) Open() error {
-	for i := range g.Specs {
-		if err := g.Specs[i].Validate(g.schema); err != nil {
-			return err
-		}
-	}
-	var err error
-	if len(g.GroupBy) > 0 {
-		g.gx, err = core.NewExtractor(g.schema, g.GroupBy)
-		if err != nil {
-			return err
-		}
-	}
-	if err := g.Input.Open(); err != nil {
-		return err
-	}
-	defer g.Input.Close()
-	g.groups = make(map[core.GroupKey]*Partial)
-	for {
-		t, ok, err := g.Input.Next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
-		var key core.GroupKey
-		var vals []core.GroupVal
-		if g.gx != nil {
-			vals = g.gx.Vals(t)
-			key = core.MakeGroupKey(vals)
-		}
-		acc := g.groups[key]
-		if acc == nil {
-			acc = newGroupAcc(vals, len(g.Specs))
-			g.groups[key] = acc
-		}
-		acc.addTuple(g.Specs, t)
-	}
-	if !g.KeepPartials {
-		g.out = FinishPartials(g.groups, g.Specs, len(g.GroupBy) == 0)
-	}
-	g.pos = 0
-	return nil
-}
-
-// Partials returns the merge-ready group states computed by Open. The map
-// is owned by the operator and valid until Close.
-func (g *GAggr) Partials() map[core.GroupKey]*Partial { return g.groups }
-
-// Next returns one result group after another.
-func (g *GAggr) Next() (Row, bool, error) {
-	if g.pos >= len(g.out) {
-		return Row{}, false, nil
-	}
-	r := g.out[g.pos]
-	g.pos++
-	return r, true, nil
-}
-
-// Close drops the hash table.
-func (g *GAggr) Close() error {
-	g.groups = nil
-	g.out = nil
-	return nil
-}
-
 // FinishPartials runs the post-processing phase over (possibly merged)
 // partial group states and emits rows in key order. For a global aggregate
 // (no GROUP BY, global=true) with empty input, one all-zero row is
@@ -215,8 +121,8 @@ func CollectRows(it RowIter) ([]Row, error) {
 	}
 }
 
-// CollectTuples drains a TupleIter, copying each tuple (scan iterators
-// return tuples that alias page memory).
+// CollectTuples drains a TupleIter, copying each tuple (scan pipelines
+// return tuples that alias their batch buffer).
 func CollectTuples(it TupleIter) ([]tuple.Tuple, error) {
 	if err := it.Open(); err != nil {
 		return nil, err

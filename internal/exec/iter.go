@@ -1,7 +1,9 @@
 // Package exec implements the physical operators of the query engine as
-// Volcano-style iterators ("the iterator concept" the paper cites): plain
-// table scans and hash aggregation as baselines, and the paper's two
-// SMA-aware operators, SMA_Scan (Fig. 6) and SMA_GAggr (Fig. 7).
+// Volcano-style iterators ("the iterator concept" the paper cites) over
+// tuple batches: a table scan and hash aggregation as the baseline, and the
+// paper's two SMA-aware operators, SMA_Scan (Fig. 6) and SMA_GAggr (Fig. 7).
+// Batches are the only currency between operators; tuples appear at the
+// edge of a projection pipeline, through BatchToTuples.
 package exec
 
 import (
@@ -29,8 +31,8 @@ type TupleIter interface {
 	// Open initializes the iterator; it must be called before Next.
 	Open() error
 	// Next returns the next tuple. ok is false at end of stream. The
-	// returned tuple is owned by the caller (it does not alias page
-	// memory).
+	// returned tuple may alias the producer's buffer: it is valid until
+	// the next Next or Close call, and callers that retain it Copy it.
 	Next() (t tuple.Tuple, ok bool, err error)
 	// Close releases resources. Close is idempotent.
 	Close() error
@@ -146,31 +148,6 @@ func newGroupAcc(vals []core.GroupVal, n int) *Partial {
 	return &Partial{Vals: vals, Aggs: make([]float64, n), Seen: make([]bool, n)}
 }
 
-// addTuple folds one tuple into the accumulator.
-func (g *Partial) addTuple(specs []AggSpec, t tuple.Tuple) {
-	g.Count++
-	for i := range specs {
-		sp := &specs[i]
-		switch sp.Func {
-		case AggCount:
-			g.Aggs[i]++
-		case AggSum, AggAvg:
-			g.Aggs[i] += sp.Arg.Eval(t)
-		case AggMin:
-			v := sp.Arg.Eval(t)
-			if !g.Seen[i] || v < g.Aggs[i] {
-				g.Aggs[i] = v
-			}
-		case AggMax:
-			v := sp.Arg.Eval(t)
-			if !g.Seen[i] || v > g.Aggs[i] {
-				g.Aggs[i] = v
-			}
-		}
-		g.Seen[i] = true
-	}
-}
-
 // Merge folds another partial of the same group into g: counts and
 // additive aggregates (count/sum/avg-sums) add, min/max combine, and the
 // seen flags union. Both partials must have been built for the same specs.
@@ -218,9 +195,38 @@ func CloneSpecs(specs []AggSpec) []AggSpec {
 	return out
 }
 
+// ScanStats reports the bucket classification observed by an SMA scan,
+// plus the batch and prefetch activity of the read path.
+type ScanStats struct {
+	Qualifying    int
+	Disqualifying int
+	Ambivalent    int
+	PagesRead     int // heap pages fetched (disqualified buckets cost none)
+	// Batches counts the tuple batches the scans produced.
+	Batches int
+	// PagesPrefetched counts the pages the asynchronous prefetcher read
+	// ahead of the cursor; populated when the scan closes.
+	PagesPrefetched int
+	// PrefetchHits counts page fetches that found their page already
+	// resident because the prefetcher got there first.
+	PrefetchHits int
+}
+
+// Add accumulates another worker's statistics into s; the parallel merge
+// stage folds per-partition stats into one per-query total with it.
+func (s *ScanStats) Add(o ScanStats) {
+	s.Qualifying += o.Qualifying
+	s.Disqualifying += o.Disqualifying
+	s.Ambivalent += o.Ambivalent
+	s.PagesRead += o.PagesRead
+	s.Batches += o.Batches
+	s.PagesPrefetched += o.PagesPrefetched
+	s.PrefetchHits += o.PrefetchHits
+}
+
 // StatsReporter is implemented by operators that track bucket grading and
-// heap page I/O (SMAScan, SMAGAggr, TableScan, and the parallel
-// aggregation executor). Plans expose it for per-query stats.
+// heap page I/O (the scans, SMAGAggr, and the parallel aggregation
+// executor). Plans expose it for per-query stats.
 type StatsReporter interface {
 	Stats() ScanStats
 }

@@ -18,16 +18,22 @@ type MemRelation struct {
 	Tuples []tuple.Tuple
 }
 
-// MemScan iterates an in-memory tuple slice with an optional predicate.
-// It reads no pages, so its ScanStats are all zero; introspection queries
-// deliberately do not pollute the page counters they report on.
+// MemScan scans an in-memory tuple slice as a BatchIter: the tuples are
+// copied into a pooled batch and the predicate runs as the selection-vector
+// loop, so a virtual table flows through BatchGAggr and BatchToTuples like
+// a heap. It reads no pages, so its ScanStats are all zero; introspection
+// queries deliberately do not pollute the page counters they report on.
 type MemScan struct {
 	Schema *tuple.Schema
 	Tuples []tuple.Tuple
 	Pred   pred.Predicate // nil means no filter
-	Ctx    context.Context
+	// Ctx, when set, is checked before every batch.
+	Ctx context.Context
+	// Opts carries the batch size.
+	Opts ExecOptions
 
-	i int
+	i     int
+	batch *Batch
 }
 
 // NewMemScan builds a scan over an in-memory relation.
@@ -35,7 +41,7 @@ func NewMemScan(schema *tuple.Schema, tuples []tuple.Tuple, p pred.Predicate) *M
 	return &MemScan{Schema: schema, Tuples: tuples, Pred: p}
 }
 
-// Open binds the predicate.
+// Open binds the predicate and leases the batch.
 func (s *MemScan) Open() error {
 	s.i = 0
 	if s.Pred != nil {
@@ -43,26 +49,43 @@ func (s *MemScan) Open() error {
 			return err
 		}
 	}
+	s.batch = getBatch(s.Schema, s.Opts.EffectiveBatchSize())
 	return nil
 }
 
-// Next returns the next qualifying tuple.
-func (s *MemScan) Next() (tuple.Tuple, bool, error) {
-	if err := ctxErr(s.Ctx); err != nil {
-		return tuple.Tuple{}, false, err
-	}
+// NextBatch copies the next tuples into the batch and selects the
+// qualifying ones, skipping batches whose selection comes up empty.
+func (s *MemScan) NextBatch() (*Batch, error) {
+	size := s.Opts.EffectiveBatchSize()
 	for s.i < len(s.Tuples) {
-		t := s.Tuples[s.i]
-		s.i++
-		if s.Pred == nil || s.Pred.Eval(t) {
-			return t, true, nil
+		if err := ctxErr(s.Ctx); err != nil {
+			return nil, err
+		}
+		b := s.batch
+		b.reset()
+		for ; s.i < len(s.Tuples) && b.n < size; s.i++ {
+			b.data = append(b.data, s.Tuples[s.i].Data...)
+			b.n++
+		}
+		if s.Pred == nil {
+			b.selectAll()
+		} else {
+			b.selectPred(s.Pred)
+		}
+		if len(b.Sel) > 0 {
+			return b, nil
 		}
 	}
-	return tuple.Tuple{}, false, nil
+	return nil, nil
 }
 
-// Close releases nothing; the snapshot is garbage-collected.
-func (s *MemScan) Close() error { return nil }
+// Close returns the batch buffer to the pool; the snapshot is
+// garbage-collected.
+func (s *MemScan) Close() error {
+	putBatch(s.batch)
+	s.batch = nil
+	return nil
+}
 
 // Stats reports zero page activity (nothing is read from disk).
 func (s *MemScan) Stats() ScanStats { return ScanStats{} }

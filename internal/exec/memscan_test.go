@@ -40,7 +40,7 @@ func memFixture(t *testing.T) (*tuple.Schema, []tuple.Tuple) {
 func TestMemScanAll(t *testing.T) {
 	schema, tuples := memFixture(t)
 	s := NewMemScan(schema, tuples, nil)
-	got := drainTuples(t, s)
+	got := drainTuples(t, NewBatchToTuples(s))
 	if len(got) != 4 {
 		t.Errorf("rows = %d, want 4", len(got))
 	}
@@ -52,7 +52,8 @@ func TestMemScanAll(t *testing.T) {
 func TestMemScanPredicate(t *testing.T) {
 	schema, tuples := memFixture(t)
 	s := NewMemScan(schema, tuples, pred.NewAtom("K", pred.Le, 2))
-	got := drainTuples(t, s)
+	s.Opts = ExecOptions{BatchSize: 1} // four batches; the first selects nothing
+	got := drainTuples(t, NewBatchToTuples(s))
 	if len(got) != 3 {
 		t.Fatalf("rows = %d, want 3", len(got))
 	}
@@ -72,14 +73,14 @@ func TestMemScanContextCancel(t *testing.T) {
 	if err := s.Open(); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := s.Next(); err == nil {
+	if _, err := s.NextBatch(); err == nil {
 		t.Error("expected context error from cancelled scan")
 	}
 }
 
 func TestSortTuplesNumericAsc(t *testing.T) {
 	schema, tuples := memFixture(t)
-	s, err := NewSortTuples(NewMemScan(schema, tuples, nil), schema, []string{"K"}, []bool{false})
+	s, err := NewSortTuples(NewBatchToTuples(NewMemScan(schema, tuples, nil)), schema, []string{"K"}, []bool{false})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +99,7 @@ func TestSortTuplesNumericAsc(t *testing.T) {
 
 func TestSortTuplesDescAndString(t *testing.T) {
 	schema, tuples := memFixture(t)
-	s, err := NewSortTuples(NewMemScan(schema, tuples, nil), schema, []string{"NAME"}, []bool{true})
+	s, err := NewSortTuples(NewBatchToTuples(NewMemScan(schema, tuples, nil)), schema, []string{"NAME"}, []bool{true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +115,7 @@ func TestSortTuplesDescAndString(t *testing.T) {
 
 func TestSortTuplesMultiColumn(t *testing.T) {
 	schema, tuples := memFixture(t)
-	s, err := NewSortTuples(NewMemScan(schema, tuples, nil), schema,
+	s, err := NewSortTuples(NewBatchToTuples(NewMemScan(schema, tuples, nil)), schema,
 		[]string{"K", "V"}, []bool{false, true})
 	if err != nil {
 		t.Fatal(err)
@@ -128,7 +129,7 @@ func TestSortTuplesMultiColumn(t *testing.T) {
 
 func TestSortTuplesUnknownColumn(t *testing.T) {
 	schema, tuples := memFixture(t)
-	_, err := NewSortTuples(NewMemScan(schema, tuples, nil), schema, []string{"NOPE"}, nil)
+	_, err := NewSortTuples(NewBatchToTuples(NewMemScan(schema, tuples, nil)), schema, []string{"NOPE"}, nil)
 	if err == nil || !strings.Contains(err.Error(), "unknown column") {
 		t.Errorf("err = %v", err)
 	}
@@ -195,7 +196,7 @@ func drainTuples(t *testing.T, it TupleIter) []tuple.Tuple {
 		if !ok {
 			break
 		}
-		out = append(out, tp)
+		out = append(out, tp.Copy())
 	}
 	if err := it.Close(); err != nil {
 		t.Fatal(err)

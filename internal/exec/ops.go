@@ -8,113 +8,6 @@ import (
 	"sma/internal/tuple"
 )
 
-// Filter applies a tuple-level predicate above any tuple iterator. Scans
-// usually take their predicate directly (so SMA grading can see it); Filter
-// exists for residual predicates above other operators.
-type Filter struct {
-	Input  TupleIter
-	Pred   pred.Predicate
-	Schema *tuple.Schema
-}
-
-// NewFilter wraps input with predicate p over schema s.
-func NewFilter(input TupleIter, s *tuple.Schema, p pred.Predicate) *Filter {
-	return &Filter{Input: input, Pred: p, Schema: s}
-}
-
-// Open binds the predicate and opens the input.
-func (f *Filter) Open() error {
-	if err := f.Pred.Bind(f.Schema); err != nil {
-		return err
-	}
-	return f.Input.Open()
-}
-
-// Next returns the next tuple satisfying the predicate.
-func (f *Filter) Next() (tuple.Tuple, bool, error) {
-	for {
-		t, ok, err := f.Input.Next()
-		if err != nil || !ok {
-			return t, ok, err
-		}
-		if f.Pred.Eval(t) {
-			return t, true, nil
-		}
-	}
-}
-
-// Close closes the input.
-func (f *Filter) Close() error { return f.Input.Close() }
-
-// Project narrows tuples to a subset of columns, producing tuples of a
-// derived schema. Because records are fixed-width, projection materializes
-// a new record per tuple.
-type Project struct {
-	Input TupleIter
-	Cols  []string
-
-	in  *tuple.Schema
-	out *tuple.Schema
-	idx []int
-	buf tuple.Tuple
-}
-
-// NewProject projects input (with schema s) onto cols.
-func NewProject(input TupleIter, s *tuple.Schema, cols []string) *Project {
-	return &Project{Input: input, Cols: cols, in: s}
-}
-
-// OutputSchema returns the projected schema (available after Open).
-func (p *Project) OutputSchema() *tuple.Schema { return p.out }
-
-// Open resolves the projection columns and builds the output schema.
-func (p *Project) Open() error {
-	if len(p.Cols) == 0 {
-		return fmt.Errorf("exec: projection needs at least one column")
-	}
-	cols := make([]tuple.Column, len(p.Cols))
-	p.idx = make([]int, len(p.Cols))
-	for i, name := range p.Cols {
-		j := p.in.ColumnIndex(name)
-		if j < 0 {
-			return fmt.Errorf("exec: projection column %q not found", name)
-		}
-		p.idx[i] = j
-		cols[i] = p.in.Column(j)
-	}
-	out, err := tuple.NewSchema(cols)
-	if err != nil {
-		return err
-	}
-	p.out = out
-	p.buf = tuple.NewTuple(out)
-	return p.Input.Open()
-}
-
-// Next returns the projection of the next input tuple. The returned tuple
-// aliases an internal buffer valid until the next call.
-func (p *Project) Next() (tuple.Tuple, bool, error) {
-	t, ok, err := p.Input.Next()
-	if err != nil || !ok {
-		return tuple.Tuple{}, ok, err
-	}
-	for i, j := range p.idx {
-		src := p.in.Column(j)
-		switch src.Type {
-		case tuple.TChar:
-			p.buf.SetChar(i, t.Char(j))
-		case tuple.TInt64:
-			p.buf.SetInt64(i, t.Int64(j))
-		default:
-			p.buf.SetNumeric(i, t.Numeric(j))
-		}
-	}
-	return p.buf, true, nil
-}
-
-// Close closes the input.
-func (p *Project) Close() error { return p.Input.Close() }
-
 // LimitTuples truncates a tuple stream after N tuples.
 type LimitTuples struct {
 	Input TupleIter

@@ -9,63 +9,17 @@ import (
 	"sma/internal/tpcd"
 )
 
-// TestFilterOperator: a Filter above a bare scan equals a scan with the
-// predicate pushed down.
-func TestFilterOperator(t *testing.T) {
-	h := loadLineItems(t, tpcd.Config{ScaleFactor: 0.0005, Seed: 2}, 1)
-	p := q1Pred("1995-01-01")
-	want, err := exec.CollectTuples(exec.NewTableScan(h, p))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := exec.CollectTuples(exec.NewFilter(exec.NewTableScan(h, nil), h.Schema(), q1Pred("1995-01-01")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Errorf("filter returned %d, pushdown %d", len(got), len(want))
-	}
-}
-
-// TestProjectOperator narrows LINEITEM to three columns.
-func TestProjectOperator(t *testing.T) {
-	h := loadLineItems(t, tpcd.Config{ScaleFactor: 0.0005, Seed: 2}, 1)
-	proj := exec.NewProject(exec.NewTableScan(h, nil), h.Schema(),
-		[]string{"L_ORDERKEY", "L_SHIPDATE", "L_RETURNFLAG"})
-	rows, err := exec.CollectTuples(proj)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, _ := h.NumRecords()
-	if int64(len(rows)) != n {
-		t.Fatalf("projected %d rows, want %d", len(rows), n)
-	}
-	out := proj.OutputSchema()
-	if out.NumColumns() != 3 || out.RecordSize() != 8+4+1 {
-		t.Errorf("output schema = %d cols, %d bytes", out.NumColumns(), out.RecordSize())
-	}
-	if rows[0].Int64(0) == 0 {
-		t.Errorf("orderkey not copied")
-	}
-	// Unknown column errors at Open.
-	bad := exec.NewProject(exec.NewTableScan(h, nil), h.Schema(), []string{"NOPE"})
-	if err := bad.Open(); err == nil {
-		t.Errorf("unknown projection column should fail")
-	}
-}
-
 // TestLimitOperators: tuple and row limits truncate exactly.
 func TestLimitOperators(t *testing.T) {
 	h := loadLineItems(t, tpcd.Config{ScaleFactor: 0.0005, Seed: 2}, 1)
-	got, err := exec.CollectTuples(exec.NewLimitTuples(exec.NewTableScan(h, nil), 7))
+	got, err := exec.CollectTuples(exec.NewLimitTuples(exec.NewBatchToTuples(exec.NewBatchTableScan(h, nil, exec.ExecOptions{})), 7))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 7 {
 		t.Errorf("limit 7 returned %d tuples", len(got))
 	}
-	agg := exec.NewGAggr(exec.NewTableScan(h, nil), h.Schema(),
-		[]exec.AggSpec{{Func: exec.AggCount, Name: "N"}}, []string{"L_RETURNFLAG"})
+	agg := scanAgg(h, nil, []exec.AggSpec{{Func: exec.AggCount, Name: "N"}}, []string{"L_RETURNFLAG"})
 	rows, err := exec.CollectRows(exec.NewLimitRows(exec.NewSortRows(agg), 2))
 	if err != nil {
 		t.Fatal(err)
@@ -83,10 +37,7 @@ func TestHavingFilter(t *testing.T) {
 		{Func: exec.AggSum, Arg: expr.NewCol("L_QUANTITY"), Name: "SQ"},
 	}
 	groupBy := []string{"L_RETURNFLAG"}
-	all, err := exec.CollectRows(exec.NewGAggr(exec.NewTableScan(h, nil), h.Schema(), specs, groupBy))
-	if err != nil {
-		t.Fatal(err)
-	}
+	all := refRows(t, h, nil, specs, groupBy)
 	// Pick a threshold between the smallest and largest group count.
 	lo, hi := all[0].Aggs[0], all[0].Aggs[0]
 	for _, r := range all {
@@ -108,7 +59,7 @@ func TestHavingFilter(t *testing.T) {
 		}
 	}
 	hav := exec.NewHavingFilter(
-		exec.NewGAggr(exec.NewTableScan(h, nil), h.Schema(), specs, groupBy),
+		scanAgg(h, nil, specs, groupBy),
 		groupBy, specs,
 		[]exec.RowCond{{Name: "N", Op: pred.Gt, Value: threshold}})
 	got, err := exec.CollectRows(hav)
@@ -120,7 +71,7 @@ func TestHavingFilter(t *testing.T) {
 	}
 	// Group-column condition: L_RETURNFLAG = 'R' (byte comparison).
 	hav2 := exec.NewHavingFilter(
-		exec.NewGAggr(exec.NewTableScan(h, nil), h.Schema(), specs, groupBy),
+		scanAgg(h, nil, specs, groupBy),
 		groupBy, specs,
 		[]exec.RowCond{{Name: "L_RETURNFLAG", Op: pred.Eq, Value: pred.CharConst('R')}})
 	got2, err := exec.CollectRows(hav2)
@@ -132,7 +83,7 @@ func TestHavingFilter(t *testing.T) {
 	}
 	// Unknown name errors at Open.
 	bad := exec.NewHavingFilter(
-		exec.NewGAggr(exec.NewTableScan(h, nil), h.Schema(), specs, groupBy),
+		scanAgg(h, nil, specs, groupBy),
 		groupBy, specs, []exec.RowCond{{Name: "NOPE", Op: pred.Eq, Value: 0}})
 	if err := bad.Open(); err == nil {
 		t.Errorf("unknown HAVING column should fail")

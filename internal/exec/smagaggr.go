@@ -51,10 +51,9 @@ type SMAGAggr struct {
 	// of finishing it into rows; retrieve it with Partials before Close.
 	// Next yields nothing in this mode. Parallel partition workers use it.
 	KeepPartials bool
-	// Opts selects batched execution of the ambivalent buckets (decode to
-	// a reusable batch, predicate as a selection-vector loop, alloc-free
-	// group fold) and asynchronous prefetch of their pages. The zero value
-	// batches with defaults; set RowMode for the legacy per-tuple path.
+	// Opts sizes the batches the ambivalent buckets are inspected in
+	// (decode to a reusable batch, predicate as a selection-vector loop,
+	// alloc-free group fold) and the asynchronous prefetch of their pages.
 	Opts ExecOptions
 
 	schema *tuple.Schema
@@ -231,36 +230,32 @@ func (g *SMAGAggr) Open() error {
 	}
 
 	// The ambivalent buckets' pages are the only ones this operator ever
-	// touches, and the grades name them before the first access: batched
-	// mode streams them in behind an asynchronous prefetcher — unless
-	// there is a single page, whose demand read is that read already.
-	var folder *groupFolder
-	var batch *Batch
+	// touches, and the grades name them before the first access: they
+	// stream in behind an asynchronous prefetcher — unless there is a
+	// single page, whose demand read is that read already.
 	var pf *storage.Prefetcher
-	if g.Opts.Batching() {
-		if w := g.Opts.EffectivePrefetchWindow(); w > 0 {
-			var spans []storage.PageSpan
-			pages := 0
-			for i, gr := range grades {
-				if gr != core.Ambivalent {
-					continue
-				}
-				first, last := g.H.BucketRange(bucketNo(i))
-				spans = append(spans, storage.PageSpan{First: first, Last: last})
-				pages += int(last-first) + 1
+	if w := g.Opts.EffectivePrefetchWindow(); w > 0 {
+		var spans []storage.PageSpan
+		pages := 0
+		for i, gr := range grades {
+			if gr != core.Ambivalent {
+				continue
 			}
-			if pages > 1 {
-				pf = g.H.Pool().StartPrefetch(spans, w)
-				defer func() {
-					pf.Close()
-					g.stats.PagesPrefetched += pf.Issued()
-				}()
-			}
+			first, last := g.H.BucketRange(bucketNo(i))
+			spans = append(spans, storage.PageSpan{First: first, Last: last})
+			pages += int(last-first) + 1
 		}
-		folder = newGroupFolder(g.Specs, g.gx, g.groups)
-		batch = getBatch(g.schema, batchCap(g.Opts, g.H.RecordsPerPage()))
-		defer putBatch(batch)
+		if pages > 1 {
+			pf = g.H.Pool().StartPrefetch(spans, w)
+			defer func() {
+				pf.Close()
+				g.stats.PagesPrefetched += pf.Issued()
+			}()
+		}
 	}
+	folder := newGroupFolder(g.Specs, g.gx, g.groups)
+	batch := getBatch(g.schema, batchCap(g.Opts, g.H.RecordsPerPage()))
+	defer putBatch(batch)
 
 	// Walk the grade vector as maximal runs of equal grades over
 	// consecutive buckets (a Buckets subset may have gaps).
@@ -282,12 +277,7 @@ func (g *SMAGAggr) Open() error {
 		default:
 			g.stats.Ambivalent += j - i
 			for b := lo; b < lo+j-i; b++ {
-				if folder != nil {
-					err = g.advanceFromBucketBatched(b, batch, folder, pf)
-				} else {
-					err = g.advanceFromBucket(b)
-				}
-				if err != nil {
+				if err := g.inspectBucket(b, batch, folder, pf); err != nil {
 					return err
 				}
 			}
@@ -367,38 +357,11 @@ func (g *SMAGAggr) advanceFile(src foldSource, lo, hi int) {
 	}
 }
 
-// advanceFromBucket inspects an ambivalent bucket tuple by tuple.
-func (g *SMAGAggr) advanceFromBucket(b int) error {
-	if err := ctxErr(g.Ctx); err != nil {
-		return err
-	}
-	first, last := g.H.BucketRange(b)
-	g.stats.PagesRead += int(last-first) + 1
-	return g.H.ScanBucket(b, func(t tuple.Tuple, _ storage.RID) error {
-		if g.Pred != nil && !g.Pred.Eval(t) {
-			return nil
-		}
-		var key core.GroupKey
-		var vals []core.GroupVal
-		if g.gx != nil {
-			vals = g.gx.Vals(t)
-			key = core.MakeGroupKey(vals)
-		}
-		acc := g.groups[key]
-		if acc == nil {
-			acc = newGroupAcc(vals, len(g.Specs))
-			g.groups[key] = acc
-		}
-		acc.addTuple(g.Specs, t)
-		return nil
-	})
-}
-
-// advanceFromBucketBatched inspects an ambivalent bucket batch by batch:
+// inspectBucket advances the result from an ambivalent bucket batch by batch:
 // pages decode into the reusable batch, the predicate runs as a selection-
 // vector loop, and the survivors fold into the shared group map without
 // per-tuple allocations.
-func (g *SMAGAggr) advanceFromBucketBatched(b int, batch *Batch, folder *groupFolder, pf *storage.Prefetcher) error {
+func (g *SMAGAggr) inspectBucket(b int, batch *Batch, folder *groupFolder, pf *storage.Prefetcher) error {
 	first, last := g.H.BucketRange(b)
 	per := g.H.RecordsPerPage()
 	capT := batchCap(g.Opts, per)

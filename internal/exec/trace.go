@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"sma/internal/obs"
-	"sma/internal/tuple"
 )
 
 // This file adapts the iterator interfaces to the obs span tree: each
@@ -118,57 +117,6 @@ func (t *tracedBatchIter) Close() error {
 }
 
 func (t *tracedBatchIter) Stats() ScanStats {
-	if sr, ok := t.inner.(StatsReporter); ok {
-		return sr.Stats()
-	}
-	return ScanStats{}
-}
-
-// TraceTupleIter instruments a TupleIter with sp; nil sp is the
-// identity.
-func TraceTupleIter(it TupleIter, sp *obs.Span) TupleIter {
-	if sp == nil {
-		return it
-	}
-	return &tracedTupleIter{inner: it, sp: sp}
-}
-
-type tracedTupleIter struct {
-	inner  TupleIter
-	sp     *obs.Span
-	closed bool
-}
-
-func (t *tracedTupleIter) Open() error {
-	start := time.Now()
-	err := t.inner.Open()
-	t.sp.AddTime(time.Since(start))
-	return err
-}
-
-func (t *tracedTupleIter) Next() (tuple.Tuple, bool, error) {
-	start := time.Now()
-	tp, ok, err := t.inner.Next()
-	t.sp.AddTime(time.Since(start))
-	if ok {
-		t.sp.AddRows(1)
-	}
-	return tp, ok, err
-}
-
-func (t *tracedTupleIter) Close() error {
-	start := time.Now()
-	err := t.inner.Close()
-	t.sp.AddTime(time.Since(start))
-	if !t.closed {
-		t.closed = true
-		spanCopyStats(t.sp, t.inner)
-		t.sp.End()
-	}
-	return err
-}
-
-func (t *tracedTupleIter) Stats() ScanStats {
 	if sr, ok := t.inner.(StatsReporter); ok {
 		return sr.Stats()
 	}

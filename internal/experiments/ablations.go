@@ -219,7 +219,7 @@ func RunE10(base Config) (E10Result, error) {
 		return r, err
 	}
 	start := time.Now()
-	base1, err := exec.CollectTuples(exec.NewTableScan(e.LineItem, residual))
+	base1, err := countTuples(exec.NewBatchTableScan(e.LineItem, residual, noPrefetch))
 	if err != nil {
 		return r, err
 	}
@@ -265,8 +265,8 @@ func RunE10(base Config) (E10Result, error) {
 	r.SMATime = time.Since(start)
 	r.SMAPagesRead, _ = e.Disk().Stats()
 	r.SelectedRows = got
-	if got != len(base1) {
-		return r, fmt.Errorf("E10: SMA semi-join selected %d rows, baseline %d", got, len(base1))
+	if got != base1 {
+		return r, fmt.Errorf("E10: SMA semi-join selected %d rows, baseline %d", got, base1)
 	}
 	return r, nil
 }

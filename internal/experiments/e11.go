@@ -113,7 +113,7 @@ func measureE11(e *Env, tree *btree.Tree, cutoff int32, order tpcd.Order) (E11Ro
 		return row, err
 	}
 	start = time.Now()
-	scanCount, err := countTuples(exec.NewTableScan(e.LineItem, p()))
+	scanCount, err := countTuples(exec.NewBatchTableScan(e.LineItem, p(), noPrefetch))
 	if err != nil {
 		return row, err
 	}
@@ -125,7 +125,7 @@ func measureE11(e *Env, tree *btree.Tree, cutoff int32, order tpcd.Order) (E11Ro
 		return row, err
 	}
 	start = time.Now()
-	smaCount, err := countTuples(exec.NewSMAScan(e.LineItem, p(), e.Grader()))
+	smaCount, err := countTuples(exec.NewBatchSMAScan(e.LineItem, p(), e.Grader(), noPrefetch))
 	if err != nil {
 		return row, err
 	}
@@ -138,22 +138,19 @@ func measureE11(e *Env, tree *btree.Tree, cutoff int32, order tpcd.Order) (E11Ro
 	return row, nil
 }
 
-// countTuples drains an iterator, counting.
-func countTuples(it exec.TupleIter) (int, error) {
+// countTuples drains a scan, counting the selected tuples.
+func countTuples(it exec.BatchIter) (int, error) {
 	if err := it.Open(); err != nil {
 		return 0, err
 	}
 	defer it.Close()
 	n := 0
 	for {
-		_, ok, err := it.Next()
-		if err != nil {
+		b, err := it.NextBatch()
+		if err != nil || b == nil {
 			return n, err
 		}
-		if !ok {
-			return n, nil
-		}
-		n++
+		n += len(b.Sel)
 	}
 }
 

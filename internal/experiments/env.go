@@ -264,9 +264,13 @@ func (e *Env) Q1AggSMAs() []*core.SMA {
 	}
 }
 
-// RunQ1Baseline executes Query 1 via TableScan + GAggr.
+// noPrefetch makes the experiments' scans demand-read every page, so the
+// simulated disk's page counts and times stay those of the access path.
+var noPrefetch = exec.ExecOptions{PrefetchWindow: -1}
+
+// RunQ1Baseline executes Query 1 via a table scan + GAggr.
 func (e *Env) RunQ1Baseline(deltaDays int) ([]exec.Row, error) {
-	agg := exec.NewGAggr(exec.NewTableScan(e.LineItem, Q1Pred(deltaDays)),
+	agg := exec.NewBatchGAggr(exec.NewBatchTableScan(e.LineItem, Q1Pred(deltaDays), noPrefetch),
 		e.LineItem.Schema(), Q1Specs(), Q1GroupBy())
 	return exec.CollectRows(exec.NewSortRows(agg))
 }

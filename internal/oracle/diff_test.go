@@ -26,10 +26,12 @@ func strategyBucket(name string) string {
 // runDiff drives one seeded workload through the real engine and the
 // reference oracle in lockstep, requiring exact equivalence after every
 // step: identical RowsAffected for every write and identical rendered
-// column names and rows for every query.
-func runDiff(t *testing.T, seed int64, dop, nOps int) map[string]bool {
+// column names and rows for every query. opts configure the engine beyond
+// one-page buckets and the given dop.
+func runDiff(t *testing.T, seed int64, dop, nOps int, opts ...sma.Option) map[string]bool {
 	t.Helper()
-	db, err := sma.Open(t.TempDir(), sma.WithBucketPages(1), sma.WithParallelism(dop))
+	opts = append([]sma.Option{sma.WithBucketPages(1), sma.WithParallelism(dop)}, opts...)
+	db, err := sma.Open(t.TempDir(), opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,28 +118,25 @@ func compareResults(t *testing.T, step int, sql string, got *sma.Result, want *o
 	}
 }
 
-// TestDifferentialOracle runs the randomized workload for several seeds at
-// dop 1 and dop NumCPU. Every run interleaves ≥ 200 operations; across the
-// seed set every dop must pass through all three planner strategies (a
-// single short stream can legitimately stay below the SMA_Scan cost
-// breakeven while the table is small). Run with -race: DML holds the write
-// lock while parallel readers partition buckets.
-func TestDifferentialOracle(t *testing.T) {
+// runSeeds runs the randomized workload for every seed at dop 1 and dop
+// NumCPU. Across the seed set every dop must pass through all three planner
+// strategies (a single short stream can legitimately stay below the
+// SMA_Scan cost breakeven while the table is small).
+func runSeeds(t *testing.T, seeds []int64, nOps int, opts ...sma.Option) {
 	// dop NumCPU, but at least 2 so the parallel partition/merge path runs
 	// even on a single-core machine (workers are goroutines, not cores).
 	parallel := runtime.NumCPU()
 	if parallel < 2 {
 		parallel = 2
 	}
-	dops := []int{1, parallel}
-	for _, dop := range dops {
+	for _, dop := range []int{1, parallel} {
 		dop := dop
 		t.Run(fmt.Sprintf("dop=%d", dop), func(t *testing.T) {
 			covered := map[string]bool{}
-			for _, seed := range []int64{1, 7, 42, 1998} {
+			for _, seed := range seeds {
 				seed := seed
 				t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-					for s := range runDiff(t, seed, dop, 240) {
+					for s := range runDiff(t, seed, dop, nOps, opts...) {
 						covered[s] = true
 					}
 				})
@@ -149,4 +148,21 @@ func TestDifferentialOracle(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestDifferentialOracle runs the randomized workload, ≥ 200 interleaved
+// operations per run, on the default engine configuration. Run with -race:
+// DML holds the write lock while parallel readers partition buckets.
+func TestDifferentialOracle(t *testing.T) {
+	runSeeds(t, []int64{1, 7, 42, 1998}, 240)
+}
+
+// TestBatchVsRowDifferential is the same differential — the engine's batch
+// pipeline against the oracle's row-at-a-time evaluation — with the engine
+// cut into 96-tuple batches behind a 4-page prefetch window: batch
+// boundaries inside buckets, grade-class flushes and a readahead that the
+// cursor overtakes, none of which the default sizes reach on these small
+// tables. Run with -race: every partition worker has its own prefetcher.
+func TestBatchVsRowDifferential(t *testing.T) {
+	runSeeds(t, []int64{3, 11, 1998}, 200, sma.WithBatchSize(96), sma.WithPrefetchWindow(4))
 }

@@ -9,15 +9,16 @@ import (
 	"sma/internal/obs"
 	"sma/internal/pred"
 	"sma/internal/storage"
+	"sma/internal/tuple"
 )
 
-// Mode selects the per-partition pipeline the workers run.
+// Mode selects the pipeline that aggregates one unit of the relation.
 type Mode uint8
 
 // Execution modes, mirroring the planner's strategies.
 const (
-	// ModeScan runs TableScan + hash aggregation per page-range partition
-	// (the FullScan strategy: no usable selection SMAs, or not selective
+	// ModeScan runs BatchTableScan + hash aggregation per page range (the
+	// FullScan strategy: no usable selection SMAs, or not selective
 	// enough).
 	ModeScan Mode = iota
 	// ModeSMAScan runs SMA_Scan + hash aggregation per bucket partition
@@ -26,7 +27,100 @@ const (
 	// ModeSMAGAggr runs SMA_GAggr per bucket partition (qualifying buckets
 	// answered from aggregate SMAs without page access).
 	ModeSMAGAggr
+	// ModeMem runs MemScan + hash aggregation over an in-memory relation
+	// (a virtual system table). It has no pages to partition: the planner
+	// always runs it as one unit.
+	ModeMem
 )
+
+// Unit is the part of the relation one pipeline covers: a partition's
+// buckets and grades for the SMA modes, a page range for ModeScan. The zero
+// Unit is the whole relation, graded by the pipeline itself; a whole-
+// relation Unit may still carry pre-computed Grades.
+type Unit struct {
+	Partition
+	PageRange
+}
+
+// Fold is an aggregation pipeline over one Unit: a RowIter whose
+// merge-ready group states can be read after Open when it was built to
+// keep them.
+type Fold interface {
+	exec.RowIter
+	Partials() map[core.GroupKey]*exec.Partial
+}
+
+// Source describes what every pipeline of a query computes: the relation,
+// the selection, the aggregates, and the SMAs that serve them.
+type Source struct {
+	Mode    Mode
+	Heap    *storage.HeapFile
+	Mem     *exec.MemRelation // the relation of ModeMem; Heap is nil then
+	Pred    pred.Predicate    // nil: every bucket qualifies
+	Specs   []exec.AggSpec
+	GroupBy []string
+
+	// Grader supplies selection grades for the SMA modes.
+	Grader *core.Grader
+	// AggSMAs and CountSMA parameterize ModeSMAGAggr (see exec.SMAGAggr).
+	AggSMAs  []*core.SMA
+	CountSMA *core.SMA
+
+	// Ctx, when set, cancels the pipeline at its next bucket or page
+	// boundary.
+	Ctx context.Context
+	// Exec carries the batch size and the prefetch window.
+	Exec exec.ExecOptions
+}
+
+// Pipeline builds the aggregation pipeline over u — the one place the
+// engine constructs aggregation operators. A serial query is Pipeline over
+// the whole relation, opened by the caller; Agg runs one Pipeline per
+// partition. keep makes the fold retain its Partials instead of finishing
+// them into rows. fold, when tracing, is the span of the returned operator;
+// a scan below it gets a child span. The StatsReporter is the operator that
+// counts the pipeline's grades and pages.
+func (s *Source) Pipeline(u Unit, keep bool, fold *obs.Span) (Fold, exec.StatsReporter) {
+	// Hash aggregation above a scan: all shapes but SMA_GAggr.
+	gaggr := func(scan scanOp, schema *tuple.Schema, note string) (Fold, exec.StatsReporter) {
+		sp := fold.Child("scan")
+		sp.SetNote(note)
+		ga := exec.NewBatchGAggr(exec.TraceBatchIter(scan, sp), schema, s.Specs, s.GroupBy)
+		ga.KeepPartials = keep
+		return ga, scan
+	}
+	switch s.Mode {
+	case ModeSMAGAggr:
+		fold.SetNote("sma_gaggr")
+		op := exec.NewSMAGAggr(s.Heap, s.Pred, s.Specs, s.GroupBy, s.Grader, s.AggSMAs, s.CountSMA)
+		op.Ctx = s.Ctx
+		op.Buckets, op.Grades = u.Buckets, u.Grades
+		op.KeepPartials = keep
+		op.Opts = s.Exec
+		return op, op
+	case ModeSMAScan:
+		scan := exec.NewBatchSMAScan(s.Heap, s.Pred, s.Grader, s.Exec)
+		scan.Ctx = s.Ctx
+		scan.Buckets, scan.Grades = u.Buckets, u.Grades
+		return gaggr(scan, s.Heap.Schema(), "sma_scan batch")
+	case ModeMem:
+		scan := exec.NewMemScan(s.Mem.Schema, s.Mem.Tuples, s.Pred)
+		scan.Ctx = s.Ctx
+		scan.Opts = s.Exec
+		return gaggr(scan, s.Mem.Schema, "mem_scan")
+	default:
+		scan := exec.NewBatchTableScan(s.Heap, s.Pred, s.Exec)
+		scan.Ctx = s.Ctx
+		scan.StartPage, scan.EndPage = u.First, u.Last
+		return gaggr(scan, s.Heap.Schema(), "table_scan batch")
+	}
+}
+
+// scanOp is what Pipeline needs of a scan: batches and the page counters.
+type scanOp interface {
+	exec.BatchIter
+	exec.StatsReporter
+}
 
 // Agg executes a grouping-with-aggregation query across a worker pool, one
 // partition per worker, and merges the partial aggregates into one sorted
@@ -40,33 +134,16 @@ const (
 // identical for every DOP (up to floating-point summation order, which
 // regroups across partition boundaries).
 type Agg struct {
-	Mode    Mode
-	Heap    *storage.HeapFile
-	Pred    pred.Predicate // nil: every bucket qualifies
-	Specs   []exec.AggSpec
-	GroupBy []string
+	Source
 
-	// Grader supplies selection grades for the SMA modes.
-	Grader *core.Grader
 	// Pregraded, when it covers the heap's buckets, is the grade vector the
 	// planner already computed for this query; it saves the grading pass.
 	Pregraded []core.Grade
-	// AggSMAs and CountSMA parameterize ModeSMAGAggr (see exec.SMAGAggr).
-	AggSMAs  []*core.SMA
-	CountSMA *core.SMA
-
 	// DOP is the requested degree of parallelism (values < 1 mean 1); the
-	// effective degree is capped by the surviving buckets or pages.
+	// effective degree is capped by the surviving buckets or pages. Each
+	// worker's prefetch window is derated by the partition count so
+	// concurrent prefetchers cannot crowd the shared buffer pool.
 	DOP int
-	// Ctx, when set, cancels all workers at their next bucket or page
-	// boundary.
-	Ctx context.Context
-	// Exec selects the physical mode of each worker's pipeline: batched
-	// operators with selection vectors, and asynchronous prefetch of the
-	// worker's own partition pages. The per-worker prefetch window is
-	// derated by the partition count so concurrent prefetchers cannot
-	// crowd the shared buffer pool.
-	Exec exec.ExecOptions
 
 	// Span, when set, is the merge-stage span of a traced query; Open
 	// hangs one child per worker partition off it, carrying the worker's
@@ -91,20 +168,39 @@ type Agg struct {
 func (a *Agg) Open() error {
 	a.out, a.pos = nil, 0
 	a.stats = exec.ScanStats{}
-	a.busy, a.partPages = nil, nil
+	a.partPages = nil
 
-	var partials []map[core.GroupKey]*exec.Partial
-	var workerStats []exec.ScanStats
-	var err error
+	units := a.partition()
+	partials := make([]map[core.GroupKey]*exec.Partial, len(units))
+	stats := make([]exec.ScanStats, len(units))
+	spans := a.workerSpans(len(units))
+	a.busy = make([]time.Duration, len(units))
+	workerOpts := a.workerExecOptions(len(units))
 	start := time.Now()
-	if a.Mode == ModeScan {
-		partials, workerStats, err = a.runScan()
-	} else {
-		partials, workerStats, err = a.runBuckets()
-	}
+	err := Run(a.Ctx, len(units), func(ctx context.Context, i int) error {
+		defer func(t0 time.Time) {
+			a.busy[i] = time.Since(t0)
+			spans[i].AddTime(a.busy[i])
+		}(time.Now())
+		// Each worker evaluates private clones of the predicate and the
+		// aggregate expressions: Bind writes column indexes, which must
+		// not race across workers.
+		w := a.Source
+		w.Pred = pred.Clone(a.Pred)
+		w.Specs = exec.CloneSpecs(a.Specs)
+		w.Ctx, w.Exec = ctx, workerOpts
+		op, src := w.Pipeline(units[i], true, nil)
+		if err := op.Open(); err != nil {
+			op.Close()
+			return err
+		}
+		partials[i], stats[i] = op.Partials(), src.Stats()
+		return op.Close()
+	})
 	if err != nil {
 		return err
 	}
+	finishWorkerSpans(spans, stats)
 	a.observe(time.Since(start))
 
 	// Merge stage: fold every worker's partial groups and stats together.
@@ -117,20 +213,28 @@ func (a *Agg) Open() error {
 				merged[key] = p
 			}
 		}
-		a.stats.Add(workerStats[w])
+		a.stats.Add(stats[w])
 	}
 	a.out = exec.FinishPartials(merged, a.Specs, len(a.GroupBy) == 0)
 	return nil
 }
 
-// runBuckets executes the SMA modes: pre-grade once, drop disqualifying
-// buckets, and run one partition per worker.
-func (a *Agg) runBuckets() ([]map[core.GroupKey]*exec.Partial, []exec.ScanStats, error) {
+// partition cuts the relation into the units the workers run: page ranges
+// for ModeScan; for the SMA modes the buckets are graded once and the
+// disqualifying ones dropped before dispatch.
+func (a *Agg) partition() []Unit {
+	var units []Unit
+	if a.Mode == ModeScan {
+		for _, r := range PartitionPages(a.Heap.NumPages(), a.DOP) {
+			units = append(units, Unit{PageRange: r})
+			a.partPages = append(a.partPages, int64(r.Last-r.First)+1)
+		}
+		return units
+	}
 	grades := a.Pregraded
 	if len(grades) != a.Heap.NumBuckets() {
 		grades = PreGrade(a.Heap, a.Grader, a.Pred)
 	}
-	parts := PartitionBuckets(a.Heap, grades, a.DOP, a.Mode == ModeSMAGAggr)
 	// Disqualified buckets are never dispatched; account for them here so
 	// the merged stats match a serial run.
 	for _, g := range grades {
@@ -138,70 +242,11 @@ func (a *Agg) runBuckets() ([]map[core.GroupKey]*exec.Partial, []exec.ScanStats,
 			a.stats.Disqualifying++
 		}
 	}
-	workerOpts := a.workerExecOptions(len(parts))
-	partials := make([]map[core.GroupKey]*exec.Partial, len(parts))
-	stats := make([]exec.ScanStats, len(parts))
-	a.partPages = make([]int64, len(parts))
-	for i := range parts {
-		a.partPages[i] = int64(len(parts[i].Buckets)) * int64(a.Heap.BucketPages)
+	for _, p := range PartitionBuckets(a.Heap, grades, a.DOP, a.Mode == ModeSMAGAggr) {
+		units = append(units, Unit{Partition: p})
+		a.partPages = append(a.partPages, int64(len(p.Buckets))*int64(a.Heap.BucketPages))
 	}
-	spans := a.workerSpans(len(parts))
-	a.busy = make([]time.Duration, len(parts))
-	err := Run(a.Ctx, len(parts), func(ctx context.Context, i int) error {
-		defer func(t0 time.Time) {
-			a.busy[i] = time.Since(t0)
-			spans[i].AddTime(a.busy[i])
-		}(time.Now())
-		// Each worker evaluates private clones of the predicate and the
-		// aggregate expressions: Bind writes column indexes, which must
-		// not race across workers.
-		p := pred.Clone(a.Pred)
-		specs := exec.CloneSpecs(a.Specs)
-		if a.Mode == ModeSMAGAggr {
-			op := exec.NewSMAGAggr(a.Heap, p, specs, a.GroupBy, a.Grader, a.AggSMAs, a.CountSMA)
-			op.Ctx = ctx
-			op.Buckets = parts[i].Buckets
-			op.Grades = parts[i].Grades
-			op.KeepPartials = true
-			op.Opts = workerOpts
-			if err := op.Open(); err != nil {
-				op.Close()
-				return err
-			}
-			partials[i], stats[i] = op.Partials(), op.Stats()
-			return op.Close()
-		}
-		if workerOpts.Batching() {
-			scan := exec.NewBatchSMAScan(a.Heap, p, a.Grader, workerOpts)
-			scan.Ctx = ctx
-			scan.Buckets = parts[i].Buckets
-			scan.Grades = parts[i].Grades
-			ga := exec.NewBatchGAggr(scan, a.Heap.Schema(), specs, a.GroupBy)
-			ga.KeepPartials = true
-			if err := ga.Open(); err != nil {
-				return err
-			}
-			partials[i], stats[i] = ga.Partials(), scan.Stats()
-			return ga.Close()
-		}
-		scan := exec.NewSMAScan(a.Heap, p, a.Grader)
-		scan.Ctx = ctx
-		scan.Buckets = parts[i].Buckets
-		scan.Grades = parts[i].Grades
-		scan.PrefetchWindow = workerOpts.EffectivePrefetchWindow()
-		ga := exec.NewGAggr(scan, a.Heap.Schema(), specs, a.GroupBy)
-		ga.KeepPartials = true
-		if err := ga.Open(); err != nil {
-			return err
-		}
-		partials[i], stats[i] = ga.Partials(), scan.Stats()
-		return ga.Close()
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	finishWorkerSpans(spans, stats)
-	return partials, stats, nil
+	return units
 }
 
 // workerSpans attaches one child span per worker partition to the merge
@@ -279,59 +324,6 @@ func (a *Agg) workerExecOptions(n int) exec.ExecOptions {
 		opts.PrefetchWindow = w
 	}
 	return opts
-}
-
-// runScan executes ModeScan: one TableScan + hash aggregation per page
-// range.
-func (a *Agg) runScan() ([]map[core.GroupKey]*exec.Partial, []exec.ScanStats, error) {
-	ranges := PartitionPages(a.Heap.NumPages(), a.DOP)
-	workerOpts := a.workerExecOptions(len(ranges))
-	partials := make([]map[core.GroupKey]*exec.Partial, len(ranges))
-	stats := make([]exec.ScanStats, len(ranges))
-	a.partPages = make([]int64, len(ranges))
-	for i := range ranges {
-		a.partPages[i] = int64(ranges[i].Last-ranges[i].First) + 1
-	}
-	spans := a.workerSpans(len(ranges))
-	a.busy = make([]time.Duration, len(ranges))
-	err := Run(a.Ctx, len(ranges), func(ctx context.Context, i int) error {
-		defer func(t0 time.Time) {
-			a.busy[i] = time.Since(t0)
-			spans[i].AddTime(a.busy[i])
-		}(time.Now())
-		p := pred.Clone(a.Pred)
-		specs := exec.CloneSpecs(a.Specs)
-		if workerOpts.Batching() {
-			scan := exec.NewBatchTableScan(a.Heap, p, workerOpts)
-			scan.Ctx = ctx
-			scan.StartPage = ranges[i].First
-			scan.EndPage = ranges[i].Last
-			ga := exec.NewBatchGAggr(scan, a.Heap.Schema(), specs, a.GroupBy)
-			ga.KeepPartials = true
-			if err := ga.Open(); err != nil {
-				return err
-			}
-			partials[i], stats[i] = ga.Partials(), scan.Stats()
-			return ga.Close()
-		}
-		scan := exec.NewTableScan(a.Heap, p)
-		scan.Ctx = ctx
-		scan.StartPage = ranges[i].First
-		scan.EndPage = ranges[i].Last
-		scan.PrefetchWindow = workerOpts.EffectivePrefetchWindow()
-		ga := exec.NewGAggr(scan, a.Heap.Schema(), specs, a.GroupBy)
-		ga.KeepPartials = true
-		if err := ga.Open(); err != nil {
-			return err
-		}
-		partials[i], stats[i] = ga.Partials(), scan.Stats()
-		return ga.Close()
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	finishWorkerSpans(spans, stats)
-	return partials, stats, nil
 }
 
 // Next returns the next merged group.

@@ -24,6 +24,12 @@
 // Full scans without usable SMAs parallelize too, by page range instead of
 // graded bucket. Projection queries are not parallelized: they stream
 // tuples in physical order, which a merge stage would only re-serialize.
+//
+// Every aggregation pipeline — SMA_GAggr, or hash aggregation above an
+// SMA_Scan, a table scan or a memory scan — is built by Source.Pipeline
+// over a Unit of the relation. A serial query is that pipeline over the
+// whole relation, run inline by the planner with none of the three stages;
+// Agg runs it once per partition.
 package parallel
 
 import (

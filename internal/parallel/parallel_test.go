@@ -10,6 +10,7 @@ import (
 
 	"sma/internal/core"
 	"sma/internal/engine"
+	"sma/internal/obs"
 	"sma/internal/parallel"
 	"sma/internal/tpcd"
 	"sma/internal/tuple"
@@ -138,9 +139,11 @@ GROUP BY L_RETURNFLAG, L_LINESTATUS
 ORDER BY L_RETURNFLAG, L_LINESTATUS`
 
 // TestParallelEquivalenceQ1 runs TPC-D Query 1 serially and at several
-// degrees of parallelism under all three strategies — SMA_GAggr (all SMAs),
-// SMA_Scan+GAggr (selection SMAs only, selective cutoff), and
-// FullScan+GAggr (no SMAs) — and requires identical rows.
+// degrees of parallelism under all four strategies — SMA_GAggr (all SMAs),
+// SMA_Scan+GAggr (selection SMAs only, selective cutoff), FullScan+GAggr
+// (no SMAs) and MemScan (a virtual table, which stays one unit at any
+// requested dop) — and requires identical rows and identical bucket and
+// page counts: the serial run is the parallel pipeline over one unit.
 func TestParallelEquivalenceQ1(t *testing.T) {
 	cases := []struct {
 		name     string
@@ -151,10 +154,16 @@ func TestParallelEquivalenceQ1(t *testing.T) {
 		{"SMA_GAggr", query1, q1SMADDL, "SMA_GAggr"},
 		{"SMA_Scan", query1Selective, q1SMADDL[1:3], "SMA_Scan+GAggr"},
 		{"FullScan", query1, nil, "FullScan+GAggr"},
+		// Only the statement run below has read pages, so the snapshot's
+		// filtered content does not move between the runs compared.
+		{"MemScan", `select CALLS, count(*) as N from sma_stat_statements
+			where PAGES_READ >= 1 group by CALLS`, nil, "MemScan"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			db := newLineItemDB(t, 0.001, tpcd.OrderSorted, tc.smas, engine.Options{})
+			db := newLineItemDB(t, 0.001, tpcd.OrderSorted, tc.smas,
+				engine.Options{Obs: obs.NewObserver(obs.Config{})})
+			runQuery(t, db, "select count(*) from LINEITEM", 1)
 			serial, strat := runQuery(t, db, tc.query, 1)
 			if strat != tc.strategy {
 				t.Fatalf("strategy = %s, want %s", strat, tc.strategy)
@@ -162,11 +171,62 @@ func TestParallelEquivalenceQ1(t *testing.T) {
 			if len(serial) == 0 {
 				t.Fatal("no result rows")
 			}
+			serialStats := queryStats(t, db, tc.query, 1)
 			for _, dop := range []int{2, 3, 8} {
 				par, _ := runQuery(t, db, tc.query, dop)
 				sameRows(t, serial, par, fmt.Sprintf("%s dop=%d", tc.name, dop))
+				if ps := queryStats(t, db, tc.query, dop); ps != serialStats {
+					t.Errorf("%s dop=%d stats = %+v, want %+v", tc.name, dop, ps, serialStats)
+				}
 			}
 		})
+	}
+}
+
+// TestSerialAggregateRunsInline: a dop-1 aggregate is the one pipeline run
+// on the caller — no merge stage, no worker — and pays for no partitioner,
+// predicate or spec clone, or merge map: the warm Query 1 statement
+// allocates no more than it did when the serial plan was assembled by
+// hand (226 allocations, measured at the commit before the pipelines were
+// merged).
+func TestSerialAggregateRunsInline(t *testing.T) {
+	db := newLineItemDB(t, 0.001, tpcd.OrderSorted, q1SMADDL, engine.Options{})
+	spans := func(dop int) map[string]int {
+		cur, err := db.QueryContext(context.Background(), query1, engine.WithDOP(dop), engine.WithTrace(true))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for {
+			if _, ok, err := cur.Next(); err != nil {
+				t.Fatal(err)
+			} else if !ok {
+				break
+			}
+		}
+		cur.Close()
+		seen := map[string]int{}
+		var walk func(n *obs.TraceNode)
+		walk = func(n *obs.TraceNode) {
+			seen[n.Name]++
+			for _, c := range n.Children {
+				walk(c)
+			}
+		}
+		walk(cur.TraceNode())
+		return seen
+	}
+	if s := spans(1); s["fold"] != 1 || s["merge"] != 0 || s["worker"] != 0 {
+		t.Errorf("dop 1 spans = %v, want one fold and no merge or worker", s)
+	}
+	if s := spans(2); s["merge"] != 1 || s["worker"] != 2 || s["fold"] != 0 {
+		t.Errorf("dop 2 spans = %v, want one merge over two workers and no fold", s)
+	}
+	if raceEnabled {
+		return
+	}
+	runQuery(t, db, query1, 1) // warm
+	if a := testing.AllocsPerRun(50, func() { runQuery(t, db, query1, 1) }); a > 226 {
+		t.Errorf("warm serial Query 1 allocates %.0f times, want <= 226", a)
 	}
 }
 

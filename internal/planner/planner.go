@@ -12,6 +12,13 @@
 //  4. applies a page-cost model with the paper's Fig.-5 breakeven: if
 //     reading the SMA-files plus the ambivalent buckets (at random-I/O
 //     cost) exceeds a sequential scan, it falls back to the scan.
+//
+// A plan executes through one pipeline. Operators exchange tuple batches;
+// Plan.RowIterator builds every aggregation shape through
+// parallel.Source.Pipeline — inline over the whole relation when serial,
+// once per partition under parallel.Agg — and Plan.TupleIterator builds
+// every projection shape as a one-page-batch scan under exec.BatchToTuples,
+// the only place tuples appear.
 package planner
 
 import (
@@ -48,7 +55,7 @@ type Strategy uint8
 
 // Plan strategies.
 const (
-	// StrategyFullScan is TableScan + Filter + GAggr, the paper's
+	// StrategyFullScan is a filtering table scan + GAggr, the paper's
 	// "Query 1 without SMAs" baseline.
 	StrategyFullScan Strategy = iota
 	// StrategySMAGAggr answers the aggregation from aggregate SMAs for
@@ -105,10 +112,9 @@ type Plan struct {
 	// page-range) partition, merged into one sorted result.
 	DOP int
 
-	// Exec selects the physical execution mode: batch-at-a-time operators
-	// with selection vectors (the default) or the legacy row iterators,
-	// plus the asynchronous page-prefetch window. Copied from the planner
-	// at plan time.
+	// Exec sizes the read path: the tuples-per-batch target and the
+	// asynchronous page-prefetch window. Copied from the planner at plan
+	// time.
 	Exec exec.ExecOptions
 
 	// Planning diagnostics.
@@ -175,8 +181,7 @@ type Planner struct {
 	// aggregation plans; values <= 1 plan serial execution. The effective
 	// per-plan degree is capped by the work available (see ChooseDOP).
 	DOP int
-	// Exec is the physical execution mode stamped onto every plan: batch
-	// vs row operators, batch size, prefetch window.
+	// Exec is stamped onto every plan: batch size, prefetch window.
 	Exec exec.ExecOptions
 	// Obs, when set, is stamped onto every plan so the parallel executor
 	// can feed the skew/utilization metric families. Nil disables.
@@ -539,132 +544,63 @@ func (p *Plan) serialGrades() []core.Grade {
 	return core.PadGrades(p.gradeVec, p.Heap.NumBuckets())
 }
 
+// modeOf maps each strategy to the pipeline the parallel package builds
+// for it.
+var modeOf = [...]parallel.Mode{
+	StrategyFullScan: parallel.ModeScan,
+	StrategySMAGAggr: parallel.ModeSMAGAggr,
+	StrategySMAScan:  parallel.ModeSMAScan,
+	StrategyMemScan:  parallel.ModeMem,
+}
+
 // RowIterator builds the aggregation pipeline of the plan. The context, if
 // non-nil, is threaded into the scan operators, which check it on every
-// bucket or page so cancellation aborts the query mid-flight. With
-// DOP > 1 the pipeline is the parallel executor: one worker per bucket
-// (or page-range) partition, partial aggregates merged into one sorted
-// stream, so the rows are the same as a serial run for any DOP.
+// bucket or page so cancellation aborts the query mid-flight. A serial plan
+// is one parallel.Source pipeline over the whole relation, run inline;
+// with DOP > 1 the same pipeline runs once per bucket (or page-range)
+// partition and the partial aggregates are merged into one sorted stream,
+// so the rows are the same for any DOP.
 func (p *Plan) RowIterator(ctx context.Context) (exec.RowIter, error) {
 	if p.IsProjection() {
 		return nil, fmt.Errorf("planner: projection plans stream tuples; use TupleIterator")
 	}
 	specs := p.Query.AggSpecs()
-
-	if p.Mem != nil {
-		sortSp := p.Span.Child("sort")
-		foldSp := sortSp.Child("fold")
-		scanSp := foldSp.Child("scan")
-		scanSp.SetNote("mem_scan")
-		scan := exec.NewMemScan(p.Mem.Schema, p.Mem.Tuples, p.Query.Where)
-		scan.Ctx = ctx
-		p.statsSrc = scan
-		fold := exec.NewGAggr(exec.TraceTupleIter(scan, scanSp),
-			p.Mem.Schema, specs, p.Query.GroupBy)
-		var it exec.RowIter = exec.TraceRowIter(fold, foldSp)
-		if len(p.Query.Having) > 0 {
-			it = exec.NewHavingFilter(it, p.Query.GroupBy, specs, p.Query.Having)
-		}
-		it = exec.TraceRowIter(exec.NewSortRows(it), sortSp)
-		if p.Query.Limit >= 0 {
-			it = exec.NewLimitRows(it, p.Query.Limit)
-		}
-		return it, nil
+	src := parallel.Source{
+		Mode:     modeOf[p.Strategy],
+		Heap:     p.Heap,
+		Mem:      p.Mem,
+		Pred:     p.Query.Where,
+		Specs:    specs,
+		GroupBy:  p.Query.GroupBy,
+		Grader:   p.Grader,
+		AggSMAs:  p.AggSMAs,
+		CountSMA: p.CountSMA,
+		Ctx:      ctx,
+		Exec:     p.Exec,
 	}
 
 	// Span tree, consumer-on-top like a plan tree: sort → fold (or the
 	// parallel merge stage) → scan → prefetch. With p.Span == nil every
-	// child is nil and TraceRowIter/TraceBatchIter return their input
-	// unchanged, so the disabled path builds the identical pipeline.
+	// child is nil and the Trace wrappers return their input unchanged, so
+	// the disabled path builds the identical pipeline.
 	sortSp := p.Span.Child("sort")
 	var it exec.RowIter
 	if p.DOP > 1 {
 		mergeSp := sortSp.Child("merge")
 		mergeSp.SetNote("dop=%d", p.DOP)
-		op := &parallel.Agg{
-			Heap:      p.Heap,
-			Pred:      p.Query.Where,
-			Specs:     specs,
-			GroupBy:   p.Query.GroupBy,
-			Grader:    p.Grader,
-			Pregraded: p.gradeVec,
-			DOP:       p.DOP,
-			Ctx:       ctx,
-			Exec:      p.Exec,
-			Span:      mergeSp,
-		}
+		op := &parallel.Agg{Source: src, Pregraded: p.gradeVec, DOP: p.DOP, Span: mergeSp}
 		if p.Obs != nil {
 			op.Metrics = p.Obs.Parallel
-		}
-		switch p.Strategy {
-		case StrategySMAGAggr:
-			op.Mode = parallel.ModeSMAGAggr
-			op.AggSMAs = p.AggSMAs
-			op.CountSMA = p.CountSMA
-		case StrategySMAScan:
-			op.Mode = parallel.ModeSMAScan
-		default:
-			op.Mode = parallel.ModeScan
 		}
 		p.statsSrc = op
 		it = exec.TraceRowIter(op, mergeSp)
 	} else {
 		foldSp := sortSp.Child("fold")
-		switch p.Strategy {
-		case StrategySMAGAggr:
-			foldSp.SetNote("sma_gaggr")
-			op := exec.NewSMAGAggr(p.Heap, p.Query.Where, specs, p.Query.GroupBy,
-				p.Grader, p.AggSMAs, p.CountSMA)
-			op.Ctx = ctx
-			op.Grades = p.serialGrades()
-			op.Opts = p.Exec
-			p.statsSrc = op
-			it = exec.TraceRowIter(op, foldSp)
-		case StrategySMAScan:
-			if p.Exec.Batching() {
-				scanSp := foldSp.Child("scan")
-				scanSp.SetNote("sma_scan batch")
-				scan := exec.NewBatchSMAScan(p.Heap, p.Query.Where, p.Grader, p.Exec)
-				scan.Ctx = ctx
-				scan.Grades = p.serialGrades()
-				p.statsSrc = scan
-				fold := exec.NewBatchGAggr(exec.TraceBatchIter(scan, scanSp),
-					p.Heap.Schema(), specs, p.Query.GroupBy)
-				it = exec.TraceRowIter(fold, foldSp)
-			} else {
-				scanSp := foldSp.Child("scan")
-				scanSp.SetNote("sma_scan")
-				scan := exec.NewSMAScan(p.Heap, p.Query.Where, p.Grader)
-				scan.Ctx = ctx
-				scan.Grades = p.serialGrades()
-				scan.PrefetchWindow = p.Exec.EffectivePrefetchWindow()
-				p.statsSrc = scan
-				fold := exec.NewGAggr(exec.TraceTupleIter(scan, scanSp),
-					p.Heap.Schema(), specs, p.Query.GroupBy)
-				it = exec.TraceRowIter(fold, foldSp)
-			}
-		default:
-			if p.Exec.Batching() {
-				scanSp := foldSp.Child("scan")
-				scanSp.SetNote("table_scan batch")
-				scan := exec.NewBatchTableScan(p.Heap, p.Query.Where, p.Exec)
-				scan.Ctx = ctx
-				p.statsSrc = scan
-				fold := exec.NewBatchGAggr(exec.TraceBatchIter(scan, scanSp),
-					p.Heap.Schema(), specs, p.Query.GroupBy)
-				it = exec.TraceRowIter(fold, foldSp)
-			} else {
-				scanSp := foldSp.Child("scan")
-				scanSp.SetNote("table_scan")
-				scan := exec.NewTableScan(p.Heap, p.Query.Where)
-				scan.Ctx = ctx
-				scan.PrefetchWindow = p.Exec.EffectivePrefetchWindow()
-				p.statsSrc = scan
-				fold := exec.NewGAggr(exec.TraceTupleIter(scan, scanSp),
-					p.Heap.Schema(), specs, p.Query.GroupBy)
-				it = exec.TraceRowIter(fold, foldSp)
-			}
-		}
+		var whole parallel.Unit
+		whole.Grades = p.serialGrades()
+		fold, stats := src.Pipeline(whole, false, foldSp)
+		p.statsSrc = stats
+		it = exec.TraceRowIter(fold, foldSp)
 	}
 	if len(p.Query.Having) > 0 {
 		it = exec.NewHavingFilter(it, p.Query.GroupBy, specs, p.Query.Having)
@@ -676,44 +612,46 @@ func (p *Plan) RowIterator(ctx context.Context) (exec.RowIter, error) {
 	return it, nil
 }
 
-// TupleIterator builds the streaming tuple pipeline of a projection plan.
-// Tuples are produced in physical order, one page at a time; nothing is
-// materialized. The context, if non-nil, aborts the scan when cancelled.
+// TupleIterator builds the streaming tuple pipeline of a projection plan —
+// the one place projection scans are constructed. Tuples are produced in
+// physical order and nothing is materialized: the scan's batch holds one
+// page, so LIMIT stops reading at page granularity and no page stays
+// pinned between Next calls. The context, if non-nil, aborts the scan when
+// cancelled.
 func (p *Plan) TupleIterator(ctx context.Context) (exec.TupleIter, error) {
 	if !p.IsProjection() {
 		return nil, fmt.Errorf("planner: aggregation plans produce rows; use RowIterator")
 	}
-	scanSp := p.Span.Child("scan")
-	var it exec.TupleIter
-	if p.Mem != nil {
-		scanSp.SetNote("mem_scan projection")
-		scan := exec.NewMemScan(p.Mem.Schema, p.Mem.Tuples, p.Query.Where)
-		scan.Ctx = ctx
-		p.statsSrc = scan
-		it = exec.TraceTupleIter(scan, scanSp)
-	} else if p.Strategy == StrategySMAScan {
-		scanSp.SetNote("sma_scan projection")
-		scan := exec.NewSMAScan(p.Heap, p.Query.Where, p.Grader)
-		scan.Ctx = ctx
-		scan.Grades = p.serialGrades()
-		scan.PrefetchWindow = p.Exec.EffectivePrefetchWindow()
-		p.statsSrc = scan
-		it = exec.TraceTupleIter(scan, scanSp)
-	} else {
-		scanSp.SetNote("table_scan projection")
-		scan := exec.NewTableScan(p.Heap, p.Query.Where)
-		scan.Ctx = ctx
-		scan.PrefetchWindow = p.Exec.EffectivePrefetchWindow()
-		p.statsSrc = scan
-		it = exec.TraceTupleIter(scan, scanSp)
+	onePage := p.Exec
+	onePage.BatchSize = 1 // the heap scans raise it to one full page
+	var schema *tuple.Schema
+	var scan interface {
+		exec.BatchIter
+		exec.StatsReporter
 	}
+	scanSp := p.Span.Child("scan")
+	switch p.Strategy {
+	case StrategyMemScan:
+		scanSp.SetNote("mem_scan projection")
+		op := exec.NewMemScan(p.Mem.Schema, p.Mem.Tuples, p.Query.Where)
+		op.Ctx = ctx
+		op.Opts = p.Exec
+		scan, schema = op, p.Mem.Schema
+	case StrategySMAScan:
+		scanSp.SetNote("sma_scan projection")
+		op := exec.NewBatchSMAScan(p.Heap, p.Query.Where, p.Grader, onePage)
+		op.Ctx = ctx
+		op.Grades = p.serialGrades()
+		scan, schema = op, p.Heap.Schema()
+	default:
+		scanSp.SetNote("table_scan projection")
+		op := exec.NewBatchTableScan(p.Heap, p.Query.Where, onePage)
+		op.Ctx = ctx
+		scan, schema = op, p.Heap.Schema()
+	}
+	p.statsSrc = scan
+	var it exec.TupleIter = exec.NewBatchToTuples(exec.TraceBatchIter(scan, scanSp))
 	if len(p.Query.OrderBy) > 0 {
-		var schema *tuple.Schema
-		if p.Mem != nil {
-			schema = p.Mem.Schema
-		} else {
-			schema = p.Heap.Schema()
-		}
 		st, err := exec.NewSortTuples(it, schema, p.Query.OrderBy, p.Query.OrderDesc)
 		if err != nil {
 			return nil, err
@@ -736,15 +674,4 @@ func (p *Plan) ScanStats() (exec.ScanStats, bool) {
 		return exec.ScanStats{}, false
 	}
 	return p.statsSrc.Stats(), true
-}
-
-// Execute runs an aggregation plan to completion and returns the sorted
-// result rows. It is the materializing path retained for the internal
-// engine API and tests; streaming consumers use RowIterator/TupleIterator.
-func (p *Plan) Execute() ([]exec.Row, error) {
-	it, err := p.RowIterator(nil)
-	if err != nil {
-		return nil, err
-	}
-	return exec.CollectRows(it)
 }

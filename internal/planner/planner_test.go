@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"sma/internal/core"
+	"sma/internal/exec"
 	"sma/internal/parser"
 	"sma/internal/planner"
 	"sma/internal/storage"
@@ -80,6 +81,16 @@ func plan(t testing.TB, sql string, h *storage.HeapFile, smas []*core.SMA) *plan
 	return p
 }
 
+// execute runs an aggregation plan to completion through the iterator the
+// engine's cursors use.
+func execute(p *planner.Plan) ([]exec.Row, error) {
+	it, err := p.RowIterator(nil)
+	if err != nil {
+		return nil, err
+	}
+	return exec.CollectRows(it)
+}
+
 // TestPlannerPicksSMAGAggr: with all SMAs present on sorted data, Query 1
 // becomes an SMA_GAggr.
 func TestPlannerPicksSMAGAggr(t *testing.T) {
@@ -95,7 +106,7 @@ func TestPlannerPicksSMAGAggr(t *testing.T) {
 	if p.Grades.Ambivalent > 1 {
 		t.Errorf("sorted data should have at most 1 ambivalent bucket: %+v", p.Grades)
 	}
-	rows, err := p.Execute()
+	rows, err := execute(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +139,7 @@ func TestPlannerSMAScanWhenAggregatesUncovered(t *testing.T) {
 	if p.Strategy != planner.StrategySMAScan {
 		t.Fatalf("strategy = %s, want SMA_Scan\n%s", p.Strategy, p.Explain())
 	}
-	rows, err := p.Execute()
+	rows, err := execute(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +151,7 @@ func TestPlannerSMAScanWhenAggregatesUncovered(t *testing.T) {
 	if pFull.Strategy != planner.StrategyFullScan {
 		t.Fatalf("without SMAs: %s", pFull.Strategy)
 	}
-	want, err := pFull.Execute()
+	want, err := execute(pFull)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,13 +191,13 @@ func TestPlannerNoWhere(t *testing.T) {
 	if p.Grades.Qualifying != h.NumBuckets() {
 		t.Errorf("all buckets should qualify: %+v", p.Grades)
 	}
-	rows, err := p.Execute()
+	rows, err := execute(p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Cross-check totals against a plain scan.
 	pFull := plan(t, "select L_RETURNFLAG, sum(L_QUANTITY) as S from LINEITEM group by L_RETURNFLAG order by L_RETURNFLAG", h, nil)
-	want, err := pFull.Execute()
+	want, err := execute(pFull)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,12 +254,12 @@ func TestPlannerEqualityViaCountSMA(t *testing.T) {
 	if p.Grades.Qualifying+p.Grades.Disqualifying == 0 {
 		t.Errorf("count SMA graded nothing: %+v", p.Grades)
 	}
-	rows, err := p.Execute()
+	rows, err := execute(p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	pFull := plan(t, "select count(*) as N from LINEITEM where L_RETURNFLAG = 'N'", h, nil)
-	want, err := pFull.Execute()
+	want, err := execute(pFull)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -105,7 +105,7 @@ func wireDiffSession(ctx context.Context, ts *testServer, direct *sma.DB, si, op
 			continue
 		}
 		// Exercise the per-request knobs while keeping both sides equal:
-		// every third query forces serial, every fifth the row fallback.
+		// every third query forces serial, every fifth seven-tuple batches.
 		var wopts []client.QueryOption
 		var dopts []sma.QueryOption
 		if i%3 == 0 {
@@ -113,8 +113,8 @@ func wireDiffSession(ctx context.Context, ts *testServer, direct *sma.DB, si, op
 			dopts = append(dopts, sma.WithQueryParallelism(1))
 		}
 		if i%5 == 0 {
-			wopts = append(wopts, client.WithBatchSize(-1))
-			dopts = append(dopts, sma.WithQueryBatchSize(-1))
+			wopts = append(wopts, client.WithBatchSize(7))
+			dopts = append(dopts, sma.WithQueryBatchSize(7))
 		}
 		rows, err := c.Query(ctx, op.SQL, wopts...)
 		if err != nil {

@@ -53,7 +53,7 @@ func FuzzDecodeRequest(f *testing.F) {
 			if req.TimeoutMillis < 0 || req.TimeoutMillis > server.MaxTimeoutMillis {
 				t.Fatalf("accepted out-of-bounds timeout_ms %d", req.TimeoutMillis)
 			}
-			if req.BatchSize != nil && *req.BatchSize > server.MaxBatchSize {
+			if req.BatchSize != nil && (*req.BatchSize < 0 || *req.BatchSize > server.MaxBatchSize) {
 				t.Fatalf("accepted out-of-bounds batch_size %d", *req.BatchSize)
 			}
 			buf, err := json.Marshal(req)

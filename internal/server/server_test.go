@@ -147,6 +147,7 @@ func TestBadRequests(t *testing.T) {
 		`{"sql": "select 1"} trailing`, `{"sql": "select 1", "dop": -1}`,
 		`{"sql": "select 1", "timeout_ms": -5}`,
 		`{"sql": "select 1", "batch_size": 2000000000}`,
+		`{"sql": "select 1", "batch_size": -1}`,
 	} {
 		resp, err := http.Post(ts.Base+"/query", "application/json", strings.NewReader(body))
 		if err != nil {
@@ -374,8 +375,8 @@ func TestShutdownForcedCancel(t *testing.T) {
 }
 
 // TestPerQueryKnobs exercises dop/batch_size/timeout_ms through the wire:
-// serial vs parallel and batch vs row must return identical bytes, and a
-// tiny deadline must abort the scan with an error.
+// serial vs parallel and default vs tiny batches must return identical
+// bytes, and a tiny deadline must abort the scan with an error.
 func TestPerQueryKnobs(t *testing.T) {
 	ts := startServer(t, []sma.Option{sma.WithParallelism(4)}, server.Config{})
 	c := client.New(ts.Base)
@@ -392,7 +393,6 @@ func TestPerQueryKnobs(t *testing.T) {
 	for name, opts := range map[string][]client.QueryOption{
 		"serial":  {client.WithDOP(1)},
 		"dop4":    {client.WithDOP(4)},
-		"rowmode": {client.WithBatchSize(-1)},
 		"batch16": {client.WithBatchSize(16)},
 	} {
 		if got := collectQuery(t, c, q, opts...); fmt.Sprint(got) != fmt.Sprint(base) {

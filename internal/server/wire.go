@@ -61,8 +61,7 @@ const (
 	MaxDOP = 512
 	// MaxBatchSize caps the per-request tuples-per-batch target: batch
 	// buffers are sized batch×record up front, so an unbounded value
-	// would let one request allocate the server to death. Any negative
-	// value selects the row-at-a-time fallback.
+	// would let one request allocate the server to death.
 	MaxBatchSize = 1 << 16
 	// MaxTimeoutMillis caps the per-request deadline (24h).
 	MaxTimeoutMillis = 24 * 60 * 60 * 1000
@@ -77,8 +76,7 @@ type QueryRequest struct {
 	// this query (0 keeps the server default, 1 forces serial).
 	DOP int `json:"dop,omitempty"`
 	// BatchSize overrides the tuples-per-batch target (absent keeps the
-	// server default, 0 the engine default size, negative runs the legacy
-	// row-at-a-time iterators).
+	// server default, 0 the engine default size).
 	BatchSize *int `json:"batch_size,omitempty"`
 	// TimeoutMillis bounds execution; past it the query fails with 504 (or
 	// an in-stream error frame once streaming began). 0 means no deadline.
@@ -120,8 +118,8 @@ func DecodeQueryRequest(r io.Reader) (*QueryRequest, error) {
 	if req.DOP < 0 || req.DOP > MaxDOP {
 		return nil, fmt.Errorf("dop %d out of range [0, %d]", req.DOP, MaxDOP)
 	}
-	if req.BatchSize != nil && *req.BatchSize > MaxBatchSize {
-		return nil, fmt.Errorf("batch_size %d exceeds %d", *req.BatchSize, MaxBatchSize)
+	if req.BatchSize != nil && (*req.BatchSize < 0 || *req.BatchSize > MaxBatchSize) {
+		return nil, fmt.Errorf("batch_size %d out of range [0, %d]", *req.BatchSize, MaxBatchSize)
 	}
 	if err := validateTimeout(req.TimeoutMillis); err != nil {
 		return nil, err

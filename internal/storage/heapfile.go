@@ -229,7 +229,7 @@ func (h *HeapFile) PageRecords(p PageID, visit func(t tuple.Tuple, rid RID) erro
 // extended slice plus the number of records appended. The page is pinned
 // only for the duration of the copy; when the heap has no deleted records
 // the copy is a single memcpy of the page's record area. This is the
-// page-decode step of the batched scan operators.
+// page-decode step of the scan operators.
 func (h *HeapFile) ReadPageInto(p PageID, dst []byte) ([]byte, int, error) {
 	fr, err := h.pool.FetchPage(p)
 	if err != nil {
@@ -264,55 +264,6 @@ func (h *HeapFile) ScanBucket(b int, visit func(t tuple.Tuple, rid RID) error) e
 		}
 	}
 	return nil
-}
-
-// PageCursor iterates the records of one pinned page without copying.
-// Tuples returned by Next alias frame memory and remain valid until Close.
-type PageCursor struct {
-	h    *HeapFile
-	page PageID
-	data []byte
-	n    int
-	pos  int
-	open bool
-}
-
-// OpenPage pins page p and returns a cursor over its records. The caller
-// must Close the cursor to unpin the page.
-func (h *HeapFile) OpenPage(p PageID) (*PageCursor, error) {
-	fr, err := h.pool.FetchPage(p)
-	if err != nil {
-		return nil, err
-	}
-	return &PageCursor{h: h, page: p, data: fr.Data(), n: pageCount(fr.Data()), open: true}, nil
-}
-
-// Next returns the next live record on the page, aliasing page memory.
-func (c *PageCursor) Next() (tuple.Tuple, bool) {
-	for c.pos < c.n {
-		rid := RID{Page: c.page, Slot: c.pos}
-		if !c.h.isLive(rid) {
-			c.pos++
-			continue
-		}
-		rs := c.h.schema.RecordSize()
-		off := pageHeaderSize + c.pos*rs
-		c.pos++
-		return tuple.Tuple{Schema: c.h.schema, Data: c.data[off : off+rs]}, true
-	}
-	return tuple.Tuple{}, false
-}
-
-// Slot returns the slot index of the record most recently returned by Next.
-func (c *PageCursor) Slot() int { return c.pos - 1 }
-
-// Close unpins the page. It is idempotent.
-func (c *PageCursor) Close() error {
-	if !c.open {
-		return nil
-	}
-	c.open = false
-	return c.h.pool.UnpinPage(c.page)
 }
 
 // TailState captures the append position of the heap — the page count

@@ -329,42 +329,42 @@ func TestHeapBuckets(t *testing.T) {
 	}
 }
 
-func TestPageCursor(t *testing.T) {
+// TestReadPageInto checks the scans' page-decode step: the page's records
+// are appended to dst in slot order, behind what dst already holds, and no
+// pin outlives the call.
+func TestReadPageInto(t *testing.T) {
 	h := newHeap(t, 1, 8)
 	per := h.RecordsPerPage()
 	tp := tuple.NewTuple(h.Schema())
-	for i := 0; i < per; i++ {
+	for i := 0; i < 2*per; i++ {
 		tp.SetInt64(0, int64(i))
 		if _, err := h.Append(tp); err != nil {
 			t.Fatal(err)
 		}
 	}
-	cur, err := h.OpenPage(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := 0
-	for {
-		rec, ok := cur.Next()
-		if !ok {
-			break
+	var buf []byte
+	for p := PageID(0); p < 2; p++ {
+		var n int
+		var err error
+		if buf, n, err = h.ReadPageInto(p, buf); err != nil {
+			t.Fatal(err)
 		}
-		if rec.Int64(0) != int64(n) {
-			t.Fatalf("cursor out of order")
+		if n != per {
+			t.Errorf("page %d yielded %d records, want %d", p, n, per)
 		}
-		if cur.Slot() != n {
-			t.Fatalf("Slot = %d, want %d", cur.Slot(), n)
+	}
+	rs := h.Schema().RecordSize()
+	if len(buf) != 2*per*rs {
+		t.Fatalf("buffer holds %d bytes, want %d", len(buf), 2*per*rs)
+	}
+	for i := 0; i < 2*per; i++ {
+		rec := tuple.Tuple{Schema: h.Schema(), Data: buf[i*rs : (i+1)*rs]}
+		if rec.Int64(0) != int64(i) {
+			t.Fatalf("record %d out of order: %d", i, rec.Int64(0))
 		}
-		n++
 	}
-	if n != per {
-		t.Errorf("cursor returned %d records, want %d", n, per)
-	}
-	if err := cur.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := cur.Close(); err != nil {
-		t.Errorf("Close should be idempotent: %v", err)
+	if err := h.Pool().DropAll(); err != nil {
+		t.Fatalf("a page stayed pinned: %v", err)
 	}
 }
 

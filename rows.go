@@ -61,8 +61,8 @@ type QueryStats struct {
 	DisqualifyingBuckets int
 	AmbivalentBuckets    int
 	PagesRead            int
-	// Batches counts the tuple batches the vectorized operators produced
-	// (0 when the query ran on the legacy row path).
+	// Batches counts the tuple batches the scans produced (one per page
+	// for a projection).
 	Batches int
 	// PagesPrefetched counts heap pages the asynchronous prefetcher read
 	// ahead of the scan cursors.

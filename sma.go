@@ -28,6 +28,12 @@
 // (or when the stream ends), so hold cursors briefly and never run DDL on
 // the same goroutine before closing an open cursor. Cancelling the
 // query's context aborts scans at the next bucket or page boundary.
+//
+// Below the cursor there is one execution pipeline: operators exchange
+// tuple batches, and rows appear only at the cursor's edge. A serial query
+// runs that pipeline inline over the whole table, a parallel one runs it
+// once per partition and merges; a projection streams from one-page
+// batches, so an open cursor pins no buffer-pool page between Next calls.
 package sma
 
 import (
@@ -107,13 +113,12 @@ func WithReadLatency(d time.Duration) Option {
 	return func(o *openConfig) { o.eng.ReadLatency = d }
 }
 
-// WithBatchSize sets the tuples-per-batch target of the vectorized read
-// path (default 1024 tuples). The batched operators decode each heap page
+// WithBatchSize sets the tuples-per-batch target of the read path; n <= 0
+// means the default (1024 tuples). The operators decode each heap page
 // into a reusable batch once, evaluate the predicate as a tight loop
 // producing a selection vector, and fold aggregates per batch instead of
-// per tuple. Passing a negative n disables batching: plans fall back to
-// the legacy row-at-a-time iterators (the pre-batch execution engine,
-// kept as the projection-streaming substrate and for A/B comparison).
+// per tuple. Projections stream from one-page batches whatever n is, so
+// LIMIT stops reading at page granularity.
 func WithBatchSize(n int) Option {
 	return func(o *openConfig) { o.eng.BatchSize = n }
 }
@@ -216,10 +221,9 @@ func WithQueryParallelism(n int) QueryOption {
 }
 
 // WithQueryBatchSize overrides the database's tuples-per-batch target for
-// one query: 0 batches at the default size, a negative n runs the query on
-// the legacy row-at-a-time iterators. Results are identical either way;
-// the knob exists for A/B comparison and for serving layers that let
-// clients choose per request.
+// one query; n <= 0 batches at the default size. Results are identical
+// for every n; the knob exists for serving layers that let clients choose
+// per request.
 func WithQueryBatchSize(n int) QueryOption {
 	return func(c *queryConfig) { c.batch = &n }
 }

@@ -472,7 +472,8 @@ func TestCatalogSnapshot(t *testing.T) {
 }
 
 // TestQueryBatchSizeOption checks the per-query batch override returns
-// identical bytes in row mode, tiny-batch mode, and the default.
+// identical bytes at the default, with n <= 0 (which means the default),
+// and in tiny batches.
 func TestQueryBatchSizeOption(t *testing.T) {
 	db, err := Open(t.TempDir())
 	if err != nil {
@@ -503,7 +504,7 @@ func TestQueryBatchSizeOption(t *testing.T) {
 	}
 	base := render()
 	if got := render(WithQueryBatchSize(-1)); got != base {
-		t.Fatalf("row mode differs:\n%s\nvs\n%s", got, base)
+		t.Fatalf("batch=-1 differs:\n%s\nvs\n%s", got, base)
 	}
 	if got := render(WithQueryBatchSize(7)); got != base {
 		t.Fatalf("batch=7 differs:\n%s\nvs\n%s", got, base)
