@@ -39,7 +39,7 @@ func main() {
 	stats := flag.Bool("stats", false, "print the query's scan statistics (bucket grading, pages, batches, prefetch) after the result")
 	dop := flag.Int("dop", 0, "degree of intra-query parallelism (0 = serial; buckets are partitioned across this many workers)")
 	batchSize := flag.Int("batchsize", 0, "tuples per batch (0 or negative = default 1024)")
-	prefetch := flag.Int("prefetch", 0, "pages of asynchronous readahead per scan (0 = default 16, negative disables; for A/B runs)")
+	prefetch := flag.Int("prefetch", 0, "pages of asynchronous readahead per scan (0 = default: two batches ahead, at least 16; negative disables; for A/B runs)")
 	flag.Parse()
 	if *dir == "" {
 		fatal(fmt.Errorf("-dir is required"))

@@ -56,7 +56,7 @@ func main() {
 	dop := flag.Int("dop", 0, "default degree of intra-query parallelism (0/1 = serial)")
 	poolPages := flag.Int("pool-pages", 0, "buffer pool capacity per table in pages (0 = default 2048)")
 	batch := flag.Int("batch-size", 0, "tuples-per-batch target (0 or negative = default 1024)")
-	prefetch := flag.Int("prefetch", 0, "prefetch window in pages (0 = default 16, negative = off)")
+	prefetch := flag.Int("prefetch", 0, "prefetch window in pages (0 = default: two batches ahead, at least 16; negative = off)")
 	tlsCert := flag.String("tls-cert", "", "TLS certificate file (serve HTTPS when set with -tls-key)")
 	tlsKey := flag.String("tls-key", "", "TLS key file")
 	logLevel := flag.String("log-level", "info", "structured log level: debug, info, warn, or error")

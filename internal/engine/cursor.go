@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"log/slog"
 	"strings"
 	"time"
 
@@ -377,6 +378,17 @@ func (c *Cursor) finishObs(err error) {
 			em.AmbivalentShare.Observe(float64(a) / float64(graded))
 		}
 	}
+	// The log record is built only for a logger that will take it: most
+	// statements are neither slow nor logged at debug level.
+	level, msg := slog.LevelDebug, "query"
+	if o.Slow > 0 && dur >= o.Slow {
+		em.SlowQueries.Inc()
+		level, msg = slog.LevelWarn, "slow query"
+	}
+	log := o.Logger()
+	if !log.Enabled(context.Background(), level) {
+		return
+	}
 	attrs := []any{
 		"qid", c.qid, "strategy", strat, "dur", dur, "rows", c.rowsOut,
 		"buckets", fmt.Sprintf("%d/%d/%d", q, d, a),
@@ -384,12 +396,10 @@ func (c *Cursor) finishObs(err error) {
 	if err != nil {
 		attrs = append(attrs, "err", err)
 	}
-	if o.Slow > 0 && dur >= o.Slow {
-		em.SlowQueries.Inc()
-		o.Logger().Warn("slow query", append(attrs, "sql", c.sql)...)
-		return
+	if level == slog.LevelWarn {
+		attrs = append(attrs, "sql", c.sql)
 	}
-	o.Logger().Debug("query", attrs...)
+	log.Log(context.Background(), level, msg, attrs...)
 }
 
 // Close releases the cursor's resources and the database read lock. Close

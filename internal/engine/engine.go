@@ -53,8 +53,9 @@ type Options struct {
 	// <= 0 mean the default (1024).
 	BatchSize int
 	// PrefetchWindow is the number of pages of SMA-guided asynchronous
-	// readahead per scan (default 16, derated per worker under
-	// parallelism). Negative values disable prefetch.
+	// readahead per scan (0, the default: two batches' worth, at least 16;
+	// derated per worker under parallelism). Negative values disable
+	// prefetch.
 	PrefetchWindow int
 	// Obs enables the observability subsystem: the unified metrics
 	// registry, structured engine logs with per-query ids, the slow-query

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"log/slog"
 	"time"
 
 	"sma/internal/core"
@@ -79,15 +80,21 @@ func (db *DB) ExecContext(ctx context.Context, sql string) (res *ExecResult, err
 	if o != nil && err == nil {
 		o.Engine.Execs.With(res.Kind).Inc()
 		o.Engine.ExecSeconds.With(res.Kind).ObserveDuration(dur)
-		attrs := []any{
-			"kind", res.Kind, "table", res.Table, "rows_affected", res.RowsAffected,
-			"dur", dur, "wal_bytes", res.WALBytes, "wal_syncs", res.WALSyncs,
-		}
+		level, msg := slog.LevelDebug, "exec"
 		if o.Slow > 0 && dur >= o.Slow {
 			o.Engine.SlowExecs.Inc()
-			o.Logger().Warn("slow exec", append(attrs, "sql", sql)...)
-		} else {
-			o.Logger().Debug("exec", attrs...)
+			level, msg = slog.LevelWarn, "slow exec"
+		}
+		// As in Cursor.finishObs: no record for a logger that drops it.
+		if log := o.Logger(); log.Enabled(context.Background(), level) {
+			attrs := []any{
+				"kind", res.Kind, "table", res.Table, "rows_affected", res.RowsAffected,
+				"dur", dur, "wal_bytes", res.WALBytes, "wal_syncs", res.WALSyncs,
+			}
+			if level == slog.LevelWarn {
+				attrs = append(attrs, "sql", sql)
+			}
+			log.Log(context.Background(), level, msg, attrs...)
 		}
 	}
 	return res, err

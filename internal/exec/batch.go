@@ -1,11 +1,8 @@
 package exec
 
 import (
-	"bytes"
 	"sync"
 
-	"sma/internal/core"
-	"sma/internal/pred"
 	"sma/internal/tuple"
 )
 
@@ -14,8 +11,10 @@ import (
 // while the batch (a few hundred KB for wide schemas) stays cache-friendly.
 const DefaultBatchSize = 1024
 
-// DefaultPrefetchWindow is the default page readahead per scan: how many
-// pages the asynchronous prefetcher keeps in flight ahead of the cursor.
+// DefaultPrefetchWindow is the least default page readahead per scan: how
+// many pages the asynchronous prefetcher keeps in flight ahead of the
+// cursor. A scan whose batch spans more pages reads ahead two batches (see
+// ExecOptions.Readahead).
 const DefaultPrefetchWindow = 16
 
 // ExecOptions sizes the read path. The zero value means the default batch
@@ -24,8 +23,8 @@ type ExecOptions struct {
 	// BatchSize is the tuples-per-batch target; values <= 0 mean
 	// DefaultBatchSize. Scans raise it to one full page.
 	BatchSize int
-	// PrefetchWindow is the page readahead per scan; 0 means
-	// DefaultPrefetchWindow, negative disables prefetch.
+	// PrefetchWindow is the page readahead per scan; 0 means the computed
+	// default (see Readahead), negative disables prefetch.
 	PrefetchWindow int
 }
 
@@ -37,16 +36,20 @@ func (o ExecOptions) EffectiveBatchSize() int {
 	return DefaultBatchSize
 }
 
-// EffectivePrefetchWindow resolves the page readahead (0 = disabled).
-func (o ExecOptions) EffectivePrefetchWindow() int {
+// Readahead resolves the page readahead (0 = disabled) of a scan over pages
+// of perPage records. An explicit window wins. The default covers two
+// batches: a scan reads one batch's pages in a burst and then computes on
+// them, so the readers need a second batch of room to work in during the
+// computation — with less, every burst overtakes them and the scan issues
+// the reads itself. The buffer pool clamps the window to half its capacity.
+func (o ExecOptions) Readahead(perPage int) int {
 	switch {
 	case o.PrefetchWindow < 0:
 		return 0
-	case o.PrefetchWindow == 0:
-		return DefaultPrefetchWindow
-	default:
+	case o.PrefetchWindow > 0:
 		return o.PrefetchWindow
 	}
+	return max(DefaultPrefetchWindow, 2*(batchCap(o, perPage)/perPage))
 }
 
 // Batch is a column-of-records unit of batched execution: up to ~BatchSize
@@ -62,6 +65,16 @@ type Batch struct {
 	data    []byte
 	recSize int
 	n       int
+
+	// Working memory of the selection and fold kernels. It lives here, not
+	// in the operators, because batches are pooled: a statement that
+	// inspects one 31-row bucket borrows the vectors the last scan grew
+	// instead of allocating its own, and in steady state nothing is
+	// allocated per batch.
+	f64  []float64 // value vectors of the aggregate-argument program
+	u64  []uint64  // packed raw group keys, one per selected record
+	i32  []int32   // group ids; candidate lists of nested Or/Not predicates
+	mark []bool    // record marks of nested Or/Not predicates, all false at rest
 }
 
 // Len returns the number of decoded records (before selection).
@@ -80,26 +93,13 @@ func (b *Batch) reset() {
 	b.n = 0
 }
 
-// selectAll marks every record selected.
-func (b *Batch) selectAll() {
-	b.Sel = b.Sel[:0]
-	for i := 0; i < b.n; i++ {
-		b.Sel = append(b.Sel, int32(i))
+// grow returns s with length n, reallocating only when the capacity is
+// short; the contents are unspecified.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
-}
-
-// selectPred runs the predicate over the batch in a tight loop, producing
-// the selection vector.
-func (b *Batch) selectPred(p pred.Predicate) {
-	b.Sel = b.Sel[:0]
-	rs := b.recSize
-	t := tuple.Tuple{Schema: b.Schema}
-	for i, off := 0, 0; i < b.n; i, off = i+1, off+rs {
-		t.Data = b.data[off : off+rs]
-		if p.Eval(t) {
-			b.Sel = append(b.Sel, int32(i))
-		}
-	}
+	return s[:n]
 }
 
 // batchPool recycles batch buffers across scans and partition workers, so
@@ -191,168 +191,4 @@ func (a *BatchToTuples) Next() (tuple.Tuple, bool, error) {
 func (a *BatchToTuples) Close() error {
 	a.batch = nil
 	return a.Input.Close()
-}
-
-// groupCacheSize bounds the raw-bytes group cache. Warehouse group-bys
-// (Q1 has four groups) fit comfortably; workloads with more groups fall
-// through to the canonical-key map, which stays correct for any count.
-const groupCacheSize = 8
-
-// colRegion is the byte region one group-by column occupies within a
-// fixed-width record.
-type colRegion struct{ off, width int }
-
-// groupRegions computes the record regions of the given column indexes
-// from the schema's stored layout.
-func groupRegions(s *tuple.Schema, cols []int) []colRegion {
-	out := make([]colRegion, len(cols))
-	for i, j := range cols {
-		out[i] = colRegion{off: s.ColumnOffset(j), width: s.Column(j).Width()}
-	}
-	return out
-}
-
-// groupCacheEntry pairs a group's raw key bytes (the concatenated group
-// columns exactly as stored) with its accumulator. Raw equality implies
-// canonical-key equality, so a cache hit resolves the group without
-// building the canonical key at all; raw misses (including exotic cases
-// like two NaN encodings of one canonical group) fall through to the map.
-type groupCacheEntry struct {
-	raw []byte
-	acc *Partial
-}
-
-// groupFolder folds selected batch records into per-group Partials without
-// allocating per tuple. Group resolution tries a small MRU cache keyed by
-// the raw group-column bytes first; on a miss the canonical key is built in
-// a reused scratch buffer and looked up through the allocation-free
-// []byte→string map index. Accumulation is spec-major: the batch resolves
-// every tuple's accumulator once, then each aggregate spec runs as its own
-// tight loop, hoisting the per-spec dispatch out of the per-tuple path.
-type groupFolder struct {
-	specs   []AggSpec
-	gx      *core.Extractor // nil for a global aggregate
-	regions []colRegion
-	groups  map[core.GroupKey]*Partial
-
-	keyBuf []byte
-	cache  []groupCacheEntry // MRU order
-	accs   []*Partial        // per-selected-tuple scratch, reused
-}
-
-// newGroupFolder prepares a folder over an existing groups map (shared with
-// SMA-side advancement in SMA_GAggr) or a fresh one when groups is nil.
-func newGroupFolder(specs []AggSpec, gx *core.Extractor, groups map[core.GroupKey]*Partial) *groupFolder {
-	if groups == nil {
-		groups = make(map[core.GroupKey]*Partial)
-	}
-	return &groupFolder{specs: specs, gx: gx, groups: groups}
-}
-
-// cachedAcc resolves the accumulator for t through the raw-bytes cache,
-// falling back to (and refilling from) the canonical-key map.
-func (f *groupFolder) cachedAcc(t tuple.Tuple) *Partial {
-	data := t.Data
-	for e := range f.cache {
-		raw := f.cache[e].raw
-		pos := 0
-		match := true
-		for _, r := range f.regions {
-			if !bytes.Equal(data[r.off:r.off+r.width], raw[pos:pos+r.width]) {
-				match = false
-				break
-			}
-			pos += r.width
-		}
-		if match {
-			acc := f.cache[e].acc
-			if e != 0 {
-				hit := f.cache[e]
-				copy(f.cache[1:e+1], f.cache[:e])
-				f.cache[0] = hit
-			}
-			return acc
-		}
-	}
-	f.keyBuf = f.gx.AppendKey(f.keyBuf[:0], t)
-	acc := f.groups[core.GroupKey(f.keyBuf)]
-	if acc == nil {
-		acc = newGroupAcc(f.gx.Vals(t), len(f.specs))
-		f.groups[core.GroupKey(f.keyBuf)] = acc
-	}
-	raw := make([]byte, 0, 16)
-	for _, r := range f.regions {
-		raw = append(raw, data[r.off:r.off+r.width]...)
-	}
-	if len(f.cache) < groupCacheSize {
-		f.cache = append(f.cache, groupCacheEntry{})
-	}
-	copy(f.cache[1:], f.cache[:len(f.cache)-1])
-	f.cache[0] = groupCacheEntry{raw: raw, acc: acc}
-	return acc
-}
-
-// fold accumulates every selected record of the batch.
-func (f *groupFolder) fold(b *Batch) {
-	if len(b.Sel) == 0 {
-		return
-	}
-	// Phase 1: resolve each selected tuple's accumulator (and count it).
-	if cap(f.accs) < len(b.Sel) {
-		f.accs = make([]*Partial, len(b.Sel))
-	}
-	accs := f.accs[:len(b.Sel)]
-	if f.gx == nil {
-		acc := f.groups[""]
-		if acc == nil {
-			acc = newGroupAcc(nil, len(f.specs))
-			f.groups[""] = acc
-		}
-		acc.Count += float64(len(b.Sel))
-		for k := range accs {
-			accs[k] = acc
-		}
-	} else {
-		if f.regions == nil {
-			f.regions = groupRegions(b.Schema, f.gx.Cols())
-		}
-		for k, i := range b.Sel {
-			acc := f.cachedAcc(b.Tuple(i))
-			acc.Count++
-			accs[k] = acc
-		}
-	}
-	// Phase 2: one tight loop per aggregate spec. Each group accumulates
-	// its tuples in selection order, whatever the batch boundaries.
-	for i := range f.specs {
-		sp := &f.specs[i]
-		switch sp.Func {
-		case AggCount:
-			for _, acc := range accs {
-				acc.Aggs[i]++
-				acc.Seen[i] = true
-			}
-		case AggSum, AggAvg:
-			for k, acc := range accs {
-				acc.Aggs[i] += sp.Arg.Eval(b.Tuple(b.Sel[k]))
-				acc.Seen[i] = true
-			}
-		case AggMin:
-			for k, acc := range accs {
-				v := sp.Arg.Eval(b.Tuple(b.Sel[k]))
-				if !acc.Seen[i] || v < acc.Aggs[i] {
-					acc.Aggs[i] = v
-				}
-				acc.Seen[i] = true
-			}
-		case AggMax:
-			for k, acc := range accs {
-				v := sp.Arg.Eval(b.Tuple(b.Sel[k]))
-				if !acc.Seen[i] || v > acc.Aggs[i] {
-					acc.Aggs[i] = v
-				}
-				acc.Seen[i] = true
-			}
-		}
-	}
 }

@@ -19,6 +19,16 @@ func mustBindPred(t *testing.T, schema *tuple.Schema) pred.Predicate {
 	return p
 }
 
+// mustFolder compiles specs into a folder over a fresh groups map.
+func mustFolder(t *testing.T, schema *tuple.Schema, specs []AggSpec, gx *core.Extractor) *groupFolder {
+	t.Helper()
+	f, err := newGroupFolder(schema, specs, gx, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
 // fillTestBatch packs n synthetic records into a leased batch: a CHAR(1)
 // group column cycling through k values and two numeric columns.
 func fillTestBatch(t *testing.T, n, k int) (*Batch, *tuple.Schema) {
@@ -41,8 +51,8 @@ func fillTestBatch(t *testing.T, n, k int) (*Batch, *tuple.Schema) {
 	return b, schema
 }
 
-// naiveAdd folds one tuple into acc the plain way, spec by spec: the
-// reference the spec-major batch fold is compared against.
+// naiveAdd folds one tuple into acc the plain way, spec by spec, through
+// expr.Eval: the reference the vector fold is compared against.
 func naiveAdd(acc *Partial, specs []AggSpec, t tuple.Tuple) {
 	acc.Count++
 	for i, sp := range specs {
@@ -64,7 +74,7 @@ func naiveAdd(acc *Partial, specs []AggSpec, t tuple.Tuple) {
 	}
 }
 
-// TestGroupFolderMatchesRowAccumulation cross-checks the alloc-free fold
+// TestGroupFolderMatchesRowAccumulation cross-checks the vector fold
 // against tuple-at-a-time accumulation of the same records.
 func TestGroupFolderMatchesRowAccumulation(t *testing.T) {
 	b, schema := fillTestBatch(t, 500, 3)
@@ -84,7 +94,7 @@ func TestGroupFolderMatchesRowAccumulation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	folder := newGroupFolder(specs, gx, nil)
+	folder := mustFolder(t, schema, specs, gx)
 	folder.fold(b)
 
 	want := make(map[core.GroupKey]*Partial)
@@ -118,16 +128,22 @@ func TestGroupFolderMatchesRowAccumulation(t *testing.T) {
 	}
 }
 
-// TestBatchFoldZeroAllocs asserts the batched aggregation inner loop does
-// not allocate per tuple: once every group exists, folding a full batch —
-// group-key construction, map lookups, aggregate updates — runs at zero
-// allocations.
+// TestBatchFoldZeroAllocs asserts the batched aggregation allocates
+// nothing per batch in steady state: once every group exists and the
+// batch's scratch has been sized, folding a full batch — argument vectors
+// with a shared sub-tree and a constant, group ids, aggregate updates —
+// runs at zero allocations, with few groups, with more groups than the
+// probe table holds, and with no grouping.
 func TestBatchFoldZeroAllocs(t *testing.T) {
 	b, schema := fillTestBatch(t, 1024, 4)
 	defer putBatch(b)
+	half := func() expr.Expr { return expr.Mul(expr.NewCol("A"), expr.Sub(expr.NewConst(1), expr.NewCol("B"))) }
 	specs := []AggSpec{
 		{Func: AggSum, Arg: expr.NewCol("A"), Name: "S"},
 		{Func: AggAvg, Arg: expr.NewCol("B"), Name: "AV"},
+		{Func: AggSum, Arg: half(), Name: "H"},
+		{Func: AggMin, Arg: expr.Add(half(), expr.NewConst(2)), Name: "M"},
+		{Func: AggMax, Arg: expr.NewConst(3), Name: "C"},
 		{Func: AggCount, Name: "N"},
 	}
 	for i := range specs {
@@ -139,7 +155,7 @@ func TestBatchFoldZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	folder := newGroupFolder(specs, gx, nil)
+	folder := mustFolder(t, schema, specs, gx)
 	folder.fold(b) // warm-up creates the groups and sizes the scratch buffers
 
 	if avg := testing.AllocsPerRun(10, func() { folder.fold(b) }); avg != 0 {
@@ -147,20 +163,52 @@ func TestBatchFoldZeroAllocs(t *testing.T) {
 	}
 
 	// The global (no group-by) fold must be allocation-free too.
-	global := newGroupFolder(specs, nil, nil)
+	global := mustFolder(t, schema, specs, nil)
 	global.fold(b)
 	if avg := testing.AllocsPerRun(10, func() { global.fold(b) }); avg != 0 {
 		t.Fatalf("global batched fold allocates %.1f times per batch; want 0", avg)
 	}
+
+	// So must one whose groups (1 024 of them, 8 bytes of key and 5) miss
+	// the probe table on every record and resolve through the canonical key.
+	for _, cols := range [][]string{{"A"}, {"B", "G"}} {
+		gx, err := core.NewExtractor(schema, cols)
+		if err != nil {
+			t.Fatal(err)
+		}
+		many := mustFolder(t, schema, specs, gx)
+		many.fold(b)
+		if len(many.groups) != 1024 {
+			t.Fatalf("group by %v: %d groups, want 1024", cols, len(many.groups))
+		}
+		if avg := testing.AllocsPerRun(10, func() { many.fold(b) }); avg != 0 {
+			t.Fatalf("fold into %d groups by %v allocates %.1f times per batch; want 0", len(many.groups), cols, avg)
+		}
+	}
 }
 
-// TestBatchSelectionZeroAllocs asserts the predicate selection loop over a
-// batch does not allocate.
+// TestBatchSelectionZeroAllocs asserts the predicate kernels over a batch
+// do not allocate once the batch's scratch has been sized: a conjunction of
+// atoms, and nested Or/Not, which borrow candidate lists and marks.
 func TestBatchSelectionZeroAllocs(t *testing.T) {
 	b, schema := fillTestBatch(t, 1024, 4)
 	defer putBatch(b)
-	p := mustBindPred(t, schema)
-	if avg := testing.AllocsPerRun(10, func() { b.selectPred(p) }); avg != 0 {
-		t.Fatalf("selection loop allocates %.1f times per batch; want 0", avg)
+	nested := pred.NewOr(mustBindPred(t, schema),
+		pred.NewNot(pred.NewOr(pred.NewAtom("G", pred.Eq, pred.CharConst('A')), pred.NewColAtom("A", pred.Lt, "B"))))
+	for _, bound := range []pred.Predicate{mustBindPred(t, schema), nested} {
+		if err := bound.Bind(schema); err != nil {
+			t.Fatal(err)
+		}
+		p, err := compileSelect(bound, schema)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.selectProg(p) // sizes the scratch
+		if len(b.Sel) == 0 || len(b.Sel) == b.Len() {
+			t.Fatalf("%s selects %d of %d records: not a test", bound, len(b.Sel), b.Len())
+		}
+		if avg := testing.AllocsPerRun(10, func() { b.selectProg(p) }); avg != 0 {
+			t.Fatalf("selecting %s allocates %.1f times per batch; want 0", bound, avg)
+		}
 	}
 }

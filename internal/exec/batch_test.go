@@ -3,15 +3,19 @@ package exec_test
 import (
 	"bytes"
 	"context"
+	"errors"
 	"math/rand"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"sma/internal/core"
 	"sma/internal/exec"
+	"sma/internal/expr"
 	"sma/internal/pred"
 	"sma/internal/storage"
+	"sma/internal/testutil"
 	"sma/internal/tpcd"
 	"sma/internal/tuple"
 )
@@ -181,35 +185,27 @@ func TestSMAGAggrBatchedEqualsRow(t *testing.T) {
 	}
 }
 
-// cancellingPred cancels a context after a fixed number of evaluations, so
-// cancellation lands mid-batch, between two pages of the same fill loop.
-type cancellingPred struct {
-	pred.Predicate
-	after  int64
-	seen   atomic.Int64
-	cancel context.CancelFunc
-}
-
-func (c *cancellingPred) Eval(t tuple.Tuple) bool {
-	if c.seen.Add(1) == c.after {
-		c.cancel()
-	}
-	return c.Predicate.Eval(t)
-}
-
-// TestBatchScanCancelMidBatch cancels the context from inside the
-// selection loop and requires the batched pipeline to abort with the
-// context's error at the next page boundary.
+// TestBatchScanCancelMidBatch cancels the context from inside a page read
+// — with a two-page batch, between two pages of the same fill loop — and
+// requires the batched pipeline to abort with the context's error at the
+// next page boundary.
 func TestBatchScanCancelMidBatch(t *testing.T) {
 	h := loadLineItems(t, tpcd.Config{ScaleFactor: 0.002, Seed: 7, Order: tpcd.OrderSorted}, 1)
+	if err := h.Pool().DropAll(); err != nil { // so that the scan reads from disk
+		t.Fatal(err)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	p := &cancellingPred{
-		Predicate: pred.NewAtom("L_QUANTITY", pred.Ge, 0),
-		after:     100,
-		cancel:    cancel,
-	}
-	scan := exec.NewBatchTableScan(h, p, exec.ExecOptions{BatchSize: 64, PrefetchWindow: 4})
+	var reads atomic.Int64
+	h.Pool().Disk().SetFault(func(op string, _ storage.PageID) error {
+		if op == "read" && reads.Add(1) == 5 {
+			cancel()
+		}
+		return nil
+	})
+	defer h.Pool().Disk().SetFault(nil)
+	p := pred.NewAtom("L_QUANTITY", pred.Ge, 0)
+	scan := exec.NewBatchTableScan(h, p, exec.ExecOptions{BatchSize: 64, PrefetchWindow: -1})
 	scan.Ctx = ctx
 	ga := exec.NewBatchGAggr(scan, h.Schema(), q1Specs(), []string{"L_RETURNFLAG"})
 	err := ga.Open()
@@ -220,15 +216,47 @@ func TestBatchScanCancelMidBatch(t *testing.T) {
 	if err != context.Canceled {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}
+	if got := scan.Stats().PagesRead; got != 5 {
+		t.Fatalf("scan read %d pages before it noticed the cancellation at the 5th", got)
+	}
 	if err := ga.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// The scan must still close cleanly (prefetcher stopped, batch
-	// returned) after the abort.
+	// The scan must still close cleanly (batch returned) after the abort.
 	if err := scan.Close(); err != nil {
 		t.Fatal(err)
 	}
 }
+
+// foreignPred is a predicate node package pred does not define.
+type foreignPred struct{ pred.Predicate }
+
+// TestUnknownNodeIsATypedErrorAtOpen: the kernels cover a closed node set;
+// a node outside it must fail Open with UnsupportedNodeError, not be
+// evaluated tuple by tuple on the side.
+func TestUnknownNodeIsATypedErrorAtOpen(t *testing.T) {
+	h := loadLineItems(t, tpcd.Config{ScaleFactor: 0.0008, Seed: 3, Order: tpcd.OrderSorted}, 1)
+	p := pred.NewAnd(pred.NewAtom("L_QUANTITY", pred.Ge, 0), foreignPred{pred.NewAtom("L_QUANTITY", pred.Ge, 0)})
+	var unsupported *exec.UnsupportedNodeError
+	scan := exec.NewBatchTableScan(h, p, exec.ExecOptions{})
+	if err := scan.Open(); !errors.As(err, &unsupported) {
+		scan.Close()
+		t.Fatalf("scan Open with a foreign predicate node: %v", err)
+	}
+	mem := exec.NewMemScan(h.Schema(), nil, p)
+	if err := mem.Open(); !errors.As(err, &unsupported) {
+		t.Fatalf("MemScan Open with a foreign predicate node: %v", err)
+	}
+	specs := []exec.AggSpec{{Func: exec.AggSum, Arg: foreignExpr{expr.NewCol("L_QUANTITY")}, Name: "S"}}
+	ga := exec.NewBatchGAggr(exec.NewBatchTableScan(h, nil, exec.ExecOptions{}), h.Schema(), specs, nil)
+	if err := ga.Open(); !errors.As(err, &unsupported) {
+		ga.Close()
+		t.Fatalf("BatchGAggr Open with a foreign expression node: %v", err)
+	}
+}
+
+// foreignExpr is an expression node package expr does not define.
+type foreignExpr struct{ expr.Expr }
 
 // TestBatchToTuplesAdapter spot-checks the adapter against the reference
 // filter on pages with deleted slots.
@@ -240,4 +268,72 @@ func TestBatchToTuplesAdapter(t *testing.T) {
 	if !tuplesEqual(got, want) {
 		t.Fatalf("adapter sequence differs: %d vs %d tuples", len(got), len(want))
 	}
+}
+
+// TestDefaultReadaheadCoversTheBatch: a scan reads one batch's pages in a
+// burst and then computes on them. With the default window of two batches
+// the readers refill during the computation and the next burst finds its
+// pages there; with a window shorter than a batch (the old fixed 16 pages
+// against 32 pages per batch) every burst overtakes the readers and the scan
+// reads half the table itself. Cold, 4 000 pages, table four times the pool,
+// a 1 024-row batch, and a consumer that takes 2 ms per batch.
+func TestDefaultReadaheadCoversTheBatch(t *testing.T) {
+	const perPage, pages = 32, 4000
+	schema := tuple.MustSchema([]tuple.Column{
+		{Name: "V", Type: tuple.TInt32},
+		{Name: "PAD", Type: tuple.TChar, Len: (storage.PageSize-16)/perPage - 4},
+	})
+	h := testutil.NewHeap(t, schema, 1, 1024)
+	tp := tuple.NewTuple(schema)
+	for i := 0; i < pages*perPage; i++ {
+		tp.SetInt32(0, int32(i))
+		if _, err := h.Append(tp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if h.NumPages() != pages || h.RecordsPerPage() != perPage {
+		t.Fatalf("%d pages of %d records, want %d of %d", h.NumPages(), h.RecordsPerPage(), pages, perPage)
+	}
+	if w := (exec.ExecOptions{}).Readahead(perPage); w != 2*exec.DefaultBatchSize/perPage {
+		t.Fatalf("default readahead %d pages, want two batches = %d", w, 2*exec.DefaultBatchSize/perPage)
+	}
+	if w := (exec.ExecOptions{BatchSize: 1}).Readahead(perPage); w != exec.DefaultPrefetchWindow {
+		t.Fatalf("readahead of a one-page batch %d, want the floor %d", w, exec.DefaultPrefetchWindow)
+	}
+	if w := (exec.ExecOptions{PrefetchWindow: 5}).Readahead(perPage); w != 5 {
+		t.Fatalf("explicit window 5 resolved to %d", w)
+	}
+	var last exec.ScanStats
+	for attempt := 0; attempt < 3; attempt++ { // a loaded machine may starve the readers once
+		if err := h.Pool().DropAll(); err != nil {
+			t.Fatal(err)
+		}
+		scan := exec.NewBatchTableScan(h, pred.NewAtom("V", pred.Ge, 0), exec.ExecOptions{})
+		if err := scan.Open(); err != nil {
+			t.Fatal(err)
+		}
+		rows := 0
+		for {
+			b, err := scan.NextBatch()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if b == nil {
+				break
+			}
+			rows += len(b.Sel)
+			time.Sleep(2 * time.Millisecond)
+		}
+		if err := scan.Close(); err != nil {
+			t.Fatal(err)
+		}
+		last = scan.Stats()
+		if rows != pages*perPage || last.PagesRead != pages {
+			t.Fatalf("scan saw %d rows on %d pages", rows, last.PagesRead)
+		}
+		if 10*last.PagesPrefetched >= 9*last.PagesRead {
+			return
+		}
+	}
+	t.Errorf("the readers read %d of %d pages; want at least 90%% with the default readahead", last.PagesPrefetched, last.PagesRead)
 }

@@ -8,10 +8,10 @@ import (
 // BatchGAggr is Dayal's grouping-with-aggregation operator computed by hash
 // aggregation over a batch input: the non-SMA baseline of "Query 1 without
 // SMAs" (above a BatchTableScan) and the aggregation above a BatchSMAScan.
-// Open drains the input batch by batch, folding the selected tuples of each
-// batch into the mergeable per-group Partials with an allocation-free inner
-// loop (no per-tuple group-key strings, no per-tuple interface hop). It is
-// a pipeline breaker, like SMA_GAggr in the paper, and supports
+// Open compiles the aggregate arguments into one vector program and drains
+// the input batch by batch, folding the selected tuples of each batch into
+// the mergeable per-group Partials (see groupFolder; no allocation per
+// batch). It is a pipeline breaker, like SMA_GAggr in the paper, and supports
 // KeepPartials for the parallel workers.
 type BatchGAggr struct {
 	Input   BatchIter
@@ -40,18 +40,19 @@ func (g *BatchGAggr) Open() error {
 		}
 	}
 	var gx *core.Extractor
+	var err error
 	if len(g.GroupBy) > 0 {
-		var err error
-		gx, err = core.NewExtractor(g.schema, g.GroupBy)
-		if err != nil {
+		if gx, err = core.NewExtractor(g.schema, g.GroupBy); err != nil {
 			return err
 		}
+	}
+	if g.folder, err = newGroupFolder(g.schema, g.Specs, gx, nil); err != nil {
+		return err
 	}
 	if err := g.Input.Open(); err != nil {
 		return err
 	}
 	defer g.Input.Close()
-	g.folder = newGroupFolder(g.Specs, gx, nil)
 	for {
 		b, err := g.Input.NextBatch()
 		if err != nil {

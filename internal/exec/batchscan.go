@@ -11,9 +11,10 @@ import (
 // BatchTableScan reads every page of its range in physical order — the
 // baseline the paper's "Query 1 without SMAs" runs on. It decodes pages into
 // a reusable batch (one memcpy per page when no records are deleted), runs
-// the predicate as a tight loop producing a selection vector, and — when a
-// prefetch window is configured — streams the pages of its range into the
-// buffer pool ahead of the cursor. No page stays pinned between calls.
+// the predicate, compiled into per-atom compare kernels, over the batch to
+// produce a selection vector, and — unless prefetch is disabled — streams
+// the pages of its range into the buffer pool two batches ahead of the
+// cursor. No page stays pinned between calls.
 type BatchTableScan struct {
 	H    *storage.HeapFile
 	Pred pred.Predicate // nil means no filter
@@ -31,6 +32,7 @@ type BatchTableScan struct {
 	page  storage.PageID
 	end   storage.PageID
 	cap   int
+	sel   *selProgram
 	batch *Batch
 	pf    *storage.Prefetcher
 	stats ScanStats
@@ -41,13 +43,12 @@ func NewBatchTableScan(h *storage.HeapFile, p pred.Predicate, opts ExecOptions) 
 	return &BatchTableScan{H: h, Pred: p, Opts: opts}
 }
 
-// Open binds the predicate, leases the batch, and starts the prefetcher
-// over the scan's page range.
+// Open binds and compiles the predicate, leases the batch, and starts the
+// prefetcher over the scan's page range.
 func (s *BatchTableScan) Open() error {
-	if s.Pred != nil {
-		if err := s.Pred.Bind(s.H.Schema()); err != nil {
-			return err
-		}
+	var err error
+	if s.sel, err = compileSelect(s.Pred, s.H.Schema()); err != nil {
+		return err
 	}
 	s.page = s.StartPage
 	s.end = s.EndPage
@@ -57,7 +58,7 @@ func (s *BatchTableScan) Open() error {
 	s.cap = batchCap(s.Opts, s.H.RecordsPerPage())
 	s.batch = getBatch(s.H.Schema(), s.cap)
 	s.stats = ScanStats{}
-	if w := s.Opts.EffectivePrefetchWindow(); w > 0 && s.page < s.end {
+	if w := s.Opts.Readahead(s.H.RecordsPerPage()); w > 0 && s.page < s.end {
 		span := []storage.PageSpan{{First: s.page, Last: s.end - 1}}
 		s.pf = s.H.Pool().StartPrefetch(span, w)
 	}
@@ -92,11 +93,7 @@ func (s *BatchTableScan) NextBatch() (*Batch, error) {
 			return nil, nil
 		}
 		s.stats.Batches++
-		if s.Pred == nil {
-			b.selectAll()
-		} else {
-			b.selectPred(s.Pred)
-		}
+		b.selectProg(s.sel)
 		if len(b.Sel) > 0 {
 			return b, nil
 		}
@@ -124,7 +121,7 @@ func (s *BatchTableScan) Stats() ScanStats { return s.stats }
 // buckets of R": buckets are graded up front, disqualifying buckets are
 // skipped without touching a page, qualifying buckets are decoded straight
 // into batches with an all-selected vector, and only ambivalent buckets pay
-// the predicate loop. Because grading precedes the first page access, the
+// the predicate kernels. Because grading precedes the first page access, the
 // exact surviving page list feeds the asynchronous prefetcher before the
 // cursor starts.
 type BatchSMAScan struct {
@@ -152,6 +149,7 @@ type BatchSMAScan struct {
 	inBucket bool
 
 	cap   int
+	sel   *selProgram
 	batch *Batch
 	pf    *storage.Prefetcher
 	stats ScanStats
@@ -199,13 +197,13 @@ func (s *BatchSMAScan) bucketAt(i int) int {
 	return i
 }
 
-// Open binds the predicate, grades the buckets (reusing pre-computed
-// grades when given), and hands the surviving page list to the prefetcher.
+// Open binds and compiles the predicate, grades the buckets (reusing
+// pre-computed grades when given), and hands the surviving page list to the
+// prefetcher.
 func (s *BatchSMAScan) Open() error {
-	if s.Pred != nil {
-		if err := s.Pred.Bind(s.H.Schema()); err != nil {
-			return err
-		}
+	var err error
+	if s.sel, err = compileSelect(s.Pred, s.H.Schema()); err != nil {
+		return err
 	}
 	s.bucket = 0
 	if s.Buckets != nil {
@@ -221,7 +219,7 @@ func (s *BatchSMAScan) Open() error {
 	s.cap = batchCap(s.Opts, s.H.RecordsPerPage())
 	s.batch = getBatch(s.H.Schema(), s.cap)
 	s.stats = ScanStats{}
-	if w := s.Opts.EffectivePrefetchWindow(); w > 0 {
+	if w := s.Opts.Readahead(s.H.RecordsPerPage()); w > 0 {
 		var spans []storage.PageSpan
 		for i := 0; i < s.numBucket; i++ {
 			if s.grades[i] == core.Disqualifies {
@@ -260,7 +258,7 @@ func (s *BatchSMAScan) getBucket() bool {
 
 // NextBatch fills the batch from surviving buckets. A batch never mixes
 // qualifying pages (no predicate needed) with ambivalent pages (predicate
-// loop), so the selection step is decided once per batch.
+// kernels), so the selection step is decided once per batch.
 func (s *BatchSMAScan) NextBatch() (*Batch, error) {
 	per := s.H.RecordsPerPage()
 	for {
@@ -306,7 +304,7 @@ func (s *BatchSMAScan) NextBatch() (*Batch, error) {
 		}
 		s.stats.Batches++
 		if filtered {
-			b.selectPred(s.Pred)
+			b.selectProg(s.sel)
 		} else {
 			b.selectAll()
 		}

@@ -1,0 +1,607 @@
+package exec
+
+import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"math"
+
+	"sma/internal/core"
+	"sma/internal/expr"
+	"sma/internal/tuple"
+)
+
+// valOp is the operation of one node of a compiled expression list.
+type valOp uint8
+
+const (
+	valCol valOp = iota // gather a column, typed by valNode.col.kind
+	valConst
+	valAdd
+	valSub
+	valMul
+	valDiv
+)
+
+// valNode is one node of a valProgram.
+type valNode struct {
+	e    expr.Expr // the sub-tree the node computes; what sharing compares
+	c    float64   // valConst
+	col  colRef    // valCol
+	op   valOp
+	l, r int32 // binary: operand nodes, earlier in the list
+	vec  int32 // which value vector the node fills; constants fill none
+}
+
+// valProgram is a list of aggregate arguments compiled against one schema
+// into a post-order node list over float64 vectors, one entry per selected
+// record. Structurally equal sub-trees (expr.Equal) are one node, so
+// Query 1's L_EXTENDEDPRICE*(1-L_DISCOUNT), wanted by two sums, and the
+// columns it shares with three more aggregates are each computed once per
+// batch. Every node performs the float64 operation expr.Eval performs, so
+// the values are bit-identical to tuple-at-a-time evaluation.
+type valProgram struct {
+	nodes []valNode
+	nvec  int
+}
+
+// add compiles e, reusing the node of an equal sub-tree, and returns its
+// node index.
+func (p *valProgram) add(e expr.Expr, s *tuple.Schema) (int32, error) {
+	for i := range p.nodes {
+		if expr.Equal(p.nodes[i].e, e) {
+			return int32(i), nil
+		}
+	}
+	n := valNode{e: e, vec: -1}
+	switch x := e.(type) {
+	case *expr.Col:
+		col, err := resolveCol(s, x.Name, false)
+		if err != nil {
+			return 0, err
+		}
+		n.op, n.col = valCol, col
+	case *expr.Const:
+		n.op, n.c = valConst, x.Value
+	case *expr.Binary:
+		l, err := p.add(x.Left, s)
+		if err != nil {
+			return 0, err
+		}
+		r, err := p.add(x.Right, s)
+		if err != nil {
+			return 0, err
+		}
+		if x.Op > expr.OpDiv {
+			return 0, &UnsupportedNodeError{Kind: "expression", Node: e.String()}
+		}
+		// valAdd..valDiv are declared in expr.OpAdd..OpDiv's order.
+		n.op, n.l, n.r = valAdd+valOp(x.Op), l, r
+		if ln, rn := &p.nodes[l], &p.nodes[r]; ln.op == valConst && rn.op == valConst {
+			n.op, n.c = valConst, arith(n.op, ln.c, rn.c)
+		}
+	default:
+		return 0, &UnsupportedNodeError{Kind: "expression", Node: fmt.Sprintf("%T(%v)", e, e)}
+	}
+	if n.op != valConst {
+		n.vec = int32(p.nvec)
+		p.nvec++
+	}
+	p.nodes = append(p.nodes, n)
+	return int32(len(p.nodes) - 1), nil
+}
+
+func arith(op valOp, l, r float64) float64 {
+	switch op {
+	case valAdd:
+		return l + r
+	case valSub:
+		return l - r
+	case valMul:
+		return l * r
+	default:
+		return l / r
+	}
+}
+
+// eval fills the value vectors for the selected records of b, out of the
+// batch's scratch; vector v is the stride [v*n, (v+1)*n) of the result, n
+// the selection's length.
+func (p *valProgram) eval(b *Batch) []float64 {
+	n := len(b.Sel)
+	if cap(b.f64) < p.nvec*n {
+		// Grow at least geometrically: selections of rising length must
+		// not reallocate once each.
+		b.f64 = make([]float64, max(p.nvec*n, 2*cap(b.f64)))
+	}
+	vecs := b.f64[:p.nvec*n]
+	vec := func(nd *valNode) []float64 { return vecs[int(nd.vec)*n : int(nd.vec+1)*n] }
+	for i := range p.nodes {
+		nd := &p.nodes[i]
+		switch nd.op {
+		case valConst:
+		case valCol:
+			gather(vec(nd), b, nd.col)
+		default:
+			l, r := &p.nodes[nd.l], &p.nodes[nd.r]
+			switch {
+			case l.op == valConst:
+				constOpVec(nd.op, vec(nd), l.c, vec(r))
+			case r.op == valConst:
+				vecOpConst(nd.op, vec(nd), vec(l), r.c)
+			default:
+				vecOpVec(nd.op, vec(nd), vec(l), vec(r))
+			}
+		}
+	}
+	return vecs
+}
+
+// gather reads one column of the selected records into dst, straight from
+// the packed records.
+func gather(dst []float64, b *Batch, c colRef) {
+	data, rs, off := b.data, b.recSize, int(c.off)
+	sel := b.Sel[:len(dst)]
+	switch c.kind {
+	case kindI32:
+		for k, r := range sel {
+			dst[k] = float64(int32(binary.LittleEndian.Uint32(data[int(r)*rs+off:])))
+		}
+	case kindI64:
+		for k, r := range sel {
+			dst[k] = float64(int64(binary.LittleEndian.Uint64(data[int(r)*rs+off:])))
+		}
+	default: // kindF64; resolveCol admits no CHAR column into an expression
+		for k, r := range sel {
+			dst[k] = math.Float64frombits(binary.LittleEndian.Uint64(data[int(r)*rs+off:]))
+		}
+	}
+}
+
+func vecOpVec(op valOp, dst, l, r []float64) {
+	l, r = l[:len(dst)], r[:len(dst)]
+	switch op {
+	case valAdd:
+		for k := range dst {
+			dst[k] = l[k] + r[k]
+		}
+	case valSub:
+		for k := range dst {
+			dst[k] = l[k] - r[k]
+		}
+	case valMul:
+		for k := range dst {
+			dst[k] = l[k] * r[k]
+		}
+	default:
+		for k := range dst {
+			dst[k] = l[k] / r[k]
+		}
+	}
+}
+
+func constOpVec(op valOp, dst []float64, l float64, r []float64) {
+	r = r[:len(dst)]
+	switch op {
+	case valAdd:
+		for k := range dst {
+			dst[k] = l + r[k]
+		}
+	case valSub:
+		for k := range dst {
+			dst[k] = l - r[k]
+		}
+	case valMul:
+		for k := range dst {
+			dst[k] = l * r[k]
+		}
+	default:
+		for k := range dst {
+			dst[k] = l / r[k]
+		}
+	}
+}
+
+func vecOpConst(op valOp, dst, l []float64, r float64) {
+	l = l[:len(dst)]
+	switch op {
+	case valAdd:
+		for k := range dst {
+			dst[k] = l[k] + r
+		}
+	case valSub:
+		for k := range dst {
+			dst[k] = l[k] - r
+		}
+	case valMul:
+		for k := range dst {
+			dst[k] = l[k] * r
+		}
+	default:
+		for k := range dst {
+			dst[k] = l[k] / r
+		}
+	}
+}
+
+// groupCacheSize bounds the raw-key probe table. Warehouse group-bys
+// (Q1 has four groups) fit comfortably; workloads with more groups fall
+// through to the canonical-key map, which stays correct for any count.
+const groupCacheSize = 8
+
+// colRegion is the byte region one group-by column occupies within a
+// fixed-width record.
+type colRegion struct{ off, width int }
+
+// groupState is what a folder keeps per group id: the accumulator for good,
+// the rest for the batch being folded.
+type groupState struct {
+	acc   *Partial
+	rows  int32   // selected records of the group in this batch
+	first int32   // selection position of the first of them
+	cur   float64 // the running value of the aggregate being folded
+}
+
+// groupFolder folds the selected records of batches into per-group Partials
+// as a handful of vector loops per batch. The aggregate arguments are one
+// valProgram (shared sub-trees computed once); every selected record
+// resolves to a small dense group id; and each aggregate then runs as one
+// loop over (id, value) pairs into per-id scalars that are loaded from the
+// Partials before the batch and stored back after it. Each group receives
+// its records in selection order, whatever the batch boundaries, so every
+// float result is bit-identical to a tuple-at-a-time fold.
+//
+// Between fold calls nothing but the id assignment is kept: SMA_GAggr
+// advances the same Partials from SMA entries between two ambivalent
+// buckets, and whatever it wrote is what the next fold loads. A folder
+// belongs to one operator; parallel workers each build their own. Its
+// per-record scratch is the batch's; its per-group state starts out in
+// arrays inside the folder, so a statement that inspects one bucket of a
+// handful of groups allocates the folder and its program, nothing else.
+type groupFolder struct {
+	specs  []AggSpec
+	gx     *core.Extractor // nil for a global aggregate
+	groups map[core.GroupKey]*Partial
+
+	prog valProgram
+	arg  []int32 // per spec: its argument's node, -1 for COUNT(*)
+
+	// Group resolution. A record's raw group-column bytes resolve through
+	// a small probe table — packed into a uint64 when they fit — and only
+	// a miss builds the canonical key and consults the groups map. Two raw
+	// keys of one canonical group (two NaN encodings; int64s that round to
+	// one float64) meet there and share an id.
+	regions  []colRegion
+	rawWidth int
+	keyBuf   []byte
+	probeN   int
+	probeAt  int                    // next entry to replace once the table is full
+	probeKey [groupCacheSize]uint64 // packed raw keys (rawWidth <= 8)
+	probeRaw []byte                 // raw keys of rawWidth bytes each (wider)
+	probeID  [groupCacheSize]int32
+
+	gs      []groupState // by id
+	touched []int32      // ids with rows > 0, in order of first appearance
+
+	gsArr      [groupCacheSize]groupState
+	touchedArr [groupCacheSize]int32
+	keyArr     [64]byte
+	nodeArr    [12]valNode // Query 1's eight aggregates are nine nodes
+}
+
+// newGroupFolder compiles the specs' arguments against schema and prepares
+// a folder over an existing groups map (shared with SMA-side advancement
+// in SMA_GAggr) or a fresh one when groups is nil.
+func newGroupFolder(schema *tuple.Schema, specs []AggSpec, gx *core.Extractor, groups map[core.GroupKey]*Partial) (*groupFolder, error) {
+	if groups == nil {
+		groups = make(map[core.GroupKey]*Partial)
+	}
+	f := &groupFolder{specs: specs, gx: gx, groups: groups, arg: make([]int32, len(specs))}
+	f.gs, f.touched, f.keyBuf, f.prog.nodes = f.gsArr[:0], f.touchedArr[:0], f.keyArr[:0], f.nodeArr[:0]
+	for i, sp := range specs {
+		f.arg[i] = -1
+		if sp.Arg == nil || sp.Func == AggCount {
+			continue
+		}
+		var err error
+		if f.arg[i], err = f.prog.add(sp.Arg, schema); err != nil {
+			return nil, err
+		}
+	}
+	if gx != nil {
+		f.regions = make([]colRegion, len(gx.Cols()))
+		for i, j := range gx.Cols() {
+			f.regions[i] = colRegion{off: schema.ColumnOffset(j), width: schema.Column(j).Width()}
+			f.rawWidth += f.regions[i].width
+		}
+		if f.rawWidth > 8 {
+			f.probeRaw = make([]byte, groupCacheSize*f.rawWidth)
+		}
+	}
+	return f, nil
+}
+
+// idOf returns acc's id, assigning the next one at first sight. The id is
+// remembered in the Partial and verified against the id table, so a Partial
+// that another folder numbered before reads as unnumbered here.
+func (f *groupFolder) idOf(acc *Partial) int32 {
+	if id := acc.id; int(id) < len(f.gs) && f.gs[id].acc == acc {
+		return id
+	}
+	acc.id = int32(len(f.gs))
+	f.gs = append(f.gs, groupState{acc: acc})
+	return acc.id
+}
+
+// canonicalID resolves record rec of b through its canonical group key:
+// the groups map, where SMA-side advancement may have created the group
+// already.
+func (f *groupFolder) canonicalID(b *Batch, rec int32) int32 {
+	t := b.Tuple(rec)
+	f.keyBuf = f.gx.AppendKey(f.keyBuf[:0], t)
+	acc := f.groups[core.GroupKey(f.keyBuf)]
+	if acc == nil {
+		acc = newGroupAcc(f.gx.Vals(t), len(f.specs))
+		f.groups[core.GroupKey(f.keyBuf)] = acc
+	}
+	return f.idOf(acc)
+}
+
+// probeSlot picks the probe-table entry a missed raw key goes into.
+func (f *groupFolder) probeSlot() int {
+	if f.probeN < groupCacheSize {
+		f.probeN++
+		return f.probeN - 1
+	}
+	e := f.probeAt
+	f.probeAt = (e + 1) % groupCacheSize
+	return e
+}
+
+// touch counts selection position k towards id.
+func (f *groupFolder) touch(id int32, k int) {
+	g := &f.gs[id]
+	if g.rows == 0 {
+		f.touched = append(f.touched, id)
+		g.first = int32(k)
+	}
+	g.rows++
+}
+
+// resolvePacked fills ids for group columns of at most 8 bytes together:
+// the raw keys are gathered a column at a time into one uint64 per
+// selected record, then resolved with a repeat check and a linear probe.
+func (f *groupFolder) resolvePacked(b *Batch, ids []int32) {
+	n := len(ids)
+	b.u64 = grow(b.u64, n)
+	keys := b.u64
+	data, rs, sel := b.data, b.recSize, b.Sel[:n]
+	clear(keys)
+	for _, reg := range f.regions {
+		off := reg.off
+		switch reg.width {
+		case 1:
+			for k, r := range sel {
+				keys[k] = keys[k]<<8 | uint64(data[int(r)*rs+off])
+			}
+		case 4:
+			for k, r := range sel {
+				keys[k] = keys[k]<<32 | uint64(binary.LittleEndian.Uint32(data[int(r)*rs+off:]))
+			}
+		case 8:
+			for k, r := range sel {
+				keys[k] = binary.LittleEndian.Uint64(data[int(r)*rs+off:])
+			}
+		default:
+			for k, r := range sel {
+				key := keys[k]
+				for _, c := range data[int(r)*rs+off : int(r)*rs+off+reg.width] {
+					key = key<<8 | uint64(c)
+				}
+				keys[k] = key
+			}
+		}
+	}
+	last, lastID := uint64(0), int32(-1)
+	for k, key := range keys {
+		if key != last || lastID < 0 {
+			last, lastID = key, -1
+			for e := 0; e < f.probeN; e++ {
+				if f.probeKey[e] == key {
+					lastID = f.probeID[e]
+					break
+				}
+			}
+			if lastID < 0 {
+				lastID = f.canonicalID(b, sel[k])
+				e := f.probeSlot()
+				f.probeKey[e], f.probeID[e] = key, lastID
+			}
+		}
+		ids[k] = lastID
+		f.touch(lastID, k)
+	}
+}
+
+// resolveWide fills ids for group columns wider than 8 bytes together,
+// comparing the raw bytes against the probe table's.
+func (f *groupFolder) resolveWide(b *Batch, ids []int32) {
+	w := f.rawWidth
+	for k, r := range b.Sel {
+		rec := b.data[int(r)*b.recSize:]
+		id := int32(-1)
+	probe:
+		for e := 0; e < f.probeN; e++ {
+			raw := f.probeRaw[e*w:]
+			for _, reg := range f.regions {
+				if !bytes.Equal(rec[reg.off:reg.off+reg.width], raw[:reg.width]) {
+					continue probe
+				}
+				raw = raw[reg.width:]
+			}
+			id = f.probeID[e]
+			break
+		}
+		if id < 0 {
+			id = f.canonicalID(b, r)
+			e := f.probeSlot()
+			raw := f.probeRaw[e*w : e*w : (e+1)*w]
+			for _, reg := range f.regions {
+				raw = append(raw, rec[reg.off:reg.off+reg.width]...)
+			}
+			f.probeID[e] = id
+		}
+		ids[k] = id
+		f.touch(id, k)
+	}
+}
+
+// fold accumulates every selected record of the batch.
+func (f *groupFolder) fold(b *Batch) {
+	n := len(b.Sel)
+	if n == 0 {
+		return
+	}
+	// Phase 1: one group id per selected record, and per touched id the
+	// number of its records and the position of the first.
+	var ids []int32 // stays nil for a global aggregate: one group, id 0
+	if f.gx == nil {
+		if len(f.gs) == 0 {
+			acc := f.groups[""]
+			if acc == nil {
+				acc = newGroupAcc(nil, len(f.specs))
+				f.groups[""] = acc
+			}
+			f.idOf(acc)
+		}
+		f.touched = append(f.touched, 0)
+		f.gs[0].rows, f.gs[0].first = int32(n), 0
+	} else {
+		b.i32 = grow(b.i32, n)
+		ids = b.i32
+		if f.rawWidth <= 8 {
+			f.resolvePacked(b, ids)
+		} else {
+			f.resolveWide(b, ids)
+		}
+	}
+	// Phase 2: the argument vectors, each shared sub-tree once.
+	vecs := f.prog.eval(b)
+	// Phase 3: one loop per aggregate. Counts are exact integers, so a
+	// group's batch total is added in one step.
+	gs := f.gs
+	for i := range f.specs {
+		if f.arg[i] < 0 {
+			for _, id := range f.touched {
+				gs[id].acc.Aggs[i] += float64(gs[id].rows)
+			}
+			continue
+		}
+		nd := &f.prog.nodes[f.arg[i]]
+		var vals []float64 // nil: the argument is the constant nd.c
+		if nd.vec >= 0 {
+			vals = vecs[int(nd.vec)*n : int(nd.vec+1)*n]
+		}
+		fn := f.specs[i].Func
+		for _, id := range f.touched {
+			g := &gs[id]
+			switch {
+			case fn == AggSum || fn == AggAvg || g.acc.Seen[i]:
+				g.cur = g.acc.Aggs[i]
+			case vals == nil:
+				g.cur = nd.c
+			default:
+				// An unseen min/max starts from the group's first value,
+				// which the loop then meets again and leaves alone.
+				g.cur = vals[g.first]
+			}
+		}
+		switch {
+		case len(f.touched) == 1:
+			g := &gs[f.touched[0]]
+			g.cur = foldOne(fn, g.cur, vals, nd.c, n)
+		case vals == nil:
+			for _, id := range ids {
+				gs[id].cur = step(fn, gs[id].cur, nd.c)
+			}
+		default:
+			foldVec(fn, gs, ids, vals)
+		}
+		for _, id := range f.touched {
+			gs[id].acc.Aggs[i] = gs[id].cur
+		}
+	}
+	for _, id := range f.touched {
+		g := &gs[id]
+		g.acc.Count += float64(g.rows)
+		for i := range g.acc.Seen {
+			g.acc.Seen[i] = true
+		}
+		g.rows = 0
+	}
+	f.touched = f.touched[:0]
+}
+
+// foldVec folds vals into the per-id scalars, record by record in selection
+// order.
+func foldVec(fn AggFunc, gs []groupState, ids []int32, vals []float64) {
+	ids = ids[:len(vals)]
+	switch fn {
+	case AggMin:
+		for k, id := range ids {
+			if v := vals[k]; v < gs[id].cur {
+				gs[id].cur = v
+			}
+		}
+	case AggMax:
+		for k, id := range ids {
+			if v := vals[k]; v > gs[id].cur {
+				gs[id].cur = v
+			}
+		}
+	default: // AggSum, AggAvg
+		for k, id := range ids {
+			gs[id].cur += vals[k]
+		}
+	}
+}
+
+// foldOne is the fold of a batch whose records all belong to one group:
+// the running value stays in a register.
+func foldOne(fn AggFunc, cur float64, vals []float64, c float64, n int) float64 {
+	switch {
+	case vals == nil:
+		for k := 0; k < n; k++ {
+			cur = step(fn, cur, c)
+		}
+	case fn == AggMin:
+		for _, v := range vals {
+			if v < cur {
+				cur = v
+			}
+		}
+	case fn == AggMax:
+		for _, v := range vals {
+			if v > cur {
+				cur = v
+			}
+		}
+	default:
+		for _, v := range vals {
+			cur += v
+		}
+	}
+	return cur
+}
+
+// step folds one value into a running sum, minimum or maximum.
+func step(fn AggFunc, cur, v float64) float64 {
+	switch {
+	case fn == AggMin && v < cur, fn == AggMax && v > cur:
+		return v
+	case fn == AggMin || fn == AggMax:
+		return cur
+	default:
+		return cur + v
+	}
+}

@@ -258,6 +258,21 @@ func foldSpecs(m foldSMAs) ([]AggSpec, []*core.SMA) {
 		m["min_VI"], m["max_VI"], m["max_VD"], m["min_VD"], m["sum_VI"]}
 }
 
+// sameBits reports whether a and b are the same float64 bit for bit. Any
+// two NaNs count as the same: which operand's payload an addition of two
+// NaNs returns is the instruction's choice (x86 keeps its destination
+// operand's), and the compiler picks the operand order of a commutative
+// operation per loop.
+func sameBits(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || a != a && b != b
+}
+
+// sameGroupVal compares group values bit for bit, so that a NaN group
+// equals itself.
+func sameGroupVal(a, b core.GroupVal) bool {
+	return a.IsStr == b.IsStr && a.Str == b.Str && sameBits(a.Num, b.Num)
+}
+
 func samePartials(t *testing.T, what string, got, want map[core.GroupKey]*Partial) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -273,15 +288,15 @@ func samePartials(t *testing.T, what string, got, want map[core.GroupKey]*Partia
 			t.Errorf("%s group %q: vals %v, want %v", what, key, g.Vals, w.Vals)
 		}
 		for i := range w.Vals {
-			if i < len(g.Vals) && g.Vals[i] != w.Vals[i] {
+			if i < len(g.Vals) && !sameGroupVal(g.Vals[i], w.Vals[i]) {
 				t.Errorf("%s group %q: vals %v, want %v", what, key, g.Vals, w.Vals)
 			}
 		}
-		if math.Float64bits(g.Count) != math.Float64bits(w.Count) {
+		if !sameBits(g.Count, w.Count) {
 			t.Errorf("%s group %q: count %v, want %v", what, key, g.Count, w.Count)
 		}
 		for i := range w.Aggs {
-			if math.Float64bits(g.Aggs[i]) != math.Float64bits(w.Aggs[i]) || g.Seen[i] != w.Seen[i] {
+			if !sameBits(g.Aggs[i], w.Aggs[i]) || g.Seen[i] != w.Seen[i] {
 				t.Errorf("%s group %q slot %d: %v (seen %v), want %v (seen %v): not bit-identical",
 					what, key, i, g.Aggs[i], g.Seen[i], w.Aggs[i], w.Seen[i])
 			}

@@ -142,6 +142,10 @@ type Partial struct {
 	Aggs  []float64
 	Seen  []bool // per-slot: any contribution yet (for min/max init)
 	Count float64
+
+	// id is the dense group id the groupFolder folding into this partial
+	// gave it; see groupFolder.idOf.
+	id int32
 }
 
 func newGroupAcc(vals []core.GroupVal, n int) *Partial {

@@ -19,8 +19,8 @@ type MemRelation struct {
 }
 
 // MemScan scans an in-memory tuple slice as a BatchIter: the tuples are
-// copied into a pooled batch and the predicate runs as the selection-vector
-// loop, so a virtual table flows through BatchGAggr and BatchToTuples like
+// copied into a pooled batch and the predicate runs as the same compiled
+// selection kernels, so a virtual table flows through BatchGAggr and BatchToTuples like
 // a heap. It reads no pages, so its ScanStats are all zero; introspection
 // queries deliberately do not pollute the page counters they report on.
 type MemScan struct {
@@ -33,6 +33,7 @@ type MemScan struct {
 	Opts ExecOptions
 
 	i     int
+	sel   *selProgram
 	batch *Batch
 }
 
@@ -41,13 +42,12 @@ func NewMemScan(schema *tuple.Schema, tuples []tuple.Tuple, p pred.Predicate) *M
 	return &MemScan{Schema: schema, Tuples: tuples, Pred: p}
 }
 
-// Open binds the predicate and leases the batch.
+// Open binds and compiles the predicate and leases the batch.
 func (s *MemScan) Open() error {
 	s.i = 0
-	if s.Pred != nil {
-		if err := s.Pred.Bind(s.Schema); err != nil {
-			return err
-		}
+	var err error
+	if s.sel, err = compileSelect(s.Pred, s.Schema); err != nil {
+		return err
 	}
 	s.batch = getBatch(s.Schema, s.Opts.EffectiveBatchSize())
 	return nil
@@ -67,11 +67,7 @@ func (s *MemScan) NextBatch() (*Batch, error) {
 			b.data = append(b.data, s.Tuples[s.i].Data...)
 			b.n++
 		}
-		if s.Pred == nil {
-			b.selectAll()
-		} else {
-			b.selectPred(s.Pred)
-		}
+		b.selectProg(s.sel)
 		if len(b.Sel) > 0 {
 			return b, nil
 		}

@@ -52,12 +52,13 @@ type SMAGAggr struct {
 	// Next yields nothing in this mode. Parallel partition workers use it.
 	KeepPartials bool
 	// Opts sizes the batches the ambivalent buckets are inspected in
-	// (decode to a reusable batch, predicate as a selection-vector loop,
-	// alloc-free group fold) and the asynchronous prefetch of their pages.
+	// (decode to a reusable batch, predicate kernels over a selection
+	// vector, vector fold) and the asynchronous prefetch of their pages.
 	Opts ExecOptions
 
 	schema *tuple.Schema
 	gx     *core.Extractor
+	sel    *selProgram
 
 	// The resolved fold: the query-level groups the SMA-files roll up into,
 	// and every SMA-file bound to the accumulator slot it advances. Sources
@@ -150,10 +151,9 @@ func (g *SMAGAggr) addSources(s *core.SMA, slot int32, index map[core.GroupKey]i
 // per bucket, post-process averages.
 func (g *SMAGAggr) Open() error {
 	g.schema = g.H.Schema()
-	if g.Pred != nil {
-		if err := g.Pred.Bind(g.schema); err != nil {
-			return err
-		}
+	var err error
+	if g.sel, err = compileSelect(g.Pred, g.schema); err != nil {
+		return err
 	}
 	for i := range g.Specs {
 		if err := g.Specs[i].Validate(g.schema); err != nil {
@@ -186,7 +186,6 @@ func (g *SMAGAggr) Open() error {
 		return fmt.Errorf("exec: AVG aggregates require a count SMA")
 	}
 
-	var err error
 	if len(g.GroupBy) > 0 {
 		g.gx, err = core.NewExtractor(g.schema, g.GroupBy)
 		if err != nil {
@@ -234,7 +233,7 @@ func (g *SMAGAggr) Open() error {
 	// stream in behind an asynchronous prefetcher — unless there is a
 	// single page, whose demand read is that read already.
 	var pf *storage.Prefetcher
-	if w := g.Opts.EffectivePrefetchWindow(); w > 0 {
+	if w := g.Opts.Readahead(g.H.RecordsPerPage()); w > 0 {
 		var spans []storage.PageSpan
 		pages := 0
 		for i, gr := range grades {
@@ -253,7 +252,7 @@ func (g *SMAGAggr) Open() error {
 			}()
 		}
 	}
-	folder := newGroupFolder(g.Specs, g.gx, g.groups)
+	var folder *groupFolder // compiled for the first ambivalent bucket
 	batch := getBatch(g.schema, batchCap(g.Opts, g.H.RecordsPerPage()))
 	defer putBatch(batch)
 
@@ -276,6 +275,11 @@ func (g *SMAGAggr) Open() error {
 			g.advanceRun(lo, lo+j-i)
 		default:
 			g.stats.Ambivalent += j - i
+			if folder == nil {
+				if folder, err = newGroupFolder(g.schema, g.Specs, g.gx, g.groups); err != nil {
+					return err
+				}
+			}
 			for b := lo; b < lo+j-i; b++ {
 				if err := g.inspectBucket(b, batch, folder, pf); err != nil {
 					return err
@@ -358,9 +362,9 @@ func (g *SMAGAggr) advanceFile(src foldSource, lo, hi int) {
 }
 
 // inspectBucket advances the result from an ambivalent bucket batch by batch:
-// pages decode into the reusable batch, the predicate runs as a selection-
-// vector loop, and the survivors fold into the shared group map without
-// per-tuple allocations.
+// pages decode into the reusable batch, the compiled predicate narrows the
+// selection vector, and the survivors fold into the shared group map through
+// the same groupFolder kernels a scan's aggregation uses.
 func (g *SMAGAggr) inspectBucket(b int, batch *Batch, folder *groupFolder, pf *storage.Prefetcher) error {
 	first, last := g.H.BucketRange(b)
 	per := g.H.RecordsPerPage()
@@ -386,11 +390,7 @@ func (g *SMAGAggr) inspectBucket(b int, batch *Batch, folder *groupFolder, pf *s
 			continue
 		}
 		g.stats.Batches++
-		if g.Pred != nil {
-			batch.selectPred(g.Pred)
-		} else {
-			batch.selectAll()
-		}
+		batch.selectProg(g.sel)
 		folder.fold(batch)
 	}
 	return nil

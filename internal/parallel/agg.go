@@ -303,26 +303,18 @@ func (a *Agg) observe(wall time.Duration) {
 // workerExecOptions derates the query-level prefetch window for n
 // concurrent workers: each worker prefetches its own partition, but the
 // combined readahead must leave the shared pool room for the workers'
-// demand pins. A derated window below one page disables prefetch.
+// demand pins. A derated window below one page disables prefetch. A
+// serial query keeps its options as they are.
 func (a *Agg) workerExecOptions(n int) exec.ExecOptions {
 	opts := a.Exec
-	w := opts.EffectivePrefetchWindow()
-	if w == 0 || n <= 1 {
-		if w == 0 {
-			opts.PrefetchWindow = -1
-		} else {
-			opts.PrefetchWindow = w
-		}
+	if n <= 1 {
 		return opts
 	}
-	if room := a.Heap.Pool().Capacity() / (4 * n); w > room {
-		w = room
-	}
+	w := min(opts.Readahead(a.Heap.RecordsPerPage()), a.Heap.Pool().Capacity()/(4*n))
 	if w < 1 {
-		opts.PrefetchWindow = -1
-	} else {
-		opts.PrefetchWindow = w
+		w = -1
 	}
+	opts.PrefetchWindow = w
 	return opts
 }
 

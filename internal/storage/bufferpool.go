@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"container/list"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -16,13 +15,21 @@ type Frame struct {
 	data  [PageSize]byte
 	dirty bool
 	pins  int
-	elem  *list.Element // position in the LRU list when unpinned
 
-	// loading is non-nil while the page image is being read from disk
-	// (outside the pool lock); it is closed when the read completes.
-	// Co-fetchers of the same page wait on it instead of issuing a second
-	// read. loadErr carries the read error, published before the close.
-	loading chan struct{}
+	// The LRU list is threaded through the frames themselves, so moving a
+	// frame on or off it allocates nothing. inLRU is set while the frame is
+	// unpinned and resident.
+	prev, next *Frame
+	inLRU      bool
+
+	// loading is set while the page image is being read from disk (outside
+	// the pool lock). A co-fetcher of the same page does not issue a second
+	// read: it installs loaded if nobody has yet — so a read nobody waits
+	// for allocates no channel — and blocks on it; the loader closes it when
+	// the read completes. loadErr carries the read error, published before
+	// the close.
+	loading bool
+	loaded  chan struct{}
 	loadErr error
 
 	// prefetched marks a frame whose read was issued by a Prefetcher and
@@ -73,7 +80,10 @@ func (s *PoolStats) Add(o PoolStats) {
 
 // BufferPool caches pages of a single DiskManager with LRU replacement.
 // Pages are pinned while in use; unpinned frames are eviction candidates in
-// least-recently-used order.
+// least-recently-used order. The bookkeeping allocates nothing per page:
+// the LRU list is threaded through the frames, a miss at capacity recycles
+// its victim's frame, and a read gets a completion signal only when a
+// second fetcher waits for it.
 //
 // The pool is safe for concurrent use: parallel partition workers pin
 // disjoint (and occasionally shared) pages simultaneously. Physical reads
@@ -95,7 +105,9 @@ type BufferPool struct {
 	disk   *DiskManager
 	cap    int
 	frames map[PageID]*Frame
-	lru    *list.List // of PageID, front = most recently unpinned
+	// The unpinned resident frames, most recently unpinned first; linked
+	// through Frame.prev/next.
+	lruFront, lruBack *Frame
 
 	// hook, when non-nil, runs before every dirty page write-back.
 	hook WriteBackHook
@@ -159,7 +171,6 @@ func NewBufferPool(disk *DiskManager, capacity int) *BufferPool {
 		disk:        disk,
 		cap:         capacity,
 		frames:      make(map[PageID]*Frame, capacity),
-		lru:         list.New(),
 		verify:      true,
 		quarantined: make(map[PageID]*CorruptPageError),
 	}
@@ -241,14 +252,13 @@ func (bp *BufferPool) trimLocked() {
 	if excess <= 0 {
 		return
 	}
-	var victims []*list.Element
-	for e := bp.lru.Back(); e != nil && len(victims) < excess; e = e.Prev() {
-		victims = append(victims, e)
+	var victims []*Frame
+	for fr := bp.lruBack; fr != nil && len(victims) < excess; fr = fr.prev {
+		victims = append(victims, fr)
 	}
 	if bp.hook != nil {
 		logged := false
-		for _, e := range victims {
-			fr := bp.frames[e.Value.(PageID)]
+		for _, fr := range victims {
 			if fr.dirty {
 				if bp.hook.PageImage(fr.id, fr.data[:]) != nil {
 					return
@@ -260,15 +270,14 @@ func (bp *BufferPool) trimLocked() {
 			return
 		}
 	}
-	for _, e := range victims {
-		fr := bp.frames[e.Value.(PageID)]
+	for _, fr := range victims {
 		if fr.dirty {
 			if bp.disk.WritePage(fr.id, fr.data[:]) != nil {
 				return
 			}
 			fr.dirty = false
 		}
-		bp.lru.Remove(e)
+		bp.lruRemove(fr)
 		delete(bp.frames, fr.id)
 		bp.evictions.Add(1)
 	}
@@ -288,9 +297,7 @@ func (bp *BufferPool) Discard(id PageID) error {
 	if fr.pins > 0 {
 		return fmt.Errorf("storage: discard of pinned page %d", id)
 	}
-	if fr.elem != nil {
-		bp.lru.Remove(fr.elem)
-	}
+	bp.lruRemove(fr)
 	delete(bp.frames, id)
 	return nil
 }
@@ -308,9 +315,12 @@ func (bp *BufferPool) FetchPage(id PageID) (*Frame, error) {
 	return fr, err
 }
 
-// fetch implements FetchPage. prefetch marks the frame on a miss so the
-// first later demand hit can be attributed to readahead; missed reports
-// whether this call issued the physical read.
+// fetch implements FetchPage. missed reports whether this call issued the
+// physical read. A prefetch wants the page resident, not pinned: it returns
+// no frame — at once when the page is resident or somebody is reading it —
+// and on a miss marks the frame, so the first later demand hit can be
+// attributed to readahead, and releases it inside the critical section that
+// ends the read.
 func (bp *BufferPool) fetch(id PageID, prefetch bool) (*Frame, bool, error) {
 	bp.mu.Lock()
 	if ce, ok := bp.quarantined[id]; ok {
@@ -319,18 +329,28 @@ func (bp *BufferPool) fetch(id PageID, prefetch bool) (*Frame, bool, error) {
 	}
 	if fr, ok := bp.frames[id]; ok {
 		bp.hits.Add(1)
-		if !prefetch && fr.prefetched {
+		if prefetch {
+			bp.mu.Unlock()
+			return nil, false, nil
+		}
+		if fr.prefetched {
 			fr.prefetched = false
 			bp.prefetchHits.Add(1)
 		}
 		bp.pinLocked(fr)
-		loading := fr.loading
+		var loaded chan struct{}
+		if fr.loading {
+			if fr.loaded == nil {
+				fr.loaded = make(chan struct{})
+			}
+			loaded = fr.loaded
+		}
 		bp.mu.Unlock()
-		if loading != nil {
+		if loaded != nil {
 			// Another goroutine is reading this page; wait for it. On
 			// failure the loader already deregistered the frame and zeroed
 			// its pins, so there is nothing to unpin here.
-			<-loading
+			<-loaded
 			if fr.loadErr != nil {
 				return nil, false, fr.loadErr
 			}
@@ -344,22 +364,22 @@ func (bp *BufferPool) fetch(id PageID, prefetch bool) (*Frame, bool, error) {
 		return nil, false, err
 	}
 	// Read outside the lock so concurrent misses on different pages overlap
-	// their I/O. The frame is registered and pinned with an open loading
-	// channel: co-fetchers of the same page wait on it rather than racing a
-	// second read, and the pin keeps the frame off the eviction list.
-	loading := make(chan struct{})
-	fr.loading = loading
+	// their I/O. The frame is registered and pinned and marked loading:
+	// co-fetchers of the same page wait for the read rather than racing a
+	// second one, and the pin keeps the frame off the eviction list.
+	fr.loading = true
 	fr.loadErr = nil
 	fr.prefetched = prefetch
 	if prefetch {
 		bp.prefetched.Add(1)
 	}
+	verify := bp.verify
 	bp.mu.Unlock()
 
 	// If the read panics (a fault-injection hook, or a bug in a lower
 	// layer), deregister the frame and wake co-fetchers before the panic
 	// propagates: a statement-level panic boundary above must not leave
-	// other goroutines wedged on the loading channel forever.
+	// other goroutines wedged on the loaded channel forever.
 	completed := false
 	defer func() {
 		if completed {
@@ -369,9 +389,7 @@ func (bp *BufferPool) fetch(id PageID, prefetch bool) (*Frame, bool, error) {
 		delete(bp.frames, id)
 		fr.pins = 0
 		fr.loadErr = fmt.Errorf("storage: read of page %d aborted by panic", id)
-		fr.loading = nil
-		bp.mu.Unlock()
-		close(loading)
+		bp.loadDoneLocked(fr)
 	}()
 
 	if bp.readLatency != nil {
@@ -381,9 +399,13 @@ func (bp *BufferPool) fetch(id PageID, prefetch bool) (*Frame, bool, error) {
 	} else {
 		err = bp.disk.ReadPage(id, fr.data[:])
 	}
+	// The checksum is computed before the lock is retaken: it is most of
+	// what there is to do per page besides the read itself, and every other
+	// fetch would wait for it.
+	corrupt := err == nil && verify && !VerifyPage(fr.data[:])
 	bp.mu.Lock()
 	var notify func(PageID)
-	if err == nil && bp.verify && !VerifyPage(fr.data[:]) {
+	if corrupt {
 		ce := &CorruptPageError{Path: bp.disk.Path(), Page: id}
 		bp.quarantined[id] = ce
 		bp.corrupt.Add(1)
@@ -396,18 +418,29 @@ func (bp *BufferPool) fetch(id PageID, prefetch bool) (*Frame, bool, error) {
 		delete(bp.frames, id)
 		fr.pins = 0
 		fr.loadErr = err
+	} else if prefetch {
+		bp.unpinLocked(fr)
 	}
-	fr.loading = nil
-	bp.mu.Unlock()
 	completed = true
-	close(loading)
+	bp.loadDoneLocked(fr)
 	if notify != nil {
 		notify(id)
 	}
-	if err != nil {
-		return nil, false, err
+	if err != nil || prefetch {
+		return nil, err == nil, err
 	}
 	return fr, true, nil
+}
+
+// loadDoneLocked ends fr's read: it clears the loading mark, releases
+// bp.mu, and wakes the co-fetchers, if any waited.
+func (bp *BufferPool) loadDoneLocked(fr *Frame) {
+	loaded := fr.loaded
+	fr.loading, fr.loaded = false, nil
+	bp.mu.Unlock()
+	if loaded != nil {
+		close(loaded)
+	}
 }
 
 // NewPage allocates a fresh page on disk, pins it, and returns the frame.
@@ -430,11 +463,38 @@ func (bp *BufferPool) NewPage() (*Frame, error) {
 
 // pinLocked pins an in-pool frame, removing it from the LRU list.
 func (bp *BufferPool) pinLocked(fr *Frame) {
-	if fr.pins == 0 && fr.elem != nil {
-		bp.lru.Remove(fr.elem)
-		fr.elem = nil
-	}
+	bp.lruRemove(fr)
 	fr.pins++
+}
+
+// lruPushFront makes the unpinned frame fr the most recently used.
+func (bp *BufferPool) lruPushFront(fr *Frame) {
+	fr.prev, fr.next, fr.inLRU = nil, bp.lruFront, true
+	if bp.lruFront != nil {
+		bp.lruFront.prev = fr
+	} else {
+		bp.lruBack = fr
+	}
+	bp.lruFront = fr
+}
+
+// lruRemove takes fr off the LRU list; a frame that is not on it (pinned,
+// or not yet unpinned) is left alone.
+func (bp *BufferPool) lruRemove(fr *Frame) {
+	if !fr.inLRU {
+		return
+	}
+	if fr.prev != nil {
+		fr.prev.next = fr.next
+	} else {
+		bp.lruFront = fr.next
+	}
+	if fr.next != nil {
+		fr.next.prev = fr.prev
+	} else {
+		bp.lruBack = fr.prev
+	}
+	fr.prev, fr.next, fr.inLRU = nil, nil, false
 }
 
 // victimLocked obtains a frame for page id (which must not be resident),
@@ -446,13 +506,11 @@ func (bp *BufferPool) pinLocked(fr *Frame) {
 func (bp *BufferPool) victimLocked(id PageID) (*Frame, error) {
 	if len(bp.frames) >= bp.cap {
 		var victim *Frame
-		var elem *list.Element
-		for e := bp.lru.Back(); e != nil; e = e.Prev() {
-			fr := bp.frames[e.Value.(PageID)]
+		for fr := bp.lruBack; fr != nil; fr = fr.prev {
 			if bp.barrier > 0 && fr.dirty && fr.epoch == bp.epoch {
 				continue
 			}
-			victim, elem = fr, e
+			victim = fr
 			break
 		}
 		if victim == nil {
@@ -482,13 +540,11 @@ func (bp *BufferPool) victimLocked(id PageID) (*Frame, error) {
 			}
 			victim.dirty = false
 		}
-		bp.lru.Remove(elem)
+		bp.lruRemove(victim)
 		delete(bp.frames, victim.id)
 		bp.evictions.Add(1)
 		victim.id = id
 		victim.pins = 1
-		victim.elem = nil
-		victim.loading = nil
 		victim.loadErr = nil
 		victim.prefetched = false
 		bp.frames[id] = victim
@@ -511,9 +567,15 @@ func (bp *BufferPool) UnpinPage(id PageID) error {
 	if fr.pins <= 0 {
 		return fmt.Errorf("storage: unpin of unpinned page %d", id)
 	}
+	bp.unpinLocked(fr)
+	return nil
+}
+
+// unpinLocked releases one pin on a pinned frame.
+func (bp *BufferPool) unpinLocked(fr *Frame) {
 	fr.pins--
 	if fr.pins == 0 {
-		fr.elem = bp.lru.PushFront(id)
+		bp.lruPushFront(fr)
 	}
 	if fr.dirty {
 		// Every mutation happens while pinned, so stamping at unpin
@@ -522,7 +584,6 @@ func (bp *BufferPool) UnpinPage(id PageID) error {
 		// just conservative).
 		fr.epoch = bp.epoch
 	}
-	return nil
 }
 
 // FlushAll writes back every dirty resident page and fsyncs the file.
@@ -587,7 +648,7 @@ func (bp *BufferPool) DropAll() error {
 		return err
 	}
 	bp.frames = make(map[PageID]*Frame, bp.cap)
-	bp.lru.Init()
+	bp.lruFront, bp.lruBack = nil, nil
 	return nil
 }
 

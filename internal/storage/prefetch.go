@@ -17,24 +17,26 @@ type PageSpan struct{ First, Last PageID }
 // grading pass computes the exact surviving page set before the first page
 // is touched, so readahead never wastes I/O on pages the query will skip.
 //
-// The window is positional: the prefetcher processes sequence index i only
-// while i < consumed + window, where consumed is the progress the scan
-// reports with Advance. Metering by position (not by pages processed)
-// means a prefetcher that momentarily falls behind the cursor — its
-// fetches then land on already-resident pages — sweeps past them cheaply
-// and rebuilds its full lookahead, instead of collapsing to lockstep with
-// the scan. The window simultaneously bounds the in-flight reads and
-// prevents the prefetcher from evicting its own earlier pages on pools
-// smaller than the page sequence. Prefetch and demand fetch coalesce
-// through the pool's per-frame loading channel: a demand FetchPage that
-// arrives while the prefetch read is in flight waits on the channel
+// The window is positional: a reader takes sequence index i only while
+// i < consumed + window, where consumed is the progress the scan reports
+// with Advance. Readers take a short run of in-window positions at a time
+// under one lock and mark them started there, and they never take a
+// position behind the cursor: a batch scan reads a batch's worth of pages
+// in one burst, overtaking the readers, and a reader that then swept
+// through the pages the scan already passed would still be behind at the
+// next burst. Skipping to the cursor puts the readers back in front within
+// one window, and keeps the started set to at most window pages. The
+// window simultaneously bounds the in-flight reads and prevents the
+// prefetcher from evicting its own earlier pages on pools smaller than the
+// page sequence. Prefetch and demand fetch coalesce in the pool: a demand
+// FetchPage that arrives while the prefetch read is in flight waits for it
 // instead of issuing a second physical read.
 //
 // Prefetch reads pin their frame only for the duration of the read and
 // unpin it immediately after, so a prefetched-but-never-pinned page is an
 // ordinary eviction candidate. Close stops the readers and waits for
 // in-flight reads to land; after Close returns the prefetcher holds no
-// pins and no loading channel, so the pool can be dropped or the disk
+// pins and no read is in flight, so the pool can be dropped or the disk
 // closed.
 type Prefetcher struct {
 	bp     *BufferPool
@@ -43,12 +45,21 @@ type Prefetcher struct {
 	total  int64
 	window int64
 
-	mu       sync.Mutex
-	cond     *sync.Cond
-	next     int64 // next sequence index to hand to a reader
-	consumed int64 // pages the consumer reported via Advance
-	closed   bool
-	started  map[PageID]struct{} // pages a reader reached before the scan
+	mu   sync.Mutex
+	cond *sync.Cond
+	next int64 // next sequence index to hand to a reader
+	// consumed counts the pages the consumer reported via Advance: the
+	// cursor's position. It and closed are written under mu; readers also
+	// look at them without, between the pages of a run.
+	consumed atomic.Int64
+	closed   atomic.Bool
+	// claimed is set between the consumer's Claim of the page at the
+	// cursor and its Advance past it: the consumer is reading that page
+	// itself, and a reader that took it now would mark a page nobody will
+	// claim again.
+	claimed bool
+	waiting int                 // readers blocked on cond
+	started map[PageID]struct{} // pages a reader took before the scan reached them
 
 	issued atomic.Int64 // physical reads this prefetcher triggered
 	wg     sync.WaitGroup
@@ -58,6 +69,12 @@ type Prefetcher struct {
 // simulated (and real) disks serialize anyway. A prefetcher never starts
 // more readers than its window or its page sequence can occupy.
 const prefetchReaders = 8
+
+// prefetchRun is how many consecutive positions a reader takes at a time:
+// long enough that readers and consumer meet at the lock once per few
+// pages rather than once per page, short enough that the readers share a
+// window between them.
+const prefetchRun = 4
 
 // StartPrefetch launches background readers over the page sequence the
 // spans describe (in order), keeping at most window pages ahead of the
@@ -110,59 +127,93 @@ func (p *Prefetcher) pageAt(i int64) PageID {
 	return p.spans[s].First + PageID(i-prev)
 }
 
-// claimIndex hands the next sequence index to a reader, waiting while the
-// window is exhausted. ok is false when the sequence is done or the
-// prefetcher closed.
-func (p *Prefetcher) claimIndex() (int64, bool) {
+// runLocked returns the positions [lo, hi) a reader may take now: from the
+// cursor or the readers' own front, whichever is further, to the end of
+// the window, a run at most.
+func (p *Prefetcher) runLocked() (lo, hi int64) {
+	consumed := p.consumed.Load()
+	lo = max(p.next, consumed)
+	if lo == consumed && p.claimed {
+		lo++
+	}
+	return lo, min(lo+prefetchRun, consumed+p.window, p.total)
+}
+
+// claimRun hands a reader its next run of pages — positions lo onwards,
+// appended to run — marked started, waiting while the window is exhausted.
+// It returns no pages when the sequence is done or the prefetcher closed.
+func (p *Prefetcher) claimRun(run []PageID) (int64, []PageID) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for !p.closed && p.next < p.total && p.next >= p.consumed+p.window {
+	for {
+		if p.closed.Load() || max(p.next, p.consumed.Load()) >= p.total {
+			return 0, nil
+		}
+		lo, hi := p.runLocked()
+		if lo < hi {
+			for i := lo; i < hi; i++ {
+				id := p.pageAt(i)
+				p.started[id] = struct{}{}
+				run = append(run, id)
+			}
+			p.next = hi
+			return lo, run
+		}
+		p.waiting++
 		p.cond.Wait()
+		p.waiting--
 	}
-	if p.closed || p.next >= p.total {
-		return 0, false
-	}
-	i := p.next
-	p.next++
-	return i, true
 }
 
-// reader pulls in-window pages into the pool. The page is marked before
-// the read starts: a scan that arrives mid-read coalesces on the frame's
-// loading channel, and the prefetcher still counts as having got there
+// reader pulls in-window pages into the pool. A page is marked when the
+// reader takes it, before its read starts: a scan that arrives meanwhile
+// either coalesces with the read in flight or finds the page a moment
+// before the reader does, and the prefetcher counts as having got there
 // first. The mark is rolled back when the prefetch fails, so a failed
 // prefetch is never reported as a hit and the consumer does a (correct)
-// demand fetch of its own.
+// demand fetch of its own. A page the cursor has passed since the run was
+// taken is left alone: the scan read it, and by the time a reader that was
+// off the processor for a while got to it, it could be evicted again. Close
+// ends a run between two pages.
 func (p *Prefetcher) reader() {
 	defer p.wg.Done()
+	var buf [prefetchRun]PageID
 	for {
-		i, ok := p.claimIndex()
-		if !ok {
+		lo, run := p.claimRun(buf[:0])
+		if run == nil {
 			return
 		}
-		id := p.pageAt(i)
-		p.mu.Lock()
-		p.started[id] = struct{}{}
-		p.mu.Unlock()
-		if !p.prefetchPage(id) {
-			p.mu.Lock()
-			delete(p.started, id)
-			p.mu.Unlock()
+		for i, id := range run {
+			switch {
+			case p.closed.Load():
+				p.unmark(run[i:])
+				return
+			case lo+int64(i) < p.consumed.Load():
+			case !p.prefetchPage(id):
+				p.unmark(run[i : i+1])
+			}
 		}
 	}
 }
 
-// prefetchPage reads page id into the pool and releases it again,
-// reporting whether the page is now resident and unpinned. Failures are
-// swallowed here because the query path reports them: the demand fetch
-// repeats a failed read and surfaces its error, and it re-raises a panic
-// (a fault-injection hook, or a bug in a lower layer) on the statement's
-// own goroutine, inside the statement's panic boundary — a reader
-// goroutine that let it escape would take the whole process down instead.
-// fetch has already deregistered the frame and woken co-fetchers by the
-// time the panic arrives here. A failed unpin means the frame is gone or
-// the pin count is off — an invariant breach, not an I/O error — and is
-// treated the same way.
+// unmark takes back the started marks of pages that were not prefetched.
+func (p *Prefetcher) unmark(ids []PageID) {
+	p.mu.Lock()
+	for _, id := range ids {
+		delete(p.started, id)
+	}
+	p.mu.Unlock()
+}
+
+// prefetchPage makes page id resident, reporting whether it is — or will
+// be: somebody else may be reading it right now — without holding it.
+// Failures are swallowed here because the query path reports them: the
+// demand fetch repeats a failed read and surfaces its error, and it
+// re-raises a panic (a fault-injection hook, or a bug in a lower layer) on
+// the statement's own goroutine, inside the statement's panic boundary — a
+// reader goroutine that let it escape would take the whole process down
+// instead. fetch has already deregistered the frame and woken co-fetchers
+// by the time the panic arrives here.
 func (p *Prefetcher) prefetchPage(id PageID) (ok bool) {
 	defer func() {
 		if recover() != nil {
@@ -170,26 +221,30 @@ func (p *Prefetcher) prefetchPage(id PageID) (ok bool) {
 		}
 	}()
 	_, missed, err := p.bp.fetch(id, true)
-	if err != nil {
-		return false
-	}
 	if missed {
 		p.issued.Add(1)
 	}
-	return p.bp.UnpinPage(id) == nil
+	return err == nil
 }
 
 // Advance reports that the consumer finished one page, sliding the
-// readahead window forward. Safe on a nil prefetcher.
+// readahead window forward. Readers blocked on a full window are woken
+// once a run's worth of it has opened, not at every page. Safe on a nil
+// prefetcher.
 func (p *Prefetcher) Advance() {
 	if p == nil {
 		return
 	}
 	p.mu.Lock()
-	p.consumed++
-	occ := p.next - p.consumed
+	consumed := p.consumed.Add(1)
+	p.claimed = false
+	occ := p.next - consumed
+	lo, hi := p.runLocked()
+	wake := p.waiting > 0 && (hi-lo >= min(prefetchRun, p.window) || hi == p.total)
 	p.mu.Unlock()
-	p.cond.Broadcast()
+	if wake {
+		p.cond.Broadcast()
+	}
 	// Sample window occupancy — pages claimed ahead of consumption — once
 	// per consumed page. Nil histogram (observability off) is inert.
 	if occ >= 0 {
@@ -198,10 +253,12 @@ func (p *Prefetcher) Advance() {
 }
 
 // Claim reports whether the prefetcher reached id before the consumer
-// asked for it — the page is resident or its read is in flight, so the
-// consumer either hits directly or coalesces on the loading channel
-// instead of paying a synchronous read (a prefetch hit from the scan's
-// point of view) — and forgets the page. Safe on a nil prefetcher.
+// asked for it — the page is resident or its read is in flight or about to
+// start, so the consumer either hits directly or coalesces with the read
+// instead of paying a synchronous one (a prefetch hit from the scan's
+// point of view) — and forgets the page. The consumer claims each page of
+// the sequence, in order, before it reads it, and calls Advance after.
+// Safe on a nil prefetcher.
 func (p *Prefetcher) Claim(id PageID) bool {
 	if p == nil {
 		return false
@@ -211,6 +268,7 @@ func (p *Prefetcher) Claim(id PageID) bool {
 	if ok {
 		delete(p.started, id)
 	}
+	p.claimed = true
 	p.mu.Unlock()
 	return ok
 }
@@ -231,7 +289,7 @@ func (p *Prefetcher) Close() {
 		return
 	}
 	p.mu.Lock()
-	p.closed = true
+	p.closed.Store(true)
 	p.mu.Unlock()
 	p.cond.Broadcast()
 	p.wg.Wait()

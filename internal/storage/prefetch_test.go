@@ -1,6 +1,8 @@
 package storage
 
 import (
+	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -253,5 +255,198 @@ func TestPrefetchWindowClamp(t *testing.T) {
 	p.Close()
 	if p.Claim(0) || p.Issued() != 0 {
 		t.Fatal("nil prefetcher misbehaves")
+	}
+}
+
+// TestPoolMissAllocatesNothingAtCapacity: once the pool is full, a miss
+// recycles its victim's frame in place — intrusive LRU links, no channel
+// for a read nobody waits for — so a miss and its unpin allocate nothing.
+// LRU order is kept: the victim is always the least recently unpinned.
+func TestPoolMissAllocatesNothingAtCapacity(t *testing.T) {
+	const numPages, capacity = 64, 8
+	dm := prefetchDisk(t, numPages)
+	bp := NewBufferPool(dm, capacity)
+	next := PageID(0)
+	miss := func() {
+		fr, err := bp.FetchPage(next)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fr.Data()[0] != byte(next) {
+			t.Fatalf("page %d has wrong contents", next)
+		}
+		if err := bp.UnpinPage(next); err != nil {
+			t.Fatal(err)
+		}
+		next = (next + 1) % numPages
+	}
+	for i := 0; i < 2*numPages; i++ { // fill the pool, settle the page table
+		miss()
+	}
+	before := bp.Stats()
+	if avg := testing.AllocsPerRun(200, miss); avg != 0 {
+		t.Errorf("a pool miss and its unpin allocate %.1f times at capacity, want 0", avg)
+	}
+	after := bp.Stats()
+	if n := after.Misses - before.Misses; n != after.Evictions-before.Evictions || after.Hits != before.Hits {
+		t.Errorf("cycling %d pages through %d frames: %+v -> %+v, want every fetch a miss and an eviction",
+			numPages, capacity, before, after)
+	}
+	if bp.Resident() != capacity {
+		t.Errorf("%d pages resident, want %d", bp.Resident(), capacity)
+	}
+	// The frames resident now are the last `capacity` pages fetched, and
+	// the next victim is the oldest of them.
+	oldest := (next + numPages - capacity) % numPages
+	if _, err := bp.FetchPage(next); err != nil {
+		t.Fatal(err)
+	}
+	bp.mu.Lock()
+	_, stillThere := bp.frames[oldest]
+	bp.mu.Unlock()
+	if stillThere {
+		t.Errorf("page %d, the least recently used, survived an eviction", oldest)
+	}
+}
+
+// TestCoFetchersShareOneRead: fetchers that arrive while a page is being
+// read wait for that read instead of issuing their own, though the signal
+// they wait on exists only from the first of them on.
+func TestCoFetchersShareOneRead(t *testing.T) {
+	dm := prefetchDisk(t, 4)
+	bp := NewBufferPool(dm, 4)
+	entered, release := make(chan struct{}), make(chan struct{})
+	dm.SetFault(func(op string, id PageID) error {
+		if op == "read" && id == 2 {
+			close(entered)
+			<-release
+		}
+		return nil
+	})
+	const fetchers = 4
+	errs := make(chan error, fetchers)
+	fetch := func() {
+		fr, err := bp.FetchPage(2)
+		if err == nil && fr.Data()[0] != 2 {
+			err = fmt.Errorf("wrong page image %d", fr.Data()[0])
+		}
+		if err == nil {
+			err = bp.UnpinPage(2)
+		}
+		errs <- err
+	}
+	go fetch()
+	<-entered // the loader is inside its read
+	for i := 1; i < fetchers; i++ {
+		go fetch()
+	}
+	// Wait until every co-fetcher has pinned the frame and gone to sleep on
+	// the loader's signal.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		bp.mu.Lock()
+		pins := bp.frames[2].pins
+		bp.mu.Unlock()
+		if pins == fetchers {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d fetchers reached the frame", pins, fetchers)
+		}
+	}
+	close(release)
+	for i := 0; i < fetchers; i++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+	if reads, _ := dm.Stats(); reads != 1 {
+		t.Errorf("%d physical reads for one page fetched %d times at once", reads, fetchers)
+	}
+	if err := bp.DropAll(); err != nil {
+		t.Errorf("a pin is left: %v", err)
+	}
+}
+
+// TestPrefetcherSkipsToTheCursor: a scan that overtakes the readers — here
+// by passing 400 pages while their reads are held up, as a batch scan
+// passes a batch's worth in one burst — gets them back in front within one
+// window: they take up at the cursor instead of sweeping through what the
+// scan has passed. So no page behind the cursor is read beyond the one read
+// each reader had in flight, the window ahead is read, and the started set
+// never holds more than a window of pages.
+func TestPrefetcherSkipsToTheCursor(t *testing.T) {
+	const numPages, window, passed = 1000, 16, 400
+	dm := prefetchDisk(t, numPages)
+	bp := NewBufferPool(dm, 64)
+	var gate sync.RWMutex // write-locked: reads wait
+	dm.SetFault(func(op string, _ PageID) error {
+		if op == "read" {
+			gate.RLock()
+			defer gate.RUnlock()
+		}
+		return nil
+	})
+	p := bp.StartPrefetch([]PageSpan{{First: 0, Last: numPages - 1}}, window)
+	if p == nil {
+		t.Fatal("StartPrefetch returned nil for a valid window")
+	}
+	defer p.Close()
+	readers := min(prefetchReaders, window)
+	parked := func(at int64) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+			p.mu.Lock()
+			next, waiting, started := p.next, p.waiting, len(p.started)
+			p.mu.Unlock()
+			if next == at && waiting == readers {
+				if started > window {
+					t.Fatalf("started set holds %d pages, window is %d", started, window)
+				}
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("readers at position %d, %d of %d waiting; want them parked at %d", next, waiting, readers, at)
+			}
+		}
+	}
+	parked(window) // the first window is read and every reader waits for room
+
+	gate.Lock()
+	for i := 0; i < passed; i++ {
+		p.Claim(PageID(i))
+		p.Advance()
+		p.mu.Lock()
+		started := len(p.started)
+		p.mu.Unlock()
+		if started > window {
+			t.Fatalf("at page %d the started set holds %d pages, window is %d", i, started, window)
+		}
+	}
+	gate.Unlock()
+	parked(passed + window)
+	// A reader woken during the burst took one run and got as far as the
+	// gate with its first page; the rest of that run the cursor had passed.
+	if got, max := p.Issued(), window+readers+window; got > max {
+		t.Errorf("readers issued %d reads, want at most %d: they swept through pages the cursor had passed", got, max)
+	}
+	hits := 0
+	for i := passed; i < passed+window; i++ {
+		if p.Claim(PageID(i)) {
+			hits++
+		}
+		fr, err := bp.FetchPage(PageID(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fr.Data()[0] != byte(i) {
+			t.Fatalf("page %d has wrong contents", i)
+		}
+		if err := bp.UnpinPage(PageID(i)); err != nil {
+			t.Fatal(err)
+		}
+		p.Advance()
+	}
+	if hits != window {
+		t.Errorf("%d of the %d pages after the burst were prefetched", hits, window)
 	}
 }

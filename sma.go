@@ -124,7 +124,8 @@ func WithBatchSize(n int) Option {
 }
 
 // WithPrefetchWindow sets the number of pages of SMA-guided asynchronous
-// readahead per scan (default 16). Because bucket grading computes the
+// readahead per scan (n = 0, the default, reads two batches ahead, at least
+// 16 pages). Because bucket grading computes the
 // exact surviving page set before the first page access, the prefetcher
 // never reads a page the query will skip; it stays at most n pages ahead
 // of the cursor and is derated per worker under parallelism. Passing a
