@@ -4,8 +4,7 @@ package main
 // faults: rounds of a write workload, each cut short by a seeded disk
 // fault and an abrupt crash, followed by recovery on reopen. Downtime is
 // the time spent in recovery; availability is the fraction of wall time
-// the database answered statements. Writes a JSON artifact
-// (BENCH_chaos.json) for trajectory tracking.
+// the database answered statements. -out writes the JSON artifact.
 
 import (
 	"encoding/json"

@@ -53,7 +53,7 @@ func TestConcurrentQueriesAndAppends(t *testing.T) {
 		go func(r int) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				res, err := db.Query("select count(*) as N from SALES where SALE_DATE >= date '2022-01-01'")
+				res, err := engine.Collect(db, "select count(*) as N from SALES where SALE_DATE >= date '2022-01-01'")
 				if err != nil {
 					errCh <- fmt.Errorf("reader %d: %w", r, err)
 					return
@@ -72,7 +72,7 @@ func TestConcurrentQueriesAndAppends(t *testing.T) {
 	}
 
 	// Final state is fully consistent.
-	res, err := db.Query("select count(*) as N from SALES where SALE_DATE >= date '2022-01-01'")
+	res, err := engine.Collect(db, "select count(*) as N from SALES where SALE_DATE >= date '2022-01-01'")
 	if err != nil {
 		t.Fatal(err)
 	}

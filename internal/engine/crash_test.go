@@ -211,7 +211,7 @@ func TestCrashRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := db.Query("select KIND, sum(VALUE) as S from EVENTS group by KIND")
+	res, err := Collect(db, "select KIND, sum(VALUE) as S from EVENTS group by KIND")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func TestCrashRecovery(t *testing.T) {
 		t.Fatalf("recovered rows = %d (%v), want %d", n, err, wantRows)
 	}
 	verifySMAs(t, tbl2)
-	res2, err := db2.Query("select KIND, sum(VALUE) as S from EVENTS group by KIND")
+	res2, err := Collect(db2, "select KIND, sum(VALUE) as S from EVENTS group by KIND")
 	if err != nil {
 		t.Fatal(err)
 	}

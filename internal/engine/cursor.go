@@ -3,9 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
-	"log/slog"
 	"strings"
-	"time"
 
 	"sma/internal/exec"
 	"sma/internal/obs"
@@ -67,8 +65,9 @@ type ColInfo struct {
 // The lock is released by Close, or automatically when the stream ends
 // (exhaustion or error). A Cursor is not safe for concurrent use.
 type Cursor struct {
-	db   *DB
-	plan *planner.Plan
+	// st is the statement's record: its plan, id, trace, and the read lock
+	// and timeout context that finish hands back through st.end.
+	st   *statement
 	cols []ColInfo
 
 	// Aggregation mode.
@@ -84,37 +83,15 @@ type Cursor struct {
 	text    bool
 	lines   []string
 	lineIdx int
-	noLock  bool
-
-	// Observability state, wired by queryContext. All nil-safe.
-	obs     *obs.Observer
-	trace   *obs.Trace
-	execSp  *obs.Span
-	node    *obs.TraceNode
-	sql     string
-	qid     string
-	start   time.Time
-	rowsOut int64
-
-	// Introspection state: the statement fingerprint, its normalized
-	// text, and the activity-registry token. fp == 0 with norm == ""
-	// means stats are disabled for this query.
-	fp   uint64
-	norm string
-	act  int64
-
-	// cancel releases the statement-timeout context (if any) when the
-	// stream ends.
-	cancel context.CancelFunc
 
 	released bool
-	closed   bool
 }
 
 // newCursor builds and opens the iterator pipeline for a planned query.
-// The caller holds db.mu.RLock; on error the caller releases it.
-func newCursor(ctx context.Context, db *DB, plan *planner.Plan) (*Cursor, error) {
-	c := &Cursor{db: db, plan: plan}
+// The statement holds db.mu.RLock; on error the caller ends it.
+func newCursor(ctx context.Context, st *statement) (*Cursor, error) {
+	db, plan := st.db, st.plan
+	c := &Cursor{st: st}
 	var schema *tuple.Schema
 	if plan.Mem != nil {
 		schema = plan.Mem.Schema
@@ -184,29 +161,24 @@ func newCursor(ctx context.Context, db *DB, plan *planner.Plan) (*Cursor, error)
 func (c *Cursor) Columns() []ColInfo { return c.cols }
 
 // Plan returns the executed physical plan (diagnostics).
-func (c *Cursor) Plan() *planner.Plan { return c.plan }
+func (c *Cursor) Plan() *planner.Plan { return c.st.plan }
 
 // Stats returns the merged scan statistics of the executed plan — bucket
 // grading counts and heap pages read, folded across all partition workers
 // for parallel plans — and whether the plan tracks any. For aggregation
 // queries the stats are complete as soon as the cursor exists; for
 // projections they are complete when the stream ends.
-func (c *Cursor) Stats() (exec.ScanStats, bool) {
-	if c.plan == nil {
-		return exec.ScanStats{}, false
-	}
-	return c.plan.ScanStats()
-}
+func (c *Cursor) Stats() (exec.ScanStats, bool) { return c.st.plan.ScanStats() }
 
 // TraceNode returns the finished execution trace of the query. It is
 // available once the stream has ended (exhaustion, error, or Close) and
 // nil when the query was not traced (see WithTrace). A cancelled or
 // failed query yields a well-formed partial trace.
-func (c *Cursor) TraceNode() *obs.TraceNode { return c.node }
+func (c *Cursor) TraceNode() *obs.TraceNode { return c.st.trace.Node() }
 
 // QueryID returns the query's observability id ("" when the database has
-// no observer and the context carried none).
-func (c *Cursor) QueryID() string { return c.qid }
+// no observer).
+func (c *Cursor) QueryID() string { return c.st.qid }
 
 // Next returns the next result row as typed values (see ColInfo), or
 // ok=false at end of stream or on error. The returned slice is reused
@@ -223,20 +195,20 @@ func (c *Cursor) Next() (row []any, ok bool, err error) {
 		if r == nil {
 			return
 		}
-		c.logPanic(r)
+		c.st.db.opts.Obs.Logger().Error("query panic mid-stream", "qid", c.st.qid, "err", fmt.Sprint(r), "sql", c.st.sql)
 		row, ok = nil, false
+		err = fmt.Errorf("%w: %v", ErrStatementPanic, r)
 		func() {
 			defer func() { _ = recover() }() // cleanup of a broken pipeline may panic again
-			_ = c.finish()
+			_ = c.finish(err)
 		}()
-		err = fmt.Errorf("%w: %v", ErrStatementPanic, r)
 	}()
 	if c.released {
 		return nil, false, nil
 	}
 	if c.text {
 		if c.lineIdx >= len(c.lines) {
-			return nil, false, c.finish()
+			return nil, false, c.finish(nil)
 		}
 		line := c.lines[c.lineIdx]
 		c.lineIdx++
@@ -245,24 +217,18 @@ func (c *Cursor) Next() (row []any, ok bool, err error) {
 	if c.tuples != nil {
 		t, ok, err := c.tuples.Next()
 		if err != nil || !ok {
-			if cerr := c.finish(); err == nil {
-				err = cerr
-			}
-			return nil, false, err
+			return nil, false, c.finish(err)
 		}
 		out := make([]any, len(c.tupIdx))
 		for i, j := range c.tupIdx {
 			out[i] = tupleValue(t, j)
 		}
-		c.rowsOut++
+		c.st.Rows++
 		return out, true, nil
 	}
 	r, ok, err := c.rows.Next()
 	if err != nil || !ok {
-		if cerr := c.finish(); err == nil {
-			err = cerr
-		}
-		return nil, false, err
+		return nil, false, c.finish(err)
 	}
 	out := make([]any, len(c.cols))
 	for i, ci := range c.cols {
@@ -290,7 +256,7 @@ func (c *Cursor) Next() (row []any, ok bool, err error) {
 			aggIdx++
 		}
 	}
-	c.rowsOut++
+	c.st.Rows++
 	return out, true, nil
 }
 
@@ -310,107 +276,33 @@ func tupleValue(t tuple.Tuple, j int) any {
 	}
 }
 
-// finish closes the iterator and releases the read lock exactly once,
-// returning the iterator's close error (if any). It is also the single
-// point where a query's observability state settles: the execute span
-// ends, the trace finishes into its node tree, the engine metric
-// families absorb the final stats, and the query is logged.
-func (c *Cursor) finish() error {
+// finish ends the stream exactly once: it closes the iterator pipeline and
+// settles the statement — which releases the read lock — with the error
+// that ended the stream (cause, or else the pipeline's close error),
+// returning that error.
+func (c *Cursor) finish(cause error) error {
 	if c.released {
 		return nil
 	}
 	c.released = true
-	var err error
+	err := cause
 	if c.tuples != nil {
-		err = c.tuples.Close()
+		if cerr := c.tuples.Close(); err == nil {
+			err = cerr
+		}
 	}
 	if c.rows != nil {
 		if cerr := c.rows.Close(); err == nil {
 			err = cerr
 		}
 	}
-	c.finishObs(err)
-	if c.cancel != nil {
-		c.cancel()
-	}
-	if !c.noLock {
-		c.db.mu.RUnlock()
-	}
+	c.st.end(err)
 	return err
-}
-
-// logPanic records a cursor panic with its stack before the stream is
-// torn down.
-func (c *Cursor) logPanic(r any) {
-	if o := c.obs; o != nil {
-		o.Logger().Error("query panic mid-stream", "qid", c.qid, "err", fmt.Sprint(r), "sql", c.sql)
-	}
-}
-
-// finishObs settles the cursor's observability state; see finish.
-func (c *Cursor) finishObs(err error) {
-	c.execSp.End()
-	if n := c.trace.Finish(); n != nil {
-		c.node = n
-	}
-	o := c.obs
-	if o == nil {
-		return
-	}
-	dur := time.Since(c.start)
-	strat := c.plan.StrategyName()
-	if st := o.Stats; st != nil && c.norm != "" {
-		st.EndActivity(c.act)
-		c.recordQueryStats(st, err, strat, dur)
-	}
-	em := o.Engine
-	em.Queries.With(strat).Inc()
-	em.QuerySeconds.With(strat).ObserveDuration(dur)
-	em.Rows.Add(c.rowsOut)
-	var q, d, a int64
-	if st, ok := c.plan.ScanStats(); ok {
-		em.PagesRead.Add(int64(st.PagesRead))
-		q, d, a = int64(st.Qualifying), int64(st.Disqualifying), int64(st.Ambivalent)
-		em.Buckets.With("qualify").Add(q)
-		em.Buckets.With("disqualify").Add(d)
-		em.Buckets.With("ambivalent").Add(a)
-		if graded := q + d + a; graded > 0 {
-			em.AmbivalentShare.Observe(float64(a) / float64(graded))
-		}
-	}
-	// The log record is built only for a logger that will take it: most
-	// statements are neither slow nor logged at debug level.
-	level, msg := slog.LevelDebug, "query"
-	if o.Slow > 0 && dur >= o.Slow {
-		em.SlowQueries.Inc()
-		level, msg = slog.LevelWarn, "slow query"
-	}
-	log := o.Logger()
-	if !log.Enabled(context.Background(), level) {
-		return
-	}
-	attrs := []any{
-		"qid", c.qid, "strategy", strat, "dur", dur, "rows", c.rowsOut,
-		"buckets", fmt.Sprintf("%d/%d/%d", q, d, a),
-	}
-	if err != nil {
-		attrs = append(attrs, "err", err)
-	}
-	if level == slog.LevelWarn {
-		attrs = append(attrs, "sql", c.sql)
-	}
-	log.Log(context.Background(), level, msg, attrs...)
 }
 
 // Close releases the cursor's resources and the database read lock. Close
 // is idempotent and safe after the stream has ended.
-func (c *Cursor) Close() error {
-	if c.closed {
-		return nil
-	}
-	c.closed = true
-	return c.finish()
-}
+func (c *Cursor) Close() error { return c.finish(nil) }
 
 // QueryContext parses, plans, and begins executing a SELECT, returning a
 // streaming cursor. The database read lock is held from here until the
@@ -427,72 +319,38 @@ func (db *DB) QueryContext(ctx context.Context, sql string, opts ...QueryOption)
 	return db.queryContext(ctx, sql, opts...)
 }
 
-// queryContext is QueryContext for a plain SELECT.
-func (db *DB) queryContext(ctx context.Context, sql string, opts ...QueryOption) (cur *Cursor, err error) {
-	// Panic boundary, registered first so it runs after the lock-release
-	// defer below during an unwind: a panicking plan or pipeline Open
-	// becomes an error, not a downed process.
-	defer db.recoverQueryPanic(sql, &err)
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	var cancel context.CancelFunc
-	if d := db.opts.StatementTimeout; d > 0 {
-		ctx, cancel = context.WithTimeout(ctx, d)
-	}
-	if err := ctx.Err(); err != nil {
-		if cancel != nil {
-			cancel()
-		}
-		return nil, err
-	}
+// queryContext is QueryContext for a plain SELECT: the statement begins,
+// and either a cursor takes it over (its finish ends it) or it ends here
+// with the error that kept the cursor from existing.
+func (db *DB) queryContext(ctx context.Context, sql string, opts ...QueryOption) (*Cursor, error) {
 	var cfg queryConfig
 	for _, o := range opts {
 		o(&cfg)
 	}
-	start := time.Now()
-	o := db.opts.Obs
-	var qid string
-	if o != nil {
-		// Prefer an id the serving layer already stamped on the context so
-		// engine and request logs correlate.
-		if qid = obs.QueryIDFrom(ctx); qid == "" {
-			qid = o.NextQueryID()
-		}
+	ctx, st := db.begin(ctx, sql, true, cfg.trace)
+	cur, err := db.openCursor(ctx, st, cfg)
+	if err != nil {
+		st.end(err)
+		return nil, err
 	}
-	var tr *obs.Trace
-	if cfg.trace {
-		tr = obs.NewTrace(qid, sql)
+	return cur, nil
+}
+
+// openCursor plans the statement's query under the read lock and opens its
+// pipeline. It is a panic boundary: a panicking plan or pipeline Open
+// becomes an error, not a downed process.
+func (db *DB) openCursor(ctx context.Context, st *statement, cfg queryConfig) (cur *Cursor, err error) {
+	defer db.recoverQueryPanic(st.sql, &err)
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
-	// Register the in-flight statement before planning so the activity
-	// table's own snapshot — materialized at plan time — includes the
-	// query that is reading it.
-	var fp uint64
-	var norm string
-	var act int64
-	st := db.statsC()
-	if st != nil {
-		fp, norm = db.fingerprint(sql)
-		act = st.BeginActivity("query", sql, fp)
-	}
-	db.mu.RLock()
-	ok := false
-	defer func() {
-		if !ok {
-			db.mu.RUnlock()
-			st.EndActivity(act)
-			tr.Finish() // release pooled spans of a failed query
-			if cancel != nil {
-				cancel()
-			}
-		}
-	}()
+	st.rlock()
 	if err := db.checkOpen(); err != nil {
 		return nil, err
 	}
-	plan, err := db.planTracedLocked(sql, tr)
+	plan, err := db.planTracedLocked(st.sql, st.trace)
 	if err != nil {
-		o.Logger().Warn("query rejected", "qid", qid, "err", err, "sql", sql)
+		db.opts.Obs.Logger().Warn("query rejected", "qid", st.qid, "err", err, "sql", st.sql)
 		return nil, err
 	}
 	if cfg.dop > 0 {
@@ -501,26 +359,23 @@ func (db *DB) queryContext(ctx context.Context, sql string, opts ...QueryOption)
 	if cfg.batch != nil {
 		plan.Exec.BatchSize = *cfg.batch
 	}
-	plan.Span = tr.Root().Child("execute")
-	c, err := newCursor(ctx, db, plan)
+	plan.Span = st.trace.Root().Child("execute")
+	st.plan = plan
+	cur, err = newCursor(ctx, st)
 	if err != nil {
-		o.Logger().Warn("query failed", "qid", qid, "err", err, "sql", sql)
+		db.opts.Obs.Logger().Warn("query failed", "qid", st.qid, "err", err, "sql", st.sql)
 		return nil, err
 	}
-	c.obs, c.trace, c.execSp = o, tr, plan.Span
-	c.sql, c.qid, c.start = sql, qid, start
-	c.cancel = cancel
-	c.fp, c.norm, c.act = fp, norm, act
-	ok = true
-	return c, nil
+	return cur, nil
 }
 
 // explainContext implements EXPLAIN and EXPLAIN ANALYZE. Plain EXPLAIN
 // plans the inner query and streams the plan description. EXPLAIN
 // ANALYZE runs the query to completion with tracing forced on and
 // streams the plan description followed by the rendered span tree with
-// per-operator timings and counters; the cursor's Stats and TraceNode
-// reflect the real execution.
+// per-operator timings and counters; the text cursor shares the inner
+// query's settled statement, so its Stats and TraceNode reflect the real
+// execution.
 func (db *DB) explainContext(ctx context.Context, inner string, analyze bool, opts ...QueryOption) (*Cursor, error) {
 	if !analyze {
 		db.mu.RLock()
@@ -533,7 +388,8 @@ func (db *DB) explainContext(ctx context.Context, inner string, analyze bool, op
 		if err != nil {
 			return nil, err
 		}
-		return newTextCursor(db, plan, strings.Split(plan.Explain(), "\n"), nil), nil
+		// Nothing executes, so nothing is recorded: a settled, empty record.
+		return newTextCursor(&statement{db: db, plan: plan, done: true}, strings.Split(plan.Explain(), "\n")), nil
 	}
 	cur, err := db.queryContext(ctx, inner, append(opts, WithTrace(true))...)
 	if err != nil {
@@ -542,28 +398,25 @@ func (db *DB) explainContext(ctx context.Context, inner string, analyze bool, op
 	for {
 		_, more, err := cur.Next()
 		if err != nil {
-			_ = cur.Close()
+			_ = cur.Close() // already finished by the failing Next
 			return nil, err
 		}
 		if !more {
 			break
 		}
 	}
-	node := cur.TraceNode()
-	lines := strings.Split(cur.plan.Explain(), "\n")
+	lines := strings.Split(cur.Plan().Explain(), "\n")
 	lines = append(lines, "")
-	lines = append(lines, strings.Split(strings.TrimRight(node.Render(), "\n"), "\n")...)
-	return newTextCursor(db, cur.plan, lines, node), nil
+	lines = append(lines, strings.Split(strings.TrimRight(cur.TraceNode().Render(), "\n"), "\n")...)
+	return newTextCursor(cur.st, lines), nil
 }
 
 // newTextCursor builds a lock-free cursor streaming pre-rendered lines
 // through a single QUERY PLAN column.
-func newTextCursor(db *DB, plan *planner.Plan, lines []string, node *obs.TraceNode) *Cursor {
+func newTextCursor(st *statement, lines []string) *Cursor {
 	return &Cursor{
-		db:   db,
-		plan: plan,
+		st:   st,
 		cols: []ColInfo{{Name: "QUERY PLAN", Type: tuple.TChar}},
-		text: true, lines: lines, noLock: true,
-		node: node,
+		text: true, lines: lines,
 	}
 }

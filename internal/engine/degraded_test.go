@@ -91,7 +91,7 @@ func TestCorruptPageDegradedMode(t *testing.T) {
 	}
 
 	// The full scan needs page 0.
-	_, err = db.Query(qFull)
+	_, err = engine.Collect(db, qFull)
 	if !storage.IsCorrupt(err) {
 		t.Fatalf("full scan: %v, want CorruptPageError", err)
 	}
@@ -119,7 +119,7 @@ func TestCorruptPageDegradedMode(t *testing.T) {
 		t.Fatalf("pruned sum after degrade = %s, want 1945", got)
 	}
 	// The quarantined page fails fast without re-reading the disk.
-	if _, err := db.Query(qFull); !storage.IsCorrupt(err) {
+	if _, err := engine.Collect(db, qFull); !storage.IsCorrupt(err) {
 		t.Fatalf("second full scan: %v, want CorruptPageError", err)
 	}
 
@@ -301,7 +301,7 @@ func TestQueryPanicDoesNotPoison(t *testing.T) {
 	// surfaces as a worker error; with a single worker it unwinds to the
 	// query boundary as ErrStatementPanic. Either way it is an error, not
 	// a crash.
-	_, err = db.Query("select sum(VALUE) as S from EVENTS")
+	_, err = engine.Collect(db, "select sum(VALUE) as S from EVENTS")
 	if err == nil || !strings.Contains(err.Error(), "panic") {
 		t.Fatalf("panicking query: %v, want contained panic error", err)
 	}

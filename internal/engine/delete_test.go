@@ -23,7 +23,7 @@ func TestEngineDeleteMaintainsSMAs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	before, err := db.Query("select count(*) as N from SALES")
+	before, err := engine.Collect(db, "select count(*) as N from SALES")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestEngineDeleteMaintainsSMAs(t *testing.T) {
 			t.Errorf("after deletes: %v", err)
 		}
 	}
-	after, err := db.Query("select count(*) as N from SALES")
+	after, err := engine.Collect(db, "select count(*) as N from SALES")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -56,22 +56,16 @@ func (db *DB) insertInto(ctx context.Context, s *parser.InsertStmt) (int64, uint
 	if err != nil {
 		return 0, 0, err
 	}
-	maintained := 0
-	defer func() { t.recordMaint(maintained) }()
 	for _, tp := range tuples {
 		if err := ctx.Err(); err != nil {
 			return 0, 0, db.abortStmt(j, err)
 		}
 		rid, err := j.append(tp)
+		if err == nil {
+			err = j.maintain(func(sm *core.SMA) error { return sm.OnAppend(t.Heap, tp, rid) })
+		}
 		if err != nil {
 			return 0, 0, db.abortStmt(j, err)
-		}
-		t.markSMAsDirty()
-		maintained++
-		for _, sm := range t.smas {
-			if err := j.maint(func() error { return sm.OnAppend(t.Heap, tp, rid) }); err != nil {
-				return 0, 0, db.abortStmt(j, err)
-			}
 		}
 	}
 	seq, err := db.commitStmt(j)
@@ -283,21 +277,16 @@ func (db *DB) updateWhere(ctx context.Context, s *parser.UpdateStmt) (int64, uin
 	if err != nil {
 		return 0, 0, err
 	}
-	maintained := 0
-	defer func() { t.recordMaint(maintained) }()
 	for _, pu := range pending {
 		if err := ctx.Err(); err != nil {
 			return 0, 0, db.abortStmt(j, err)
 		}
-		if err := j.update(pu.rid, pu.old, pu.new); err != nil {
-			return 0, 0, db.abortStmt(j, err)
+		err := j.update(pu.rid, pu.old, pu.new)
+		if err == nil {
+			err = j.maintain(func(sm *core.SMA) error { return sm.OnUpdate(t.Heap, pu.old, pu.new, pu.rid) })
 		}
-		t.markSMAsDirty()
-		maintained++
-		for _, sm := range t.smas {
-			if err := j.maint(func() error { return sm.OnUpdate(t.Heap, pu.old, pu.new, pu.rid) }); err != nil {
-				return 0, 0, db.abortStmt(j, err)
-			}
+		if err != nil {
+			return 0, 0, db.abortStmt(j, err)
 		}
 	}
 	seq, err := db.commitStmt(j)

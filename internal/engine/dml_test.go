@@ -61,7 +61,7 @@ func verifyAll(t testing.TB, db *engine.DB, table string) {
 // returns that row.
 func queryOne(t testing.TB, db *engine.DB, sql string) []string {
 	t.Helper()
-	res, err := db.Query(sql)
+	res, err := engine.Collect(db, sql)
 	if err != nil {
 		t.Fatalf("%s: %v", sql, err)
 	}
@@ -203,7 +203,7 @@ func TestInsertAfterLateSMADefinition(t *testing.T) {
 	if row[0] != day("2024-05-02") || row[1] != "113" {
 		t.Errorf("after late-SMA insert: %v", row)
 	}
-	res2, err := db.Query("select KIND, sum(VALUE) from EVENTS group by KIND order by KIND")
+	res2, err := engine.Collect(db, "select KIND, sum(VALUE) from EVENTS group by KIND order by KIND")
 	if err != nil {
 		t.Fatal(err)
 	}

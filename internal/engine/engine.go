@@ -29,6 +29,7 @@ import (
 	"sma/internal/obs"
 	"sma/internal/parser"
 	"sma/internal/planner"
+	"sma/internal/stats"
 	"sma/internal/storage"
 	"sma/internal/tuple"
 	"sma/internal/wal"
@@ -129,18 +130,9 @@ type Table struct {
 	maintFault func() error
 }
 
-// markSMAsDirty flags the table's SMAs for re-save on Close. Called under
-// the write lock by every path that runs maintenance hooks; a table
-// without SMAs has nothing to save.
-func (t *Table) markSMAsDirty() {
-	if len(t.smas) > 0 {
-		t.smaDirty = true
-	}
-}
-
 // recordMaint credits every SMA of t with the maintenance hooks of rows
-// heap mutations. DML statements tally their rows and call it once, after
-// the row loop (an aborted statement reports the rows it reached), so the
+// heap mutations. The statement journal tallies its rows and calls it once
+// when it ends (an aborted statement reports the rows it reached), so the
 // statistics collector is not visited per row per SMA.
 func (t *Table) recordMaint(rows int) {
 	c := t.db.statsC()
@@ -189,7 +181,7 @@ type DB struct {
 	// by SMA DDL, and cursors compute-and-store under db.mu's read lock,
 	// so a stale entry can never be observed.
 	attrMu    sync.Mutex
-	attrCache map[string][]smaAttr
+	attrCache map[string][]stats.SMAUse
 
 	// Statement-fingerprint cache, keyed by raw SQL. Normalizing costs a
 	// full lex (microseconds), real overhead for sub-millisecond
@@ -502,15 +494,11 @@ func (t *Table) Append(tp tuple.Tuple) (storage.RID, error) {
 		return storage.RID{}, err
 	}
 	rid, err := j.append(tp)
+	if err == nil {
+		err = j.maintain(func(s *core.SMA) error { return s.OnAppend(t.Heap, tp, rid) })
+	}
 	if err != nil {
 		return storage.RID{}, db.abortStmt(j, err)
-	}
-	t.markSMAsDirty()
-	t.recordMaint(1)
-	for _, s := range t.smas {
-		if err := j.maint(func() error { return s.OnAppend(t.Heap, tp, rid) }); err != nil {
-			return storage.RID{}, db.abortStmt(j, err)
-		}
 	}
 	if _, err := db.commitStmt(j); err != nil {
 		return storage.RID{}, err
@@ -535,15 +523,12 @@ func (t *Table) Update(rid storage.RID, tp tuple.Tuple) error {
 	if err != nil {
 		return err
 	}
-	if err := j.update(rid, old, tp); err != nil {
-		return db.abortStmt(j, err)
+	err = j.update(rid, old, tp)
+	if err == nil {
+		err = j.maintain(func(s *core.SMA) error { return s.OnUpdate(t.Heap, old, tp, rid) })
 	}
-	t.markSMAsDirty()
-	t.recordMaint(1)
-	for _, s := range t.smas {
-		if err := j.maint(func() error { return s.OnUpdate(t.Heap, old, tp, rid) }); err != nil {
-			return db.abortStmt(j, err)
-		}
+	if err != nil {
+		return db.abortStmt(j, err)
 	}
 	_, err = db.commitStmt(j)
 	return err
@@ -564,15 +549,11 @@ func (t *Table) Delete(rid storage.RID) error {
 		return err
 	}
 	old, err := j.delete(rid)
+	if err == nil {
+		err = j.maintain(func(s *core.SMA) error { return s.OnDelete(t.Heap, old, rid) })
+	}
 	if err != nil {
 		return db.abortStmt(j, err)
-	}
-	t.markSMAsDirty()
-	t.recordMaint(1)
-	for _, s := range t.smas {
-		if err := j.maint(func() error { return s.OnDelete(t.Heap, old, rid) }); err != nil {
-			return db.abortStmt(j, err)
-		}
 	}
 	_, err = db.commitStmt(j)
 	return err
@@ -719,14 +700,6 @@ func (db *DB) DropSMA(table, name string) error {
 	return db.saveCatalog()
 }
 
-// Result is a query result: column names and rows of rendered values plus
-// the raw float aggregates.
-type Result struct {
-	Columns []string
-	Rows    [][]string
-	Plan    *planner.Plan
-}
-
 // Plan parses and plans a query without executing it.
 func (db *DB) Plan(sql string) (*planner.Plan, error) {
 	db.mu.RLock()
@@ -765,115 +738,4 @@ func (db *DB) planTracedLocked(sql string, tr *obs.Trace) (*planner.Plan, error)
 	plan, err := db.pl.PlanQueryTraced(q, t.Heap, t.SMAs(), plSp)
 	plSp.End()
 	return plan, err
-}
-
-// Query parses, plans, executes and renders a SELECT. The read lock is
-// held across planning and execution so concurrent appends cannot mutate
-// SMA vectors mid-query.
-//
-// Like QueryContext, Query is a panic boundary: a panic during planning
-// or execution becomes an error wrapping ErrStatementPanic (reads mutate
-// nothing, so the database is not poisoned). The boundary is registered
-// before the read lock so the lock is released first during unwinding.
-func (db *DB) Query(sql string) (res *Result, err error) {
-	defer db.recoverQueryPanic(sql, &err)
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	plan, err := db.planLocked(sql)
-	if err != nil {
-		return nil, err
-	}
-	it, err := plan.RowIterator(nil)
-	if err != nil {
-		return nil, err
-	}
-	rows, err := exec.CollectRows(it)
-	if err != nil {
-		return nil, err
-	}
-	t, _ := db.table(plan.Query.Table)
-	res = &Result{Plan: plan}
-	// Column headers: select-list order.
-	for _, it := range plan.Query.Items {
-		if it.IsAgg {
-			res.Columns = append(res.Columns, it.Agg.Name)
-		} else {
-			res.Columns = append(res.Columns, it.Col)
-		}
-	}
-	// Map group-by columns to their position in the group key.
-	groupPos := map[string]int{}
-	for i, g := range plan.Query.GroupBy {
-		groupPos[strings.ToUpper(g)] = i
-	}
-	dateCols := map[string]bool{}
-	for _, c := range t.Schema.Columns() {
-		if c.Type == tuple.TDate {
-			dateCols[strings.ToUpper(c.Name)] = true
-		}
-	}
-	for _, r := range rows {
-		var out []string
-		aggIdx := 0
-		for _, it := range plan.Query.Items {
-			if it.IsAgg {
-				out = append(out, formatAgg(r.Aggs[aggIdx]))
-				aggIdx++
-				continue
-			}
-			gv := r.Vals[groupPos[it.Col]]
-			if !gv.IsStr && dateCols[it.Col] {
-				out = append(out, tuple.FormatDate(int32(gv.Num)))
-			} else {
-				out = append(out, gv.String())
-			}
-		}
-		// Aggregates not in the select list cannot happen (specs come from
-		// the list), but keep aggIdx honest.
-		res.Rows = append(res.Rows, out)
-	}
-	return res, nil
-}
-
-// formatAgg renders an aggregate value, trimming integral floats.
-func formatAgg(v float64) string {
-	if v == float64(int64(v)) {
-		return fmt.Sprintf("%d", int64(v))
-	}
-	return fmt.Sprintf("%.4f", v)
-}
-
-// String renders the result as an aligned text table.
-func (r *Result) String() string {
-	widths := make([]int, len(r.Columns))
-	for i, c := range r.Columns {
-		widths[i] = len(c)
-	}
-	for _, row := range r.Rows {
-		for i, v := range row {
-			if len(v) > widths[i] {
-				widths[i] = len(v)
-			}
-		}
-	}
-	var b strings.Builder
-	writeRow := func(cells []string) {
-		for i, c := range cells {
-			if i > 0 {
-				b.WriteString("  ")
-			}
-			fmt.Fprintf(&b, "%-*s", widths[i], c)
-		}
-		b.WriteByte('\n')
-	}
-	writeRow(r.Columns)
-	sep := make([]string, len(r.Columns))
-	for i := range sep {
-		sep[i] = strings.Repeat("-", widths[i])
-	}
-	writeRow(sep)
-	for _, row := range r.Rows {
-		writeRow(row)
-	}
-	return b.String()
 }

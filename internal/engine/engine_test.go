@@ -3,7 +3,7 @@ package engine_test
 import (
 	"os"
 	"path/filepath"
-	"strings"
+	"reflect"
 	"testing"
 
 	"sma/internal/engine"
@@ -56,7 +56,7 @@ func TestEngineEndToEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	res, err := db.Query(`select REGION, sum(AMOUNT) as TOTAL, count(*) as N, avg(AMOUNT) as AVG_A
+	res, err := engine.Collect(db, `select REGION, sum(AMOUNT) as TOTAL, count(*) as N, avg(AMOUNT) as AVG_A
 		from SALES where SALE_DATE <= date '2021-03-31' group by REGION order by REGION`)
 	if err != nil {
 		t.Fatal(err)
@@ -71,8 +71,8 @@ func TestEngineEndToEnd(t *testing.T) {
 	if res.Rows[0][2] != "450" {
 		t.Errorf("count N = %s, want 450", res.Rows[0][2])
 	}
-	if !strings.Contains(res.String(), "REGION") {
-		t.Errorf("result table missing header:\n%s", res.String())
+	if want := []string{"REGION", "TOTAL", "N", "AVG_A"}; !reflect.DeepEqual(res.Columns, want) {
+		t.Errorf("columns = %v, want %v", res.Columns, want)
 	}
 }
 
@@ -90,7 +90,7 @@ func TestEnginePersistence(t *testing.T) {
 	if _, err := db.DefineSMA("define sma amt select sum(AMOUNT * (1 - 0.1)) from SALES group by REGION"); err != nil {
 		t.Fatal(err)
 	}
-	want, err := db.Query("select count(*) as N from SALES where SALE_DATE <= date '2021-02-01'")
+	want, err := engine.Collect(db, "select count(*) as N from SALES where SALE_DATE <= date '2021-02-01'")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestEnginePersistence(t *testing.T) {
 	if err := s.Verify(tbl.Heap); err != nil {
 		t.Errorf("reloaded sma amt: %v", err)
 	}
-	got, err := db2.Query("select count(*) as N from SALES where SALE_DATE <= date '2021-02-01'")
+	got, err := engine.Collect(db2, "select count(*) as N from SALES where SALE_DATE <= date '2021-02-01'")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestEngineAppendMaintainsSMAs(t *testing.T) {
 			t.Errorf("after appends: %v", err)
 		}
 	}
-	res, err := db.Query("select count(*) as N from SALES where SALE_DATE >= date '2022-01-01'")
+	res, err := engine.Collect(db, "select count(*) as N from SALES where SALE_DATE >= date '2022-01-01'")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,10 +215,10 @@ func TestEngineErrors(t *testing.T) {
 	if err := db.DropSMA("SALES", "ok"); err != nil {
 		t.Errorf("drop: %v", err)
 	}
-	if _, err := db.Query("select nonsense"); err == nil {
+	if _, err := engine.Collect(db, "select nonsense"); err == nil {
 		t.Errorf("bad SQL should fail")
 	}
-	if _, err := db.Query("select count(*) from NOPE"); err == nil {
+	if _, err := engine.Collect(db, "select count(*) from NOPE"); err == nil {
 		t.Errorf("query on unknown table should fail")
 	}
 }
@@ -227,7 +227,7 @@ func TestEngineErrors(t *testing.T) {
 func TestEngineDateRendering(t *testing.T) {
 	db, _ := openSales(t, t.TempDir())
 	defer db.Close()
-	res, err := db.Query(`select SALE_DATE, count(*) as N from SALES
+	res, err := engine.Collect(db, `select SALE_DATE, count(*) as N from SALES
 		where SALE_DATE <= date '2021-01-02' group by SALE_DATE order by SALE_DATE`)
 	if err != nil {
 		t.Fatal(err)
@@ -263,7 +263,7 @@ func TestEngineTPCDLoad(t *testing.T) {
 	if _, err := db.DefineSMA("define sma max select max(L_SHIPDATE) from LINEITEM"); err != nil {
 		t.Fatal(err)
 	}
-	res, err := db.Query("select count(*) as N from LINEITEM where L_SHIPDATE <= date '1998-12-01' - interval '90' day")
+	res, err := engine.Collect(db, "select count(*) as N from LINEITEM where L_SHIPDATE <= date '1998-12-01' - interval '90' day")
 	if err != nil {
 		t.Fatal(err)
 	}

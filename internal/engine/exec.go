@@ -3,16 +3,12 @@ package engine
 import (
 	"context"
 	"fmt"
-	"log/slog"
-	"time"
 
 	"sma/internal/core"
 	"sma/internal/parser"
 	"sma/internal/pred"
-	"sma/internal/stats"
 	"sma/internal/storage"
 	"sma/internal/tuple"
-	"sma/internal/wal"
 )
 
 // ExecResult reports the effect of a non-SELECT statement.
@@ -44,136 +40,73 @@ type ExecResult struct {
 // converted to an error wrapping ErrStatementPanic, poisoning the
 // database (the in-memory state may be half-mutated; reopen to recover)
 // but never taking down the process.
-func (db *DB) ExecContext(ctx context.Context, sql string) (res *ExecResult, err error) {
-	defer db.recoverStatementPanic(sql, &err)
-	o := db.opts.Obs
-	st := db.statsC()
-	var fp uint64
-	var norm string
-	var act int64
-	var walBefore wal.Stats
-	if st != nil {
-		fp, norm = db.fingerprint(sql)
-		act = st.BeginActivity("exec", sql, fp)
-		walBefore = db.WALStats()
-	}
-	start := time.Now()
-	res, err = db.execContext(ctx, sql)
-	dur := time.Since(start)
-	if st != nil {
-		st.EndActivity(act)
-		walAfter := db.WALStats()
-		walBytes := int64(walAfter.Bytes - walBefore.Bytes)
-		walSyncs := int64(walAfter.Syncs - walBefore.Syncs)
-		rec := stats.ExecRecord{
-			Fingerprint: fp, Norm: norm, Dur: dur, Err: err != nil,
-			WALBytes: walBytes, WALSyncs: walSyncs,
-		}
-		if res != nil {
-			res.WALBytes, res.WALSyncs = walBytes, walSyncs
-			rec.Kind, rec.Table, rec.RowsAffected = res.Kind, res.Table, res.RowsAffected
-		}
-		if rec.Kind != "reset stats" { // don't repopulate what reset just cleared
-			st.RecordExec(rec)
-		}
-	}
-	if o != nil && err == nil {
-		o.Engine.Execs.With(res.Kind).Inc()
-		o.Engine.ExecSeconds.With(res.Kind).ObserveDuration(dur)
-		level, msg := slog.LevelDebug, "exec"
-		if o.Slow > 0 && dur >= o.Slow {
-			o.Engine.SlowExecs.Inc()
-			level, msg = slog.LevelWarn, "slow exec"
-		}
-		// As in Cursor.finishObs: no record for a logger that drops it.
-		if log := o.Logger(); log.Enabled(context.Background(), level) {
-			attrs := []any{
-				"kind", res.Kind, "table", res.Table, "rows_affected", res.RowsAffected,
-				"dur", dur, "wal_bytes", res.WALBytes, "wal_syncs", res.WALSyncs,
-			}
-			if level == slog.LevelWarn {
-				attrs = append(attrs, "sql", sql)
-			}
-			log.Log(context.Background(), level, msg, attrs...)
-		}
-	}
-	return res, err
-}
-
-// execContext implements ExecContext; the wrapper records metrics.
-func (db *DB) execContext(ctx context.Context, sql string) (*ExecResult, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if d := db.opts.StatementTimeout; d > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, d)
-		defer cancel()
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	st, err := parser.ParseStatement(sql)
+func (db *DB) ExecContext(ctx context.Context, sql string) (*ExecResult, error) {
+	ctx, st := db.begin(ctx, sql, false, false)
+	sma, err := db.execStmt(ctx, st)
+	st.end(err)
 	if err != nil {
 		return nil, err
 	}
-	switch s := st.(type) {
+	return &ExecResult{
+		Kind: st.Kind, Table: st.Table, SMA: sma, RowsAffected: st.RowsAffected,
+		WALBytes: st.WALBytes, WALSyncs: st.WALSyncs,
+	}, nil
+}
+
+// execStmt parses and runs the statement, noting in its record what it
+// is (as soon as that is known, so a failure is still recorded under its
+// kind and table) and what it affected. It is ExecContext's panic
+// boundary.
+func (db *DB) execStmt(ctx context.Context, st *statement) (sma *core.SMA, err error) {
+	defer db.recoverStatementPanic(st.sql, &err)
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	parsed, err := parser.ParseStatement(st.sql)
+	if err != nil {
+		return nil, err
+	}
+	var seq uint64
+	switch s := parsed.(type) {
 	case *parser.SelectStmt:
+		st.Kind = "select"
 		return nil, fmt.Errorf("engine: SELECT statements stream; use QueryContext")
 	case *parser.ExplainStmt:
+		st.Kind = "explain"
 		return nil, fmt.Errorf("engine: EXPLAIN statements stream; use QueryContext")
 	case *parser.ResetStatsStmt:
+		st.Kind = "reset stats"
 		db.statsC().Reset()
-		return &ExecResult{Kind: "reset stats"}, nil
+		return nil, nil
 	case *parser.DefineSMAStmt:
-		sma, err := db.DefineSMADef(s.Def)
-		if err != nil {
-			return nil, err
-		}
-		return &ExecResult{Kind: "define sma", Table: s.Def.Table, SMA: sma}, nil
+		st.Kind, st.Table = "define sma", s.Def.Table
+		return db.DefineSMADef(s.Def)
 	case *parser.DropSMAStmt:
-		if err := db.DropSMA(s.Table, s.Name); err != nil {
-			return nil, err
-		}
-		return &ExecResult{Kind: "drop sma", Table: s.Table}, nil
+		st.Kind, st.Table = "drop sma", s.Table
+		return nil, db.DropSMA(s.Table, s.Name)
 	case *parser.CreateTableStmt:
-		if _, err := db.CreateTable(s.Table, s.Columns); err != nil {
-			return nil, err
-		}
-		return &ExecResult{Kind: "create table", Table: s.Table}, nil
+		st.Kind, st.Table = "create table", s.Table
+		_, err := db.CreateTable(s.Table, s.Columns)
+		return nil, err
 	case *parser.InsertStmt:
-		n, seq, err := db.insertInto(ctx, s)
-		if err != nil {
-			return nil, err
-		}
-		// The durability wait runs after insertInto released the write
-		// lock: a slow fsync never blocks readers, and concurrent
-		// statements share one group-committed fsync.
-		if err := db.waitDurable(seq); err != nil {
-			return nil, err
-		}
-		return &ExecResult{Kind: "insert", Table: s.Table, RowsAffected: n}, nil
+		st.Kind, st.Table = "insert", s.Table
+		st.RowsAffected, seq, err = db.insertInto(ctx, s)
 	case *parser.UpdateStmt:
-		n, seq, err := db.updateWhere(ctx, s)
-		if err != nil {
-			return nil, err
-		}
-		if err := db.waitDurable(seq); err != nil {
-			return nil, err
-		}
-		return &ExecResult{Kind: "update", Table: s.Table, RowsAffected: n}, nil
+		st.Kind, st.Table = "update", s.Table
+		st.RowsAffected, seq, err = db.updateWhere(ctx, s)
 	case *parser.DeleteStmt:
-		n, seq, err := db.deleteWhere(ctx, s.Table, s.Where)
-		if err != nil {
-			return nil, err
-		}
-		if err := db.waitDurable(seq); err != nil {
-			return nil, err
-		}
-		return &ExecResult{Kind: "delete", Table: s.Table, RowsAffected: n}, nil
+		st.Kind, st.Table = "delete", s.Table
+		st.RowsAffected, seq, err = db.deleteWhere(ctx, s.Table, s.Where)
 	default:
-		return nil, fmt.Errorf("engine: unsupported statement %T", st)
+		return nil, fmt.Errorf("engine: unsupported statement %T", parsed)
 	}
+	if err != nil {
+		return nil, err
+	}
+	// The durability wait runs after the DML released the write lock: a
+	// slow fsync never blocks readers, and concurrent statements share one
+	// group-committed fsync.
+	return nil, db.waitDurable(seq)
 }
 
 // deleteWhere removes every tuple matching the predicate (all tuples when
@@ -218,22 +151,16 @@ func (db *DB) deleteWhere(ctx context.Context, table string, p pred.Predicate) (
 	if err != nil {
 		return 0, 0, err
 	}
-	maintained := 0
-	defer func() { t.recordMaint(maintained) }()
 	for _, rid := range rids {
 		if err := ctx.Err(); err != nil {
 			return 0, 0, db.abortStmt(j, err)
 		}
 		old, err := j.delete(rid)
+		if err == nil {
+			err = j.maintain(func(s *core.SMA) error { return s.OnDelete(t.Heap, old, rid) })
+		}
 		if err != nil {
 			return 0, 0, db.abortStmt(j, err)
-		}
-		t.markSMAsDirty()
-		maintained++
-		for _, s := range t.smas {
-			if err := j.maint(func() error { return s.OnDelete(t.Heap, old, rid) }); err != nil {
-				return 0, 0, db.abortStmt(j, err)
-			}
 		}
 	}
 	seq, err := db.commitStmt(j)

@@ -1,0 +1,62 @@
+package engine
+
+import (
+	"context"
+	"fmt"
+	"strconv"
+
+	"sma/internal/planner"
+	"sma/internal/tuple"
+)
+
+// Collected is a drained query: the column names, every row rendered to
+// strings (integral floats trimmed, dates as YYYY-MM-DD), and the plan
+// that produced them.
+type Collected struct {
+	Columns []string
+	Rows    [][]string
+	Plan    *planner.Plan
+}
+
+// Collect runs a SELECT through QueryContext and drains its cursor — the
+// tests' one way to ask "what does this query return". Declared in the
+// package's own test files so both the internal and the external test
+// package can use it.
+func Collect(db *DB, sql string, opts ...QueryOption) (*Collected, error) {
+	cur, err := db.QueryContext(context.Background(), sql, opts...)
+	if err != nil {
+		return nil, err
+	}
+	defer cur.Close()
+	res := &Collected{Plan: cur.Plan()}
+	for _, c := range cur.Columns() {
+		res.Columns = append(res.Columns, c.Name)
+	}
+	for {
+		vals, ok, err := cur.Next()
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			return res, nil
+		}
+		row := make([]string, len(vals))
+		for i, v := range vals {
+			switch x := v.(type) {
+			case string:
+				row[i] = x
+			case int32:
+				row[i] = tuple.FormatDate(x)
+			case int64:
+				row[i] = strconv.FormatInt(x, 10)
+			case float64:
+				if x == float64(int64(x)) {
+					row[i] = strconv.FormatInt(int64(x), 10)
+				} else {
+					row[i] = fmt.Sprintf("%.4f", x)
+				}
+			}
+		}
+		res.Rows = append(res.Rows, row)
+	}
+}

@@ -53,7 +53,7 @@ func TestQuery6Versatility(t *testing.T) {
 		  AND L_SHIPDATE < DATE '1995-01-01'
 		  AND L_DISCOUNT >= 0.05 AND L_DISCOUNT <= 0.07
 		  AND L_QUANTITY < 24`
-	res, err := db.Query(q6)
+	res, err := engine.Collect(db, q6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestQuery6Versatility(t *testing.T) {
 	if err := db.DropSMA("LINEITEM", "max"); err != nil {
 		t.Fatal(err)
 	}
-	base, err := db.Query(q6)
+	base, err := engine.Collect(db, q6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestQuery6Versatility(t *testing.T) {
 // TestHavingAndLimitSQL: HAVING and LIMIT flow end to end.
 func TestHavingAndLimitSQL(t *testing.T) {
 	db := openLineItem(t, 0.001, tpcd.OrderSpec)
-	all, err := db.Query(`select L_RETURNFLAG, count(*) as N from LINEITEM
+	all, err := engine.Collect(db, `select L_RETURNFLAG, count(*) as N from LINEITEM
 		group by L_RETURNFLAG order by L_RETURNFLAG`)
 	if err != nil {
 		t.Fatal(err)
@@ -94,7 +94,7 @@ func TestHavingAndLimitSQL(t *testing.T) {
 	if len(all.Rows) != 3 {
 		t.Fatalf("flags = %d rows", len(all.Rows))
 	}
-	lim, err := db.Query(`select L_RETURNFLAG, count(*) as N from LINEITEM
+	lim, err := engine.Collect(db, `select L_RETURNFLAG, count(*) as N from LINEITEM
 		group by L_RETURNFLAG order by L_RETURNFLAG limit 2`)
 	if err != nil {
 		t.Fatal(err)
@@ -102,7 +102,7 @@ func TestHavingAndLimitSQL(t *testing.T) {
 	if len(lim.Rows) != 2 {
 		t.Errorf("limit 2 returned %d rows", len(lim.Rows))
 	}
-	hav, err := db.Query(`select L_RETURNFLAG, count(*) as N from LINEITEM
+	hav, err := engine.Collect(db, `select L_RETURNFLAG, count(*) as N from LINEITEM
 		group by L_RETURNFLAG having N > 0 and L_RETURNFLAG = 'N' order by L_RETURNFLAG`)
 	if err != nil {
 		t.Fatal(err)
@@ -110,10 +110,10 @@ func TestHavingAndLimitSQL(t *testing.T) {
 	if len(hav.Rows) != 1 || hav.Rows[0][0] != "N" {
 		t.Errorf("having rows = %v", hav.Rows)
 	}
-	if _, err := db.Query(`select count(*) as N from LINEITEM having NOPE > 1`); err == nil {
+	if _, err := engine.Collect(db, `select count(*) as N from LINEITEM having NOPE > 1`); err == nil {
 		t.Errorf("unknown HAVING column should fail")
 	}
-	if _, err := db.Query(`select count(*) as N from LINEITEM limit -1`); err == nil {
+	if _, err := engine.Collect(db, `select count(*) as N from LINEITEM limit -1`); err == nil {
 		t.Errorf("negative limit should fail")
 	}
 }
@@ -140,7 +140,7 @@ func TestComplexPredicates(t *testing.T) {
 	}
 	smaCounts := make([]string, len(queries))
 	for i, q := range queries {
-		res, err := db.Query(q)
+		res, err := engine.Collect(db, q)
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
@@ -153,7 +153,7 @@ func TestComplexPredicates(t *testing.T) {
 		}
 	}
 	for i, q := range queries {
-		res, err := db.Query(q)
+		res, err := engine.Collect(db, q)
 		if err != nil {
 			t.Fatal(err)
 		}

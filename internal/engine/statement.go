@@ -1,0 +1,234 @@
+package engine
+
+import (
+	"context"
+	"fmt"
+	"log/slog"
+	"time"
+
+	"sma/internal/obs"
+	"sma/internal/planner"
+	"sma/internal/pred"
+	"sma/internal/stats"
+	"sma/internal/wal"
+)
+
+// statement is the one record of what a statement did. begin opens it,
+// the execution path fills in what it learns (the plan, rows streamed,
+// the statement kind, rows affected), and end settles it exactly once on
+// every exit path. Everything observable about a finished statement — the
+// sma_stat_* rows, the /metrics families, the slow/debug log line, the
+// trace a cursor and EXPLAIN ANALYZE hand out — is a projection of this
+// struct computed in end, once per statement and never per row.
+type statement struct {
+	// Record is the part the stats collector folds: fingerprint and
+	// normalized text, strategy or statement kind, table, dop, duration,
+	// rows, error flag, pages and §3.1 bucket grades, WAL traffic.
+	stats.Record
+
+	db    *DB // db.opts.Obs == nil: nothing is recorded, only resources are released
+	sql   string
+	qid   string
+	start time.Time
+	act   int64              // activity-registry token
+	trace *obs.Trace         // nil unless the statement is traced
+	plan  *planner.Plan      // the executed plan of a query, once there is one
+	wal   wal.Stats          // log counters at begin (non-SELECT statements)
+	stop  context.CancelFunc // releases the statement-timeout context
+	// locked records that the statement holds db.mu in read mode (a query
+	// from planning until its stream ends); end releases it.
+	locked bool
+	done   bool
+}
+
+// begin opens the record of one statement and returns the context it
+// runs under (bounded by Options.StatementTimeout). The in-flight
+// statement is registered before planning so the activity table's own
+// snapshot — materialized at plan time — includes the query reading it.
+// Every begin is paired with exactly one end.
+func (db *DB) begin(ctx context.Context, sql string, query, traced bool) (context.Context, *statement) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	s := &statement{db: db, sql: sql}
+	s.Query, s.Kind = query, "invalid"
+	activity := "exec"
+	if query {
+		s.Kind, activity = "none", "query"
+	}
+	if d := db.opts.StatementTimeout; d > 0 {
+		ctx, s.stop = context.WithTimeout(ctx, d)
+	}
+	if o := db.opts.Obs; o != nil {
+		// Prefer an id the serving layer already stamped on the context so
+		// engine and request logs correlate.
+		if s.qid = obs.QueryIDFrom(ctx); s.qid == "" {
+			s.qid = o.NextQueryID()
+		}
+		s.Fingerprint, s.Norm = db.fingerprint(sql)
+		if !query {
+			s.wal = db.WALStats()
+		}
+		s.act = o.Stats.BeginActivity(activity, sql, s.Fingerprint)
+		s.start = time.Now()
+	}
+	if traced {
+		s.trace = obs.NewTrace(s.qid, sql)
+	}
+	return ctx, s
+}
+
+// rlock takes the database read lock for the statement; end releases it.
+func (s *statement) rlock() {
+	s.db.mu.RLock()
+	s.locked = true
+}
+
+// end settles the statement with the error that ended it (nil on
+// success): the trace finishes into its node tree, the record is
+// completed from the plan, and — the only place any of this happens — the
+// activity is deregistered, the collector, the engine metric families and
+// the log absorb the record, and the timeout context and the read lock
+// are released. Idempotent, so a cursor's Close after its stream ended is
+// harmless.
+func (s *statement) end(err error) {
+	if s.done {
+		return
+	}
+	s.done = true
+	if s.plan != nil {
+		s.plan.Span.End() // the execute span
+	}
+	s.trace.Finish()
+	if o := s.db.opts.Obs; o != nil {
+		s.Dur = time.Since(s.start)
+		s.Err = err != nil
+		s.settle()
+		o.Stats.EndActivity(s.act)
+		if s.Kind != "reset stats" { // don't repopulate what reset just cleared
+			o.Stats.Record(&s.Record)
+		}
+		em := o.Engine
+		slow, level, msg := em.SlowExecs, slog.LevelDebug, "exec"
+		if s.Query {
+			slow, msg = em.SlowQueries, "query"
+			em.Queries.With(s.Kind).Inc()
+			em.QuerySeconds.With(s.Kind).ObserveDuration(s.Dur)
+			em.Rows.Add(s.Rows)
+			em.PagesRead.Add(s.PagesRead)
+			em.Buckets.With("qualify").Add(s.Qualify)
+			em.Buckets.With("disqualify").Add(s.Disqualify)
+			em.Buckets.With("ambivalent").Add(s.Ambivalent)
+			if graded := s.Qualify + s.Disqualify + s.Ambivalent; graded > 0 {
+				em.AmbivalentShare.Observe(float64(s.Ambivalent) / float64(graded))
+			}
+		} else {
+			em.Execs.With(s.Kind).Inc()
+			em.ExecSeconds.With(s.Kind).ObserveDuration(s.Dur)
+		}
+		if o.Slow > 0 && s.Dur >= o.Slow {
+			slow.Inc()
+			level, msg = slog.LevelWarn, "slow "+msg
+		}
+		// The log record is built only for a logger that will take it: most
+		// statements are neither slow nor logged at debug level.
+		if log := o.Logger(); log.Enabled(context.Background(), level) {
+			attrs := []any{"qid", s.qid, "dur", s.Dur}
+			if s.Query {
+				attrs = append(attrs, "strategy", s.Kind, "rows", s.Rows,
+					"buckets", fmt.Sprintf("%d/%d/%d", s.Qualify, s.Disqualify, s.Ambivalent))
+			} else {
+				attrs = append(attrs, "kind", s.Kind, "table", s.Table, "rows_affected", s.RowsAffected,
+					"wal_bytes", s.WALBytes, "wal_syncs", s.WALSyncs)
+			}
+			if err != nil {
+				attrs = append(attrs, "err", err)
+			}
+			if level == slog.LevelWarn {
+				attrs = append(attrs, "sql", s.sql)
+			}
+			log.Log(context.Background(), level, msg, attrs...)
+		}
+	}
+	if s.stop != nil {
+		s.stop()
+	}
+	if s.locked {
+		s.db.mu.RUnlock()
+	}
+}
+
+// settle completes the record from what only the end of the statement
+// knows: the log traffic since begin, or a query's executed plan and merged
+// scan statistics — read under the read lock the statement still holds,
+// which the per-SMA attribution needs.
+func (s *statement) settle() {
+	if !s.Query {
+		after := s.db.WALStats()
+		s.WALBytes = int64(after.Bytes - s.wal.Bytes)
+		s.WALSyncs = int64(after.Syncs - s.wal.Syncs)
+		return
+	}
+	plan := s.plan
+	if plan == nil {
+		return
+	}
+	s.Kind, s.DOP = plan.StrategyName(), plan.DOP
+	var bucketPages int64 = 1
+	if plan.Heap != nil {
+		bucketPages = int64(plan.Heap.BucketPages)
+	}
+	if ss, ok := plan.ScanStats(); ok {
+		s.PagesRead = int64(ss.PagesRead)
+		s.Qualify = int64(ss.Qualifying)
+		s.Disqualify = int64(ss.Disqualifying)
+		s.Ambivalent = int64(ss.Ambivalent)
+		s.PagesPruned = s.Disqualify * bucketPages
+	}
+	if plan.Mem != nil {
+		return
+	}
+	s.Table = plan.Query.Table
+	if plan.Query.Where == nil {
+		return
+	}
+	for _, a := range pred.Atoms(plan.Query.Where) {
+		// Which vector could disqualify buckets: col <= v prunes when
+		// bucket min > v, col >= v when bucket max < v, equality through
+		// either side. In col-vs-col atoms the right column's direction
+		// mirrors (A < B compares A's min against B's max).
+		var lMin, lMax bool
+		switch a.Op {
+		case pred.Lt, pred.Le:
+			lMin = true
+		case pred.Gt, pred.Ge:
+			lMax = true
+		default:
+			lMin, lMax = true, true
+		}
+		s.FilterCols = mergeFilterCol(s.FilterCols, a.Col, lMin, lMax)
+		s.FilterCols = mergeFilterCol(s.FilterCols, a.RightCol, lMax, lMin)
+	}
+	// Per-SMA effectiveness: what each consulted SMA alone would
+	// disqualify, from the attribution cache.
+	if len(plan.SelSMAs) > 0 {
+		s.SMAs = s.db.smaAttribution(s.sql, plan, bucketPages)
+	}
+}
+
+// mergeFilterCol folds one predicate-column observation into the list,
+// OR-ing the vector needs when the column already appears; filter lists
+// are tiny, so the linear scan beats allocating a set per query.
+func mergeFilterCol(cols []stats.FilterCol, col string, needMin, needMax bool) []stats.FilterCol {
+	if col == "" {
+		return cols
+	}
+	for i := range cols {
+		if cols[i].Col == col {
+			cols[i].NeedMin = cols[i].NeedMin || needMin
+			cols[i].NeedMax = cols[i].NeedMax || needMax
+			return cols
+		}
+	}
+	return append(cols, stats.FilterCol{Col: col, NeedMin: needMin, NeedMax: needMax})
+}

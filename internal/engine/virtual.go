@@ -9,14 +9,12 @@ package engine
 import (
 	"sort"
 	"strings"
-	"time"
 
 	"sma/internal/core"
 	"sma/internal/exec"
 	"sma/internal/obs"
 	"sma/internal/parser"
 	"sma/internal/planner"
-	"sma/internal/pred"
 	"sma/internal/stats"
 )
 
@@ -30,20 +28,25 @@ func (db *DB) statsC() *stats.Collector {
 	return nil
 }
 
+// smaColumn names the column an SMA is about for the stats layer: its
+// aggregate's column, or the group-by column of a one-group count SMA.
+func smaColumn(def core.Def) string {
+	if def.Agg == core.Count && len(def.GroupBy) == 1 {
+		return strings.ToUpper(def.GroupBy[0])
+	}
+	return def.ColumnOf()
+}
+
 // smaCatalog snapshots the defined SMAs for the stats layer's
 // definition-vs-observation joins. Caller holds db.mu (either mode).
 func (db *DB) smaCatalog() []stats.CatalogSMA {
 	var out []stats.CatalogSMA
 	for _, t := range db.tables {
 		for name, s := range t.smas {
-			col := s.Def.ColumnOf()
-			if s.Def.Agg == core.Count && len(s.Def.GroupBy) == 1 {
-				col = strings.ToUpper(s.Def.GroupBy[0])
-			}
 			out = append(out, stats.CatalogSMA{
 				Table:  t.Name,
 				Name:   name,
-				Column: col,
+				Column: smaColumn(s.Def),
 				Kind:   s.Def.Agg.String(),
 			})
 		}
@@ -87,89 +90,6 @@ func (db *DB) planVirtual(q *parser.Query, rel *exec.MemRelation, tr *obs.Trace)
 	return plan, err
 }
 
-// recordQueryStats feeds a finished cursor into the stats collector; the
-// per-SMA attribution runs under the read lock the cursor still holds.
-func (c *Cursor) recordQueryStats(st *stats.Collector, err error, strat string, dur time.Duration) {
-	plan := c.plan
-	rec := stats.QueryRecord{
-		Fingerprint: c.fp,
-		Norm:        c.norm,
-		Strategy:    strat,
-		DOP:         plan.DOP,
-		Dur:         dur,
-		Rows:        c.rowsOut,
-		Err:         err != nil,
-	}
-	if plan.Mem == nil {
-		rec.Table = plan.Query.Table
-		if plan.Query.Where != nil {
-			for _, a := range pred.Atoms(plan.Query.Where) {
-				// Which vector could disqualify buckets: col <= v prunes
-				// when bucket min > v, col >= v when bucket max < v,
-				// equality through either side. In col-vs-col atoms the
-				// right column's direction mirrors (A < B compares A's
-				// min against B's max).
-				var lMin, lMax bool
-				switch a.Op {
-				case pred.Lt, pred.Le:
-					lMin = true
-				case pred.Gt, pred.Ge:
-					lMax = true
-				default:
-					lMin, lMax = true, true
-				}
-				rec.FilterCols = mergeFilterCol(rec.FilterCols, a.Col, lMin, lMax)
-				rec.FilterCols = mergeFilterCol(rec.FilterCols, a.RightCol, lMax, lMin)
-			}
-		}
-	}
-	var bucketPages int64 = 1
-	if plan.Heap != nil {
-		bucketPages = int64(plan.Heap.BucketPages)
-	}
-	if ss, ok := plan.ScanStats(); ok {
-		rec.PagesRead = int64(ss.PagesRead)
-		rec.Qualify = int64(ss.Qualifying)
-		rec.Disqualify = int64(ss.Disqualifying)
-		rec.Ambivalent = int64(ss.Ambivalent)
-		rec.PagesPruned = rec.Disqualify * bucketPages
-	}
-	st.RecordQuery(rec)
-
-	// Per-SMA effectiveness: attribute to each consulted SMA the buckets
-	// it alone would disqualify. The counts come from the attribution
-	// cache — the solo-grading sweep behind them is O(buckets) per SMA,
-	// so hot fingerprints must not repeat it.
-	if plan.Query.Where == nil || len(plan.SelSMAs) == 0 {
-		return
-	}
-	pruning := plan.Strategy != planner.StrategyFullScan
-	for _, a := range c.db.smaAttribution(c.sql, plan) {
-		saved := int64(0)
-		if pruning {
-			saved = a.disq * bucketPages
-		}
-		st.RecordSMA(rec.Table, a.name, a.col, a.kind, a.disq, saved)
-	}
-}
-
-// mergeFilterCol folds one predicate-column observation into the list,
-// OR-ing the vector needs when the column already appears; filter lists
-// are tiny, so the linear scan beats allocating a set per query.
-func mergeFilterCol(cols []stats.FilterCol, col string, needMin, needMax bool) []stats.FilterCol {
-	if col == "" {
-		return cols
-	}
-	for i := range cols {
-		if cols[i].Col == col {
-			cols[i].NeedMin = cols[i].NeedMin || needMin
-			cols[i].NeedMax = cols[i].NeedMax || needMax
-			return cols
-		}
-	}
-	return append(cols, stats.FilterCol{Col: col, NeedMin: needMin, NeedMax: needMax})
-}
-
 // fpEntry is one cached statement fingerprint.
 type fpEntry struct {
 	fp   uint64
@@ -198,13 +118,6 @@ func (db *DB) fingerprint(sql string) (uint64, string) {
 	return fp, norm
 }
 
-// smaAttr is one consulted SMA's solo disqualification count for a
-// particular predicate.
-type smaAttr struct {
-	name, col, kind string
-	disq            int64
-}
-
 // attrCacheMax bounds the attribution cache; when distinct (table,
 // predicate) pairs exceed it the whole map is dropped and rebuilt on
 // demand — correctness never depends on an entry being present.
@@ -219,40 +132,43 @@ func (db *DB) invalidateSMAAttribution() {
 	db.attrMu.Unlock()
 }
 
-// smaAttribution returns each consulted SMA's attribution for the plan's
-// predicate, grading each SMA alone over every bucket on a cache miss.
-// The cache key is the raw SQL text — it pins both the table and the
-// predicate's literals, and unlike rendering the predicate it costs
-// nothing to build. The caller's read lock on db.mu keeps writers out
-// between the grading sweep and the store, so a computed entry cannot be
-// stale by the time it lands in the cache.
-func (db *DB) smaAttribution(key string, plan *planner.Plan) []smaAttr {
+// smaAttribution returns, for each selection SMA the plan consulted, the
+// buckets it alone disqualifies for the plan's predicate and the heap
+// pages that spares (none when the plan scans everything anyway), grading
+// each SMA alone over every bucket on a cache miss. The cache key is the
+// raw SQL text — it pins the table, the predicate's literals and, the
+// planner being deterministic, the strategy; unlike rendering the
+// predicate it costs nothing to build. The caller's read lock on db.mu
+// keeps writers out between the grading sweep and the store, so a
+// computed entry cannot be stale by the time it lands in the cache.
+func (db *DB) smaAttribution(key string, plan *planner.Plan, bucketPages int64) []stats.SMAUse {
 	db.attrMu.Lock()
-	attrs, ok := db.attrCache[key]
+	uses, ok := db.attrCache[key]
 	db.attrMu.Unlock()
 	if ok {
-		return attrs
+		return uses
 	}
-	attrs = make([]smaAttr, 0, len(plan.SelSMAs))
+	if plan.Strategy == planner.StrategyFullScan {
+		bucketPages = 0
+	}
+	uses = make([]stats.SMAUse, 0, len(plan.SelSMAs))
 	for _, s := range plan.SelSMAs {
-		g := core.NewGrader(s)
 		var disq int64
-		for _, gr := range g.GradeAll(plan.Query.Where) {
+		for _, gr := range core.NewGrader(s).GradeAll(plan.Query.Where) {
 			if gr == core.Disqualifies {
 				disq++
 			}
 		}
-		col := s.Def.ColumnOf()
-		if s.Def.Agg == core.Count && len(s.Def.GroupBy) == 1 {
-			col = strings.ToUpper(s.Def.GroupBy[0])
-		}
-		attrs = append(attrs, smaAttr{name: s.Def.Name, col: col, kind: s.Def.Agg.String(), disq: disq})
+		uses = append(uses, stats.SMAUse{
+			Name: s.Def.Name, Column: smaColumn(s.Def), Kind: s.Def.Agg.String(),
+			Disqualified: disq, PagesSaved: disq * bucketPages,
+		})
 	}
 	db.attrMu.Lock()
 	if db.attrCache == nil || len(db.attrCache) >= attrCacheMax {
-		db.attrCache = make(map[string][]smaAttr)
+		db.attrCache = make(map[string][]stats.SMAUse)
 	}
-	db.attrCache[key] = attrs
+	db.attrCache[key] = uses
 	db.attrMu.Unlock()
-	return attrs
+	return uses
 }

@@ -80,6 +80,9 @@ type stmtJournal struct {
 	// statement: a rollback must then also rebuild the SMA vectors, which
 	// are ahead of the restored heap.
 	hooked bool
+	// rows counts the heap mutations handed to maintain, the statement's
+	// maintenance tally (see Table.recordMaint).
+	rows int
 }
 
 // beginStmt opens a statement scope on t: snapshots the heap's append
@@ -165,6 +168,7 @@ func (db *DB) rollbackStmt(j *stmtJournal) error {
 // statement that failed before its first hook leaves the vectors
 // untouched and skips the rebuild.
 func (db *DB) abortStmt(j *stmtJournal, err error) error {
+	defer j.t.recordMaint(j.rows)
 	if rerr := db.rollbackStmt(j); rerr != nil {
 		return errors.Join(err, rerr)
 	}
@@ -188,6 +192,7 @@ func (db *DB) commitStmt(j *stmtJournal) (uint64, error) {
 		return 0, err
 	}
 	j.t.pool.EndBarrier()
+	j.t.recordMaint(j.rows)
 	db.maybeCheckpointLocked()
 	return seq, nil
 }
@@ -205,11 +210,13 @@ func (db *DB) waitDurable(seq uint64) error {
 	return err
 }
 
-// maint runs one SMA maintenance callback through the journal. It marks
-// the statement as hooked (so an abort rebuilds the vectors, which may
-// now be ahead of a rolled-back heap) and first consults the test-only
-// fault hook (crash tests fail maintenance at a precise point to prove
-// statement atomicity). Callers hold db.mu.
+// maintain runs every SMA of the table through hook for one heap mutation
+// the journal just applied: the vectors are flagged for re-save at the
+// next checkpoint, the row joins the statement's maintenance tally, and
+// the statement is marked hooked (so an abort rebuilds the vectors, which
+// may now be ahead of a rolled-back heap). Before each hook the test-only
+// fault hook is consulted (crash tests fail maintenance at a precise
+// point to prove statement atomicity). Callers hold db.mu.
 //
 // Hooks run interleaved with the heap mutations — apply row, hook row —
 // because the incremental maintenance contract requires the heap to
@@ -217,14 +224,23 @@ func (db *DB) waitDurable(seq uint64) error {
 // to a bucket rescan derives the bucket's aggregate from the heap, and
 // later incremental deltas double-apply if the rescan already saw their
 // rows.
-func (j *stmtJournal) maint(fn func() error) error {
-	j.hooked = true
-	if j.t.maintFault != nil {
-		if err := j.t.maintFault(); err != nil {
+func (j *stmtJournal) maintain(hook func(*core.SMA) error) error {
+	t := j.t
+	j.rows++
+	if len(t.smas) > 0 {
+		t.smaDirty, j.hooked = true, true
+	}
+	for _, s := range t.smas {
+		if t.maintFault != nil {
+			if err := t.maintFault(); err != nil {
+				return err
+			}
+		}
+		if err := hook(s); err != nil {
 			return err
 		}
 	}
-	return fn()
+	return nil
 }
 
 // maybeCheckpointLocked checkpoints when the log has outgrown

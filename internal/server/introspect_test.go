@@ -2,13 +2,16 @@ package server_test
 
 import (
 	"context"
+	"fmt"
 	"strconv"
 	"strings"
 	"testing"
 
 	"sma/client"
 	"sma/internal/obs"
+	"sma/internal/parser"
 	"sma/internal/server"
+	"sma/internal/testutil"
 )
 
 // TestIntrospectionOverWire: the introspection catalog streams through the
@@ -87,6 +90,122 @@ func TestIntrospectionOverWire(t *testing.T) {
 	}
 	if count, _, _, ok := rows.Trailer(); !ok || count != n {
 		t.Errorf("trailer count = %d ok=%v, want %d", count, ok, n)
+	}
+}
+
+// TestEverySurfaceAgreesOverWire is the wire half of the engine's
+// TestEverySurfaceAgrees: what the NDJSON trailers reported, statement by
+// statement, is what sma_stat_statements and the /metrics families show —
+// to the row, page and bucket, failed statements included.
+func TestEverySurfaceAgreesOverWire(t *testing.T) {
+	ts := startServer(t, nil, server.Config{})
+	ctx := context.Background()
+	c := client.New(ts.Base)
+	seedSmall(t, c)
+	for _, ddl := range []string{"define sma dmin select min(D) from S", "define sma dmax select max(D) from S"} {
+		if _, err := c.Exec(ctx, ddl); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	type totals struct{ calls, rows, pages, q, d, a int64 }
+	var all totals
+	per := map[string]*totals{}
+	strategies := map[string]int64{}
+	// run streams sql to its trailer and tallies what the trailer said.
+	run := func(sql string, opts ...client.QueryOption) [][]string {
+		t.Helper()
+		rows, err := c.Query(ctx, sql, opts...)
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		defer rows.Close()
+		var out [][]string
+		for rows.Next() {
+			out = append(out, append([]string(nil), rows.Row()...))
+		}
+		count, _, st, ok := rows.Trailer()
+		if err := rows.Err(); err != nil || !ok || st == nil || count != int64(len(out)) {
+			t.Fatalf("%s: err=%v trailer ok=%v stats=%v count=%d of %d rows", sql, err, ok, st, count, len(out))
+		}
+		if per[sql] == nil {
+			per[sql] = &totals{}
+		}
+		for _, tot := range []*totals{&all, per[sql]} {
+			tot.calls++
+			tot.rows += count
+			tot.pages += int64(st.PagesRead)
+			tot.q += int64(st.QualifyingBuckets)
+			tot.d += int64(st.DisqualifyingBuckets)
+			tot.a += int64(st.AmbivalentBuckets)
+		}
+		strategies[rows.Strategy()]++
+		return out
+	}
+	const (
+		grouped = "select K, sum(V) from S group by K"
+		ranged  = "select sum(V) from S where D <= date '2024-01-31'"
+		proj    = "select D, V from S where D >= date '2024-02-01'"
+		noTable = "select count(*) from NOPE"
+		badIns  = "insert into S values (1)"
+	)
+	run(grouped)
+	run(grouped, client.WithTrace())
+	run(ranged)
+	run(proj)
+	if _, err := c.Query(ctx, noTable); err == nil {
+		t.Fatal("query over an unknown table accepted")
+	}
+	strategies["none"]++
+	if _, err := c.Exec(ctx, badIns); err == nil {
+		t.Fatal("short insert accepted")
+	}
+	history := []string{grouped, ranged, proj}
+	stmts := run("select fingerprint, calls, errors, rows, pages_read, qualify, disqualify, ambivalent from sma_stat_statements")
+
+	// rowFor finds a statement's row by fingerprint: calls, errors, rows,
+	// pages_read, qualify, disqualify, ambivalent.
+	rowFor := func(sql string) string {
+		t.Helper()
+		fp, _ := parser.Fingerprint(sql)
+		for _, row := range stmts {
+			if row[0] == fmt.Sprintf("%016x", fp) {
+				return strings.Join(row[1:], " ")
+			}
+		}
+		t.Errorf("%s: no sma_stat_statements row", sql)
+		return ""
+	}
+	for _, sql := range history {
+		want := per[sql]
+		if got, exp := rowFor(sql), fmt.Sprint(want.calls, 0, want.rows, want.pages, want.q, want.d, want.a); got != exp {
+			t.Errorf("%s: sma_stat_statements [%s], trailers reported [%s]", sql, got, exp)
+		}
+	}
+	for _, sql := range []string{noTable, badIns} {
+		if got := rowFor(sql); got != "1 1 0 0 0 0 0" {
+			t.Errorf("%s: sma_stat_statements [%s], want one call, one error", sql, got)
+		}
+	}
+
+	expo := fetchMetrics(t, ts.Base)
+	want := map[string]int64{
+		"sma_engine_rows_total":                          all.rows,
+		"sma_engine_pages_read_total":                    all.pages,
+		`sma_engine_buckets_total{outcome="qualify"}`:    all.q,
+		`sma_engine_buckets_total{outcome="disqualify"}`: all.d,
+		`sma_engine_buckets_total{outcome="ambivalent"}`: all.a,
+		`sma_engine_execs_total{kind="create table"}`:    1,
+		`sma_engine_execs_total{kind="define sma"}`:      2,
+		`sma_engine_execs_total{kind="insert"}`:          2, // the seed and the failed one
+	}
+	for strategy, n := range strategies {
+		want[fmt.Sprintf("sma_engine_queries_total{strategy=%q}", strategy)] = n
+	}
+	for series, n := range want {
+		if got := testutil.Metric(t, expo, series); got != n {
+			t.Errorf("%s = %d, trailers reported %d", series, got, n)
+		}
 	}
 }
 

@@ -99,7 +99,7 @@ type ColStats struct {
 	NeedMax int64
 }
 
-// FilterCol is one predicate column observation inside a QueryRecord.
+// FilterCol is one predicate column observation inside a Record.
 type FilterCol struct {
 	Col     string
 	NeedMin bool
@@ -133,16 +133,37 @@ type Activity struct {
 	Start       time.Time
 }
 
-// QueryRecord is everything the engine knows about one finished query.
-type QueryRecord struct {
+// SMAUse is one selection SMA a query's planning consulted, with what that
+// SMA alone bought for the query's predicate.
+type SMAUse struct {
+	Name   string
+	Column string
+	Kind   string
+
+	Disqualified int64 // buckets this SMA alone disqualifies
+	PagesSaved   int64 // heap pages that spared; zero when the plan scanned everything anyway
+}
+
+// Record is everything the engine knows about one finished statement, and
+// the collector's only input: the engine opens one per statement, settles
+// it once when the statement ends (success or failure), and every
+// accumulator here is a fold over its fields.
+type Record struct {
 	Fingerprint uint64
 	Norm        string
-	Table       string // empty for virtual tables
-	Strategy    string
-	DOP         int
-	Dur         time.Duration
-	Rows        int64
-	Err         bool
+	// Query marks a SELECT, whose Kind is the plan's strategy ("none" when
+	// it failed before a plan existed). Otherwise Kind names the statement
+	// ("insert", "update", "delete", "create table", ...; "invalid" when
+	// it did not parse).
+	Query bool
+	Kind  string
+	Table string // empty for virtual tables and for failures before the table was known
+	DOP   int
+	Dur   time.Duration
+	Err   bool
+
+	Rows         int64 // rows a query streamed
+	RowsAffected int64 // rows DML wrote
 
 	PagesRead   int64
 	PagesPruned int64
@@ -150,21 +171,11 @@ type QueryRecord struct {
 	Disqualify  int64
 	Ambivalent  int64
 
-	FilterCols []FilterCol // predicate columns with operator direction, for the advisor
-}
+	WALBytes int64
+	WALSyncs int64
 
-// ExecRecord is everything the engine knows about one finished DML/DDL
-// statement.
-type ExecRecord struct {
-	Fingerprint  uint64
-	Norm         string
-	Kind         string // "insert", "update", "delete", "create table", ...
-	Table        string
-	Dur          time.Duration
-	RowsAffected int64
-	WALBytes     int64
-	WALSyncs     int64
-	Err          bool
+	FilterCols []FilterCol // predicate columns with operator direction, for the advisor
+	SMAs       []SMAUse    // selection SMAs the plan consulted
 }
 
 const shardCount = 16
@@ -248,21 +259,25 @@ func (st *Statement) observe(dur time.Duration, isErr bool) {
 	st.latN++
 }
 
-// RecordQuery folds one finished query into the statement, table, and
-// column accumulators.
-func (c *Collector) RecordQuery(r QueryRecord) {
+// Record folds one finished statement into the statement, table, column,
+// and SMA accumulators. Fields that do not apply to the statement's kind
+// are zero and fold as such.
+func (c *Collector) Record(r *Record) {
 	if c == nil {
 		return
 	}
 	sh, st := c.stmt(r.Fingerprint, r.Norm)
 	st.observe(r.Dur, r.Err)
 	st.Rows += r.Rows
+	st.RowsAffected += r.RowsAffected
 	st.PagesRead += r.PagesRead
 	st.PagesPruned += r.PagesPruned
 	st.Qualify += r.Qualify
 	st.Disqualify += r.Disqualify
 	st.Ambivalent += r.Ambivalent
-	st.Strategy = r.Strategy
+	st.WALBytes += r.WALBytes
+	st.WALSyncs += r.WALSyncs
+	st.Strategy = r.Kind
 	st.DOP = r.DOP
 	sh.mu.Unlock()
 
@@ -271,10 +286,22 @@ func (c *Collector) RecordQuery(r QueryRecord) {
 	}
 	c.mu.Lock()
 	ts := c.tableLocked(r.Table)
-	ts.Scans++
+	switch {
+	case r.Query:
+		ts.Scans++
+	case r.Err: // rolled back: the table saw no insert, update or delete
+	case r.Kind == "insert":
+		ts.Inserts++
+	case r.Kind == "update":
+		ts.Updates++
+	case r.Kind == "delete":
+		ts.Deletes++
+	}
 	ts.RowsRead += r.Rows
 	ts.PagesRead += r.PagesRead
 	ts.PagesPruned += r.PagesPruned
+	ts.RowsAffected += r.RowsAffected
+	ts.WALBytes += r.WALBytes
 	for _, fc := range r.FilterCols {
 		cs := ts.cols[fc.Col]
 		if cs == nil {
@@ -291,37 +318,13 @@ func (c *Collector) RecordQuery(r QueryRecord) {
 			cs.NeedMax++
 		}
 	}
-	c.mu.Unlock()
-}
-
-// RecordExec folds one finished DML/DDL statement into the accumulators.
-func (c *Collector) RecordExec(r ExecRecord) {
-	if c == nil {
-		return
+	for _, u := range r.SMAs {
+		s := c.smaLocked(r.Table, u.Name)
+		s.Column, s.Kind = u.Column, u.Kind
+		s.Consulted++
+		s.Disqualified += u.Disqualified
+		s.PagesSaved += u.PagesSaved
 	}
-	sh, st := c.stmt(r.Fingerprint, r.Norm)
-	st.observe(r.Dur, r.Err)
-	st.RowsAffected += r.RowsAffected
-	st.WALBytes += r.WALBytes
-	st.WALSyncs += r.WALSyncs
-	st.Strategy = r.Kind
-	sh.mu.Unlock()
-
-	if r.Table == "" {
-		return
-	}
-	c.mu.Lock()
-	ts := c.tableLocked(r.Table)
-	switch r.Kind {
-	case "insert":
-		ts.Inserts++
-	case "update":
-		ts.Updates++
-	case "delete":
-		ts.Deletes++
-	}
-	ts.RowsAffected += r.RowsAffected
-	ts.WALBytes += r.WALBytes
 	c.mu.Unlock()
 }
 
@@ -336,36 +339,16 @@ func (c *Collector) tableLocked(name string) *TableStats {
 
 func smaKey(table, name string) string { return table + "\x00" + name }
 
-func (c *Collector) sma(table, name, column, kind string) *SMAStats {
+// smaLocked returns the counters of one SMA, creating them on first
+// sight; callers hold c.mu for writing.
+func (c *Collector) smaLocked(table, name string) *SMAStats {
 	key := smaKey(table, name)
-	c.mu.RLock()
 	s := c.smas[key]
-	c.mu.RUnlock()
-	if s != nil {
-		return s
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if s = c.smas[key]; s == nil {
-		s = &SMAStats{Table: table, Name: name, Column: column, Kind: kind}
+	if s == nil {
+		s = &SMAStats{Table: table, Name: name}
 		c.smas[key] = s
 	}
 	return s
-}
-
-// RecordSMA notes that planning consulted an SMA and what it bought:
-// buckets it alone would disqualify and the heap pages that pruning saved
-// (zero when the plan fell back to a full scan).
-func (c *Collector) RecordSMA(table, name, column, kind string, disqualified, pagesSaved int64) {
-	if c == nil {
-		return
-	}
-	s := c.sma(table, name, column, kind)
-	c.mu.Lock()
-	s.Consulted++
-	s.Disqualified += disqualified
-	s.PagesSaved += pagesSaved
-	c.mu.Unlock()
 }
 
 // RecordMaint counts n SMA maintenance-hook invocations. The DML path
@@ -374,15 +357,8 @@ func (c *Collector) RecordMaint(table, name string, n int64) {
 	if c == nil || n == 0 {
 		return
 	}
-	key := smaKey(table, name)
-	c.mu.RLock()
-	s := c.smas[key]
-	c.mu.RUnlock()
-	if s == nil {
-		s = c.sma(table, name, "", "")
-	}
 	c.mu.Lock()
-	s.MaintOps += n
+	c.smaLocked(table, name).MaintOps += n
 	c.mu.Unlock()
 }
 

@@ -7,18 +7,24 @@ import (
 	"time"
 )
 
+// consult records one query over table whose plan consulted a single SMA.
+func consult(c *Collector, table, name, column, kind string, disqualified, pagesSaved int64) {
+	c.Record(&Record{Query: true, Table: table, SMAs: []SMAUse{
+		{Name: name, Column: column, Kind: kind, Disqualified: disqualified, PagesSaved: pagesSaved}}})
+}
+
 func TestRecordQueryAccumulates(t *testing.T) {
 	c := New()
 	for i := 0; i < 3; i++ {
-		c.RecordQuery(QueryRecord{
-			Fingerprint: 7, Norm: "select * from sales where amount > ?",
-			Table: "SALES", Strategy: "SMA_Scan", DOP: 2,
+		c.Record(&Record{
+			Query: true, Fingerprint: 7, Norm: "select * from sales where amount > ?",
+			Table: "SALES", Kind: "SMA_Scan", DOP: 2,
 			Dur: time.Duration(i+1) * time.Millisecond, Rows: 10,
 			PagesRead: 4, PagesPruned: 6, Qualify: 1, Disqualify: 6, Ambivalent: 3,
 			FilterCols: []FilterCol{{Col: "AMOUNT", NeedMin: true}},
 		})
 	}
-	c.RecordQuery(QueryRecord{Fingerprint: 7, Norm: "…", Table: "SALES", Dur: time.Millisecond, Err: true})
+	c.Record(&Record{Query: true, Fingerprint: 7, Norm: "…", Table: "SALES", Dur: time.Millisecond, Err: true})
 
 	sts := c.Statements()
 	if len(sts) != 1 {
@@ -62,11 +68,11 @@ func TestRecordQueryAccumulates(t *testing.T) {
 
 func TestRecordExecAccumulates(t *testing.T) {
 	c := New()
-	c.RecordExec(ExecRecord{Fingerprint: 1, Norm: "insert into t values ( ? )", Kind: "insert",
+	c.Record(&Record{Fingerprint: 1, Norm: "insert into t values ( ? )", Kind: "insert",
 		Table: "T", Dur: time.Millisecond, RowsAffected: 1, WALBytes: 100, WALSyncs: 1})
-	c.RecordExec(ExecRecord{Fingerprint: 2, Norm: "delete from t where a = ?", Kind: "delete",
+	c.Record(&Record{Fingerprint: 2, Norm: "delete from t where a = ?", Kind: "delete",
 		Table: "T", Dur: 2 * time.Millisecond, RowsAffected: 5, WALBytes: 300, WALSyncs: 2})
-	c.RecordExec(ExecRecord{Fingerprint: 3, Norm: "update t set a = ?", Kind: "update",
+	c.Record(&Record{Fingerprint: 3, Norm: "update t set a = ?", Kind: "update",
 		Table: "T", Dur: time.Millisecond, RowsAffected: 2, WALBytes: 50, WALSyncs: 1})
 
 	tabs := c.Tables()
@@ -89,8 +95,8 @@ func TestRecordExecAccumulates(t *testing.T) {
 
 func TestStatementsSortedByTotal(t *testing.T) {
 	c := New()
-	c.RecordQuery(QueryRecord{Fingerprint: 1, Norm: "cheap", Dur: time.Millisecond})
-	c.RecordQuery(QueryRecord{Fingerprint: 2, Norm: "dear", Dur: time.Second})
+	c.Record(&Record{Query: true, Fingerprint: 1, Norm: "cheap", Dur: time.Millisecond})
+	c.Record(&Record{Query: true, Fingerprint: 2, Norm: "dear", Dur: time.Second})
 	sts := c.Statements()
 	if len(sts) != 2 || sts[0].Text != "dear" || sts[1].Text != "cheap" {
 		t.Errorf("order = %+v", sts)
@@ -99,8 +105,8 @@ func TestStatementsSortedByTotal(t *testing.T) {
 
 func TestSMACountersAndMaint(t *testing.T) {
 	c := New()
-	c.RecordSMA("SALES", "dmin", "SALE_DATE", "min", 5, 10)
-	c.RecordSMA("SALES", "dmin", "SALE_DATE", "min", 0, 0)
+	consult(c, "SALES", "dmin", "SALE_DATE", "min", 5, 10)
+	consult(c, "SALES", "dmin", "SALE_DATE", "min", 0, 0)
 	c.RecordMaint("SALES", "dmin", 1)
 	c.RecordMaint("SALES", "dmin", 99) // a 99-row statement, recorded once
 	c.RecordMaint("SALES", "dmin", 0)
@@ -138,8 +144,8 @@ func TestActivities(t *testing.T) {
 
 func TestResetZeroesCounters(t *testing.T) {
 	c := New()
-	c.RecordQuery(QueryRecord{Fingerprint: 1, Norm: "q", Table: "T", Dur: time.Millisecond})
-	c.RecordSMA("T", "s", "A", "min", 1, 2)
+	c.Record(&Record{Query: true, Fingerprint: 1, Norm: "q", Table: "T", Dur: time.Millisecond})
+	consult(c, "T", "s", "A", "min", 1, 2)
 	c.Reset()
 	if len(c.Statements()) != 0 || len(c.SMAs()) != 0 || len(c.Tables()) != 0 {
 		t.Errorf("post-reset: %d stmts, %d smas, %d tables",
@@ -151,9 +157,9 @@ func TestResetZeroesCounters(t *testing.T) {
 // enabled checks.
 func TestNilCollector(t *testing.T) {
 	var c *Collector
-	c.RecordQuery(QueryRecord{})
-	c.RecordExec(ExecRecord{})
-	c.RecordSMA("t", "s", "c", "min", 1, 1)
+	c.Record(&Record{Query: true})
+	c.Record(&Record{})
+	consult(c, "t", "s", "c", "min", 1, 1)
 	c.RecordMaint("t", "s", 1)
 	c.EndActivity(c.BeginActivity("query", "q", 1))
 	c.Reset()
@@ -169,7 +175,7 @@ func TestQuantilesWindow(t *testing.T) {
 	c := New()
 	// Overflow the ring: the window keeps only the most recent latRing.
 	for i := 0; i < latRing+50; i++ {
-		c.RecordQuery(QueryRecord{Fingerprint: 9, Norm: "q", Dur: time.Duration(i+1) * time.Microsecond})
+		c.Record(&Record{Query: true, Fingerprint: 9, Norm: "q", Dur: time.Duration(i+1) * time.Microsecond})
 	}
 	st := c.Statements()[0]
 	p50, p99 := st.Quantiles()
@@ -185,21 +191,21 @@ func TestAdvise(t *testing.T) {
 	c := New()
 	// AMOUNT: filtered twice, pages read, nothing pruned, no covering SMA → add.
 	for i := 0; i < 2; i++ {
-		c.RecordQuery(QueryRecord{Fingerprint: 1, Norm: "q", Table: "SALES",
+		c.Record(&Record{Query: true, Fingerprint: 1, Norm: "q", Table: "SALES",
 			Dur: time.Millisecond, PagesRead: 40, FilterCols: []FilterCol{{Col: "AMOUNT", NeedMin: true}}})
 	}
 	// REGION: filtered once only → below adviseMinFilters, no advice.
-	c.RecordQuery(QueryRecord{Fingerprint: 2, Norm: "q2", Table: "SALES",
+	c.Record(&Record{Query: true, Fingerprint: 2, Norm: "q2", Table: "SALES",
 		Dur: time.Millisecond, PagesRead: 40, FilterCols: []FilterCol{{Col: "REGION", NeedMin: true, NeedMax: true}}})
 	// SALE_DATE: covered by the catalog → no advice even though unpruned.
 	for i := 0; i < 2; i++ {
-		c.RecordQuery(QueryRecord{Fingerprint: 3, Norm: "q3", Table: "SALES",
+		c.Record(&Record{Query: true, Fingerprint: 3, Norm: "q3", Table: "SALES",
 			Dur: time.Millisecond, PagesRead: 40, FilterCols: []FilterCol{{Col: "SALE_DATE", NeedMin: true}}})
 	}
 	// dead: consulted, never disqualified → drop. live: disqualified → keep.
-	c.RecordSMA("SALES", "dead", "SALE_DATE", "min", 0, 0)
+	consult(c, "SALES", "dead", "SALE_DATE", "min", 0, 0)
 	c.RecordMaint("SALES", "dead", 1)
-	c.RecordSMA("SALES", "live", "SALE_DATE", "max", 3, 9)
+	consult(c, "SALES", "live", "SALE_DATE", "max", 3, 9)
 
 	catalog := []CatalogSMA{
 		{Table: "SALES", Name: "dead", Column: "SALE_DATE", Kind: "min"},
@@ -234,12 +240,12 @@ func TestAdviseOperatorAware(t *testing.T) {
 	c := New()
 	// D: filtered twice with >= → a max vector is what prunes.
 	for i := 0; i < 2; i++ {
-		c.RecordQuery(QueryRecord{Fingerprint: 1, Norm: "q", Table: "T",
+		c.Record(&Record{Query: true, Fingerprint: 1, Norm: "q", Table: "T",
 			Dur: time.Millisecond, PagesRead: 40, FilterCols: []FilterCol{{Col: "D", NeedMax: true}}})
 	}
 	// E: min SMA defined but the workload filters with >= only.
 	for i := 0; i < 2; i++ {
-		c.RecordQuery(QueryRecord{Fingerprint: 2, Norm: "q2", Table: "T",
+		c.Record(&Record{Query: true, Fingerprint: 2, Norm: "q2", Table: "T",
 			Dur: time.Millisecond, PagesRead: 40, FilterCols: []FilterCol{{Col: "E", NeedMax: true}}})
 	}
 	catalog := []CatalogSMA{{Table: "T", Name: "e_min", Column: "E", Kind: "min"}}
@@ -274,7 +280,7 @@ func TestAdviseOperatorAware(t *testing.T) {
 func TestAdviseAddClearsAfterPruning(t *testing.T) {
 	c := New()
 	for i := 0; i < 2; i++ {
-		c.RecordQuery(QueryRecord{Fingerprint: 1, Norm: "q", Table: "T",
+		c.Record(&Record{Query: true, Fingerprint: 1, Norm: "q", Table: "T",
 			Dur: time.Millisecond, PagesRead: 10, PagesPruned: 30, FilterCols: []FilterCol{{Col: "A", NeedMin: true}}})
 	}
 	if advice := Advise(c, nil); len(advice) != 0 {
@@ -291,9 +297,9 @@ func TestCollectorConcurrency(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				fp := uint64(g*1000 + i%10)
-				c.RecordQuery(QueryRecord{Fingerprint: fp, Norm: fmt.Sprintf("q%d", fp),
-					Table: "T", Dur: time.Microsecond, FilterCols: []FilterCol{{Col: "A", NeedMin: true}}})
-				c.RecordSMA("T", "s", "A", "min", 1, 1)
+				c.Record(&Record{Query: true, Fingerprint: fp, Norm: fmt.Sprintf("q%d", fp),
+					Table: "T", Dur: time.Microsecond, FilterCols: []FilterCol{{Col: "A", NeedMin: true}},
+					SMAs: []SMAUse{{Name: "s", Column: "A", Kind: "min", Disqualified: 1, PagesSaved: 1}}})
 				c.RecordMaint("T", "s", 1)
 				c.EndActivity(c.BeginActivity("query", "q", fp))
 			}

@@ -36,8 +36,8 @@ func TestRelationForNilCollector(t *testing.T) {
 
 func TestStatementsRelationRendering(t *testing.T) {
 	c := New()
-	c.RecordQuery(QueryRecord{Fingerprint: 0xabc, Norm: "select * from t where a > ?",
-		Table: "T", Strategy: "SMA_Scan", DOP: 2, Dur: 3 * time.Millisecond,
+	c.Record(&Record{Query: true, Fingerprint: 0xabc, Norm: "select * from t where a > ?",
+		Table: "T", Kind: "SMA_Scan", DOP: 2, Dur: 3 * time.Millisecond,
 		Rows: 7, PagesRead: 4, PagesPruned: 12})
 	rel, ok := RelationFor("sma_stat_statements", c, nil)
 	if !ok || len(rel.Tuples) != 1 {
@@ -66,8 +66,8 @@ func TestStatementsRelationRendering(t *testing.T) {
 // never consulted; dropped SMAs (absent from the catalog) don't appear.
 func TestSMAsRelationCatalogDriven(t *testing.T) {
 	c := New()
-	c.RecordSMA("T", "used", "A", "min", 2, 8)
-	c.RecordSMA("T", "dropped", "B", "max", 1, 1)
+	consult(c, "T", "used", "A", "min", 2, 8)
+	consult(c, "T", "dropped", "B", "max", 1, 1)
 	catalog := []CatalogSMA{
 		{Table: "T", Name: "used", Column: "A", Kind: "min"},
 		{Table: "T", Name: "fresh", Column: "C", Kind: "max"},
@@ -96,7 +96,7 @@ func TestSMAsRelationCatalogDriven(t *testing.T) {
 func TestSetCharTruncates(t *testing.T) {
 	c := New()
 	long := strings.Repeat("x", 200)
-	c.RecordQuery(QueryRecord{Fingerprint: 1, Norm: "select " + long, Dur: time.Millisecond})
+	c.Record(&Record{Query: true, Fingerprint: 1, Norm: "select " + long, Dur: time.Millisecond})
 	rel, _ := RelationFor(TableStatements, c, nil)
 	if got := rel.Tuples[0].Char(19); len(got) != 96 {
 		t.Errorf("query length = %d, want 96", len(got))

@@ -1,11 +1,13 @@
 // Package testutil provides shared helpers for the test suites: temporary
 // heap files, small canned relations (including the paper's Figure 1
-// example), and tolerance comparison.
+// example), tolerance comparison, and reading a metrics exposition.
 package testutil
 
 import (
 	"math"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"testing"
 
 	"sma/internal/storage"
@@ -118,4 +120,19 @@ func WantFloat(t *testing.T, name string, got, want float64) {
 	if !AlmostEqual(got, want) {
 		t.Errorf("%s = %v, want %v", name, got, want)
 	}
+}
+
+// Metric reads one series ("name" or `name{label="v"}`) from a Prometheus
+// text exposition; a series that was never touched reads 0.
+func Metric(t testing.TB, expo []byte, series string) int64 {
+	t.Helper()
+	m := regexp.MustCompile(`(?m)^` + regexp.QuoteMeta(series) + ` (\S+)$`).FindSubmatch(expo)
+	if m == nil {
+		return 0
+	}
+	v, err := strconv.ParseFloat(string(m[1]), 64)
+	if err != nil {
+		t.Fatalf("series %s: %v", series, err)
+	}
+	return int64(v)
 }

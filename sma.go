@@ -205,29 +205,18 @@ func WithoutObservability() Option {
 
 // QueryOption adjusts the execution of a single query; pass options to
 // QueryContext.
-type QueryOption func(*queryConfig)
-
-// queryConfig collects per-query overrides.
-type queryConfig struct {
-	dop   int
-	batch *int
-	trace bool
-}
+type QueryOption = engine.QueryOption
 
 // WithQueryParallelism overrides the database's degree of parallelism for
 // one query: 1 forces serial execution, n > 1 requests n partition workers
 // (capped by the work the plan dispatches), 0 keeps the database default.
-func WithQueryParallelism(n int) QueryOption {
-	return func(c *queryConfig) { c.dop = n }
-}
+func WithQueryParallelism(n int) QueryOption { return engine.WithDOP(n) }
 
 // WithQueryBatchSize overrides the database's tuples-per-batch target for
 // one query; n <= 0 batches at the default size. Results are identical
 // for every n; the knob exists for serving layers that let clients choose
 // per request.
-func WithQueryBatchSize(n int) QueryOption {
-	return func(c *queryConfig) { c.batch = &n }
-}
+func WithQueryBatchSize(n int) QueryOption { return engine.WithBatchSize(n) }
 
 // WithQueryTrace records a per-operator execution trace for one query:
 // a span tree over the real pipeline (parse → plan → grade → execute →
@@ -237,9 +226,7 @@ func WithQueryBatchSize(n int) QueryOption {
 // available from Rows.Trace once the stream ends. Tracing costs pooled
 // span records and a few time stamps per operator call; queries without
 // it pay one nil check.
-func WithQueryTrace() QueryOption {
-	return func(c *queryConfig) { c.trace = true }
-}
+func WithQueryTrace() QueryOption { return engine.WithTrace(true) }
 
 // DB is an embedded warehouse instance rooted at a directory. A DB is safe
 // for concurrent use: queries hold a read lock while their cursor is open,
@@ -441,21 +428,7 @@ func (db *DB) CreateTable(name string, cols []Column) (*Table, error) {
 // same way. The caller must Close the returned Rows to release the read
 // lock.
 func (db *DB) QueryContext(ctx context.Context, query string, opts ...QueryOption) (*Rows, error) {
-	var cfg queryConfig
-	for _, o := range opts {
-		o(&cfg)
-	}
-	var eopts []engine.QueryOption
-	if cfg.dop != 0 {
-		eopts = append(eopts, engine.WithDOP(cfg.dop))
-	}
-	if cfg.batch != nil {
-		eopts = append(eopts, engine.WithBatchSize(*cfg.batch))
-	}
-	if cfg.trace {
-		eopts = append(eopts, engine.WithTrace(true))
-	}
-	cur, err := db.eng.QueryContext(ctx, query, eopts...)
+	cur, err := db.eng.QueryContext(ctx, query, opts...)
 	if err != nil {
 		return nil, err
 	}
