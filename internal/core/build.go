@@ -8,193 +8,85 @@ import (
 	"sma/internal/tuple"
 )
 
-// acc accumulates one bucket's aggregate for one group.
-type acc struct {
-	vals []GroupVal
-	cnt  int64
-	sum  float64
-	min  float64
-	max  float64
-	seen bool
-}
-
-func (a *acc) add(v float64) {
-	a.cnt++
-	a.sum += v
-	if !a.seen || v < a.min {
-		a.min = v
-	}
-	if !a.seen || v > a.max {
-		a.max = v
-	}
-	a.seen = true
-}
-
-func (a *acc) value(k AggKind) float64 {
-	switch k {
-	case Min:
-		return a.min
-	case Max:
-		return a.max
-	case Sum:
-		return a.sum
-	default:
-		return float64(a.cnt)
-	}
-}
-
 // Build bulkloads an SMA over the heap file in a single sequential pass, the
 // operation the paper highlights as trivially cheap ("for every bucket the
 // aggregate can easily be computed and storing this aggregate is cheap").
 // The heap file's BucketPages determines the bucket granularity.
 func Build(h *storage.HeapFile, def Def) (*SMA, error) {
-	s, err := newSMA(def, h.Schema(), h.BucketPages)
+	smas, err := BuildMany(h, []Def{def})
 	if err != nil {
 		return nil, err
 	}
-	nb := h.NumBuckets()
-	accs := make(map[GroupKey]*acc)
-	for b := 0; b < nb; b++ {
-		if err := h.ScanBucket(b, func(t tuple.Tuple, _ storage.RID) error {
-			s.accumulate(accs, t)
-			return nil
-		}); err != nil {
+	return smas[0], nil
+}
+
+// BuildMany bulkloads several SMAs over the same relation in a single
+// sequential pass — the paper's creation table builds its eight SMAs one
+// scan each, but notes that SMA processing scans "all the SMAs ... at the
+// same time"; symmetrically, building them together amortizes the relation
+// scan across all definitions. Every page's live records are one bucket
+// run through each SMA's run kernel (foldRun), the path appends take.
+//
+// The result slice is positionally aligned with defs.
+func BuildMany(h *storage.HeapFile, defs []Def) ([]*SMA, error) {
+	smas := make([]*SMA, len(defs))
+	for i, def := range defs {
+		s, err := newSMA(def, h.Schema(), h.BucketPages)
+		if err != nil {
 			return nil, err
 		}
-		s.flushBucket(accs, b)
+		smas[i] = s
 	}
-	s.NumBuckets = nb
-	return s, nil
-}
-
-// accumulate folds tuple t into the per-group accumulators.
-func (s *SMA) accumulate(accs map[GroupKey]*acc, t tuple.Tuple) {
-	var key GroupKey
-	var vals []GroupVal
-	if s.gx != nil {
-		vals = s.gx.Vals(t)
-		key = MakeGroupKey(vals)
-	}
-	a := accs[key]
-	if a == nil {
-		a = &acc{vals: vals}
-		accs[key] = a
-	}
-	v := 0.0
-	if s.Def.Expr != nil {
-		v = s.Def.Expr.Eval(t)
-	}
-	a.add(v)
-}
-
-// flushBucket appends bucket b's entries to every group file (absent for
-// groups with no tuples in the bucket) and resets the accumulators.
-func (s *SMA) flushBucket(accs map[GroupKey]*acc, b int) {
-	// Register groups first seen in this bucket, backfilled with absent
-	// entries for buckets [0, b).
-	for key, a := range accs {
-		if _, ok := s.groups[key]; !ok {
-			s.addGroup(key, a.vals, b)
+	var recs []byte
+	for b, nb := 0, h.NumBuckets(); b < nb; b++ {
+		for _, s := range smas {
+			s.openBucket()
+		}
+		first, last := h.BucketRange(b)
+		for p := first; p <= last; p++ {
+			var err error
+			if recs, _, err = h.ReadPageInto(p, recs[:0]); err != nil {
+				return nil, err
+			}
+			for _, s := range smas {
+				s.foldRun(b, recs)
+			}
 		}
 	}
-	for key, g := range s.groups {
-		if a, ok := accs[key]; ok {
-			g.Vec.Append(a.value(s.Def.Agg))
-			g.Present.Append(true)
-			delete(accs, key)
-		} else {
-			g.Vec.Append(0)
-			g.Present.Append(false)
-		}
-	}
+	return smas, nil
 }
 
 // RecomputeBucket rebuilds bucket b's entry in every group file by
 // rescanning the bucket. It is the fallback maintenance path for updates
 // that shrink a min/max or move a tuple between groups; its cost is one
 // bucket scan, in line with the paper's "at most one additional page access
-// is needed for an updated tuple" for page-sized buckets.
+// is needed for an updated tuple" for page-sized buckets. The bucket is read
+// before any entry changes, so a failed read leaves the SMA as it was.
 func (s *SMA) RecomputeBucket(h *storage.HeapFile, b int) error {
 	if err := s.checkBucket(b); err != nil {
 		return err
 	}
-	accs := make(map[GroupKey]*acc)
-	if err := h.ScanBucket(b, func(t tuple.Tuple, _ storage.RID) error {
-		s.accumulate(accs, t)
-		return nil
-	}); err != nil {
-		return err
-	}
-	for key, a := range accs {
-		if _, ok := s.groups[key]; !ok {
-			s.addGroup(key, a.vals, s.NumBuckets)
+	recs := s.recs[:0]
+	first, last := h.BucketRange(b)
+	for p := first; p <= last; p++ {
+		var err error
+		if recs, _, err = h.ReadPageInto(p, recs); err != nil {
+			return err
 		}
 	}
-	for key, g := range s.groups {
-		if a, ok := accs[key]; ok {
-			g.Vec.Set(b, a.value(s.Def.Agg))
-			g.Present.Set(b, true)
-		} else {
-			g.Vec.Set(b, 0)
-			g.Present.Set(b, false)
-		}
+	s.recs = recs
+	for _, g := range s.files {
+		g.Vec.Set(b, 0)
+		g.Present.Set(b, false)
 	}
+	s.foldRun(b, recs)
 	return nil
 }
 
-// OnAppend maintains the SMA after t was appended at rid. Appends extend
-// the last bucket (or open a new one); the update is O(1) per SMA-file.
+// OnAppend maintains the SMA after t was appended at rid: the one-row case
+// of AppendRun.
 func (s *SMA) OnAppend(h *storage.HeapFile, t tuple.Tuple, rid storage.RID) error {
-	b := h.BucketOf(rid.Page)
-	for b >= s.NumBuckets {
-		// Open a new bucket: one absent entry in every group file.
-		for _, g := range s.files {
-			g.Vec.Append(0)
-			g.Present.Append(false)
-		}
-		s.NumBuckets++
-	}
-	var key GroupKey
-	var vals []GroupVal
-	if s.gx != nil {
-		vals = s.gx.Vals(t)
-		key = MakeGroupKey(vals)
-	}
-	g, ok := s.groups[key]
-	if !ok {
-		g = s.addGroup(key, vals, s.NumBuckets)
-		// addGroup backfilled all buckets including b as absent.
-	}
-	v := 0.0
-	if s.Def.Expr != nil {
-		v = s.Def.Expr.Eval(t)
-	}
-	if !g.Present.Get(b) {
-		switch s.Def.Agg {
-		case Count:
-			g.Vec.Set(b, 1)
-		default:
-			g.Vec.Set(b, v)
-		}
-		g.Present.Set(b, true)
-		return nil
-	}
-	cur := g.Vec.Get(b)
-	switch s.Def.Agg {
-	case Min:
-		if v < cur {
-			g.Vec.Set(b, v)
-		}
-	case Max:
-		if v > cur {
-			g.Vec.Set(b, v)
-		}
-	case Sum:
-		g.Vec.Set(b, cur+v)
-	case Count:
-		g.Vec.Set(b, cur+1)
-	}
-	return nil
+	return s.AppendRun(h.BucketOf(rid.Page), t.Data)
 }
 
 // OnUpdate maintains the SMA after the record at rid changed from old to

@@ -95,14 +95,19 @@ func ParseGroupKey(k GroupKey) ([]GroupVal, error) {
 	return vals, nil
 }
 
+// ColRegion is the byte region one group-by column occupies within a
+// fixed-width record.
+type ColRegion struct{ Off, Width int }
+
 // Extractor computes group keys from tuples for a fixed column list.
 type Extractor struct {
-	idx   []int
-	types []tuple.Type
+	idx     []int
+	types   []tuple.Type
+	regions []ColRegion
 }
 
 func NewExtractor(s *tuple.Schema, cols []string) (*Extractor, error) {
-	g := &Extractor{idx: make([]int, len(cols)), types: make([]tuple.Type, len(cols))}
+	g := &Extractor{idx: make([]int, len(cols)), types: make([]tuple.Type, len(cols)), regions: make([]ColRegion, len(cols))}
 	for i, c := range cols {
 		j := s.ColumnIndex(c)
 		if j < 0 {
@@ -110,6 +115,7 @@ func NewExtractor(s *tuple.Schema, cols []string) (*Extractor, error) {
 		}
 		g.idx[i] = j
 		g.types[i] = s.Column(j).Type
+		g.regions[i] = ColRegion{Off: s.ColumnOffset(j), Width: s.Column(j).Width()}
 	}
 	return g, nil
 }
@@ -118,6 +124,11 @@ func NewExtractor(s *tuple.Schema, cols []string) (*Extractor, error) {
 // group-by order. The batched aggregation uses them to compare raw group
 // bytes without building keys.
 func (g *Extractor) Cols() []int { return g.idx }
+
+// Regions returns the byte regions of the group-by columns within a packed
+// record, in group-by order: what resolves a record's group from its raw
+// bytes without decoding a value.
+func (g *Extractor) Regions() []ColRegion { return g.regions }
 
 // Vals extracts the group values of t.
 func (g *Extractor) Vals(t tuple.Tuple) []GroupVal {

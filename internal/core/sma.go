@@ -47,6 +47,8 @@ type SMA struct {
 	// iteration order, and what the grading and fold loops walk so that
 	// nothing hashes a key per bucket.
 	files []*GroupFile
+
+	run // maintenance state: what foldRun needs, see run.go
 }
 
 // newSMA allocates an empty SMA skeleton bound to schema.
@@ -67,6 +69,9 @@ func newSMA(def Def, schema *tuple.Schema, bucketPages int) (*SMA, error) {
 			return nil, err
 		}
 		s.gx = gx
+	}
+	if err := s.compileRun(); err != nil {
+		return nil, err
 	}
 	return s, nil
 }

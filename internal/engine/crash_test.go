@@ -5,11 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"sma/internal/storage"
 	"sma/internal/tuple"
+	"sma/internal/wal"
 )
 
 // heapSnapshot renders a table's observable state — page count plus
@@ -99,9 +101,10 @@ func TestInsertAtomicBadRow(t *testing.T) {
 	verifySMAs(t, tbl)
 }
 
-// TestInsertAtomicMaintFault: an SMA maintenance failure mid-statement
-// rolls the heap back to the statement start and repairs the SMAs, so a
-// half-maintained statement is never visible.
+// TestInsertAtomicMaintFault: an SMA maintenance failure mid-statement —
+// after some page runs were hooked — rolls the heap back to the statement
+// start and repairs the SMAs, so a half-maintained statement is never
+// visible.
 func TestInsertAtomicMaintFault(t *testing.T) {
 	db, err := Open(t.TempDir(), Options{BucketPages: 1, AllowUnsafeCrash: true})
 	if err != nil {
@@ -115,16 +118,20 @@ func TestInsertAtomicMaintFault(t *testing.T) {
 	calls := 0
 	tbl.maintFault = func() error {
 		calls++
-		if calls > 3 { // let a few rows hook, then fail mid-statement
+		if calls > 3 { // let a few runs hook, then fail mid-statement
 			return boom
 		}
 		return nil
 	}
-	_, err = db.ExecContext(context.Background(),
-		`insert into EVENTS values
-		 (date '2024-03-01', 'A', 1.5, 'x'), (date '2024-03-02', 'B', 2.5, 'x'),
-		 (date '2024-03-03', 'C', 3.5, 'x'), (date '2024-03-04', 'A', 4.5, 'x'),
-		 (date '2024-03-05', 'B', 5.5, 'x'), (date '2024-03-06', 'C', 6.5, 'x')`)
+	// Nine EVENTS rows fill a page and the seed left one on the last: twelve
+	// more are two page runs of two hook calls each. The fault lets the
+	// first run through both SMAs and the second through one, so the abort
+	// has a new page to give back and vectors ahead of the heap to repair.
+	var vals []string
+	for i := 0; i < 12; i++ {
+		vals = append(vals, fmt.Sprintf("(date '2024-03-%02d', '%c', %d.5, 'x')", i+1, 'A'+i%3, i+1))
+	}
+	_, err = db.ExecContext(context.Background(), "insert into EVENTS values "+strings.Join(vals, ", "))
 	if !errors.Is(err, boom) {
 		t.Fatalf("insert: got %v, want injected fault", err)
 	}
@@ -349,4 +356,219 @@ func TestCrashAfterCheckpoint(t *testing.T) {
 		t.Fatal("recovery after checkpoint lost or duplicated statements")
 	}
 	verifySMAs(t, tbl2)
+}
+
+// insertEvents runs one INSERT of n generated EVENTS rows.
+func insertEvents(t *testing.T, db *DB, from, n int) {
+	t.Helper()
+	var vals []string
+	for i := from; i < from+n; i++ {
+		vals = append(vals, fmt.Sprintf("(date '2024-04-%02d', '%c', %d.25, 'y')", i%28+1, 'A'+i%4, i))
+	}
+	if _, err := db.ExecContext(context.Background(), "insert into EVENTS values "+strings.Join(vals, ", ")); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// opRecorder collects the redo operations of a log.
+type opRecorder struct{ ops []wal.Op }
+
+func (r *opRecorder) ApplyOp(op wal.Op) error {
+	op.Data = append([]byte(nil), op.Data...)
+	r.ops = append(r.ops, op)
+	return nil
+}
+func (r *opRecorder) ApplyPageImage(string, int64, []byte) error { return nil }
+
+// dirBytes reads every regular file under dir, keyed by relative path —
+// but for the log and the lock sentinel unless all is set.
+func dirBytes(t *testing.T, dir string, all bool) map[string]string {
+	t.Helper()
+	out := make(map[string]string)
+	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !all && (d.Name() == WALFileName || d.Name() == LockFileName) {
+			return err
+		}
+		b, err := os.ReadFile(path)
+		rel, _ := filepath.Rel(dir, path)
+		out[rel] = string(b)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestRecoveryAcrossRecordShapes: the same multi-page statements logged as
+// insert runs (what the engine writes) and as one insert record per row
+// (what logs written before run records hold, and what wal.Batch.Insert
+// still writes) recover to byte-identical heaps and SMA-files.
+func TestRecoveryAcrossRecordShapes(t *testing.T) {
+	opts := Options{BucketPages: 1, AllowUnsafeCrash: true}
+	runDir, rowDir := t.TempDir(), t.TempDir()
+	db, err := Open(runDir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl := seedEvents(t, db, 30) // nine rows to a page: each statement spans pages
+	stmtRows := []int{30, 25, 1, 20}
+	from := 30
+	for _, n := range stmtRows[1:] {
+		insertEvents(t, db, from, n)
+		from += n
+	}
+	want := heapSnapshot(t, tbl)
+	if err := db.Crash(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The second directory is the first but for its log, rewritten with the
+	// same statements as per-row records.
+	for name, content := range dirBytes(t, runDir, true) {
+		if err := os.MkdirAll(filepath.Dir(filepath.Join(rowDir, name)), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(rowDir, name), []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var rec opRecorder
+	st, err := wal.Replay(filepath.Join(runDir, WALFileName), &rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if int(st.Statements) != len(stmtRows) || len(rec.ops) <= len(stmtRows) {
+		t.Fatalf("the engine's log holds %d statements in %d records, want %d multi-page statements",
+			st.Statements, len(rec.ops), len(stmtRows))
+	}
+	l, err := wal.Create(filepath.Join(rowDir, WALFileName), st.Header, wal.Grouped())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := rec.ops
+	for _, rows := range stmtRows {
+		b := l.NewBatch()
+		for rows > 0 {
+			op := ops[0]
+			if ops = ops[1:]; op.Count < 1 || !op.IsInsert() {
+				t.Fatalf("unexpected record in an insert-only log: %+v", op)
+			}
+			rs := len(op.Data) / op.Count
+			for i := 0; i < op.Count; i++ {
+				b.Insert(op.Table, op.Page, op.Slot+i, op.Data[i*rs:(i+1)*rs])
+			}
+			rows -= op.Count
+		}
+		if rows != 0 {
+			t.Fatalf("an insert run straddles two statements")
+		}
+		if _, err := l.Commit(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	var recovered [2]map[string]string
+	for i, dir := range []string{runDir, rowDir} {
+		db, err := Open(dir, opts)
+		if err != nil {
+			t.Fatalf("Open %s: %v", dir, err)
+		}
+		if rs := db.RecoveryStats(); !rs.Performed || int(rs.Statements) != len(stmtRows) {
+			t.Fatalf("recovery of %s: %+v", dir, rs)
+		}
+		tbl, err := db.Table("EVENTS")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := heapSnapshot(t, tbl); got != want {
+			t.Fatalf("log shape %d: recovered table differs from the pre-crash state", i)
+		}
+		verifySMAs(t, tbl)
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		recovered[i] = dirBytes(t, dir, false)
+	}
+	if len(recovered[0]) < 4 { // catalog, heap, two SMA-files at least
+		t.Fatalf("only %d files compared", len(recovered[0]))
+	}
+	for name, run := range recovered[0] {
+		if row, ok := recovered[1][name]; !ok || row != run {
+			t.Errorf("%s differs between the run-record and the per-row recovery", name)
+		}
+	}
+	if len(recovered[1]) != len(recovered[0]) {
+		t.Errorf("recoveries left %d and %d files", len(recovered[0]), len(recovered[1]))
+	}
+}
+
+// TestCrashBeforeFirstWriteBack: pages are born in the buffer pool and the
+// file grows when they are first written back, so a crash finds the file
+// shorter than the committed page count. Recovery rebuilds the missing pages
+// from the log, and still drops — and counts in TruncatedPages — exactly the
+// pages that lie past the last committed one.
+func TestCrashBeforeFirstWriteBack(t *testing.T) {
+	opts := Options{BucketPages: 1, AllowUnsafeCrash: true}
+	dir := t.TempDir()
+	db, err := Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl := seedEvents(t, db, 30)
+	insertEvents(t, db, 30, 40)
+	want := heapSnapshot(t, tbl)
+	pages := tbl.Heap.NumPages()
+	if err := db.Crash(); err != nil {
+		t.Fatal(err)
+	}
+	if fi, err := os.Stat(db.tablePath("EVENTS")); err != nil || fi.Size() >= pages*storage.PageSize {
+		t.Fatalf("heap file has %d bytes (%v) for %d committed pages: no page was left unwritten", fi.Size(), err, pages)
+	}
+	db, err = Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs := db.RecoveryStats(); !rs.Performed || rs.TruncatedPages != 0 {
+		t.Fatalf("recovery over a short file: %+v", rs)
+	}
+	if tbl, err = db.Table("EVENTS"); err != nil {
+		t.Fatal(err)
+	}
+	if got := heapSnapshot(t, tbl); got != want {
+		t.Fatal("pages never written back were not rebuilt from the log")
+	}
+	verifySMAs(t, tbl)
+
+	// Now the other way round: the file is longer than the committed page
+	// count — what a statement that died before its commit left behind when
+	// allocation still wrote a zero page at once, and what a directory of
+	// that age may hold.
+	insertEvents(t, db, 70, 20)
+	want = heapSnapshot(t, tbl)
+	pages = tbl.Heap.NumPages()
+	if err := db.Crash(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(db.tablePath("EVENTS"), (pages+2)*storage.PageSize); err != nil {
+		t.Fatal(err)
+	}
+	db, err = Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if rs := db.RecoveryStats(); rs.TruncatedPages != 2 {
+		t.Fatalf("recovery dropped %d pages, two lay past the last committed one", rs.TruncatedPages)
+	}
+	if tbl, err = db.Table("EVENTS"); err != nil {
+		t.Fatal(err)
+	}
+	if got := heapSnapshot(t, tbl); got != want {
+		t.Fatal("recovery did not return to the committed prefix")
+	}
+	verifySMAs(t, tbl)
 }

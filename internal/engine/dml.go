@@ -11,10 +11,11 @@ import (
 	"sma/internal/tuple"
 )
 
-// insertInto appends every VALUES row of the statement, maintaining the
-// table's SMAs through the O(1) OnAppend path. It holds the write lock for
-// the whole statement so concurrent (possibly parallel) readers never see a
-// half-applied multi-row insert, and the statement is atomic: every row is
+// insertInto appends every VALUES row of the statement a page run at a time,
+// maintaining the table's SMAs through the O(1)-per-row AppendRun hooks. It
+// holds the write lock for the whole statement so concurrent (possibly
+// parallel) readers never see a half-applied multi-row insert, and the
+// statement is atomic: every row is
 // validated before the heap is touched, and any later error — I/O,
 // cancellation, a failed maintenance hook — rolls the table back to the
 // statement start, so either all rows land or none do. The returned
@@ -34,35 +35,36 @@ func (db *DB) insertInto(ctx context.Context, s *parser.InsertStmt) (int64, uint
 	if err != nil {
 		return 0, 0, err
 	}
-	tuples := make([]tuple.Tuple, 0, len(s.Rows))
-	for rn, row := range s.Rows {
+	if s.Arity != len(colIdx) {
+		return 0, 0, fmt.Errorf("engine: row 1 has %d values, table %s needs %d", s.Arity, t.Name, len(colIdx))
+	}
+	// Every cell is type-checked straight into its place in one buffer of
+	// packed records, the form the heap, the log and the SMA run hooks take
+	// them in; nothing below touches the heap until all of them passed.
+	rs, n := t.Schema.RecordSize(), s.NumRows()
+	recs := make([]byte, n*rs)
+	for rn := 0; rn < n; rn++ {
 		if err := ctx.Err(); err != nil {
 			return 0, 0, err
 		}
-		if len(row) != len(colIdx) {
-			return 0, 0, fmt.Errorf("engine: row %d has %d values, table %s needs %d",
-				rn+1, len(row), t.Name, len(colIdx))
-		}
-		tp := tuple.NewTuple(t.Schema)
-		for i, lit := range row {
+		tp := tuple.Tuple{Schema: t.Schema, Data: recs[rn*rs : (rn+1)*rs]}
+		for i, lit := range s.Row(rn) {
 			if err := setLiteral(tp, colIdx[i], lit); err != nil {
 				return 0, 0, fmt.Errorf("engine: row %d column %s: %w",
 					rn+1, t.Schema.Column(colIdx[i]).Name, err)
 			}
 		}
-		tuples = append(tuples, tp)
 	}
 	j, err := db.beginStmt(t)
 	if err != nil {
 		return 0, 0, err
 	}
-	for _, tp := range tuples {
-		if err := ctx.Err(); err != nil {
-			return 0, 0, db.abortStmt(j, err)
-		}
-		rid, err := j.append(tp)
+	for rest := recs; len(rest) > 0; {
+		err := ctx.Err()
 		if err == nil {
-			err = j.maintain(func(sm *core.SMA) error { return sm.OnAppend(t.Heap, tp, rid) })
+			var placed int
+			_, placed, err = j.appendRun(rest)
+			rest = rest[placed*rs:]
 		}
 		if err != nil {
 			return 0, 0, db.abortStmt(j, err)
@@ -72,7 +74,7 @@ func (db *DB) insertInto(ctx context.Context, s *parser.InsertStmt) (int64, uint
 	if err != nil {
 		return 0, 0, err
 	}
-	return int64(len(tuples)), seq, nil
+	return int64(n), seq, nil
 }
 
 // insertColumnOrder maps the statement's column list (or the schema order
@@ -283,7 +285,7 @@ func (db *DB) updateWhere(ctx context.Context, s *parser.UpdateStmt) (int64, uin
 		}
 		err := j.update(pu.rid, pu.old, pu.new)
 		if err == nil {
-			err = j.maintain(func(sm *core.SMA) error { return sm.OnUpdate(t.Heap, pu.old, pu.new, pu.rid) })
+			err = j.maintain(1, func(sm *core.SMA) error { return sm.OnUpdate(t.Heap, pu.old, pu.new, pu.rid) })
 		}
 		if err != nil {
 			return 0, 0, db.abortStmt(j, err)

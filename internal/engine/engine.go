@@ -489,14 +489,15 @@ func (t *Table) Append(tp tuple.Tuple) (storage.RID, error) {
 	if err := db.checkOpen(); err != nil {
 		return storage.RID{}, err
 	}
+	if len(tp.Data) != t.Schema.RecordSize() {
+		return storage.RID{}, fmt.Errorf("engine: tuple of %d bytes appended to %s, whose records have %d",
+			len(tp.Data), t.Name, t.Schema.RecordSize())
+	}
 	j, err := db.beginStmt(t)
 	if err != nil {
 		return storage.RID{}, err
 	}
-	rid, err := j.append(tp)
-	if err == nil {
-		err = j.maintain(func(s *core.SMA) error { return s.OnAppend(t.Heap, tp, rid) })
-	}
+	rid, _, err := j.appendRun(tp.Data)
 	if err != nil {
 		return storage.RID{}, db.abortStmt(j, err)
 	}
@@ -525,7 +526,7 @@ func (t *Table) Update(rid storage.RID, tp tuple.Tuple) error {
 	}
 	err = j.update(rid, old, tp)
 	if err == nil {
-		err = j.maintain(func(s *core.SMA) error { return s.OnUpdate(t.Heap, old, tp, rid) })
+		err = j.maintain(1, func(s *core.SMA) error { return s.OnUpdate(t.Heap, old, tp, rid) })
 	}
 	if err != nil {
 		return db.abortStmt(j, err)
@@ -550,7 +551,7 @@ func (t *Table) Delete(rid storage.RID) error {
 	}
 	old, err := j.delete(rid)
 	if err == nil {
-		err = j.maintain(func(s *core.SMA) error { return s.OnDelete(t.Heap, old, rid) })
+		err = j.maintain(1, func(s *core.SMA) error { return s.OnDelete(t.Heap, old, rid) })
 	}
 	if err != nil {
 		return db.abortStmt(j, err)

@@ -157,7 +157,7 @@ func (db *DB) deleteWhere(ctx context.Context, table string, p pred.Predicate) (
 		}
 		old, err := j.delete(rid)
 		if err == nil {
-			err = j.maintain(func(s *core.SMA) error { return s.OnDelete(t.Heap, old, rid) })
+			err = j.maintain(1, func(s *core.SMA) error { return s.OnDelete(t.Heap, old, rid) })
 		}
 		if err != nil {
 			return 0, 0, db.abortStmt(j, err)

@@ -430,3 +430,79 @@ func TestObserverAllocBudget(t *testing.T) {
 		t.Errorf("the observer costs %.0f allocations per statement (off %.0f, on %.0f), budget %d", b-a, a, b, budget)
 	}
 }
+
+// TestInsertAllocBudget is the enforced allocation budget of the write
+// path: a 100-row, 16-column INSERT into LINEITEM under the paper's eight
+// SMAs, text never seen before (a load repeats no statement, so nothing a
+// cache could keep may count), through ExecContext with the observer on.
+// The count repeats exactly; the ceiling is that count. What is left is one
+// allocation each for the literal vector and the packed-record buffer, the
+// statement's records and results, and the journal and its closures per
+// page run — no longer a token slice, a literal slice per row, a tuple per
+// row, a log record body per row and a group key per row per SMA (7 585 at
+// the commit before the write path took runs, 2 324 of them in the parser).
+func TestInsertAllocBudget(t *testing.T) {
+	const ceiling = 28
+	db, err := engine.Open(t.TempDir(), engine.Options{Obs: obs.NewObserver(obs.Config{})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	ctx := context.Background()
+	for _, ddl := range []string{
+		`create table LINEITEM (L_ORDERKEY int64, L_PARTKEY int32, L_SUPPKEY int32, L_LINENUMBER int32,
+			L_QUANTITY float64, L_EXTENDEDPRICE float64, L_DISCOUNT float64, L_TAX float64,
+			L_RETURNFLAG char(1), L_LINESTATUS char(1), L_SHIPDATE date, L_COMMITDATE date, L_RECEIPTDATE date,
+			L_SHIPINSTRUCT char(25), L_SHIPMODE char(10), L_COMMENT char(27))`,
+		"define sma min select min(L_SHIPDATE) from LINEITEM",
+		"define sma max select max(L_SHIPDATE) from LINEITEM",
+		"define sma count select count(*) from LINEITEM group by L_RETURNFLAG, L_LINESTATUS",
+		"define sma qty select sum(L_QUANTITY) from LINEITEM group by L_RETURNFLAG, L_LINESTATUS",
+		"define sma dis select sum(L_DISCOUNT) from LINEITEM group by L_RETURNFLAG, L_LINESTATUS",
+		"define sma ext select sum(L_EXTENDEDPRICE) from LINEITEM group by L_RETURNFLAG, L_LINESTATUS",
+		"define sma extdis select sum(L_EXTENDEDPRICE * (1 - L_DISCOUNT)) from LINEITEM group by L_RETURNFLAG, L_LINESTATUS",
+		"define sma extdistax select sum(L_EXTENDEDPRICE * (1 - L_DISCOUNT) * (1 + L_TAX)) from LINEITEM group by L_RETURNFLAG, L_LINESTATUS",
+	} {
+		if _, err := db.ExecContext(ctx, ddl); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const runs = 50
+	stmts := make([]string, 0, runs+2) // AllocsPerRun warms up with one extra call
+	for s := 0; s < cap(stmts); s++ {
+		var b strings.Builder
+		b.WriteString("INSERT INTO LINEITEM VALUES ")
+		for r := 0; r < 100; r++ {
+			if r > 0 {
+				b.WriteString(", ")
+			}
+			i := s*100 + r
+			fmt.Fprintf(&b, "(%d, %d, %d, %d, %d, %d.%02d, 0.%02d, 0.%02d, '%c', '%c', DATE '199%d-0%d-%02d', DATE '1995-03-%02d', '1996-11-%02d', 'DELIVER IN PERSON', 'TRUCK', 'row %d')",
+				i, i%2000, i%100, i%7+1, i%50+1, 900+i, i%100, i%11, i%9, "ANR"[i%3], "FO"[i%2],
+				2+i%7, 1+i%9, 1+i%28, 1+i%28, 1+i%28, i)
+		}
+		stmts = append(stmts, b.String())
+	}
+	next := 0
+	run := func() {
+		if _, err := db.ExecContext(ctx, stmts[next]); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	}
+	run() // the first statement creates the groups' SMA-files and sizes the scratch
+	got := testing.AllocsPerRun(runs, run)
+	t.Logf("allocations per 100-row INSERT with eight SMAs: %.0f", got)
+	if got > ceiling {
+		t.Errorf("a 100-row INSERT allocates %.0f times, ceiling %d", got, ceiling)
+	}
+	tbl, err := db.Table("LINEITEM")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range tbl.SMAs() {
+		if err := tbl.VerifySMA(s.Def.Name); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

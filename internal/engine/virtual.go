@@ -100,8 +100,17 @@ type fpEntry struct {
 // and repopulated on demand.
 const fpCacheMax = 4096
 
+// fpCacheMaxLen is the longest statement text the fingerprint cache keeps.
+// The cache pays for short statements that repeat — a dashboard's queries;
+// a load's INSERTs are long, never repeat, and keyed by their text would
+// pin megabytes of dead SQL while paying for a map insert each.
+const fpCacheMaxLen = 1 << 10
+
 // fingerprint is parser.Fingerprint through the per-database cache.
 func (db *DB) fingerprint(sql string) (uint64, string) {
+	if len(sql) > fpCacheMaxLen {
+		return parser.Fingerprint(sql)
+	}
 	db.fpMu.Lock()
 	e, ok := db.fpCache[sql]
 	db.fpMu.Unlock()

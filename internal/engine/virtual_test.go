@@ -238,6 +238,12 @@ func TestExecStatsDML(t *testing.T) {
 	if len(smas) != 1 || smas[0][7].(int64) != 5 {
 		t.Errorf("sma maintenance after a 3-row insert = %v, want 5 ops", smas)
 	}
+	// One logical INSERT, one fingerprint: the 3-row statement joined the
+	// 1-row statement's row of sma_stat_statements.
+	row = statementRow(t, db, multi)
+	if row == nil || row[1].(int64) != 2 || row[9].(int64) != 4 { // CALLS, ROWS_AFFECTED
+		t.Errorf("1-row and 3-row inserts do not share a statement row: %v", row)
+	}
 }
 
 // TestAdvisorRecommendsAndSMAHelps is the acceptance scenario: the advisor

@@ -101,14 +101,23 @@ func (db *DB) beginStmt(t *Table) (*stmtJournal, error) {
 	return &stmtJournal{t: t, tail: tail, batch: db.wal.NewBatch()}, nil
 }
 
-// append adds a tuple through the journal, recording its redo image.
-func (j *stmtJournal) append(tp tuple.Tuple) (storage.RID, error) {
-	rid, err := j.t.Heap.Append(tp)
+// appendRun appends as many of the packed records recs as fit the heap's
+// tail page (a fresh one when it is full) through the journal: the heap
+// places them, the run is logged as one redo record, and every SMA folds it
+// as one bucket run before the caller moves to the next page — append run,
+// hook run, so the heap holds exactly the rows hooked so far (see
+// maintain). It returns the first record's position and the number placed;
+// callers loop until their records are.
+func (j *stmtJournal) appendRun(recs []byte) (storage.RID, int, error) {
+	t := j.t
+	rid, n, err := t.Heap.AppendRun(recs)
 	if err != nil {
-		return rid, err
+		return rid, 0, err
 	}
-	j.batch.Insert(j.t.Name, int64(rid.Page), rid.Slot, tp.Data)
-	return rid, nil
+	run := recs[:n*t.Schema.RecordSize()]
+	j.batch.InsertRun(t.Name, int64(rid.Page), rid.Slot, n, run)
+	b := t.Heap.BucketOf(rid.Page)
+	return rid, n, j.maintain(n, func(sm *core.SMA) error { return sm.AppendRun(b, run) })
 }
 
 // update overwrites rid through the journal, keeping the old image for
@@ -210,23 +219,24 @@ func (db *DB) waitDurable(seq uint64) error {
 	return err
 }
 
-// maintain runs every SMA of the table through hook for one heap mutation
-// the journal just applied: the vectors are flagged for re-save at the
-// next checkpoint, the row joins the statement's maintenance tally, and
-// the statement is marked hooked (so an abort rebuilds the vectors, which
-// may now be ahead of a rolled-back heap). Before each hook the test-only
-// fault hook is consulted (crash tests fail maintenance at a precise
-// point to prove statement atomicity). Callers hold db.mu.
+// maintain runs every SMA of the table through hook for the heap mutation
+// of rows rows the journal just applied — one updated or deleted row, or
+// one page's run of appended ones: the vectors are flagged for re-save at
+// the next checkpoint, the rows join the statement's maintenance tally,
+// and the statement is marked hooked (so an abort rebuilds the vectors,
+// which may now be ahead of a rolled-back heap). Before each hook the
+// test-only fault hook is consulted (crash tests fail maintenance at a
+// precise point to prove statement atomicity). Callers hold db.mu.
 //
-// Hooks run interleaved with the heap mutations — apply row, hook row —
+// Hooks run interleaved with the heap mutations — apply, then hook —
 // because the incremental maintenance contract requires the heap to
 // reflect exactly the rows hooked so far: a min/max hook that falls back
 // to a bucket rescan derives the bucket's aggregate from the heap, and
 // later incremental deltas double-apply if the rescan already saw their
 // rows.
-func (j *stmtJournal) maintain(hook func(*core.SMA) error) error {
+func (j *stmtJournal) maintain(rows int, hook func(*core.SMA) error) error {
 	t := j.t
-	j.rows++
+	j.rows += rows
 	if len(t.smas) > 0 {
 		t.smaDirty, j.hooked = true, true
 	}

@@ -3,235 +3,17 @@ package exec
 import (
 	"bytes"
 	"encoding/binary"
-	"fmt"
-	"math"
+	"errors"
 
 	"sma/internal/core"
 	"sma/internal/expr"
 	"sma/internal/tuple"
 )
 
-// valOp is the operation of one node of a compiled expression list.
-type valOp uint8
-
-const (
-	valCol valOp = iota // gather a column, typed by valNode.col.kind
-	valConst
-	valAdd
-	valSub
-	valMul
-	valDiv
-)
-
-// valNode is one node of a valProgram.
-type valNode struct {
-	e    expr.Expr // the sub-tree the node computes; what sharing compares
-	c    float64   // valConst
-	col  colRef    // valCol
-	op   valOp
-	l, r int32 // binary: operand nodes, earlier in the list
-	vec  int32 // which value vector the node fills; constants fill none
-}
-
-// valProgram is a list of aggregate arguments compiled against one schema
-// into a post-order node list over float64 vectors, one entry per selected
-// record. Structurally equal sub-trees (expr.Equal) are one node, so
-// Query 1's L_EXTENDEDPRICE*(1-L_DISCOUNT), wanted by two sums, and the
-// columns it shares with three more aggregates are each computed once per
-// batch. Every node performs the float64 operation expr.Eval performs, so
-// the values are bit-identical to tuple-at-a-time evaluation.
-type valProgram struct {
-	nodes []valNode
-	nvec  int
-}
-
-// add compiles e, reusing the node of an equal sub-tree, and returns its
-// node index.
-func (p *valProgram) add(e expr.Expr, s *tuple.Schema) (int32, error) {
-	for i := range p.nodes {
-		if expr.Equal(p.nodes[i].e, e) {
-			return int32(i), nil
-		}
-	}
-	n := valNode{e: e, vec: -1}
-	switch x := e.(type) {
-	case *expr.Col:
-		col, err := resolveCol(s, x.Name, false)
-		if err != nil {
-			return 0, err
-		}
-		n.op, n.col = valCol, col
-	case *expr.Const:
-		n.op, n.c = valConst, x.Value
-	case *expr.Binary:
-		l, err := p.add(x.Left, s)
-		if err != nil {
-			return 0, err
-		}
-		r, err := p.add(x.Right, s)
-		if err != nil {
-			return 0, err
-		}
-		if x.Op > expr.OpDiv {
-			return 0, &UnsupportedNodeError{Kind: "expression", Node: e.String()}
-		}
-		// valAdd..valDiv are declared in expr.OpAdd..OpDiv's order.
-		n.op, n.l, n.r = valAdd+valOp(x.Op), l, r
-		if ln, rn := &p.nodes[l], &p.nodes[r]; ln.op == valConst && rn.op == valConst {
-			n.op, n.c = valConst, arith(n.op, ln.c, rn.c)
-		}
-	default:
-		return 0, &UnsupportedNodeError{Kind: "expression", Node: fmt.Sprintf("%T(%v)", e, e)}
-	}
-	if n.op != valConst {
-		n.vec = int32(p.nvec)
-		p.nvec++
-	}
-	p.nodes = append(p.nodes, n)
-	return int32(len(p.nodes) - 1), nil
-}
-
-func arith(op valOp, l, r float64) float64 {
-	switch op {
-	case valAdd:
-		return l + r
-	case valSub:
-		return l - r
-	case valMul:
-		return l * r
-	default:
-		return l / r
-	}
-}
-
-// eval fills the value vectors for the selected records of b, out of the
-// batch's scratch; vector v is the stride [v*n, (v+1)*n) of the result, n
-// the selection's length.
-func (p *valProgram) eval(b *Batch) []float64 {
-	n := len(b.Sel)
-	if cap(b.f64) < p.nvec*n {
-		// Grow at least geometrically: selections of rising length must
-		// not reallocate once each.
-		b.f64 = make([]float64, max(p.nvec*n, 2*cap(b.f64)))
-	}
-	vecs := b.f64[:p.nvec*n]
-	vec := func(nd *valNode) []float64 { return vecs[int(nd.vec)*n : int(nd.vec+1)*n] }
-	for i := range p.nodes {
-		nd := &p.nodes[i]
-		switch nd.op {
-		case valConst:
-		case valCol:
-			gather(vec(nd), b, nd.col)
-		default:
-			l, r := &p.nodes[nd.l], &p.nodes[nd.r]
-			switch {
-			case l.op == valConst:
-				constOpVec(nd.op, vec(nd), l.c, vec(r))
-			case r.op == valConst:
-				vecOpConst(nd.op, vec(nd), vec(l), r.c)
-			default:
-				vecOpVec(nd.op, vec(nd), vec(l), vec(r))
-			}
-		}
-	}
-	return vecs
-}
-
-// gather reads one column of the selected records into dst, straight from
-// the packed records.
-func gather(dst []float64, b *Batch, c colRef) {
-	data, rs, off := b.data, b.recSize, int(c.off)
-	sel := b.Sel[:len(dst)]
-	switch c.kind {
-	case kindI32:
-		for k, r := range sel {
-			dst[k] = float64(int32(binary.LittleEndian.Uint32(data[int(r)*rs+off:])))
-		}
-	case kindI64:
-		for k, r := range sel {
-			dst[k] = float64(int64(binary.LittleEndian.Uint64(data[int(r)*rs+off:])))
-		}
-	default: // kindF64; resolveCol admits no CHAR column into an expression
-		for k, r := range sel {
-			dst[k] = math.Float64frombits(binary.LittleEndian.Uint64(data[int(r)*rs+off:]))
-		}
-	}
-}
-
-func vecOpVec(op valOp, dst, l, r []float64) {
-	l, r = l[:len(dst)], r[:len(dst)]
-	switch op {
-	case valAdd:
-		for k := range dst {
-			dst[k] = l[k] + r[k]
-		}
-	case valSub:
-		for k := range dst {
-			dst[k] = l[k] - r[k]
-		}
-	case valMul:
-		for k := range dst {
-			dst[k] = l[k] * r[k]
-		}
-	default:
-		for k := range dst {
-			dst[k] = l[k] / r[k]
-		}
-	}
-}
-
-func constOpVec(op valOp, dst []float64, l float64, r []float64) {
-	r = r[:len(dst)]
-	switch op {
-	case valAdd:
-		for k := range dst {
-			dst[k] = l + r[k]
-		}
-	case valSub:
-		for k := range dst {
-			dst[k] = l - r[k]
-		}
-	case valMul:
-		for k := range dst {
-			dst[k] = l * r[k]
-		}
-	default:
-		for k := range dst {
-			dst[k] = l / r[k]
-		}
-	}
-}
-
-func vecOpConst(op valOp, dst, l []float64, r float64) {
-	l = l[:len(dst)]
-	switch op {
-	case valAdd:
-		for k := range dst {
-			dst[k] = l[k] + r
-		}
-	case valSub:
-		for k := range dst {
-			dst[k] = l[k] - r
-		}
-	case valMul:
-		for k := range dst {
-			dst[k] = l[k] * r
-		}
-	default:
-		for k := range dst {
-			dst[k] = l[k] / r
-		}
-	}
-}
-
 // groupCacheSize bounds the raw-key probe table. Warehouse group-bys
 // (Q1 has four groups) fit comfortably; workloads with more groups fall
 // through to the canonical-key map, which stays correct for any count.
 const groupCacheSize = 8
-
-// colRegion is the byte region one group-by column occupies within a
-// fixed-width record.
-type colRegion struct{ off, width int }
 
 // groupState is what a folder keeps per group id: the accumulator for good,
 // the rest for the batch being folded.
@@ -244,7 +26,7 @@ type groupState struct {
 
 // groupFolder folds the selected records of batches into per-group Partials
 // as a handful of vector loops per batch. The aggregate arguments are one
-// valProgram (shared sub-trees computed once); every selected record
+// expr.Program (shared sub-trees computed once); every selected record
 // resolves to a small dense group id; and each aggregate then runs as one
 // loop over (id, value) pairs into per-id scalars that are loaded from the
 // Partials before the batch and stored back after it. Each group receives
@@ -263,7 +45,7 @@ type groupFolder struct {
 	gx     *core.Extractor // nil for a global aggregate
 	groups map[core.GroupKey]*Partial
 
-	prog valProgram
+	prog expr.Program
 	arg  []int32 // per spec: its argument's node, -1 for COUNT(*)
 
 	// Group resolution. A record's raw group-column bytes resolve through
@@ -271,7 +53,7 @@ type groupFolder struct {
 	// a miss builds the canonical key and consults the groups map. Two raw
 	// keys of one canonical group (two NaN encodings; int64s that round to
 	// one float64) meet there and share an id.
-	regions  []colRegion
+	regions  []core.ColRegion // gx.Regions()
 	rawWidth int
 	keyBuf   []byte
 	probeN   int
@@ -286,7 +68,6 @@ type groupFolder struct {
 	gsArr      [groupCacheSize]groupState
 	touchedArr [groupCacheSize]int32
 	keyArr     [64]byte
-	nodeArr    [12]valNode // Query 1's eight aggregates are nine nodes
 }
 
 // newGroupFolder compiles the specs' arguments against schema and prepares
@@ -297,22 +78,25 @@ func newGroupFolder(schema *tuple.Schema, specs []AggSpec, gx *core.Extractor, g
 		groups = make(map[core.GroupKey]*Partial)
 	}
 	f := &groupFolder{specs: specs, gx: gx, groups: groups, arg: make([]int32, len(specs))}
-	f.gs, f.touched, f.keyBuf, f.prog.nodes = f.gsArr[:0], f.touchedArr[:0], f.keyArr[:0], f.nodeArr[:0]
+	f.gs, f.touched, f.keyBuf = f.gsArr[:0], f.touchedArr[:0], f.keyArr[:0]
 	for i, sp := range specs {
 		f.arg[i] = -1
 		if sp.Arg == nil || sp.Func == AggCount {
 			continue
 		}
 		var err error
-		if f.arg[i], err = f.prog.add(sp.Arg, schema); err != nil {
+		if f.arg[i], err = f.prog.Add(sp.Arg, schema); err != nil {
+			var unsupported *expr.UnsupportedNodeError
+			if errors.As(err, &unsupported) {
+				err = &UnsupportedNodeError{Kind: "expression", Node: unsupported.Node}
+			}
 			return nil, err
 		}
 	}
 	if gx != nil {
-		f.regions = make([]colRegion, len(gx.Cols()))
-		for i, j := range gx.Cols() {
-			f.regions[i] = colRegion{off: schema.ColumnOffset(j), width: schema.Column(j).Width()}
-			f.rawWidth += f.regions[i].width
+		f.regions = gx.Regions()
+		for _, reg := range f.regions {
+			f.rawWidth += reg.Width
 		}
 		if f.rawWidth > 8 {
 			f.probeRaw = make([]byte, groupCacheSize*f.rawWidth)
@@ -378,8 +162,8 @@ func (f *groupFolder) resolvePacked(b *Batch, ids []int32) {
 	data, rs, sel := b.data, b.recSize, b.Sel[:n]
 	clear(keys)
 	for _, reg := range f.regions {
-		off := reg.off
-		switch reg.width {
+		off := reg.Off
+		switch reg.Width {
 		case 1:
 			for k, r := range sel {
 				keys[k] = keys[k]<<8 | uint64(data[int(r)*rs+off])
@@ -395,7 +179,7 @@ func (f *groupFolder) resolvePacked(b *Batch, ids []int32) {
 		default:
 			for k, r := range sel {
 				key := keys[k]
-				for _, c := range data[int(r)*rs+off : int(r)*rs+off+reg.width] {
+				for _, c := range data[int(r)*rs+off : int(r)*rs+off+reg.Width] {
 					key = key<<8 | uint64(c)
 				}
 				keys[k] = key
@@ -434,10 +218,10 @@ func (f *groupFolder) resolveWide(b *Batch, ids []int32) {
 		for e := 0; e < f.probeN; e++ {
 			raw := f.probeRaw[e*w:]
 			for _, reg := range f.regions {
-				if !bytes.Equal(rec[reg.off:reg.off+reg.width], raw[:reg.width]) {
+				if !bytes.Equal(rec[reg.Off:reg.Off+reg.Width], raw[:reg.Width]) {
 					continue probe
 				}
-				raw = raw[reg.width:]
+				raw = raw[reg.Width:]
 			}
 			id = f.probeID[e]
 			break
@@ -447,7 +231,7 @@ func (f *groupFolder) resolveWide(b *Batch, ids []int32) {
 			e := f.probeSlot()
 			raw := f.probeRaw[e*w : e*w : (e+1)*w]
 			for _, reg := range f.regions {
-				raw = append(raw, rec[reg.off:reg.off+reg.width]...)
+				raw = append(raw, rec[reg.Off:reg.Off+reg.Width]...)
 			}
 			f.probeID[e] = id
 		}
@@ -486,7 +270,7 @@ func (f *groupFolder) fold(b *Batch) {
 		}
 	}
 	// Phase 2: the argument vectors, each shared sub-tree once.
-	vecs := f.prog.eval(b)
+	vecs := f.prog.Eval(&b.f64, b.data, b.recSize, b.Sel, n)
 	// Phase 3: one loop per aggregate. Counts are exact integers, so a
 	// group's batch total is added in one step.
 	gs := f.gs
@@ -497,11 +281,7 @@ func (f *groupFolder) fold(b *Batch) {
 			}
 			continue
 		}
-		nd := &f.prog.nodes[f.arg[i]]
-		var vals []float64 // nil: the argument is the constant nd.c
-		if nd.vec >= 0 {
-			vals = vecs[int(nd.vec)*n : int(nd.vec+1)*n]
-		}
+		vals, c := f.prog.Value(f.arg[i], vecs, n) // vals nil: the argument is the constant c
 		fn := f.specs[i].Func
 		for _, id := range f.touched {
 			g := &gs[id]
@@ -509,7 +289,7 @@ func (f *groupFolder) fold(b *Batch) {
 			case fn == AggSum || fn == AggAvg || g.acc.Seen[i]:
 				g.cur = g.acc.Aggs[i]
 			case vals == nil:
-				g.cur = nd.c
+				g.cur = c
 			default:
 				// An unseen min/max starts from the group's first value,
 				// which the loop then meets again and leaves alone.
@@ -519,10 +299,10 @@ func (f *groupFolder) fold(b *Batch) {
 		switch {
 		case len(f.touched) == 1:
 			g := &gs[f.touched[0]]
-			g.cur = foldOne(fn, g.cur, vals, nd.c, n)
+			g.cur = foldOne(fn, g.cur, vals, c, n)
 		case vals == nil:
 			for _, id := range ids {
-				gs[id].cur = step(fn, gs[id].cur, nd.c)
+				gs[id].cur = step(fn, gs[id].cur, c)
 			}
 		default:
 			foldVec(fn, gs, ids, vals)

@@ -266,20 +266,18 @@ func TestSharedSubtreesAreOneNode(t *testing.T) {
 		{Func: AggCount},
 	}
 	f := mustFolder(t, schema, specs, nil)
-	if n := len(f.prog.nodes); n != 9 {
+	if n := f.prog.Len(); n != 9 {
 		t.Errorf("Query 1 compiles to %d nodes, want 9", n)
 	}
-	if f.prog.nvec != 8 {
-		t.Errorf("Query 1 fills %d vectors, want 8 (the constant 1 fills none)", f.prog.nvec)
+	if f.prog.Vectors() != 8 {
+		t.Errorf("Query 1 fills %d vectors, want 8 (the constant 1 fills none)", f.prog.Vectors())
 	}
 	if f.arg[0] != f.arg[4] || f.arg[1] != f.arg[5] || f.arg[7] != -1 {
 		t.Errorf("sum and avg of one column are different nodes: %v", f.arg)
 	}
 	folded := mustFolder(t, schema, []AggSpec{{Func: AggSum, Arg: expr.Mul(expr.Add(c(1), c(2)), col("QTY"))}}, nil)
-	for _, nd := range folded.prog.nodes {
-		if nd.op == valAdd {
-			t.Errorf("1+2 was not folded at compile time: %+v", folded.prog.nodes)
-		}
+	if folded.prog.Vectors() != 2 {
+		t.Errorf("1+2 was not folded at compile time: (1+2)*QTY fills %d vectors, want 2", folded.prog.Vectors())
 	}
 }
 

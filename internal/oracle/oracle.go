@@ -130,13 +130,13 @@ func (o *Oracle) insert(s *parser.InsertStmt) (int64, error) {
 			order[i] = j
 		}
 	}
+	if s.Arity != len(order) {
+		return 0, fmt.Errorf("oracle: row has %d values, want %d", s.Arity, len(order))
+	}
 	var n int64
-	for _, litRow := range s.Rows {
-		if len(litRow) != len(order) {
-			return n, fmt.Errorf("oracle: row has %d values, want %d", len(litRow), len(order))
-		}
+	for r := 0; r < s.NumRows(); r++ {
 		row := make([]val, len(t.cols))
-		for i, lit := range litRow {
+		for i, lit := range s.Row(r) {
 			v, err := convertLiteral(t.cols[order[i]], lit)
 			if err != nil {
 				return n, err

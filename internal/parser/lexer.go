@@ -12,11 +12,7 @@
 // Query 1 parses verbatim.
 package parser
 
-import (
-	"fmt"
-	"strings"
-	"unicode"
-)
+import "fmt"
 
 // tokKind classifies tokens.
 type tokKind uint8
@@ -27,105 +23,152 @@ const (
 	tokNumber
 	tokString // single-quoted
 	tokSymbol // punctuation / operator
+	tokBad    // the input does not lex here; parser.lexErr says why
 )
 
+// token is one lexeme. Its text is a substring of the source, never a copy.
 type token struct {
 	kind tokKind
 	text string
 	pos  int
 }
 
-// lexer splits the input into tokens.
-type lexer struct {
-	src  string
-	pos  int
-	toks []token
-}
+// Byte classes of the dialect. The source is read as bytes: everything the
+// grammar is made of is ASCII, and a byte >= 0x80 has no class, so outside a
+// string literal or a comment it is an error at its offset.
+const (
+	clSpace uint8 = 1 << iota
+	clLetter
+	clDigit
+	clSymbol // a one-byte operator or punctuation mark
+)
 
-// lex tokenizes the whole input up front.
-func lex(src string) ([]token, error) {
-	l := &lexer{src: src}
-	for {
-		l.skipSpace()
-		if l.pos >= len(l.src) {
-			l.toks = append(l.toks, token{kind: tokEOF, pos: l.pos})
-			return l.toks, nil
-		}
-		start := l.pos
-		c := l.src[l.pos]
-		switch {
-		case isIdentStart(rune(c)):
-			for l.pos < len(l.src) && isIdentPart(rune(l.src[l.pos])) {
-				l.pos++
-			}
-			l.toks = append(l.toks, token{kind: tokIdent, text: l.src[start:l.pos], pos: start})
-		case c >= '0' && c <= '9' || c == '.' && l.pos+1 < len(l.src) && l.src[l.pos+1] >= '0' && l.src[l.pos+1] <= '9':
-			seenDot := false
-			for l.pos < len(l.src) {
-				ch := l.src[l.pos]
-				if ch == '.' {
-					if seenDot {
-						break
-					}
-					seenDot = true
-				} else if ch < '0' || ch > '9' {
-					break
-				}
-				l.pos++
-			}
-			l.toks = append(l.toks, token{kind: tokNumber, text: l.src[start:l.pos], pos: start})
-		case c == '\'':
-			l.pos++
-			for l.pos < len(l.src) && l.src[l.pos] != '\'' {
-				l.pos++
-			}
-			if l.pos >= len(l.src) {
-				return nil, fmt.Errorf("parser: unterminated string literal at offset %d", start)
-			}
-			l.toks = append(l.toks, token{kind: tokString, text: l.src[start+1 : l.pos], pos: start})
-			l.pos++
-		default:
-			// Multi-character operators first.
-			for _, op := range []string{"<=", ">=", "<>", "!="} {
-				if strings.HasPrefix(l.src[l.pos:], op) {
-					l.toks = append(l.toks, token{kind: tokSymbol, text: op, pos: start})
-					l.pos += len(op)
-					goto next
-				}
-			}
-			if strings.ContainsRune("()*+-/,<>=;", rune(c)) {
-				l.toks = append(l.toks, token{kind: tokSymbol, text: string(c), pos: start})
-				l.pos++
-			} else {
-				return nil, fmt.Errorf("parser: unexpected character %q at offset %d", c, l.pos)
-			}
-		next:
-		}
+var class = func() (c [256]uint8) {
+	for _, b := range " \t\n\v\f\r" {
+		c[b] |= clSpace
 	}
+	for b := 'a'; b <= 'z'; b++ {
+		c[b] |= clLetter
+		c[b-'a'+'A'] |= clLetter
+	}
+	c['_'] |= clLetter
+	for b := '0'; b <= '9'; b++ {
+		c[b] |= clDigit
+	}
+	for _, b := range "()*+-/,<>=;" {
+		c[b] |= clSymbol
+	}
+	return c
+}()
+
+// mark is a parser position: where the scan stands and the token read
+// ahead. Restoring one is how the grammar's two ambiguities backtrack.
+type mark struct {
+	pos int
+	tok token
 }
 
-func (l *lexer) skipSpace() {
-	for l.pos < len(l.src) {
-		c := rune(l.src[l.pos])
-		if unicode.IsSpace(c) {
-			l.pos++
+// parser is a pull scanner over the source bytes with one token of
+// look-ahead, and the recursive-descent grammar on top of it. Nothing
+// tokenises the input up front: a token exists only while it is p.tok.
+type parser struct {
+	src string
+	pos int   // scan position, just past tok
+	tok token // the token read ahead
+	// lexErr is the lexical error behind a tokBad look-ahead; errorf reports
+	// it in place of the syntax error the bad token would cause.
+	lexErr error
+}
+
+// newParser starts a scan of src with its first token read ahead.
+func newParser(src string) parser {
+	p := parser{src: src}
+	p.advance()
+	return p
+}
+
+func (p *parser) peek() token { return p.tok }
+func (p *parser) next() token { t := p.tok; p.advance(); return t }
+func (p *parser) atEOF() bool { return p.tok.kind == tokEOF }
+
+func (p *parser) mark() mark   { return mark{p.pos, p.tok} }
+func (p *parser) reset(m mark) { p.pos, p.tok = m.pos, m.tok }
+
+// bad ends the scan at a lexical error: the look-ahead becomes a tokBad
+// that matches nothing, so the grammar fails where it stands.
+func (p *parser) bad(start int, format string, args ...any) {
+	if p.lexErr == nil {
+		p.lexErr = fmt.Errorf(format, args...)
+	}
+	p.pos = len(p.src)
+	p.tok = token{kind: tokBad, text: p.src[start:min(start+1, len(p.src))], pos: start}
+}
+
+// advance scans the next token into p.tok.
+func (p *parser) advance() {
+	src, i := p.src, p.pos
+	// Whitespace and "--" line comments.
+	for i < len(src) {
+		c := src[i]
+		if class[c]&clSpace != 0 {
+			i++
 			continue
 		}
-		// -- line comments
-		if c == '-' && l.pos+1 < len(l.src) && l.src[l.pos+1] == '-' {
-			for l.pos < len(l.src) && l.src[l.pos] != '\n' {
-				l.pos++
+		if c == '-' && i+1 < len(src) && src[i+1] == '-' {
+			for i < len(src) && src[i] != '\n' {
+				i++
 			}
 			continue
 		}
+		break
+	}
+	start := i
+	if i >= len(src) {
+		p.pos, p.tok = i, token{kind: tokEOF, pos: i}
 		return
 	}
-}
-
-func isIdentStart(c rune) bool {
-	return unicode.IsLetter(c) || c == '_'
-}
-
-func isIdentPart(c rune) bool {
-	return unicode.IsLetter(c) || unicode.IsDigit(c) || c == '_'
+	c := src[i]
+	kind := tokSymbol
+	switch {
+	case class[c]&clLetter != 0:
+		for i < len(src) && class[src[i]]&(clLetter|clDigit) != 0 {
+			i++
+		}
+		kind = tokIdent
+	case class[c]&clDigit != 0 || c == '.' && i+1 < len(src) && class[src[i+1]]&clDigit != 0:
+		seenDot := false
+		for i < len(src) {
+			if src[i] == '.' {
+				if seenDot {
+					break
+				}
+				seenDot = true
+			} else if class[src[i]]&clDigit == 0 {
+				break
+			}
+			i++
+		}
+		kind = tokNumber
+	case c == '\'':
+		i++
+		for i < len(src) && src[i] != '\'' {
+			i++
+		}
+		if i >= len(src) {
+			p.bad(start, "parser: unterminated string literal at offset %d", start)
+			return
+		}
+		i++
+		p.pos, p.tok = i, token{kind: tokString, text: src[start+1 : i-1], pos: start}
+		return
+	case (c == '<' || c == '>' || c == '!') && i+1 < len(src) && src[i+1] == '=',
+		c == '<' && i+1 < len(src) && src[i+1] == '>':
+		i += 2
+	case class[c]&clSymbol != 0:
+		i++
+	default:
+		p.bad(start, "parser: unexpected character %q at offset %d", c, start)
+		return
+	}
+	p.pos, p.tok = i, token{kind: kind, text: src[start:i], pos: start}
 }

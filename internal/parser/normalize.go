@@ -1,9 +1,6 @@
 package parser
 
-import (
-	"hash/fnv"
-	"strings"
-)
+import "strings"
 
 // Normalize canonicalizes a statement for fingerprinting: identifiers and
 // keywords are lower-cased, every literal (numbers, strings, and the
@@ -11,53 +8,146 @@ import (
 // folds to single spaces. Two statements that differ only in literal
 // values or formatting normalize to the same text.
 //
+// A multi-row INSERT is one logical statement however many rows it
+// carries: a VALUES group made only of literals, with as many of them as
+// the first group, is dropped, so "values (1, 'a'), (2, 'b'), (3, 'c')"
+// and "values (4, 'd')" share a normal form. A group of another arity (a
+// statement the parser rejects) stays and tells them apart.
+//
 // The result is display text, not SQL: it does not re-lex (the "?"
 // placeholder is not a token of the dialect). Inputs that fail to lex are
 // normalized textually (case/space folding only) so every string — even
 // garbage that the parser would reject — has a stable normal form.
+//
+// The statement is scanned once, a token at a time, into a buffer the size
+// of the normal form: a 20 KB load statement costs its scan and ~100 bytes.
 func Normalize(sql string) string {
-	toks, err := lex(sql)
-	if err != nil {
+	var arr [256]byte
+	p := newParser(sql)
+	buf, ok := p.normal(arr[:0])
+	if !ok {
 		return strings.Join(strings.Fields(strings.ToLower(sql)), " ")
 	}
-	var b strings.Builder
-	b.Grow(len(sql))
-	wrote := false
-	emit := func(s string) {
-		if wrote {
-			b.WriteByte(' ')
-		}
-		b.WriteString(s)
-		wrote = true
-	}
-	for i := 0; i < len(toks); i++ {
-		t := toks[i]
-		switch t.kind {
+	return string(buf)
+}
+
+// normal appends the normal form of the rest of the input to buf; ok is
+// false when the input does not lex.
+func (p *parser) normal(buf []byte) (_ []byte, ok bool) {
+	insert := p.isKeyword("insert")
+	for {
+		switch p.tok.kind {
 		case tokEOF:
-			return b.String()
-		case tokNumber, tokString:
-			emit("?")
-		case tokIdent:
-			low := strings.ToLower(t.text)
-			// DATE '...' is a literal spelling; fold the pair into one "?"
-			// so `d <= date '1995-06-17'` and `d <= date '1998-09-02'`
-			// fingerprint identically.
-			if low == "date" && toks[i+1].kind == tokString {
-				emit("?")
-				i++
-				continue
-			}
-			emit(low)
-		case tokSymbol:
-			// A trailing semicolon is optional in the dialect; drop it so
-			// "select 1" and "select 1;" share a fingerprint.
-			if t.text == ";" && toks[i+1].kind == tokEOF {
-				continue
-			}
-			emit(t.text)
+			return buf, true
+		case tokBad:
+			return nil, false
+		}
+		values := insert && p.isKeyword("values")
+		buf = p.normalToken(buf)
+		if values {
+			buf = p.normalValues(buf)
 		}
 	}
-	return b.String()
+}
+
+// normalToken consumes one token — two for the DATE '...' spelling — and
+// appends its normal form, space-separated from what is there.
+func (p *parser) normalToken(buf []byte) []byte {
+	t := p.next()
+	if t.kind == tokSymbol && t.text == ";" && p.tok.kind == tokEOF {
+		// A trailing semicolon is optional in the dialect; drop it so
+		// "select 1" and "select 1;" share a fingerprint.
+		return buf
+	}
+	if len(buf) > 0 {
+		buf = append(buf, ' ')
+	}
+	switch {
+	case t.kind == tokNumber, t.kind == tokString:
+		return append(buf, '?')
+	case t.kind == tokIdent && p.tok.kind == tokString && strings.EqualFold(t.text, "date"):
+		// DATE '...' is a literal spelling; fold the pair into one "?"
+		// so `d <= date '1995-06-17'` and `d <= date '1998-09-02'`
+		// fingerprint identically.
+		p.advance()
+		return append(buf, '?')
+	case t.kind == tokIdent:
+		for i := 0; i < len(t.text); i++ {
+			c := t.text[i]
+			if 'A' <= c && c <= 'Z' {
+				c += 'a' - 'A'
+			}
+			buf = append(buf, c)
+		}
+		return buf
+	}
+	return append(buf, t.text...)
+}
+
+// normalValues normalizes the groups of a VALUES list, the first token of
+// which is p.tok, keeping the first group and every later one that does
+// not have its shape. Later groups are scanned without being written, and
+// scanned again into buf only when they have to stay.
+func (p *parser) normalValues(buf []byte) []byte {
+	isSym := func(s string) bool { return p.tok.kind == tokSymbol && p.tok.text == s }
+	if !isSym("(") {
+		return buf
+	}
+	buf, first := p.normalGroup(buf, true)
+	for isSym(",") {
+		p.advance()
+		buf = append(buf, " ,"...)
+		if !isSym("(") {
+			break
+		}
+		m := p.mark()
+		if _, arity := p.normalGroup(nil, false); arity >= 0 && arity == first {
+			buf = buf[:len(buf)-len(" ,")] // the separator goes with its group
+			continue
+		}
+		p.reset(m)
+		buf, _ = p.normalGroup(buf, true)
+	}
+	return buf
+}
+
+// normalGroup consumes one parenthesized VALUES group, p.tok being its "(",
+// appending its normal form to buf if emit is set, and returns the number
+// of cells when the group holds nothing but literals, -1 otherwise.
+func (p *parser) normalGroup(buf []byte, emit bool) (_ []byte, arity int) {
+	arity = 1
+	for depth := 0; p.tok.kind != tokEOF && p.tok.kind != tokBad; {
+		closed := false
+		switch t := p.tok; {
+		case t.kind == tokNumber, t.kind == tokString:
+		case t.kind == tokIdent && strings.EqualFold(t.text, "date"):
+		case t.kind != tokSymbol:
+			arity = -1
+		case t.text == "(":
+			if depth++; depth > 1 {
+				arity = -1
+			}
+		case t.text == ")":
+			depth--
+			closed = depth == 0
+		case t.text == ",":
+			if arity > 0 {
+				arity++
+			}
+		case t.text == "-", t.text == "+":
+		default:
+			arity = -1
+		}
+		if emit {
+			buf = p.normalToken(buf)
+		} else {
+			p.advance()
+		}
+		if closed {
+			return buf, arity
+		}
+	}
+	return buf, -1
 }
 
 // Fingerprint returns the stable 64-bit fingerprint of a statement (FNV-1a
@@ -65,11 +155,14 @@ func Normalize(sql string) string {
 //
 // Stability contract: the fingerprint depends only on the normalized form,
 // so it is invariant under literal values, letter case, whitespace,
-// comments, and a trailing semicolon — but it is not stable across changes
-// to the normalizer itself, so it must not be persisted to disk.
+// comments, a trailing semicolon and the number of same-shaped VALUES rows
+// — but it is not stable across changes to the normalizer itself, so it
+// must not be persisted to disk.
 func Fingerprint(sql string) (uint64, string) {
 	n := Normalize(sql)
-	h := fnv.New64a()
-	h.Write([]byte(n))
-	return h.Sum64(), n
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(n); i++ {
+		h = (h ^ uint64(n[i])) * 1099511628211
+	}
+	return h, n
 }

@@ -27,6 +27,33 @@ func TestNormalize(t *testing.T) {
 			"select sum(amount) from sales group by region order by region",
 			"select sum ( amount ) from sales group by region order by region",
 		},
+		// One logical INSERT, one normal form: later VALUES groups of the
+		// first one's arity fold away, whatever their literals look like.
+		{"insert into t values (1, 'a')", "insert into t values ( ? , ? )"},
+		{
+			"INSERT INTO T VALUES (1, 'a'), (-2.5, date '2024-01-01') , ('x', +3);",
+			"insert into t values ( ? , ? )",
+		},
+		{
+			"insert into t (b, a) values (1, 2), (3, 4)",
+			"insert into t ( b , a ) values ( ? , ? )",
+		},
+		// Another arity, or anything but literals, is another statement.
+		{
+			"insert into t values (1, 2), (3), (4, 5)",
+			"insert into t values ( ? , ? ) , ( ? )",
+		},
+		{
+			"insert into t values (1, 2), (3, (4))",
+			"insert into t values ( ? , ? ) , ( ? , ( ? ) )",
+		},
+		{
+			"insert into t values (1, 2), (a, 4), (5, 6)",
+			"insert into t values ( ? , ? ) , ( a , ? )",
+		},
+		{"insert into t values (1, 2), 3", "insert into t values ( ? , ? ) , ?"},
+		// VALUES means nothing special outside an INSERT.
+		{"select values from t where a = (1) , (2)", "select values from t where a = ( ? ) , ( ? )"},
 	}
 	for _, tc := range cases {
 		if got := Normalize(tc.in); got != tc.want {
@@ -39,7 +66,7 @@ func TestNormalize(t *testing.T) {
 // deterministic textual normal form (case and whitespace folding).
 func TestNormalizeLexErrorFallback(t *testing.T) {
 	in := "SELECT 'unterminated"
-	if _, err := lex(in); err == nil {
+	if lexes(in) {
 		t.Fatalf("expected %q to fail lexing", in)
 	}
 	if got, want := Normalize(in), "select 'unterminated"; got != want {
@@ -79,11 +106,14 @@ func TestFingerprintStability(t *testing.T) {
 
 // FuzzNormalize checks the same-fingerprint-for-literal-variants property:
 // one statement template instantiated with two different literal values must
-// normalize (and therefore fingerprint) identically.
+// normalize (and therefore fingerprint) identically — and its INSERT form:
+// a k-row VALUES list and its first row alone share a fingerprint, a list
+// holding a row of another arity has its own.
 func FuzzNormalize(f *testing.F) {
 	f.Add(int64(7), int64(1999), "select * from sales where amount > %d and y = %d")
 	f.Add(int64(0), int64(-3), "select sum(x) from t where a = %d or b < %d")
 	f.Add(int64(42), int64(42), "select count(*) from t where k >= %d limit %d")
+	f.Add(int64(3), int64(5), "insert into t values (%d, 'x', %d)")
 	f.Fuzz(func(t *testing.T, a, b int64, template string) {
 		if strings.Count(template, "%d") != 2 || strings.Contains(template, "%!") {
 			t.Skip()
@@ -100,20 +130,51 @@ func FuzzNormalize(f *testing.F) {
 		}
 		// The property only holds when both instantiations lex: the textual
 		// fallback preserves literal text. Lexable inputs must collapse.
-		if _, err1 := lex(s1); err1 == nil {
-			if _, err2 := lex(s2); err2 == nil {
-				if fp1 != fp2 {
-					t.Errorf("literal variants diverge:\n  %q -> %q\n  %q -> %q", s1, n1, s2, n2)
-				}
-			}
+		if lexes(s1) && lexes(s2) && fp1 != fp2 {
+			t.Errorf("literal variants diverge:\n  %q -> %q\n  %q -> %q", s1, n1, s2, n2)
 		}
 		// Normalizing is idempotent for lexable normal forms.
-		if _, err := lex(n1); err == nil {
+		if lexes(n1) {
 			if again := Normalize(n1); again != n1 {
 				t.Errorf("Normalize not idempotent: %q -> %q", n1, again)
 			}
 		}
+
+		// k rows of arity w fingerprint as one row does; a row of arity w+1
+		// among them does not.
+		k, w := int(uint64(a)%5)+2, int(uint64(b)%4)+1
+		row := func(w int, v int64) string {
+			cells := make([]string, w)
+			num := itoa(int64(uint64(v) % 100000))
+			for i := range cells {
+				cells[i] = []string{num, "'s'", "date '2024-01-01'", "-" + num + ".5"}[(i+int(uint64(v)%4))%4]
+			}
+			return "(" + strings.Join(cells, ", ") + ")"
+		}
+		one := "insert into T values " + row(w, a)
+		many, odd := one, one
+		for i := 1; i < k; i++ {
+			many += ", " + row(w, b+int64(i))
+			odd += ", " + row(w+i%2, b+int64(i)) // every other row one cell wider
+		}
+		fpOne, normOne := Fingerprint(one)
+		if fpMany, normMany := Fingerprint(many); fpMany != fpOne {
+			t.Errorf("%d-row and 1-row inserts diverge:\n  %q -> %q\n  %q -> %q", k, one, normOne, many, normMany)
+		}
+		if fpOdd, normOdd := Fingerprint(odd); fpOdd == fpOne {
+			t.Errorf("an insert with rows of two arities shares the 1-row fingerprint:\n  %q -> %q", odd, normOdd)
+		}
 	})
+}
+
+// lexes reports whether the scanner reads src to its end without a lexical
+// error.
+func lexes(src string) bool {
+	p := newParser(src)
+	for !p.atEOF() && p.lexErr == nil {
+		p.advance()
+	}
+	return p.lexErr == nil
 }
 
 // fmtTemplate substitutes the two %d verbs, padding each literal with

@@ -74,24 +74,23 @@ func (q *Query) AggSpecs() []exec.AggSpec {
 	return out
 }
 
-// parser consumes a token stream.
-type parser struct {
-	toks []token
-	pos  int
-	src  string
-}
-
-func newParser(src string) (*parser, error) {
-	toks, err := lex(src)
-	if err != nil {
-		return nil, err
+// errorf is fmt.Errorf for a complaint about the token read ahead: when the
+// input does not even lex there, that is the error.
+func (p *parser) errorf(format string, args ...any) error {
+	if p.tok.kind == tokBad {
+		return p.lexErr
 	}
-	return &parser{toks: toks, src: src}, nil
+	return fmt.Errorf(format, args...)
 }
 
-func (p *parser) peek() token { return p.toks[p.pos] }
-func (p *parser) next() token { t := p.toks[p.pos]; p.pos++; return t }
-func (p *parser) atEOF() bool { return p.peek().kind == tokEOF }
+// end consumes an optional ";" and requires the end of the input.
+func (p *parser) end() error {
+	p.acceptSymbol(";")
+	if !p.atEOF() {
+		return p.errorf("parser: trailing input at offset %d: %q", p.peek().pos, p.peek().text)
+	}
+	return nil
+}
 
 // isKeyword reports whether the next token is the given keyword
 // (case-insensitive).
@@ -103,7 +102,7 @@ func (p *parser) isKeyword(kw string) bool {
 // acceptKeyword consumes the keyword if present.
 func (p *parser) acceptKeyword(kw string) bool {
 	if p.isKeyword(kw) {
-		p.pos++
+		p.advance()
 		return true
 	}
 	return false
@@ -112,7 +111,7 @@ func (p *parser) acceptKeyword(kw string) bool {
 // expectKeyword consumes the keyword or errs.
 func (p *parser) expectKeyword(kw string) error {
 	if !p.acceptKeyword(kw) {
-		return fmt.Errorf("parser: expected %q at offset %d, found %q", kw, p.peek().pos, p.peek().text)
+		return p.errorf("parser: expected %q at offset %d, found %q", kw, p.peek().pos, p.peek().text)
 	}
 	return nil
 }
@@ -121,7 +120,7 @@ func (p *parser) expectKeyword(kw string) error {
 func (p *parser) acceptSymbol(sym string) bool {
 	t := p.peek()
 	if t.kind == tokSymbol && t.text == sym {
-		p.pos++
+		p.advance()
 		return true
 	}
 	return false
@@ -130,7 +129,7 @@ func (p *parser) acceptSymbol(sym string) bool {
 // expectSymbol consumes the symbol or errs.
 func (p *parser) expectSymbol(sym string) error {
 	if !p.acceptSymbol(sym) {
-		return fmt.Errorf("parser: expected %q at offset %d, found %q", sym, p.peek().pos, p.peek().text)
+		return p.errorf("parser: expected %q at offset %d, found %q", sym, p.peek().pos, p.peek().text)
 	}
 	return nil
 }
@@ -139,18 +138,19 @@ func (p *parser) expectSymbol(sym string) error {
 func (p *parser) expectIdent() (string, error) {
 	t := p.peek()
 	if t.kind != tokIdent {
-		return "", fmt.Errorf("parser: expected identifier at offset %d, found %q", t.pos, t.text)
+		return "", p.errorf("parser: expected identifier at offset %d, found %q", t.pos, t.text)
 	}
-	p.pos++
+	p.advance()
 	return t.text, nil
 }
 
 // ParseSMADef parses the paper's "define sma" DDL into a core.Def.
 func ParseSMADef(src string) (core.Def, error) {
-	p, err := newParser(src)
-	if err != nil {
-		return core.Def{}, err
-	}
+	p := newParser(src)
+	return p.parseSMADef()
+}
+
+func (p *parser) parseSMADef() (core.Def, error) {
 	if err := p.expectKeyword("define"); err != nil {
 		return core.Def{}, err
 	}
@@ -207,9 +207,8 @@ func ParseSMADef(src string) (core.Def, error) {
 			return core.Def{}, err
 		}
 	}
-	p.acceptSymbol(";")
-	if !p.atEOF() {
-		return core.Def{}, fmt.Errorf("parser: trailing input %q", p.peek().text)
+	if err := p.end(); err != nil {
+		return core.Def{}, err
 	}
 	return core.NewDef(name, table, agg, e, groupBy...), nil
 }
@@ -217,29 +216,28 @@ func ParseSMADef(src string) (core.Def, error) {
 // ParseExpr parses a standalone scalar expression (used by the catalog to
 // round-trip SMA expressions through their SQL rendering).
 func ParseExpr(src string) (expr.Expr, error) {
-	p, err := newParser(src)
-	if err != nil {
-		return nil, err
-	}
+	p := newParser(src)
 	e, err := p.parseExpr()
 	if err != nil {
 		return nil, err
 	}
 	if !p.atEOF() {
-		return nil, fmt.Errorf("parser: trailing input %q in expression", p.peek().text)
+		return nil, p.errorf("parser: trailing input %q in expression", p.peek().text)
 	}
 	return e, nil
 }
 
 // ParseQuery parses a SELECT statement.
 func ParseQuery(src string) (*Query, error) {
-	p, err := newParser(src)
-	if err != nil {
-		return nil, err
-	}
+	p := newParser(src)
+	return p.parseQuery()
+}
+
+func (p *parser) parseQuery() (*Query, error) {
 	if err := p.expectKeyword("select"); err != nil {
 		return nil, err
 	}
+	var err error
 	q := &Query{Limit: -1}
 	if p.acceptSymbol("*") {
 		q.Star = true
@@ -326,18 +324,17 @@ func ParseQuery(src string) (*Query, error) {
 	if p.acceptKeyword("limit") {
 		tok := p.peek()
 		if tok.kind != tokNumber {
-			return nil, fmt.Errorf("parser: LIMIT requires a number")
+			return nil, p.errorf("parser: LIMIT requires a number")
 		}
-		p.pos++
+		p.advance()
 		n, err := strconv.Atoi(tok.text)
 		if err != nil || n < 0 {
 			return nil, fmt.Errorf("parser: bad LIMIT %q", tok.text)
 		}
 		q.Limit = n
 	}
-	p.acceptSymbol(";")
-	if !p.atEOF() {
-		return nil, fmt.Errorf("parser: trailing input %q at offset %d", p.peek().text, p.peek().pos)
+	if err := p.end(); err != nil {
+		return nil, err
 	}
 	if q.Star {
 		if len(q.GroupBy) > 0 || len(q.Having) > 0 {
@@ -375,7 +372,7 @@ func ParseQuery(src string) (*Query, error) {
 func (p *parser) parseSelectItem() (SelectItem, error) {
 	t := p.peek()
 	if t.kind != tokIdent {
-		return SelectItem{}, fmt.Errorf("parser: expected select item at offset %d", t.pos)
+		return SelectItem{}, p.errorf("parser: expected select item at offset %d", t.pos)
 	}
 	var fn exec.AggFunc
 	isAgg := true
@@ -403,7 +400,7 @@ func (p *parser) parseSelectItem() (SelectItem, error) {
 		}
 		return item, nil
 	}
-	p.pos++ // the function name
+	p.advance() // the function name
 	if err := p.expectSymbol("("); err != nil {
 		return SelectItem{}, err
 	}
@@ -442,7 +439,7 @@ func (p *parser) parseHavingCond() (exec.RowCond, error) {
 	}
 	t := p.peek()
 	if t.kind != tokSymbol {
-		return exec.RowCond{}, fmt.Errorf("parser: expected comparison in HAVING at offset %d", t.pos)
+		return exec.RowCond{}, p.errorf("parser: expected comparison in HAVING at offset %d", t.pos)
 	}
 	var op pred.CmpOp
 	switch t.text {
@@ -461,7 +458,7 @@ func (p *parser) parseHavingCond() (exec.RowCond, error) {
 	default:
 		return exec.RowCond{}, fmt.Errorf("parser: bad HAVING operator %q", t.text)
 	}
-	p.pos++
+	p.advance()
 	rhs, err := p.parseExpr()
 	if err != nil {
 		return exec.RowCond{}, err
@@ -563,47 +560,47 @@ func (p *parser) parseFactor() (expr.Expr, error) {
 		}
 		return expr.Sub(expr.NewConst(0), e), nil
 	case t.kind == tokNumber:
-		p.pos++
+		p.advance()
 		v, err := strconv.ParseFloat(t.text, 64)
 		if err != nil {
 			return nil, fmt.Errorf("parser: bad number %q: %w", t.text, err)
 		}
 		return expr.NewConst(v), nil
 	case t.kind == tokString:
-		p.pos++
+		p.advance()
 		return constFromString(t.text)
 	case t.kind == tokIdent && strings.EqualFold(t.text, "date"):
-		p.pos++
+		p.advance()
 		s := p.peek()
 		if s.kind != tokString {
-			return nil, fmt.Errorf("parser: DATE must be followed by a 'YYYY-MM-DD' literal")
+			return nil, p.errorf("parser: DATE must be followed by a 'YYYY-MM-DD' literal")
 		}
-		p.pos++
+		p.advance()
 		d, err := tuple.ParseDate(s.text)
 		if err != nil {
 			return nil, err
 		}
 		return expr.NewConst(float64(d)), nil
 	case t.kind == tokIdent && strings.EqualFold(t.text, "interval"):
-		p.pos++
+		p.advance()
 		s := p.peek()
 		if s.kind != tokString {
-			return nil, fmt.Errorf("parser: INTERVAL must be followed by a quoted number")
+			return nil, p.errorf("parser: INTERVAL must be followed by a quoted number")
 		}
-		p.pos++
+		p.advance()
 		n, err := strconv.ParseFloat(strings.TrimSpace(s.text), 64)
 		if err != nil {
 			return nil, fmt.Errorf("parser: bad INTERVAL %q: %w", s.text, err)
 		}
 		if !p.acceptKeyword("day") {
-			return nil, fmt.Errorf("parser: only INTERVAL '<n>' DAY is supported")
+			return nil, p.errorf("parser: only INTERVAL '<n>' DAY is supported")
 		}
 		return expr.NewConst(n), nil
 	case t.kind == tokIdent:
-		p.pos++
+		p.advance()
 		return expr.NewCol(strings.ToUpper(t.text)), nil
 	default:
-		return nil, fmt.Errorf("parser: unexpected token %q at offset %d", t.text, t.pos)
+		return nil, p.errorf("parser: unexpected token %q at offset %d", t.text, t.pos)
 	}
 }
 
@@ -677,12 +674,12 @@ func (p *parser) parseNot() (pred.Predicate, error) {
 // ambiguity between "(expr)" and "(pred)" is resolved by backtracking.
 func (p *parser) parsePrimaryPred() (pred.Predicate, error) {
 	if p.peek().kind == tokSymbol && p.peek().text == "(" {
-		save := p.pos
-		p.pos++
+		m := p.mark()
+		p.advance()
 		if q, err := p.parseOr(); err == nil && p.acceptSymbol(")") {
 			return q, nil
 		}
-		p.pos = save
+		p.reset(m)
 	}
 	return p.parseComparison()
 }
@@ -695,7 +692,7 @@ func (p *parser) parseComparison() (pred.Predicate, error) {
 	}
 	t := p.peek()
 	if t.kind != tokSymbol {
-		return nil, fmt.Errorf("parser: expected comparison operator at offset %d", t.pos)
+		return nil, p.errorf("parser: expected comparison operator at offset %d", t.pos)
 	}
 	var op pred.CmpOp
 	switch t.text {
@@ -714,7 +711,7 @@ func (p *parser) parseComparison() (pred.Predicate, error) {
 	default:
 		return nil, fmt.Errorf("parser: unexpected operator %q at offset %d", t.text, t.pos)
 	}
-	p.pos++
+	p.advance()
 	right, err := p.parseExpr()
 	if err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package parser
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -286,6 +287,38 @@ func TestParseHavingLimit(t *testing.T) {
 	} {
 		if _, err := ParseQuery(bad); err == nil {
 			t.Errorf("expected error for %q", bad)
+		}
+	}
+}
+
+// TestNonASCIIOutsideStringsIsAPositionedError: the scanner reads bytes and
+// the dialect is ASCII. A byte >= 0x80 is data inside a string literal,
+// skipped inside a comment, and anywhere else an error naming its offset —
+// never an identifier letter or a space, as the Latin-1 reading of the old
+// lexer had it.
+func TestNonASCIIOutsideStringsIsAPositionedError(t *testing.T) {
+	for _, tc := range []struct {
+		src string
+		at  int // offset of the offending byte, -1 when the statement parses
+	}{
+		{"select count(*) from T where K = '\xe9'", -1},
+		{"select count(*) from T -- café\n where A = 1", -1},
+		{"insert into T values ('naïve', 1)", -1},
+		{"select count(*) from Té", 22},
+		{"select count(*) from T where A = 1", 30},     // NBSP is not a space
+		{"select count(*) from T where A = 1\x85", 34}, // nor is NEL
+		{"insert into T values (1, ½)", 25},
+		{"define sma é select min(A) from T", 11},
+	} {
+		_, err := ParseStatement(tc.src)
+		switch {
+		case tc.at < 0 && err != nil:
+			t.Errorf("%q: %v", tc.src, err)
+		case tc.at >= 0 && (err == nil || !strings.Contains(err.Error(), fmt.Sprintf("at offset %d", tc.at))):
+			t.Errorf("%q: got %v, want an error at offset %d", tc.src, err, tc.at)
+		}
+		if tc.at >= 0 && Normalize(tc.src) != strings.Join(strings.Fields(strings.ToLower(tc.src)), " ") {
+			t.Errorf("%q: an input that does not lex must normalize textually, got %q", tc.src, Normalize(tc.src))
 		}
 	}
 }

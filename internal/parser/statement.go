@@ -66,12 +66,21 @@ func (l Literal) String() string {
 
 // InsertStmt inserts tuples:
 // "insert into T [(col, ...)] values (v, ...), (v, ...)".
-// When Columns is empty the values follow the schema's column order.
+// When Columns is empty the values follow the schema's column order. The
+// VALUES groups are one flat vector, Arity literals per group in statement
+// order: a load statement of thousands of cells is one allocation.
 type InsertStmt struct {
 	Table   string
-	Columns []string    // optional explicit column order
-	Rows    [][]Literal // one entry per VALUES group
+	Columns []string  // optional explicit column order
+	Arity   int       // literals per VALUES group (every group has the same)
+	Values  []Literal // NumRows() * Arity literals, row-major
 }
+
+// NumRows returns the number of VALUES groups.
+func (s *InsertStmt) NumRows() int { return len(s.Values) / s.Arity }
+
+// Row returns the literals of the i-th VALUES group.
+func (s *InsertStmt) Row(i int) []Literal { return s.Values[i*s.Arity : (i+1)*s.Arity] }
 
 // SetClause is one assignment of an UPDATE's SET list. Expr carries a
 // scalar right-hand side over the old tuple; a bare string literal is kept
@@ -106,21 +115,22 @@ func (*UpdateStmt) isStatement()      {}
 // leading keyword: SELECT, DEFINE SMA, DROP SMA, CREATE TABLE, INSERT,
 // UPDATE, DELETE.
 func ParseStatement(src string) (Statement, error) {
-	p, err := newParser(src)
-	if err != nil {
-		return nil, err
-	}
+	p := newParser(src)
+	return p.parseStatement()
+}
+
+func (p *parser) parseStatement() (Statement, error) {
 	switch {
 	case p.isKeyword("select"):
-		q, err := ParseQuery(src)
+		q, err := p.parseQuery()
 		if err != nil {
 			return nil, err
 		}
 		return &SelectStmt{Query: q}, nil
 	case p.isKeyword("explain"):
-		return parseExplain(src)
+		return parseExplain(p.src)
 	case p.isKeyword("define"):
-		def, err := ParseSMADef(src)
+		def, err := p.parseSMADef()
 		if err != nil {
 			return nil, err
 		}
@@ -138,7 +148,7 @@ func ParseStatement(src string) (Statement, error) {
 	case p.isKeyword("reset"):
 		return p.parseResetStats()
 	default:
-		return nil, fmt.Errorf("parser: expected SELECT, EXPLAIN, DEFINE SMA, DROP SMA, CREATE TABLE, INSERT, UPDATE, DELETE or RESET STATS, found %q", p.peek().text)
+		return nil, p.errorf("parser: expected SELECT, EXPLAIN, DEFINE SMA, DROP SMA, CREATE TABLE, INSERT, UPDATE, DELETE or RESET STATS, found %q", p.peek().text)
 	}
 }
 
@@ -150,9 +160,8 @@ func (p *parser) parseResetStats() (Statement, error) {
 	if err := p.expectKeyword("stats"); err != nil {
 		return nil, err
 	}
-	p.acceptSymbol(";")
-	if !p.atEOF() {
-		return nil, fmt.Errorf("parser: trailing input %q", p.peek().text)
+	if err := p.end(); err != nil {
+		return nil, err
 	}
 	return &ResetStatsStmt{}, nil
 }
@@ -176,9 +185,8 @@ func (p *parser) parseDropSMA() (Statement, error) {
 	if err != nil {
 		return nil, err
 	}
-	p.acceptSymbol(";")
-	if !p.atEOF() {
-		return nil, fmt.Errorf("parser: trailing input %q", p.peek().text)
+	if err := p.end(); err != nil {
+		return nil, err
 	}
 	return &DropSMAStmt{Table: table, Name: strings.ToLower(name)}, nil
 }
@@ -212,9 +220,8 @@ func (p *parser) parseCreateTable() (Statement, error) {
 	if err := p.expectSymbol(")"); err != nil {
 		return nil, err
 	}
-	p.acceptSymbol(";")
-	if !p.atEOF() {
-		return nil, fmt.Errorf("parser: trailing input %q", p.peek().text)
+	if err := p.end(); err != nil {
+		return nil, err
 	}
 	return &CreateTableStmt{Table: strings.ToUpper(name), Columns: cols}, nil
 }
@@ -247,9 +254,9 @@ func (p *parser) parseColumnDef() (tuple.Column, error) {
 		}
 		t := p.peek()
 		if t.kind != tokNumber {
-			return tuple.Column{}, fmt.Errorf("parser: char length must be a number at offset %d", t.pos)
+			return tuple.Column{}, p.errorf("parser: char length must be a number at offset %d", t.pos)
 		}
-		p.pos++
+		p.advance()
 		n, err := strconv.Atoi(t.text)
 		if err != nil || n <= 0 {
 			return tuple.Column{}, fmt.Errorf("parser: bad char length %q", t.text)
@@ -292,17 +299,19 @@ func (p *parser) parseInsert() (Statement, error) {
 	if err := p.expectKeyword("values"); err != nil {
 		return nil, err
 	}
-	for {
+	st.Values = make([]Literal, 0, 16)
+	for rows := 0; ; rows++ {
+		open := p.peek().pos
 		if err := p.expectSymbol("("); err != nil {
 			return nil, err
 		}
-		var row []Literal
+		n := len(st.Values)
 		for {
 			lit, err := p.parseLiteral()
 			if err != nil {
 				return nil, err
 			}
-			row = append(row, lit)
+			st.Values = append(st.Values, lit)
 			if !p.acceptSymbol(",") {
 				break
 			}
@@ -310,18 +319,25 @@ func (p *parser) parseInsert() (Statement, error) {
 		if err := p.expectSymbol(")"); err != nil {
 			return nil, err
 		}
-		if len(st.Rows) > 0 && len(row) != len(st.Rows[0]) {
-			return nil, fmt.Errorf("parser: VALUES row %d has %d values, first row has %d",
-				len(st.Rows)+1, len(row), len(st.Rows[0]))
+		if rows == 0 {
+			st.Arity = len(st.Values)
+			if next := p.peek(); next.kind == tokSymbol && next.text == "," {
+				// Later groups mostly look like the first: size the vector
+				// once, for as many of them as the rest of the text can
+				// hold plus an eighth for shorter ones.
+				est := (len(p.src) - open) / (next.pos - open)
+				st.Values = append(make([]Literal, 0, (est+est/8+1)*st.Arity), st.Values...)
+			}
+		} else if got := len(st.Values) - n; got != st.Arity {
+			return nil, fmt.Errorf("parser: VALUES row %d at offset %d has %d values, first row has %d",
+				rows+1, open, got, st.Arity)
 		}
-		st.Rows = append(st.Rows, row)
 		if !p.acceptSymbol(",") {
 			break
 		}
 	}
-	p.acceptSymbol(";")
-	if !p.atEOF() {
-		return nil, fmt.Errorf("parser: trailing input %q", p.peek().text)
+	if err := p.end(); err != nil {
+		return nil, err
 	}
 	return st, nil
 }
@@ -332,39 +348,40 @@ func (p *parser) parseLiteral() (Literal, error) {
 	t := p.peek()
 	switch {
 	case p.acceptSymbol("-"):
+		at := p.peek().pos
 		lit, err := p.parseLiteral()
 		if err != nil {
 			return Literal{}, err
 		}
 		if lit.IsStr {
-			return Literal{}, fmt.Errorf("parser: cannot negate string literal %s", lit)
+			return Literal{}, fmt.Errorf("parser: cannot negate the string literal at offset %d, %s", at, lit)
 		}
 		lit.Num = -lit.Num
 		return lit, nil
 	case t.kind == tokNumber:
-		p.pos++
+		p.advance()
 		v, err := strconv.ParseFloat(t.text, 64)
 		if err != nil {
-			return Literal{}, fmt.Errorf("parser: bad number %q: %w", t.text, err)
+			return Literal{}, fmt.Errorf("parser: bad number %q at offset %d: %w", t.text, t.pos, err)
 		}
 		return Literal{Num: v}, nil
 	case t.kind == tokString:
-		p.pos++
+		p.advance()
 		return Literal{IsStr: true, Str: t.text}, nil
 	case t.kind == tokIdent && strings.EqualFold(t.text, "date"):
-		p.pos++
+		p.advance()
 		s := p.peek()
 		if s.kind != tokString {
-			return Literal{}, fmt.Errorf("parser: DATE must be followed by a 'YYYY-MM-DD' literal")
+			return Literal{}, p.errorf("parser: DATE must be followed by a 'YYYY-MM-DD' literal at offset %d", s.pos)
 		}
-		p.pos++
+		p.advance()
 		d, err := tuple.ParseDate(s.text)
 		if err != nil {
-			return Literal{}, err
+			return Literal{}, fmt.Errorf("parser: DATE literal at offset %d: %w", s.pos, err)
 		}
 		return Literal{Num: float64(d)}, nil
 	default:
-		return Literal{}, fmt.Errorf("parser: expected literal value at offset %d, found %q", t.pos, t.text)
+		return Literal{}, p.errorf("parser: expected literal value at offset %d, found %q", t.pos, t.text)
 	}
 }
 
@@ -413,9 +430,8 @@ func (p *parser) parseUpdate() (Statement, error) {
 			return nil, err
 		}
 	}
-	p.acceptSymbol(";")
-	if !p.atEOF() {
-		return nil, fmt.Errorf("parser: trailing input %q", p.peek().text)
+	if err := p.end(); err != nil {
+		return nil, err
 	}
 	return st, nil
 }
@@ -429,14 +445,16 @@ func (p *parser) acceptBareString() (string, bool) {
 	if t.kind != tokString {
 		return "", false
 	}
-	next := p.toks[p.pos+1]
+	m := p.mark()
+	p.advance()
+	next := p.peek()
 	switch {
 	case next.kind == tokEOF,
 		next.kind == tokSymbol && (next.text == "," || next.text == ";"),
 		next.kind == tokIdent && strings.EqualFold(next.text, "where"):
-		p.pos++
 		return t.text, true
 	}
+	p.reset(m)
 	return "", false
 }
 
@@ -458,9 +476,8 @@ func (p *parser) parseDelete() (Statement, error) {
 			return nil, err
 		}
 	}
-	p.acceptSymbol(";")
-	if !p.atEOF() {
-		return nil, fmt.Errorf("parser: trailing input %q", p.peek().text)
+	if err := p.end(); err != nil {
+		return nil, err
 	}
 	return st, nil
 }

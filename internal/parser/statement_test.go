@@ -155,10 +155,10 @@ func TestParseInsert(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := st.(*InsertStmt)
-	if in.Table != "SALES" || len(in.Columns) != 0 || len(in.Rows) != 2 {
+	if in.Table != "SALES" || len(in.Columns) != 0 || in.NumRows() != 2 || in.Arity != 4 {
 		t.Fatalf("insert = %+v", in)
 	}
-	r0 := in.Rows[0]
+	r0 := in.Row(0)
 	if r0[0].IsStr || r0[0].Num != float64(tuple.MustParseDate("2020-01-02")) {
 		t.Errorf("date literal = %+v", r0[0])
 	}
@@ -168,8 +168,8 @@ func TestParseInsert(t *testing.T) {
 	if r0[2].Num != 129.95 || r0[3].Num != -3 {
 		t.Errorf("numeric literals = %+v %+v", r0[2], r0[3])
 	}
-	if !in.Rows[1][0].IsStr || in.Rows[1][0].Str != "2020-01-03" {
-		t.Errorf("date-as-string literal = %+v", in.Rows[1][0])
+	if r1 := in.Row(1); !r1[0].IsStr || r1[0].Str != "2020-01-03" {
+		t.Errorf("date-as-string literal = %+v", r1[0])
 	}
 
 	st, err = ParseStatement("insert into T (B, A) values (1, 2)")

@@ -443,7 +443,10 @@ func (bp *BufferPool) loadDoneLocked(fr *Frame) {
 	}
 }
 
-// NewPage allocates a fresh page on disk, pins it, and returns the frame.
+// NewPage allocates a fresh page, pins it, and returns the frame. The page
+// exists only here until its first write-back (see
+// DiskManager.AllocatePage), so the frame is born dirty: eviction can never
+// drop it unwritten.
 func (bp *BufferPool) NewPage() (*Frame, error) {
 	id, err := bp.disk.AllocatePage()
 	if err != nil {
@@ -455,9 +458,8 @@ func (bp *BufferPool) NewPage() (*Frame, error) {
 	if err != nil {
 		return nil, err
 	}
-	for i := range fr.data {
-		fr.data[i] = 0
-	}
+	clear(fr.data[:])
+	fr.dirty = true
 	return fr, nil
 }
 

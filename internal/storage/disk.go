@@ -10,6 +10,7 @@ package storage
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"sync"
 	"time"
@@ -25,10 +26,14 @@ type PageID int64
 // DiskManager performs page-granular I/O against a single file.
 // It is safe for concurrent use.
 type DiskManager struct {
-	mu       sync.Mutex
-	f        *os.File
-	path     string
-	numPages int64
+	mu   sync.Mutex
+	f    *os.File
+	path string
+	// numPages counts the pages that exist: those in the file plus those
+	// AllocatePage reserved, which live in the buffer pool until their
+	// first write-back. filePages is what the file itself holds.
+	numPages  int64
+	filePages int64
 
 	// readLatency, if non-zero, is added to every physical page read to
 	// simulate a cold rotating disk. Writes are not delayed: the paper's
@@ -73,7 +78,8 @@ func OpenDiskManager(path string) (*DiskManager, error) {
 		f.Close()
 		return nil, fmt.Errorf("storage: %s has size %d, not a multiple of the page size", path, st.Size())
 	}
-	return &DiskManager{f: f, path: path, numPages: st.Size() / PageSize, lastRead: -1}, nil
+	n := st.Size() / PageSize
+	return &DiskManager{f: f, path: path, numPages: n, filePages: n, lastRead: -1}, nil
 }
 
 // SetReadLatency installs a simulated per-page read delay (0 disables).
@@ -112,7 +118,8 @@ func (d *DiskManager) checkFault(op string, page PageID) error {
 // Path returns the underlying file path.
 func (d *DiskManager) Path() string { return d.path }
 
-// NumPages returns the current number of pages in the file.
+// NumPages returns the current number of pages: the file's plus those
+// allocated and not yet written back.
 func (d *DiskManager) NumPages() int64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -147,7 +154,12 @@ func (d *DiskManager) ReadPage(id PageID, buf []byte) error {
 			return err
 		}
 	}
-	if _, err := d.f.ReadAt(buf, int64(id)*PageSize); err != nil {
+	// A page past the end of the file was allocated and never written
+	// back: it reads as the empty page it was born as (as does one in a
+	// hole that a later page's write-back left behind it).
+	if n, err := d.f.ReadAt(buf, int64(id)*PageSize); err == io.EOF {
+		clear(buf[n:])
+	} else if err != nil {
 		return fmt.Errorf("storage: read page %d of %s: %w", id, d.path, err)
 	}
 	simulateLatency(lat)
@@ -202,6 +214,7 @@ func (d *DiskManager) WritePage(id PageID, buf []byte) error {
 	if int64(id) == d.numPages {
 		d.numPages++
 	}
+	d.filePages = max(d.filePages, int64(id)+1)
 	d.writes++
 	d.mu.Unlock()
 
@@ -211,16 +224,17 @@ func (d *DiskManager) WritePage(id PageID, buf []byte) error {
 	return nil
 }
 
-// AllocatePage appends a zeroed page and returns its id.
+// AllocatePage reserves the next page id for an empty page and returns it.
+// Nothing is written: the page is born in the buffer pool (NewPage hands out
+// a zeroed dirty frame) and the file grows when it is first written back;
+// until then ReadPage returns zeros for it. A crash before that write-back
+// leaves a shorter file, which is what recovery expects of pages no
+// committed statement reached — and the log re-creates those one did.
 func (d *DiskManager) AllocatePage() (PageID, error) {
 	d.mu.Lock()
-	id := PageID(d.numPages)
-	d.mu.Unlock()
-	var zero [PageSize]byte
-	if err := d.WritePage(id, zero[:]); err != nil {
-		return 0, err
-	}
-	return id, nil
+	defer d.mu.Unlock()
+	d.numPages++
+	return PageID(d.numPages - 1), nil
 }
 
 // Stats returns the number of physical page reads and writes so far.
@@ -270,8 +284,11 @@ func (d *DiskManager) Truncate(pages int64) error {
 	if pages < 0 || pages > d.numPages {
 		return fmt.Errorf("storage: truncate to %d pages out of range [0,%d]", pages, d.numPages)
 	}
-	if err := d.f.Truncate(pages * PageSize); err != nil {
-		return fmt.Errorf("storage: truncate %s: %w", d.path, err)
+	if pages < d.filePages { // pages never written back have nothing to cut
+		if err := d.f.Truncate(pages * PageSize); err != nil {
+			return fmt.Errorf("storage: truncate %s: %w", d.path, err)
+		}
+		d.filePages = pages
 	}
 	d.numPages = pages
 	if int64(d.lastRead) >= pages {

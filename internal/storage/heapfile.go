@@ -93,46 +93,56 @@ func setPageCount(data []byte, n int) {
 	binary.LittleEndian.PutUint16(data, uint16(n))
 }
 
-// Append adds a record to the end of the file and returns its RID.
+// Append adds a record to the end of the file and returns its RID: the
+// one-record case of AppendRun.
 func (h *HeapFile) Append(t tuple.Tuple) (RID, error) {
-	if t.Schema != h.schema {
-		// Allow structurally identical schemas (e.g. reloaded catalogs).
-		if t.Schema.RecordSize() != h.schema.RecordSize() {
-			return RID{}, fmt.Errorf("storage: tuple schema mismatch")
-		}
+	if t.Schema != h.schema && t.Schema.RecordSize() != h.schema.RecordSize() {
+		// Structurally identical schemas (e.g. reloaded catalogs) pass.
+		return RID{}, fmt.Errorf("storage: tuple schema mismatch")
 	}
-	np := h.NumPages()
+	rid, _, err := h.AppendRun(t.Data)
+	return rid, err
+}
+
+// AppendRun appends as many of the packed records recs as the last page
+// still has room for — a fresh page's worth when it is full — and returns
+// the position of the first and how many were placed: the records occupy
+// slots [first.Slot, first.Slot+n) of page first.Page. The touched page is
+// pinned, marked dirty and unpinned once, however many records land on it;
+// callers loop until the run is placed, one page at a time.
+func (h *HeapFile) AppendRun(recs []byte) (first RID, n int, err error) {
+	rs := h.schema.RecordSize()
+	if len(recs) == 0 || len(recs)%rs != 0 {
+		return RID{}, 0, fmt.Errorf("storage: append of %d bytes is not whole %d-byte records", len(recs), rs)
+	}
 	var fr *Frame
-	var err error
-	if np > 0 {
-		fr, err = h.pool.FetchPage(PageID(np - 1))
-		if err != nil {
-			return RID{}, err
+	if np := h.NumPages(); np > 0 {
+		if fr, err = h.pool.FetchPage(PageID(np - 1)); err != nil {
+			return RID{}, 0, err
 		}
 		if pageCount(fr.Data()) >= h.perPage {
 			if err := h.pool.UnpinPage(fr.ID()); err != nil {
-				return RID{}, err
+				return RID{}, 0, err
 			}
 			fr = nil
 		}
 	}
 	if fr == nil {
-		fr, err = h.pool.NewPage()
-		if err != nil {
-			return RID{}, err
+		if fr, err = h.pool.NewPage(); err != nil {
+			return RID{}, 0, err
 		}
 	}
 	data := fr.Data()
 	slot := pageCount(data)
-	off := pageHeaderSize + slot*h.schema.RecordSize()
-	copy(data[off:off+h.schema.RecordSize()], t.Data)
-	setPageCount(data, slot+1)
+	n = min(len(recs)/rs, h.perPage-slot)
+	copy(data[pageHeaderSize+slot*rs:], recs[:n*rs])
+	setPageCount(data, slot+n)
 	fr.MarkDirty()
-	rid := RID{Page: fr.ID(), Slot: slot}
+	first = RID{Page: fr.ID(), Slot: slot}
 	if err := h.pool.UnpinPage(fr.ID()); err != nil {
-		return RID{}, err
+		return RID{}, 0, err
 	}
-	return rid, nil
+	return first, n, nil
 }
 
 // Get reads the record at rid into a freshly allocated tuple.
@@ -329,40 +339,48 @@ func (h *HeapFile) RestoreTail(ts TailState) error {
 	return h.pool.UnpinPage(fr.ID())
 }
 
-// ApplyAt places a record image at an exact position, allocating pages
-// as needed — the idempotent redo used by WAL replay for inserts and
-// updates. Replaying an op that already reached disk leaves the page
-// unchanged.
+// ApplyAt places record images at an exact position, allocating pages as
+// needed — the idempotent redo used by WAL replay for inserts, insert runs
+// and updates, and by rollback. data holds one image or several, which go
+// into consecutive slots from rid.Slot. Replaying an op that already
+// reached disk leaves the page unchanged.
 func (h *HeapFile) ApplyAt(rid RID, data []byte) error {
 	rs := h.schema.RecordSize()
-	if len(data) != rs {
-		return fmt.Errorf("storage: ApplyAt image has %d bytes, want %d", len(data), rs)
+	n := len(data) / rs
+	if n == 0 || len(data)%rs != 0 {
+		return fmt.Errorf("storage: ApplyAt image has %d bytes, want a multiple of %d", len(data), rs)
 	}
-	if rid.Slot < 0 || rid.Slot >= h.perPage {
-		return fmt.Errorf("storage: ApplyAt slot %d out of range [0,%d)", rid.Slot, h.perPage)
+	if rid.Slot < 0 || rid.Slot+n > h.perPage {
+		return fmt.Errorf("storage: ApplyAt slots [%d,%d) out of range [0,%d)", rid.Slot, rid.Slot+n, h.perPage)
 	}
-	for h.NumPages() <= int64(rid.Page) {
-		fr, err := h.pool.NewPage()
-		if err != nil {
-			return err
-		}
-		fr.MarkDirty()
-		if err := h.pool.UnpinPage(fr.ID()); err != nil {
-			return err
-		}
+	if err := h.growTo(rid.Page); err != nil {
+		return err
 	}
 	fr, err := h.pool.FetchPage(rid.Page)
 	if err != nil {
 		return err
 	}
 	pdata := fr.Data()
-	off := pageHeaderSize + rid.Slot*rs
-	copy(pdata[off:off+rs], data)
-	if n := pageCount(pdata); rid.Slot+1 > n {
-		setPageCount(pdata, rid.Slot+1)
+	copy(pdata[pageHeaderSize+rid.Slot*rs:], data)
+	if rid.Slot+n > pageCount(pdata) {
+		setPageCount(pdata, rid.Slot+n)
 	}
 	fr.MarkDirty()
 	return h.pool.UnpinPage(fr.ID())
+}
+
+// growTo allocates empty pages until page id exists.
+func (h *HeapFile) growTo(id PageID) error {
+	for h.NumPages() <= int64(id) {
+		fr, err := h.pool.NewPage()
+		if err != nil {
+			return err
+		}
+		if err := h.pool.UnpinPage(fr.ID()); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // RestorePage overwrites page id with a full image, allocating pages as
@@ -371,15 +389,8 @@ func (h *HeapFile) RestorePage(id PageID, img []byte) error {
 	if len(img) != PageSize {
 		return fmt.Errorf("storage: RestorePage image has %d bytes, want %d", len(img), PageSize)
 	}
-	for h.NumPages() <= int64(id) {
-		fr, err := h.pool.NewPage()
-		if err != nil {
-			return err
-		}
-		fr.MarkDirty()
-		if err := h.pool.UnpinPage(fr.ID()); err != nil {
-			return err
-		}
+	if err := h.growTo(id); err != nil {
+		return err
 	}
 	fr, err := h.pool.FetchPage(id)
 	if err != nil {

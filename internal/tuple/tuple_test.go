@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func testSchema(t *testing.T) *Schema {
@@ -256,5 +257,30 @@ func TestTupleString(t *testing.T) {
 		if !strings.Contains(str, want) {
 			t.Errorf("String() = %s missing %s", str, want)
 		}
+	}
+}
+
+// TestParseDateFastPathMatchesTimeParse: the calendar arithmetic ParseDate
+// uses for well-formed dates returns what time.Parse does for every day of
+// its range, and declines everything else.
+func TestParseDateFastPathMatchesTimeParse(t *testing.T) {
+	for d := time.Date(1700, 1, 1, 0, 0, 0, 0, time.UTC); d.Year() < 2200; d = d.AddDate(0, 0, 1) {
+		s := d.Format("2006-01-02")
+		got, ok := civilDays(s)
+		if want := int32(d.Sub(epoch).Hours() / 24); !ok || got != want {
+			t.Fatalf("civilDays(%q) = %d, %v; time.Parse gives %d", s, got, ok, want)
+		}
+	}
+	for _, s := range []string{"1699-12-31", "2200-01-01", "1999-02-29", "2000-13-01", "2000-00-10",
+		"2000-01-00", "2000-04-31", "2000-1-01", "2000/01/01", "20000101", "2000-01-0x", ""} {
+		if d, ok := civilDays(s); ok {
+			t.Errorf("civilDays(%q) = %d, want it left to time.Parse", s, d)
+		}
+	}
+	if d, err := ParseDate("2000-02-29"); err != nil || d != DateFromYMD(2000, 2, 29) {
+		t.Errorf("ParseDate(2000-02-29) = %d, %v", d, err)
+	}
+	if _, err := ParseDate("1999-02-29"); err == nil {
+		t.Error("ParseDate accepted 1999-02-29")
 	}
 }

@@ -81,11 +81,53 @@ func DateFromYMD(year, month, day int) int32 {
 
 // ParseDate parses a "YYYY-MM-DD" string into a TDate value.
 func ParseDate(s string) (int32, error) {
+	if d, ok := civilDays(s); ok {
+		return d, nil
+	}
 	t, err := time.Parse("2006-01-02", s)
 	if err != nil {
 		return 0, fmt.Errorf("tuple: parse date %q: %w", s, err)
 	}
 	return int32(t.Sub(epoch).Hours() / 24), nil
+}
+
+// civilDays is ParseDate for the strings a load sends by the thousand: ten
+// bytes, digits and dashes in place, a real calendar day in 1700-2199. It
+// computes the day number by calendar arithmetic, no time.Time involved;
+// anything else — and every malformed date, for its error — is left to
+// time.Parse.
+func civilDays(s string) (int32, bool) {
+	if len(s) != 10 || s[4] != '-' || s[7] != '-' {
+		return 0, false
+	}
+	num := func(lo, hi int) int {
+		n := 0
+		for _, c := range []byte(s[lo:hi]) {
+			if c < '0' || c > '9' {
+				return -1
+			}
+			n = n*10 + int(c-'0')
+		}
+		return n
+	}
+	y, m, d := num(0, 4), num(5, 7), num(8, 10)
+	if y < 1700 || y > 2199 || m < 1 || m > 12 || d < 1 {
+		return 0, false
+	}
+	days := [...]int{31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31}
+	if leap := y%4 == 0 && (y%100 != 0 || y%400 == 0); d > days[m-1] && !(leap && m == 2 && d == 29) {
+		return 0, false
+	}
+	// Days from 1970-01-01 of a proleptic Gregorian date, counting years
+	// from March so the leap day falls at a year's end.
+	if m <= 2 {
+		y--
+		m += 12
+	}
+	era := y / 400
+	yoe := y - era*400
+	doy := (153*(m-3)+2)/5 + d - 1
+	return int32(era*146097 + yoe*365 + yoe/4 - yoe/100 + doy - 719468), true
 }
 
 // MustParseDate is ParseDate that panics on malformed input. It is intended

@@ -24,6 +24,9 @@ func (f *fuzzApplier) ApplyOp(op Op) error {
 	if (op.IsInsert() || op.IsUpdate()) && len(op.Data) == 0 {
 		f.t.Fatalf("%s op without tuple image", opName(op.Type))
 	}
+	if op.Count < 1 || len(op.Data)%op.Count != 0 || op.Count > 1 && op.Type != recInsertRun {
+		f.t.Fatalf("%s op of %d tuples carries %d image bytes", opName(op.Type), op.Count, len(op.Data))
+	}
 	f.ops++
 	return nil
 }
@@ -77,6 +80,10 @@ func FuzzWALReplay(f *testing.F) {
 	flipped := append([]byte(nil), valid...)
 	flipped[len(flipped)/2] ^= 0xFF
 	f.Add(flipped)
+	// And one whose statements are insert runs, whole and torn inside a run.
+	runs := runLog(f, 2)
+	f.Add(runs)
+	f.Add(runs[:len(runs)-40])
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		a := &fuzzApplier{t: t}

@@ -4,9 +4,11 @@
 //
 // The log holds three kinds of information:
 //
-//   - logical redo records (insert/update/delete), slot-precise and
-//     idempotent, grouped into statements that end with a commit record
-//     carrying the statement's operation count;
+//   - logical redo records (insert, insert run, update, delete),
+//     slot-precise and idempotent, grouped into statements that end with a
+//     commit record carrying the statement's record count — an insert run
+//     is the records one statement placed on one page, a single record
+//     however many rows it carries;
 //   - full-page images, appended before a dirty heap page is written
 //     back in place, so a torn page write can always be repaired from
 //     the log (the buffer pool never writes back pages dirtied by an
@@ -37,6 +39,7 @@ const (
 	recDelete    = byte(3) // table, rid
 	recCommit    = byte(4) // statement boundary: seq + op count
 	recPageImage = byte(5) // table, page id, full 4 KB page image
+	recInsertRun = byte(6) // table, rid of the first, count, the tuple images back to back
 )
 
 // maxBody bounds a record body: a full page image plus its framing. A
@@ -67,54 +70,70 @@ type TableState struct {
 
 // Op is one logical redo operation delivered to an Applier.
 type Op struct {
-	Type  byte // recInsert, recUpdate, or recDelete
+	Type  byte // recInsert, recInsertRun, recUpdate, or recDelete
 	Table string
 	Page  int64
-	Slot  int
-	Data  []byte // tuple image for insert/update; nil for delete
+	Slot  int // the first slot of an insert run
+	// Count is the number of tuples: 1, or an insert run's length — its
+	// images go into slots [Slot, Slot+Count).
+	Count int
+	Data  []byte // Count tuple images for insert/update; nil for delete
 }
 
 // IsInsert, IsUpdate, IsDelete name the op kind without exporting the
-// record-type bytes.
-func (o Op) IsInsert() bool { return o.Type == recInsert }
+// record-type bytes. An insert run is an insert of Count tuples.
+func (o Op) IsInsert() bool { return o.Type == recInsert || o.Type == recInsertRun }
 func (o Op) IsUpdate() bool { return o.Type == recUpdate }
 func (o Op) IsDelete() bool { return o.Type == recDelete }
 
-// appendRecord frames body into dst: crc32c(body), length, body.
-func appendRecord(dst, body []byte) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, crc32.Checksum(body, crcTable))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(body)))
-	return append(dst, body...)
+// beginRecord reserves a record's frame in dst; the caller appends the body
+// and calls endRecord with the returned offset. Records are encoded in
+// place, straight into the statement's batch buffer.
+func beginRecord(dst []byte) ([]byte, int) {
+	return append(dst, 0, 0, 0, 0, 0, 0, 0, 0), len(dst)
 }
 
-// appendOp encodes a logical redo record body into dst and frames it.
-func appendOp(dst []byte, typ byte, table string, page int64, slot int, data []byte) []byte {
-	body := make([]byte, 0, 1+1+len(table)+8+2+len(data))
-	body = append(body, typ, byte(len(table)))
-	body = append(body, table...)
-	body = binary.LittleEndian.AppendUint64(body, uint64(page))
-	body = binary.LittleEndian.AppendUint16(body, uint16(slot))
-	body = append(body, data...)
-	return appendRecord(dst, body)
+// endRecord fills in the frame of the record begun at off: crc32c(body),
+// length, body.
+func endRecord(dst []byte, off int) []byte {
+	body := dst[off+8:]
+	binary.LittleEndian.PutUint32(dst[off:], crc32.Checksum(body, crcTable))
+	binary.LittleEndian.PutUint32(dst[off+4:], uint32(len(body)))
+	return dst
+}
+
+// appendOp encodes and frames a logical redo record. Only an insert run
+// carries the count field; the other records are one tuple each.
+func appendOp(dst []byte, typ byte, table string, page int64, slot, count int, data []byte) []byte {
+	dst, off := beginRecord(dst)
+	dst = append(dst, typ, byte(len(table)))
+	dst = append(dst, table...)
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(page))
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(slot))
+	if typ == recInsertRun {
+		dst = binary.LittleEndian.AppendUint16(dst, uint16(count))
+	}
+	dst = append(dst, data...)
+	return endRecord(dst, off)
 }
 
 // appendCommit encodes a statement-boundary record.
 func appendCommit(dst []byte, seq uint64, nOps int) []byte {
-	var body [13]byte
-	body[0] = recCommit
-	binary.LittleEndian.PutUint64(body[1:], seq)
-	binary.LittleEndian.PutUint32(body[9:], uint32(nOps))
-	return appendRecord(dst, body[:])
+	dst, off := beginRecord(dst)
+	dst = append(dst, recCommit)
+	dst = binary.LittleEndian.AppendUint64(dst, seq)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(nOps))
+	return endRecord(dst, off)
 }
 
 // appendPageImage encodes a full-page image record.
 func appendPageImage(dst []byte, table string, page int64, data []byte) []byte {
-	body := make([]byte, 0, 1+1+len(table)+8+len(data))
-	body = append(body, recPageImage, byte(len(table)))
-	body = append(body, table...)
-	body = binary.LittleEndian.AppendUint64(body, uint64(page))
-	body = append(body, data...)
-	return appendRecord(dst, body)
+	dst, off := beginRecord(dst)
+	dst = append(dst, recPageImage, byte(len(table)))
+	dst = append(dst, table...)
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(page))
+	dst = append(dst, data...)
+	return endRecord(dst, off)
 }
 
 // encodeHeader renders the checkpoint header: magic, crc, length, then
@@ -191,14 +210,25 @@ func decodeOp(body []byte) (Op, error) {
 		Table: string(body[2 : 2+nameLen]),
 		Page:  int64(binary.LittleEndian.Uint64(body[2+nameLen:])),
 		Slot:  int(binary.LittleEndian.Uint16(body[2+nameLen+8:])),
+		Count: 1,
 	}
-	if data := body[2+nameLen+10:]; len(data) > 0 {
+	data := body[2+nameLen+10:]
+	if op.Type == recInsertRun {
+		if len(data) < 2 {
+			return Op{}, fmt.Errorf("wal: short insert-run record")
+		}
+		op.Count = int(binary.LittleEndian.Uint16(data))
+		if data = data[2:]; op.Count == 0 || len(data) == 0 || len(data)%op.Count != 0 {
+			return Op{}, fmt.Errorf("wal: insert run of %d tuples carries %d image bytes", op.Count, len(data))
+		}
+	}
+	if len(data) > 0 {
 		op.Data = data
 	}
 	if op.Type == recDelete && op.Data != nil {
 		return Op{}, fmt.Errorf("wal: delete record carries %d data bytes", len(op.Data))
 	}
-	if (op.Type == recInsert || op.Type == recUpdate) && op.Data == nil {
+	if op.Type != recDelete && op.Data == nil {
 		return Op{}, fmt.Errorf("wal: %s record without tuple image", opName(op.Type))
 	}
 	return op, nil
@@ -209,6 +239,8 @@ func opName(t byte) string {
 	switch t {
 	case recInsert:
 		return "insert"
+	case recInsertRun:
+		return "insert-run"
 	case recUpdate:
 		return "update"
 	case recDelete:

@@ -22,7 +22,8 @@ type Applier interface {
 type ReplayStats struct {
 	// Statements is the number of committed statements applied.
 	Statements int64
-	// Ops is the number of redo operations applied.
+	// Ops is the number of redo operations applied; an insert run, however
+	// many tuples it carries, is one.
 	Ops int64
 	// PageImages is the number of full-page images restored.
 	PageImages int64
@@ -76,7 +77,7 @@ scan:
 			break // torn or corrupt tail: fail closed
 		}
 		switch body[0] {
-		case recInsert, recUpdate, recDelete:
+		case recInsert, recInsertRun, recUpdate, recDelete:
 			op, err := decodeOp(body)
 			if err != nil {
 				break scan

@@ -25,6 +25,10 @@ var ErrSyncTimeout = errors.New("wal: group-commit wait timed out")
 // distinguishes a stalled device from a merely busy one.
 const defaultSyncTimeout = 10 * time.Second
 
+// maxSpare bounds the batch buffer a log keeps between statements: one
+// huge statement must not pin its buffer for the life of the log.
+const maxSpare = 1 << 20
+
 // SyncMode selects when commit records are forced to stable storage.
 type SyncMode int
 
@@ -75,8 +79,11 @@ func (p SyncPolicy) String() string {
 	return fmt.Sprintf("mode-%d", int(p.Mode))
 }
 
-// Batch accumulates one statement's redo records. It is not safe for
-// concurrent use; the engine builds each batch under its write lock.
+// Batch accumulates one statement's redo records, each encoded in place
+// into one buffer that Commit hands to the log as it is. It is not safe for
+// concurrent use; the engine builds each batch under its write lock. A
+// committed batch is spent: Commit empties it and keeps its buffer for the
+// log's next batch.
 type Batch struct {
 	buf []byte
 	n   int
@@ -84,19 +91,27 @@ type Batch struct {
 
 // Insert records a tuple image placed at (page, slot).
 func (b *Batch) Insert(table string, page int64, slot int, data []byte) {
-	b.buf = appendOp(b.buf, recInsert, table, page, slot, data)
+	b.buf = appendOp(b.buf, recInsert, table, page, slot, 1, data)
+	b.n++
+}
+
+// InsertRun records count tuple images, back to back in data, placed in
+// slots [slot, slot+count) of page: what one statement appended to one page
+// is one record.
+func (b *Batch) InsertRun(table string, page int64, slot, count int, data []byte) {
+	b.buf = appendOp(b.buf, recInsertRun, table, page, slot, count, data)
 	b.n++
 }
 
 // Update records a replacement tuple image at (page, slot).
 func (b *Batch) Update(table string, page int64, slot int, data []byte) {
-	b.buf = appendOp(b.buf, recUpdate, table, page, slot, data)
+	b.buf = appendOp(b.buf, recUpdate, table, page, slot, 1, data)
 	b.n++
 }
 
 // Delete records a tombstone for (page, slot).
 func (b *Batch) Delete(table string, page int64, slot int) {
-	b.buf = appendOp(b.buf, recDelete, table, page, slot, nil)
+	b.buf = appendOp(b.buf, recDelete, table, page, slot, 1, nil)
 	b.n++
 }
 
@@ -133,6 +148,7 @@ type Log struct {
 	size   int64
 	dirty  bool // bytes appended since the last fsync
 	closed bool
+	spare  []byte // the last committed batch's buffer, for the next NewBatch
 
 	syncMu    sync.Mutex // guards the fields below; never held with mu
 	syncCond  *sync.Cond
@@ -191,8 +207,15 @@ func Create(path string, states []TableState, policy SyncPolicy) (*Log, error) {
 	return l, nil
 }
 
-// NewBatch returns an empty statement batch.
-func (l *Log) NewBatch() *Batch { return &Batch{} }
+// NewBatch returns an empty statement batch. Statements commit one after
+// another, so a steady load encodes every batch into the same buffer.
+func (l *Log) NewBatch() *Batch {
+	l.mu.Lock()
+	buf := l.spare
+	l.spare = nil
+	l.mu.Unlock()
+	return &Batch{buf: buf[:0]}
+}
 
 // Commit appends the batch's records followed by a statement-boundary
 // commit record and hands them to the OS, returning the statement's
@@ -210,16 +233,19 @@ func (l *Log) Commit(b *Batch) (uint64, error) {
 	}
 	l.seq++
 	seq := l.seq
-	frame := appendCommit(b.buf, seq, b.n)
-	_, err := l.w.Write(frame)
+	frame, n := appendCommit(b.buf, seq, b.n), b.n
+	_, err := l.w.Write(frame) // copies: the buffer is free again
 	l.size += int64(len(frame))
 	l.dirty = true
+	if b.buf, b.n = nil, 0; cap(frame) <= maxSpare {
+		l.spare = frame[:0]
+	}
 	l.mu.Unlock()
 	if err != nil {
 		return 0, err
 	}
 	l.nCommits.Add(1)
-	l.nRecords.Add(uint64(b.n + 1))
+	l.nRecords.Add(uint64(n + 1))
 	l.nBytes.Add(uint64(len(frame)))
 	return seq, nil
 }
@@ -344,7 +370,7 @@ func (l *Log) Sync() error {
 // in place. Replay restores the image before re-applying later records,
 // so a torn in-place write can never corrupt committed tuples.
 func (l *Log) PageImage(table string, page int64, data []byte) error {
-	frame := appendPageImage(nil, table, page, data)
+	frame := appendPageImage(make([]byte, 0, 8+2+len(table)+8+len(data)), table, page, data)
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
