@@ -142,9 +142,9 @@ func WithIdempotencyKey(key string) QueryOption {
 	return func(q *queryRequest) { q.IdempotencyKey = key }
 }
 
-// WithTrace asks the server to record a per-operator execution trace;
-// the span tree arrives as a trace frame before the trailer and is
-// available from Rows.Trace once the stream ends.
+// WithTrace asks the server for the query's trace, its record's phases as
+// a tree; it arrives as a trace frame before the trailer and is available
+// from Rows.Trace once the stream ends.
 func WithTrace() QueryOption {
 	return func(q *queryRequest) { q.Trace = true }
 }
@@ -160,10 +160,10 @@ type Stats struct {
 	PrefetchHits         int `json:"prefetch_hits"`
 }
 
-// TraceNode mirrors one node of the server's trace frame: an operator
-// (or phase) of the executed pipeline with its wall time, counters, and
-// children. The qualify/disqualify/ambivalent counts use the paper's
-// §3.1 bucket grading terminology.
+// TraceNode mirrors one node of the server's trace frame — the query, one
+// of its phases, or a parallel worker under merge — with its wall time,
+// counters and children. The qualify/disqualify/ambivalent counts use the
+// paper's §3.1 bucket grading terminology.
 type TraceNode struct {
 	Name            string       `json:"name"`
 	Note            string       `json:"note,omitempty"`
@@ -176,7 +176,6 @@ type TraceNode struct {
 	Qualify         int64        `json:"qualify,omitempty"`
 	Disqualify      int64        `json:"disqualify,omitempty"`
 	Ambivalent      int64        `json:"ambivalent,omitempty"`
-	AllocBytes      int64        `json:"alloc_bytes,omitempty"`
 	Children        []*TraceNode `json:"children,omitempty"`
 }
 
@@ -298,8 +297,8 @@ func (r *Rows) Stats() (Stats, bool) {
 	return *r.trl.Stats, true
 }
 
-// Trace returns the query's span tree when the query was run with
-// WithTrace and the stream has ended; nil otherwise.
+// Trace returns the query's trace when the query was run with WithTrace
+// and the stream has ended; nil otherwise.
 func (r *Rows) Trace() *TraceNode { return r.trace }
 
 // Close releases the HTTP connection. Closing before the stream is
@@ -372,8 +371,8 @@ type ExecResult struct {
 		Pages   int64  `json:"pages"`
 	} `json:"sma"`
 	ElapsedMicros int64 `json:"elapsed_us"`
-	// WALBytes and WALSyncs report the statement's redo-log footprint
-	// (0 when the server runs without observability).
+	// WALBytes is the size of the statement's own redo-log frame; WALSyncs
+	// is 1 when it led the fsync that covered it, 0 when another did.
 	WALBytes int64 `json:"wal_bytes"`
 	WALSyncs int64 `json:"wal_syncs"`
 }

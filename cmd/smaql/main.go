@@ -14,7 +14,7 @@
 //	smaql -dir ./db 'delete from EVENTS where TS <= date ''2024-01-31'''
 //	smaql -dir ./db -explain '<query>'     # show the chosen plan only
 //	smaql -dir ./db 'explain <query>'            # same, through SQL
-//	smaql -dir ./db 'explain analyze <query>'    # execute and render the span tree
+//	smaql -dir ./db 'explain analyze <query>'    # execute and render the phase trace
 //	smaql -dir ./db -stats '<query>'       # print scan statistics after the result
 //	smaql -dir ./db -dop 4 '<query>'       # run aggregations on 4 partition workers
 //	echo '<query>' | smaql -dir ./db -

@@ -37,11 +37,12 @@ func WithBatchSize(n int) QueryOption {
 	return func(c *queryConfig) { c.batch = &n }
 }
 
-// WithTrace enables per-operator execution tracing for one query: the
-// cursor records a span tree over the real pipeline (parse → plan →
-// grade → execute → sort → fold → scan → prefetch) and exposes it via
-// TraceNode once the stream ends. Tracing works with or without an
-// Observer on the database.
+// WithTrace renders one query's phase clock as a trace: when the statement
+// ends, its record — the wall time and counters of parse, plan, grade,
+// scan, fold or merge (with one row per parallel worker) and stream — is
+// drawn as a tree, exposed via TraceNode. The clock runs on every query, so
+// tracing adds only the tree. It works with or without an Observer on the
+// database.
 func WithTrace(on bool) QueryOption {
 	return func(c *queryConfig) { c.trace = on }
 }
@@ -173,8 +174,8 @@ func (c *Cursor) Stats() (exec.ScanStats, bool) { return c.st.plan.ScanStats() }
 // TraceNode returns the finished execution trace of the query. It is
 // available once the stream has ended (exhaustion, error, or Close) and
 // nil when the query was not traced (see WithTrace). A cancelled or
-// failed query yields a well-formed partial trace.
-func (c *Cursor) TraceNode() *obs.TraceNode { return c.st.trace.Node() }
+// failed query yields a well-formed trace of the phases it reached.
+func (c *Cursor) TraceNode() *obs.TraceNode { return c.st.trace }
 
 // QueryID returns the query's observability id ("" when the database has
 // no observer).
@@ -348,7 +349,7 @@ func (db *DB) openCursor(ctx context.Context, st *statement, cfg queryConfig) (c
 	if err := db.checkOpen(); err != nil {
 		return nil, err
 	}
-	plan, err := db.planTracedLocked(st.sql, st.trace)
+	plan, err := db.planLocked(st)
 	if err != nil {
 		db.opts.Obs.Logger().Warn("query rejected", "qid", st.qid, "err", err, "sql", st.sql)
 		return nil, err
@@ -359,9 +360,9 @@ func (db *DB) openCursor(ctx context.Context, st *statement, cfg queryConfig) (c
 	if cfg.batch != nil {
 		plan.Exec.BatchSize = *cfg.batch
 	}
-	plan.Span = st.trace.Root().Child("execute")
 	st.plan = plan
 	cur, err = newCursor(ctx, st)
+	st.mark(openPhase(plan))
 	if err != nil {
 		db.opts.Obs.Logger().Warn("query failed", "qid", st.qid, "err", err, "sql", st.sql)
 		return nil, err
@@ -371,20 +372,14 @@ func (db *DB) openCursor(ctx context.Context, st *statement, cfg queryConfig) (c
 
 // explainContext implements EXPLAIN and EXPLAIN ANALYZE. Plain EXPLAIN
 // plans the inner query and streams the plan description. EXPLAIN
-// ANALYZE runs the query to completion with tracing forced on and
-// streams the plan description followed by the rendered span tree with
-// per-operator timings and counters; the text cursor shares the inner
-// query's settled statement, so its Stats and TraceNode reflect the real
+// ANALYZE runs the query to completion traced and streams the plan
+// description followed by its rendered trace, the phase times and
+// counters of its record; the text cursor shares the inner query's
+// settled statement, so its Stats and TraceNode reflect the real
 // execution.
 func (db *DB) explainContext(ctx context.Context, inner string, analyze bool, opts ...QueryOption) (*Cursor, error) {
 	if !analyze {
-		db.mu.RLock()
-		if err := db.checkOpen(); err != nil {
-			db.mu.RUnlock()
-			return nil, err
-		}
-		plan, err := db.planLocked(inner)
-		db.mu.RUnlock()
+		plan, err := db.Plan(inner)
 		if err != nil {
 			return nil, err
 		}

@@ -19,24 +19,24 @@ import (
 // validated before the heap is touched, and any later error — I/O,
 // cancellation, a failed maintenance hook — rolls the table back to the
 // statement start, so either all rows land or none do. The returned
-// sequence is the statement's WAL commit; callers wait on it for
+// commit is the statement's place in the WAL; callers wait on it for
 // durability after releasing the lock.
-func (db *DB) insertInto(ctx context.Context, s *parser.InsertStmt) (int64, uint64, error) {
+func (db *DB) insertInto(ctx context.Context, s *parser.InsertStmt) (int64, commit, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if err := db.checkOpen(); err != nil {
-		return 0, 0, err
+		return 0, commit{}, err
 	}
 	t, err := db.table(s.Table)
 	if err != nil {
-		return 0, 0, err
+		return 0, commit{}, err
 	}
 	colIdx, err := insertColumnOrder(t.Schema, s.Columns)
 	if err != nil {
-		return 0, 0, err
+		return 0, commit{}, err
 	}
 	if s.Arity != len(colIdx) {
-		return 0, 0, fmt.Errorf("engine: row 1 has %d values, table %s needs %d", s.Arity, t.Name, len(colIdx))
+		return 0, commit{}, fmt.Errorf("engine: row 1 has %d values, table %s needs %d", s.Arity, t.Name, len(colIdx))
 	}
 	// Every cell is type-checked straight into its place in one buffer of
 	// packed records, the form the heap, the log and the SMA run hooks take
@@ -45,19 +45,19 @@ func (db *DB) insertInto(ctx context.Context, s *parser.InsertStmt) (int64, uint
 	recs := make([]byte, n*rs)
 	for rn := 0; rn < n; rn++ {
 		if err := ctx.Err(); err != nil {
-			return 0, 0, err
+			return 0, commit{}, err
 		}
 		tp := tuple.Tuple{Schema: t.Schema, Data: recs[rn*rs : (rn+1)*rs]}
 		for i, lit := range s.Row(rn) {
 			if err := setLiteral(tp, colIdx[i], lit); err != nil {
-				return 0, 0, fmt.Errorf("engine: row %d column %s: %w",
+				return 0, commit{}, fmt.Errorf("engine: row %d column %s: %w",
 					rn+1, t.Schema.Column(colIdx[i]).Name, err)
 			}
 		}
 	}
 	j, err := db.beginStmt(t)
 	if err != nil {
-		return 0, 0, err
+		return 0, commit{}, err
 	}
 	for rest := recs; len(rest) > 0; {
 		err := ctx.Err()
@@ -67,14 +67,14 @@ func (db *DB) insertInto(ctx context.Context, s *parser.InsertStmt) (int64, uint
 			rest = rest[placed*rs:]
 		}
 		if err != nil {
-			return 0, 0, db.abortStmt(j, err)
+			return 0, commit{}, db.abortStmt(j, err)
 		}
 	}
-	seq, err := db.commitStmt(j)
+	c, err := db.commitStmt(j)
 	if err != nil {
-		return 0, 0, err
+		return 0, commit{}, err
 	}
-	return int64(n), seq, nil
+	return int64(n), c, nil
 }
 
 // insertColumnOrder maps the statement's column list (or the schema order
@@ -233,23 +233,23 @@ type pendingUpdate struct {
 // cancellation and failed SMA maintenance — restores every rewritten
 // tuple's old image. Numeric assignments into integer and date columns
 // truncate toward zero.
-func (db *DB) updateWhere(ctx context.Context, s *parser.UpdateStmt) (int64, uint64, error) {
+func (db *DB) updateWhere(ctx context.Context, s *parser.UpdateStmt) (int64, commit, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if err := db.checkOpen(); err != nil {
-		return 0, 0, err
+		return 0, commit{}, err
 	}
 	t, err := db.table(s.Table)
 	if err != nil {
-		return 0, 0, err
+		return 0, commit{}, err
 	}
 	apply, err := compileSets(t.Schema, s.Sets)
 	if err != nil {
-		return 0, 0, err
+		return 0, commit{}, err
 	}
 	if s.Where != nil {
 		if err := s.Where.Bind(t.Schema); err != nil {
-			return 0, 0, err
+			return 0, commit{}, err
 		}
 	}
 	var pending []pendingUpdate
@@ -273,29 +273,29 @@ func (db *DB) updateWhere(ctx context.Context, s *parser.UpdateStmt) (int64, uin
 		return nil
 	})
 	if err != nil {
-		return 0, 0, err
+		return 0, commit{}, err
 	}
 	j, err := db.beginStmt(t)
 	if err != nil {
-		return 0, 0, err
+		return 0, commit{}, err
 	}
 	for _, pu := range pending {
 		if err := ctx.Err(); err != nil {
-			return 0, 0, db.abortStmt(j, err)
+			return 0, commit{}, db.abortStmt(j, err)
 		}
 		err := j.update(pu.rid, pu.old, pu.new)
 		if err == nil {
 			err = j.maintain(1, func(sm *core.SMA) error { return sm.OnUpdate(t.Heap, pu.old, pu.new, pu.rid) })
 		}
 		if err != nil {
-			return 0, 0, db.abortStmt(j, err)
+			return 0, commit{}, db.abortStmt(j, err)
 		}
 	}
-	seq, err := db.commitStmt(j)
+	c, err := db.commitStmt(j)
 	if err != nil {
-		return 0, 0, err
+		return 0, commit{}, err
 	}
-	return int64(len(pending)), seq, nil
+	return int64(len(pending)), c, nil
 }
 
 // compileSets type-checks the SET clauses against the schema and returns a

@@ -60,8 +60,9 @@ type Options struct {
 	PrefetchWindow int
 	// Obs enables the observability subsystem: the unified metrics
 	// registry, structured engine logs with per-query ids, the slow-query
-	// log, and per-query tracing support (EXPLAIN ANALYZE). Nil disables
-	// all of it; the disabled path costs one pointer test per query. An
+	// log, and the statement-stats collector. Nil disables all of it; the
+	// disabled path costs one pointer test per query. Tracing (EXPLAIN
+	// ANALYZE, WithTrace) is per-query and works either way. An
 	// Observer registers engine-wide metric families, so it must not be
 	// shared by two open databases.
 	Obs *obs.Observer
@@ -216,7 +217,6 @@ func Open(dir string, opts Options) (*DB, error) {
 		BatchSize:      opts.BatchSize,
 		PrefetchWindow: opts.PrefetchWindow,
 	}
-	db.pl.Obs = opts.Obs
 	db.registerPoolMetrics()
 	fail := func(err error) (*DB, error) {
 		if rerr := lock.release(); rerr != nil {
@@ -705,26 +705,35 @@ func (db *DB) DropSMA(table, name string) error {
 func (db *DB) Plan(sql string) (*planner.Plan, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	return db.planLocked(sql)
+	if err := db.checkOpen(); err != nil {
+		return nil, err
+	}
+	return db.planLocked(&statement{sql: sql})
 }
 
-// planLocked plans under a held lock.
-func (db *DB) planLocked(sql string) (*planner.Plan, error) {
-	return db.planTracedLocked(sql, nil)
-}
-
-// planTracedLocked is planLocked under a trace: parsing and planning get
-// their own spans off the trace root (grading is a child of the plan
-// span, see planner.PlanQueryTraced). A nil trace plans untraced.
-func (db *DB) planTracedLocked(sql string, tr *obs.Trace) (*planner.Plan, error) {
-	ps := tr.Root().Child("parse")
-	q, err := parser.ParseQuery(sql)
-	ps.End()
+// planLocked parses and plans the statement's query under a held lock,
+// charging the parse, plan and grade phases on its clock.
+func (db *DB) planLocked(s *statement) (*planner.Plan, error) {
+	q, err := parser.ParseQuery(s.sql)
+	s.mark(obs.PhaseParse)
 	if err != nil {
 		return nil, err
 	}
+	plan, err := db.planQuery(q)
+	s.mark(obs.PhasePlan)
+	if err == nil && plan.GradeTime > 0 {
+		s.clock.Carve(obs.PhasePlan, obs.PhaseGrade, plan.GradeTime)
+		g := &s.clock.Phase[obs.PhaseGrade]
+		g.Qualify, g.Disqualify, g.Ambivalent = int64(plan.Grades.Qualifying), int64(plan.Grades.Disqualifying), int64(plan.Grades.Ambivalent)
+	}
+	return plan, err
+}
+
+// planQuery plans a parsed query over a virtual or a stored table. Caller
+// holds db.mu (either mode).
+func (db *DB) planQuery(q *parser.Query) (*planner.Plan, error) {
 	if rel := db.virtualRelation(q.Table); rel != nil {
-		return db.planVirtual(q, rel, tr)
+		return db.planVirtual(q, rel)
 	}
 	t, err := db.table(q.Table)
 	if err != nil {
@@ -735,8 +744,5 @@ func (db *DB) planTracedLocked(sql string, tr *obs.Trace) (*planner.Plan, error)
 			return nil, err
 		}
 	}
-	plSp := tr.Root().Child("plan")
-	plan, err := db.pl.PlanQueryTraced(q, t.Heap, t.SMAs(), plSp)
-	plSp.End()
-	return plan, err
+	return db.pl.PlanQuery(q, t.Heap, t.SMAs())
 }

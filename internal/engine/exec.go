@@ -22,10 +22,11 @@ type ExecResult struct {
 	// RowsAffected is the number of tuples inserted, updated, or removed
 	// by a DML statement.
 	RowsAffected int64
-	// WALBytes and WALSyncs are the redo-log bytes appended and fsyncs
-	// observed while the statement ran. They are process-wide deltas, so
-	// concurrent statements' WAL traffic (including a shared group-commit
-	// sync) is attributed to whichever statements were in flight.
+	// WALBytes is the size of the statement's own commit frame in the
+	// redo log, and WALSyncs the fsyncs it led: 1 when its durability wait
+	// issued the barrier, 0 when another statement's covered it. Summed
+	// over statements they are the log's traffic, apart from checkpoint
+	// page images (see DB.WALStats).
 	WALBytes int64
 	WALSyncs int64
 }
@@ -66,7 +67,7 @@ func (db *DB) execStmt(ctx context.Context, st *statement) (sma *core.SMA, err e
 	if err != nil {
 		return nil, err
 	}
-	var seq uint64
+	var c commit
 	switch s := parsed.(type) {
 	case *parser.SelectStmt:
 		st.Kind = "select"
@@ -90,13 +91,13 @@ func (db *DB) execStmt(ctx context.Context, st *statement) (sma *core.SMA, err e
 		return nil, err
 	case *parser.InsertStmt:
 		st.Kind, st.Table = "insert", s.Table
-		st.RowsAffected, seq, err = db.insertInto(ctx, s)
+		st.RowsAffected, c, err = db.insertInto(ctx, s)
 	case *parser.UpdateStmt:
 		st.Kind, st.Table = "update", s.Table
-		st.RowsAffected, seq, err = db.updateWhere(ctx, s)
+		st.RowsAffected, c, err = db.updateWhere(ctx, s)
 	case *parser.DeleteStmt:
 		st.Kind, st.Table = "delete", s.Table
-		st.RowsAffected, seq, err = db.deleteWhere(ctx, s.Table, s.Where)
+		st.RowsAffected, c, err = db.deleteWhere(ctx, s.Table, s.Where)
 	default:
 		return nil, fmt.Errorf("engine: unsupported statement %T", parsed)
 	}
@@ -105,8 +106,13 @@ func (db *DB) execStmt(ctx context.Context, st *statement) (sma *core.SMA, err e
 	}
 	// The durability wait runs after the DML released the write lock: a
 	// slow fsync never blocks readers, and concurrent statements share one
-	// group-committed fsync.
-	return nil, db.waitDurable(seq)
+	// group-committed fsync, charged to the one that led it.
+	st.WALBytes = c.bytes
+	led, err := db.waitDurable(c)
+	if led && err == nil {
+		st.WALSyncs = 1
+	}
+	return nil, err
 }
 
 // deleteWhere removes every tuple matching the predicate (all tuples when
@@ -115,19 +121,19 @@ func (db *DB) execStmt(ctx context.Context, st *statement) (sma *core.SMA, err e
 // qualifying scan. The statement is atomic: an error partway through —
 // cancellation, I/O, failed SMA maintenance — unmarks every tuple this
 // statement deleted.
-func (db *DB) deleteWhere(ctx context.Context, table string, p pred.Predicate) (int64, uint64, error) {
+func (db *DB) deleteWhere(ctx context.Context, table string, p pred.Predicate) (int64, commit, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if err := db.checkOpen(); err != nil {
-		return 0, 0, err
+		return 0, commit{}, err
 	}
 	t, err := db.table(table)
 	if err != nil {
-		return 0, 0, err
+		return 0, commit{}, err
 	}
 	if p != nil {
 		if err := p.Bind(t.Schema); err != nil {
-			return 0, 0, err
+			return 0, commit{}, err
 		}
 	}
 	var rids []storage.RID
@@ -145,27 +151,27 @@ func (db *DB) deleteWhere(ctx context.Context, table string, p pred.Predicate) (
 		return nil
 	})
 	if err != nil {
-		return 0, 0, err
+		return 0, commit{}, err
 	}
 	j, err := db.beginStmt(t)
 	if err != nil {
-		return 0, 0, err
+		return 0, commit{}, err
 	}
 	for _, rid := range rids {
 		if err := ctx.Err(); err != nil {
-			return 0, 0, db.abortStmt(j, err)
+			return 0, commit{}, db.abortStmt(j, err)
 		}
 		old, err := j.delete(rid)
 		if err == nil {
 			err = j.maintain(1, func(s *core.SMA) error { return s.OnDelete(t.Heap, old, rid) })
 		}
 		if err != nil {
-			return 0, 0, db.abortStmt(j, err)
+			return 0, commit{}, db.abortStmt(j, err)
 		}
 	}
-	seq, err := db.commitStmt(j)
+	c, err := db.commitStmt(j)
 	if err != nil {
-		return 0, 0, err
+		return 0, commit{}, err
 	}
-	return int64(len(rids)), seq, nil
+	return int64(len(rids)), c, nil
 }

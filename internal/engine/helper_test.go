@@ -6,6 +6,7 @@ import (
 	"strconv"
 
 	"sma/internal/planner"
+	"sma/internal/storage"
 	"sma/internal/tuple"
 )
 
@@ -59,4 +60,15 @@ func Collect(db *DB, sql string, opts ...QueryOption) (*Collected, error) {
 		}
 		res.Rows = append(res.Rows, row)
 	}
+}
+
+// SetWALFault installs fn before every fsync of the database's redo log,
+// with op "sync" (see wal.Log.SetFault; nil removes it), so tests can stall
+// the group-commit barrier with the fault plans of package chaos.
+func (db *DB) SetWALFault(fn storage.FaultFn) {
+	if fn == nil {
+		db.wal.SetFault(nil)
+		return
+	}
+	db.wal.SetFault(func(op string) error { return fn(op, 0) })
 }

@@ -6,20 +6,21 @@ import (
 	"log/slog"
 	"time"
 
+	"sma/internal/exec"
 	"sma/internal/obs"
 	"sma/internal/planner"
 	"sma/internal/pred"
 	"sma/internal/stats"
-	"sma/internal/wal"
 )
 
 // statement is the one record of what a statement did. begin opens it,
 // the execution path fills in what it learns (the plan, rows streamed,
-// the statement kind, rows affected), and end settles it exactly once on
-// every exit path. Everything observable about a finished statement — the
-// sma_stat_* rows, the /metrics families, the slow/debug log line, the
-// trace a cursor and EXPLAIN ANALYZE hand out — is a projection of this
-// struct computed in end, once per statement and never per row.
+// the statement kind, rows affected, phase times), and end settles it
+// exactly once on every exit path. Everything observable about a finished
+// statement — the sma_stat_* rows, the /metrics families, the slow/debug
+// log line, the trace a cursor and EXPLAIN ANALYZE hand out — is a
+// projection of this struct computed in end, once per statement and never
+// per row.
 type statement struct {
 	// Record is the part the stats collector folds: fingerprint and
 	// normalized text, strategy or statement kind, table, dop, duration,
@@ -31,10 +32,16 @@ type statement struct {
 	qid   string
 	start time.Time
 	act   int64              // activity-registry token
-	trace *obs.Trace         // nil unless the statement is traced
 	plan  *planner.Plan      // the executed plan of a query, once there is one
-	wal   wal.Stats          // log counters at begin (non-SELECT statements)
+	work  exec.Work          // what the plan's pipeline measured, settled at end
 	stop  context.CancelFunc // releases the statement-timeout context
+	// clock is the phase vector of a query, lap the end of the phase last
+	// charged to it. It runs on every query; traced only decides whether
+	// end renders it into trace.
+	clock  obs.Clock
+	lap    time.Time
+	traced bool
+	trace  *obs.TraceNode
 	// locked records that the statement holds db.mu in read mode (a query
 	// from planning until its stream ends); end releases it.
 	locked bool
@@ -66,27 +73,31 @@ func (db *DB) begin(ctx context.Context, sql string, query, traced bool) (contex
 			s.qid = o.NextQueryID()
 		}
 		s.Fingerprint, s.Norm = db.fingerprint(sql)
-		if !query {
-			s.wal = db.WALStats()
-		}
 		s.act = o.Stats.BeginActivity(activity, sql, s.Fingerprint)
-		s.start = time.Now()
 	}
-	if traced {
-		s.trace = obs.NewTrace(s.qid, sql)
-	}
+	s.start, s.traced = time.Now(), traced
+	s.lap = s.start
 	return ctx, s
 }
 
 // rlock takes the database read lock for the statement; end releases it.
+// The wait for the lock is charged to no phase.
 func (s *statement) rlock() {
 	s.db.mu.RLock()
 	s.locked = true
+	s.lap = time.Now()
+}
+
+// mark charges the time since the last mark to phase p.
+func (s *statement) mark(p obs.Phase) {
+	now := time.Now()
+	s.clock.Lap(p, now.Sub(s.lap))
+	s.lap = now
 }
 
 // end settles the statement with the error that ended it (nil on
-// success): the trace finishes into its node tree, the record is
-// completed from the plan, and — the only place any of this happens — the
+// success): the record is completed from the plan, a traced query's clock
+// is rendered into its trace, and — the only place any of this happens — the
 // activity is deregistered, the collector, the engine metric families and
 // the log absorb the record, and the timeout context and the read lock
 // are released. Idempotent, so a cursor's Close after its stream ended is
@@ -96,14 +107,20 @@ func (s *statement) end(err error) {
 		return
 	}
 	s.done = true
-	if s.plan != nil {
-		s.plan.Span.End() // the execute span
-	}
-	s.trace.Finish()
-	if o := s.db.opts.Obs; o != nil {
-		s.Dur = time.Since(s.start)
-		s.Err = err != nil
+	s.Err = err != nil
+	if s.Query {
+		s.mark(obs.PhaseStream)
 		s.settle()
+	}
+	s.Dur = time.Since(s.start)
+	if s.traced {
+		workers := make([]obs.Tally, len(s.work.Workers))
+		for i, w := range s.work.Workers {
+			workers[i] = tally(w.Busy, 0, w.ScanStats)
+		}
+		s.trace = s.clock.Trace(s.sql, s.Kind, s.DOP, s.Dur, workers)
+	}
+	if o := s.db.opts.Obs; o != nil {
 		o.Stats.EndActivity(s.act)
 		if s.Kind != "reset stats" { // don't repopulate what reset just cleared
 			o.Stats.Record(&s.Record)
@@ -121,6 +138,9 @@ func (s *statement) end(err error) {
 			em.Buckets.With("ambivalent").Add(s.Ambivalent)
 			if graded := s.Qualify + s.Disqualify + s.Ambivalent; graded > 0 {
 				em.AmbivalentShare.Observe(float64(s.Ambivalent) / float64(graded))
+			}
+			if !s.Err {
+				s.observeWorkers(o.Parallel)
 			}
 		} else {
 			em.Execs.With(s.Kind).Inc()
@@ -158,17 +178,11 @@ func (s *statement) end(err error) {
 	}
 }
 
-// settle completes the record from what only the end of the statement
-// knows: the log traffic since begin, or a query's executed plan and merged
-// scan statistics — read under the read lock the statement still holds,
-// which the per-SMA attribution needs.
+// settle completes a query's record from its executed plan — the strategy,
+// the merged scan statistics, the phase counters — read under the read lock
+// the statement still holds, which the per-SMA attribution needs. The
+// statement's own WAL traffic was recorded as it committed.
 func (s *statement) settle() {
-	if !s.Query {
-		after := s.db.WALStats()
-		s.WALBytes = int64(after.Bytes - s.wal.Bytes)
-		s.WALSyncs = int64(after.Syncs - s.wal.Syncs)
-		return
-	}
 	plan := s.plan
 	if plan == nil {
 		return
@@ -178,14 +192,15 @@ func (s *statement) settle() {
 	if plan.Heap != nil {
 		bucketPages = int64(plan.Heap.BucketPages)
 	}
-	if ss, ok := plan.ScanStats(); ok {
-		s.PagesRead = int64(ss.PagesRead)
-		s.Qualify = int64(ss.Qualifying)
-		s.Disqualify = int64(ss.Disqualifying)
-		s.Ambivalent = int64(ss.Ambivalent)
-		s.PagesPruned = s.Disqualify * bucketPages
-	}
-	if plan.Mem != nil {
+	ss, _ := plan.ScanStats()
+	s.PagesRead = int64(ss.PagesRead)
+	s.Qualify = int64(ss.Qualifying)
+	s.Disqualify = int64(ss.Disqualifying)
+	s.Ambivalent = int64(ss.Ambivalent)
+	s.PagesPruned = s.Disqualify * bucketPages
+	s.work = plan.Work()
+	s.settlePhases(ss)
+	if plan.Mem != nil || s.db.opts.Obs == nil {
 		return
 	}
 	s.Table = plan.Query.Table
@@ -213,6 +228,67 @@ func (s *statement) settle() {
 	// disqualify, from the attribution cache.
 	if len(plan.SelSMAs) > 0 {
 		s.SMAs = s.db.smaAttribution(s.sql, plan, bucketPages)
+	}
+}
+
+// openPhase is the phase a plan's pipeline Open runs in: the parallel run
+// and its merge, a serial aggregation's fold, or the start of a
+// projection's stream.
+func openPhase(p *planner.Plan) obs.Phase {
+	switch {
+	case p.DOP > 1:
+		return obs.PhaseMerge
+	case p.IsProjection():
+		return obs.PhaseStream
+	}
+	return obs.PhaseFold
+}
+
+// settlePhases completes the phase vector from the executed pipeline. The
+// scan ran inside the phase its pipeline was opened and drained in, which
+// measured it, so its time moves out of that phase into scan. The scan's
+// counters go on scan — on merge for a parallel run, whose worker rows
+// carry their own — the groups on fold or merge, the rows handed out on
+// stream.
+func (s *statement) settlePhases(ss exec.ScanStats) {
+	c, open, scan := &s.clock, openPhase(s.plan), obs.PhaseScan
+	if open == obs.PhaseMerge {
+		scan = obs.PhaseMerge
+	} else {
+		c.Carve(open, scan, s.work.ScanTime)
+	}
+	c.Phase[scan] = tally(c.Phase[scan].Dur, s.work.Scanned, ss)
+	if open != obs.PhaseStream {
+		c.Phase[open].Rows = s.work.Groups
+	}
+	c.Phase[obs.PhaseStream].Rows = s.Rows
+}
+
+// tally is one phase's or worker's share of a statement: its time, the
+// rows it produced and what its scan counted.
+func tally(d time.Duration, rows int64, ss exec.ScanStats) obs.Tally {
+	return obs.Tally{Dur: d, Counters: obs.Counters{
+		Rows: rows, Batches: int64(ss.Batches), PagesRead: int64(ss.PagesRead),
+		PagesPrefetched: int64(ss.PagesPrefetched), PrefetchHits: int64(ss.PrefetchHits),
+		Qualify: int64(ss.Qualifying), Disqualify: int64(ss.Disqualifying), Ambivalent: int64(ss.Ambivalent),
+	}}
+}
+
+// observeWorkers feeds the parallel families from a parallel query's worker
+// rows: partition skew as the most heap pages a worker read over the mean,
+// and each worker's busy time over the wall time of the merge phase it ran
+// in.
+func (s *statement) observeWorkers(m *obs.ParallelMetrics) {
+	ws, wall := s.work.Workers, s.clock.Phase[obs.PhaseMerge].Dur
+	var sum, most int
+	for _, w := range ws {
+		sum, most = sum+w.PagesRead, max(most, w.PagesRead)
+		if wall > 0 {
+			m.WorkerUtilization.Observe(float64(w.Busy) / float64(wall))
+		}
+	}
+	if sum > 0 {
+		m.PartitionSkew.Observe(float64(most) * float64(len(ws)) / float64(sum))
 	}
 }
 

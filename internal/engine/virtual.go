@@ -12,7 +12,6 @@ import (
 
 	"sma/internal/core"
 	"sma/internal/exec"
-	"sma/internal/obs"
 	"sma/internal/parser"
 	"sma/internal/planner"
 	"sma/internal/stats"
@@ -78,16 +77,13 @@ func (db *DB) virtualRelation(name string) *exec.MemRelation {
 
 // planVirtual plans a query over a virtual table snapshot. Caller holds
 // db.mu (either mode).
-func (db *DB) planVirtual(q *parser.Query, rel *exec.MemRelation, tr *obs.Trace) (*planner.Plan, error) {
+func (db *DB) planVirtual(q *parser.Query, rel *exec.MemRelation) (*planner.Plan, error) {
 	if q.Where != nil {
 		if err := q.Where.Bind(rel.Schema); err != nil {
 			return nil, err
 		}
 	}
-	plSp := tr.Root().Child("plan")
-	plan, err := db.pl.PlanMem(q, rel)
-	plSp.End()
-	return plan, err
+	return db.pl.PlanMem(q, rel)
 }
 
 // fpEntry is one cached statement fingerprint.

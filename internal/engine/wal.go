@@ -187,36 +187,44 @@ func (db *DB) abortStmt(j *stmtJournal, err error) error {
 	return err
 }
 
+// commit is a statement's place in the redo log: the sequence its
+// durability wait takes, and the bytes of its frame.
+type commit struct {
+	seq   uint64
+	bytes int64
+}
+
 // commitStmt appends the statement's commit record, drops the barrier,
 // and checkpoints if the log has outgrown its threshold. It returns the
-// statement's WAL sequence (0 for an empty statement); callers that need
+// statement's commit (zero for an empty statement); callers that need
 // durability wait on it after releasing db.mu. A failed append rolls the
 // statement back and poisons the database — a log that refused records
 // cannot be trusted to cover later commits either.
-func (db *DB) commitStmt(j *stmtJournal) (uint64, error) {
-	seq, err := db.wal.Commit(j.batch)
+func (db *DB) commitStmt(j *stmtJournal) (commit, error) {
+	seq, bytes, err := db.wal.CommitFrame(j.batch)
 	if err != nil {
 		err = db.abortStmt(j, err)
 		db.failed = fmt.Errorf("wal append failed: %w", err)
-		return 0, err
+		return commit{}, err
 	}
 	j.t.pool.EndBarrier()
 	j.t.recordMaint(j.rows)
 	db.maybeCheckpointLocked()
-	return seq, nil
+	return commit{seq: seq, bytes: bytes}, nil
 }
 
-// waitDurable blocks until seq is on stable storage (per the sync
-// policy). Called WITHOUT db.mu so a slow fsync never blocks readers; the
+// waitDurable blocks until the commit is on stable storage (per the sync
+// policy) and reports whether this statement led the fsync that got it
+// there. Called WITHOUT db.mu so a slow fsync never blocks readers; the
 // group-commit leader amortizes one fsync over every waiter. ErrClosed
 // means Close or Crash won the race after our commit — both flush and
 // sync the log before closing it, so the statement is already durable.
-func (db *DB) waitDurable(seq uint64) error {
-	err := db.wal.WaitDurable(seq)
+func (db *DB) waitDurable(c commit) (led bool, err error) {
+	led, err = db.wal.Await(c.seq)
 	if errors.Is(err, wal.ErrClosed) {
-		return nil
+		return false, nil
 	}
-	return err
+	return led, err
 }
 
 // maintain runs every SMA of the table through hook for the heap mutation

@@ -155,6 +155,7 @@ type BatchToTuples struct {
 
 	batch *Batch
 	pos   int
+	work  Work
 }
 
 // NewBatchToTuples wraps input.
@@ -164,8 +165,8 @@ func NewBatchToTuples(input BatchIter) *BatchToTuples {
 
 // Open opens the underlying batch iterator.
 func (a *BatchToTuples) Open() error {
-	a.batch, a.pos = nil, 0
-	return a.Input.Open()
+	a.batch, a.pos, a.work = nil, 0, Work{}
+	return a.work.timed(a.Input.Open)
 }
 
 // Next returns the next selected tuple of the current batch, pulling the
@@ -173,7 +174,7 @@ func (a *BatchToTuples) Open() error {
 // until the following Next or Close call.
 func (a *BatchToTuples) Next() (tuple.Tuple, bool, error) {
 	for a.batch == nil || a.pos >= len(a.batch.Sel) {
-		b, err := a.Input.NextBatch()
+		b, err := a.work.pull(a.Input)
 		if err != nil {
 			return tuple.Tuple{}, false, err
 		}
@@ -190,5 +191,9 @@ func (a *BatchToTuples) Next() (tuple.Tuple, bool, error) {
 // Close closes the underlying batch iterator.
 func (a *BatchToTuples) Close() error {
 	a.batch = nil
-	return a.Input.Close()
+	return a.work.timed(a.Input.Close)
 }
+
+// Work reports the time spent in the input scan and the tuples it
+// selected.
+func (a *BatchToTuples) Work() Work { return a.work }

@@ -25,6 +25,7 @@ type BatchGAggr struct {
 	folder *groupFolder
 	out    []Row
 	pos    int
+	work   Work
 }
 
 // NewBatchGAggr creates the operator. schema is the input tuple schema.
@@ -49,12 +50,13 @@ func (g *BatchGAggr) Open() error {
 	if g.folder, err = newGroupFolder(g.schema, g.Specs, gx, nil); err != nil {
 		return err
 	}
-	if err := g.Input.Open(); err != nil {
+	g.work = Work{}
+	if err := g.work.timed(g.Input.Open); err != nil {
 		return err
 	}
-	defer g.Input.Close()
+	defer g.work.timed(g.Input.Close)
 	for {
-		b, err := g.Input.NextBatch()
+		b, err := g.work.pull(g.Input)
 		if err != nil {
 			return err
 		}
@@ -65,10 +67,15 @@ func (g *BatchGAggr) Open() error {
 	}
 	if !g.KeepPartials {
 		g.out = FinishPartials(g.folder.groups, g.Specs, len(g.GroupBy) == 0)
+		g.work.Groups = int64(len(g.out))
 	}
 	g.pos = 0
 	return nil
 }
+
+// Work reports the time spent in the input scan, the tuples it selected,
+// and the groups Open produced.
+func (g *BatchGAggr) Work() Work { return g.work }
 
 // Partials returns the merge-ready group states computed by Open. The map
 // is owned by the operator and valid until Close.

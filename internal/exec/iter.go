@@ -10,6 +10,7 @@ import (
 	"context"
 	"fmt"
 	"strings"
+	"time"
 
 	"sma/internal/core"
 	"sma/internal/expr"
@@ -233,4 +234,45 @@ func (s *ScanStats) Add(o ScanStats) {
 // executor). Plans expose it for per-query stats.
 type StatsReporter interface {
 	Stats() ScanStats
+}
+
+// Work is what an operator measures beside the ScanStats of what it read.
+// Time is kept out of ScanStats so that comparing two of them stays a
+// comparison of exact counters.
+type Work struct {
+	// ScanTime is the wall time spent producing batches: page fetch,
+	// decode and selection.
+	ScanTime time.Duration
+	// Scanned counts the tuples those batches selected.
+	Scanned int64
+	// Groups counts the result rows an aggregation produced.
+	Groups int64
+	// Workers holds one row per worker of a parallel run.
+	Workers []Worker
+}
+
+// Worker is one parallel worker's row: the wall time it spent inside its
+// pipeline and what that pipeline counted.
+type Worker struct {
+	Busy time.Duration
+	ScanStats
+}
+
+// pull fetches the next batch from in, charging the call to the scan.
+func (w *Work) pull(in BatchIter) (*Batch, error) {
+	start := time.Now()
+	b, err := in.NextBatch()
+	w.ScanTime += time.Since(start)
+	if b != nil {
+		w.Scanned += int64(len(b.Sel))
+	}
+	return b, err
+}
+
+// timed runs an Open or Close of the scan, charging its time to the scan.
+func (w *Work) timed(f func() error) error {
+	start := time.Now()
+	err := f()
+	w.ScanTime += time.Since(start)
+	return err
 }

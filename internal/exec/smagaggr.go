@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"time"
 
 	"sma/internal/core"
 	"sma/internal/expr"
@@ -71,6 +72,7 @@ type SMAGAggr struct {
 	out    []Row
 	pos    int
 	stats  ScanStats
+	work   Work
 }
 
 // foldTarget is one query-level group that SMA-files contribute to. Its
@@ -211,7 +213,7 @@ func (g *SMAGAggr) Open() error {
 	}
 
 	g.groups = make(map[core.GroupKey]*Partial)
-	g.stats = ScanStats{}
+	g.stats, g.work = ScanStats{}, Work{}
 	nb := g.H.NumBuckets()
 	if g.Buckets != nil {
 		nb = len(g.Buckets)
@@ -290,6 +292,7 @@ func (g *SMAGAggr) Open() error {
 	}
 	if !g.KeepPartials {
 		g.out = FinishPartials(g.groups, g.Specs, len(g.GroupBy) == 0)
+		g.work.Groups = int64(len(g.out))
 	}
 	g.pos = 0
 	return nil
@@ -298,6 +301,11 @@ func (g *SMAGAggr) Open() error {
 // Partials returns the merge-ready group states computed by Open. The map
 // is owned by the operator and valid until Close.
 func (g *SMAGAggr) Partials() map[core.GroupKey]*Partial { return g.groups }
+
+// Work reports the time spent reading and selecting the ambivalent
+// buckets' batches, the tuples they selected, and the groups Open
+// produced.
+func (g *SMAGAggr) Work() Work { return g.work }
 
 // advanceRun advances the result aggregates over the qualifying buckets
 // [lo, hi) using only SMA entries — no page access. Each accumulator slot
@@ -370,6 +378,7 @@ func (g *SMAGAggr) inspectBucket(b int, batch *Batch, folder *groupFolder, pf *s
 	per := g.H.RecordsPerPage()
 	capT := batchCap(g.Opts, per)
 	for p := first; p <= last; {
+		start := time.Now()
 		batch.reset()
 		for ; p <= last && batch.n+per <= capT; p++ {
 			if err := ctxErr(g.Ctx); err != nil {
@@ -391,6 +400,8 @@ func (g *SMAGAggr) inspectBucket(b int, batch *Batch, folder *groupFolder, pf *s
 		}
 		g.stats.Batches++
 		batch.selectProg(g.sel)
+		g.work.ScanTime += time.Since(start)
+		g.work.Scanned += int64(len(batch.Sel))
 		folder.fold(batch)
 	}
 	return nil

@@ -1,13 +1,12 @@
 // Package obs is the engine's dependency-free observability layer: a
-// metrics registry with generic Prometheus text exposition, a pooled
-// per-query span tree behind EXPLAIN ANALYZE and the wire trace frame,
-// and slog-based structured logging with per-query IDs.
+// metrics registry with generic Prometheus text exposition, the statement
+// phase clock whose rendering is the trace behind EXPLAIN ANALYZE and the
+// wire trace frame, and slog-based structured logging with per-query IDs.
 //
-// Everything is built for a near-zero disabled path: tracing hands out
-// nil *Span values when no trace is active and every Span method is a
-// nil-receiver no-op, so instrumented code pays one pointer test per
-// call site. Metrics are plain atomics behind pointers that call sites
-// nil-check the same way.
+// Metrics are plain atomics behind pointers that call sites nil-check, so
+// a database without an observer pays one pointer test per statement. The
+// phase clock is a fixed array in the statement record, filled on every
+// query without allocating; only a traced query renders it.
 package obs
 
 import (

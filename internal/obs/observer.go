@@ -64,7 +64,7 @@ type StorageMetrics struct {
 }
 
 // ParallelMetrics are the parallel-execution families, fed per parallel
-// query by the merge stage.
+// query from its statement's worker rows.
 type ParallelMetrics struct {
 	PartitionSkew     *Histogram // sma_parallel_partition_skew
 	WorkerUtilization *Histogram // sma_parallel_worker_utilization
@@ -114,10 +114,10 @@ func NewObserver(cfg Config) *Observer {
 		},
 		Parallel: &ParallelMetrics{
 			PartitionSkew: reg.Histogram("sma_parallel_partition_skew",
-				"Max-over-mean pages per partition of parallel aggregations (1 = perfectly balanced).",
+				"Max-over-mean heap pages read per worker of parallel aggregations (1 = perfectly balanced).",
 				DefRatioBuckets()),
 			WorkerUtilization: reg.Histogram("sma_parallel_worker_utilization",
-				"Per-worker busy time over the parallel stage's wall time.",
+				"Per-worker busy time over the wall time of the parallel stage (its merge phase).",
 				DefShareBuckets()),
 		},
 		Stats: stats.New(),

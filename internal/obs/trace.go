@@ -1,311 +1,116 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
-	"runtime/metrics"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 )
 
-// SpanMetrics are the operator counters a span carries, matching the
-// exec layer's ScanStats plus row/batch/allocation accounting. The
-// qualify/disqualify/ambivalent fields use the paper's §3.1 bucket
-// grading terminology.
-type SpanMetrics struct {
-	Rows            int64
-	Batches         int64
-	PagesRead       int64
-	PagesPrefetched int64
-	PrefetchHits    int64
-	Qualify         int64
-	Disqualify      int64
-	Ambivalent      int64
-	AllocBytes      int64
-}
+// Phase names one slot of a statement's phase vector, in the order a query
+// passes through them.
+type Phase uint8
 
-// Span is one node of a per-query execution trace. Spans are pooled;
-// they exist only between Trace creation and Trace.Finish, which copies
-// the tree into exported TraceNodes and returns the records to the pool.
-//
-// Every method is safe on a nil receiver — a disabled trace hands out
-// nil spans, so instrumented code pays exactly one pointer test.
-//
-// A span's counters may only be touched by the goroutine that owns it;
-// concurrent workers get one child span each (Child is safe to call
-// concurrently for distinct children).
-type Span struct {
-	tr       *Trace
-	name     string
-	note     string
-	start    time.Time
-	dur      time.Duration
-	manual   bool // dur accumulated via AddTime; End keeps it
-	ended    bool
-	m        SpanMetrics
-	children []*Span
-}
-
-// spanPool recycles span records; spanGets/spanPuts balance-check it in
-// leak tests. Leases escape into the trace tree and are released
-// generation-wise by Trace.Finish.
-var spanPool = sync.Pool{New: func() any { return new(Span) }}
-
-var (
-	spanGets atomic.Int64
-	spanPuts atomic.Int64
+// The phases of a statement. Grade is the in-memory pass over the SMA
+// vectors that sorts buckets into the paper's §3.1 qualifying,
+// disqualifying and ambivalent sets; scan produces batches (page fetch,
+// decode, selection); fold aggregates them; merge is a parallel run —
+// partition, workers, merge — and stream hands the result rows out.
+const (
+	PhaseParse Phase = iota
+	PhasePlan
+	PhaseGrade
+	PhaseScan
+	PhaseFold
+	PhaseMerge
+	PhaseStream
+	numPhases
 )
 
-// SpanPoolStats returns the cumulative Get/Put counts of the span pool;
-// tests assert they balance after Trace.Finish.
-func SpanPoolStats() (gets, puts int64) {
-	return spanGets.Load(), spanPuts.Load()
+var phaseNames = [numPhases]string{"parse", "plan", "grade", "scan", "fold", "merge", "stream"}
+
+// Counters are what a phase or a parallel worker of a statement produced.
+// The qualify/disqualify/ambivalent counts are §3.1 bucket grades. Zero
+// counters are omitted from JSON.
+type Counters struct {
+	Rows            int64 `json:"rows,omitempty"`
+	Batches         int64 `json:"batches,omitempty"`
+	PagesRead       int64 `json:"pages_read,omitempty"`
+	PagesPrefetched int64 `json:"pages_prefetched,omitempty"`
+	PrefetchHits    int64 `json:"prefetch_hits,omitempty"`
+	Qualify         int64 `json:"qualify,omitempty"`
+	Disqualify      int64 `json:"disqualify,omitempty"`
+	Ambivalent      int64 `json:"ambivalent,omitempty"`
 }
 
-// reset clears a recycled span for its next lease.
-func (s *Span) reset(tr *Trace, name string) {
-	*s = Span{tr: tr, name: name, start: time.Now()}
+// Tally is one phase's, or one parallel worker's, share of a statement: its
+// wall time and its counters.
+type Tally struct {
+	Dur time.Duration
+	Counters
 }
 
-// getSpan leases a reset span from the pool.
-func getSpan(tr *Trace, name string) *Span {
-	spanGets.Add(1)
-	s := spanPool.Get().(*Span)
-	s.reset(tr, name)
-	return s
+// Clock is a statement's phase vector: one Tally per phase and the set of
+// phases that ran. Phase times are exclusive — Lap charges the time since
+// the previous lap to one phase, Carve moves a measured part of one phase
+// to another — so they never sum to more than the statement's duration.
+// The zero Clock is ready to use.
+type Clock struct {
+	Phase [numPhases]Tally
+	ran   uint8
 }
 
-// Trace is one query's span tree. A nil *Trace is the disabled state:
-// NewSpan and Root return nil spans and Finish returns nil.
-type Trace struct {
-	mu    sync.Mutex
-	root  *Span
-	qid   string
-	alloc uint64
-	node  *TraceNode // set once by Finish
+// Lap charges d to phase p and marks it run.
+func (c *Clock) Lap(p Phase, d time.Duration) {
+	c.Phase[p].Dur += d
+	c.ran |= 1 << p
 }
 
-// NewTrace starts a trace for one query; sql becomes the root span's
-// note. The root span is open until Finish.
-func NewTrace(qid, sql string) *Trace {
-	t := &Trace{qid: qid, alloc: heapAllocBytes()}
-	t.root = getSpan(t, "query")
-	t.root.note = strings.Join(strings.Fields(sql), " ")
-	return t
+// Carve moves d, measured inside phase from, to phase to and marks to run.
+func (c *Clock) Carve(from, to Phase, d time.Duration) {
+	c.Phase[from].Dur -= d
+	c.Lap(to, d)
 }
 
-// QueryID returns the query id the trace was started with ("" on nil).
-func (t *Trace) QueryID() string {
-	if t == nil {
-		return ""
+// Trace renders the clock as a statement's trace: a root named query, noted
+// with the statement text and carrying its duration, then one node per
+// phase that ran, in phase order — plan noted with the strategy, merge with
+// the degree of parallelism and holding one node per worker.
+func (c *Clock) Trace(sql, strategy string, dop int, dur time.Duration, workers []Tally) *TraceNode {
+	root := &TraceNode{Name: "query", Note: strings.Join(strings.Fields(sql), " "), DurMicros: dur.Microseconds(),
+		Children: make([]*TraceNode, 0, numPhases)}
+	for p := Phase(0); p < numPhases; p++ {
+		if c.ran&(1<<p) == 0 {
+			continue
+		}
+		n := c.Phase[p].node(phaseNames[p], "")
+		switch p {
+		case PhasePlan:
+			n.Note = strategy
+		case PhaseMerge:
+			n.Note = fmt.Sprintf("dop=%d", dop)
+			n.Children = make([]*TraceNode, len(workers))
+			for i, w := range workers {
+				n.Children[i] = w.node("worker", fmt.Sprintf("w%d", i))
+			}
+		}
+		root.Children = append(root.Children, n)
 	}
-	return t.qid
+	return root
 }
 
-// Root returns the root span (nil on a nil trace).
-func (t *Trace) Root() *Span {
-	if t == nil {
-		return nil
-	}
-	return t.root
-}
-
-// Child starts a child span under s. Safe on a nil span (returns nil);
-// safe to call from concurrent goroutines.
-func (s *Span) Child(name string) *Span {
-	if s == nil {
-		return nil
-	}
-	c := getSpan(s.tr, name)
-	s.tr.mu.Lock()
-	s.children = append(s.children, c)
-	s.tr.mu.Unlock()
-	return c
-}
-
-// SetNote attaches a short annotation rendered after the span name.
-func (s *Span) SetNote(format string, args ...any) {
-	if s == nil {
-		return
-	}
-	s.note = fmt.Sprintf(format, args...)
-}
-
-// End closes the span, fixing its wall time (unless AddTime accumulated
-// it explicitly). Idempotent via the owning wrapper's discipline; safe on
-// a nil span.
-func (s *Span) End() {
-	if s == nil || s.ended {
-		return
-	}
-	s.ended = true
-	if !s.manual {
-		s.dur = time.Since(s.start)
-	}
-}
-
-// AddTime accumulates explicitly measured wall time; the span's duration
-// becomes the sum of AddTime calls instead of start-to-End. Iterator
-// wrappers use this so a span covers only the time spent inside its
-// operator's calls, not the time the operator sat idle in the pipeline.
-func (s *Span) AddTime(d time.Duration) {
-	if s == nil {
-		return
-	}
-	s.manual = true
-	s.dur += d
-}
-
-// AddRows adds to the span's row count.
-func (s *Span) AddRows(n int64) {
-	if s == nil {
-		return
-	}
-	s.m.Rows += n
-}
-
-// AddBatches adds to the span's batch count.
-func (s *Span) AddBatches(n int64) {
-	if s == nil {
-		return
-	}
-	s.m.Batches += n
-}
-
-// AddPages adds page I/O counters: demand reads, prefetcher reads, and
-// fetches that hit because readahead got there first.
-func (s *Span) AddPages(read, prefetched, hits int64) {
-	if s == nil {
-		return
-	}
-	s.m.PagesRead += read
-	s.m.PagesPrefetched += prefetched
-	s.m.PrefetchHits += hits
-}
-
-// AddGrades adds §3.1 bucket grading outcomes.
-func (s *Span) AddGrades(qualify, disqualify, ambivalent int64) {
-	if s == nil {
-		return
-	}
-	s.m.Qualify += qualify
-	s.m.Disqualify += disqualify
-	s.m.Ambivalent += ambivalent
-}
-
-// AddAlloc adds heap allocation bytes attributed to the span.
-func (s *Span) AddAlloc(n int64) {
-	if s == nil {
-		return
-	}
-	s.m.AllocBytes += n
-}
-
-// Metrics returns a copy of the span's counters (zero value on nil).
-func (s *Span) Metrics() SpanMetrics {
-	if s == nil {
-		return SpanMetrics{}
-	}
-	return s.m
-}
-
-// Finish closes the trace: it ends the root span, attributes the
-// process-wide heap allocation delta since NewTrace to the root, copies
-// the span tree into an exported TraceNode tree, and returns every span
-// to the pool. Finish is idempotent — subsequent calls return the same
-// node — and safe on a nil trace (returns nil). A trace abandoned
-// mid-query (cancellation, error) still finishes into a well-formed
-// partial tree: open spans report the wall time accumulated so far.
-func (t *Trace) Finish() *TraceNode {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.node != nil {
-		return t.node
-	}
-	t.root.End()
-	if now := heapAllocBytes(); now >= t.alloc {
-		t.root.m.AllocBytes += int64(now - t.alloc)
-	}
-	t.node = releaseSpan(t.root)
-	t.root = nil
-	return t.node
-}
-
-// Node returns the finished tree (nil before Finish or on a nil trace).
-func (t *Trace) Node() *TraceNode {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.node
-}
-
-// releaseSpan converts a span subtree to TraceNodes, returning the spans
-// to the pool. An open span (End never ran) reports time.Since(start)
-// unless it accumulated time manually — that is what makes cancelled
-// queries produce well-formed partial traces.
-func releaseSpan(s *Span) *TraceNode {
-	dur := s.dur
-	if !s.ended && !s.manual {
-		dur = time.Since(s.start)
-	}
-	n := &TraceNode{
-		Name:            s.name,
-		Note:            s.note,
-		DurMicros:       dur.Microseconds(),
-		Rows:            s.m.Rows,
-		Batches:         s.m.Batches,
-		PagesRead:       s.m.PagesRead,
-		PagesPrefetched: s.m.PagesPrefetched,
-		PrefetchHits:    s.m.PrefetchHits,
-		Qualify:         s.m.Qualify,
-		Disqualify:      s.m.Disqualify,
-		Ambivalent:      s.m.Ambivalent,
-		AllocBytes:      s.m.AllocBytes,
-	}
-	for _, c := range s.children {
-		n.Children = append(n.Children, releaseSpan(c))
-	}
-	*s = Span{}
-	spanPool.Put(s)
-	spanPuts.Add(1)
-	return n
-}
-
-// heapAllocBytes samples the process-wide cumulative heap allocation via
-// runtime/metrics (cheap; no stop-the-world).
-func heapAllocBytes() uint64 {
-	sample := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
-	metrics.Read(sample)
-	if sample[0].Value.Kind() != metrics.KindUint64 {
-		return 0
-	}
-	return sample[0].Value.Uint64()
+func (t Tally) node(name, note string) *TraceNode {
+	return &TraceNode{Name: name, Note: note, DurMicros: t.Dur.Microseconds(), Counters: t.Counters}
 }
 
 // TraceNode is one exported node of a finished trace: the JSON shape the
 // wire protocol's trace frame carries and the tree EXPLAIN ANALYZE
-// renders. Counter fields are omitted from JSON when zero.
+// renders.
 type TraceNode struct {
-	Name            string       `json:"name"`
-	Note            string       `json:"note,omitempty"`
-	DurMicros       int64        `json:"dur_us"`
-	Rows            int64        `json:"rows,omitempty"`
-	Batches         int64        `json:"batches,omitempty"`
-	PagesRead       int64        `json:"pages_read,omitempty"`
-	PagesPrefetched int64        `json:"pages_prefetched,omitempty"`
-	PrefetchHits    int64        `json:"prefetch_hits,omitempty"`
-	Qualify         int64        `json:"qualify,omitempty"`
-	Disqualify      int64        `json:"disqualify,omitempty"`
-	Ambivalent      int64        `json:"ambivalent,omitempty"`
-	AllocBytes      int64        `json:"alloc_bytes,omitempty"`
-	Children        []*TraceNode `json:"children,omitempty"`
+	Name      string `json:"name"`
+	Note      string `json:"note,omitempty"`
+	DurMicros int64  `json:"dur_us"`
+	Counters
+	Children []*TraceNode `json:"children,omitempty"`
 }
 
 // Find returns the first node named name in a pre-order walk (self
@@ -325,14 +130,7 @@ func (n *TraceNode) Find(name string) *TraceNode {
 	return nil
 }
 
-// MarshalJSON is the default encoding; the method exists so callers can
-// rely on the shape being stable (tested).
-func (n *TraceNode) MarshalJSON() ([]byte, error) {
-	type alias TraceNode
-	return json.Marshal((*alias)(n))
-}
-
-// Render draws the tree with box-drawing connectors, one line per span:
+// Render draws the tree with box-drawing connectors, one line per node:
 // name [note], wall time, then the non-zero counters.
 func (n *TraceNode) Render() string {
 	var b strings.Builder
@@ -353,7 +151,7 @@ func (n *TraceNode) render(b *strings.Builder, prefix, childPrefix string) {
 	}
 }
 
-// Line renders one span as a single line (no tree connectors).
+// Line renders one node as a single line (no tree connectors).
 func (n *TraceNode) Line() string {
 	var b strings.Builder
 	b.WriteString(n.Name)
@@ -379,9 +177,6 @@ func (n *TraceNode) Line() string {
 	if n.Qualify+n.Disqualify+n.Ambivalent > 0 {
 		fmt.Fprintf(&b, " buckets=%d/%d/%d(q/d/a)", n.Qualify, n.Disqualify, n.Ambivalent)
 	}
-	if n.AllocBytes > 0 {
-		fmt.Fprintf(&b, " alloc=%s", formatBytes(n.AllocBytes))
-	}
 	return b.String()
 }
 
@@ -395,17 +190,5 @@ func formatMicros(us int64) string {
 		return fmt.Sprintf("%.2fms", float64(us)/1e3)
 	default:
 		return fmt.Sprintf("%dµs", us)
-	}
-}
-
-// formatBytes renders a byte count in human units.
-func formatBytes(n int64) string {
-	switch {
-	case n >= 1<<20:
-		return fmt.Sprintf("%.1fMB", float64(n)/(1<<20))
-	case n >= 1<<10:
-		return fmt.Sprintf("%.1fKB", float64(n)/(1<<10))
-	default:
-		return fmt.Sprintf("%dB", n)
 	}
 }

@@ -9,138 +9,133 @@ import (
 	"time"
 )
 
-// TestTraceTree builds a small tree and checks structure, counters, and
-// pool balance.
-func TestTraceTree(t *testing.T) {
-	g0, p0 := SpanPoolStats()
-	tr := NewTrace("q1", "select  count(*)\nfrom T")
-	root := tr.Root()
-	if root == nil {
-		t.Fatal("nil root on live trace")
+// names lists the names of a node's children.
+func names(n *TraceNode) []string {
+	var out []string
+	for _, c := range n.Children {
+		out = append(out, c.Name)
 	}
-	parse := root.Child("parse")
-	parse.End()
-	ex := root.Child("execute")
-	scan := ex.Child("scan")
-	scan.AddPages(20, 18, 17)
-	scan.AddGrades(12, 80, 8)
-	scan.AddBatches(3)
-	scan.AddTime(5 * time.Millisecond)
-	scan.End()
-	ex.AddRows(4)
-	ex.End()
+	return out
+}
 
-	node := tr.Finish()
-	if node == nil {
-		t.Fatal("Finish returned nil")
+// TestTraceTree laps a serial query's clock and checks the rendered
+// structure: the root, then the phases that ran in phase order, each with
+// its exclusive time and counters.
+func TestTraceTree(t *testing.T) {
+	var c Clock
+	c.Lap(PhaseParse, 10*time.Microsecond)
+	c.Lap(PhasePlan, 50*time.Microsecond)
+	c.Carve(PhasePlan, PhaseGrade, 20*time.Microsecond)
+	c.Phase[PhaseGrade].Qualify, c.Phase[PhaseGrade].Disqualify, c.Phase[PhaseGrade].Ambivalent = 12, 80, 8
+	c.Lap(PhaseFold, 5*time.Millisecond)
+	c.Carve(PhaseFold, PhaseScan, 4*time.Millisecond)
+	c.Phase[PhaseScan].PagesRead, c.Phase[PhaseScan].PrefetchHits, c.Phase[PhaseScan].Batches = 20, 17, 3
+	c.Phase[PhaseFold].Rows = 4
+	c.Lap(PhaseStream, 30*time.Microsecond)
+	c.Phase[PhaseStream].Rows = 4
+
+	node := c.Trace("select  count(*)\nfrom T", "SMA_Scan+GAggr", 1, 6*time.Millisecond, nil)
+	if node.Name != "query" || node.Note != "select count(*) from T" || node.DurMicros != 6000 {
+		t.Fatalf("root = %+v (sql should be whitespace-normalized)", node)
 	}
-	if again := tr.Finish(); again != node {
-		t.Fatal("Finish not idempotent")
+	if got := strings.Join(names(node), " "); got != "parse plan grade scan fold stream" {
+		t.Fatalf("phases = %s", got)
 	}
-	if node.Note != "select count(*) from T" {
-		t.Fatalf("root note = %q (sql should be whitespace-normalized)", node.Note)
+	if pl := node.Find("plan"); pl.Note != "SMA_Scan+GAggr" || pl.DurMicros != 30 {
+		t.Fatalf("plan = %+v, want the strategy and 30µs left after grading", pl)
+	}
+	if g := node.Find("grade"); g.DurMicros != 20 || g.Qualify != 12 || g.Ambivalent != 8 {
+		t.Fatalf("grade = %+v", g)
 	}
 	sn := node.Find("scan")
-	if sn == nil {
-		t.Fatal("scan span missing")
-	}
-	if sn.PagesRead != 20 || sn.PrefetchHits != 17 || sn.Qualify != 12 || sn.Ambivalent != 8 {
+	if sn.PagesRead != 20 || sn.PrefetchHits != 17 || sn.Batches != 3 || sn.DurMicros != 4000 {
 		t.Fatalf("scan counters wrong: %+v", sn)
 	}
-	if sn.DurMicros != 5000 {
-		t.Fatalf("AddTime not honored: %d µs", sn.DurMicros)
+	if f := node.Find("fold"); f.DurMicros != 1000 || f.Rows != 4 {
+		t.Fatalf("fold = %+v, want 1ms exclusive of the scan", f)
 	}
-	if node.Find("execute").Rows != 4 {
-		t.Fatal("rows not recorded")
+	var sum int64
+	for _, ch := range node.Children {
+		sum += ch.DurMicros
 	}
-	g1, p1 := SpanPoolStats()
-	if gets, puts := g1-g0, p1-p0; gets != puts || gets != 4 {
-		t.Fatalf("span pool unbalanced: %d gets, %d puts", gets, puts)
+	if sum > node.DurMicros {
+		t.Fatalf("phases sum to %dµs, more than the statement's %dµs", sum, node.DurMicros)
 	}
 }
 
-// TestTraceNilSafety drives every API through nil receivers.
+// TestTraceNilSafety: a clock nothing was charged to renders the root
+// alone, and lookups on absent nodes are inert.
 func TestTraceNilSafety(t *testing.T) {
-	var tr *Trace
-	if tr.Root() != nil || tr.Finish() != nil || tr.Node() != nil || tr.QueryID() != "" {
-		t.Fatal("nil trace not inert")
+	var c Clock
+	node := c.Trace("select 1", "", 1, 0, nil)
+	if node.Name != "query" || len(node.Children) != 0 {
+		t.Fatalf("empty clock rendered %+v", node)
 	}
-	var s *Span
-	s.End()
-	s.AddRows(1)
-	s.AddBatches(1)
-	s.AddPages(1, 1, 1)
-	s.AddGrades(1, 1, 1)
-	s.AddAlloc(1)
-	s.AddTime(time.Second)
-	s.SetNote("x %d", 1)
-	if s.Child("c") != nil {
-		t.Fatal("nil span spawned a child")
-	}
-	if (s.Metrics() != SpanMetrics{}) {
-		t.Fatal("nil span has metrics")
+	if node.Find("scan") != nil || (*TraceNode)(nil).Find("query") != nil {
+		t.Fatal("lookup found a node that is not there")
 	}
 }
 
-// TestTracePartialFinish simulates a cancelled query: spans left open
-// still finish into a well-formed tree.
+// TestTracePartialFinish simulates a cancelled parallel query: the phases
+// it never reached are absent, a worker cancelled before it counted
+// anything still has its row, and the tree is well-formed.
 func TestTracePartialFinish(t *testing.T) {
-	g0, p0 := SpanPoolStats()
-	tr := NewTrace("q2", "select 1")
-	ex := tr.Root().Child("execute")
-	_ = ex.Child("scan") // never ended: mid-scan cancel
-	time.Sleep(2 * time.Millisecond)
-	node := tr.Finish()
-	sn := node.Find("scan")
-	if sn == nil {
-		t.Fatal("open span dropped from partial trace")
+	var c Clock
+	c.Lap(PhaseParse, time.Microsecond)
+	c.Lap(PhasePlan, time.Microsecond)
+	c.Lap(PhaseMerge, time.Millisecond)
+	c.Lap(PhaseStream, 0)
+	workers := []Tally{{Dur: time.Millisecond, Counters: Counters{PagesRead: 3}}, {}}
+	node := c.Trace("select 1", "FullScan+GAggr", 2, 2*time.Millisecond, workers)
+	if got := strings.Join(names(node), " "); got != "parse plan merge stream" {
+		t.Fatalf("phases = %s", got)
 	}
-	if sn.DurMicros <= 0 {
-		t.Fatal("open span reports no wall time")
+	m := node.Find("merge")
+	if m.Note != "dop=2" || len(m.Children) != 2 || m.Children[1].Note != "w1" || m.Children[1].DurMicros != 0 {
+		t.Fatalf("merge = %+v", m)
 	}
-	g1, p1 := SpanPoolStats()
-	if g1-g0 != p1-p0 {
-		t.Fatalf("span pool leak on partial finish: %d gets, %d puts", g1-g0, p1-p0)
+	if node.Find("scan") != nil || node.Find("fold") != nil {
+		t.Fatal("a phase that never ran was rendered")
 	}
 }
 
-// TestTraceConcurrentChildren has workers attach children in parallel,
-// like the parallel aggregation stage does.
+// TestTraceConcurrentChildren has workers fill their own rows in
+// parallel, as the parallel aggregation stage does, and renders one node
+// per worker under merge.
 func TestTraceConcurrentChildren(t *testing.T) {
-	tr := NewTrace("q3", "select 1")
-	par := tr.Root().Child("parallel")
+	workers := make([]Tally, 8)
 	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
+	for w := range workers {
 		wg.Add(1)
-		go func(w int) {
+		go func(row *Tally, w int) {
 			defer wg.Done()
-			sp := par.Child("worker")
-			sp.AddRows(int64(w))
-			sp.End()
-		}(w)
+			row.Dur, row.PagesRead = time.Duration(w)*time.Microsecond, int64(w)
+		}(&workers[w], w)
 	}
 	wg.Wait()
-	par.End()
-	node := tr.Finish()
-	pn := node.Find("parallel")
+	var c Clock
+	c.Lap(PhaseMerge, time.Millisecond)
+	pn := c.Trace("select 1", "", 8, time.Millisecond, workers).Find("merge")
 	if len(pn.Children) != 8 {
-		t.Fatalf("got %d worker spans, want 8", len(pn.Children))
+		t.Fatalf("got %d worker nodes, want 8", len(pn.Children))
+	}
+	for i, w := range pn.Children {
+		if w.Name != "worker" || w.PagesRead != int64(i) || w.DurMicros != int64(i) {
+			t.Fatalf("worker %d = %+v", i, w)
+		}
 	}
 }
 
 // TestTraceRenderAndJSON checks the rendered tree shape and the JSON
 // field names the wire protocol relies on.
 func TestTraceRenderAndJSON(t *testing.T) {
-	tr := NewTrace("q4", "select count(*) from T")
-	ex := tr.Root().Child("execute")
-	sc := ex.Child("scan")
-	sc.AddPages(7, 0, 0)
-	sc.End()
-	ex.End()
-	node := tr.Finish()
+	var c Clock
+	c.Lap(PhaseMerge, time.Millisecond)
+	c.Phase[PhaseMerge].PagesRead = 7
+	node := c.Trace("select count(*) from T", "", 2, time.Millisecond, []Tally{{Counters: Counters{PagesRead: 7}}})
 
 	out := node.Render()
-	if !strings.Contains(out, "└─ execute") || !strings.Contains(out, "   └─ scan") {
+	if !strings.Contains(out, "└─ merge [dop=2]") || !strings.Contains(out, "   └─ worker [w0]") {
 		t.Fatalf("render missing tree connectors:\n%s", out)
 	}
 	if !strings.Contains(out, "pages=7") {
@@ -160,7 +155,7 @@ func TestTraceRenderAndJSON(t *testing.T) {
 	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatal(err)
 	}
-	if back.Find("scan").PagesRead != 7 {
+	if back.Find("worker").PagesRead != 7 {
 		t.Fatal("JSON round trip lost counters")
 	}
 }

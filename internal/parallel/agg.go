@@ -6,7 +6,6 @@ import (
 
 	"sma/internal/core"
 	"sma/internal/exec"
-	"sma/internal/obs"
 	"sma/internal/pred"
 	"sma/internal/storage"
 	"sma/internal/tuple"
@@ -44,10 +43,11 @@ type Unit struct {
 
 // Fold is an aggregation pipeline over one Unit: a RowIter whose
 // merge-ready group states can be read after Open when it was built to
-// keep them.
+// keep them, and which reports what it measured beside its ScanStats.
 type Fold interface {
 	exec.RowIter
 	Partials() map[core.GroupKey]*exec.Partial
+	Work() exec.Work
 }
 
 // Source describes what every pipeline of a query computes: the relation,
@@ -77,21 +77,17 @@ type Source struct {
 // engine constructs aggregation operators. A serial query is Pipeline over
 // the whole relation, opened by the caller; Agg runs one Pipeline per
 // partition. keep makes the fold retain its Partials instead of finishing
-// them into rows. fold, when tracing, is the span of the returned operator;
-// a scan below it gets a child span. The StatsReporter is the operator that
-// counts the pipeline's grades and pages.
-func (s *Source) Pipeline(u Unit, keep bool, fold *obs.Span) (Fold, exec.StatsReporter) {
+// them into rows. The StatsReporter is the operator that counts the
+// pipeline's grades and pages.
+func (s *Source) Pipeline(u Unit, keep bool) (Fold, exec.StatsReporter) {
 	// Hash aggregation above a scan: all shapes but SMA_GAggr.
-	gaggr := func(scan scanOp, schema *tuple.Schema, note string) (Fold, exec.StatsReporter) {
-		sp := fold.Child("scan")
-		sp.SetNote(note)
-		ga := exec.NewBatchGAggr(exec.TraceBatchIter(scan, sp), schema, s.Specs, s.GroupBy)
+	gaggr := func(scan scanOp, schema *tuple.Schema) (Fold, exec.StatsReporter) {
+		ga := exec.NewBatchGAggr(scan, schema, s.Specs, s.GroupBy)
 		ga.KeepPartials = keep
 		return ga, scan
 	}
 	switch s.Mode {
 	case ModeSMAGAggr:
-		fold.SetNote("sma_gaggr")
 		op := exec.NewSMAGAggr(s.Heap, s.Pred, s.Specs, s.GroupBy, s.Grader, s.AggSMAs, s.CountSMA)
 		op.Ctx = s.Ctx
 		op.Buckets, op.Grades = u.Buckets, u.Grades
@@ -102,17 +98,17 @@ func (s *Source) Pipeline(u Unit, keep bool, fold *obs.Span) (Fold, exec.StatsRe
 		scan := exec.NewBatchSMAScan(s.Heap, s.Pred, s.Grader, s.Exec)
 		scan.Ctx = s.Ctx
 		scan.Buckets, scan.Grades = u.Buckets, u.Grades
-		return gaggr(scan, s.Heap.Schema(), "sma_scan batch")
+		return gaggr(scan, s.Heap.Schema())
 	case ModeMem:
 		scan := exec.NewMemScan(s.Mem.Schema, s.Mem.Tuples, s.Pred)
 		scan.Ctx = s.Ctx
 		scan.Opts = s.Exec
-		return gaggr(scan, s.Mem.Schema, "mem_scan")
+		return gaggr(scan, s.Mem.Schema)
 	default:
 		scan := exec.NewBatchTableScan(s.Heap, s.Pred, s.Exec)
 		scan.Ctx = s.Ctx
 		scan.StartPage, scan.EndPage = u.First, u.Last
-		return gaggr(scan, s.Heap.Schema(), "table_scan batch")
+		return gaggr(scan, s.Heap.Schema())
 	}
 }
 
@@ -145,21 +141,12 @@ type Agg struct {
 	// concurrent prefetchers cannot crowd the shared buffer pool.
 	DOP int
 
-	// Span, when set, is the merge-stage span of a traced query; Open
-	// hangs one child per worker partition off it, carrying the worker's
-	// busy time and scan counters. Metrics, when set, receives one
-	// partition-skew and per-worker utilization observation per run;
-	// the two are independent so metrics flow with tracing off.
-	Span    *obs.Span
-	Metrics *obs.ParallelMetrics
-
 	out   []exec.Row
 	pos   int
 	stats exec.ScanStats
-
-	// Dispatch-phase observability state, reset per Open.
-	busy      []time.Duration // per-worker time inside the pipeline
-	partPages []int64         // per-partition page counts at dispatch
+	// work holds one row per dispatched partition, reset per Open; each
+	// worker writes only its own.
+	work exec.Work
 }
 
 // Open grades the buckets, dispatches the partitions to the worker pool,
@@ -168,20 +155,14 @@ type Agg struct {
 func (a *Agg) Open() error {
 	a.out, a.pos = nil, 0
 	a.stats = exec.ScanStats{}
-	a.partPages = nil
 
 	units := a.partition()
 	partials := make([]map[core.GroupKey]*exec.Partial, len(units))
-	stats := make([]exec.ScanStats, len(units))
-	spans := a.workerSpans(len(units))
-	a.busy = make([]time.Duration, len(units))
+	a.work = exec.Work{Workers: make([]exec.Worker, len(units))}
 	workerOpts := a.workerExecOptions(len(units))
-	start := time.Now()
 	err := Run(a.Ctx, len(units), func(ctx context.Context, i int) error {
-		defer func(t0 time.Time) {
-			a.busy[i] = time.Since(t0)
-			spans[i].AddTime(a.busy[i])
-		}(time.Now())
+		row := &a.work.Workers[i]
+		defer func(t0 time.Time) { row.Busy = time.Since(t0) }(time.Now())
 		// Each worker evaluates private clones of the predicate and the
 		// aggregate expressions: Bind writes column indexes, which must
 		// not race across workers.
@@ -189,19 +170,17 @@ func (a *Agg) Open() error {
 		w.Pred = pred.Clone(a.Pred)
 		w.Specs = exec.CloneSpecs(a.Specs)
 		w.Ctx, w.Exec = ctx, workerOpts
-		op, src := w.Pipeline(units[i], true, nil)
+		op, src := w.Pipeline(units[i], true)
 		if err := op.Open(); err != nil {
 			op.Close()
 			return err
 		}
-		partials[i], stats[i] = op.Partials(), src.Stats()
+		partials[i], row.ScanStats = op.Partials(), src.Stats()
 		return op.Close()
 	})
 	if err != nil {
 		return err
 	}
-	finishWorkerSpans(spans, stats)
-	a.observe(time.Since(start))
 
 	// Merge stage: fold every worker's partial groups and stats together.
 	merged := make(map[core.GroupKey]*exec.Partial)
@@ -213,9 +192,10 @@ func (a *Agg) Open() error {
 				merged[key] = p
 			}
 		}
-		a.stats.Add(stats[w])
+		a.stats.Add(a.work.Workers[w].ScanStats)
 	}
 	a.out = exec.FinishPartials(merged, a.Specs, len(a.GroupBy) == 0)
+	a.work.Groups = int64(len(a.out))
 	return nil
 }
 
@@ -227,7 +207,6 @@ func (a *Agg) partition() []Unit {
 	if a.Mode == ModeScan {
 		for _, r := range PartitionPages(a.Heap.NumPages(), a.DOP) {
 			units = append(units, Unit{PageRange: r})
-			a.partPages = append(a.partPages, int64(r.Last-r.First)+1)
 		}
 		return units
 	}
@@ -244,60 +223,8 @@ func (a *Agg) partition() []Unit {
 	}
 	for _, p := range PartitionBuckets(a.Heap, grades, a.DOP, a.Mode == ModeSMAGAggr) {
 		units = append(units, Unit{Partition: p})
-		a.partPages = append(a.partPages, int64(len(p.Buckets))*int64(a.Heap.BucketPages))
 	}
 	return units
-}
-
-// workerSpans attaches one child span per worker partition to the merge
-// span; with tracing off every element is nil and the workers' span
-// calls are no-ops.
-func (a *Agg) workerSpans(n int) []*obs.Span {
-	spans := make([]*obs.Span, n)
-	for i := range spans {
-		sp := a.Span.Child("worker")
-		sp.SetNote("w%d", i)
-		spans[i] = sp
-	}
-	return spans
-}
-
-// finishWorkerSpans copies each worker's final scan counters into its
-// span and ends it. Runs after the worker pool has joined, so the spans
-// and stats are quiescent.
-func finishWorkerSpans(spans []*obs.Span, stats []exec.ScanStats) {
-	for i, sp := range spans {
-		st := stats[i]
-		sp.AddPages(int64(st.PagesRead), int64(st.PagesPrefetched), int64(st.PrefetchHits))
-		sp.AddGrades(int64(st.Qualifying), int64(st.Disqualifying), int64(st.Ambivalent))
-		sp.AddBatches(int64(st.Batches))
-		sp.End()
-	}
-}
-
-// observe feeds the parallel metric families after a successful run:
-// partition skew as max-over-mean dispatched pages, and one utilization
-// sample per worker (busy time over the stage's wall time).
-func (a *Agg) observe(wall time.Duration) {
-	if a.Metrics == nil || len(a.busy) == 0 {
-		return
-	}
-	var sum, max int64
-	for _, p := range a.partPages {
-		sum += p
-		if p > max {
-			max = p
-		}
-	}
-	if sum > 0 {
-		mean := float64(sum) / float64(len(a.partPages))
-		a.Metrics.PartitionSkew.Observe(float64(max) / mean)
-	}
-	if wall > 0 {
-		for _, b := range a.busy {
-			a.Metrics.WorkerUtilization.Observe(float64(b) / float64(wall))
-		}
-	}
 }
 
 // workerExecOptions derates the query-level prefetch window for n
@@ -337,3 +264,7 @@ func (a *Agg) Close() error {
 // Stats returns the merged per-worker scan statistics plus the buckets the
 // partitioner dropped as disqualifying before dispatch.
 func (a *Agg) Stats() exec.ScanStats { return a.stats }
+
+// Work reports one row per worker of the last Open and the groups the
+// merge produced.
+func (a *Agg) Work() exec.Work { return a.work }

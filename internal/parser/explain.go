@@ -7,8 +7,8 @@ import (
 
 // ExplainStmt wraps a SELECT for plan inspection: "explain <select>"
 // describes the chosen plan, "explain analyze <select>" executes the
-// query with tracing on and renders the span tree with per-operator
-// timings and grading counts.
+// query traced and renders its phase times, page counts and grading
+// counts.
 type ExplainStmt struct {
 	Analyze bool
 	Query   *Query

@@ -42,7 +42,15 @@ func (q *Query) IsProjection() bool {
 	if q.Star {
 		return true
 	}
-	return len(q.GroupBy) == 0 && len(q.AggSpecs()) == 0
+	if len(q.GroupBy) > 0 {
+		return false
+	}
+	for _, it := range q.Items {
+		if it.IsAgg {
+			return false
+		}
+	}
+	return true
 }
 
 // ProjColumns resolves the projected column names: the select list, or

@@ -25,11 +25,11 @@ import (
 	"context"
 	"fmt"
 	"strings"
+	"time"
 
 	"sma/internal/core"
 	"sma/internal/exec"
 	"sma/internal/expr"
-	"sma/internal/obs"
 	"sma/internal/parallel"
 	"sma/internal/parser"
 	"sma/internal/pred"
@@ -117,25 +117,20 @@ type Plan struct {
 	// time.
 	Exec exec.ExecOptions
 
-	// Planning diagnostics.
-	Grades   core.GradeCounts
-	CostSMA  float64
-	CostScan float64
-	SMAPages int64 // pages of SMA-files the plan reads
-	Reason   string
+	// Planning diagnostics. GradeTime is the wall time of the grading pass
+	// that produced Grades (0 when planning graded nothing).
+	Grades    core.GradeCounts
+	GradeTime time.Duration
+	CostSMA   float64
+	CostScan  float64
+	SMAPages  int64 // pages of SMA-files the plan reads
+	Reason    string
 
-	// Span, when set, is the parent execution span the iterator pipeline
-	// attaches its operator spans to (sort → fold → scan → prefetch, or
-	// the parallel stage with its per-worker children). A nil Span builds
-	// the exact untraced pipeline. Obs supplies the parallel-stage metric
-	// families; it is stamped from the planner and independent of Span,
-	// so metrics flow even when per-query tracing is off.
-	Span *obs.Span
-	Obs  *obs.Observer
-
-	// statsSrc is the stats-reporting operator of the most recently built
-	// iterator pipeline for this plan (see ScanStats).
+	// statsSrc and workSrc are the operators of the most recently built
+	// iterator pipeline for this plan that count its grades and pages and
+	// that measure its time (see ScanStats and Work).
 	statsSrc exec.StatsReporter
+	workSrc  interface{ Work() exec.Work }
 	// gradeVec is the full bucket grading computed for the cost estimate;
 	// the parallel executor reuses it instead of grading again.
 	gradeVec []core.Grade
@@ -183,9 +178,6 @@ type Planner struct {
 	DOP int
 	// Exec is stamped onto every plan: batch size, prefetch window.
 	Exec exec.ExecOptions
-	// Obs, when set, is stamped onto every plan so the parallel executor
-	// can feed the skew/utilization metric families. Nil disables.
-	Obs *obs.Observer
 }
 
 // New creates a planner with the default cost model.
@@ -304,21 +296,12 @@ func selectionSMAPages(sel []*core.SMA) int64 {
 // PlanQuery builds the cheapest plan for q over heap with the given SMAs
 // and picks its degree of parallelism from the planner's configured DOP.
 func (pl *Planner) PlanQuery(q *parser.Query, heap *storage.HeapFile, smas []*core.SMA) (*Plan, error) {
-	return pl.PlanQueryTraced(q, heap, smas, nil)
-}
-
-// PlanQueryTraced is PlanQuery with a tracing span: the bucket-grading
-// pass — the in-memory sweep over the SMA vectors that the paper's plan
-// generation hinges on — is timed as a "grade" child of sp. A nil sp
-// plans exactly like PlanQuery.
-func (pl *Planner) PlanQueryTraced(q *parser.Query, heap *storage.HeapFile, smas []*core.SMA, sp *obs.Span) (*Plan, error) {
-	plan, err := pl.planQuery(q, heap, smas, sp)
+	plan, err := pl.planQuery(q, heap, smas)
 	if err != nil {
 		return nil, err
 	}
 	plan.DOP = pl.ChooseDOP(plan, pl.DOP)
 	plan.Exec = pl.Exec
-	plan.Obs = pl.Obs
 	return plan, nil
 }
 
@@ -356,26 +339,24 @@ func (pl *Planner) PlanMem(q *parser.Query, rel *exec.MemRelation) (*Plan, error
 		Mem:      rel,
 		DOP:      1,
 		Exec:     pl.Exec,
-		Obs:      pl.Obs,
 		Reason:   "virtual system table; in-memory snapshot scan",
 	}, nil
 }
 
-// gradeTraced runs the grading pass under a "grade" child span carrying
-// the outcome counts the cost model decides on.
-func gradeTraced(grader *core.Grader, w pred.Predicate, sp *obs.Span) []core.Grade {
-	gs := sp.Child("grade")
-	vec := grader.GradeAll(w)
-	c := core.CountGrades(vec)
-	gs.AddGrades(int64(c.Qualifying), int64(c.Disqualifying), int64(c.Ambivalent))
-	gs.End()
-	return vec
+// grade runs the grading pass — the in-memory sweep over the SMA vectors
+// the paper's plan generation hinges on — and keeps the vector, its counts
+// and its time on the plan.
+func (p *Plan) grade(w pred.Predicate) {
+	start := time.Now()
+	p.gradeVec = p.Grader.GradeAll(w)
+	p.GradeTime = time.Since(start)
+	p.Grades = core.CountGrades(p.gradeVec)
 }
 
 // planQuery picks the strategy; PlanQuery adds the degree of parallelism.
-func (pl *Planner) planQuery(q *parser.Query, heap *storage.HeapFile, smas []*core.SMA, sp *obs.Span) (*Plan, error) {
+func (pl *Planner) planQuery(q *parser.Query, heap *storage.HeapFile, smas []*core.SMA) (*Plan, error) {
 	if q.IsProjection() {
-		return pl.planProjection(q, heap, smas, sp)
+		return pl.planProjection(q, heap, smas)
 	}
 	specs := q.AggSpecs()
 	plan := &Plan{Query: q, Heap: heap}
@@ -400,8 +381,7 @@ func (pl *Planner) planQuery(q *parser.Query, heap *storage.HeapFile, smas []*co
 	// Grade all buckets (an in-memory pass over the SMA vectors); the
 	// vector is kept for the parallel executor.
 	if q.Where != nil {
-		plan.gradeVec = gradeTraced(grader, q.Where, sp)
-		plan.Grades = core.CountGrades(plan.gradeVec)
+		plan.grade(q.Where)
 	} else {
 		plan.Grades = core.GradeCounts{Qualifying: heap.NumBuckets()}
 	}
@@ -479,7 +459,7 @@ func (pl *Planner) planQuery(q *parser.Query, heap *storage.HeapFile, smas []*co
 // planProjection plans a non-aggregating query: an SMA scan when the
 // selection SMAs prune enough buckets, else a sequential scan. Both shapes
 // stream tuples (see TupleIterator) instead of materializing rows.
-func (pl *Planner) planProjection(q *parser.Query, heap *storage.HeapFile, smas []*core.SMA, sp *obs.Span) (*Plan, error) {
+func (pl *Planner) planProjection(q *parser.Query, heap *storage.HeapFile, smas []*core.SMA) (*Plan, error) {
 	schema := heap.Schema()
 	cols := q.ProjColumns(schema)
 	if len(cols) == 0 {
@@ -508,8 +488,7 @@ func (pl *Planner) planProjection(q *parser.Query, heap *storage.HeapFile, smas 
 		return plan, nil
 	}
 	if q.Where != nil {
-		plan.gradeVec = gradeTraced(grader, q.Where, sp)
-		plan.Grades = core.CountGrades(plan.gradeVec)
+		plan.grade(q.Where)
 	} else {
 		plan.Grades = core.GradeCounts{Qualifying: heap.NumBuckets()}
 	}
@@ -579,33 +558,20 @@ func (p *Plan) RowIterator(ctx context.Context) (exec.RowIter, error) {
 		Exec:     p.Exec,
 	}
 
-	// Span tree, consumer-on-top like a plan tree: sort → fold (or the
-	// parallel merge stage) → scan → prefetch. With p.Span == nil every
-	// child is nil and the Trace wrappers return their input unchanged, so
-	// the disabled path builds the identical pipeline.
-	sortSp := p.Span.Child("sort")
 	var it exec.RowIter
 	if p.DOP > 1 {
-		mergeSp := sortSp.Child("merge")
-		mergeSp.SetNote("dop=%d", p.DOP)
-		op := &parallel.Agg{Source: src, Pregraded: p.gradeVec, DOP: p.DOP, Span: mergeSp}
-		if p.Obs != nil {
-			op.Metrics = p.Obs.Parallel
-		}
-		p.statsSrc = op
-		it = exec.TraceRowIter(op, mergeSp)
+		op := &parallel.Agg{Source: src, Pregraded: p.gradeVec, DOP: p.DOP}
+		p.statsSrc, p.workSrc, it = op, op, op
 	} else {
-		foldSp := sortSp.Child("fold")
 		var whole parallel.Unit
 		whole.Grades = p.serialGrades()
-		fold, stats := src.Pipeline(whole, false, foldSp)
-		p.statsSrc = stats
-		it = exec.TraceRowIter(fold, foldSp)
+		fold, stats := src.Pipeline(whole, false)
+		p.statsSrc, p.workSrc, it = stats, fold, fold
 	}
 	if len(p.Query.Having) > 0 {
 		it = exec.NewHavingFilter(it, p.Query.GroupBy, specs, p.Query.Having)
 	}
-	it = exec.TraceRowIter(exec.NewSortRows(it), sortSp)
+	it = exec.NewSortRows(it)
 	if p.Query.Limit >= 0 {
 		it = exec.NewLimitRows(it, p.Query.Limit)
 	}
@@ -629,28 +595,25 @@ func (p *Plan) TupleIterator(ctx context.Context) (exec.TupleIter, error) {
 		exec.BatchIter
 		exec.StatsReporter
 	}
-	scanSp := p.Span.Child("scan")
 	switch p.Strategy {
 	case StrategyMemScan:
-		scanSp.SetNote("mem_scan projection")
 		op := exec.NewMemScan(p.Mem.Schema, p.Mem.Tuples, p.Query.Where)
 		op.Ctx = ctx
 		op.Opts = p.Exec
 		scan, schema = op, p.Mem.Schema
 	case StrategySMAScan:
-		scanSp.SetNote("sma_scan projection")
 		op := exec.NewBatchSMAScan(p.Heap, p.Query.Where, p.Grader, onePage)
 		op.Ctx = ctx
 		op.Grades = p.serialGrades()
 		scan, schema = op, p.Heap.Schema()
 	default:
-		scanSp.SetNote("table_scan projection")
 		op := exec.NewBatchTableScan(p.Heap, p.Query.Where, onePage)
 		op.Ctx = ctx
 		scan, schema = op, p.Heap.Schema()
 	}
-	p.statsSrc = scan
-	var it exec.TupleIter = exec.NewBatchToTuples(exec.TraceBatchIter(scan, scanSp))
+	tuples := exec.NewBatchToTuples(scan)
+	p.statsSrc, p.workSrc = scan, tuples
+	var it exec.TupleIter = tuples
 	if len(p.Query.OrderBy) > 0 {
 		st, err := exec.NewSortTuples(it, schema, p.Query.OrderBy, p.Query.OrderDesc)
 		if err != nil {
@@ -674,4 +637,15 @@ func (p *Plan) ScanStats() (exec.ScanStats, bool) {
 		return exec.ScanStats{}, false
 	}
 	return p.statsSrc.Stats(), true
+}
+
+// Work returns what the most recently built iterator pipeline measured
+// beside its ScanStats — the time it spent producing batches, the tuples
+// they selected, the groups it produced, one row per parallel worker —
+// complete when its ScanStats are (zero before a pipeline is built).
+func (p *Plan) Work() exec.Work {
+	if p.workSrc == nil {
+		return exec.Work{}
+	}
+	return p.workSrc.Work()
 }

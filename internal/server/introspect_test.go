@@ -95,15 +95,36 @@ func TestIntrospectionOverWire(t *testing.T) {
 
 // TestEverySurfaceAgreesOverWire is the wire half of the engine's
 // TestEverySurfaceAgrees: what the NDJSON trailers reported, statement by
-// statement, is what sma_stat_statements and the /metrics families show —
-// to the row, page and bucket, failed statements included.
+// statement, is what the trace frames, sma_stat_statements and the
+// /metrics families show — to the row, page and bucket, failed statements
+// included.
 func TestEverySurfaceAgreesOverWire(t *testing.T) {
 	ts := startServer(t, nil, server.Config{})
 	ctx := context.Background()
 	c := client.New(ts.Base)
 	seedSmall(t, c)
-	for _, ddl := range []string{"define sma dmin select min(D) from S", "define sma dmax select max(D) from S"} {
-		if _, err := c.Exec(ctx, ddl); err != nil {
+	inserts := int64(1)
+	// Enough pages that selective predicates prune and two workers split a
+	// scan: 20 statements of 300 rows, dates ascending.
+	for s := 0; s < 20; s++ {
+		var b strings.Builder
+		b.WriteString("insert into S values ")
+		for r := 0; r < 300; r++ {
+			i := s*300 + r
+			if r > 0 {
+				b.WriteString(", ")
+			}
+			fmt.Fprintf(&b, "(date '2024-%02d-%02d', '%c', %d)", 3+i/2000, 1+i/80%25, "AB"[i%2], i%7)
+		}
+		if _, err := c.Exec(ctx, b.String()); err != nil {
+			t.Fatal(err)
+		}
+		inserts++
+	}
+	ddl := []string{"define sma dmin select min(D) from S", "define sma dmax select max(D) from S",
+		"define sma vsum select sum(V) from S group by K"}
+	for _, d := range ddl {
+		if _, err := c.Exec(ctx, d); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -112,8 +133,9 @@ func TestEverySurfaceAgreesOverWire(t *testing.T) {
 	var all totals
 	per := map[string]*totals{}
 	strategies := map[string]int64{}
-	// run streams sql to its trailer and tallies what the trailer said.
-	run := func(sql string, opts ...client.QueryOption) [][]string {
+	// run streams sql to its trailer, holds a trace frame to the trailer,
+	// and tallies what the trailer said.
+	run := func(sql string, opts ...client.QueryOption) *client.Rows {
 		t.Helper()
 		rows, err := c.Query(ctx, sql, opts...)
 		if err != nil {
@@ -128,6 +150,9 @@ func TestEverySurfaceAgreesOverWire(t *testing.T) {
 		if err := rows.Err(); err != nil || !ok || st == nil || count != int64(len(out)) {
 			t.Fatalf("%s: err=%v trailer ok=%v stats=%v count=%d of %d rows", sql, err, ok, st, count, len(out))
 		}
+		if node := rows.Trace(); node != nil {
+			checkTraceFrame(t, node, *st, count, rows.Parallelism())
+		}
 		if per[sql] == nil {
 			per[sql] = &totals{}
 		}
@@ -140,19 +165,32 @@ func TestEverySurfaceAgreesOverWire(t *testing.T) {
 			tot.a += int64(st.AmbivalentBuckets)
 		}
 		strategies[rows.Strategy()]++
-		return out
+		return rows
 	}
 	const (
 		grouped = "select K, sum(V) from S group by K"
-		ranged  = "select sum(V) from S where D <= date '2024-01-31'"
-		proj    = "select D, V from S where D >= date '2024-02-01'"
+		ranged  = "select max(V) from S where D <= date '2024-03-03'"
+		full    = "select max(V) from S where V >= 3"
+		proj    = "select D, V from S where D >= date '2024-05-24'"
+		mem     = "select CALLS, count(*) from sma_stat_statements group by CALLS"
+		par     = "select min(V) from S where V >= 1"
 		noTable = "select count(*) from NOPE"
 		badIns  = "insert into S values (1)"
 	)
-	run(grouped)
-	run(grouped, client.WithTrace())
-	run(ranged)
-	run(proj)
+	for _, tc := range []struct {
+		sql, strategy string
+		dop           int
+	}{
+		{grouped, "SMA_GAggr", 1}, {ranged, "SMA_Scan+GAggr", 1}, {full, "FullScan+GAggr", 1},
+		{proj, "SMA_Scan", 1}, {mem, "MemScan", 1}, {par, "FullScan+GAggr", 2},
+	} {
+		for _, opts := range [][]client.QueryOption{nil, {client.WithTrace()}} {
+			rows := run(tc.sql, append(opts, client.WithDOP(tc.dop))...)
+			if rows.Strategy() != tc.strategy || rows.Parallelism() != tc.dop {
+				t.Fatalf("%s: strategy %s at dop %d, want %s at dop %d", tc.sql, rows.Strategy(), rows.Parallelism(), tc.strategy, tc.dop)
+			}
+		}
+	}
 	if _, err := c.Query(ctx, noTable); err == nil {
 		t.Fatal("query over an unknown table accepted")
 	}
@@ -160,8 +198,22 @@ func TestEverySurfaceAgreesOverWire(t *testing.T) {
 	if _, err := c.Exec(ctx, badIns); err == nil {
 		t.Fatal("short insert accepted")
 	}
-	history := []string{grouped, ranged, proj}
-	stmts := run("select fingerprint, calls, errors, rows, pages_read, qualify, disqualify, ambivalent from sma_stat_statements")
+	inserts++
+	history := []string{grouped, ranged, full, proj, mem, par}
+	var stmts [][]string
+	rows, err := c.Query(ctx, "select fingerprint, calls, errors, rows, pages_read, qualify, disqualify, ambivalent from sma_stat_statements")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for rows.Next() {
+		stmts = append(stmts, append([]string(nil), rows.Row()...))
+	}
+	if err := rows.Err(); err != nil {
+		t.Fatal(err)
+	}
+	rows.Close()
+	strategies["MemScan"]++
+	all.rows += int64(len(stmts))
 
 	// rowFor finds a statement's row by fingerprint: calls, errors, rows,
 	// pages_read, qualify, disqualify, ambivalent.
@@ -196,8 +248,8 @@ func TestEverySurfaceAgreesOverWire(t *testing.T) {
 		`sma_engine_buckets_total{outcome="disqualify"}`: all.d,
 		`sma_engine_buckets_total{outcome="ambivalent"}`: all.a,
 		`sma_engine_execs_total{kind="create table"}`:    1,
-		`sma_engine_execs_total{kind="define sma"}`:      2,
-		`sma_engine_execs_total{kind="insert"}`:          2, // the seed and the failed one
+		`sma_engine_execs_total{kind="define sma"}`:      int64(len(ddl)),
+		`sma_engine_execs_total{kind="insert"}`:          inserts, // the failed one included
 	}
 	for strategy, n := range strategies {
 		want[fmt.Sprintf("sma_engine_queries_total{strategy=%q}", strategy)] = n
@@ -206,6 +258,56 @@ func TestEverySurfaceAgreesOverWire(t *testing.T) {
 		if got := testutil.Metric(t, expo, series); got != n {
 			t.Errorf("%s = %d, trailers reported %d", series, got, n)
 		}
+	}
+}
+
+// checkTraceFrame holds a trace frame to the trailer of its stream: the
+// phase carrying the scan's counters — scan, or merge at dop > 1 — equals
+// the trailer's stats, the worker rows sum to merge's, stream carries the
+// rows streamed, and the phases take no negative time and sum to at most
+// the statement's duration.
+func checkTraceFrame(t *testing.T, node *client.TraceNode, st client.Stats, count int64, dop int) {
+	t.Helper()
+	counters := func(n *client.TraceNode) client.Stats {
+		return client.Stats{QualifyingBuckets: int(n.Qualify), DisqualifyingBuckets: int(n.Disqualify),
+			AmbivalentBuckets: int(n.Ambivalent), PagesRead: int(n.PagesRead), Batches: int(n.Batches),
+			PagesPrefetched: int(n.PagesPrefetched), PrefetchHits: int(n.PrefetchHits)}
+	}
+	phase := map[string]*client.TraceNode{}
+	var sum int64
+	for _, ph := range node.Children {
+		phase[ph.Name] = ph
+		if ph.DurMicros < 0 {
+			t.Errorf("%s: phase %s took %dµs", node.Note, ph.Name, ph.DurMicros)
+		}
+		sum += ph.DurMicros
+	}
+	if sum > node.DurMicros {
+		t.Errorf("%s: phases sum to %dµs, the statement took %dµs", node.Note, sum, node.DurMicros)
+	}
+	counted := phase["scan"]
+	if dop > 1 {
+		counted = phase["merge"]
+		var workers client.Stats
+		for _, w := range counted.Children {
+			c := counters(w)
+			workers.QualifyingBuckets += c.QualifyingBuckets
+			workers.DisqualifyingBuckets += c.DisqualifyingBuckets
+			workers.AmbivalentBuckets += c.AmbivalentBuckets
+			workers.PagesRead += c.PagesRead
+			workers.Batches += c.Batches
+			workers.PagesPrefetched += c.PagesPrefetched
+			workers.PrefetchHits += c.PrefetchHits
+		}
+		if len(counted.Children) != dop || workers != counters(counted) {
+			t.Errorf("%s: %d worker rows summing to %+v, merge %+v", node.Note, len(counted.Children), workers, counters(counted))
+		}
+	}
+	if counted == nil || counters(counted) != st {
+		t.Errorf("%s: trace counters disagree with the trailer's %+v", node.Note, st)
+	}
+	if stream := phase["stream"]; stream == nil || stream.Rows != count {
+		t.Errorf("%s: stream phase does not carry the %d rows streamed", node.Note, count)
 	}
 }
 

@@ -10,8 +10,10 @@
 //	    query_id}}, then a row frame {"row": ["...", ...]} per result row
 //	    (values are the engine's rendered display strings, byte-identical to
 //	    sma.Collect), then — when "trace" was requested — a trace frame
-//	    {"trace": {...}} carrying the query's span tree, finally a trailer
-//	    frame {"trailer": {row_count, elapsed_us, stats}}. A failure
+//	    {"trace": {...}} carrying the query's trace (the statement record's
+//	    phases — parse, plan, grade, scan, fold or merge with one node per
+//	    worker, stream — each with its wall time and counters), finally a
+//	    trailer frame {"trailer": {row_count, elapsed_us, stats}}. A failure
 //	    mid-stream replaces the trailer with {"error": "..."}.
 //	POST /exec   {"sql": "...", "timeout_ms": 5000, "idempotency_key": "..."}
 //	  → 200 {"kind", "table", "rows_affected", "sma"?, "elapsed_us"}
@@ -87,8 +89,8 @@ type QueryRequest struct {
 	// same instant. 0 means none; combined with timeout_ms the earlier
 	// deadline wins.
 	DeadlineMillis int64 `json:"deadline_ms,omitempty"`
-	// Trace asks the engine to record a per-operator execution trace; the
-	// finished span tree streams back as a trace frame before the trailer.
+	// Trace asks the engine to render the query's record as a trace; it
+	// streams back as a trace frame before the trailer.
 	Trace bool `json:"trace,omitempty"`
 }
 

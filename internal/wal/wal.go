@@ -148,7 +148,8 @@ type Log struct {
 	size   int64
 	dirty  bool // bytes appended since the last fsync
 	closed bool
-	spare  []byte // the last committed batch's buffer, for the next NewBatch
+	spare  []byte             // the last committed batch's buffer, for the next NewBatch
+	fault  func(string) error // runs before every fsync; see SetFault
 
 	syncMu    sync.Mutex // guards the fields below; never held with mu
 	syncCond  *sync.Cond
@@ -223,18 +224,26 @@ func (l *Log) NewBatch() *Batch {
 // to WaitDurable for that. Empty batches commit as sequence 0 without
 // touching the file.
 func (l *Log) Commit(b *Batch) (uint64, error) {
+	seq, _, err := l.CommitFrame(b)
+	return seq, err
+}
+
+// CommitFrame is Commit that also returns the size of the frame it
+// appended — the batch's records and its commit record — which is the
+// statement's own share of the log.
+func (l *Log) CommitFrame(b *Batch) (seq uint64, size int64, err error) {
 	if b.n == 0 {
-		return 0, nil
+		return 0, 0, nil
 	}
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
-		return 0, ErrClosed
+		return 0, 0, ErrClosed
 	}
 	l.seq++
-	seq := l.seq
+	seq = l.seq
 	frame, n := appendCommit(b.buf, seq, b.n), b.n
-	_, err := l.w.Write(frame) // copies: the buffer is free again
+	_, err = l.w.Write(frame) // copies: the buffer is free again
 	l.size += int64(len(frame))
 	l.dirty = true
 	if b.buf, b.n = nil, 0; cap(frame) <= maxSpare {
@@ -242,12 +251,12 @@ func (l *Log) Commit(b *Batch) (uint64, error) {
 	}
 	l.mu.Unlock()
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	l.nCommits.Add(1)
 	l.nRecords.Add(uint64(n + 1))
 	l.nBytes.Add(uint64(len(frame)))
-	return seq, nil
+	return seq, int64(len(frame)), nil
 }
 
 // WaitDurable blocks until the given commit sequence is on stable
@@ -255,8 +264,16 @@ func (l *Log) Commit(b *Batch) (uint64, error) {
 // Under ModeOS and ModeInterval it returns immediately — those policies
 // trade the wait away by contract.
 func (l *Log) WaitDurable(seq uint64) error {
+	_, err := l.Await(seq)
+	return err
+}
+
+// Await is WaitDurable that also reports whether this caller led the fsync
+// that made seq durable: of the statements one barrier covers, it is the
+// one the fsync is charged to.
+func (l *Log) Await(seq uint64) (led bool, err error) {
 	if seq == 0 || l.policy.Mode != ModeGrouped {
-		return nil
+		return false, nil
 	}
 	return l.syncTo(seq)
 }
@@ -270,23 +287,22 @@ func (l *Log) WaitDurable(seq uint64) error {
 // fsync stalls in the kernel cannot be interrupted, but its followers —
 // and every later waiter — give up with ErrSyncTimeout instead of
 // hanging the whole commit path forever.
-func (l *Log) syncTo(seq uint64) error {
+func (l *Log) syncTo(seq uint64) (led bool, err error) {
 	timeout := l.policy.SyncTimeout
 	if timeout <= 0 {
 		timeout = defaultSyncTimeout
 	}
 	deadline := time.Now().Add(timeout)
-	led := false
 	l.syncMu.Lock()
 	defer l.syncMu.Unlock()
 	for l.syncedSeq < seq {
 		if l.syncErr != nil {
-			return l.syncErr
+			return led, l.syncErr
 		}
 		if l.syncing {
 			if !time.Now().Before(deadline) {
 				l.nSyncTimeouts.Add(1)
-				return fmt.Errorf("%w after %s (seq %d, durable through %d)",
+				return led, fmt.Errorf("%w after %s (seq %d, durable through %d)",
 					ErrSyncTimeout, timeout, seq, l.syncedSeq)
 			}
 			l.timedWaitLocked(deadline)
@@ -308,7 +324,7 @@ func (l *Log) syncTo(seq uint64) error {
 	if !led {
 		l.nGroupedWaits.Add(1)
 	}
-	return nil
+	return led, nil
 }
 
 // timedWaitLocked waits on the sync condvar until a broadcast or until
@@ -336,18 +352,33 @@ func (l *Log) flushAndSync() (uint64, error) {
 	target := l.seq
 	l.dirty = false
 	err := l.w.Flush()
-	f := l.f
+	f, fault := l.f, l.fault
 	if err != nil {
 		l.dirty = true
 		l.mu.Unlock()
 		return 0, err
 	}
 	l.mu.Unlock()
+	if fault != nil {
+		if err := fault("sync"); err != nil {
+			return 0, err
+		}
+	}
 	if err := f.Sync(); err != nil {
 		return 0, err
 	}
 	l.nSyncs.Add(1)
 	return target, nil
+}
+
+// SetFault installs fn to run before every fsync of the log with op
+// "sync" (nil removes it); an error it returns fails the fsync. Tests
+// stall or break the log's barrier with it, as storage.DiskManager's
+// SetFault does for page I/O.
+func (l *Log) SetFault(fn func(op string) error) {
+	l.mu.Lock()
+	l.fault = fn
+	l.mu.Unlock()
 }
 
 // Sync forces everything appended so far to stable storage regardless

@@ -92,11 +92,11 @@ func (r *Rows) Stats() (QueryStats, bool) {
 	}, true
 }
 
-// Trace returns the query's span tree when it was traced (WithQueryTrace
-// or EXPLAIN ANALYZE) and the stream has ended; nil otherwise. The tree
-// mirrors the executed pipeline — parse, plan/grade, execute with
-// sort/fold/scan (or merge with per-worker spans) — with per-span wall
-// time, rows, pages, and bucket grading counts.
+// Trace returns the query's trace when it was traced (WithQueryTrace or
+// EXPLAIN ANALYZE) and the stream has ended; nil otherwise. The tree is the
+// statement record's phase vector — parse, plan, grade, scan, fold (or
+// merge with one row per worker), stream — with each phase's wall time,
+// rows, pages, and bucket grading counts.
 func (r *Rows) Trace() *TraceNode { return r.cur.TraceNode() }
 
 // QueryID returns the identifier the observability layer assigned this

@@ -218,14 +218,13 @@ func WithQueryParallelism(n int) QueryOption { return engine.WithDOP(n) }
 // per request.
 func WithQueryBatchSize(n int) QueryOption { return engine.WithBatchSize(n) }
 
-// WithQueryTrace records a per-operator execution trace for one query:
-// a span tree over the real pipeline (parse → plan → grade → execute →
-// sort → fold → scan → prefetch, with one span per worker under
-// parallelism), each span carrying wall time, rows, pages, and the
-// paper's qualify/disqualify/ambivalent grading counts. The tree is
-// available from Rows.Trace once the stream ends. Tracing costs pooled
-// span records and a few time stamps per operator call; queries without
-// it pay one nil check.
+// WithQueryTrace renders one query's statement record as a trace: the
+// phases parse → plan → grade → scan → fold (or merge, with one row per
+// parallel worker) → stream, each carrying its exclusive wall time, rows,
+// pages, and the paper's qualify/disqualify/ambivalent grading counts. The
+// tree is available from Rows.Trace once the stream ends. Every query keeps
+// the phase clock — a few clock reads per statement and two per batch — so
+// tracing costs only the tree, built once when the statement ends.
 func WithQueryTrace() QueryOption { return engine.WithTrace(true) }
 
 // DB is an embedded warehouse instance rooted at a directory. A DB is safe
@@ -266,10 +265,10 @@ func (db *DB) WritePrometheus(w io.Writer) error { return db.eng.WritePrometheus
 // they must expose fallbacks of their own.
 func (db *DB) Observable() bool { return db.eng.Observer() != nil }
 
-// TraceNode is one rendered span of a query trace: an operator (or
-// phase) with its wall time, row/page/bucket counters, and children in
-// pipeline order. Rows.Trace returns the root after a traced query
-// finishes; TraceNode.Render prints the tree EXPLAIN ANALYZE style.
+// TraceNode is one node of a query trace — the query, one of its phases, or
+// a parallel worker under merge — with its wall time and row/page/bucket
+// counters. Rows.Trace returns the root after a traced query finishes;
+// TraceNode.Render prints the tree EXPLAIN ANALYZE style.
 type TraceNode = obs.TraceNode
 
 // Dir returns the database directory.
@@ -488,8 +487,8 @@ type ExecResult struct {
 	SMABuckets int
 	SMAFiles   int
 	SMAPages   int64
-	// WALBytes and WALSyncs are the redo-log bytes appended and fsyncs
-	// observed while the statement ran (0 when observability is off).
+	// WALBytes is the size of the statement's own redo-log frame; WALSyncs
+	// is 1 when it led the fsync that covered it, 0 when another did.
 	WALBytes int64
 	WALSyncs int64
 }
