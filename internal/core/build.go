@@ -24,8 +24,9 @@ func Build(h *storage.HeapFile, def Def) (*SMA, error) {
 // sequential pass — the paper's creation table builds its eight SMAs one
 // scan each, but notes that SMA processing scans "all the SMAs ... at the
 // same time"; symmetrically, building them together amortizes the relation
-// scan across all definitions. Every page's live records are one bucket
-// run through each SMA's run kernel (foldRun), the path appends take.
+// scan across all definitions. It is the bucket refold over every bucket
+// of freshly opened SMAs, so a build and the maintenance of UPDATE and
+// DELETE read and fold a bucket the same way.
 //
 // The result slice is positionally aligned with defs.
 func BuildMany(h *storage.HeapFile, defs []Def) ([]*SMA, error) {
@@ -39,48 +40,61 @@ func BuildMany(h *storage.HeapFile, defs []Def) ([]*SMA, error) {
 	}
 	var recs []byte
 	for b, nb := 0, h.NumBuckets(); b < nb; b++ {
-		for _, s := range smas {
-			s.openBucket()
-		}
-		first, last := h.BucketRange(b)
-		for p := first; p <= last; p++ {
-			var err error
-			if recs, _, err = h.ReadPageInto(p, recs[:0]); err != nil {
-				return nil, err
-			}
-			for _, s := range smas {
-				s.foldRun(b, recs)
-			}
+		var err error
+		if recs, err = refold(h, smas, b, recs); err != nil {
+			return nil, err
 		}
 	}
 	return smas, nil
 }
 
-// RecomputeBucket rebuilds bucket b's entry in every group file by
-// rescanning the bucket. It is the fallback maintenance path for updates
-// that shrink a min/max or move a tuple between groups; its cost is one
-// bucket scan, in line with the paper's "at most one additional page access
-// is needed for an updated tuple" for page-sized buckets. The bucket is read
-// before any entry changes, so a failed read leaves the SMA as it was.
-func (s *SMA) RecomputeBucket(h *storage.HeapFile, b int) error {
-	if err := s.checkBucket(b); err != nil {
-		return err
+// Refold recomputes the given buckets of every SMA in smas from the heap,
+// each bucket's pages read once for all of them. It is the maintenance of
+// UPDATE and DELETE: the statement changes the heap, then refolds each
+// bucket it touched once, so the vectors stay bit-identical to a fresh
+// build — the paper's "at most one additional page access" per updated
+// tuple, paid per touched bucket and statement rather than per row.
+func Refold(h *storage.HeapFile, smas []*SMA, buckets []int) error {
+	var recs []byte
+	for _, b := range buckets {
+		if nb := h.NumBuckets(); b < 0 || b >= nb {
+			return errf("refold of bucket %d, heap has [0,%d)", b, nb)
+		}
+		var err error
+		if recs, err = refold(h, smas, b, recs); err != nil {
+			return err
+		}
 	}
-	recs := s.recs[:0]
+	return nil
+}
+
+// refold reads bucket b's live records into recs and folds them into every
+// SMA as the whole of bucket b — the one place a bucket is read for
+// folding. An SMA that does not reach b yet opens buckets up to it; one
+// that does has b's entries cleared first. The bucket is read before any
+// entry changes, so a failed read leaves every SMA as it was.
+func refold(h *storage.HeapFile, smas []*SMA, b int, recs []byte) ([]byte, error) {
+	recs = recs[:0]
 	first, last := h.BucketRange(b)
 	for p := first; p <= last; p++ {
 		var err error
 		if recs, _, err = h.ReadPageInto(p, recs); err != nil {
-			return err
+			return recs, err
 		}
 	}
-	s.recs = recs
-	for _, g := range s.files {
-		g.Vec.Set(b, 0)
-		g.Present.Set(b, false)
+	for _, s := range smas {
+		if b < s.NumBuckets {
+			for _, g := range s.files {
+				g.Vec.Set(b, 0)
+				g.Present.Set(b, false)
+			}
+		}
+		for b >= s.NumBuckets {
+			s.openBucket()
+		}
+		s.foldRun(b, recs)
 	}
-	s.foldRun(b, recs)
-	return nil
+	return recs, nil
 }
 
 // OnAppend maintains the SMA after t was appended at rid: the one-row case
@@ -89,112 +103,10 @@ func (s *SMA) OnAppend(h *storage.HeapFile, t tuple.Tuple, rid storage.RID) erro
 	return s.AppendRun(h.BucketOf(rid.Page), t.Data)
 }
 
-// OnUpdate maintains the SMA after the record at rid changed from old to
-// new. Sum and count (same group) are adjusted in O(1); min/max fall back
-// to RecomputeBucket only when the old value sat on the bucket boundary, and
-// group migration always recomputes the bucket.
-func (s *SMA) OnUpdate(h *storage.HeapFile, oldT, newT tuple.Tuple, rid storage.RID) error {
-	b := h.BucketOf(rid.Page)
-	if err := s.checkBucket(b); err != nil {
-		return err
-	}
-	var oldKey, newKey GroupKey
-	if s.gx != nil {
-		oldKey = s.gx.Key(oldT)
-		newKey = s.gx.Key(newT)
-	}
-	if oldKey != newKey {
-		return s.RecomputeBucket(h, b)
-	}
-	g := s.groups[oldKey]
-	if g == nil || !g.Present.Get(b) {
-		// The SMA is out of sync with the heap; rebuild the bucket.
-		return s.RecomputeBucket(h, b)
-	}
-	var oldV, newV float64
-	if s.Def.Expr != nil {
-		oldV = s.Def.Expr.Eval(oldT)
-		newV = s.Def.Expr.Eval(newT)
-	}
-	cur := g.Vec.Get(b)
-	switch s.Def.Agg {
-	case Count:
-		return nil // cardinality unchanged
-	case Sum:
-		g.Vec.Set(b, cur+newV-oldV)
-		return nil
-	case Min:
-		if newV <= cur {
-			g.Vec.Set(b, newV)
-			return nil
-		}
-		if oldV > cur {
-			return nil // old value was interior; min unaffected
-		}
-		return s.RecomputeBucket(h, b)
-	case Max:
-		if newV >= cur {
-			g.Vec.Set(b, newV)
-			return nil
-		}
-		if oldV < cur {
-			return nil
-		}
-		return s.RecomputeBucket(h, b)
-	}
-	return nil
-}
-
-// OnDelete maintains the SMA after the record old (at rid) was deleted
-// from the heap. Count and sum adjust in O(1); min/max recompute the bucket
-// only when the deleted value sat on the boundary.
-func (s *SMA) OnDelete(h *storage.HeapFile, old tuple.Tuple, rid storage.RID) error {
-	b := h.BucketOf(rid.Page)
-	if err := s.checkBucket(b); err != nil {
-		return err
-	}
-	var key GroupKey
-	if s.gx != nil {
-		key = s.gx.Key(old)
-	}
-	g := s.groups[key]
-	if g == nil || !g.Present.Get(b) {
-		return s.RecomputeBucket(h, b)
-	}
-	var v float64
-	if s.Def.Expr != nil {
-		v = s.Def.Expr.Eval(old)
-	}
-	cur := g.Vec.Get(b)
-	switch s.Def.Agg {
-	case Count:
-		if cur <= 1 {
-			return s.RecomputeBucket(h, b) // group may be empty now
-		}
-		g.Vec.Set(b, cur-1)
-		return nil
-	case Sum:
-		// A sum SMA alone cannot tell whether the group just became empty
-		// in this bucket (its presence bit would have to flip), so deletes
-		// rebuild the bucket — still only one bucket scan, the same bound
-		// the paper gives for updates.
-		return s.RecomputeBucket(h, b)
-	case Min:
-		if v > cur {
-			return nil // interior value; min unaffected
-		}
-		return s.RecomputeBucket(h, b)
-	case Max:
-		if v < cur {
-			return nil
-		}
-		return s.RecomputeBucket(h, b)
-	}
-	return nil
-}
-
-// Verify checks the SMA against the heap file, returning the first
-// discrepancy found. It is used by tests and by `smactl verify`.
+// Verify checks the SMA against a fresh build over the heap file, bit for
+// bit, returning the first discrepancy found. Appends and refolds fold
+// every entry exactly as a build does, so there is no tolerance. It is
+// used by tests and by `smactl verify`.
 func (s *SMA) Verify(h *storage.HeapFile) error {
 	if err := s.checkFiles(); err != nil {
 		return err
@@ -231,8 +143,8 @@ func (s *SMA) Verify(h *storage.HeapFile) error {
 			if fp != p {
 				return errf("sma %s group %q bucket %d: presence %v, want %v", s.Def.Name, string(key), b, p, fp)
 			}
-			if fp && !almostEqual(fv, v) {
-				return errf("sma %s group %q bucket %d: value %g, want %g", s.Def.Name, string(key), b, v, fv)
+			if math.Float64bits(fv) != math.Float64bits(v) {
+				return errf("sma %s group %q bucket %d: value %v, want %v", s.Def.Name, string(key), b, v, fv)
 			}
 		}
 	}
@@ -241,15 +153,4 @@ func (s *SMA) Verify(h *storage.HeapFile) error {
 
 func errf(format string, args ...any) error {
 	return fmt.Errorf("core: "+format, args...)
-}
-
-// almostEqual compares with a relative tolerance; sums of floats accumulate
-// rounding differences between incremental and batch computation.
-func almostEqual(a, b float64) bool {
-	if a == b {
-		return true
-	}
-	diff := math.Abs(a - b)
-	scale := math.Max(math.Abs(a), math.Abs(b))
-	return diff <= 1e-9*math.Max(scale, 1)
 }

@@ -10,7 +10,8 @@
 //     counts, 8-byte sums)
 //   - grouped SMAs: one SMA-file per group, aligned by bucket, with a
 //     presence bitmap
-//   - a one-pass bulk builder and incremental maintenance
+//   - a one-pass bulk builder and two kinds of maintenance: append runs
+//     (inserts) and bucket refolds (updates and deletes)
 //   - the §3.1 bucket-grading rules (qualifying / disqualifying /
 //     ambivalent) including the AND/OR partition algebra, grading through
 //     grouped min/max SMAs, and grading through count-group-by-A SMAs

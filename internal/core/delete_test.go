@@ -11,8 +11,9 @@ import (
 	"sma/internal/tuple"
 )
 
-// TestOnDeleteAllKinds deletes interior, boundary and last-of-group tuples
-// and verifies every SMA kind stays consistent.
+// TestOnDeleteAllKinds deletes interior, boundary and last-of-group tuples,
+// refolding the bucket after each, and verifies every SMA kind stays equal
+// to a fresh build.
 func TestOnDeleteAllKinds(t *testing.T) {
 	h := testutil.NewHeap(t, groupedSchema(t), 1, 64)
 	tpl := tuple.NewTuple(h.Schema())
@@ -39,14 +40,11 @@ func TestOnDeleteAllKinds(t *testing.T) {
 	}
 	del := func(i int) {
 		t.Helper()
-		old, err := h.Delete(rids[i])
-		if err != nil {
+		if _, err := h.Delete(rids[i]); err != nil {
 			t.Fatal(err)
 		}
-		for _, s := range smas {
-			if err := s.OnDelete(h, old, rids[i]); err != nil {
-				t.Fatalf("OnDelete(%s): %v", s.Def.Name, err)
-			}
+		if err := core.Refold(h, smas, []int{h.BucketOf(rids[i].Page)}); err != nil {
+			t.Fatal(err)
 		}
 		verifyAll(t, h, smas, "after delete")
 	}
@@ -56,8 +54,9 @@ func TestOnDeleteAllKinds(t *testing.T) {
 	del(2) // last tuple of group X in the bucket
 }
 
-// TestQuickDeleteEquivalence: random mixed append/delete workloads keep
-// every SMA identical to a fresh bulkload.
+// TestQuickDeleteEquivalence: random mixed append/delete workloads, every
+// delete followed by the refold of its bucket, keep every SMA identical to
+// a fresh bulkload.
 func TestQuickDeleteEquivalence(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -80,14 +79,11 @@ func TestQuickDeleteEquivalence(t *testing.T) {
 				i := rng.Intn(len(live))
 				rid := live[i]
 				live = append(live[:i], live[i+1:]...)
-				old, err := h.Delete(rid)
-				if err != nil {
+				if _, err := h.Delete(rid); err != nil {
 					return false
 				}
-				for _, s := range smas {
-					if err := s.OnDelete(h, old, rid); err != nil {
-						return false
-					}
+				if err := core.Refold(h, smas, []int{h.BucketOf(rid.Page)}); err != nil {
+					return false
 				}
 			}
 		}

@@ -123,15 +123,15 @@ func TestSMAFilesStayInKeyOrder(t *testing.T) {
 	check("after appends", s)
 
 	// A group the SMA has never seen, introduced by an update it learns of
-	// only through the bucket recompute.
+	// only through the bucket refold.
 	tp.SetInt32(0, -7)
 	if err := h.Update(storage.RID{Page: 3, Slot: 2}, tp); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.RecomputeBucket(h, 3); err != nil {
+	if err := core.Refold(h, []*core.SMA{s}, []int{3}); err != nil {
 		t.Fatal(err)
 	}
-	check("after recompute", s)
+	check("after refold", s)
 
 	dir := t.TempDir()
 	if err := s.Save(dir); err != nil {

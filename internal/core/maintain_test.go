@@ -86,67 +86,12 @@ func TestOnAppendMaintainsAllKinds(t *testing.T) {
 	verifyAll(t, h, smas, "after appends")
 }
 
-// TestOnUpdateFastPaths exercises the O(1) update paths: sum adjustment,
-// min/max extension, and interior updates that leave min/max untouched.
-func TestOnUpdateFastPaths(t *testing.T) {
-	h := testutil.NewHeap(t, groupedSchema(t), 1, 64)
-	var smas []*core.SMA
-	var rids []storage.RID
-	tpl := tuple.NewTuple(h.Schema())
-	vals := []float64{10, 20, 30}
-	for _, v := range vals {
-		tpl.SetFloat64(0, v)
-		tpl.SetChar(1, "X")
-		rid, err := h.Append(tpl)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rids = append(rids, rid)
-	}
-	for _, def := range allDefs() {
-		s, err := core.Build(h, def)
-		if err != nil {
-			t.Fatal(err)
-		}
-		smas = append(smas, s)
-	}
-
-	update := func(rid storage.RID, a float64, g string) {
-		t.Helper()
-		old, err := h.Get(rid)
-		if err != nil {
-			t.Fatal(err)
-		}
-		nw := old.Copy()
-		nw.SetFloat64(0, a)
-		nw.SetChar(1, g)
-		if err := h.Update(rid, nw); err != nil {
-			t.Fatal(err)
-		}
-		for _, s := range smas {
-			if err := s.OnUpdate(h, old, nw, rid); err != nil {
-				t.Fatalf("OnUpdate(%s): %v", s.Def.Name, err)
-			}
-		}
-	}
-
-	update(rids[1], 25, "X") // interior: min/max unchanged, sum adjusted
-	verifyAll(t, h, smas, "interior update")
-	update(rids[0], -5, "X") // extends the minimum
-	verifyAll(t, h, smas, "min extension")
-	update(rids[2], 99, "X") // extends the maximum
-	verifyAll(t, h, smas, "max extension")
-	update(rids[0], 12, "X") // old value was the min: recompute path
-	verifyAll(t, h, smas, "min shrink (recompute)")
-	update(rids[2], 13, "X") // old value was the max: recompute path
-	verifyAll(t, h, smas, "max shrink (recompute)")
-	update(rids[1], 25, "Y") // group migration: recompute path
-	verifyAll(t, h, smas, "group migration")
-}
-
 // TestQuickMaintenanceEquivalence is the central maintenance property: for
-// random append/update workloads, incremental maintenance produces exactly
-// the SMA a fresh bulkload would.
+// random append/update workloads, appends folded as runs and updates
+// followed by the refold of the bucket they touched produce exactly — bit
+// for bit — the SMA a fresh bulkload would. The first seed is one whose
+// per-row sum deltas (cur+new-old) drifted from a fresh build in the last
+// bits.
 func TestQuickMaintenanceEquivalence(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -167,20 +112,17 @@ func TestQuickMaintenanceEquivalence(t *testing.T) {
 					rng.Float64()*200-100, groups[rng.Intn(2)]))
 			} else {
 				rid := rids[rng.Intn(len(rids))]
-				old, err := h.Get(rid)
+				nw, err := h.Get(rid)
 				if err != nil {
 					return false
 				}
-				nw := old.Copy()
 				nw.SetFloat64(0, rng.Float64()*200-100)
 				nw.SetChar(1, groups[rng.Intn(2)])
 				if err := h.Update(rid, nw); err != nil {
 					return false
 				}
-				for _, s := range smas {
-					if err := s.OnUpdate(h, old, nw, rid); err != nil {
-						return false
-					}
+				if err := core.Refold(h, smas, []int{h.BucketOf(rid.Page)}); err != nil {
+					return false
 				}
 			}
 		}
@@ -192,12 +134,17 @@ func TestQuickMaintenanceEquivalence(t *testing.T) {
 		}
 		return true
 	}
+	if !f(7605280876762340014) {
+		t.Error("seed 7605280876762340014: maintained SMAs differ from a fresh build")
+	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
 		t.Error(err)
 	}
 }
 
-// TestRecomputeBucket checks the fallback path directly.
+// TestRecomputeBucket checks the bucket refold directly: a change the SMAs
+// never saw is picked up by refolding its bucket, and a bucket the heap
+// does not have is refused.
 func TestRecomputeBucket(t *testing.T) {
 	h := testutil.NewHeap(t, groupedSchema(t), 1, 64)
 	var smas []*core.SMA
@@ -216,21 +163,17 @@ func TestRecomputeBucket(t *testing.T) {
 		}
 		smas = append(smas, s)
 	}
-	// Corrupt the heap behind the SMAs' back, then recompute.
+	// Change the heap behind the SMAs' back, then refold.
 	tpl.SetFloat64(0, -999)
 	tpl.SetChar(1, "W")
 	if err := h.Update(storage.RID{Page: 0, Slot: 0}, tpl); err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range smas {
-		if err := s.RecomputeBucket(h, 0); err != nil {
-			t.Fatalf("recompute %s: %v", s.Def.Name, err)
-		}
+	if err := core.Refold(h, smas, []int{0}); err != nil {
+		t.Fatalf("refold: %v", err)
 	}
-	verifyAll(t, h, smas, "after recompute")
-	for _, s := range smas {
-		if err := s.RecomputeBucket(h, 999); err == nil {
-			t.Errorf("recompute of out-of-range bucket should fail")
-		}
+	verifyAll(t, h, smas, "after refold")
+	if err := core.Refold(h, smas, []int{999}); err == nil {
+		t.Errorf("refold of an out-of-range bucket should fail")
 	}
 }

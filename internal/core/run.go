@@ -11,9 +11,10 @@ import (
 // run is what an SMA needs to fold a bucket run — packed live records of one
 // bucket, in physical order — into its SMA-files: the aggregate's argument
 // compiled into the vector program the scan operators use, an index from a
-// record's raw group bytes (Extractor.Regions) to its SMA-file, and scratch. None of it allocates per record. It is writer
-// state: runs are folded under the engine's write lock (or into an SMA
-// nobody else can see yet), never by readers.
+// record's raw group bytes (Extractor.Regions) to its SMA-file, and
+// scratch. None of it allocates per record. It is writer state: runs are
+// folded under the engine's write lock (or into an SMA nobody else can see
+// yet), never by readers.
 type run struct {
 	prog expr.Program
 	arg  int32 // the argument's node; unused for count(*)
@@ -21,7 +22,6 @@ type run struct {
 	byRaw map[string]*GroupFile // raw group-column bytes -> SMA-file
 	raw   [2][]byte             // raw keys of the current and the previous record
 	vals  []float64             // argument vectors
-	recs  []byte                // RecomputeBucket's copy of the bucket
 }
 
 // compileRun prepares s.run for def; newSMA calls it once.
@@ -63,8 +63,8 @@ func (s *SMA) AppendRun(b int, recs []byte) error {
 
 // foldRun folds the packed records recs, all of bucket b < NumBuckets, into
 // the SMA-files: the one accumulate path, shared by appends (AppendRun; a
-// single row is OnAppend), bulk loads (Build, BuildMany: a page at a time)
-// and RecomputeBucket. The argument is evaluated once for the run into a
+// single row is OnAppend) and bucket refolds (Refold, and Build and
+// BuildMany, which refold every bucket). The argument is evaluated once for the run into a
 // vector; each record's group is resolved from its raw group-column bytes;
 // and every maximal stretch of records of one group advances that group's
 // entry in one typed loop. A group's entry receives its records in row

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"sma/internal/core"
@@ -159,11 +160,13 @@ func sameAsReference(t *testing.T, when string, h *storage.HeapFile, s *core.SMA
 
 // TestRunKernelEqualsRowHooks: maintaining SMAs run-wise (statements of
 // random length appended a page run at a time, as the engine's journal
-// does), row-wise (OnAppend) and by bulk load (Build, BuildMany,
-// RecomputeBucket, with deleted slots to skip) yields vectors and presence
-// bitmaps == to a row-at-a-time reference — all four aggregates, every entry
-// width, grouped and not, groups first met mid-run, BucketPages 1 and 4,
-// and a table that ends exactly on a bucket boundary.
+// does), row-wise (OnAppend), by statements of updates and deletes each
+// followed by the refold of the buckets it touched, and by bulk load
+// (Build, BuildMany, Refold of every bucket, with deleted slots to skip)
+// yields vectors and presence bitmaps == to a row-at-a-time reference, float
+// bits included — all four aggregates, every entry width, grouped and not,
+// groups first met mid-run, BucketPages 1 and 4, and a table that ends
+// exactly on a bucket boundary.
 func TestRunKernelEqualsRowHooks(t *testing.T) {
 	for _, bucketPages := range []int{1, 4} {
 		for seed := int64(1); seed <= 4; seed++ {
@@ -220,15 +223,49 @@ func TestRunKernelEqualsRowHooks(t *testing.T) {
 				sameAsReference(t, when+", row-wise appends", h, rowwise[i])
 			}
 
+			// Statements of updates and deletes, as the engine's journal runs
+			// them: the heap changes row by row, then every bucket the
+			// statement touched is refolded once. Updates may move a row to
+			// another group, or to one the SMAs have never seen.
+			for stmt := 0; stmt < 8; stmt++ {
+				var touched []int
+				for k := 1 + rng.Intn(3*h.RecordsPerPage()); k > 0; k-- {
+					rid := storage.RID{Page: storage.PageID(rng.Int63n(h.NumPages())), Slot: rng.Intn(h.RecordsPerPage())}
+					if _, err := h.Get(rid); err != nil {
+						continue // deleted, or a slot past the last page's end
+					}
+					if rng.Intn(2) == 0 {
+						_, err = h.Delete(rid)
+					} else {
+						err = h.Update(rid, randomRecord(rng, schema, total))
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					touched = append(touched, h.BucketOf(rid.Page))
+				}
+				slices.Sort(touched)
+				if err := core.Refold(h, runwise, slices.Compact(touched)); err != nil {
+					t.Fatal(err)
+				}
+				for _, s := range runwise {
+					sameAsReference(t, fmt.Sprintf("%s, update/delete statement %d", when, stmt), h, s)
+				}
+			}
+
 			// Delete a fifth of the rows, among them every row of one page,
-			// under the SMAs' feet: bulk loads and bucket recomputation must
-			// skip the dead slots.
+			// under the SMAs' feet: bulk loads and bucket refolds must skip
+			// the dead slots.
 			for p := int64(0); p < h.NumPages(); p++ {
 				for slot := 0; slot < h.RecordsPerPage(); slot++ {
 					if p != 1 && rng.Intn(5) != 0 {
 						continue
 					}
-					if _, err := h.Delete(storage.RID{Page: storage.PageID(p), Slot: slot}); err != nil && p != h.NumPages()-1 {
+					rid := storage.RID{Page: storage.PageID(p), Slot: slot}
+					if _, err := h.Get(rid); err != nil {
+						continue // deleted already, or past the last page's end
+					}
+					if _, err := h.Delete(rid); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -244,12 +281,16 @@ func TestRunKernelEqualsRowHooks(t *testing.T) {
 					t.Fatal(err)
 				}
 				sameAsReference(t, when+", Build after deletes", h, one)
-				for b := 0; b < s.NumBuckets; b++ {
-					if err := s.RecomputeBucket(h, b); err != nil {
-						t.Fatal(err)
-					}
-				}
-				sameAsReference(t, when+", RecomputeBucket of every bucket after deletes", h, s)
+			}
+			all := make([]int, h.NumBuckets())
+			for b := range all {
+				all[b] = b
+			}
+			if err := core.Refold(h, runwise, all); err != nil {
+				t.Fatal(err)
+			}
+			for _, s := range runwise {
+				sameAsReference(t, when+", Refold of every bucket after deletes", h, s)
 			}
 		}
 	}

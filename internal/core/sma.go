@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"sort"
 
@@ -192,12 +191,4 @@ func (s *SMA) PagesUsed() int64 {
 		total += (bytes + storage.PageSize - 1) / storage.PageSize
 	}
 	return total
-}
-
-// checkBucket validates a bucket index.
-func (s *SMA) checkBucket(b int) error {
-	if b < 0 || b >= s.NumBuckets {
-		return fmt.Errorf("core: sma %s: bucket %d out of range [0,%d)", s.Def.Name, b, s.NumBuckets)
-	}
-	return nil
 }

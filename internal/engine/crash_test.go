@@ -150,6 +150,47 @@ func TestInsertAtomicMaintFault(t *testing.T) {
 	verifySMAs(t, tbl)
 }
 
+// TestDMLAtomicRefoldFault: an UPDATE or DELETE whose statement-end refold
+// fails — the fault fires before the second SMA, with every row already
+// written — rolls the heap back to the statement start and leaves every
+// SMA equal to a fresh build; the same statement then succeeds.
+func TestDMLAtomicRefoldFault(t *testing.T) {
+	db, err := Open(t.TempDir(), Options{BucketPages: 1, AllowUnsafeCrash: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	tbl := seedEvents(t, db, 60)
+	boom := errors.New("sma refold fault")
+	for _, sql := range []string{
+		"update EVENTS set VALUE = VALUE * 3, KIND = 'D' where TS <= date '2024-01-10'",
+		"delete from EVENTS where TS >= date '2024-01-20'",
+	} {
+		before := heapSnapshot(t, tbl)
+		calls := 0
+		tbl.maintFault = func() error {
+			if calls++; calls == 2 {
+				return boom
+			}
+			return nil
+		}
+		_, err := db.ExecContext(context.Background(), sql)
+		tbl.maintFault = nil
+		if !errors.Is(err, boom) {
+			t.Fatalf("%s: got %v, want the injected fault", sql, err)
+		}
+		if got := heapSnapshot(t, tbl); got != before {
+			t.Fatalf("%s: the failed refold left the heap changed", sql)
+		}
+		verifySMAs(t, tbl)
+		res, err := db.ExecContext(context.Background(), sql)
+		if err != nil || res.RowsAffected == 0 {
+			t.Fatalf("%s after the aborted statement: %v, %d rows", sql, err, res.RowsAffected)
+		}
+		verifySMAs(t, tbl)
+	}
+}
+
 // flakyCtx is a context whose Err starts reporting cancellation after a
 // fixed number of checks — it cancels a statement at a deterministic
 // point partway through its apply loop.
@@ -178,7 +219,8 @@ func TestUpdateAtomicCancellation(t *testing.T) {
 	before := heapSnapshot(t, tbl)
 
 	// ~19 fat rows per page → 60 rows span 4 pages. The scan phase checks
-	// the context once per page, the apply phase once per row; limit 15
+	// the context once per bucket (one page here), the apply phase once
+	// per row; limit 15
 	// cancels with roughly ten updates applied and pending rollback.
 	ctx := &flakyCtx{Context: context.Background(), limit: 15}
 	_, err = db.ExecContext(ctx, "update EVENTS set VALUE = VALUE + 1")

@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"bytes"
 	"testing"
 
 	"sma/internal/engine"
@@ -101,5 +102,31 @@ func TestEngineDeletePersistence(t *testing.T) {
 	}
 	if n2 != n1-1+1 {
 		t.Errorf("record count after delete+append = %d", n2)
+	}
+}
+
+// TestTableUpdateRejectsWrongWidth: Table.Update refuses a tuple whose width
+// is not the table's record size, as Append does, and leaves the record as
+// it was — the heap would copy a short image over the front of the slot.
+func TestTableUpdateRejectsWrongWidth(t *testing.T) {
+	db, tbl := openSales(t, t.TempDir())
+	defer db.Close()
+	rid := storage.RID{Page: 0, Slot: 0}
+	before, err := tbl.Get(rid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, width := range []int{tbl.Schema.RecordSize() - 1, tbl.Schema.RecordSize() + 1} {
+		bad := tuple.Tuple{Schema: tbl.Schema, Data: bytes.Repeat([]byte{0xff}, width)}
+		if err := tbl.Update(rid, bad); err == nil {
+			t.Errorf("a %d-byte tuple was accepted for %d-byte records", width, tbl.Schema.RecordSize())
+		}
+	}
+	after, err := tbl.Get(rid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after.Data, before.Data) {
+		t.Errorf("record changed from %x to %x", before.Data, after.Data)
 	}
 }

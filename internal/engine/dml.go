@@ -6,13 +6,16 @@ import (
 	"math"
 
 	"sma/internal/core"
+	"sma/internal/exec"
 	"sma/internal/parser"
+	"sma/internal/pred"
+	"sma/internal/stats"
 	"sma/internal/storage"
 	"sma/internal/tuple"
 )
 
 // insertInto appends every VALUES row of the statement a page run at a time,
-// maintaining the table's SMAs through the O(1)-per-row AppendRun hooks. It
+// maintaining the table's SMAs through one AppendRun per page run. It
 // holds the write lock for the whole statement so concurrent (possibly
 // parallel) readers never see a half-applied multi-row insert, and the
 // statement is atomic: every row is
@@ -187,33 +190,91 @@ func integralIn(v, lo, hiExcl float64) (int64, error) {
 	return int64(v), nil
 }
 
-// repairSMAs restores consistency after a maintenance hook failed partway
-// through a statement: the heap has been rolled back to the statement
-// start, but SMAs that saw hook events for the statement's earlier rows
-// are now ahead of it, so every SMA of the table is rebuilt from the
-// (restored) heap. An SMA whose rebuild also fails is detached, so no
-// later query plans against a silently stale aggregate. The hook's error
-// is returned either way — the statement still fails, but the catalog
-// never serves wrong answers afterwards.
+// repairSMAs restores consistency after a statement that had begun SMA
+// maintenance failed: the heap has been rolled back to the statement
+// start, but SMAs that folded the statement's appends or refolded its
+// buckets are now ahead of it, so every SMA of the table is rebuilt from
+// the (restored) heap. When the rebuild fails too, the table's SMAs are
+// detached, so no later query plans against a silently stale aggregate.
+// The maintenance error is returned either way — the statement still
+// fails, but the catalog never serves wrong answers afterwards.
 func repairSMAs(t *Table, hookErr error) error {
-	for name, sm := range t.smas {
-		rebuilt, err := core.Build(t.Heap, sm.Def)
-		if err != nil {
-			delete(t.smas, name)
-			hookErr = fmt.Errorf("engine: sma %s detached after failed maintenance (rebuild: %v): %w",
-				name, err, hookErr)
-			continue
-		}
-		t.smas[name] = rebuilt
+	if err := rebuildSMAs(t); err != nil {
+		clear(t.smas)
+		return fmt.Errorf("engine: smas of %s detached after failed maintenance (%v): %w", t.Name, err, hookErr)
 	}
 	return hookErr
 }
 
+// qualifying is the qualifying scan of UPDATE and DELETE, the paper's
+// SMA_Scan (Fig. 6): it binds p to t, grades t's buckets against it with
+// the table's SMAs and visits the rows satisfying p (every row when p is
+// nil) in physical order. A disqualified bucket is never read, a
+// qualifying one is visited whole, and p is evaluated only in ambivalent
+// buckets. The context is checked once per bucket. The pages it read and
+// the buckets' grades go on the statement's record.
+func qualifying(ctx context.Context, t *Table, p pred.Predicate, rec *stats.Record, visit func(tuple.Tuple, storage.RID) error) error {
+	if p != nil {
+		if err := p.Bind(t.Schema); err != nil {
+			return err
+		}
+	}
+	grades := exec.GradeBuckets(core.NewGrader(t.SMAs()...), p, nil, t.Heap.NumBuckets())
+	gc := core.CountGrades(grades)
+	rec.Qualify, rec.Disqualify, rec.Ambivalent = int64(gc.Qualifying), int64(gc.Disqualifying), int64(gc.Ambivalent)
+	rec.PagesPruned = rec.Disqualify * int64(t.BucketPages)
+	var g core.Grade
+	keep := func(tp tuple.Tuple, rid storage.RID) error {
+		if g == core.Ambivalent && !p.Eval(tp) {
+			return nil
+		}
+		return visit(tp, rid)
+	}
+	for b := range grades {
+		if g = grades[b]; g == core.Disqualifies {
+			continue
+		}
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		first, last := t.Heap.BucketRange(b)
+		rec.PagesRead += int64(last-first) + 1
+		if err := t.Heap.ScanBucket(b, keep); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// applyRows runs n journaled mutations of t as one statement — the rows of
+// an UPDATE or DELETE, or the one row of Table.Update and Table.Delete —
+// checking the context before each. Any error rolls the statement back.
+// Callers hold db.mu.
+func (db *DB) applyRows(ctx context.Context, t *Table, n int, mutate func(j *stmtJournal, i int) error) (int64, commit, error) {
+	j, err := db.beginStmt(t)
+	if err != nil {
+		return 0, commit{}, err
+	}
+	for i := 0; i < n; i++ {
+		err := ctx.Err()
+		if err == nil {
+			err = mutate(j, i)
+		}
+		if err != nil {
+			return 0, commit{}, db.abortStmt(j, err)
+		}
+	}
+	c, err := db.commitStmt(j)
+	if err != nil {
+		return 0, commit{}, err
+	}
+	return int64(n), c, nil
+}
+
 // pendingUpdate is one matched tuple of an UPDATE: the record's position
-// plus its old and new images (both copied out of page memory, since the
-// SMA hooks run after the qualifying scan released the pages). Computing
-// every new image before any write-back keeps SET-evaluation errors (type
-// range, NaN) from leaving a half-updated table.
+// plus its old and new images, copied out of page memory. Computing every
+// new image before any write-back keeps SET-evaluation errors (type range,
+// NaN) from leaving a half-updated table.
 type pendingUpdate struct {
 	rid      storage.RID
 	old, new tuple.Tuple
@@ -221,19 +282,17 @@ type pendingUpdate struct {
 
 // updateWhere overwrites every tuple matching the predicate (all tuples
 // when nil) with the SET clauses evaluated against the old tuple image, as
-// SQL prescribes, then maintains the table's SMAs via OnUpdate — O(1) for
-// sums and counts, at most one bucket rescan for boundary-moving min/max
-// values, the paper's "at most one additional page access" bound.
+// SQL prescribes; the statement's commit then refolds each bucket it
+// touched in every SMA of the table.
 //
 // The write lock is held for the whole statement. Matches are collected
 // before any tuple is modified, so an update can never re-qualify a row it
 // already rewrote (the Halloween problem); the context is checked at every
-// page boundary of the qualifying scan and before every write-back. The
-// statement is atomic: an error after the first write-back — including
-// cancellation and failed SMA maintenance — restores every rewritten
-// tuple's old image. Numeric assignments into integer and date columns
-// truncate toward zero.
-func (db *DB) updateWhere(ctx context.Context, s *parser.UpdateStmt) (int64, commit, error) {
+// bucket of the qualifying scan and before every write-back. The statement
+// is atomic: an error after the first write-back — including cancellation
+// and failed SMA maintenance — restores every rewritten tuple's old image.
+// Numeric assignments into integer and date columns truncate toward zero.
+func (db *DB) updateWhere(ctx context.Context, s *parser.UpdateStmt, rec *stats.Record) (int64, commit, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if err := db.checkOpen(); err != nil {
@@ -247,23 +306,8 @@ func (db *DB) updateWhere(ctx context.Context, s *parser.UpdateStmt) (int64, com
 	if err != nil {
 		return 0, commit{}, err
 	}
-	if s.Where != nil {
-		if err := s.Where.Bind(t.Schema); err != nil {
-			return 0, commit{}, err
-		}
-	}
 	var pending []pendingUpdate
-	lastPage, first := storage.PageID(0), true
-	err = t.Heap.Scan(func(tp tuple.Tuple, rid storage.RID) error {
-		if first || rid.Page != lastPage {
-			first, lastPage = false, rid.Page
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-		if s.Where != nil && !s.Where.Eval(tp) {
-			return nil
-		}
+	err = qualifying(ctx, t, s.Where, rec, func(tp tuple.Tuple, rid storage.RID) error {
 		old := tp.Copy()
 		newT, err := apply(old)
 		if err != nil {
@@ -275,27 +319,37 @@ func (db *DB) updateWhere(ctx context.Context, s *parser.UpdateStmt) (int64, com
 	if err != nil {
 		return 0, commit{}, err
 	}
-	j, err := db.beginStmt(t)
+	return db.applyRows(ctx, t, len(pending), func(j *stmtJournal, i int) error {
+		return j.update(pending[i].rid, pending[i].old, pending[i].new)
+	})
+}
+
+// deleteWhere removes every tuple matching the predicate (all tuples when
+// nil); the statement's commit then refolds each bucket it touched in
+// every SMA of the table. It holds the write lock for the whole operation;
+// the context is checked at every bucket of the qualifying scan and before
+// every delete. The statement is atomic: an error partway through —
+// cancellation, I/O, failed SMA maintenance — unmarks every tuple this
+// statement deleted.
+func (db *DB) deleteWhere(ctx context.Context, s *parser.DeleteStmt, rec *stats.Record) (int64, commit, error) {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	if err := db.checkOpen(); err != nil {
+		return 0, commit{}, err
+	}
+	t, err := db.table(s.Table)
 	if err != nil {
 		return 0, commit{}, err
 	}
-	for _, pu := range pending {
-		if err := ctx.Err(); err != nil {
-			return 0, commit{}, db.abortStmt(j, err)
-		}
-		err := j.update(pu.rid, pu.old, pu.new)
-		if err == nil {
-			err = j.maintain(1, func(sm *core.SMA) error { return sm.OnUpdate(t.Heap, pu.old, pu.new, pu.rid) })
-		}
-		if err != nil {
-			return 0, commit{}, db.abortStmt(j, err)
-		}
-	}
-	c, err := db.commitStmt(j)
+	var rids []storage.RID
+	err = qualifying(ctx, t, s.Where, rec, func(_ tuple.Tuple, rid storage.RID) error {
+		rids = append(rids, rid)
+		return nil
+	})
 	if err != nil {
 		return 0, commit{}, err
 	}
-	return int64(len(pending)), c, nil
+	return db.applyRows(ctx, t, len(rids), func(j *stmtJournal, i int) error { return j.delete(rids[i]) })
 }
 
 // compileSets type-checks the SET clauses against the schema and returns a

@@ -14,6 +14,7 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -121,13 +122,13 @@ type Table struct {
 	disk *storage.DiskManager
 	pool *storage.BufferPool
 	smas map[string]*core.SMA
-	// smaDirty records that incremental maintenance has changed the
-	// in-memory SMA vectors since load, so the next checkpoint must
-	// re-save them. Guarded by db.mu like the rest of the table state.
+	// smaDirty records that maintenance has changed the in-memory SMA
+	// vectors since load, so the next checkpoint must re-save them.
+	// Guarded by db.mu like the rest of the table state.
 	smaDirty bool
-	// maintFault, when non-nil, is consulted before every SMA maintenance
-	// hook call; crash tests use it to fail maintenance at a precise
-	// point. Guarded by db.mu.
+	// maintFault, when non-nil, is consulted before each SMA's append-run
+	// hook or statement-end refold; crash tests use it to fail maintenance
+	// at a precise point. Guarded by db.mu.
 	maintFault func() error
 }
 
@@ -489,9 +490,8 @@ func (t *Table) Append(tp tuple.Tuple) (storage.RID, error) {
 	if err := db.checkOpen(); err != nil {
 		return storage.RID{}, err
 	}
-	if len(tp.Data) != t.Schema.RecordSize() {
-		return storage.RID{}, fmt.Errorf("engine: tuple of %d bytes appended to %s, whose records have %d",
-			len(tp.Data), t.Name, t.Schema.RecordSize())
+	if err := t.checkWidth(tp, "appended to"); err != nil {
+		return storage.RID{}, err
 	}
 	j, err := db.beginStmt(t)
 	if err != nil {
@@ -507,8 +507,10 @@ func (t *Table) Append(tp tuple.Tuple) (storage.RID, error) {
 	return rid, nil
 }
 
-// Update overwrites the record at rid and maintains every SMA, with the
-// same atomicity and durability contract as Append.
+// Update overwrites the record at rid, then refolds its bucket in every
+// SMA of the table: the bucket is read once and folded whole, dearer than
+// a per-row delta but bit-identical to a fresh build. Atomicity and
+// durability are Append's.
 func (t *Table) Update(rid storage.RID, tp tuple.Tuple) error {
 	db := t.db
 	db.mu.Lock()
@@ -516,28 +518,20 @@ func (t *Table) Update(rid storage.RID, tp tuple.Tuple) error {
 	if err := db.checkOpen(); err != nil {
 		return err
 	}
+	if err := t.checkWidth(tp, "written to"); err != nil {
+		return err
+	}
 	old, err := t.Heap.Get(rid)
 	if err != nil {
 		return err
 	}
-	j, err := db.beginStmt(t)
-	if err != nil {
-		return err
-	}
-	err = j.update(rid, old, tp)
-	if err == nil {
-		err = j.maintain(1, func(s *core.SMA) error { return s.OnUpdate(t.Heap, old, tp, rid) })
-	}
-	if err != nil {
-		return db.abortStmt(j, err)
-	}
-	_, err = db.commitStmt(j)
+	_, _, err = db.applyRows(context.Background(), t, 1, func(j *stmtJournal, _ int) error { return j.update(rid, old, tp) })
 	return err
 }
 
-// Delete marks the record at rid as deleted and maintains every SMA, with
-// the same atomicity and durability contract as Append. The delete vector
-// is persisted at every checkpoint.
+// Delete marks the record at rid as deleted, then refolds its bucket in
+// every SMA of the table, with Append's atomicity and durability. The
+// delete vector is persisted at every checkpoint.
 func (t *Table) Delete(rid storage.RID) error {
 	db := t.db
 	db.mu.Lock()
@@ -545,19 +539,17 @@ func (t *Table) Delete(rid storage.RID) error {
 	if err := db.checkOpen(); err != nil {
 		return err
 	}
-	j, err := db.beginStmt(t)
-	if err != nil {
-		return err
-	}
-	old, err := j.delete(rid)
-	if err == nil {
-		err = j.maintain(1, func(s *core.SMA) error { return s.OnDelete(t.Heap, old, rid) })
-	}
-	if err != nil {
-		return db.abortStmt(j, err)
-	}
-	_, err = db.commitStmt(j)
+	_, _, err := db.applyRows(context.Background(), t, 1, func(j *stmtJournal, _ int) error { return j.delete(rid) })
 	return err
+}
+
+// checkWidth rejects a tuple whose width is not the table's record size.
+func (t *Table) checkWidth(tp tuple.Tuple, verb string) error {
+	if len(tp.Data) != t.Schema.RecordSize() {
+		return fmt.Errorf("engine: tuple of %d bytes %s %s, whose records have %d",
+			len(tp.Data), verb, t.Name, t.Schema.RecordSize())
+	}
+	return nil
 }
 
 // Get reads the record at rid under the read lock. The returned tuple is

@@ -6,9 +6,6 @@ import (
 
 	"sma/internal/core"
 	"sma/internal/parser"
-	"sma/internal/pred"
-	"sma/internal/storage"
-	"sma/internal/tuple"
 )
 
 // ExecResult reports the effect of a non-SELECT statement.
@@ -94,10 +91,10 @@ func (db *DB) execStmt(ctx context.Context, st *statement) (sma *core.SMA, err e
 		st.RowsAffected, c, err = db.insertInto(ctx, s)
 	case *parser.UpdateStmt:
 		st.Kind, st.Table = "update", s.Table
-		st.RowsAffected, c, err = db.updateWhere(ctx, s)
+		st.RowsAffected, c, err = db.updateWhere(ctx, s, &st.Record)
 	case *parser.DeleteStmt:
 		st.Kind, st.Table = "delete", s.Table
-		st.RowsAffected, c, err = db.deleteWhere(ctx, s.Table, s.Where)
+		st.RowsAffected, c, err = db.deleteWhere(ctx, s, &st.Record)
 	default:
 		return nil, fmt.Errorf("engine: unsupported statement %T", parsed)
 	}
@@ -113,65 +110,4 @@ func (db *DB) execStmt(ctx context.Context, st *statement) (sma *core.SMA, err e
 		st.WALSyncs = 1
 	}
 	return nil, err
-}
-
-// deleteWhere removes every tuple matching the predicate (all tuples when
-// nil), maintaining the table's SMAs. It holds the write lock for the whole
-// operation; the context is checked at every page boundary of the
-// qualifying scan. The statement is atomic: an error partway through —
-// cancellation, I/O, failed SMA maintenance — unmarks every tuple this
-// statement deleted.
-func (db *DB) deleteWhere(ctx context.Context, table string, p pred.Predicate) (int64, commit, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if err := db.checkOpen(); err != nil {
-		return 0, commit{}, err
-	}
-	t, err := db.table(table)
-	if err != nil {
-		return 0, commit{}, err
-	}
-	if p != nil {
-		if err := p.Bind(t.Schema); err != nil {
-			return 0, commit{}, err
-		}
-	}
-	var rids []storage.RID
-	lastPage, first := storage.PageID(0), true
-	err = t.Heap.Scan(func(tp tuple.Tuple, rid storage.RID) error {
-		if first || rid.Page != lastPage {
-			first, lastPage = false, rid.Page
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-		if p == nil || p.Eval(tp) {
-			rids = append(rids, rid)
-		}
-		return nil
-	})
-	if err != nil {
-		return 0, commit{}, err
-	}
-	j, err := db.beginStmt(t)
-	if err != nil {
-		return 0, commit{}, err
-	}
-	for _, rid := range rids {
-		if err := ctx.Err(); err != nil {
-			return 0, commit{}, db.abortStmt(j, err)
-		}
-		old, err := j.delete(rid)
-		if err == nil {
-			err = j.maintain(1, func(s *core.SMA) error { return s.OnDelete(t.Heap, old, rid) })
-		}
-		if err != nil {
-			return 0, commit{}, db.abortStmt(j, err)
-		}
-	}
-	c, err := db.commitStmt(j)
-	if err != nil {
-		return 0, commit{}, err
-	}
-	return int64(len(rids)), c, nil
 }

@@ -154,12 +154,12 @@ func (s *statement) end(err error) {
 		// statements are neither slow nor logged at debug level.
 		if log := o.Logger(); log.Enabled(context.Background(), level) {
 			attrs := []any{"qid", s.qid, "dur", s.Dur}
+			buckets := fmt.Sprintf("%d/%d/%d", s.Qualify, s.Disqualify, s.Ambivalent)
 			if s.Query {
-				attrs = append(attrs, "strategy", s.Kind, "rows", s.Rows,
-					"buckets", fmt.Sprintf("%d/%d/%d", s.Qualify, s.Disqualify, s.Ambivalent))
+				attrs = append(attrs, "strategy", s.Kind, "rows", s.Rows, "buckets", buckets)
 			} else {
 				attrs = append(attrs, "kind", s.Kind, "table", s.Table, "rows_affected", s.RowsAffected,
-					"wal_bytes", s.WALBytes, "wal_syncs", s.WALSyncs)
+					"pages_read", s.PagesRead, "buckets", buckets, "wal_bytes", s.WALBytes, "wal_syncs", s.WALSyncs)
 			}
 			if err != nil {
 				attrs = append(attrs, "err", err)

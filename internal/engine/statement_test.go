@@ -157,6 +157,7 @@ type history struct {
 	scans                int64            // statements that planned over SALES
 	dml                  map[string]int64 // insert/update/delete counts
 	affected             int64
+	dmlPages             int64 // pages the qualifying scans of UPDATE and DELETE read
 }
 
 type sqlTotals struct{ calls, errors, rows, affected, pages, q, d, a int64 }
@@ -263,6 +264,29 @@ func checkTrace(t *testing.T, cur *engine.Cursor, rows int64) {
 
 func (h *history) exec(sql string) {
 	h.t.Helper()
+	h.execWhere(sql, "", "")
+}
+
+// execWhere runs a DML statement; for an UPDATE or DELETE of table whose
+// predicate is where, it first plans the same predicate as a query and
+// tallies its §3.1 grades and the pages of the buckets they keep — what the
+// statement's qualifying scan must report.
+func (h *history) execWhere(sql, table, where string) {
+	h.t.Helper()
+	tot := h.totals(sql)
+	if where != "" {
+		plan, err := h.db.Plan("select count(*) from " + table + " where " + where)
+		if err != nil {
+			h.t.Fatal(err)
+		}
+		g := plan.Grades
+		pages := int64(g.Qualifying+g.Ambivalent) * int64(plan.Heap.BucketPages)
+		tot.q += int64(g.Qualifying)
+		tot.d += int64(g.Disqualifying)
+		tot.a += int64(g.Ambivalent)
+		tot.pages += pages
+		h.dmlPages += pages
+	}
 	res, err := h.db.ExecContext(context.Background(), sql)
 	if err != nil {
 		h.t.Fatalf("%s: %v", sql, err)
@@ -270,7 +294,6 @@ func (h *history) exec(sql string) {
 	h.execs[res.Kind]++
 	h.dml[res.Kind]++
 	h.affected += res.RowsAffected
-	tot := h.totals(sql)
 	tot.calls++
 	tot.affected += res.RowsAffected
 }
@@ -334,9 +357,11 @@ func TestEverySurfaceAgrees(t *testing.T) {
 	h.query("explain analyze "+gaggr, gaggr, 2)
 
 	h.exec("insert into SALES values (date '2022-01-01', 'N', 1.5), (date '2022-01-02', 'S', 2.5)")
-	h.exec("update SALES set AMOUNT = AMOUNT + 1 where SALE_DATE >= date '2022-01-01'")
-	h.exec("delete from SALES where SALE_DATE = date '2022-01-02'")
-	hooked := h.affected // every DML row runs each SMA's hook once
+	h.execWhere("update SALES set AMOUNT = AMOUNT + 1 where SALE_DATE >= date '2022-01-01'",
+		"SALES", "SALE_DATE >= date '2022-01-01'")
+	h.execWhere("delete from SALES where SALE_DATE = date '2022-01-02'",
+		"SALES", "SALE_DATE = date '2022-01-02'")
+	hooked := h.affected // every DML row counts once per SMA
 
 	if _, err := db.QueryContext(context.Background(), noTable); err == nil {
 		t.Fatal("query over an unknown table accepted")
@@ -390,7 +415,7 @@ func TestEverySurfaceAgrees(t *testing.T) {
 		heapRows += h.perSQL[sql].rows
 	}
 	for col, want := range map[int]int64{
-		tbScans: h.scans, tbRowsRead: heapRows, tbPagesRead: h.pages,
+		tbScans: h.scans, tbRowsRead: heapRows, tbPagesRead: h.pages + h.dmlPages,
 		tbInserts: h.dml["insert"], tbUpdates: h.dml["update"], tbDeletes: h.dml["delete"],
 		tbRowsAffect: h.affected,
 	} {

@@ -371,8 +371,9 @@ func TestVirtualTablesWithoutObs(t *testing.T) {
 }
 
 // TestSlowExecLog: the slow-statement path covers DML too — a slow exec
-// logs at Warn with rows_affected and WAL counters, bumps the slow-exec
-// counter, and times into the exec histogram.
+// logs at Warn with rows_affected, the pages and bucket grades of an
+// UPDATE's or DELETE's qualifying scan and WAL counters, bumps the
+// slow-exec counter, and times into the exec histogram.
 func TestSlowExecLog(t *testing.T) {
 	var buf bytes.Buffer
 	o := obs.NewObserver(obs.Config{
@@ -391,11 +392,15 @@ func TestSlowExecLog(t *testing.T) {
 	if _, err := db.ExecContext(ctx, "insert into T values (date '2024-01-01', 1)"); err != nil {
 		t.Fatal(err)
 	}
+	if _, err := db.ExecContext(ctx, "update T set V = 2 where D >= date '2024-01-01'"); err != nil {
+		t.Fatal(err)
+	}
 	log := buf.String()
 	if !strings.Contains(log, "slow exec") {
 		t.Fatalf("no slow-exec log:\n%s", log)
 	}
-	for _, want := range []string{"kind=insert", "rows_affected=1", "wal_bytes=", "wal_syncs="} {
+	for _, want := range []string{"kind=insert", "rows_affected=1", "wal_bytes=", "wal_syncs=",
+		"kind=update", "pages_read=1", "buckets=0/0/1"} {
 		if !strings.Contains(log, want) {
 			t.Errorf("slow-exec log missing %q:\n%s", want, log)
 		}
@@ -404,7 +409,7 @@ func TestSlowExecLog(t *testing.T) {
 	if err := db.WritePrometheus(&expo); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"sma_engine_slow_execs_total 2", "sma_engine_exec_seconds_count{kind=\"insert\"} 1"} {
+	for _, want := range []string{"sma_engine_slow_execs_total 3", "sma_engine_exec_seconds_count{kind=\"insert\"} 1"} {
 		if !strings.Contains(expo.String(), want) {
 			t.Errorf("exposition missing %q:\n%s", want, expo.String())
 		}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io/fs"
 	"path/filepath"
+	"slices"
 
 	"sma/internal/core"
 	"sma/internal/storage"
@@ -76,12 +77,15 @@ type stmtJournal struct {
 	updates []updateUndo
 	deletes []storage.RID
 	batch   *wal.Batch
-	// hooked records that at least one SMA maintenance hook ran for this
-	// statement: a rollback must then also rebuild the SMA vectors, which
-	// are ahead of the restored heap.
+	// touched lists the bucket of every row the statement updated or
+	// deleted; commitStmt refolds each of them once.
+	touched []int
+	// hooked records that SMA maintenance ran for this statement: a
+	// rollback must then also rebuild the SMA vectors, which are ahead of
+	// the restored heap.
 	hooked bool
-	// rows counts the heap mutations handed to maintain, the statement's
-	// maintenance tally (see Table.recordMaint).
+	// rows counts the statement's heap mutations, its maintenance tally
+	// (see Table.recordMaint).
 	rows int
 }
 
@@ -121,26 +125,35 @@ func (j *stmtJournal) appendRun(recs []byte) (storage.RID, int, error) {
 }
 
 // update overwrites rid through the journal, keeping the old image for
-// rollback and logging the new one for redo.
+// rollback, logging the new one for redo and noting the bucket to refold.
 func (j *stmtJournal) update(rid storage.RID, old, new tuple.Tuple) error {
 	if err := j.t.Heap.Update(rid, new); err != nil {
 		return err
 	}
 	j.updates = append(j.updates, updateUndo{rid: rid, old: old})
 	j.batch.Update(j.t.Name, int64(rid.Page), rid.Slot, new.Data)
+	j.touch(rid)
 	return nil
 }
 
-// delete marks rid through the journal and returns the old image for the
-// SMA maintenance hooks.
-func (j *stmtJournal) delete(rid storage.RID) (tuple.Tuple, error) {
-	old, err := j.t.Heap.Delete(rid)
-	if err != nil {
-		return tuple.Tuple{}, err
+// delete marks rid through the journal and notes the bucket to refold.
+func (j *stmtJournal) delete(rid storage.RID) error {
+	if _, err := j.t.Heap.Delete(rid); err != nil {
+		return err
 	}
 	j.deletes = append(j.deletes, rid)
 	j.batch.Delete(j.t.Name, int64(rid.Page), rid.Slot)
-	return old, nil
+	j.touch(rid)
+	return nil
+}
+
+// touch counts one updated or deleted row and notes its bucket, once per
+// run of rows in one bucket.
+func (j *stmtJournal) touch(rid storage.RID) {
+	j.rows++
+	if b := j.t.Heap.BucketOf(rid.Page); len(j.touched) == 0 || j.touched[len(j.touched)-1] != b {
+		j.touched = append(j.touched, b)
+	}
 }
 
 // rollbackStmt undoes the journal in reverse order — unmark deletes,
@@ -171,11 +184,11 @@ func (db *DB) rollbackStmt(j *stmtJournal) error {
 	return firstErr
 }
 
-// abortStmt rolls back after a mid-statement error. When any SMA
-// maintenance hook already ran, the vectors are ahead of the restored
-// heap and every SMA of the table is rebuilt from it (repairSMAs); a
-// statement that failed before its first hook leaves the vectors
-// untouched and skips the rebuild.
+// abortStmt rolls back after a mid-statement error. When SMA maintenance
+// already ran, the vectors may be ahead of the restored heap and every SMA
+// of the table is rebuilt from it (repairSMAs); a statement that failed
+// before any maintenance leaves the vectors untouched and skips the
+// rebuild.
 func (db *DB) abortStmt(j *stmtJournal, err error) error {
 	defer j.t.recordMaint(j.rows)
 	if rerr := db.rollbackStmt(j); rerr != nil {
@@ -194,13 +207,17 @@ type commit struct {
 	bytes int64
 }
 
-// commitStmt appends the statement's commit record, drops the barrier,
-// and checkpoints if the log has outgrown its threshold. It returns the
-// statement's commit (zero for an empty statement); callers that need
-// durability wait on it after releasing db.mu. A failed append rolls the
-// statement back and poisons the database — a log that refused records
+// commitStmt refolds the buckets the statement updated or deleted in,
+// appends its commit record, drops the barrier, and checkpoints if the log
+// has outgrown its threshold. It returns the statement's commit (zero for
+// an empty statement); callers that need durability wait on it after
+// releasing db.mu. A failed refold aborts the statement; a failed append
+// rolls it back and poisons the database — a log that refused records
 // cannot be trusted to cover later commits either.
 func (db *DB) commitStmt(j *stmtJournal) (commit, error) {
+	if err := j.refold(); err != nil {
+		return commit{}, db.abortStmt(j, err)
+	}
 	seq, bytes, err := db.wal.CommitFrame(j.batch)
 	if err != nil {
 		err = db.abortStmt(j, err)
@@ -227,21 +244,19 @@ func (db *DB) waitDurable(c commit) (led bool, err error) {
 	return led, err
 }
 
-// maintain runs every SMA of the table through hook for the heap mutation
-// of rows rows the journal just applied — one updated or deleted row, or
-// one page's run of appended ones: the vectors are flagged for re-save at
-// the next checkpoint, the rows join the statement's maintenance tally,
-// and the statement is marked hooked (so an abort rebuilds the vectors,
-// which may now be ahead of a rolled-back heap). Before each hook the
-// test-only fault hook is consulted (crash tests fail maintenance at a
-// precise point to prove statement atomicity). Callers hold db.mu.
+// maintain runs every SMA of the table through hook: the vectors are
+// flagged for re-save at the next checkpoint, rows join the statement's
+// maintenance tally, and the statement is marked hooked (so an abort
+// rebuilds the vectors, which may now be ahead of a rolled-back heap).
+// Before each hook the test-only fault hook is consulted (crash tests fail
+// maintenance at a precise point to prove statement atomicity). Callers
+// hold db.mu.
 //
-// Hooks run interleaved with the heap mutations — apply, then hook —
-// because the incremental maintenance contract requires the heap to
-// reflect exactly the rows hooked so far: a min/max hook that falls back
-// to a bucket rescan derives the bucket's aggregate from the heap, and
-// later incremental deltas double-apply if the rescan already saw their
-// rows.
+// Every SMA change is one of two kinds. An append run is hooked right
+// after the heap placed it (appendRun), so the heap holds exactly the rows
+// hooked so far. Updates and deletes change the heap alone, and at
+// statement end refold each bucket they touched from the heap as it then
+// is (refold).
 func (j *stmtJournal) maintain(rows int, hook func(*core.SMA) error) error {
 	t := j.t
 	j.rows += rows
@@ -259,6 +274,26 @@ func (j *stmtJournal) maintain(rows int, hook func(*core.SMA) error) error {
 		}
 	}
 	return nil
+}
+
+// refold recomputes, in every SMA of the table at once, each bucket the
+// statement updated or deleted in: one read of the bucket's pages and one
+// fold per SMA, however many of its rows changed. maintain's hook only
+// gathers the SMAs, so the fault hook is consulted and the statement marked
+// hooked before any of them changes.
+func (j *stmtJournal) refold() error {
+	if len(j.touched) == 0 || len(j.t.smas) == 0 {
+		return nil
+	}
+	smas := make([]*core.SMA, 0, len(j.t.smas))
+	if err := j.maintain(0, func(s *core.SMA) error {
+		smas = append(smas, s)
+		return nil
+	}); err != nil {
+		return err
+	}
+	slices.Sort(j.touched)
+	return core.Refold(j.t.Heap, smas, slices.Compact(j.touched))
 }
 
 // maybeCheckpointLocked checkpoints when the log has outgrown
@@ -424,17 +459,23 @@ func (db *DB) recoverLocked() error {
 	return nil
 }
 
-// rebuildSMAs recomputes every SMA of t from its heap. Unlike repairSMAs
-// (which detaches what it cannot rebuild, keeping a live session
+// rebuildSMAs recomputes every SMA of t from its heap in one pass. Unlike
+// repairSMAs (which detaches what it cannot rebuild, keeping a live session
 // answering), a rebuild failure here is fatal — recovery must not open a
 // database with missing aggregates the catalog promises.
 func rebuildSMAs(t *Table) error {
-	for name, sm := range t.smas {
-		rebuilt, err := core.Build(t.Heap, sm.Def)
-		if err != nil {
-			return fmt.Errorf("engine: rebuild sma %s on %s: %w", name, t.Name, err)
-		}
-		t.smas[name] = rebuilt
+	names := make([]string, 0, len(t.smas))
+	defs := make([]core.Def, 0, len(t.smas))
+	for name, s := range t.smas {
+		names = append(names, name)
+		defs = append(defs, s.Def)
+	}
+	built, err := core.BuildMany(t.Heap, defs)
+	if err != nil {
+		return fmt.Errorf("engine: rebuild smas of %s: %w", t.Name, err)
+	}
+	for i, name := range names {
+		t.smas[name] = built[i]
 	}
 	return nil
 }

@@ -25,9 +25,10 @@ func strategyBucket(name string) string {
 
 // runDiff drives one seeded workload through the real engine and the
 // reference oracle in lockstep, requiring exact equivalence after every
-// step: identical RowsAffected for every write and identical rendered
-// column names and rows for every query. opts configure the engine beyond
-// one-page buckets and the given dop.
+// step: identical RowsAffected for every write, every SMA equal to a fresh
+// build bit for bit after every write, and identical rendered column names
+// and rows for every query. opts configure the engine beyond one-page
+// buckets and the given dop.
 func runDiff(t *testing.T, seed int64, dop, nOps int, opts ...sma.Option) map[string]bool {
 	t.Helper()
 	opts = append([]sma.Option{sma.WithBucketPages(1), sma.WithParallelism(dop)}, opts...)
@@ -65,6 +66,7 @@ func runDiff(t *testing.T, seed int64, dop, nOps int, opts ...sma.Option) map[st
 				t.Fatalf("step %d: %s: engine affected %d rows, oracle %d",
 					i, op.SQL, res.RowsAffected, want)
 			}
+			verifySMAs(t, i, op.SQL, db)
 			continue
 		}
 		queries++
@@ -88,6 +90,23 @@ func runDiff(t *testing.T, seed int64, dop, nOps int, opts ...sma.Option) map[st
 		t.Errorf("unbalanced workload: %d queries, %d writes", queries, writes)
 	}
 	return strategies
+}
+
+// verifySMAs holds every SMA of every table to a fresh build over its heap,
+// bit for bit.
+func verifySMAs(t *testing.T, step int, sql string, db *sma.DB) {
+	t.Helper()
+	for _, name := range db.TableNames() {
+		tbl, err := db.Table(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range tbl.SMAs() {
+			if err := tbl.VerifySMA(s.Name); err != nil {
+				t.Fatalf("step %d: after %s: %v", step, sql, err)
+			}
+		}
+	}
 }
 
 // compareResults requires the engine's rendered result to equal the
