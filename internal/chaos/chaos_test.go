@@ -15,6 +15,7 @@ import (
 	"sma/internal/chaos"
 	"sma/internal/engine"
 	"sma/internal/oracle"
+	"sma/internal/planner"
 	"sma/internal/storage"
 	"sma/internal/tuple"
 )
@@ -52,9 +53,16 @@ func renderVal(v any, isAgg bool) string {
 }
 
 func collectEngine(db *engine.DB, sql string) ([][]string, error) {
-	cur, err := db.QueryContext(context.Background(), sql)
+	rows, _, err := collectPlanned(db, sql)
+	return rows, err
+}
+
+// collectPlanned is collectEngine with query options, also returning the
+// plan the query ran.
+func collectPlanned(db *engine.DB, sql string, opts ...engine.QueryOption) ([][]string, *planner.Plan, error) {
+	cur, err := db.QueryContext(context.Background(), sql, opts...)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	defer cur.Close()
 	infos := cur.Columns()
@@ -62,10 +70,10 @@ func collectEngine(db *engine.DB, sql string) ([][]string, error) {
 	for {
 		vals, ok, err := cur.Next()
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if !ok {
-			return rows, nil
+			return rows, cur.Plan(), nil
 		}
 		out := make([]string, len(vals))
 		for i, v := range vals {
@@ -341,54 +349,130 @@ func TestTornWALTail(t *testing.T) {
 	}
 }
 
-// TestBitFlipReadsAroundCorruption: a flipped bit in one table's heap
-// degrades the database on open, yet reads that never need the bad page
-// — a healthy table, here — still answer, and answer correctly.
+// TestBitFlipReadsAroundCorruption: one byte flipped in one bucket's page
+// of a multi-bucket table with min/max SMAs. Every plan shape — the full
+// scan, SMA scan and SMA_GAggr aggregates at dop 1 and 2, and an SMA scan
+// projection — answers exactly what it answered before the flip when its
+// grades let it skip the page, and fails with a corrupt-page error when it
+// must read the page: never with fewer rows. The flip is found by the
+// scrub of VerifyOnOpen or, without it, by the statement under test, which
+// may find it through one of its prefetch readers. A healthy table answers
+// throughout.
 func TestBitFlipReadsAroundCorruption(t *testing.T) {
+	const pages, bad = 40, 20
 	dir := t.TempDir()
 	db, err := engine.Open(dir, engine.Options{BucketPages: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, sql := range []string{
-		"create table BAD (D date, V float64)",
-		"insert into BAD values (date '2024-01-01', 1), (date '2024-01-02', 2)",
-		"create table GOOD (D date, V float64)",
-		"insert into GOOD values (date '2024-03-01', 10), (date '2024-03-02', 20)",
-	} {
+	exec := func(sql string) {
+		t.Helper()
 		if _, err := db.ExecContext(nil, sql); err != nil {
-			t.Fatal(err)
+			t.Fatalf("%.50s: %v", sql, err)
 		}
 	}
-	tbl, err := db.Table("BAD")
+	exec("create table T (D date, K char(1), V float64)")
+	exec("create table GOOD (D date, V float64)")
+	exec("insert into GOOD values (date '2024-03-01', 10), (date '2024-03-02', 20)")
+	tbl, err := db.Table("T")
 	if err != nil {
 		t.Fatal(err)
+	}
+	// One row a day, in date order: page p holds rows [p*per, (p+1)*per).
+	per := tbl.Heap.RecordsPerPage()
+	day := func(row int) string { return tuple.FormatDate(tuple.MustParseDate("1980-01-01") + int32(row)) }
+	for lo := 0; lo < pages*per; lo += 1000 {
+		var b strings.Builder
+		b.WriteString("insert into T values ")
+		for r := lo; r < min(lo+1000, pages*per); r++ {
+			if r > lo {
+				b.WriteString(", ")
+			}
+			fmt.Fprintf(&b, "(date '%s', '%c', %d.25)", day(r), 'A'+r%3, r%997)
+		}
+		exec(b.String())
+	}
+	exec("define sma dmin select min(D) from T")
+	exec("define sma dmax select max(D) from T")
+	exec("define sma sv select sum(V) from T group by K")
+	exec("define sma cnt select count(*) from T group by K")
+
+	// From the middle of page first to the middle of page last: the end
+	// buckets ambivalent, those between qualifying, the rest disqualified.
+	pagesWhere := func(first, last int) string {
+		return fmt.Sprintf("D >= date '%s' and D <= date '%s'", day(first*per+per/2), day(last*per+per/2))
+	}
+	upTo := func(page int) string { return fmt.Sprintf("D <= date '%s'", day(page*per+per/2)) }
+	shapes := []struct {
+		strategy        string
+		dops            []int
+		around, through string // around skips the bad page; a full scan has none
+	}{
+		{"FullScan+GAggr", []int{1, 2}, "", "select K, max(V) as M from T group by K"},
+		{"SMA_Scan+GAggr", []int{1, 2},
+			"select K, max(V) as M, count(*) as C from T where " + pagesWhere(2, 5) + " group by K",
+			"select K, max(V) as M, count(*) as C from T where " + pagesWhere(bad-1, bad+2) + " group by K"},
+		{"SMA_GAggr", []int{1, 2},
+			"select K, sum(V) as S, count(*) as C from T where " + upTo(5) + " group by K",
+			"select K, sum(V) as S, count(*) as C from T where " + upTo(bad) + " group by K"},
+		{"SMA_Scan", []int{1}, "select D, K, V from T where " + pagesWhere(2, 3), "select D, K, V from T where " + pagesWhere(bad-1, bad)},
+	}
+	want := make(map[string][][]string) // by dop and SQL, before the flip
+	for _, s := range shapes {
+		for _, dop := range s.dops {
+			for _, sql := range []string{s.around, s.through} {
+				if sql == "" {
+					continue
+				}
+				rows, plan, err := collectPlanned(db, sql, engine.WithDOP(dop))
+				if err != nil {
+					t.Fatalf("%s: %v", sql, err)
+				}
+				if plan.StrategyName() != s.strategy || plan.DOP != dop || len(rows) == 0 {
+					t.Fatalf("%s: %s at dop %d with %d rows, want %s at dop %d", sql, plan.StrategyName(), plan.DOP, len(rows), s.strategy, dop)
+				}
+				want[fmt.Sprint(dop, sql)] = rows
+			}
+		}
 	}
 	heap := tbl.Disk().Path()
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := chaos.FlipByte(heap, 100, 0x20); err != nil {
+	if err := chaos.FlipByte(heap, bad*storage.PageSize+100, 0x20); err != nil {
 		t.Fatal(err)
 	}
 
-	db, err = engine.Open(dir, engine.Options{BucketPages: 1, VerifyOnOpen: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	if db.Degraded() == nil {
-		t.Fatal("database not degraded after bit flip with VerifyOnOpen")
-	}
-	if _, err := collectEngine(db, "select sum(V) as S from BAD"); !storage.IsCorrupt(err) {
-		t.Fatalf("scan of corrupt table: got %v, want corrupt-page error", err)
-	}
-	rows, err := collectEngine(db, "select sum(V) as S from GOOD")
-	if err != nil {
-		t.Fatalf("scan of healthy table while degraded: %v", err)
-	}
-	if fmt.Sprint(rows) != "[[30]]" {
-		t.Fatalf("healthy table while degraded: %v, want [[30]]", rows)
+	for _, verify := range []bool{true, false} {
+		for _, s := range shapes {
+			for _, dop := range s.dops {
+				t.Run(fmt.Sprintf("verify=%v/%s/dop=%d", verify, s.strategy, dop), func(t *testing.T) {
+					db, err := engine.Open(dir, engine.Options{BucketPages: 1, VerifyOnOpen: verify})
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer db.Close()
+					if (db.Degraded() != nil) != verify {
+						t.Fatalf("degraded after open: %v, want %v", db.Degraded(), verify)
+					}
+					if rows, _, err := collectPlanned(db, s.through, engine.WithDOP(dop)); !storage.IsCorrupt(err) {
+						t.Fatalf("%s: %d rows and error %v, want a corrupt-page error", s.through, len(rows), err)
+					}
+					if db.Degraded() == nil {
+						t.Fatal("reading the flipped page left the database healthy")
+					}
+					if s.around != "" {
+						rows, _, err := collectPlanned(db, s.around, engine.WithDOP(dop))
+						if err != nil || fmt.Sprint(rows) != fmt.Sprint(want[fmt.Sprint(dop, s.around)]) {
+							t.Fatalf("%s: %v (error %v), want the %d rows from before the flip", s.around, rows, err, len(want[fmt.Sprint(dop, s.around)]))
+						}
+					}
+					if rows, err := collectEngine(db, "select sum(V) as S from GOOD"); err != nil || fmt.Sprint(rows) != "[[30]]" {
+						t.Fatalf("healthy table while degraded: %v (error %v), want [[30]]", rows, err)
+					}
+				})
+			}
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package exec
 import (
 	"sync"
 
+	"sma/internal/storage"
 	"sma/internal/tuple"
 )
 
@@ -75,6 +76,11 @@ type Batch struct {
 	u64  []uint64  // packed raw group keys, one per selected record
 	i32  []int32   // group ids; candidate lists of nested Or/Not predicates
 	mark []bool    // record marks of nested Or/Not predicates, all false at rest
+
+	// The run list of the scan that leased the batch, and the page spans its
+	// stream reads.
+	runs  []run
+	spans []storage.PageSpan
 }
 
 // Len returns the number of decoded records (before selection).

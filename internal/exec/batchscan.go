@@ -2,6 +2,7 @@ package exec
 
 import (
 	"context"
+	"math"
 
 	"sma/internal/core"
 	"sma/internal/pred"
@@ -9,12 +10,12 @@ import (
 )
 
 // BatchTableScan reads every page of its range in physical order — the
-// baseline the paper's "Query 1 without SMAs" runs on. It decodes pages into
-// a reusable batch (one memcpy per page when no records are deleted), runs
-// the predicate, compiled into per-atom compare kernels, over the batch to
-// produce a selection vector, and — unless prefetch is disabled — streams
-// the pages of its range into the buffer pool two batches ahead of the
-// cursor. No page stays pinned between calls.
+// baseline the paper's "Query 1 without SMAs" runs on, and the one-run case
+// of the SMA scan below. It decodes pages into a reusable batch (one memcpy
+// per page when no records are deleted), runs the predicate, compiled into
+// per-atom compare kernels, over the batch to produce a selection vector,
+// and — unless prefetch is disabled — streams the pages of its range into
+// the buffer pool two batches ahead of the cursor.
 type BatchTableScan struct {
 	H    *storage.HeapFile
 	Pred pred.Predicate // nil means no filter
@@ -29,13 +30,7 @@ type BatchTableScan struct {
 	// Opts carries the batch size and prefetch window.
 	Opts ExecOptions
 
-	page  storage.PageID
-	end   storage.PageID
-	cap   int
-	sel   *selProgram
-	batch *Batch
-	pf    *storage.Prefetcher
-	stats ScanStats
+	runScan
 }
 
 // NewBatchTableScan creates a batched full scan with an optional filter.
@@ -43,77 +38,18 @@ func NewBatchTableScan(h *storage.HeapFile, p pred.Predicate, opts ExecOptions) 
 	return &BatchTableScan{H: h, Pred: p, Opts: opts}
 }
 
-// Open binds and compiles the predicate, leases the batch, and starts the
-// prefetcher over the scan's page range.
+// Open binds and compiles the predicate and starts reading the scan's page
+// range as one run.
 func (s *BatchTableScan) Open() error {
-	var err error
-	if s.sel, err = compileSelect(s.Pred, s.H.Schema()); err != nil {
-		return err
+	end := s.EndPage
+	if end == 0 || int64(end) > s.H.NumPages() {
+		end = storage.PageID(s.H.NumPages())
 	}
-	s.page = s.StartPage
-	s.end = s.EndPage
-	if s.end == 0 || int64(s.end) > s.H.NumPages() {
-		s.end = storage.PageID(s.H.NumPages())
-	}
-	s.cap = batchCap(s.Opts, s.H.RecordsPerPage())
-	s.batch = getBatch(s.H.Schema(), s.cap)
-	s.stats = ScanStats{}
-	if w := s.Opts.Readahead(s.H.RecordsPerPage()); w > 0 && s.page < s.end {
-		span := []storage.PageSpan{{First: s.page, Last: s.end - 1}}
-		s.pf = s.H.Pool().StartPrefetch(span, w)
-	}
-	return nil
+	pages := storage.PageSpan{First: s.StartPage, Last: end - 1}
+	return s.open(s.H, s.Ctx, s.Pred, s.Opts, surviving, func(runs []run) []run {
+		return append(runs, run{grade: core.Ambivalent, pages: pages})
+	})
 }
-
-// NextBatch fills the batch from the next pages of the range and selects
-// the qualifying tuples. It skips over batches whose selection comes up
-// empty, so a returned batch always carries at least one selected tuple.
-func (s *BatchTableScan) NextBatch() (*Batch, error) {
-	per := s.H.RecordsPerPage()
-	for {
-		b := s.batch
-		b.reset()
-		for s.page < s.end && b.n+per <= s.cap {
-			if err := ctxErr(s.Ctx); err != nil {
-				return nil, err
-			}
-			if s.pf.Claim(s.page) {
-				s.stats.PrefetchHits++
-			}
-			data, n, err := s.H.ReadPageInto(s.page, b.data)
-			if err != nil {
-				return nil, err
-			}
-			b.data, b.n = data, b.n+n
-			s.page++
-			s.stats.PagesRead++
-			s.pf.Advance()
-		}
-		if b.n == 0 {
-			return nil, nil
-		}
-		s.stats.Batches++
-		b.selectProg(s.sel)
-		if len(b.Sel) > 0 {
-			return b, nil
-		}
-	}
-}
-
-// Close stops the prefetcher and returns the batch buffer to the pool.
-func (s *BatchTableScan) Close() error {
-	if s.pf != nil {
-		s.pf.Close()
-		s.stats.PagesPrefetched += s.pf.Issued()
-		s.pf = nil
-	}
-	putBatch(s.batch)
-	s.batch = nil
-	return nil
-}
-
-// Stats reports pages read, batches produced, and prefetch activity.
-func (s *BatchTableScan) Stats() ScanStats { return s.stats }
 
 // BatchSMAScan is the paper's SMA_Scan operator (Fig. 6), whose "three
 // parameters ... are the relation R to be scanned, the predicate to be
@@ -139,20 +75,7 @@ type BatchSMAScan struct {
 	// Opts carries the batch size and prefetch window.
 	Opts ExecOptions
 
-	grades    []core.Grade // effective grades, one per scan position
-	bucket    int          // next scan position
-	numBucket int
-
-	grade    core.Grade
-	page     storage.PageID
-	lastPage storage.PageID
-	inBucket bool
-
-	cap   int
-	sel   *selProgram
-	batch *Batch
-	pf    *storage.Prefetcher
-	stats ScanStats
+	runScan
 }
 
 // GradeBuckets returns one grade per scan position — the buckets listed in
@@ -189,115 +112,129 @@ func NewBatchSMAScan(h *storage.HeapFile, p pred.Predicate, grader *core.Grader,
 	return &BatchSMAScan{H: h, Pred: p, Grader: grader, Opts: opts}
 }
 
-// bucketAt maps a scan position to a bucket number.
-func (s *BatchSMAScan) bucketAt(i int) int {
-	if s.Buckets != nil {
-		return s.Buckets[i]
-	}
-	return i
+// Open binds and compiles the predicate, grades the buckets (reusing
+// pre-computed grades when given), and starts reading the runs that
+// survive.
+func (s *BatchSMAScan) Open() error {
+	return s.open(s.H, s.Ctx, s.Pred, s.Opts, surviving, func(runs []run) []run {
+		return cutRuns(runs, s.H, s.Grader, s.Pred, s.Buckets, s.Grades)
+	})
 }
 
-// Open binds and compiles the predicate, grades the buckets (reusing
-// pre-computed grades when given), and hands the surviving page list to the
-// prefetcher.
-func (s *BatchSMAScan) Open() error {
-	var err error
-	if s.sel, err = compileSelect(s.Pred, s.H.Schema()); err != nil {
+// run is a stretch of pages a scan reads under one grade: a maximal
+// sequence of equally graded buckets [lo, hi) that are consecutive on disk,
+// or a full scan's page range, which no SMA graded and which covers no
+// bucket to count.
+type run struct {
+	grade  core.Grade
+	lo, hi int
+	pages  storage.PageSpan
+}
+
+// cutRuns appends to runs the run list of a scan's positions — the buckets
+// listed in buckets, or every bucket of h when it is nil: maximal runs of
+// equal grade over consecutive buckets; a bucket subset may have gaps, and
+// no run spans one. grades, when non-nil, carries the positions' grades;
+// otherwise the grader grades them.
+func cutRuns(runs []run, h *storage.HeapFile, g *core.Grader, p pred.Predicate, buckets []int, grades []core.Grade) []run {
+	nb := h.NumBuckets()
+	if buckets != nil {
+		nb = len(buckets)
+	}
+	if grades == nil {
+		grades = GradeBuckets(g, p, buckets, nb)
+	}
+	for i := 0; i < nb; {
+		lo := i
+		if buckets != nil {
+			lo = buckets[i]
+		}
+		j := i + 1
+		for j < nb && grades[j] == grades[i] && (buckets == nil || buckets[j] == lo+j-i) {
+			j++
+		}
+		first, _ := h.BucketRange(lo)
+		_, last := h.BucketRange(lo + j - i - 1)
+		runs = append(runs, run{grade: grades[i], lo: lo, hi: lo + j - i, pages: storage.PageSpan{First: first, Last: last}})
+		i = j
+	}
+	return runs
+}
+
+// runScan reads the pages of a run list through one storage.PageStream
+// into a reusable batch. The heap scans pull its batches with NextBatch:
+// disqualified runs are never read, and only runs that do not fully qualify
+// get the predicate. A batch never mixes pages that need the predicate with
+// pages that do not, and it spans the disqualified gaps between runs. No
+// page stays pinned between calls. SMA_GAggr reads its ambivalent runs'
+// batches from the stream itself.
+type runScan struct {
+	h      *storage.HeapFile
+	ctx    context.Context
+	sel    *selProgram
+	runs   []run
+	at     int // the run holding the page tally last reached
+	done   int // buckets of runs[at] counted so far
+	stream storage.PageStream
+	cap    int
+	batch  *Batch
+	stats  ScanStats
+}
+
+// open binds and compiles the predicate, leases the batch, lets cut append
+// the run list to the batch's, and opens the stream over the pages of the
+// runs whose grade read accepts, reading ahead as opts says.
+func (s *runScan) open(h *storage.HeapFile, ctx context.Context, p pred.Predicate, opts ExecOptions,
+	read func(core.Grade) bool, cut func([]run) []run) error {
+	sel, err := compileSelect(p, h.Schema())
+	if err != nil {
 		return err
 	}
-	s.bucket = 0
-	if s.Buckets != nil {
-		s.numBucket = len(s.Buckets)
-	} else {
-		s.numBucket = s.H.NumBuckets()
-	}
-	s.grades = s.Grades
-	if s.grades == nil {
-		s.grades = GradeBuckets(s.Grader, s.Pred, s.Buckets, s.numBucket)
-	}
-	s.inBucket = false
-	s.cap = batchCap(s.Opts, s.H.RecordsPerPage())
-	s.batch = getBatch(s.H.Schema(), s.cap)
-	s.stats = ScanStats{}
-	if w := s.Opts.Readahead(s.H.RecordsPerPage()); w > 0 {
-		var spans []storage.PageSpan
-		for i := 0; i < s.numBucket; i++ {
-			if s.grades[i] == core.Disqualifies {
-				continue
-			}
-			first, last := s.H.BucketRange(s.bucketAt(i))
-			spans = append(spans, storage.PageSpan{First: first, Last: last})
+	per := h.RecordsPerPage()
+	*s = runScan{h: h, ctx: ctx, sel: sel, cap: batchCap(opts, per)}
+	b := getBatch(h.Schema(), s.cap)
+	b.runs, b.spans = cut(b.runs[:0]), b.spans[:0]
+	for _, r := range b.runs {
+		if read(r.grade) {
+			b.spans = append(b.spans, r.pages)
 		}
-		s.pf = s.H.Pool().StartPrefetch(spans, w)
 	}
+	s.batch, s.runs = b, b.runs
+	s.stream.Open(h, b.spans, opts.Readahead(per))
 	return nil
 }
 
-// getBucket advances past disqualifying buckets to the next surviving one,
-// mirroring Fig. 6's getBucket subroutine.
-func (s *BatchSMAScan) getBucket() bool {
-	for ; s.bucket < s.numBucket; s.bucket++ {
-		grade := s.grades[s.bucket]
-		switch grade {
-		case core.Disqualifies:
-			s.stats.Disqualifying++
-			continue // skipped without reading any page
-		case core.Qualifies:
-			s.stats.Qualifying++
-		default:
-			s.stats.Ambivalent++
-		}
-		s.grade = grade
-		s.page, s.lastPage = s.H.BucketRange(s.bucketAt(s.bucket))
-		s.inBucket = true
-		s.bucket++
-		return true
-	}
-	return false
-}
+// surviving accepts the runs a scan reads: all but the disqualified.
+func surviving(g core.Grade) bool { return g != core.Disqualifies }
 
-// NextBatch fills the batch from surviving buckets. A batch never mixes
-// qualifying pages (no predicate needed) with ambivalent pages (predicate
-// kernels), so the selection step is decided once per batch.
-func (s *BatchSMAScan) NextBatch() (*Batch, error) {
-	per := s.H.RecordsPerPage()
+// NextBatch fills the batch from the runs' pages and selects the
+// qualifying tuples. It skips over batches whose selection comes up empty,
+// so a returned batch always carries at least one selected tuple.
+func (s *runScan) NextBatch() (*Batch, error) {
+	per := s.h.RecordsPerPage()
 	for {
 		b := s.batch
 		b.reset()
 		filtered := false
-		for {
-			if !s.inBucket {
-				if !s.getBucket() {
-					break
-				}
-			}
-			needPred := s.Pred != nil && s.grade != core.Qualifies
+		for b.n+per <= s.cap && s.reach() {
+			r := &s.runs[s.at]
+			needPred := s.sel != nil && r.grade != core.Qualifies
 			if b.n > 0 && needPred != filtered {
 				break // grade class changed: flush the batch first
 			}
 			filtered = needPred
-			for s.page <= s.lastPage && b.n+per <= s.cap {
-				if err := ctxErr(s.Ctx); err != nil {
-					return nil, err
-				}
-				if s.pf.Claim(s.page) {
-					s.stats.PrefetchHits++
-				}
-				data, n, err := s.H.ReadPageInto(s.page, b.data)
-				if err != nil {
-					return nil, err
-				}
-				b.data, b.n = data, b.n+n
-				s.page++
-				s.stats.PagesRead++
-				s.pf.Advance()
+			data, n, err := s.stream.Read(s.ctx, b.data, s.cap-b.n)
+			b.data, b.n = data, b.n+n
+			if err != nil {
+				return nil, err
 			}
-			if s.page > s.lastPage {
-				s.inBucket = false
+			// Count what the read passed: up to the page before the cursor,
+			// or the whole run when the cursor left it.
+			last := r.pages.Last
+			if p, ok := s.stream.Next(); ok && p <= last {
+				last = p - 1
 			}
-			if b.n+per > s.cap {
-				break // full
-			}
+			s.tally(last)
 		}
 		if b.n == 0 {
 			return nil, nil
@@ -314,17 +251,46 @@ func (s *BatchSMAScan) NextBatch() (*Batch, error) {
 	}
 }
 
-// Close stops the prefetcher and returns the batch buffer to the pool.
-func (s *BatchSMAScan) Close() error {
-	if s.pf != nil {
-		s.pf.Close()
-		s.stats.PagesPrefetched += s.pf.Issued()
-		s.pf = nil
+// reach counts the buckets up to the one holding the stream's cursor —
+// every bucket once the stream is drained — and reports whether pages
+// remain. A bucket is counted when the scan reaches it, so a scan closed
+// early reports only the buckets it got to.
+func (s *runScan) reach() bool {
+	p, ok := s.stream.Next()
+	if !ok {
+		p = math.MaxInt64
 	}
+	s.tally(p)
+	return ok
+}
+
+// tally counts the grades of the buckets whose first page is at or before
+// page p, and leaves s.at at the run holding p.
+func (s *runScan) tally(p storage.PageID) {
+	for ; s.at < len(s.runs); s.at, s.done = s.at+1, 0 {
+		r := &s.runs[s.at]
+		if p <= r.pages.Last {
+			n := min(r.hi-r.lo, max(0, s.h.BucketOf(p)+1-r.lo))
+			s.stats.count(r.grade, n-s.done)
+			s.done = n
+			return
+		}
+		s.stats.count(r.grade, r.hi-r.lo-s.done)
+	}
+}
+
+// Close stops the stream and returns the batch buffer to the pool.
+func (s *runScan) Close() error {
+	s.stats.PagesPrefetched += s.stream.Close()
 	putBatch(s.batch)
 	s.batch = nil
 	return nil
 }
 
-// Stats returns the bucket classification and page/prefetch counters.
-func (s *BatchSMAScan) Stats() ScanStats { return s.stats }
+// Stats reports the grades of the buckets reached, the pages read, the
+// batches produced, and the prefetch activity.
+func (s *runScan) Stats() ScanStats {
+	st := s.stats
+	st.PagesRead, st.PrefetchHits = s.stream.Counts()
+	return st
+}

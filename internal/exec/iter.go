@@ -18,8 +18,9 @@ import (
 )
 
 // ctxErr reports the context's error, treating a nil context as
-// "never cancelled". The scan operators call it once per page or bucket so
-// long-running plans abort promptly without a per-tuple branch.
+// "never cancelled". SMA_GAggr calls it once per run and MemScan once per
+// batch, so long-running plans abort promptly without a per-tuple branch;
+// the page stream checks before every page.
 func ctxErr(ctx context.Context) error {
 	if ctx == nil {
 		return nil
@@ -227,6 +228,18 @@ func (s *ScanStats) Add(o ScanStats) {
 	s.Batches += o.Batches
 	s.PagesPrefetched += o.PagesPrefetched
 	s.PrefetchHits += o.PrefetchHits
+}
+
+// count adds n buckets of grade g to the classification.
+func (s *ScanStats) count(g core.Grade, n int) {
+	switch g {
+	case core.Disqualifies:
+		s.Disqualifying += n
+	case core.Qualifies:
+		s.Qualifying += n
+	default:
+		s.Ambivalent += n
+	}
 }
 
 // StatsReporter is implemented by operators that track bucket grading and

@@ -39,8 +39,8 @@ type SMAGAggr struct {
 	// it").
 	CountSMA *core.SMA
 	// Ctx, when set, is checked once per run of equally graded buckets and
-	// before every ambivalent page or bucket read during init(), so a
-	// cancelled query aborts the aggregation pass with the context's error.
+	// before every ambivalent page read during init(), so a cancelled query
+	// aborts the aggregation pass with the context's error.
 	Ctx context.Context
 	// Buckets, when non-nil, restricts the operator to the given ascending
 	// bucket numbers (one partition of the parallel subsystem). Grades,
@@ -59,7 +59,6 @@ type SMAGAggr struct {
 
 	schema *tuple.Schema
 	gx     *core.Extractor
-	sel    *selProgram
 
 	// The resolved fold: the query-level groups the SMA-files roll up into,
 	// and every SMA-file bound to the accumulator slot it advances. Sources
@@ -71,7 +70,7 @@ type SMAGAggr struct {
 	groups map[core.GroupKey]*Partial
 	out    []Row
 	pos    int
-	stats  ScanStats
+	scan   runScan // the ambivalent runs' pages, during Open
 	work   Work
 }
 
@@ -154,9 +153,6 @@ func (g *SMAGAggr) addSources(s *core.SMA, slot int32, index map[core.GroupKey]i
 func (g *SMAGAggr) Open() error {
 	g.schema = g.H.Schema()
 	var err error
-	if g.sel, err = compileSelect(g.Pred, g.schema); err != nil {
-		return err
-	}
 	for i := range g.Specs {
 		if err := g.Specs[i].Validate(g.schema); err != nil {
 			return err
@@ -213,82 +209,54 @@ func (g *SMAGAggr) Open() error {
 	}
 
 	g.groups = make(map[core.GroupKey]*Partial)
-	g.stats, g.work = ScanStats{}, Work{}
-	nb := g.H.NumBuckets()
-	if g.Buckets != nil {
-		nb = len(g.Buckets)
+	g.work = Work{}
+	// The ambivalent runs' pages are the only ones this operator ever
+	// touches, and the grades name them before the first access.
+	ambivalent := func(gr core.Grade) bool { return gr == core.Ambivalent }
+	if err := g.scan.open(g.H, g.Ctx, g.Pred, g.Opts, ambivalent, func(runs []run) []run {
+		return cutRuns(runs, g.H, g.Grader, g.Pred, g.Buckets, g.Grades)
+	}); err != nil {
+		return err
 	}
-	grades := g.Grades
-	if grades == nil {
-		grades = GradeBuckets(g.Grader, g.Pred, g.Buckets, nb)
-	}
-	grades = grades[:nb]
-	bucketNo := func(i int) int {
-		if g.Buckets != nil {
-			return g.Buckets[i]
-		}
-		return i
-	}
+	defer g.scan.Close()
+	var folder *groupFolder // compiled for the first ambivalent run
 
-	// The ambivalent buckets' pages are the only ones this operator ever
-	// touches, and the grades name them before the first access: they
-	// stream in behind an asynchronous prefetcher — unless there is a
-	// single page, whose demand read is that read already.
-	var pf *storage.Prefetcher
-	if w := g.Opts.Readahead(g.H.RecordsPerPage()); w > 0 {
-		var spans []storage.PageSpan
-		pages := 0
-		for i, gr := range grades {
-			if gr != core.Ambivalent {
-				continue
-			}
-			first, last := g.H.BucketRange(bucketNo(i))
-			spans = append(spans, storage.PageSpan{First: first, Last: last})
-			pages += int(last-first) + 1
-		}
-		if pages > 1 {
-			pf = g.H.Pool().StartPrefetch(spans, w)
-			defer func() {
-				pf.Close()
-				g.stats.PagesPrefetched += pf.Issued()
-			}()
-		}
-	}
-	var folder *groupFolder // compiled for the first ambivalent bucket
-	batch := getBatch(g.schema, batchCap(g.Opts, g.H.RecordsPerPage()))
-	defer putBatch(batch)
-
-	// Walk the grade vector as maximal runs of equal grades over
-	// consecutive buckets (a Buckets subset may have gaps).
-	for i := 0; i < len(grades); {
+	for _, r := range g.scan.runs {
 		if err := ctxErr(g.Ctx); err != nil {
 			return err
 		}
-		lo := bucketNo(i)
-		j := i + 1
-		for j < len(grades) && grades[j] == grades[i] && bucketNo(j) == lo+j-i {
-			j++
-		}
-		switch grades[i] {
-		case core.Disqualifies:
-			g.stats.Disqualifying += j - i // "do nothing"
+		g.scan.stats.count(r.grade, r.hi-r.lo)
+		switch r.grade {
+		case core.Disqualifies: // "do nothing"
 		case core.Qualifies:
-			g.stats.Qualifying += j - i
-			g.advanceRun(lo, lo+j-i)
+			g.advanceRun(r.lo, r.hi)
 		default:
-			g.stats.Ambivalent += j - i
 			if folder == nil {
 				if folder, err = newGroupFolder(g.schema, g.Specs, g.gx, g.groups); err != nil {
 					return err
 				}
 			}
-			for b := lo; b < lo+j-i; b++ {
-				if err := g.inspectBucket(b, batch, folder, pf); err != nil {
+			// Inspect the run batch by batch: pages decode into the reusable
+			// batch, the compiled predicate narrows the selection vector, and
+			// the survivors fold into the shared group map through the same
+			// groupFolder kernels a scan's aggregation uses.
+			batch := g.scan.batch
+			for p, ok := g.scan.stream.Next(); ok && p <= r.pages.Last; p, ok = g.scan.stream.Next() {
+				start := time.Now()
+				batch.reset()
+				if batch.data, batch.n, err = g.scan.stream.Read(g.Ctx, batch.data, g.scan.cap); err != nil {
 					return err
 				}
+				if batch.n == 0 {
+					continue
+				}
+				g.scan.stats.Batches++
+				batch.selectProg(g.scan.sel)
+				g.work.ScanTime += time.Since(start)
+				g.work.Scanned += int64(len(batch.Sel))
+				folder.fold(batch)
 			}
 		}
-		i = j
 	}
 	if !g.KeepPartials {
 		g.out = FinishPartials(g.groups, g.Specs, len(g.GroupBy) == 0)
@@ -369,44 +337,6 @@ func (g *SMAGAggr) advanceFile(src foldSource, lo, hi int) {
 	}
 }
 
-// inspectBucket advances the result from an ambivalent bucket batch by batch:
-// pages decode into the reusable batch, the compiled predicate narrows the
-// selection vector, and the survivors fold into the shared group map through
-// the same groupFolder kernels a scan's aggregation uses.
-func (g *SMAGAggr) inspectBucket(b int, batch *Batch, folder *groupFolder, pf *storage.Prefetcher) error {
-	first, last := g.H.BucketRange(b)
-	per := g.H.RecordsPerPage()
-	capT := batchCap(g.Opts, per)
-	for p := first; p <= last; {
-		start := time.Now()
-		batch.reset()
-		for ; p <= last && batch.n+per <= capT; p++ {
-			if err := ctxErr(g.Ctx); err != nil {
-				return err
-			}
-			if pf.Claim(p) {
-				g.stats.PrefetchHits++
-			}
-			data, n, err := g.H.ReadPageInto(p, batch.data)
-			if err != nil {
-				return err
-			}
-			batch.data, batch.n = data, batch.n+n
-			g.stats.PagesRead++
-			pf.Advance()
-		}
-		if batch.n == 0 {
-			continue
-		}
-		g.stats.Batches++
-		batch.selectProg(g.sel)
-		g.work.ScanTime += time.Since(start)
-		g.work.Scanned += int64(len(batch.Sel))
-		folder.fold(batch)
-	}
-	return nil
-}
-
 // Next returns the next unseen group.
 func (g *SMAGAggr) Next() (Row, bool, error) {
 	if g.pos >= len(g.out) {
@@ -426,4 +356,4 @@ func (g *SMAGAggr) Close() error {
 }
 
 // Stats returns the bucket classification of the completed computation.
-func (g *SMAGAggr) Stats() ScanStats { return g.stats }
+func (g *SMAGAggr) Stats() ScanStats { return g.scan.Stats() }

@@ -106,6 +106,35 @@ func goodDone(ctx context.Context, h *storage.HeapFile, pages []storage.PageID) 
 	return nil
 }
 
+// badStreamLoop pulls pages through the stream with no context in reach:
+// neither nil nor a fresh Background can ever be cancelled.
+func badStreamLoop(st *storage.PageStream) error {
+	var buf []byte
+	for {
+		var n int
+		var err error
+		if buf, n, err = st.Read(nil, buf[:0], 64); err != nil || n == 0 { // want `without a per-iteration context check`
+			return err
+		}
+		if _, _, err = st.Read(context.Background(), buf[:0], 64); err != nil {
+			return err
+		}
+	}
+}
+
+// goodStreamLoop hands the stream the statement's context, which it checks
+// before every page.
+func goodStreamLoop(ctx context.Context, st *storage.PageStream) error {
+	var buf []byte
+	for {
+		var n int
+		var err error
+		if buf, n, err = st.Read(ctx, buf[:0], 64); err != nil || n == 0 {
+			return err
+		}
+	}
+}
+
 // goodMetadataLoop touches only cheap accessors; no check required.
 func goodMetadataLoop(h *storage.HeapFile, buckets []int) int64 {
 	var total int64

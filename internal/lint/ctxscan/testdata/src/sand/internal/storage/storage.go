@@ -1,7 +1,10 @@
 // Package storage is a stand-in for the engine's storage layer: its
 // import path ends in "internal/storage", so the ctxscan analyzer treats
-// these method names as page I/O.
+// these method names as page I/O, and checks the page loops of its
+// functions that take a context.
 package storage
+
+import "context"
 
 type PageID int64
 
@@ -23,6 +26,17 @@ func (h *HeapFile) Delete(rid RID) (Tuple, error)                          { ret
 func (h *HeapFile) Append(t Tuple) (RID, error)                            { return RID{}, nil }
 func (h *HeapFile) Scan(visit func(t Tuple, rid RID) error) error          { return nil }
 
+// scanAll takes no context: an offline loop, not the check's business.
+func (h *HeapFile) scanAll(dst []byte) ([]byte, error) {
+	for p := PageID(0); int64(p) < h.pages; p++ {
+		var err error
+		if dst, _, err = h.ReadPageInto(p, dst); err != nil {
+			return dst, err
+		}
+	}
+	return dst, nil
+}
+
 type PageCursor struct{}
 
 func (c *PageCursor) Next() (Tuple, bool) { return Tuple{}, false }
@@ -34,3 +48,40 @@ type BufferPool struct{}
 
 func (bp *BufferPool) FetchPage(id PageID) (*Frame, error) { return &Frame{}, nil }
 func (bp *BufferPool) UnpinPage(id PageID) error           { return nil }
+
+// PageStream mirrors the scans' page loop.
+type PageStream struct {
+	h         *HeapFile
+	next, end PageID
+}
+
+// Read checks the context it is handed before every page.
+func (s *PageStream) Read(ctx context.Context, dst []byte, room int) ([]byte, int, error) {
+	n := 0
+	for ; s.next < s.end && n < room; s.next++ {
+		if ctx != nil {
+			if err := ctx.Err(); err != nil {
+				return dst, n, err
+			}
+		}
+		var k int
+		var err error
+		if dst, k, err = s.h.ReadPageInto(s.next, dst); err != nil {
+			return dst, n, err
+		}
+		n += k
+	}
+	return dst, n, nil
+}
+
+// readUnchecked is handed the statement's context and reads on regardless:
+// the stream's own per-page check, left out.
+func (s *PageStream) readUnchecked(ctx context.Context, dst []byte) ([]byte, error) {
+	for ; s.next < s.end; s.next++ {
+		var err error
+		if dst, _, err = s.h.ReadPageInto(s.next, dst); err != nil { // want `without a per-iteration context check`
+			return dst, err
+		}
+	}
+	return dst, nil
+}

@@ -76,28 +76,6 @@ func IsContext(t types.Type) bool {
 	return n.Obj().Name() == "Context" && n.Obj().Pkg().Path() == "context"
 }
 
-// HasContextParam reports whether the call passes a context.Context
-// argument or the callee declares a context.Context parameter: the callee
-// takes responsibility for cancellation, which per-iteration checks may
-// delegate to.
-func HasContextParam(info *types.Info, call *ast.CallExpr) bool {
-	for _, arg := range call.Args {
-		if tv, ok := info.Types[arg]; ok && IsContext(tv.Type) {
-			return true
-		}
-	}
-	if fn := Callee(info, call); fn != nil {
-		if sig, ok := fn.Type().(*types.Signature); ok {
-			for i := 0; i < sig.Params().Len(); i++ {
-				if IsContext(sig.Params().At(i).Type()) {
-					return true
-				}
-			}
-		}
-	}
-	return false
-}
-
 // Mentions reports whether node contains an identifier resolving to obj.
 func Mentions(info *types.Info, node ast.Node, obj types.Object) bool {
 	found := false

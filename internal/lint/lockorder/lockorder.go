@@ -7,7 +7,7 @@
 //     (Eviction write-back under the lock is the documented exception, so
 //     only ReadPage is banned.)
 //  2. Never call back into the buffer pool while holding a narrower
-//     storage-layer lock (the Prefetcher's mark mutex, a frame-level
+//     storage-layer lock (the prefetcher's mark mutex, a frame-level
 //     lock): the pool's mutex is the outermost storage lock, and
 //     pool-under-prefetcher inverts that order against the readers that
 //     hold the pool path first.

@@ -231,7 +231,10 @@ func TestStatusAndMetrics(t *testing.T) {
 
 // slowServer returns a server whose full scans take hundreds of
 // milliseconds: simulated per-page read latency, prefetch off, and a
-// table spanning a few hundred pages.
+// table spanning a few hundred pages. The table is loaded through the
+// database, not the server, so a StatementDeadline's watchdog sees only
+// the statements the test sends — the 2 000-row insert alone can take
+// 100 ms under -race.
 func slowServer(t *testing.T, cfg server.Config) *testServer {
 	t.Helper()
 	ts := startServer(t, []sma.Option{
@@ -239,13 +242,15 @@ func slowServer(t *testing.T, cfg server.Config) *testServer {
 		sma.WithPrefetchWindow(-1),
 		sma.WithPoolPages(8), // tiny pool: every scan re-reads from "disk"
 	}, cfg)
-	c := client.New(ts.Base)
-	mustExec(t, c, "create table BIG (D date, PAD char(400))")
 	var vals []string
 	for i := 0; i < 2000; i++ {
 		vals = append(vals, fmt.Sprintf("(date '2024-%02d-%02d', 'x')", i/168%12+1, i/6%28+1))
 	}
-	mustExec(t, c, "insert into BIG values "+strings.Join(vals, ", "))
+	for _, sql := range []string{"create table BIG (D date, PAD char(400))", "insert into BIG values " + strings.Join(vals, ", ")} {
+		if _, err := ts.DB.Exec(sql); err != nil {
+			t.Fatalf("%s: %v", sql[:24], err)
+		}
+	}
 	return ts
 }
 

@@ -32,7 +32,7 @@ type Frame struct {
 	loaded  chan struct{}
 	loadErr error
 
-	// prefetched marks a frame whose read was issued by a Prefetcher and
+	// prefetched marks a frame whose read was issued by a prefetcher and
 	// that no demand fetch has claimed yet; the first demand hit counts as
 	// a prefetch hit and clears the mark.
 	prefetched bool

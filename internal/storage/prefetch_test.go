@@ -23,12 +23,12 @@ func prefetchDisk(t *testing.T, n int) *DiskManager {
 }
 
 // waitIssued polls until the prefetcher has read ahead at least n pages.
-func waitIssued(t *testing.T, p *Prefetcher, n int) {
+func waitIssued(t *testing.T, p *prefetcher, n int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	for p.Issued() < n {
+	for int(p.issued.Load()) < n {
 		if time.Now().After(deadline) {
-			t.Fatalf("prefetcher stuck at %d/%d pages", p.Issued(), n)
+			t.Fatalf("prefetcher stuck at %d/%d pages", int(p.issued.Load()), n)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -44,23 +44,23 @@ func TestPrefetchWindowAndHits(t *testing.T) {
 
 	// Two spans covering all pages, exercising the span→page mapping.
 	spans := []PageSpan{{First: 0, Last: numPages/2 - 1}, {First: numPages / 2, Last: numPages - 1}}
-	p := bp.StartPrefetch(spans, window)
+	p := bp.startPrefetch(spans, window)
 	if p == nil {
-		t.Fatal("StartPrefetch returned nil for a valid window")
+		t.Fatal("startPrefetch returned nil for a valid window")
 	}
-	defer p.Close()
+	defer p.close()
 
 	// Without consumption the prefetcher must stall at the window.
 	waitIssued(t, p, window)
 	time.Sleep(10 * time.Millisecond)
-	if got := p.Issued(); got > window {
+	if got := int(p.issued.Load()); got > window {
 		t.Fatalf("prefetcher ran %d pages ahead, window is %d", got, window)
 	}
 
 	hits := 0
 	for i := 0; i < numPages; i++ {
 		id := PageID(i)
-		if p.Claim(id) {
+		if p.claim(id) {
 			hits++
 		}
 		fr, err := bp.FetchPage(id)
@@ -73,12 +73,11 @@ func TestPrefetchWindowAndHits(t *testing.T) {
 		if err := bp.UnpinPage(id); err != nil {
 			t.Fatal(err)
 		}
-		p.Advance()
 	}
 	if hits == 0 {
 		t.Fatal("no scan fetch landed on a prefetched page")
 	}
-	p.Close()
+	p.close()
 
 	st := bp.Stats()
 	if st.Prefetched == 0 {
@@ -102,12 +101,13 @@ func TestPrefetchedFrameEvictable(t *testing.T) {
 	dm := prefetchDisk(t, 4)
 	bp := NewBufferPool(dm, 2)
 
-	p := bp.StartPrefetch([]PageSpan{{First: 0, Last: 0}}, 1)
+	// A window of one: the readers stop after page 0.
+	p := bp.startPrefetch([]PageSpan{{First: 0, Last: 1}}, 1)
 	if p == nil {
 		t.Fatal("window clamped to zero on a 2-frame pool")
 	}
 	waitIssued(t, p, 1)
-	p.Close()
+	p.close()
 
 	if bp.Resident() != 1 {
 		t.Fatalf("resident = %d after prefetch", bp.Resident())
@@ -140,9 +140,9 @@ func TestPrefetcherCloseReleasesPool(t *testing.T) {
 	dm.SetReadLatency(200 * time.Microsecond) // keep reads in flight at Close
 	bp := NewBufferPool(dm, 4)
 
-	p := bp.StartPrefetch([]PageSpan{{First: 0, Last: numPages - 1}}, 2)
+	p := bp.startPrefetch([]PageSpan{{First: 0, Last: numPages - 1}}, 2)
 	waitIssued(t, p, 1)
-	p.Close() // must wait for in-flight reads and drop their pins
+	p.close() // must wait for in-flight reads and drop their pins
 
 	if err := bp.DropAll(); err != nil {
 		t.Fatalf("DropAll after prefetcher Close: %v", err)
@@ -186,9 +186,9 @@ func TestPrefetchReaderContainsPanickingRead(t *testing.T) {
 		return nil
 	})
 
-	p := bp.StartPrefetch([]PageSpan{{First: 0, Last: numPages - 1}}, window)
+	p := bp.startPrefetch([]PageSpan{{First: 0, Last: numPages - 1}}, window)
 	if p == nil {
-		t.Fatal("StartPrefetch returned nil for a valid window")
+		t.Fatal("startPrefetch returned nil for a valid window")
 	}
 	for deadline := time.Now().Add(5 * time.Second); faulted.Load() < window; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
@@ -210,14 +210,14 @@ func TestPrefetchReaderContainsPanickingRead(t *testing.T) {
 		}
 	}()
 
-	p.Close()
+	p.close()
 	for id := PageID(0); id < numPages; id++ {
-		if p.Claim(id) {
+		if p.claim(id) {
 			t.Errorf("page %d: a failed prefetch is claimable as a hit", id)
 		}
 	}
-	if p.Issued() != 0 {
-		t.Errorf("prefetcher reports %d pages read", p.Issued())
+	if int(p.issued.Load()) != 0 {
+		t.Errorf("prefetcher reports %d pages read", int(p.issued.Load()))
 	}
 
 	dm.SetFault(nil)
@@ -240,21 +240,17 @@ func TestPrefetchReaderContainsPanickingRead(t *testing.T) {
 // shrink readahead instead of starving demand fetches.
 func TestPrefetchWindowClamp(t *testing.T) {
 	dm := prefetchDisk(t, 8)
-	if p := NewBufferPool(dm, 1).StartPrefetch([]PageSpan{{First: 0, Last: 1}}, 16); p != nil {
+	if p := NewBufferPool(dm, 1).startPrefetch([]PageSpan{{First: 0, Last: 1}}, 16); p != nil {
 		t.Fatal("1-frame pool should refuse to prefetch")
 	}
-	if p := NewBufferPool(dm, 64).StartPrefetch(nil, 16); p != nil {
+	if p := NewBufferPool(dm, 64).startPrefetch(nil, 16); p != nil {
 		t.Fatal("empty span list should return a nil prefetcher")
 	}
-	if p := NewBufferPool(dm, 64).StartPrefetch([]PageSpan{{First: 3, Last: 2}}, 16); p != nil {
+	if p := NewBufferPool(dm, 64).startPrefetch([]PageSpan{{First: 3, Last: 2}}, 16); p != nil {
 		t.Fatal("empty span should return a nil prefetcher")
 	}
-	// Nil prefetchers must be safe to drive.
-	var p *Prefetcher
-	p.Advance()
-	p.Close()
-	if p.Claim(0) || p.Issued() != 0 {
-		t.Fatal("nil prefetcher misbehaves")
+	if p := NewBufferPool(dm, 64).startPrefetch([]PageSpan{{First: 2, Last: 2}, {First: 5, Last: 4}}, 16); p != nil {
+		t.Fatal("a single page should return a nil prefetcher: its demand read is that read")
 	}
 }
 
@@ -386,11 +382,11 @@ func TestPrefetcherSkipsToTheCursor(t *testing.T) {
 		}
 		return nil
 	})
-	p := bp.StartPrefetch([]PageSpan{{First: 0, Last: numPages - 1}}, window)
+	p := bp.startPrefetch([]PageSpan{{First: 0, Last: numPages - 1}}, window)
 	if p == nil {
-		t.Fatal("StartPrefetch returned nil for a valid window")
+		t.Fatal("startPrefetch returned nil for a valid window")
 	}
-	defer p.Close()
+	defer p.close()
 	readers := min(prefetchReaders, window)
 	parked := func(at int64) {
 		t.Helper()
@@ -413,8 +409,7 @@ func TestPrefetcherSkipsToTheCursor(t *testing.T) {
 
 	gate.Lock()
 	for i := 0; i < passed; i++ {
-		p.Claim(PageID(i))
-		p.Advance()
+		p.claim(PageID(i))
 		p.mu.Lock()
 		started := len(p.started)
 		p.mu.Unlock()
@@ -426,12 +421,12 @@ func TestPrefetcherSkipsToTheCursor(t *testing.T) {
 	parked(passed + window)
 	// A reader woken during the burst took one run and got as far as the
 	// gate with its first page; the rest of that run the cursor had passed.
-	if got, max := p.Issued(), window+readers+window; got > max {
+	if got, max := int(p.issued.Load()), window+readers+window; got > max {
 		t.Errorf("readers issued %d reads, want at most %d: they swept through pages the cursor had passed", got, max)
 	}
 	hits := 0
 	for i := passed; i < passed+window; i++ {
-		if p.Claim(PageID(i)) {
+		if p.claim(PageID(i)) {
 			hits++
 		}
 		fr, err := bp.FetchPage(PageID(i))
@@ -444,7 +439,6 @@ func TestPrefetcherSkipsToTheCursor(t *testing.T) {
 		if err := bp.UnpinPage(PageID(i)); err != nil {
 			t.Fatal(err)
 		}
-		p.Advance()
 	}
 	if hits != window {
 		t.Errorf("%d of the %d pages after the burst were prefetched", hits, window)
