@@ -97,7 +97,6 @@ func New(base string, opts ...Option) *Client {
 type queryRequest struct {
 	SQL            string `json:"sql"`
 	DOP            int    `json:"dop,omitempty"`
-	BatchSize      *int   `json:"batch_size,omitempty"`
 	TimeoutMillis  int64  `json:"timeout_ms,omitempty"`
 	DeadlineMillis int64  `json:"deadline_ms,omitempty"`
 	Trace          bool   `json:"trace,omitempty"`
@@ -111,12 +110,6 @@ type QueryOption func(*queryRequest)
 // default, 1 = serial).
 func WithDOP(n int) QueryOption {
 	return func(q *queryRequest) { q.DOP = n }
-}
-
-// WithBatchSize overrides the server's tuples-per-batch target for one
-// query; 0 means the engine default. The server refuses a negative n.
-func WithBatchSize(n int) QueryOption {
-	return func(q *queryRequest) { q.BatchSize = &n }
 }
 
 // WithTimeout asks the server to abort the statement after d. The clock
@@ -378,9 +371,8 @@ type ExecResult struct {
 }
 
 // Exec runs a DDL or DML statement on the server. Of the query options
-// WithTimeout, WithDeadline, and WithIdempotencyKey apply; WithDOP and
-// WithBatchSize are query-execution knobs and are rejected rather than
-// silently dropped.
+// WithTimeout, WithDeadline, and WithIdempotencyKey apply; WithDOP is a
+// query-execution knob and is rejected rather than silently dropped.
 //
 // Exec is safely retryable: every call carries an idempotency token
 // (generated when WithIdempotencyKey is not given), and all retry
@@ -392,8 +384,8 @@ func (c *Client) Exec(ctx context.Context, sql string, opts ...QueryOption) (*Ex
 	for _, o := range opts {
 		o(&req)
 	}
-	if req.DOP != 0 || req.BatchSize != nil {
-		return nil, fmt.Errorf("client: WithDOP and WithBatchSize do not apply to Exec")
+	if req.DOP != 0 {
+		return nil, fmt.Errorf("client: WithDOP does not apply to Exec")
 	}
 	if req.IdempotencyKey == "" && c.attempts > 1 {
 		key, err := newIdempotencyKey()

@@ -15,8 +15,9 @@
 // drops to 503 while draining or when the database is degraded
 // (corruption detected), so load balancers stop routing before requests
 // fail. -verify-on-open checksums every page before serving; -scrub-every
-// keeps a background scrubber walking the store; -statement-deadline arms
-// a watchdog that force-cancels statements stuck past the bound.
+// keeps a background scrubber walking the store; -statement-deadline
+// bounds every statement's execution: one stopped by it answers 504 (or
+// ends its stream with an in-band error) and counts in watchdog_cancels.
 //
 // Structured logs (engine query log, slow-query log, server request log)
 // go to stderr as logfmt lines tagged with per-query ids. The debug
@@ -64,7 +65,7 @@ func main() {
 	debugAddr := flag.String("debug-addr", "", "optional private listen address serving net/http/pprof and a runtime/metrics dump under /debug/")
 	verifyOnOpen := flag.Bool("verify-on-open", false, "verify every page checksum before serving; corruption starts the server degraded (read-only)")
 	scrubEvery := flag.Duration("scrub-every", 0, "background scrub interval; each pass re-verifies every page and SMA file (0 disables)")
-	stmtDeadline := flag.Duration("statement-deadline", 0, "watchdog bound: statements executing longer than this are force-cancelled (0 disables)")
+	stmtDeadline := flag.Duration("statement-deadline", 0, "server bound on every statement's execution; one that exceeds it answers 504 and counts in watchdog_cancels (0 disables)")
 	flag.Parse()
 	if *dir == "" {
 		fatal(errors.New("-dir is required"))

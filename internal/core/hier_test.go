@@ -8,6 +8,7 @@ import (
 	"sma/internal/core"
 	"sma/internal/expr"
 	"sma/internal/pred"
+	"sma/internal/storage"
 	"sma/internal/testutil"
 	"sma/internal/tuple"
 )
@@ -141,4 +142,92 @@ func TestQuickTwoLevelEquivalence(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Error(err)
 	}
+}
+
+// FuzzTwoLevelGrade checks the hierarchical grader for fuzzed bucket
+// contents, fanout and one atom A op c:
+//
+//   - soundness (§3.1) against the tuples: a disqualified bucket holds no
+//     tuple satisfying the atom, a qualified bucket only tuples satisfying
+//     it;
+//   - GradeAtom equals the flat Grader.Grade on every bucket with a present
+//     SMA entry. A bucket whose rows are all deleted has none: the flat
+//     grader leaves it ambivalent, while a decided level-2 run decides it
+//     too, which is sound because it holds no tuple.
+//
+// Rows are (value, deleted) byte pairs, four to a bucket; a pair whose
+// second byte is odd is deleted after loading, so some buckets empty out.
+func FuzzTwoLevelGrade(f *testing.F) {
+	// Seeds: mildly clustered values as in buildMinMax, a third of the rows
+	// deleted, at a small, an odd and a wide fanout.
+	rng := rand.New(rand.NewSource(1998))
+	for _, fan := range []byte{0, 3, 14} {
+		rows := make([]byte, 0, 2*400)
+		for i := 0; i < 400; i++ {
+			rows = append(rows, byte(i/8+rng.Intn(6)), byte(rng.Intn(3)))
+		}
+		f.Add(rows, fan, byte(rng.Intn(6)), byte(rng.Intn(256)))
+	}
+	f.Add([]byte{}, byte(0), byte(0), byte(0)) // no buckets
+	// A = 13 over an emptied bucket and a bucket of 9s, one level-2 run.
+	f.Add([]byte{7, 1, 7, 1, 7, 1, 7, 1, 9, 0, 9, 0, 9, 0, 9, 0}, byte(0), byte(0), byte(90))
+
+	schema := testutil.PaddedFloatSchema(f, 4)
+	ops := []pred.CmpOp{pred.Eq, pred.Ne, pred.Lt, pred.Le, pred.Gt, pred.Ge}
+	f.Fuzz(func(t *testing.T, rows []byte, fan, op, c byte) {
+		if len(rows) > 2*1200 {
+			rows = rows[:2*1200]
+		}
+		h := testutil.NewHeap(t, schema, 1, 64)
+		tp := tuple.NewTuple(schema)
+		var dead []storage.RID
+		for ; len(rows) >= 2; rows = rows[2:] {
+			tp.SetFloat64(0, float64(rows[0]%64))
+			rid, err := h.Append(tp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rows[1]&1 != 0 {
+				dead = append(dead, rid)
+			}
+		}
+		for _, rid := range dead {
+			if _, err := h.Delete(rid); err != nil {
+				t.Fatal(err)
+			}
+		}
+		mn := build(t, h, core.NewDef("mn", "T", core.Min, expr.NewCol("A")))
+		mx := build(t, h, core.NewDef("mx", "T", core.Max, expr.NewCol("A")))
+		tl, err := core.NewTwoLevel(mn, mx, 2+int(fan%30))
+		if err != nil {
+			t.Fatal(err)
+		}
+		atom := pred.NewAtom("A", ops[op%6], float64(c)/2-32)
+		if err := atom.Bind(schema); err != nil {
+			t.Fatal(err)
+		}
+		grades := make([]core.Grade, tl.NumBuckets())
+		if _, err := tl.GradeAtom(atom, grades); err != nil {
+			t.Fatal(err)
+		}
+		flat := core.NewGrader(mn, mx)
+		for b, grade := range grades {
+			if _, present := mn.BucketMin(b); present {
+				if want := flat.Grade(b, atom); grade != want {
+					t.Fatalf("bucket %d of %d, fanout %d: two-level %s, flat %s, for %s",
+						b, len(grades), tl.Fanout, grade, want, atom)
+				}
+			}
+			err := h.ScanBucket(b, func(tp tuple.Tuple, _ storage.RID) error {
+				if sat := atom.Eval(tp); (grade == core.Qualifies && !sat) || (grade == core.Disqualifies && sat) {
+					t.Errorf("bucket %d graded %s for %s, but a tuple (A=%v) evaluates to %v",
+						b, grade, atom, tp.Float64(0), sat)
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
 }

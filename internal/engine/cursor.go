@@ -18,7 +18,6 @@ type QueryOption func(*queryConfig)
 // queryConfig collects per-query execution overrides.
 type queryConfig struct {
 	dop   int
-	batch *int
 	trace bool
 }
 
@@ -28,13 +27,6 @@ type queryConfig struct {
 // default.
 func WithDOP(n int) QueryOption {
 	return func(c *queryConfig) { c.dop = n }
-}
-
-// WithBatchSize overrides the engine's tuples-per-batch target for one
-// query; values <= 0 batch at the default size. The prefetch window is
-// unaffected.
-func WithBatchSize(n int) QueryOption {
-	return func(c *queryConfig) { c.batch = &n }
 }
 
 // WithTrace renders one query's phase clock as a trace: when the statement
@@ -67,7 +59,7 @@ type ColInfo struct {
 // (exhaustion or error). A Cursor is not safe for concurrent use.
 type Cursor struct {
 	// st is the statement's record: its plan, id, trace, and the read lock
-	// and timeout context that finish hands back through st.end.
+	// that finish hands back through st.end.
 	st   *statement
 	cols []ColInfo
 
@@ -356,9 +348,6 @@ func (db *DB) openCursor(ctx context.Context, st *statement, cfg queryConfig) (c
 	}
 	if cfg.dop > 0 {
 		plan.DOP = db.pl.ChooseDOP(plan, cfg.dop)
-	}
-	if cfg.batch != nil {
-		plan.Exec.BatchSize = *cfg.batch
 	}
 	st.plan = plan
 	cur, err = newCursor(ctx, st)

@@ -76,12 +76,6 @@ type Options struct {
 	// (flush everything, truncate the log) at the next statement boundary
 	// (default 8 MB).
 	CheckpointBytes int64
-	// StatementTimeout bounds every statement (query or DML) with a
-	// context deadline; 0 disables. The exec pipeline checks its context
-	// at every bucket/page, so an exceeded deadline cancels the statement
-	// at the next boundary — the engine-side backstop behind the serving
-	// layer's stuck-statement watchdog.
-	StatementTimeout time.Duration
 	// VerifyOnOpen runs a full checksum scrub before Open returns.
 	// Corruption found does not fail the Open: the pages are quarantined
 	// and the database opens degraded (read-only), exactly as if a query

@@ -31,10 +31,9 @@ type statement struct {
 	sql   string
 	qid   string
 	start time.Time
-	act   int64              // activity-registry token
-	plan  *planner.Plan      // the executed plan of a query, once there is one
-	work  exec.Work          // what the plan's pipeline measured, settled at end
-	stop  context.CancelFunc // releases the statement-timeout context
+	act   int64         // activity-registry token
+	plan  *planner.Plan // the executed plan of a query, once there is one
+	work  exec.Work     // what the plan's pipeline measured, settled at end
 	// clock is the phase vector of a query, lap the end of the phase last
 	// charged to it. It runs on every query; traced only decides whether
 	// end renders it into trace.
@@ -49,9 +48,9 @@ type statement struct {
 }
 
 // begin opens the record of one statement and returns the context it
-// runs under (bounded by Options.StatementTimeout). The in-flight
-// statement is registered before planning so the activity table's own
-// snapshot — materialized at plan time — includes the query reading it.
+// runs under (Background for a nil one). The in-flight statement is
+// registered before planning so the activity table's own snapshot —
+// materialized at plan time — includes the query reading it.
 // Every begin is paired with exactly one end.
 func (db *DB) begin(ctx context.Context, sql string, query, traced bool) (context.Context, *statement) {
 	if ctx == nil {
@@ -62,9 +61,6 @@ func (db *DB) begin(ctx context.Context, sql string, query, traced bool) (contex
 	activity := "exec"
 	if query {
 		s.Kind, activity = "none", "query"
-	}
-	if d := db.opts.StatementTimeout; d > 0 {
-		ctx, s.stop = context.WithTimeout(ctx, d)
 	}
 	if o := db.opts.Obs; o != nil {
 		// Prefer an id the serving layer already stamped on the context so
@@ -99,9 +95,8 @@ func (s *statement) mark(p obs.Phase) {
 // success): the record is completed from the plan, a traced query's clock
 // is rendered into its trace, and — the only place any of this happens — the
 // activity is deregistered, the collector, the engine metric families and
-// the log absorb the record, and the timeout context and the read lock
-// are released. Idempotent, so a cursor's Close after its stream ended is
-// harmless.
+// the log absorb the record, and the read lock is released. Idempotent,
+// so a cursor's Close after its stream ended is harmless.
 func (s *statement) end(err error) {
 	if s.done {
 		return
@@ -169,9 +164,6 @@ func (s *statement) end(err error) {
 			}
 			log.Log(context.Background(), level, msg, attrs...)
 		}
-	}
-	if s.stop != nil {
-		s.stop()
 	}
 	if s.locked {
 		s.db.mu.RUnlock()

@@ -78,15 +78,14 @@ func kernelReference(items []tpcd.LineItem, key func(*tpcd.LineItem) string) map
 // TestKernelQueriesSerialAndParallel runs kernelQuery grouped by a CHAR(1)
 // pair (two packed bytes), by L_SUPPKEY (more groups than the probe table
 // holds), by (L_SHIPDATE, L_LINENUMBER) (eight packed bytes) and by
-// (L_ORDERKEY, L_LINENUMBER) (twelve bytes: a wide key), with batches of
-// one page, 64 and 1 024 rows, at dop 1 and 2. The serial answer must equal
-// the plain-Go reference bit for bit — same values, same addition order —
-// and the parallel one to the last few ulps (partitions regroup the sums).
-// Under -race this is also the check that the workers' compiled programs
-// and scratch are their own.
+// (L_ORDERKEY, L_LINENUMBER) (twelve bytes: a wide key), on one engine per
+// batch size — one page, 64 and 1 024 rows — at dop 1 and 2. The serial
+// answer must equal the plain-Go reference bit for bit — same values, same
+// addition order — and the parallel one to the last few ulps (partitions
+// regroup the sums). Under -race this is also the check that the workers'
+// compiled programs and scratch are their own.
 func TestKernelQueriesSerialAndParallel(t *testing.T) {
 	const sf = 0.002
-	db := newLineItemDB(t, sf, tpcd.OrderShuffled, nil, engine.Options{})
 	items := tpcd.GenLineItems(tpcd.Config{ScaleFactor: sf, Seed: 1998, Order: tpcd.OrderShuffled})
 	cases := []struct {
 		key    string
@@ -104,16 +103,19 @@ func TestKernelQueriesSerialAndParallel(t *testing.T) {
 			return fmt.Sprint([]any{li.OrderKey, int64(li.LineNumber)})
 		}},
 	}
-	for _, tc := range cases {
-		want := kernelReference(items, tc.render)
-		if len(want) < 4 {
-			t.Fatalf("group by %s: %d groups in the reference", tc.key, len(want))
+	wants := make([]map[string][]float64, len(cases))
+	for i, tc := range cases {
+		if wants[i] = kernelReference(items, tc.render); len(wants[i]) < 4 {
+			t.Fatalf("group by %s: %d groups in the reference", tc.key, len(wants[i]))
 		}
-		for _, batch := range []int{1, 64, 1024} {
+	}
+	for _, batch := range []int{1, 64, 1024} {
+		db := newLineItemDB(t, sf, tpcd.OrderShuffled, nil, engine.Options{BatchSize: batch})
+		for i, tc := range cases {
+			want := wants[i]
 			for _, dop := range []int{1, 2} {
 				what := fmt.Sprintf("group by %s, batch %d, dop %d", tc.key, batch, dop)
-				cur, err := db.QueryContext(context.Background(), kernelQuery(tc.key),
-					engine.WithDOP(dop), engine.WithBatchSize(batch))
+				cur, err := db.QueryContext(context.Background(), kernelQuery(tc.key), engine.WithDOP(dop))
 				if err != nil {
 					t.Fatalf("%s: %v", what, err)
 				}

@@ -29,7 +29,9 @@ func runWireDiff(t *testing.T, sessions, ops int) {
 	if dop < 2 {
 		dop = 2 // the parallel partition/merge path must run even on 1 core
 	}
-	dbOpts := []sma.Option{sma.WithBucketPages(1), sma.WithParallelism(dop)}
+	// Seven-tuple batches on both sides: the batch size is a database
+	// knob, so the served and the direct database share it.
+	dbOpts := []sma.Option{sma.WithBucketPages(1), sma.WithParallelism(dop), sma.WithBatchSize(7)}
 	ts := startServer(t, dbOpts, server.Config{
 		MaxConcurrent: sessions, QueueTimeout: 60 * time.Second,
 	})
@@ -104,17 +106,13 @@ func wireDiffSession(ctx context.Context, ts *testServer, direct *sma.DB, si, op
 			}
 			continue
 		}
-		// Exercise the per-request knobs while keeping both sides equal:
-		// every third query forces serial, every fifth seven-tuple batches.
+		// Exercise the per-request knob while keeping both sides equal:
+		// every third query forces serial.
 		var wopts []client.QueryOption
 		var dopts []sma.QueryOption
 		if i%3 == 0 {
 			wopts = append(wopts, client.WithDOP(1))
 			dopts = append(dopts, sma.WithQueryParallelism(1))
-		}
-		if i%5 == 0 {
-			wopts = append(wopts, client.WithBatchSize(7))
-			dopts = append(dopts, sma.WithQueryBatchSize(7))
 		}
 		rows, err := c.Query(ctx, op.SQL, wopts...)
 		if err != nil {

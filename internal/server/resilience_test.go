@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -287,23 +288,95 @@ func TestExecIdempotencyConcurrent(t *testing.T) {
 	}
 }
 
-// TestWatchdogCancelsStuckStatement: a statement that outlives the
-// configured deadline is force-cancelled by the background watchdog even
-// though its client is still happily connected.
-func TestWatchdogCancelsStuckStatement(t *testing.T) {
+// TestStatementDeadline: Config.StatementDeadline stops a statement that
+// outlives it even though its client is still connected. Stopped before
+// streaming, the statement answers 504; once its stream has begun, the
+// stream ends with an in-band deadline frame. A keyed /exec answers 504 and
+// a retry under the key replays that 504. watchdog_cancels counts each such
+// statement exactly once, and not one that the request's own timeout_ms
+// stopped first. After Shutdown no server goroutine remains.
+func TestStatementDeadline(t *testing.T) {
 	ts := slowServer(t, server.Config{StatementDeadline: 100 * time.Millisecond})
-	c := client.New(ts.Base)
-	_, err := drainQuery(c, "select count(*) as C from BIG")
-	if err == nil || !strings.Contains(err.Error(), "context canceled") {
-		t.Fatalf("stuck statement: got %v, want watchdog cancellation", err)
+	c := client.New(ts.Base, client.WithRetries(1))
+	ctx := context.Background()
+	is504 := func(err error) bool {
+		se, ok := err.(*client.Error)
+		return ok && se.StatusCode == http.StatusGatewayTimeout
 	}
-	st, serr := c.Status(context.Background())
-	if serr != nil {
-		t.Fatal(serr)
+	cases := []struct {
+		name        string
+		run         func(t *testing.T)
+		wantCancels int64
+		wantReplays int64
+	}{
+		{"query stopped before streaming answers 504", func(t *testing.T) {
+			if _, err := drainQuery(c, "select count(*) as C from BIG"); !is504(err) {
+				t.Fatalf("got %v, want 504", err)
+			}
+		}, 1, 0},
+		{"query stopped mid-stream ends with a deadline frame", func(t *testing.T) {
+			rows, err := c.Query(ctx, "select D, PAD from BIG")
+			if err != nil {
+				t.Fatalf("query failed before streaming: %v", err)
+			}
+			defer rows.Close()
+			for rows.Next() {
+			}
+			if err := rows.Err(); err == nil || !strings.Contains(err.Error(), "deadline exceeded") {
+				t.Fatalf("stream ended with %v, want an in-band deadline error", err)
+			}
+		}, 1, 0},
+		{"keyed exec answers 504 and its retry replays 504", func(t *testing.T) {
+			del := "delete from BIG where D < date '2000-01-01'"
+			for attempt := 1; attempt <= 2; attempt++ {
+				if _, err := c.Exec(ctx, del, client.WithIdempotencyKey("deadline")); !is504(err) {
+					t.Fatalf("attempt %d: got %v, want 504", attempt, err)
+				}
+			}
+		}, 1, 1},
+		{"own timeout_ms first is not the server's", func(t *testing.T) {
+			_, err := drainQuery(c, "select count(*) as C from BIG", client.WithTimeout(20*time.Millisecond))
+			if !is504(err) {
+				t.Fatalf("got %v, want 504", err)
+			}
+		}, 0, 0},
 	}
-	if st.Totals.WatchdogCancels < 1 {
-		t.Fatalf("watchdog cancels %d, want >= 1", st.Totals.WatchdogCancels)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			before, err := c.Status(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.run(t)
+			after, err := c.Status(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := after.Totals.WatchdogCancels - before.Totals.WatchdogCancels; got != tc.wantCancels {
+				t.Fatalf("watchdog_cancels rose by %d, want %d", got, tc.wantCancels)
+			}
+			if got := after.Totals.IdempotentReplays - before.Totals.IdempotentReplays; got != tc.wantReplays {
+				t.Fatalf("idempotent_replays rose by %d, want %d", got, tc.wantReplays)
+			}
+		})
 	}
+
+	sctx, cancel := context.WithTimeout(ctx, 10*time.Second)
+	defer cancel()
+	if err := ts.Srv.Shutdown(sctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := ts.HTTP.Shutdown(sctx); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "server goroutines to exit", func() bool { return !serverGoroutineLive() })
+}
+
+// serverGoroutineLive reports whether any live goroutine is running code
+// of package server.
+func serverGoroutineLive() bool {
+	buf := make([]byte, 1<<20)
+	return strings.Contains(string(buf[:runtime.Stack(buf, true)]), "sma/internal/server.")
 }
 
 // TestClientRetriesSheddingServer: a shed 503 is transient; the client's

@@ -8,7 +8,6 @@ import (
 	"log/slog"
 	"net/http"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -24,25 +23,31 @@ type Config struct {
 	// QueueTimeout bounds how long a request waits for an execution slot
 	// before a 503. Default 2s.
 	QueueTimeout time.Duration
-	// DefaultTimeout bounds execution of requests that carry no
-	// timeout_ms of their own. 0 (default) means no server-side deadline.
-	DefaultTimeout time.Duration
-	// FlushEveryRows is the row-frame interval between explicit flushes of
-	// a /query stream (the header and trailer always flush). Default 64.
-	FlushEveryRows int
-	// StatementDeadline arms the stuck-statement watchdog: a background
-	// loop force-cancels any statement that has been executing longer
-	// than this, even if its client is still connected and it carried no
-	// deadline of its own. 0 (default) disables the watchdog.
+	// StatementDeadline bounds every statement's execution, even one whose
+	// client is still connected and that carried no deadline of its own:
+	// it is a context deadline beside the request's timeout_ms and
+	// deadline_ms, the earliest wins, and a statement it stops answers 504
+	// and counts in watchdog_cancels. 0 (default) means no server bound.
 	StatementDeadline time.Duration
-	// IdempotencyCapacity bounds the /exec idempotency-key table; oldest
-	// completed entries are evicted first. Default 4096.
-	IdempotencyCapacity int
 	// Logger receives the server's structured request log: one record per
 	// statement with its query id, route, status, duration, and row count.
 	// nil discards the records; metrics accumulate either way.
 	Logger *slog.Logger
 }
+
+const (
+	// flushEveryRows is the row-frame interval between explicit flushes of
+	// a /query stream (the header and trailer always flush).
+	flushEveryRows = 64
+	// idempotencyCapacity bounds the /exec idempotency-key table; oldest
+	// completed entries are evicted first.
+	idempotencyCapacity = 4096
+)
+
+// errStatementDeadline is the cause of a statement context that
+// Config.StatementDeadline expired, telling the server's bound apart from
+// the request's own.
+var errStatementDeadline = errors.New("server: statement deadline exceeded")
 
 func (c Config) withDefaults() Config {
 	if c.MaxConcurrent <= 0 {
@@ -50,12 +55,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.QueueTimeout <= 0 {
 		c.QueueTimeout = 2 * time.Second
-	}
-	if c.FlushEveryRows <= 0 {
-		c.FlushEveryRows = 64
-	}
-	if c.IdempotencyCapacity <= 0 {
-		c.IdempotencyCapacity = 4096
 	}
 	return c
 }
@@ -71,11 +70,6 @@ type Server struct {
 	idem     *idempotency
 	m        metrics
 	log      *slog.Logger
-
-	// Stuck-statement watchdog lifecycle (nil channels when disarmed).
-	watchdogStop chan struct{}
-	watchdogDone chan struct{}
-	watchdogOnce sync.Once
 
 	// reg is the server-side metric registry: request totals, admission
 	// and session gauges, and per-route latency histograms. /metrics
@@ -94,53 +88,14 @@ func New(db *sma.DB, cfg Config) *Server {
 		start:    time.Now(),
 		adm:      newAdmission(cfg.MaxConcurrent),
 		sessions: newSessionTable(),
-		idem:     newIdempotency(cfg.IdempotencyCapacity),
+		idem:     newIdempotency(idempotencyCapacity),
 		log:      cfg.Logger,
 	}
 	if s.log == nil {
 		s.log = obs.DiscardLogger()
 	}
 	s.registerMetrics()
-	if cfg.StatementDeadline > 0 {
-		s.watchdogStop = make(chan struct{})
-		s.watchdogDone = make(chan struct{})
-		go s.watchdogLoop()
-	}
 	return s
-}
-
-// watchdogLoop periodically force-cancels statements running longer than
-// Config.StatementDeadline. The engine aborts a cancelled statement at
-// its next bucket or page boundary; DML unwinds atomically.
-func (s *Server) watchdogLoop() {
-	defer close(s.watchdogDone)
-	period := s.cfg.StatementDeadline / 4
-	if period < 10*time.Millisecond {
-		period = 10 * time.Millisecond
-	}
-	tick := time.NewTicker(period)
-	defer tick.Stop()
-	for {
-		select {
-		case <-s.watchdogStop:
-			return
-		case <-tick.C:
-		}
-		if n := s.sessions.cancelOlderThan(s.cfg.StatementDeadline); n > 0 {
-			s.m.watchdogCancels.Add(int64(n))
-			s.log.Warn("watchdog cancelled stuck statements",
-				"count", n, "deadline", s.cfg.StatementDeadline)
-		}
-	}
-}
-
-// stopWatchdog halts the watchdog loop; idempotent, safe when disarmed.
-func (s *Server) stopWatchdog() {
-	if s.watchdogStop == nil {
-		return
-	}
-	s.watchdogOnce.Do(func() { close(s.watchdogStop) })
-	<-s.watchdogDone
 }
 
 // registerMetrics builds the server registry. The request totals stay in
@@ -159,7 +114,7 @@ func (s *Server) registerMetrics() {
 	fromAtomic("sma_rows_streamed_total", "Result rows written to /query streams.", &s.m.rowsStreamed)
 	fromAtomic("sma_admission_timeouts_total", "Requests that timed out waiting for a slot.", &s.m.admissionTimeouts)
 	fromAtomic("sma_admission_rejected_total", "Requests rejected because the server was draining.", &s.m.admissionRejected)
-	fromAtomic("sma_watchdog_cancels_total", "Stuck statements force-cancelled by the watchdog.", &s.m.watchdogCancels)
+	fromAtomic("sma_watchdog_cancels_total", "Statements stopped by the server's statement deadline.", &s.m.watchdogCancels)
 	fromAtomic("sma_exec_idempotent_replays_total", "Keyed /exec duplicates answered from the recorded response.", &s.m.idemReplays)
 	r.GaugeFunc("sma_sessions_active", "Statements currently executing.", func() float64 {
 		active, _, _ := s.adm.snapshot()
@@ -260,7 +215,6 @@ func (s *Server) timed(route string, h http.HandlerFunc) http.HandlerFunc {
 // returning ctx's error, so the caller can always Close the database
 // immediately after Shutdown returns.
 func (s *Server) Shutdown(ctx context.Context) error {
-	defer s.stopWatchdog()
 	s.adm.beginDrain()
 	done := make(chan struct{})
 	go func() {
@@ -299,31 +253,48 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request) bool {
 }
 
 // statementContext derives the execution context of one statement: the
-// request context (cancelled by client disconnect) plus the per-request
-// or server-default timeout, plus the request's absolute deadline_ms if
-// any (the earlier of the two wins — context.WithDeadline never extends
-// a parent), registered in the session table so the watchdog and a
-// forced shutdown can cancel it.
+// request context (cancelled by client disconnect) bounded by the earliest
+// of the request's timeout_ms, its absolute deadline_ms and the server's
+// StatementDeadline, registered in the session table so a forced shutdown
+// can cancel it. Only the server's bound sets errStatementDeadline as the
+// cause.
 func (s *Server) statementContext(r *http.Request, timeoutMillis, deadlineMillis int64, kind, sql string) (context.Context, *session, context.CancelFunc) {
-	var ctx context.Context
-	var cancel context.CancelFunc
-	d := time.Duration(timeoutMillis) * time.Millisecond
-	if d <= 0 {
-		d = s.cfg.DefaultTimeout
+	now := time.Now()
+	var deadline time.Time
+	var cause error
+	bound := func(t time.Time, c error) {
+		if deadline.IsZero() || t.Before(deadline) {
+			deadline, cause = t, c
+		}
 	}
-	if d > 0 {
-		ctx, cancel = context.WithTimeout(r.Context(), d)
-	} else {
-		ctx, cancel = context.WithCancel(r.Context())
+	if timeoutMillis > 0 {
+		bound(now.Add(time.Duration(timeoutMillis)*time.Millisecond), nil)
 	}
 	if deadlineMillis > 0 {
-		var cancelAbs context.CancelFunc
-		ctx, cancelAbs = context.WithDeadline(ctx, time.UnixMilli(deadlineMillis))
-		inner := cancel
-		cancel = func() { cancelAbs(); inner() }
+		bound(time.UnixMilli(deadlineMillis), nil)
+	}
+	if d := s.cfg.StatementDeadline; d > 0 {
+		bound(now.Add(d), errStatementDeadline)
+	}
+	var ctx context.Context
+	var cancel context.CancelFunc
+	if deadline.IsZero() {
+		ctx, cancel = context.WithCancel(r.Context())
+	} else {
+		ctx, cancel = context.WithDeadlineCause(r.Context(), deadline, cause)
 	}
 	sess := s.sessions.add(kind, sql, cancel)
 	return ctx, sess, cancel
+}
+
+// noteDeadline counts a statement in watchdog_cancels when err ended it
+// because the server's StatementDeadline expired. Each handler calls it
+// once, with the error its statement ended with.
+func (s *Server) noteDeadline(ctx context.Context, err error) {
+	if isCancel(err) && errors.Is(context.Cause(ctx), errStatementDeadline) {
+		s.m.watchdogCancels.Add(1)
+		s.log.Warn("statement deadline exceeded", "deadline", s.cfg.StatementDeadline)
+	}
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
@@ -346,29 +317,29 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if req.DOP > 0 {
 		opts = append(opts, sma.WithQueryParallelism(req.DOP))
 	}
-	if req.BatchSize != nil {
-		opts = append(opts, sma.WithQueryBatchSize(*req.BatchSize))
-	}
 	if req.Trace {
 		opts = append(opts, sma.WithQueryTrace())
 	}
 	start := time.Now()
 	rows, err := s.db.QueryContext(ctx, req.SQL, opts...)
 	if err != nil {
+		s.noteDeadline(ctx, err)
 		s.log.Warn("query rejected", "err", err)
 		s.writeError(w, statusFor(err), err)
 		return
 	}
 	defer rows.Close()
-	count := s.streamRows(ctx, w, rows, req.Trace)
+	count, err := s.streamRows(ctx, w, rows, req.Trace)
+	s.noteDeadline(ctx, err)
 	s.log.Debug("query", "qid", rows.QueryID(), "strategy", rows.Strategy(),
-		"dur", time.Since(start), "rows", count, "err", rows.Err())
+		"dur", time.Since(start), "rows", count, "err", err)
 }
 
 // streamRows writes the NDJSON frame stream of one query, returning the
-// row count for the request log. Once the header frame is out the HTTP
-// status is committed, so later failures travel as in-band error frames.
-func (s *Server) streamRows(ctx context.Context, w http.ResponseWriter, rows *sma.Rows, traced bool) int64 {
+// row count for the request log and the error that ended the stream. Once
+// the header frame is out the HTTP status is committed, so later failures
+// travel as in-band error frames.
+func (s *Server) streamRows(ctx context.Context, w http.ResponseWriter, rows *sma.Rows, traced bool) (int64, error) {
 	start := time.Now()
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	bw := bufio.NewWriter(w)
@@ -400,12 +371,11 @@ func (s *Server) streamRows(ctx context.Context, w http.ResponseWriter, rows *sm
 		vals, err := rows.RowStrings()
 		if err != nil {
 			s.m.rowsStreamed.Add(count)
-			s.streamError(bw, flush, err)
-			return count
+			return count, s.streamError(bw, flush, err)
 		}
 		enc.Encode(Frame{Row: vals})
 		count++
-		if count%int64(s.cfg.FlushEveryRows) == 0 {
+		if count%flushEveryRows == 0 {
 			flush()
 			// The engine checks the context at page boundaries, but rows
 			// already resident never hit one: surface a client disconnect
@@ -413,15 +383,13 @@ func (s *Server) streamRows(ctx context.Context, w http.ResponseWriter, rows *sm
 			// stream under a success trailer.
 			if err := ctx.Err(); err != nil {
 				s.m.rowsStreamed.Add(count)
-				s.streamError(bw, flush, err)
-				return count
+				return count, s.streamError(bw, flush, err)
 			}
 		}
 	}
 	s.m.rowsStreamed.Add(count)
 	if err := rows.Err(); err != nil {
-		s.streamError(bw, flush, err)
-		return count
+		return count, s.streamError(bw, flush, err)
 	}
 	if traced {
 		if node := rows.Trace(); node != nil {
@@ -442,11 +410,12 @@ func (s *Server) streamRows(ctx context.Context, w http.ResponseWriter, rows *sm
 	}
 	enc.Encode(Frame{Trailer: trailer})
 	flush()
-	return count
+	return count, nil
 }
 
-// streamError terminates a committed stream with an in-band error frame.
-func (s *Server) streamError(bw *bufio.Writer, flush func(), err error) {
+// streamError terminates a committed stream with an in-band error frame,
+// returning err.
+func (s *Server) streamError(bw *bufio.Writer, flush func(), err error) error {
 	if isCancel(err) {
 		s.m.cancelled.Add(1)
 	} else {
@@ -454,6 +423,7 @@ func (s *Server) streamError(bw *bufio.Writer, flush func(), err error) {
 	}
 	json.NewEncoder(bw).Encode(Frame{Error: err.Error()})
 	flush()
+	return err
 }
 
 func (s *Server) handleExec(w http.ResponseWriter, r *http.Request) {
@@ -494,6 +464,7 @@ func (s *Server) handleExec(w http.ResponseWriter, r *http.Request) {
 
 	start := time.Now()
 	res, err := s.db.ExecContext(ctx, req.SQL)
+	s.noteDeadline(ctx, err)
 	if err != nil {
 		status, body := statusFor(err), s.errorBody(err)
 		if entry != nil {

@@ -146,7 +146,7 @@ func TestBadRequests(t *testing.T) {
 		``, `{`, `{"sql": ""}`, `{"sql": "select 1", "bogus": true}`,
 		`{"sql": "select 1"} trailing`, `{"sql": "select 1", "dop": -1}`,
 		`{"sql": "select 1", "timeout_ms": -5}`,
-		`{"sql": "select 1", "batch_size": 2000000000}`,
+		`{"sql": "select 1", "batch_size": 16}`, // not a request field
 		`{"sql": "select 1", "batch_size": -1}`,
 	} {
 		resp, err := http.Post(ts.Base+"/query", "application/json", strings.NewReader(body))
@@ -167,7 +167,7 @@ func TestBadRequests(t *testing.T) {
 	}
 	// Query-only knobs on Exec are rejected client-side, not dropped.
 	if _, err := c.Exec(context.Background(), "delete from X", client.WithDOP(4)); err == nil ||
-		!strings.Contains(err.Error(), "do not apply") {
+		!strings.Contains(err.Error(), "does not apply") {
 		t.Fatalf("Exec with WithDOP: got %v, want rejection", err)
 	}
 }
@@ -232,9 +232,9 @@ func TestStatusAndMetrics(t *testing.T) {
 // slowServer returns a server whose full scans take hundreds of
 // milliseconds: simulated per-page read latency, prefetch off, and a
 // table spanning a few hundred pages. The table is loaded through the
-// database, not the server, so a StatementDeadline's watchdog sees only
-// the statements the test sends — the 2 000-row insert alone can take
-// 100 ms under -race.
+// database, not the server, so a StatementDeadline bounds only the
+// statements the test sends — the 2 000-row insert alone can take 100 ms
+// under -race.
 func slowServer(t *testing.T, cfg server.Config) *testServer {
 	t.Helper()
 	ts := startServer(t, []sma.Option{
@@ -379,9 +379,9 @@ func TestShutdownForcedCancel(t *testing.T) {
 	}
 }
 
-// TestPerQueryKnobs exercises dop/batch_size/timeout_ms through the wire:
-// serial vs parallel and default vs tiny batches must return identical
-// bytes, and a tiny deadline must abort the scan with an error.
+// TestPerQueryKnobs exercises dop/timeout_ms through the wire: serial and
+// parallel must return identical bytes, and a tiny deadline must abort the
+// scan with an error.
 func TestPerQueryKnobs(t *testing.T) {
 	ts := startServer(t, []sma.Option{sma.WithParallelism(4)}, server.Config{})
 	c := client.New(ts.Base)
@@ -396,9 +396,8 @@ func TestPerQueryKnobs(t *testing.T) {
 	q := "select K, sum(V) as SV from S group by K order by K"
 	base := collectQuery(t, c, q)
 	for name, opts := range map[string][]client.QueryOption{
-		"serial":  {client.WithDOP(1)},
-		"dop4":    {client.WithDOP(4)},
-		"batch16": {client.WithBatchSize(16)},
+		"serial": {client.WithDOP(1)},
+		"dop4":   {client.WithDOP(4)},
 	} {
 		if got := collectQuery(t, c, q, opts...); fmt.Sprint(got) != fmt.Sprint(base) {
 			t.Errorf("%s: %v != base %v", name, got, base)

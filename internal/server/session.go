@@ -96,12 +96,11 @@ func (a *admission) snapshot() (int, int, bool) {
 
 // session is one admitted in-flight statement.
 type session struct {
-	id       int64
-	kind     string // "query" or "exec"
-	sql      string
-	start    time.Time
-	cancel   context.CancelFunc
-	watchdog bool // already cancelled by the watchdog (count once)
+	id     int64
+	kind   string // "query" or "exec"
+	sql    string
+	start  time.Time
+	cancel context.CancelFunc
 }
 
 // sessionTable tracks in-flight statements so /status can list them and a
@@ -140,23 +139,6 @@ func (st *sessionTable) cancelAll() {
 	for _, s := range st.m {
 		s.cancel()
 	}
-}
-
-// cancelOlderThan cancels every live session that has been running longer
-// than d and reports how many it cancelled. Each session is counted once:
-// the watchdog ticks repeatedly but a statement only gets one cancel.
-func (st *sessionTable) cancelOlderThan(d time.Duration) int {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	n := 0
-	for _, s := range st.m {
-		if !s.watchdog && time.Since(s.start) > d {
-			s.cancel()
-			s.watchdog = true
-			n++
-		}
-	}
-	return n
 }
 
 // list snapshots the live sessions in id order for /status.

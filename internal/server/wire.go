@@ -4,7 +4,7 @@
 //
 // Wire protocol (JSON over HTTP):
 //
-//	POST /query  {"sql": "...", "dop": 4, "batch_size": 1024, "timeout_ms": 5000, "trace": true}
+//	POST /query  {"sql": "...", "dop": 4, "timeout_ms": 5000, "trace": true}
 //	  → 200, Content-Type application/x-ndjson: one JSON frame per line —
 //	    first a header frame {"header": {columns, types, strategy, parallelism,
 //	    query_id}}, then a row frame {"row": ["...", ...]} per result row
@@ -28,18 +28,21 @@
 // deadline in Unix milliseconds that propagates into the statement's
 // context — the knob retries use so a statement never outlives its
 // original deadline no matter how many attempts carried it. "timeout_ms"
-// is the equivalent relative form; when both are set the earlier wins.
+// is the equivalent relative form. The server's own bound
+// (Config.StatementDeadline) joins them, and the earliest of the three
+// wins.
 //
 // An /exec carrying an "idempotency_key" is executed at most once: while
 // the first attempt is in flight, duplicates wait for it; afterwards they
 // receive a replay of its recorded response without touching the engine.
-// Keys fall out of the table LRU-style (see Config.IdempotencyCapacity),
-// and do not survive a server restart.
+// Keys fall out of the table LRU-style (4096 entries, oldest completed
+// first), and do not survive a server restart.
 //
 // Requests rejected before execution answer a JSON error body with an HTTP
 // status: 400 (malformed request or SQL), 503 (admission queue timeout,
 // server draining — both with Retry-After — or database degraded, marked
-// "degraded": true in the body), 504 (per-query deadline exceeded).
+// "degraded": true in the body), 504 (a deadline exceeded: the request's
+// or the server's).
 package server
 
 import (
@@ -61,10 +64,6 @@ const (
 	MaxBodyBytes = MaxSQLBytes + 4096
 	// MaxDOP caps the per-request degree of parallelism.
 	MaxDOP = 512
-	// MaxBatchSize caps the per-request tuples-per-batch target: batch
-	// buffers are sized batch×record up front, so an unbounded value
-	// would let one request allocate the server to death.
-	MaxBatchSize = 1 << 16
 	// MaxTimeoutMillis caps the per-request deadline (24h).
 	MaxTimeoutMillis = 24 * 60 * 60 * 1000
 	// MaxIdempotencyKeyBytes caps the /exec idempotency key length.
@@ -77,9 +76,6 @@ type QueryRequest struct {
 	// DOP overrides the server's degree of intra-query parallelism for
 	// this query (0 keeps the server default, 1 forces serial).
 	DOP int `json:"dop,omitempty"`
-	// BatchSize overrides the tuples-per-batch target (absent keeps the
-	// server default, 0 the engine default size).
-	BatchSize *int `json:"batch_size,omitempty"`
 	// TimeoutMillis bounds execution; past it the query fails with 504 (or
 	// an in-stream error frame once streaming began). 0 means no deadline.
 	TimeoutMillis int64 `json:"timeout_ms,omitempty"`
@@ -119,9 +115,6 @@ func DecodeQueryRequest(r io.Reader) (*QueryRequest, error) {
 	}
 	if req.DOP < 0 || req.DOP > MaxDOP {
 		return nil, fmt.Errorf("dop %d out of range [0, %d]", req.DOP, MaxDOP)
-	}
-	if req.BatchSize != nil && (*req.BatchSize < 0 || *req.BatchSize > MaxBatchSize) {
-		return nil, fmt.Errorf("batch_size %d out of range [0, %d]", *req.BatchSize, MaxBatchSize)
 	}
 	if err := validateTimeout(req.TimeoutMillis); err != nil {
 		return nil, err

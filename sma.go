@@ -161,14 +161,6 @@ func WithSlowQueryLog(d time.Duration) Option {
 	return func(o *openConfig) { o.slow = d }
 }
 
-// WithStatementTimeout bounds every statement's execution time: DML and
-// queries run under a context that expires after d, aborting scans at
-// the next bucket or page boundary. 0 (the default) disables the bound.
-// Serving layers use it as the stuck-statement watchdog floor.
-func WithStatementTimeout(d time.Duration) Option {
-	return func(o *openConfig) { o.eng.StatementTimeout = d }
-}
-
 // WithVerifyOnOpen makes Open run a full scrub pass — every heap page
 // checksum verified, every SMA file reloaded — before serving. Damage
 // does not fail Open; it quarantines the pages and the database comes up
@@ -211,12 +203,6 @@ type QueryOption = engine.QueryOption
 // one query: 1 forces serial execution, n > 1 requests n partition workers
 // (capped by the work the plan dispatches), 0 keeps the database default.
 func WithQueryParallelism(n int) QueryOption { return engine.WithDOP(n) }
-
-// WithQueryBatchSize overrides the database's tuples-per-batch target for
-// one query; n <= 0 batches at the default size. Results are identical
-// for every n; the knob exists for serving layers that let clients choose
-// per request.
-func WithQueryBatchSize(n int) QueryOption { return engine.WithBatchSize(n) }
 
 // WithQueryTrace renders one query's statement record as a trace: the
 // phases parse → plan → grade → scan → fold (or merge, with one row per
@@ -443,11 +429,13 @@ func (db *DB) Query(query string, opts ...QueryOption) (*Rows, error) {
 // entrypoint: "define sma", "drop sma <name> on <table>", "create table",
 // "insert into <table> [(cols)] values (...), (...)", "update <table> set
 // col = expr [, ...] [where ...]", and "delete from <table> [where ...]".
-// DML maintains every SMA of the table incrementally (appends and
-// sum/count updates in O(1) per SMA-file, boundary-moving min/max updates
-// and deletes with at most one bucket rescan) and holds the write lock for
-// the whole statement, so concurrent queries — parallel ones included —
-// never observe a half-applied statement.
+// DML maintains every SMA of the table by the paper's two rules: an
+// INSERT extends the last bucket's entries in O(1) per row and SMA-file,
+// and an UPDATE or DELETE refolds each bucket it wrote in once, at
+// statement end, into every SMA of the table, so every SMA equals a fresh
+// build bit for bit. The statement holds the write lock throughout, so
+// concurrent queries — parallel ones included — never observe a
+// half-applied statement.
 func (db *DB) ExecContext(ctx context.Context, stmt string) (*ExecResult, error) {
 	res, err := db.eng.ExecContext(ctx, stmt)
 	if err != nil {

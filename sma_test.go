@@ -453,43 +453,3 @@ func TestCatalogSnapshot(t *testing.T) {
 		t.Fatalf("PoolStats saw no traffic: %+v", ps)
 	}
 }
-
-// TestQueryBatchSizeOption checks the per-query batch override returns
-// identical bytes at the default, with n <= 0 (which means the default),
-// and in tiny batches.
-func TestQueryBatchSizeOption(t *testing.T) {
-	db, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	if _, err := db.Exec("create table T (K char(1), V float64)"); err != nil {
-		t.Fatal(err)
-	}
-	tbl, _ := db.Table("T")
-	for i := 0; i < 5000; i++ {
-		if _, err := tbl.Append(string(rune('A'+i%4)), float64(i%97)+0.5); err != nil {
-			t.Fatal(err)
-		}
-	}
-	q := "select K, sum(V) as S, count(*) as C from T group by K order by K"
-	render := func(opts ...QueryOption) string {
-		t.Helper()
-		rows, err := db.Query(q, opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := Collect(rows)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.String()
-	}
-	base := render()
-	if got := render(WithQueryBatchSize(-1)); got != base {
-		t.Fatalf("batch=-1 differs:\n%s\nvs\n%s", got, base)
-	}
-	if got := render(WithQueryBatchSize(7)); got != base {
-		t.Fatalf("batch=7 differs:\n%s\nvs\n%s", got, base)
-	}
-}
