@@ -2,12 +2,13 @@ package main
 
 // The obs experiment measures what the observability subsystem costs on
 // the paper's Query 1 (warm, SMA-covered, dop=1): the same query runs
-// with observability off (the WithoutObservability baseline), with the
-// observer on but tracing off (the default production configuration —
-// metrics plus the statement-stats collector behind the introspection
-// catalog, so fingerprinting and per-query stats accounting are inside
-// this measurement), and with per-query tracing on. -out writes ns/op per
-// configuration and the overhead percentages as JSON.
+// with observability off (an engine opened with a nil Options.Obs, which
+// the public sma.Open never does), with the observer on but tracing off
+// (the production configuration — metrics plus the statement-stats
+// collector behind the introspection catalog, so fingerprinting and
+// per-query stats accounting are inside this measurement), and with
+// per-query tracing on. -out writes ns/op per configuration and the
+// overhead percentages as JSON.
 //
 // The timing is advisory: on a ~35–55 µs statement four runs a side spread
 // −1.8…+5.2 %, so this instrument resolves 2–3 µs and cannot hold a bar

@@ -142,7 +142,7 @@ func main() {
 		scheme = "https"
 	}
 	fmt.Fprintf(os.Stderr, "smaserverd: serving %s on %s://%s (tables: %d)\n",
-		*dir, scheme, ln.Addr(), len(db.TableNames()))
+		*dir, scheme, ln.Addr(), len(db.Tables()))
 
 	errc := make(chan error, 1)
 	go func() {

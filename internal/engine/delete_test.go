@@ -9,10 +9,10 @@ import (
 	"sma/internal/tuple"
 )
 
-// TestEngineDeleteMaintainsSMAs: deletes through the Table keep SMAs valid
-// and query results correct.
+// TestEngineDeleteMaintainsSMAs: a SQL DELETE keeps SMAs valid and query
+// results correct.
 func TestEngineDeleteMaintainsSMAs(t *testing.T) {
-	db, tbl := openSales(t, t.TempDir())
+	db, _ := openSales(t, t.TempDir())
 	defer db.Close()
 	for _, ddl := range []string{
 		"define sma dmin select min(SALE_DATE) from SALES",
@@ -24,28 +24,17 @@ func TestEngineDeleteMaintainsSMAs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	before, err := engine.Collect(db, "select count(*) as N from SALES")
-	if err != nil {
-		t.Fatal(err)
+	// The first two days: the front of the first page.
+	if res := exec(t, db, "delete from SALES where SALE_DATE < date '2021-01-03'"); res.RowsAffected != 20 {
+		t.Fatalf("%d rows deleted, want 20", res.RowsAffected)
 	}
-	// Delete the first 25 records (first page region).
-	for slot := 0; slot < 25; slot++ {
-		page := storage.PageID(slot / tbl.Heap.RecordsPerPage())
-		if err := tbl.Delete(storage.RID{Page: page, Slot: slot % tbl.Heap.RecordsPerPage()}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, s := range tbl.SMAs() {
-		if err := s.Verify(tbl.Heap); err != nil {
-			t.Errorf("after deletes: %v", err)
-		}
-	}
+	verifyAll(t, db, "SALES")
 	after, err := engine.Collect(db, "select count(*) as N from SALES")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if before.Rows[0][0] == after.Rows[0][0] {
-		t.Errorf("count unchanged after deletes: %s", after.Rows[0][0])
+	if after.Rows[0][0] != "3630" {
+		t.Errorf("count after deletes = %s, want 3630", after.Rows[0][0])
 	}
 }
 
@@ -57,11 +46,7 @@ func TestEngineDeletePersistence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for slot := 0; slot < 10; slot++ {
-		if err := tbl.Delete(storage.RID{Page: 0, Slot: slot}); err != nil {
-			t.Fatal(err)
-		}
-	}
+	exec(t, db, "delete from SALES where SALE_DATE = date '2021-01-01'") // slots 0–9 of page 0
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -86,8 +71,8 @@ func TestEngineDeletePersistence(t *testing.T) {
 		t.Errorf("deleted record resurfaced after reopen")
 	}
 	// Deleting more after reopen still works.
-	if err := tbl2.Delete(storage.RID{Page: 0, Slot: 20}); err != nil {
-		t.Fatal(err)
+	if res := exec(t, db2, "delete from SALES where SALE_DATE = date '2021-01-03' and AMOUNT = 2"); res.RowsAffected != 1 {
+		t.Fatalf("%d rows deleted after reopen, want 1", res.RowsAffected)
 	}
 	tp := tuple.NewTuple(tbl2.Schema)
 	tp.SetInt32(0, tuple.DateFromYMD(2023, 1, 1))
@@ -105,28 +90,28 @@ func TestEngineDeletePersistence(t *testing.T) {
 	}
 }
 
-// TestTableUpdateRejectsWrongWidth: Table.Update refuses a tuple whose width
-// is not the table's record size, as Append does, and leaves the record as
-// it was — the heap would copy a short image over the front of the slot.
-func TestTableUpdateRejectsWrongWidth(t *testing.T) {
+// TestTableAppendRejectsWrongWidth: Table.Append refuses a tuple whose
+// width is not the table's record size and leaves the table as it was —
+// the heap would otherwise place a short image or cut a long one.
+func TestTableAppendRejectsWrongWidth(t *testing.T) {
 	db, tbl := openSales(t, t.TempDir())
 	defer db.Close()
-	rid := storage.RID{Page: 0, Slot: 0}
-	before, err := tbl.Get(rid)
+	n0, err := tbl.Heap.NumRecords()
 	if err != nil {
 		t.Fatal(err)
 	}
+	pages0 := tbl.Heap.NumPages()
 	for _, width := range []int{tbl.Schema.RecordSize() - 1, tbl.Schema.RecordSize() + 1} {
 		bad := tuple.Tuple{Schema: tbl.Schema, Data: bytes.Repeat([]byte{0xff}, width)}
-		if err := tbl.Update(rid, bad); err == nil {
+		if _, err := tbl.Append(bad); err == nil {
 			t.Errorf("a %d-byte tuple was accepted for %d-byte records", width, tbl.Schema.RecordSize())
 		}
 	}
-	after, err := tbl.Get(rid)
+	n1, err := tbl.Heap.NumRecords()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(after.Data, before.Data) {
-		t.Errorf("record changed from %x to %x", before.Data, after.Data)
+	if n1 != n0 || tbl.Heap.NumPages() != pages0 {
+		t.Errorf("table changed: %d records on %d pages, was %d on %d", n1, tbl.Heap.NumPages(), n0, pages0)
 	}
 }

@@ -58,26 +58,45 @@ func (db *DB) insertInto(ctx context.Context, s *parser.InsertStmt) (int64, comm
 			}
 		}
 	}
-	j, err := db.beginStmt(t)
-	if err != nil {
-		return 0, commit{}, err
-	}
-	for rest := recs; len(rest) > 0; {
-		err := ctx.Err()
-		if err == nil {
-			var placed int
-			_, placed, err = j.appendRun(rest)
-			rest = rest[placed*rs:]
-		}
-		if err != nil {
-			return 0, commit{}, db.abortStmt(j, err)
-		}
-	}
-	c, err := db.commitStmt(j)
+	_, c, err := db.appendRows(ctx, t, recs)
 	if err != nil {
 		return 0, commit{}, err
 	}
 	return int64(n), c, nil
+}
+
+// appendRows appends the packed records recs to t as one statement, a page
+// run at a time, checking the context before each run; any error rolls the
+// statement back. It is the one append path: INSERT and Table.Append both
+// run it. It returns the first record's position and the statement's
+// commit. Callers hold db.mu.
+func (db *DB) appendRows(ctx context.Context, t *Table, recs []byte) (storage.RID, commit, error) {
+	j, err := db.beginStmt(t)
+	if err != nil {
+		return storage.RID{}, commit{}, err
+	}
+	var first storage.RID
+	rs := t.Schema.RecordSize()
+	for rest := recs; len(rest) > 0; {
+		err := ctx.Err()
+		if err == nil {
+			var rid storage.RID
+			var placed int
+			rid, placed, err = j.appendRun(rest)
+			if len(rest) == len(recs) {
+				first = rid
+			}
+			rest = rest[placed*rs:]
+		}
+		if err != nil {
+			return storage.RID{}, commit{}, db.abortStmt(j, err)
+		}
+	}
+	c, err := db.commitStmt(j)
+	if err != nil {
+		return storage.RID{}, commit{}, err
+	}
+	return first, c, nil
 }
 
 // insertColumnOrder maps the statement's column list (or the schema order
@@ -247,9 +266,8 @@ func qualifying(ctx context.Context, t *Table, p pred.Predicate, rec *stats.Reco
 }
 
 // applyRows runs n journaled mutations of t as one statement — the rows of
-// an UPDATE or DELETE, or the one row of Table.Update and Table.Delete —
-// checking the context before each. Any error rolls the statement back.
-// Callers hold db.mu.
+// an UPDATE or DELETE — checking the context before each. Any error rolls
+// the statement back. Callers hold db.mu.
 func (db *DB) applyRows(ctx context.Context, t *Table, n int, mutate func(j *stmtJournal, i int) error) (int64, commit, error) {
 	j, err := db.beginStmt(t)
 	if err != nil {

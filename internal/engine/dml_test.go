@@ -380,11 +380,10 @@ func TestDMLReadsOnlySurvivingBuckets(t *testing.T) {
 }
 
 // BenchmarkDML times UPDATE and DELETE on a shipdate-sorted LINEITEM (sf
-// 0.01) under the paper's eight Query 1 SMAs: a one-month range UPDATE, a
-// one-month range DELETE (a different month each time, the table rebuilt
-// once every month is gone) and a one-row Table.Update by RID. The SQL
-// statements include the durability wait; the RID update, the raw table
-// API, has none. fetches/op counts buffer-pool page fetches.
+// 0.01) under the paper's eight Query 1 SMAs: a one-month range UPDATE and
+// a one-month range DELETE (a different month each time, the table rebuilt
+// once every month is gone). Both include the durability wait. fetches/op
+// counts buffer-pool page fetches.
 func BenchmarkDML(b *testing.B) {
 	open := func(b *testing.B) (*engine.DB, *engine.Table) {
 		db := openLineItem(b, 0.01, tpcd.OrderSorted)
@@ -437,21 +436,5 @@ func BenchmarkDML(b *testing.B) {
 			n += fetches(tbl) - f0
 		}
 		b.ReportMetric(float64(n)/float64(b.N), "fetches/op")
-	})
-	b.Run("rid_update", func(b *testing.B) {
-		_, tbl := open(b)
-		rid := storage.RID{Page: storage.PageID(tbl.Heap.NumPages() / 2), Slot: 3}
-		tp, err := tbl.Get(rid)
-		if err != nil {
-			b.Fatal(err)
-		}
-		q := tbl.Schema.ColumnIndex("L_QUANTITY")
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			tp.SetFloat64(q, float64(1+i%50))
-			if err := tbl.Update(rid, tp); err != nil {
-				b.Fatal(err)
-			}
-		}
 	})
 }

@@ -61,8 +61,9 @@ type Options struct {
 	PrefetchWindow int
 	// Obs enables the observability subsystem: the unified metrics
 	// registry, structured engine logs with per-query ids, the slow-query
-	// log, and the statement-stats collector. Nil disables all of it; the
-	// disabled path costs one pointer test per query. Tracing (EXPLAIN
+	// log, and the statement-stats collector. The public sma.Open always
+	// sets one; nil — the engine tests and the ledger's overhead baseline —
+	// disables all of it at one pointer test per query. Tracing (EXPLAIN
 	// ANALYZE, WithTrace) is per-query and works either way. An
 	// Observer registers engine-wide metric families, so it must not be
 	// shared by two open databases.
@@ -260,11 +261,6 @@ func Open(dir string, opts Options) (*DB, error) {
 // Dir returns the database directory.
 func (db *DB) Dir() string { return db.dir }
 
-// Observer returns the database's observer (nil when observability is
-// disabled). The serving layer uses it to share the query-id space and
-// the structured logger with the engine.
-func (db *DB) Observer() *obs.Observer { return db.opts.Obs }
-
 // WritePrometheus renders the engine-side metric families (engine,
 // storage, parallel, and buffer-pool) in Prometheus text exposition
 // format. With observability disabled it writes nothing.
@@ -455,13 +451,6 @@ func (db *DB) Table(name string) (*Table, error) {
 	return db.table(name)
 }
 
-// Tables lists table names in sorted order.
-func (db *DB) Tables() []string {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.tableNames()
-}
-
 // tableNames lists names without locking; callers hold db.mu.
 func (db *DB) tableNames() []string {
 	out := make([]string, 0, len(db.tables))
@@ -472,7 +461,8 @@ func (db *DB) tableNames() []string {
 	return out
 }
 
-// Append adds a tuple and maintains every SMA of the table. The append is
+// Append adds a tuple and maintains every SMA of the table: a one-row
+// statement on INSERT's append path (appendRows), unrecorded. The append is
 // atomic — a failed maintenance hook rolls the heap back — and is redo-
 // logged but NOT waited on: the raw table API is the bulk-load path, so
 // durability comes from the sync policy's background machinery, an
@@ -484,74 +474,20 @@ func (t *Table) Append(tp tuple.Tuple) (storage.RID, error) {
 	if err := db.checkOpen(); err != nil {
 		return storage.RID{}, err
 	}
-	if err := t.checkWidth(tp, "appended to"); err != nil {
+	if err := t.checkWidth(tp); err != nil {
 		return storage.RID{}, err
 	}
-	j, err := db.beginStmt(t)
-	if err != nil {
-		return storage.RID{}, err
-	}
-	rid, _, err := j.appendRun(tp.Data)
-	if err != nil {
-		return storage.RID{}, db.abortStmt(j, err)
-	}
-	if _, err := db.commitStmt(j); err != nil {
-		return storage.RID{}, err
-	}
-	return rid, nil
-}
-
-// Update overwrites the record at rid, then refolds its bucket in every
-// SMA of the table: the bucket is read once and folded whole, dearer than
-// a per-row delta but bit-identical to a fresh build. Atomicity and
-// durability are Append's.
-func (t *Table) Update(rid storage.RID, tp tuple.Tuple) error {
-	db := t.db
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if err := db.checkOpen(); err != nil {
-		return err
-	}
-	if err := t.checkWidth(tp, "written to"); err != nil {
-		return err
-	}
-	old, err := t.Heap.Get(rid)
-	if err != nil {
-		return err
-	}
-	_, _, err = db.applyRows(context.Background(), t, 1, func(j *stmtJournal, _ int) error { return j.update(rid, old, tp) })
-	return err
-}
-
-// Delete marks the record at rid as deleted, then refolds its bucket in
-// every SMA of the table, with Append's atomicity and durability. The
-// delete vector is persisted at every checkpoint.
-func (t *Table) Delete(rid storage.RID) error {
-	db := t.db
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if err := db.checkOpen(); err != nil {
-		return err
-	}
-	_, _, err := db.applyRows(context.Background(), t, 1, func(j *stmtJournal, _ int) error { return j.delete(rid) })
-	return err
+	rid, _, err := db.appendRows(context.Background(), t, tp.Data)
+	return rid, err
 }
 
 // checkWidth rejects a tuple whose width is not the table's record size.
-func (t *Table) checkWidth(tp tuple.Tuple, verb string) error {
+func (t *Table) checkWidth(tp tuple.Tuple) error {
 	if len(tp.Data) != t.Schema.RecordSize() {
-		return fmt.Errorf("engine: tuple of %d bytes %s %s, whose records have %d",
-			len(tp.Data), verb, t.Name, t.Schema.RecordSize())
+		return fmt.Errorf("engine: tuple of %d bytes appended to %s, whose records have %d",
+			len(tp.Data), t.Name, t.Schema.RecordSize())
 	}
 	return nil
-}
-
-// Get reads the record at rid under the read lock. The returned tuple is
-// owned by the caller.
-func (t *Table) Get(rid storage.RID) (tuple.Tuple, error) {
-	t.db.mu.RLock()
-	defer t.db.mu.RUnlock()
-	return t.Heap.Get(rid)
 }
 
 // VerifySMA recomputes one SMA from the heap and compares it against the
@@ -566,7 +502,9 @@ func (t *Table) VerifySMA(name string) error {
 	return s.Verify(t.Heap)
 }
 
-// SMAs returns the table's SMAs in name order.
+// SMAs returns the table's SMAs in name order without locking: callers
+// hold db.mu, or own the database alone. Catalog and SMAInfos are the
+// locked views.
 func (t *Table) SMAs() []*core.SMA {
 	names := make([]string, 0, len(t.smas))
 	for n := range t.smas {
@@ -580,10 +518,68 @@ func (t *Table) SMAs() []*core.SMA {
 	return out
 }
 
-// SMA returns one SMA by name.
-func (t *Table) SMA(name string) (*core.SMA, bool) {
-	s, ok := t.smas[strings.ToLower(name)]
-	return s, ok
+// TableInfo is one table's catalog entry: schema, size and SMAs.
+type TableInfo struct {
+	Name   string
+	Schema *tuple.Schema
+	// Rows is the live record count (deleted tuples excluded); -1 when the
+	// count failed with an I/O error.
+	Rows        int64
+	Pages       int64
+	Buckets     int
+	BucketPages int
+	SMAs        []SMAInfo
+}
+
+// SMAInfo describes one SMA of a table.
+type SMAInfo struct {
+	Name string
+	// SQL is the defining DDL ("define sma ... select ... from ...").
+	SQL     string
+	Files   int
+	Pages   int64
+	Buckets int
+}
+
+// Catalog snapshots every table in name order under one read lock, so no
+// entry races DDL or a write statement.
+func (db *DB) Catalog() []TableInfo {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	out := make([]TableInfo, 0, len(db.tables))
+	for _, name := range db.tableNames() {
+		t := db.tables[name]
+		rows, err := t.Heap.NumRecords() //lint:allow ctxscan one tail-page read per table, no scan
+		if err != nil {
+			rows = -1 // the catalog stays usable when a count hits an I/O error
+		}
+		out = append(out, TableInfo{
+			Name: t.Name, Schema: t.Schema, Rows: rows,
+			Pages: t.Heap.NumPages(), Buckets: t.Heap.NumBuckets(), BucketPages: t.BucketPages,
+			SMAs: t.smaInfos(),
+		})
+	}
+	return out
+}
+
+// SMAInfos describes the table's SMAs in name order under the read lock.
+func (t *Table) SMAInfos() []SMAInfo {
+	t.db.mu.RLock()
+	defer t.db.mu.RUnlock()
+	return t.smaInfos()
+}
+
+// smaInfos describes the table's SMAs; callers hold db.mu.
+func (t *Table) smaInfos() []SMAInfo {
+	smas := t.SMAs()
+	out := make([]SMAInfo, len(smas))
+	for i, s := range smas {
+		out[i] = SMAInfo{
+			Name: s.Def.Name, SQL: s.Def.String(),
+			Files: s.NumFiles(), Pages: s.PagesUsed(), Buckets: s.NumBuckets,
+		}
+	}
+	return out
 }
 
 // NumRecords counts the table's live records (deleted tuples excluded)

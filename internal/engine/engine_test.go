@@ -8,7 +8,6 @@ import (
 
 	"sma/internal/engine"
 	"sma/internal/planner"
-	"sma/internal/storage"
 	"sma/internal/tpcd"
 	"sma/internal/tuple"
 )
@@ -111,11 +110,7 @@ func TestEnginePersistence(t *testing.T) {
 		t.Fatalf("reloaded %d SMAs, want 3", len(tbl.SMAs()))
 	}
 	// The complex expression must have round-tripped through the catalog.
-	s, ok := tbl.SMA("amt")
-	if !ok {
-		t.Fatal("sma amt lost")
-	}
-	if err := s.Verify(tbl.Heap); err != nil {
+	if err := tbl.VerifySMA("amt"); err != nil {
 		t.Errorf("reloaded sma amt: %v", err)
 	}
 	got, err := engine.Collect(db2, "select count(*) as N from SALES where SALE_DATE <= date '2021-02-01'")
@@ -163,9 +158,9 @@ func TestEngineAppendMaintainsSMAs(t *testing.T) {
 	}
 }
 
-// TestEngineUpdateMaintainsSMAs: updates through the Table keep SMAs valid.
+// TestEngineUpdateMaintainsSMAs: a SQL UPDATE keeps SMAs valid.
 func TestEngineUpdateMaintainsSMAs(t *testing.T) {
-	db, tbl := openSales(t, t.TempDir())
+	db, _ := openSales(t, t.TempDir())
 	defer db.Close()
 	if _, err := db.DefineSMA("define sma amt select sum(AMOUNT) from SALES group by REGION"); err != nil {
 		t.Fatal(err)
@@ -173,18 +168,12 @@ func TestEngineUpdateMaintainsSMAs(t *testing.T) {
 	if _, err := db.DefineSMA("define sma amin select min(AMOUNT) from SALES"); err != nil {
 		t.Fatal(err)
 	}
-	tp := tuple.NewTuple(tbl.Schema)
-	tp.SetInt32(0, tuple.DateFromYMD(2021, 6, 1))
-	tp.SetChar(1, "S")
-	tp.SetFloat64(2, -1000) // new global minimum
-	if err := tbl.Update(storage.RID{Page: 3, Slot: 2}, tp); err != nil {
-		t.Fatal(err)
+	// A new global minimum, in one bucket mid-table.
+	res := exec(t, db, "update SALES set AMOUNT = -1000 where SALE_DATE = date '2021-06-01' and REGION = 'S'")
+	if res.RowsAffected != 5 {
+		t.Fatalf("%d rows updated, want 5", res.RowsAffected)
 	}
-	for _, s := range tbl.SMAs() {
-		if err := s.Verify(tbl.Heap); err != nil {
-			t.Errorf("after update: %v", err)
-		}
-	}
+	verifyAll(t, db, "SALES")
 }
 
 // TestEngineErrors covers the error paths of the facade.

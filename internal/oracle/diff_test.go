@@ -96,12 +96,12 @@ func runDiff(t *testing.T, seed int64, dop, nOps int, opts ...sma.Option) map[st
 // bit for bit.
 func verifySMAs(t *testing.T, step int, sql string, db *sma.DB) {
 	t.Helper()
-	for _, name := range db.TableNames() {
-		tbl, err := db.Table(name)
+	for _, info := range db.Tables() {
+		tbl, err := db.Table(info.Name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, s := range tbl.SMAs() {
+		for _, s := range info.SMAs {
 			if err := tbl.VerifySMA(s.Name); err != nil {
 				t.Fatalf("step %d: after %s: %v", step, sql, err)
 			}

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"sma"
 	"sma/client"
 	"sma/internal/obs"
 	"sma/internal/server"
@@ -149,50 +148,5 @@ func TestMetricsExposition(t *testing.T) {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("/metrics missing %q", want)
 		}
-	}
-}
-
-// TestMetricsWithoutObservability serves a database opened with
-// WithoutObservability: the engine contributes nothing, the server
-// keeps the pool families alive, and the body still validates.
-func TestMetricsWithoutObservability(t *testing.T) {
-	ts := startServer(t, []sma.Option{sma.WithoutObservability()}, server.Config{})
-	c := client.New(ts.Base)
-	seedSmall(t, c)
-
-	body := fetchMetrics(t, ts.Base)
-	if err := obs.ValidateExposition(body); err != nil {
-		t.Fatalf("/metrics is not a valid exposition: %v\n%s", err, body)
-	}
-	if strings.Contains(string(body), "sma_engine_") {
-		t.Error("engine families present despite WithoutObservability")
-	}
-	if !strings.Contains(string(body), "sma_pool_hits_total") {
-		t.Error("pool families lost without observability")
-	}
-}
-
-// TestServerTraceDisabledDB checks tracing is per-query state: it works
-// against a database running with observability off.
-func TestServerTraceDisabledDB(t *testing.T) {
-	ts := startServer(t, []sma.Option{sma.WithoutObservability()}, server.Config{})
-	c := client.New(ts.Base)
-	seedSmall(t, c)
-	rows, err := c.Query(context.Background(),
-		"select count(*) from S", client.WithTrace())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rows.Close()
-	for rows.Next() {
-	}
-	if err := rows.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if rows.Trace() == nil {
-		t.Fatal("trace frame missing with observability disabled")
-	}
-	if rows.QueryID() != "" {
-		t.Error("query id minted despite WithoutObservability")
 	}
 }

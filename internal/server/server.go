@@ -132,24 +132,6 @@ func (s *Server) registerMetrics() {
 	})
 	s.reqSeconds = r.HistogramVec("sma_server_request_seconds",
 		"HTTP request latency by route.", obs.DefSecondsBuckets(), "route")
-	if !s.db.Observable() {
-		// The engine registry normally owns the buffer pool families; with
-		// observability disabled it renders nothing, so keep the pool
-		// picture available from the server's own registry.
-		poolFunc := func(name, help string, get func(sma.PoolStats) int64) {
-			r.CounterFunc(name, help, func() float64 { return float64(get(s.db.PoolStats())) })
-		}
-		poolFunc("sma_pool_hits_total", "Buffer pool hits across all tables.",
-			func(p sma.PoolStats) int64 { return p.Hits })
-		poolFunc("sma_pool_misses_total", "Buffer pool misses across all tables.",
-			func(p sma.PoolStats) int64 { return p.Misses })
-		poolFunc("sma_pool_evictions_total", "Buffer pool evictions across all tables.",
-			func(p sma.PoolStats) int64 { return p.Evictions })
-		poolFunc("sma_pool_prefetched_total", "Pages read ahead by the prefetchers.",
-			func(p sma.PoolStats) int64 { return p.Prefetched })
-		poolFunc("sma_pool_prefetch_hits_total", "Demand fetches served by prefetched frames.",
-			func(p sma.PoolStats) int64 { return p.PrefetchHits })
-	}
 }
 
 // Handler returns the server's route table. Every route is wrapped in
@@ -596,10 +578,9 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleMetrics renders the server registry followed by the database's
-// engine-side registry (query strategies, grading outcomes, storage
-// latency, parallel skew — nothing with observability disabled). The
-// family name spaces are disjoint, so the concatenation is itself a
-// valid exposition.
+// engine-side registry (query strategies, grading outcomes, buffer pool,
+// storage latency, parallel skew). The family name spaces are disjoint,
+// so the concatenation is itself a valid exposition.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	bw := bufio.NewWriter(w)

@@ -54,7 +54,6 @@ type openConfig struct {
 	eng    engine.Options
 	logger *slog.Logger
 	slow   time.Duration
-	noObs  bool
 }
 
 // Option configures an engine instance; pass options to Open.
@@ -185,16 +184,6 @@ func WithUnsafeCrash() Option {
 	return func(o *openConfig) { o.eng.AllowUnsafeCrash = true }
 }
 
-// WithoutObservability disables the observability subsystem entirely —
-// no metrics registry, no logs, no query ids. Tracing via EXPLAIN
-// ANALYZE or WithQueryTrace still works (it is per-query state). Meant
-// for embedders measuring the engine's bare overhead; the default
-// observer costs roughly one counter bump and one histogram observation
-// per query.
-func WithoutObservability() Option {
-	return func(o *openConfig) { o.noObs = true }
-}
-
 // QueryOption adjusts the execution of a single query; pass options to
 // QueryContext.
 type QueryOption = engine.QueryOption
@@ -220,18 +209,16 @@ type DB struct {
 	eng *engine.DB
 }
 
-// Open opens (or initializes) a database directory. Observability is on
-// by default: the database carries a metrics registry (rendered by
-// WritePrometheus) and mints per-query ids; attach WithLogger for
-// structured logs or WithoutObservability to disable the subsystem.
+// Open opens (or initializes) a database directory. Every database keeps
+// the statement record: it carries a metrics registry (rendered by
+// WritePrometheus), the sma_stat_* tables and per-query ids; attach
+// WithLogger for structured logs.
 func Open(dir string, opts ...Option) (*DB, error) {
 	var cfg openConfig
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	if !cfg.noObs {
-		cfg.eng.Obs = obs.NewObserver(obs.Config{Logger: cfg.logger, SlowQuery: cfg.slow})
-	}
+	cfg.eng.Obs = obs.NewObserver(obs.Config{Logger: cfg.logger, SlowQuery: cfg.slow})
 	eng, err := engine.Open(dir, cfg.eng)
 	if err != nil {
 		return nil, err
@@ -242,14 +229,8 @@ func Open(dir string, opts ...Option) (*DB, error) {
 // WritePrometheus renders every engine-side metric family — queries by
 // strategy, grading outcomes, buffer pool activity, storage latency
 // histograms, parallel skew/utilization — in Prometheus text exposition
-// format. With observability disabled it writes nothing.
+// format. It is the one source of the sma_pool_* families.
 func (db *DB) WritePrometheus(w io.Writer) error { return db.eng.WritePrometheus(w) }
-
-// Observable reports whether the observability subsystem is enabled
-// (false after WithoutObservability). Serving layers use it to decide
-// whether WritePrometheus contributes the engine metric families or
-// they must expose fallbacks of their own.
-func (db *DB) Observable() bool { return db.eng.Observer() != nil }
 
 // TraceNode is one node of a query trace — the query, one of its phases, or
 // a parallel worker under merge — with its wall time and row/page/bucket
@@ -265,35 +246,19 @@ func (db *DB) Dir() string { return db.eng.Dir() }
 // release their read locks.
 func (db *DB) Close() error { return db.eng.Close() }
 
-// TableNames lists table names in sorted order.
-func (db *DB) TableNames() []string { return db.eng.Tables() }
-
 // Tables returns a catalog snapshot: every table in name order with its
-// schema, live row count, heap size, and defined SMAs. It is the
-// inspection surface CLIs and the query server's /status endpoint report
-// from, so tools never reach into engine internals.
+// schema, live row count, heap size, and defined SMAs, taken under one
+// read lock so it never races DDL. It is the inspection surface CLIs and
+// the query server's /status endpoint report from, so tools never reach
+// into engine internals.
 func (db *DB) Tables() []TableInfo {
-	names := db.eng.Tables()
-	out := make([]TableInfo, 0, len(names))
-	for _, name := range names {
-		et, err := db.eng.Table(name)
-		if err != nil {
-			continue // dropped between listing and lookup
+	cat := db.eng.Catalog()
+	out := make([]TableInfo, len(cat))
+	for i, c := range cat {
+		out[i] = TableInfo{
+			Name: c.Name, Columns: columns(c.Schema), Rows: c.Rows,
+			Pages: c.Pages, Buckets: c.Buckets, BucketPages: c.BucketPages, SMAs: smaInfos(c.SMAs),
 		}
-		t := &Table{t: et}
-		rows, err := et.NumRecords()
-		if err != nil {
-			rows = -1 // catalog stays usable when a count hits an I/O error
-		}
-		out = append(out, TableInfo{
-			Name:        et.Name,
-			Columns:     t.Columns(),
-			Rows:        rows,
-			Pages:       et.Heap.NumPages(),
-			Buckets:     et.Heap.NumBuckets(),
-			BucketPages: et.BucketPages,
-			SMAs:        t.SMAs(),
-		})
 	}
 	return out
 }
@@ -385,20 +350,6 @@ func (db *DB) LastScrub() *ScrubReport { return db.eng.LastScrub() }
 // Table returns a handle for an existing table.
 func (db *DB) Table(name string) (*Table, error) {
 	t, err := db.eng.Table(name)
-	if err != nil {
-		return nil, err
-	}
-	return &Table{t: t}, nil
-}
-
-// CreateTable creates a new table and persists the catalog. The SQL
-// equivalent is ExecContext with a "create table" statement.
-func (db *DB) CreateTable(name string, cols []Column) (*Table, error) {
-	tcols, err := toTupleColumns(cols)
-	if err != nil {
-		return nil, err
-	}
-	t, err := db.eng.CreateTable(name, tcols)
 	if err != nil {
 		return nil, err
 	}

@@ -3,7 +3,6 @@ package sma
 import (
 	"context"
 	"errors"
-	"fmt"
 	"testing"
 	"time"
 
@@ -398,8 +397,8 @@ func TestCloseIdempotent(t *testing.T) {
 }
 
 // TestCatalogSnapshot covers the public inspection surface a serving
-// layer reports from: Tables() with schema/rows/SMAs, TableNames, and the
-// merged PoolStats.
+// layer reports from: Tables() with schema/rows/SMAs, and the merged
+// PoolStats.
 func TestCatalogSnapshot(t *testing.T) {
 	db, err := Open(t.TempDir())
 	if err != nil {
@@ -418,9 +417,6 @@ func TestCatalogSnapshot(t *testing.T) {
 	mustExec("delete from A where D = date '2024-01-02'")
 	mustExec("define sma m select min(D) from A")
 
-	if got := db.TableNames(); fmt.Sprint(got) != "[A B]" {
-		t.Fatalf("TableNames: %v", got)
-	}
 	infos := db.Tables()
 	if len(infos) != 2 || infos[0].Name != "A" || infos[1].Name != "B" {
 		t.Fatalf("Tables: %+v", infos)
@@ -452,4 +448,61 @@ func TestCatalogSnapshot(t *testing.T) {
 	if ps := db.PoolStats(); ps.Hits+ps.Misses == 0 {
 		t.Fatalf("PoolStats saw no traffic: %+v", ps)
 	}
+}
+
+// TestCatalogReadsDuringDDL polls the catalog — Tables() as /status and
+// smactl do, and Table.SMAs — while another goroutine defines and drops
+// SMAs. Under -race it fails if a catalog read is not ordered against the
+// DDL's write of the table's SMA map; without -race such a read can abort
+// the process mid-iteration.
+func TestCatalogReadsDuringDDL(t *testing.T) {
+	db, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	for _, sql := range []string{
+		"create table A (D date, V float64)",
+		"insert into A values (date '2024-01-01', 1), (date '2024-01-02', 2)",
+	} {
+		if _, err := db.Exec(sql); err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+	}
+	tbl, err := db.Table("A")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	polled := make(chan int, 1)
+	go func() {
+		n := 0
+		for {
+			select {
+			case <-done:
+				polled <- n
+				return
+			default:
+			}
+			for _, info := range db.Tables() {
+				n += len(info.SMAs)
+			}
+			n += len(tbl.SMAs())
+		}
+	}()
+	for i := 0; i < 50; i++ {
+		for _, sql := range []string{
+			"define sma lo select min(D) from A",
+			"define sma hi select max(D) from A",
+			"drop sma lo on A",
+			"drop sma hi on A",
+		} {
+			if _, err := db.Exec(sql); err != nil {
+				close(done)
+				t.Fatalf("%s: %v", sql, err)
+			}
+		}
+	}
+	close(done)
+	t.Logf("the poller saw %d SMA entries", <-polled)
 }

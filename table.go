@@ -6,13 +6,13 @@ import (
 	"time"
 
 	"sma/internal/engine"
-	"sma/internal/storage"
 	"sma/internal/tuple"
 )
 
-// Table is a handle on a stored relation. Appends, updates, and deletes
-// maintain every SMA of the table in place, the paper's "cheap to
-// maintain" property.
+// Table is a handle on a stored relation: its schema, size and SMAs, and
+// Append, the loader. Rows also enter, change and leave through SQL
+// (DB.Exec); every write maintains every SMA of the table in place, the
+// paper's "cheap to maintain" property.
 type Table struct {
 	t *engine.Table
 }
@@ -21,8 +21,11 @@ type Table struct {
 func (t *Table) Name() string { return t.t.Name }
 
 // Columns returns the table schema.
-func (t *Table) Columns() []Column {
-	cols := t.t.Schema.Columns()
+func (t *Table) Columns() []Column { return columns(t.t.Schema) }
+
+// columns converts an internal schema to public column specs.
+func columns(s *tuple.Schema) []Column {
+	cols := s.Columns()
 	out := make([]Column, len(cols))
 	for i, c := range cols {
 		out[i] = Column{Name: c.Name, Type: fromTupleType(c.Type), Len: c.Len}
@@ -39,8 +42,10 @@ func (t *Table) Buckets() int { return t.t.Heap.NumBuckets() }
 // BucketPages returns the bucket granularity in pages.
 func (t *Table) BucketPages() int { return t.t.BucketPages }
 
-// Append adds one row (one value per column, in schema order) and
-// maintains every SMA of the table. Accepted value types per column:
+// Append is the loader: it adds one row (one value per column, in schema
+// order) on the append path INSERT takes and maintains every SMA of the
+// table. Unlike a SQL statement it is not recorded in sma_stat_* and does
+// not wait for the redo log's fsync. Accepted value types per column:
 //
 //	int32:   int, int32, int64
 //	int64:   int, int32, int64
@@ -54,47 +59,6 @@ func (t *Table) Append(vals ...any) (RID, error) {
 	}
 	rid, err := t.t.Append(tp)
 	return RID{Page: int64(rid.Page), Slot: rid.Slot}, err
-}
-
-// Update overwrites the record at rid with new values and maintains every
-// SMA (at most one additional page access per updated tuple, §2.2).
-func (t *Table) Update(rid RID, vals ...any) error {
-	tp, err := t.newTuple(vals)
-	if err != nil {
-		return err
-	}
-	return t.t.Update(storage.RID{Page: storage.PageID(rid.Page), Slot: rid.Slot}, tp)
-}
-
-// Delete removes the record at rid via the delete vector and maintains
-// every SMA. The SQL equivalent is "delete from <table> where ...".
-func (t *Table) Delete(rid RID) error {
-	return t.t.Delete(storage.RID{Page: storage.PageID(rid.Page), Slot: rid.Slot})
-}
-
-// Get reads the record at rid as typed values (int64, float64, string,
-// Date per column).
-func (t *Table) Get(rid RID) ([]any, error) {
-	tp, err := t.t.Get(storage.RID{Page: storage.PageID(rid.Page), Slot: rid.Slot})
-	if err != nil {
-		return nil, err
-	}
-	out := make([]any, tp.Schema.NumColumns())
-	for i := range out {
-		switch tp.Schema.Column(i).Type {
-		case tuple.TChar:
-			out[i] = tp.Char(i)
-		case tuple.TDate:
-			out[i] = Date(tp.Int32(i))
-		case tuple.TInt32:
-			out[i] = int64(tp.Int32(i))
-		case tuple.TInt64:
-			out[i] = tp.Int64(i)
-		default:
-			out[i] = tp.Float64(i)
-		}
-	}
-	return out, nil
 }
 
 // TableInfo is a catalog snapshot of one table: name, schema, size, and
@@ -139,14 +103,13 @@ type SMAInfo struct {
 }
 
 // SMAs lists the table's SMAs in name order.
-func (t *Table) SMAs() []SMAInfo {
-	smas := t.t.SMAs()
-	out := make([]SMAInfo, len(smas))
-	for i, s := range smas {
-		out[i] = SMAInfo{
-			Name: s.Def.Name, SQL: s.Def.String(),
-			Files: s.NumFiles(), Pages: s.PagesUsed(), Buckets: s.NumBuckets,
-		}
+func (t *Table) SMAs() []SMAInfo { return smaInfos(t.t.SMAInfos()) }
+
+// smaInfos converts the engine's SMA descriptions, field for field.
+func smaInfos(in []engine.SMAInfo) []SMAInfo {
+	out := make([]SMAInfo, len(in))
+	for i, s := range in {
+		out[i] = SMAInfo(s)
 	}
 	return out
 }

@@ -82,8 +82,9 @@ func (d Date) Time() time.Time {
 // AddDays returns the date shifted by n days.
 func (d Date) AddDays(n int) Date { return d + Date(n) }
 
-// RID identifies a stored record by page and slot; Append returns one and
-// Update/Delete/Get address records with it.
+// RID identifies a stored record by page and slot: where Table.Append
+// placed its row. No method takes one; rows are found, changed and
+// removed through SQL.
 type RID struct {
 	Page int64
 	Slot int
@@ -91,30 +92,6 @@ type RID struct {
 
 // String renders the record id.
 func (r RID) String() string { return fmt.Sprintf("(%d,%d)", r.Page, r.Slot) }
-
-// toTupleColumns converts public column specs to the internal schema form.
-func toTupleColumns(cols []Column) ([]tuple.Column, error) {
-	out := make([]tuple.Column, len(cols))
-	for i, c := range cols {
-		tc := tuple.Column{Name: c.Name, Len: c.Len}
-		switch c.Type {
-		case TypeInt32:
-			tc.Type = tuple.TInt32
-		case TypeInt64:
-			tc.Type = tuple.TInt64
-		case TypeFloat64:
-			tc.Type = tuple.TFloat64
-		case TypeDate:
-			tc.Type = tuple.TDate
-		case TypeChar:
-			tc.Type = tuple.TChar
-		default:
-			return nil, fmt.Errorf("sma: column %q has unknown type %v", c.Name, c.Type)
-		}
-		out[i] = tc
-	}
-	return out, nil
-}
 
 // fromTupleType converts an internal column type to the public enum.
 func fromTupleType(t tuple.Type) ColumnType {
