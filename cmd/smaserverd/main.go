@@ -14,10 +14,13 @@
 // Health: GET /livez answers 200 while the process serves; GET /readyz
 // drops to 503 while draining or when the database is degraded
 // (corruption detected), so load balancers stop routing before requests
-// fail. -verify-on-open checksums every page before serving; -scrub-every
-// keeps a background scrubber walking the store; -statement-deadline
-// bounds every statement's execution: one stopped by it answers 504 (or
-// ends its stream with an in-band error) and counts in watchdog_cancels.
+// fail. -verify-on-open runs one DB.Scrub pass right after Open, so damage
+// starts the server degraded instead of waiting for a query to find it;
+// -scrub-every keeps a background scrubber walking the store, one run of
+// pages at a time so writers are not stalled behind a pass;
+// -statement-deadline bounds every statement's execution: one stopped by
+// it answers 504 (or ends its stream with an in-band error) and counts in
+// watchdog_cancels.
 //
 // Structured logs (engine query log, slow-query log, server request log)
 // go to stderr as logfmt lines tagged with per-query ids. The debug
@@ -63,7 +66,7 @@ func main() {
 	logLevel := flag.String("log-level", "info", "structured log level: debug, info, warn, or error")
 	slowQuery := flag.Duration("slow-query", 0, "slow-query log threshold; queries at or above it log at warn with their SQL (0 disables)")
 	debugAddr := flag.String("debug-addr", "", "optional private listen address serving net/http/pprof and a runtime/metrics dump under /debug/")
-	verifyOnOpen := flag.Bool("verify-on-open", false, "verify every page checksum before serving; corruption starts the server degraded (read-only)")
+	verifyOnOpen := flag.Bool("verify-on-open", false, "run one scrub pass (every page checksum, every SMA file) after open, before serving; corruption starts the server degraded (read-only)")
 	scrubEvery := flag.Duration("scrub-every", 0, "background scrub interval; each pass re-verifies every page and SMA file (0 disables)")
 	stmtDeadline := flag.Duration("statement-deadline", 0, "server bound on every statement's execution; one that exceeds it answers 504 and counts in watchdog_cancels (0 disables)")
 	flag.Parse()
@@ -95,15 +98,20 @@ func main() {
 	if *prefetch != 0 {
 		opts = append(opts, sma.WithPrefetchWindow(*prefetch))
 	}
-	if *verifyOnOpen {
-		opts = append(opts, sma.WithVerifyOnOpen())
-	}
 	if *scrubEvery > 0 {
 		opts = append(opts, sma.WithScrubInterval(*scrubEvery))
 	}
 	db, err := sma.Open(*dir, opts...)
 	if err != nil {
 		fatal(err)
+	}
+	sigctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	if *verifyOnOpen {
+		if _, err := db.Scrub(sigctx); err != nil {
+			db.Close()
+			fatal(err)
+		}
 	}
 	if err := db.Degraded(); err != nil {
 		fmt.Fprintf(os.Stderr, "smaserverd: WARNING: serving degraded (read-only): %v\n", err)
@@ -153,8 +161,6 @@ func main() {
 		}
 	}()
 
-	sigctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	select {
 	case <-sigctx.Done():
 		fmt.Fprintln(os.Stderr, "smaserverd: draining...")

@@ -354,8 +354,8 @@ func TestTornWALTail(t *testing.T) {
 // scan, SMA scan and SMA_GAggr aggregates at dop 1 and 2, and an SMA scan
 // projection — answers exactly what it answered before the flip when its
 // grades let it skip the page, and fails with a corrupt-page error when it
-// must read the page: never with fewer rows. The flip is found by the
-// scrub of VerifyOnOpen or, without it, by the statement under test, which
+// must read the page: never with fewer rows. The flip is found by a Scrub
+// right after Open or, without one, by the statement under test, which
 // may find it through one of its prefetch readers. A healthy table answers
 // throughout.
 func TestBitFlipReadsAroundCorruption(t *testing.T) {
@@ -447,11 +447,16 @@ func TestBitFlipReadsAroundCorruption(t *testing.T) {
 		for _, s := range shapes {
 			for _, dop := range s.dops {
 				t.Run(fmt.Sprintf("verify=%v/%s/dop=%d", verify, s.strategy, dop), func(t *testing.T) {
-					db, err := engine.Open(dir, engine.Options{BucketPages: 1, VerifyOnOpen: verify})
+					db, err := engine.Open(dir, engine.Options{BucketPages: 1})
 					if err != nil {
 						t.Fatal(err)
 					}
 					defer db.Close()
+					if verify {
+						if _, err := db.Scrub(context.Background()); err != nil {
+							t.Fatal(err)
+						}
+					}
 					if (db.Degraded() != nil) != verify {
 						t.Fatalf("degraded after open: %v, want %v", db.Degraded(), verify)
 					}

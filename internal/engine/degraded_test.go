@@ -163,21 +163,24 @@ func TestScrubFindsCorruption(t *testing.T) {
 	}
 }
 
-// TestVerifyOnOpenDegrades: with VerifyOnOpen, Open itself runs the scrub
-// pass — a corrupted database comes up already degraded instead of
-// serving until a query trips over the damage.
+// TestVerifyOnOpenDegrades: a Scrub run right after Open, before any
+// query (smaserverd -verify-on-open), brings a corrupted database up
+// already degraded instead of serving until a query trips over the damage.
 func TestVerifyOnOpenDegrades(t *testing.T) {
 	dir := t.TempDir()
 	path := seedEvents(t, dir, 40)
 	flipByte(t, path, 2*storage.PageSize+50) // page 2
 
-	db, err := engine.Open(dir, engine.Options{BucketPages: 1, VerifyOnOpen: true})
+	db, err := engine.Open(dir, engine.Options{BucketPages: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer db.Close()
+	if _, err := db.Scrub(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 	if err := db.Degraded(); !errors.Is(err, engine.ErrDegraded) {
-		t.Fatalf("Degraded() right after open = %v, want ErrDegraded", err)
+		t.Fatalf("Degraded() right after open and scrub = %v, want ErrDegraded", err)
 	}
 	rep := db.LastScrub()
 	if rep == nil || rep.Clean() {
@@ -190,11 +193,14 @@ func TestVerifyOnOpenDegrades(t *testing.T) {
 func TestScrubCleanDatabase(t *testing.T) {
 	dir := t.TempDir()
 	seedEvents(t, dir, 40)
-	db, err := engine.Open(dir, engine.Options{BucketPages: 1, VerifyOnOpen: true})
+	db, err := engine.Open(dir, engine.Options{BucketPages: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer db.Close()
+	if _, err := db.Scrub(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 	if err := db.Degraded(); err != nil {
 		t.Fatalf("healthy database degraded: %v", err)
 	}
@@ -210,6 +216,58 @@ func TestScrubCleanDatabase(t *testing.T) {
 	}
 	if db.LastScrub() != rep {
 		t.Fatal("LastScrub() does not return the latest report")
+	}
+}
+
+// TestZeroedSectorIsCorrupt: a page whose first 512-byte sector was
+// zeroed on disk (a lost sector write) has a zero stored checksum over
+// non-zero bytes. That is damage, not a page that was never written: the
+// query that needs the page fails with a corrupt-page error instead of
+// counting the page as empty, and a scrub lists it.
+func TestZeroedSectorIsCorrupt(t *testing.T) {
+	dir := t.TempDir()
+	path := seedEvents(t, dir, 40)
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt(make([]byte, 512), 2*storage.PageSize); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	db, err := engine.Open(dir, engine.Options{BucketPages: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := engine.Collect(db, "select count(*) as C from EVENTS")
+	if !storage.IsCorrupt(err) {
+		t.Fatalf("count(*) = %v (error %v), want a corrupt-page error", res, err)
+	}
+	if err := db.Degraded(); !errors.Is(err, engine.ErrDegraded) {
+		t.Fatalf("Degraded() = %v, want ErrDegraded", err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// A scrub on a fresh open finds the page before any query does.
+	db, err = engine.Open(dir, engine.Options{BucketPages: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	rep, err := db.Scrub(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Corrupt) != 1 || rep.Corrupt[0].Page != 2 {
+		t.Fatalf("scrub report: %+v, want page 2 corrupt", rep)
+	}
+	if err := db.Degraded(); !errors.Is(err, engine.ErrDegraded) {
+		t.Fatalf("Degraded() after scrub = %v, want ErrDegraded", err)
 	}
 }
 

@@ -68,20 +68,10 @@ type Options struct {
 	// Observer registers engine-wide metric families, so it must not be
 	// shared by two open databases.
 	Obs *obs.Observer
-	// SyncPolicy selects when committed statements reach stable storage.
-	// The zero value is the default: a group-committed fsync before every
-	// SQL statement returns (one fsync amortized over all concurrently-
-	// committing statements). See wal.SyncPolicy for the weaker modes.
-	SyncPolicy wal.SyncPolicy
 	// CheckpointBytes is the redo-log size that triggers a checkpoint
 	// (flush everything, truncate the log) at the next statement boundary
 	// (default 8 MB).
 	CheckpointBytes int64
-	// VerifyOnOpen runs a full checksum scrub before Open returns.
-	// Corruption found does not fail the Open: the pages are quarantined
-	// and the database opens degraded (read-only), exactly as if a query
-	// had found them.
-	VerifyOnOpen bool
 	// ScrubInterval starts a background scrubber that verifies every
 	// heap page and SMA file at this cadence, paced so it cannot
 	// monopolize the disk; 0 disables.
@@ -238,7 +228,7 @@ func Open(dir string, opts Options) (*DB, error) {
 			t.pool.SetVerifyReads(true)
 		}
 	}
-	w, err := wal.Create(db.walPath(), db.tableStatesLocked(), opts.SyncPolicy)
+	w, err := wal.Create(db.walPath(), db.tableStatesLocked(), wal.Grouped())
 	if err != nil {
 		return fail(err)
 	}
@@ -247,11 +237,6 @@ func Open(dir string, opts Options) (*DB, error) {
 		t.pool.SetWriteBackHook(&walHook{log: w, table: t.Name})
 	}
 	db.registerWALMetrics()
-	if opts.VerifyOnOpen {
-		if _, err := db.Scrub(nil); err != nil {
-			return fail(err)
-		}
-	}
 	if opts.ScrubInterval > 0 {
 		db.startScrubber()
 	}
@@ -464,9 +449,9 @@ func (db *DB) tableNames() []string {
 // Append adds a tuple and maintains every SMA of the table: a one-row
 // statement on INSERT's append path (appendRows), unrecorded. The append is
 // atomic — a failed maintenance hook rolls the heap back — and is redo-
-// logged but NOT waited on: the raw table API is the bulk-load path, so
-// durability comes from the sync policy's background machinery, an
-// explicit DB.Sync, or the Close checkpoint.
+// logged but NOT waited on: the raw table API is the bulk-load path, so a
+// loader appends its rows and then calls DB.Sync once (or Close, whose
+// checkpoint syncs). A later SQL statement's fsync covers them too.
 func (t *Table) Append(tp tuple.Tuple) (storage.RID, error) {
 	db := t.db
 	db.mu.Lock()

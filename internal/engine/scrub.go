@@ -38,11 +38,13 @@ func (db *DB) Scrub(ctx context.Context) (*ScrubReport, error) {
 	return db.scrub(ctx, false)
 }
 
-// scrubPaceEvery / scrubPauseFor pace the background scrubber: a pause
-// per page-run keeps a large database's scrub from monopolizing the disk.
+// scrubRunPages / scrubPauseFor pace a pass: it holds the read lock for
+// one run of pages at a time, so a writer waits at most one run, and the
+// background scrubber pauses between runs so a large database's scrub
+// cannot monopolize the disk.
 const (
-	scrubPaceEvery = 64
-	scrubPauseFor  = time.Millisecond
+	scrubRunPages = 64
+	scrubPauseFor = time.Millisecond
 )
 
 func (db *DB) scrub(ctx context.Context, paced bool) (*ScrubReport, error) {
@@ -50,74 +52,93 @@ func (db *DB) scrub(ctx context.Context, paced bool) (*ScrubReport, error) {
 		ctx = context.Background()
 	}
 	db.mu.RLock()
-	defer db.mu.RUnlock()
-	if err := db.checkOpen(); err != nil {
+	err := db.checkOpen()
+	names := db.tableNames()
+	db.mu.RUnlock()
+	if err != nil {
 		return nil, err
 	}
 	rep := &ScrubReport{Start: time.Now()}
-	var buf [storage.PageSize]byte
-	for _, name := range db.tableNames() {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		t := db.tables[name]
+	for _, name := range names {
 		rep.Tables++
-		np := t.disk.NumPages()
-		for p := int64(0); p < np; p++ {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			if paced && p > 0 && p%scrubPaceEvery == 0 {
+		for from, more := int64(0), true; more; from += scrubRunPages {
+			if paced && from > 0 {
 				time.Sleep(scrubPauseFor)
 			}
-			id := storage.PageID(p)
-			rep.PagesScanned++
-			if err := t.disk.ReadPage(id, buf[:]); err != nil {
-				if storage.IsCorrupt(err) {
-					rep.Corrupt = append(rep.Corrupt, CorruptPage{Table: name, Page: id})
-				} else {
-					rep.Errors = append(rep.Errors, fmt.Sprintf("%s page %d: read: %v", name, p, err))
-				}
-				continue
-			}
-			if storage.VerifyPage(buf[:]) {
-				continue
-			}
-			// The raw read may have raced a concurrent write-back of this
-			// page (torn read of a healthy page). The pool is the
-			// arbiter: a fetch either finds the authoritative resident
-			// frame, re-reads a consistent image, or confirms the
-			// corruption — quarantining the page and degrading the
-			// database via the corruption callback.
-			fr, err := t.pool.FetchPage(id)
-			if err == nil {
-				if uerr := t.pool.UnpinPage(fr.ID()); uerr != nil {
-					rep.Errors = append(rep.Errors, fmt.Sprintf("%s page %d: unpin: %v", name, p, uerr))
-				}
-				continue
-			}
-			if storage.IsCorrupt(err) {
-				rep.Corrupt = append(rep.Corrupt, CorruptPage{Table: name, Page: id})
-			} else {
-				rep.Errors = append(rep.Errors, fmt.Sprintf("%s page %d: %v", name, p, err))
-			}
-		}
-		// SMA files: prove each one still loads from disk. The in-memory
-		// vectors may be ahead of the files between checkpoints, so the
-		// check is structural (parse + shape), not a content comparison.
-		for _, s := range t.SMAs() {
-			if err := ctx.Err(); err != nil {
+			if more, err = db.scrubRun(ctx, rep, name, from); err != nil {
 				return nil, err
-			}
-			rep.SMAsChecked++
-			if _, err := core.Load(db.smaDir(t.Name), s.Def, t.Schema); err != nil {
-				rep.Errors = append(rep.Errors, fmt.Sprintf("%s sma %s: %v", name, s.Def.Name, err))
 			}
 		}
 	}
 	rep.Duration = time.Since(rep.Start)
 	db.setLastScrub(rep)
 	return rep, nil
+}
+
+// scrubRun verifies pages [from, from+scrubRunPages) of one table under one
+// hold of the read lock and reports whether pages remain past them. The
+// run that reaches the end of the heap also checks the table's SMA files.
+func (db *DB) scrubRun(ctx context.Context, rep *ScrubReport, name string, from int64) (more bool, err error) {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	if err := db.checkOpen(); err != nil {
+		return false, err
+	}
+	t := db.tables[name]
+	np := t.disk.NumPages()
+	var buf [storage.PageSize]byte
+	for p := from; p < min(from+scrubRunPages, np); p++ {
+		if err := ctx.Err(); err != nil {
+			return false, err
+		}
+		id := storage.PageID(p)
+		rep.PagesScanned++
+		if err := t.disk.ReadPage(id, buf[:]); err != nil {
+			if storage.IsCorrupt(err) {
+				rep.Corrupt = append(rep.Corrupt, CorruptPage{Table: name, Page: id})
+			} else {
+				rep.Errors = append(rep.Errors, fmt.Sprintf("%s page %d: read: %v", name, p, err))
+			}
+			continue
+		}
+		if storage.VerifyPage(buf[:]) {
+			continue
+		}
+		// The raw read may have raced a concurrent write-back of this
+		// page (torn read of a healthy page). The pool is the
+		// arbiter: a fetch either finds the authoritative resident
+		// frame, re-reads a consistent image, or confirms the
+		// corruption — quarantining the page and degrading the
+		// database via the corruption callback.
+		fr, err := t.pool.FetchPage(id)
+		if err == nil {
+			if uerr := t.pool.UnpinPage(fr.ID()); uerr != nil {
+				rep.Errors = append(rep.Errors, fmt.Sprintf("%s page %d: unpin: %v", name, p, uerr))
+			}
+			continue
+		}
+		if storage.IsCorrupt(err) {
+			rep.Corrupt = append(rep.Corrupt, CorruptPage{Table: name, Page: id})
+		} else {
+			rep.Errors = append(rep.Errors, fmt.Sprintf("%s page %d: %v", name, p, err))
+		}
+	}
+	if from+scrubRunPages < np {
+		return true, nil
+	}
+	// SMA files: prove each one still loads from disk. The in-memory
+	// vectors may be ahead of the files between checkpoints, so the
+	// check is structural (parse + shape), not a content comparison.
+	for _, s := range t.SMAs() {
+		if err := ctx.Err(); err != nil {
+			return false, err
+		}
+		rep.SMAsChecked++
+		if _, err := core.Load(db.smaDir(t.Name), s.Def, t.Schema); err != nil {
+			rep.Errors = append(rep.Errors, fmt.Sprintf("%s sma %s: %v", name, s.Def.Name, err))
+		}
+	}
+	return false, nil
 }
 
 // setLastScrub publishes the most recent scrub report for /status.
@@ -144,7 +165,7 @@ func (db *DB) startScrubber() {
 
 // stopScrubber cancels the loop and waits for it to exit. Safe to call
 // when no scrubber was started; must be called before Close/Crash take
-// db.mu (a scrub pass holds the read lock and exits on cancellation).
+// db.mu (a scrub run holds the read lock and exits on cancellation).
 func (db *DB) stopScrubber() {
 	if db.scrubCancel == nil {
 		return

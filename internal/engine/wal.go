@@ -230,12 +230,12 @@ func (db *DB) commitStmt(j *stmtJournal) (commit, error) {
 	return commit{seq: seq, bytes: bytes}, nil
 }
 
-// waitDurable blocks until the commit is on stable storage (per the sync
-// policy) and reports whether this statement led the fsync that got it
-// there. Called WITHOUT db.mu so a slow fsync never blocks readers; the
-// group-commit leader amortizes one fsync over every waiter. ErrClosed
-// means Close or Crash won the race after our commit — both flush and
-// sync the log before closing it, so the statement is already durable.
+// waitDurable blocks until the commit is on stable storage and reports
+// whether this statement led the fsync that got it there. Called WITHOUT
+// db.mu so a slow fsync never blocks readers; the group-commit leader
+// amortizes one fsync over every waiter. ErrClosed means Close or Crash
+// won the race after our commit — both flush and sync the log before
+// closing it, so the statement is already durable.
 func (db *DB) waitDurable(c commit) (led bool, err error) {
 	led, err = db.wal.Await(c.seq)
 	if errors.Is(err, wal.ErrClosed) {
@@ -521,9 +521,9 @@ func (db *DB) WALStats() wal.Stats {
 	return db.wal.Stats()
 }
 
-// Sync forces every record committed so far onto stable storage,
-// regardless of the sync policy (the manual durability point for OSOnly
-// and interval policies).
+// Sync forces every record committed so far onto stable storage: the
+// durability point for rows added with Table.Append, which commits
+// without waiting for the fsync.
 func (db *DB) Sync() error {
 	db.mu.RLock()
 	w, closed := db.wal, db.closed

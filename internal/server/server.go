@@ -270,8 +270,8 @@ func (s *Server) statementContext(r *http.Request, timeoutMillis, deadlineMillis
 }
 
 // noteDeadline counts a statement in watchdog_cancels when err ended it
-// because the server's StatementDeadline expired. Each handler calls it
-// once, with the error its statement ended with.
+// because the server's StatementDeadline expired. Each statement calls it
+// once, with the error it ended with, before that error is answered.
 func (s *Server) noteDeadline(ctx context.Context, err error) {
 	if isCancel(err) && errors.Is(context.Cause(ctx), errStatementDeadline) {
 		s.m.watchdogCancels.Add(1)
@@ -312,7 +312,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	defer rows.Close()
 	count, err := s.streamRows(ctx, w, rows, req.Trace)
-	s.noteDeadline(ctx, err)
 	s.log.Debug("query", "qid", rows.QueryID(), "strategy", rows.Strategy(),
 		"dur", time.Since(start), "rows", count, "err", err)
 }
@@ -353,7 +352,7 @@ func (s *Server) streamRows(ctx context.Context, w http.ResponseWriter, rows *sm
 		vals, err := rows.RowStrings()
 		if err != nil {
 			s.m.rowsStreamed.Add(count)
-			return count, s.streamError(bw, flush, err)
+			return count, s.streamError(ctx, bw, flush, err)
 		}
 		enc.Encode(Frame{Row: vals})
 		count++
@@ -365,13 +364,13 @@ func (s *Server) streamRows(ctx context.Context, w http.ResponseWriter, rows *sm
 			// stream under a success trailer.
 			if err := ctx.Err(); err != nil {
 				s.m.rowsStreamed.Add(count)
-				return count, s.streamError(bw, flush, err)
+				return count, s.streamError(ctx, bw, flush, err)
 			}
 		}
 	}
 	s.m.rowsStreamed.Add(count)
 	if err := rows.Err(); err != nil {
-		return count, s.streamError(bw, flush, err)
+		return count, s.streamError(ctx, bw, flush, err)
 	}
 	if traced {
 		if node := rows.Trace(); node != nil {
@@ -396,8 +395,10 @@ func (s *Server) streamRows(ctx context.Context, w http.ResponseWriter, rows *sm
 }
 
 // streamError terminates a committed stream with an in-band error frame,
-// returning err.
-func (s *Server) streamError(bw *bufio.Writer, flush func(), err error) error {
+// returning err. A deadline is counted before the frame is written, so a
+// client that reads the frame and then asks /status sees it.
+func (s *Server) streamError(ctx context.Context, bw *bufio.Writer, flush func(), err error) error {
+	s.noteDeadline(ctx, err)
 	if isCancel(err) {
 		s.m.cancelled.Add(1)
 	} else {
@@ -562,7 +563,6 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	}
 	ws, rs := s.db.WALStats(), s.db.RecoveryStats()
 	resp.WAL = WALStatus{
-		Policy:              ws.Policy,
 		SizeBytes:           ws.Size,
 		Commits:             ws.Commits,
 		Syncs:               ws.Syncs,

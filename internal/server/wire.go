@@ -288,7 +288,6 @@ type PoolStatus struct {
 
 // WALStatus reports redo-log and crash-recovery state in /status.
 type WALStatus struct {
-	Policy       string `json:"policy"`
 	SizeBytes    int64  `json:"size_bytes"`
 	Commits      uint64 `json:"commits"`
 	Syncs        uint64 `json:"syncs"`

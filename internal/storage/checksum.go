@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -14,13 +15,17 @@ import (
 // write surfaces as a typed error at the page that suffered it instead
 // of as silently wrong query results.
 //
-// A stored checksum of zero means "unstamped": pages written before
-// checksums existed verify clean, which lets old databases open without
-// a rewrite pass. pageCRC never returns zero (it maps 0 to 1), so a
-// stamped page can always be distinguished from an unstamped one.
+// A stored checksum of zero verifies only an all-zero page: one that was
+// allocated and never written back reads as zeros, past the end of the
+// file or in a hole. pageCRC never returns zero (it maps 0 to 1), so every
+// page that reached the disk carries a non-zero checksum, and a zeroed
+// checksum over non-zero bytes is damage like any other mismatch.
 const pageCRCOffset = 4
 
 var pageCRCTable = crc32.MakeTable(crc32.Castagnoli)
+
+// zeroPage is the image of a page that was never written.
+var zeroPage [PageSize]byte
 
 // pageCRC computes the checksum of a page image, skipping the four bytes
 // that store the checksum itself.
@@ -40,11 +45,11 @@ func StampPage(data []byte) {
 }
 
 // VerifyPage reports whether the page image's stored checksum matches its
-// content. Unstamped pages (stored checksum zero) verify clean.
+// content. A stored zero matches only a page that is all zero.
 func VerifyPage(data []byte) bool {
 	stored := binary.LittleEndian.Uint32(data[pageCRCOffset : pageCRCOffset+4])
 	if stored == 0 {
-		return true
+		return bytes.Equal(data, zeroPage[:])
 	}
 	return stored == pageCRC(data)
 }

@@ -24,18 +24,23 @@ func TestStampVerifyRoundTrip(t *testing.T) {
 	if !VerifyPage(page[:]) {
 		t.Fatal("restored page failed verification")
 	}
-	// An unstamped page (checksum bytes zero) must verify clean: databases
-	// written before checksums existed open without a rewrite pass.
-	var legacy [PageSize]byte
-	for i := range legacy {
-		legacy[i] = byte(i)
+	// A zeroed checksum over non-zero bytes is damage, not an unstamped
+	// page: every page that reaches the disk is stamped.
+	var zeroed [PageSize]byte
+	for i := range zeroed {
+		zeroed[i] = byte(i)
 	}
-	legacy[pageCRCOffset] = 0
-	legacy[pageCRCOffset+1] = 0
-	legacy[pageCRCOffset+2] = 0
-	legacy[pageCRCOffset+3] = 0
-	if !VerifyPage(legacy[:]) {
-		t.Fatal("unstamped legacy page rejected")
+	zeroed[pageCRCOffset] = 0
+	zeroed[pageCRCOffset+1] = 0
+	zeroed[pageCRCOffset+2] = 0
+	zeroed[pageCRCOffset+3] = 0
+	if VerifyPage(zeroed[:]) {
+		t.Fatal("zeroed checksum over non-zero bytes verified clean")
+	}
+	// A page allocated and never written back reads as all zeros.
+	var never [PageSize]byte
+	if !VerifyPage(never[:]) {
+		t.Fatal("never-written all-zero page rejected")
 	}
 }
 

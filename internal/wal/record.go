@@ -23,6 +23,12 @@
 // record, so a crash mid-append (or a bit flip in the tail) costs at
 // most the statements that had not finished committing. See Scanner for
 // the exact fail-closed rules.
+//
+// Durability has one mode. Commit hands a statement's frame to the OS;
+// Await returns once an fsync covers it, and statements that commit
+// concurrently share that fsync (leader/follower group commit). Sync is
+// the same barrier for a caller that commits without awaiting, as the
+// engine's one-row Table.Append does.
 package wal
 
 import (

@@ -12,7 +12,7 @@ import (
 // within the policy bound instead of blocking on the condvar.
 func TestFollowerWaitTimesOut(t *testing.T) {
 	path := logPath(t)
-	policy := SyncPolicy{Mode: ModeGrouped, SyncTimeout: 50 * time.Millisecond}
+	policy := SyncPolicy{SyncTimeout: 50 * time.Millisecond}
 	l := mustCreate(t, path, nil, policy)
 	defer l.Close()
 

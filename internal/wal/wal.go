@@ -29,26 +29,9 @@ const defaultSyncTimeout = 10 * time.Second
 // huge statement must not pin its buffer for the life of the log.
 const maxSpare = 1 << 20
 
-// SyncMode selects when commit records are forced to stable storage.
-type SyncMode int
-
-const (
-	// ModeGrouped fsyncs before every SQL statement returns, with one
-	// fsync amortized over all concurrently-committing statements
-	// (leader/follower group commit). Power-loss safe.
-	ModeGrouped SyncMode = iota
-	// ModeOS hands records to the operating system without fsync.
-	// Survives a process crash, not a power cut.
-	ModeOS
-	// ModeInterval fsyncs from a background ticker every Interval.
-	// Bounds power-loss exposure to one tick.
-	ModeInterval
-)
-
-// SyncPolicy is the durability knob surfaced as sma.WithSyncPolicy.
+// SyncPolicy bounds the log's one durability mode: every statement's
+// commit is made durable by a group-committed fsync before Await returns.
 type SyncPolicy struct {
-	Mode     SyncMode
-	Interval time.Duration
 	// SyncTimeout bounds how long a group-commit follower waits for the
 	// leader's fsync before giving up with ErrSyncTimeout. Zero selects
 	// the default (10s).
@@ -56,28 +39,8 @@ type SyncPolicy struct {
 }
 
 // Grouped returns the default policy: group-committed fsync per
-// statement.
-func Grouped() SyncPolicy { return SyncPolicy{Mode: ModeGrouped} }
-
-// OSOnly returns the write-to-OS policy: no fsync on commit.
-func OSOnly() SyncPolicy { return SyncPolicy{Mode: ModeOS} }
-
-// Every returns the background-fsync policy with the given interval.
-func Every(d time.Duration) SyncPolicy {
-	return SyncPolicy{Mode: ModeInterval, Interval: d}
-}
-
-func (p SyncPolicy) String() string {
-	switch p.Mode {
-	case ModeGrouped:
-		return "grouped"
-	case ModeOS:
-		return "os"
-	case ModeInterval:
-		return fmt.Sprintf("every %s", p.Interval)
-	}
-	return fmt.Sprintf("mode-%d", int(p.Mode))
-}
+// statement, with the default SyncTimeout.
+func Grouped() SyncPolicy { return SyncPolicy{} }
 
 // Batch accumulates one statement's redo records, each encoded in place
 // into one buffer that Commit hands to the log as it is. It is not safe for
@@ -131,7 +94,6 @@ type Stats struct {
 	Size         int64  // current file size in bytes
 	LastSeq      uint64 // last committed statement sequence
 	SyncedSeq    uint64 // highest sequence known durable
-	Policy       string
 }
 
 // Log is the append-only redo log. Appends are buffered and serialized
@@ -157,10 +119,8 @@ type Log struct {
 	syncing   bool
 	syncErr   error // sticky: a failed fsync means durability is unknown
 
-	stopTicker chan struct{}
-	tickerDone chan struct{}
-	closeOnce  sync.Once
-	closeErr   error
+	closeOnce sync.Once
+	closeErr  error
 
 	nCommits      atomic.Uint64
 	nSyncs        atomic.Uint64
@@ -200,11 +160,6 @@ func Create(path string, states []TableState, policy SyncPolicy) (*Log, error) {
 		return nil, err
 	}
 	l.size = int64(len(hdr))
-	if policy.Mode == ModeInterval && policy.Interval > 0 {
-		l.stopTicker = make(chan struct{})
-		l.tickerDone = make(chan struct{})
-		go l.tickLoop()
-	}
 	return l, nil
 }
 
@@ -261,8 +216,6 @@ func (l *Log) CommitFrame(b *Batch) (seq uint64, size int64, err error) {
 
 // WaitDurable blocks until the given commit sequence is on stable
 // storage, sharing one fsync among all concurrently-waiting committers.
-// Under ModeOS and ModeInterval it returns immediately — those policies
-// trade the wait away by contract.
 func (l *Log) WaitDurable(seq uint64) error {
 	_, err := l.Await(seq)
 	return err
@@ -272,7 +225,7 @@ func (l *Log) WaitDurable(seq uint64) error {
 // that made seq durable: of the statements one barrier covers, it is the
 // one the fsync is charged to.
 func (l *Log) Await(seq uint64) (led bool, err error) {
-	if seq == 0 || l.policy.Mode != ModeGrouped {
+	if seq == 0 {
 		return false, nil
 	}
 	return l.syncTo(seq)
@@ -381,8 +334,8 @@ func (l *Log) SetFault(fn func(op string) error) {
 	l.mu.Unlock()
 }
 
-// Sync forces everything appended so far to stable storage regardless
-// of policy. DB.Sync and checkpointing use it as a barrier.
+// Sync forces everything appended so far to stable storage, whether or not
+// anyone awaits it. DB.Sync and checkpointing use it as a barrier.
 func (l *Log) Sync() error {
 	target, err := l.flushAndSync()
 	if err != nil {
@@ -524,28 +477,6 @@ func (l *Log) Stats() Stats {
 		Size:         size,
 		LastSeq:      seq,
 		SyncedSeq:    synced,
-		Policy:       l.policy.String(),
-	}
-}
-
-// tickLoop drives ModeInterval background fsyncs until Close.
-func (l *Log) tickLoop() {
-	defer close(l.tickerDone)
-	t := time.NewTicker(l.policy.Interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-l.stopTicker:
-			return
-		case <-t.C:
-			if err := l.Sync(); err != nil && !errors.Is(err, ErrClosed) {
-				l.syncMu.Lock()
-				if l.syncErr == nil {
-					l.syncErr = err
-				}
-				l.syncMu.Unlock()
-			}
-		}
 	}
 }
 
@@ -558,10 +489,6 @@ func (l *Log) Close() error {
 }
 
 func (l *Log) doClose() error {
-	if l.stopTicker != nil {
-		close(l.stopTicker)
-		<-l.tickerDone
-	}
 	_, err := l.flushAndSync()
 	l.mu.Lock()
 	l.closed = true

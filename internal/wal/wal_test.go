@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
-	"time"
 )
 
 // memApplier records everything replay delivers, in order.
@@ -369,30 +368,6 @@ func TestGroupCommitAmortizes(t *testing.T) {
 	}
 	if st.GroupedWaits == 0 {
 		t.Fatal("no grouped waits recorded")
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestIntervalPolicySyncsInBackground(t *testing.T) {
-	path := logPath(t)
-	l := mustCreate(t, path, nil, Every(5*time.Millisecond))
-	b := l.NewBatch()
-	b.Insert("T", 0, 0, []byte("x"))
-	seq, err := l.Commit(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := l.WaitDurable(seq); err != nil { // must not block under interval policy
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for l.Stats().SyncedSeq < seq {
-		if time.Now().After(deadline) {
-			t.Fatalf("background sync never covered seq %d", seq)
-		}
-		time.Sleep(2 * time.Millisecond)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)

@@ -71,33 +71,6 @@ func WithBucketPages(n int) Option {
 	return func(o *openConfig) { o.eng.BucketPages = n }
 }
 
-// SyncPolicy selects when committed statements reach stable storage.
-// The zero value (and SyncGrouped) fsyncs the redo log before every DML
-// statement returns, amortizing one fsync over all concurrently
-// committing statements via group commit. SyncOSOnly and SyncEvery trade
-// power-loss durability for throughput; process crashes lose nothing
-// under any policy.
-type SyncPolicy = wal.SyncPolicy
-
-// SyncGrouped returns the default policy: a group-committed fsync before
-// every statement returns. Power-loss safe.
-func SyncGrouped() SyncPolicy { return wal.Grouped() }
-
-// SyncOSOnly returns the write-to-OS policy: commits are handed to the
-// operating system without fsync. Survives a process crash, not a power
-// cut; call DB.Sync for a manual durability point.
-func SyncOSOnly() SyncPolicy { return wal.OSOnly() }
-
-// SyncEvery returns the background-fsync policy: a ticker forces the log
-// every d, bounding power-loss exposure to one tick.
-func SyncEvery(d time.Duration) SyncPolicy { return wal.Every(d) }
-
-// WithSyncPolicy sets the redo-log durability policy (default
-// SyncGrouped).
-func WithSyncPolicy(p SyncPolicy) Option {
-	return func(o *openConfig) { o.eng.SyncPolicy = p }
-}
-
 // WithCheckpointBytes sets the redo-log size that triggers a checkpoint
 // — flushing every table and truncating the log (default 8 MB). Smaller
 // values bound recovery time; larger ones batch more work per
@@ -158,14 +131,6 @@ func WithLogger(l *slog.Logger) Option {
 // default) disables the slow-query log.
 func WithSlowQueryLog(d time.Duration) Option {
 	return func(o *openConfig) { o.slow = d }
-}
-
-// WithVerifyOnOpen makes Open run a full scrub pass — every heap page
-// checksum verified, every SMA file reloaded — before serving. Damage
-// does not fail Open; it quarantines the pages and the database comes up
-// degraded (see Degraded), so reads that can avoid the damage still work.
-func WithVerifyOnOpen() Option {
-	return func(o *openConfig) { o.eng.VerifyOnOpen = true }
 }
 
 // WithScrubInterval starts a background scrubber that verifies every
@@ -296,9 +261,10 @@ func (db *DB) RecoveryStats() RecoveryStats { return db.eng.RecoveryStats() }
 // WALStats snapshots the redo log's activity counters.
 func (db *DB) WALStats() WALStats { return db.eng.WALStats() }
 
-// Sync forces every statement committed so far onto stable storage,
-// regardless of the sync policy — the manual durability point for
-// SyncOSOnly and SyncEvery databases.
+// Sync forces every statement committed so far onto stable storage. A
+// SQL statement is durable when it returns (a group-committed fsync), but
+// Table.Append does not wait for the fsync: a bulk load appends its rows
+// and then calls Sync once.
 func (db *DB) Sync() error { return db.eng.Sync() }
 
 // Crash abandons the database without checkpointing or marking the
@@ -343,8 +309,8 @@ func (db *DB) Degraded() error { return db.eng.Degraded() }
 // CorruptPages lists every quarantined page in detection order.
 func (db *DB) CorruptPages() []CorruptPage { return db.eng.CorruptPages() }
 
-// LastScrub returns the most recent scrub report — from Scrub, the
-// background scrubber, or WithVerifyOnOpen — or nil if none ran yet.
+// LastScrub returns the most recent scrub report — from Scrub or the
+// background scrubber — or nil if none ran yet.
 func (db *DB) LastScrub() *ScrubReport { return db.eng.LastScrub() }
 
 // Table returns a handle for an existing table.

@@ -45,7 +45,8 @@ func (t *Table) BucketPages() int { return t.t.BucketPages }
 // Append is the loader: it adds one row (one value per column, in schema
 // order) on the append path INSERT takes and maintains every SMA of the
 // table. Unlike a SQL statement it is not recorded in sma_stat_* and does
-// not wait for the redo log's fsync. Accepted value types per column:
+// not wait for the redo log's fsync: call DB.Sync once after the load to
+// make its rows durable. Accepted value types per column:
 //
 //	int32:   int, int32, int64
 //	int64:   int, int32, int64
