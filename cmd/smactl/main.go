@@ -119,9 +119,10 @@ func main() {
 		}
 		fmt.Printf("dropped sma %s on %s\n", args[2], args[1])
 	case "scrub":
-		// scrub: verify every heap page checksum and reload every SMA
-		// file. Exit 1 when anything is corrupt, so cron jobs and CI can
-		// alert on the status code alone.
+		// scrub: verify every heap page checksum and read back the
+		// catalog, delete vectors and SMA-files. Exit 1 on any finding,
+		// so cron jobs and CI can alert on the status code alone; only
+		// corrupt pages degrade the database.
 		rep, err := db.Scrub(context.Background())
 		if err != nil {
 			fatal(err)
@@ -136,10 +137,12 @@ func main() {
 		}
 		if rep.Clean() {
 			fmt.Println("clean")
-		} else {
-			fmt.Println("corruption found: database is degraded (read-only)")
-			os.Exit(1)
+			break
 		}
+		if len(rep.Corrupt) > 0 {
+			fmt.Println("corruption found: database is degraded (read-only)")
+		}
+		os.Exit(1)
 	case "advise":
 		// advise ['<query>' ...]: optionally replay a workload so the
 		// stats collector has something to observe (counters are

@@ -8,6 +8,7 @@ import (
 	"sort"
 	"strings"
 
+	"sma/internal/storage"
 	"sma/internal/tuple"
 )
 
@@ -23,6 +24,7 @@ import (
 //	key     [keyLen]byte   (canonical group key, empty for ungrouped)
 //	entries numBuckets * elem.Width() bytes
 //	bitmap  ceil(numBuckets/64) * 8 bytes
+//	crc     u32            (CRC-32C trailer of storage.WriteFile)
 var smafMagic = [4]byte{'S', 'M', 'A', 'F'}
 
 const smafVersion = 1
@@ -34,7 +36,8 @@ func FileName(smaName string, i int) string {
 }
 
 // Save writes every SMA-file of s into dir (created if needed), one file
-// per group, and removes stale group files from earlier saves.
+// per group through storage.WriteFile, and removes stale group files from
+// earlier saves.
 func (s *SMA) Save(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("core: save sma %s: %w", s.Def.Name, err)
@@ -56,7 +59,7 @@ func (s *SMA) Save(dir string) error {
 		buf = g.Vec.encode(buf)
 		buf = g.Present.encode(buf)
 		path := filepath.Join(dir, FileName(s.Def.Name, i))
-		if err := os.WriteFile(path, buf, 0o644); err != nil {
+		if err := storage.WriteFile(path, buf); err != nil {
 			return fmt.Errorf("core: save sma %s: %w", s.Def.Name, err)
 		}
 	}
@@ -74,7 +77,8 @@ func (s *SMA) Save(dir string) error {
 }
 
 // Load reads a saved SMA back from dir. The definition and schema come from
-// the catalog; Load restores the vectors and presence bitmaps.
+// the catalog; Load restores the vectors and presence bitmaps. A damaged
+// SMA-file fails with an error storage.IsCorrupt recognises.
 func Load(dir string, def Def, schema *tuple.Schema) (*SMA, error) {
 	paths, err := filepath.Glob(filepath.Join(dir, strings.ToLower(def.Name)+".g*.smaf"))
 	if err != nil {
@@ -86,7 +90,7 @@ func Load(dir string, def Def, schema *tuple.Schema) (*SMA, error) {
 	sort.Strings(paths)
 	var s *SMA
 	for _, p := range paths {
-		raw, err := os.ReadFile(p)
+		raw, err := storage.ReadFile(p)
 		if err != nil {
 			return nil, fmt.Errorf("core: load %s: %w", p, err)
 		}

@@ -8,6 +8,7 @@ import (
 
 	"sma/internal/core"
 	"sma/internal/parser"
+	"sma/internal/storage"
 	"sma/internal/tuple"
 )
 
@@ -63,7 +64,7 @@ func typeFromName(s string) (tuple.Type, error) {
 	}
 }
 
-// saveCatalog writes the catalog JSON atomically.
+// saveCatalog writes the catalog JSON through storage.WriteFile.
 func (db *DB) saveCatalog() error {
 	var cat catalogJSON
 	for _, name := range db.tableNames() {
@@ -90,16 +91,14 @@ func (db *DB) saveCatalog() error {
 	if err != nil {
 		return err
 	}
-	tmp := filepath.Join(db.dir, catalogFile+".tmp")
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, filepath.Join(db.dir, catalogFile))
+	return storage.WriteFile(filepath.Join(db.dir, catalogFile), data)
 }
 
 // loadCatalog restores tables and SMAs from the catalog JSON, if present.
+// A damaged catalog or delete vector fails it with an error
+// storage.IsCorrupt recognises; a damaged SMA-file is rebuilt from the heap.
 func (db *DB) loadCatalog() error {
-	data, err := os.ReadFile(filepath.Join(db.dir, catalogFile))
+	data, err := storage.ReadFile(filepath.Join(db.dir, catalogFile))
 	if os.IsNotExist(err) {
 		return nil
 	}
@@ -150,10 +149,10 @@ func (db *DB) loadCatalog() error {
 		}
 		s, err := core.Load(db.smaDir(t.Name), def, t.Schema)
 		if err != nil {
-			// SMA-files are derived data. A crash can catch them unsaved or
-			// half-written, and a zero-group SMA legitimately saves no files
-			// at all — none of which may leave the catalog unopenable.
-			// Rebuild from the heap (recovery re-rebuilds WAL-touched tables
+			// SMA-files are derived data. A crash can catch them unsaved, a
+			// bit flip can fail their checksum, and a zero-group SMA
+			// legitimately saves no files at all — none of which may leave
+			// the catalog unopenable. Rebuild from the heap (recovery re-rebuilds WAL-touched tables
 			// again after replay, so a pre-replay heap here is harmless).
 			if o := db.opts.Obs; o != nil {
 				o.Logger().Warn("sma load failed; rebuilding from heap",

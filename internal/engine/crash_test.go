@@ -614,3 +614,70 @@ func TestCrashBeforeFirstWriteBack(t *testing.T) {
 	}
 	verifySMAs(t, tbl)
 }
+
+// TestUncleanOpenWithoutLog: a directory left dirty with no log at all
+// (a crash before the log was created) has no redo to replay, so the heaps
+// as found are the truth. Every row on disk must survive — no page may be
+// truncated as uncommitted — and every SMA, whose saved files predate rows
+// the crashed session wrote back, must be rebuilt and saved.
+func TestUncleanOpenWithoutLog(t *testing.T) {
+	opts := Options{BucketPages: 1, AllowUnsafeCrash: true}
+	dir := t.TempDir()
+	db, err := Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seedEvents(t, db, 30)
+	if _, err := db.ExecContext(context.Background(), "delete from EVENTS where KIND = 'C'"); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if db, err = Open(dir, opts); err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := db.Table("EVENTS")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Rows written back to the heap, but not yet to the SMA-files.
+	insertEvents(t, db, 30, 40)
+	if err := tbl.pool.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	want := heapSnapshot(t, tbl)
+	if err := db.Crash(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(db.walPath()); err != nil {
+		t.Fatal(err)
+	}
+
+	if db, err = Open(dir, opts); err != nil {
+		t.Fatal(err)
+	}
+	if rs := db.RecoveryStats(); !rs.Performed || !rs.WALMissing || rs.TruncatedPages != 0 || rs.SMAsRebuilt != 2 {
+		t.Fatalf("recovery stats = %+v, want a log-less recovery rebuilding 2 SMAs", rs)
+	}
+	if tbl, err = db.Table("EVENTS"); err != nil {
+		t.Fatal(err)
+	}
+	if got := heapSnapshot(t, tbl); got != want {
+		t.Fatal("log-less recovery lost rows that were on disk")
+	}
+	verifySMAs(t, tbl)
+
+	// The rebuilt SMA-files were saved: a clean reopen loads them.
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if db, err = Open(dir, opts); err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if tbl, err = db.Table("EVENTS"); err != nil {
+		t.Fatal(err)
+	}
+	verifySMAs(t, tbl)
+}

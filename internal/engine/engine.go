@@ -107,9 +107,10 @@ type Table struct {
 	disk *storage.DiskManager
 	pool *storage.BufferPool
 	smas map[string]*core.SMA
-	// smaDirty records that maintenance has changed the in-memory SMA
-	// vectors since load, so the next checkpoint must re-save them.
-	// Guarded by db.mu like the rest of the table state.
+	// smaDirty records that maintenance or a rebuild has changed the
+	// in-memory SMA vectors since they were loaded or saved, so the next
+	// persistLocked must save them. Guarded by db.mu like the rest of the
+	// table state.
 	smaDirty bool
 	// maintFault, when non-nil, is consulted before each SMA's append-run
 	// hook or statement-end refold; crash tests use it to fail maintenance
@@ -568,7 +569,7 @@ func (t *Table) smaInfos() []SMAInfo {
 }
 
 // NumRecords counts the table's live records (deleted tuples excluded)
-// under the read lock by visiting every page.
+// under the read lock: one read of the tail page, less the delete vector.
 func (t *Table) NumRecords() (int64, error) {
 	t.db.mu.RLock()
 	defer t.db.mu.RUnlock()

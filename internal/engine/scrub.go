@@ -3,6 +3,8 @@ package engine
 import (
 	"context"
 	"fmt"
+	"os"
+	"path/filepath"
 	"time"
 
 	"sma/internal/core"
@@ -19,19 +21,21 @@ type ScrubReport struct {
 	// Corrupt lists the pages whose checksum verification failed. Every
 	// page here is quarantined and the database is degraded.
 	Corrupt []CorruptPage `json:"corrupt,omitempty"`
-	// Errors lists non-checksum problems: raw read failures and SMA
-	// files that no longer load.
+	// Errors lists everything else: raw read failures, and a catalog,
+	// delete vector or SMA-file that no longer loads. None of these
+	// degrades the database: the next Open rebuilds a damaged SMA-file
+	// from the heap and fails on a damaged catalog or delete vector.
 	Errors []string `json:"errors,omitempty"`
 }
 
 // Clean reports whether the pass found nothing wrong.
 func (r *ScrubReport) Clean() bool { return len(r.Corrupt) == 0 && len(r.Errors) == 0 }
 
-// Scrub verifies every heap page checksum and reloads every SMA file,
-// returning what it found. Corrupt pages are quarantined and flip the
-// database into degraded read-only mode, exactly as a query hitting them
-// would — scrubbing just finds them before a query does. The pass reads
-// pages raw (outside the buffer pool, so it cannot evict the working
+// Scrub verifies every heap page checksum and reads back the catalog and
+// every delete vector and SMA-file, returning what it found. Corrupt pages
+// are quarantined and flip the database into degraded read-only mode,
+// exactly as a query hitting them would — scrubbing just finds them before
+// a query does. The pass reads pages raw (outside the buffer pool, so it cannot evict the working
 // set) and confirms any mismatch through the pool, which arbitrates the
 // race against a concurrent write-back of the same page.
 func (db *DB) Scrub(ctx context.Context) (*ScrubReport, error) {
@@ -54,11 +58,15 @@ func (db *DB) scrub(ctx context.Context, paced bool) (*ScrubReport, error) {
 	db.mu.RLock()
 	err := db.checkOpen()
 	names := db.tableNames()
+	_, catErr := storage.ReadFile(filepath.Join(db.dir, catalogFile))
 	db.mu.RUnlock()
 	if err != nil {
 		return nil, err
 	}
 	rep := &ScrubReport{Start: time.Now()}
+	if catErr != nil && !os.IsNotExist(catErr) {
+		rep.Errors = append(rep.Errors, fmt.Sprintf("catalog: %v", catErr))
+	}
 	for _, name := range names {
 		rep.Tables++
 		for from, more := int64(0), true; more; from += scrubRunPages {
@@ -77,7 +85,8 @@ func (db *DB) scrub(ctx context.Context, paced bool) (*ScrubReport, error) {
 
 // scrubRun verifies pages [from, from+scrubRunPages) of one table under one
 // hold of the read lock and reports whether pages remain past them. The
-// run that reaches the end of the heap also checks the table's SMA files.
+// run that reaches the end of the heap also reads back the table's delete
+// vector and SMA-files.
 func (db *DB) scrubRun(ctx context.Context, rep *ScrubReport, name string, from int64) (more bool, err error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
@@ -126,9 +135,12 @@ func (db *DB) scrubRun(ctx context.Context, rep *ScrubReport, name string, from 
 	if from+scrubRunPages < np {
 		return true, nil
 	}
-	// SMA files: prove each one still loads from disk. The in-memory
-	// vectors may be ahead of the files between checkpoints, so the
-	// check is structural (parse + shape), not a content comparison.
+	// The files beside the heap: prove each one still loads from disk.
+	// The in-memory state may be ahead of the files between checkpoints,
+	// so the check is the checksum and the structure, not the content.
+	if _, err := storage.LoadDeleteVector(db.deletePath(t.Name)); err != nil {
+		rep.Errors = append(rep.Errors, fmt.Sprintf("%s delete vector: %v", name, err))
+	}
 	for _, s := range t.SMAs() {
 		if err := ctx.Err(); err != nil {
 			return false, err

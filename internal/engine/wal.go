@@ -311,32 +311,41 @@ func (db *DB) maybeCheckpointLocked() {
 	}
 }
 
-// checkpointLocked makes every table's durable structures current — heap
-// pages flushed and fsynced, delete vectors and dirty SMA vectors saved —
-// then truncates the log to a fresh header recording the page counts.
-// After it returns, recovery needs nothing from the old log. Callers
-// hold db.mu.
+// checkpointLocked persists every table, then truncates the log to a
+// fresh header recording the page counts: the log goes only after every
+// file it covers is on stable storage, so recovery needs nothing from the
+// old log. Callers hold db.mu.
 func (db *DB) checkpointLocked() error {
 	for _, name := range db.tableNames() {
-		t := db.tables[name]
-		if err := t.pool.FlushAll(); err != nil {
+		if err := db.persistLocked(db.tables[name]); err != nil {
 			return err
-		}
-		if dv := t.Heap.DeleteVector(); dv != nil {
-			if err := dv.Save(db.deletePath(t.Name)); err != nil {
-				return err
-			}
-		}
-		if t.smaDirty {
-			for _, s := range t.smas {
-				if err := s.Save(db.smaDir(t.Name)); err != nil {
-					return err
-				}
-			}
-			t.smaDirty = false
 		}
 	}
 	return db.wal.Checkpoint(db.tableStatesLocked())
+}
+
+// persistLocked puts one table on stable storage: heap pages flushed and
+// fsynced, the delete vector saved, and the SMA-files saved when the
+// vectors changed since they were last. Checkpoint and recovery both
+// persist a table through it. Callers hold db.mu.
+func (db *DB) persistLocked(t *Table) error {
+	if err := t.pool.FlushAll(); err != nil {
+		return err
+	}
+	if dv := t.Heap.DeleteVector(); dv != nil {
+		if err := dv.Save(db.deletePath(t.Name)); err != nil {
+			return err
+		}
+	}
+	if t.smaDirty {
+		for _, s := range t.smas {
+			if err := s.Save(db.smaDir(t.Name)); err != nil {
+				return err
+			}
+		}
+		t.smaDirty = false
+	}
+	return nil
 }
 
 // RecoveryStats reports what Open's crash recovery did.
@@ -395,75 +404,73 @@ func (a *replayApplier) ApplyPageImage(table string, page int64, data []byte) er
 // recoverLocked brings an uncleanly-shut-down directory back to the last
 // committed statement: replay the log's committed prefix into the heaps,
 // truncate pages no committed statement wrote, rebuild the SMA vectors of
-// every touched table from its recovered heap, and flush it all. Runs
-// inside Open before the fresh log is created; any error fails the Open
-// (the dirty marker stays, so the next Open retries).
+// every touched table from its recovered heap, and persist it. With no log
+// to replay, the heaps as found are the truth and every table counts as
+// touched: its saved SMA-files may predate appends the crashed session
+// flushed. Runs inside Open before the fresh log is created; any error
+// fails the Open (the dirty marker stays, so the next Open retries).
 func (db *DB) recoverLocked() error {
 	rs := &db.recovery
 	rs.Performed = true
 	ap := &replayApplier{db: db, touched: make(map[string]bool)}
 	st, err := wal.Replay(db.walPath(), ap)
-	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			rs.WALMissing = true
-			return db.rebuildAllSMAsLocked(rs)
+	switch {
+	case errors.Is(err, fs.ErrNotExist):
+		rs.WALMissing = true
+		for name := range db.tables {
+			ap.touched[name] = true
 		}
+	case err != nil:
 		return fmt.Errorf("engine: wal replay: %w", err)
-	}
-	rs.Statements = st.Statements
-	rs.Ops = st.Ops
-	rs.PageImages = st.PageImages
-	rs.DiscardedBytes = st.DiscardedBytes
-
-	// A page belongs to the committed state if the checkpoint header
-	// counted it or a committed record landed on it. Anything past that
-	// is an uncommitted allocation (the file grows eagerly on append) —
-	// drop it so the heap matches exactly what the oracle would hold.
-	base := make(map[string]int64, len(st.Header))
-	for _, s := range st.Header {
-		base[s.Name] = s.Pages
-	}
-	for name, t := range db.tables {
-		committed := base[name] // 0 for tables created after the header was written
-		if mp, ok := st.MaxPage[name]; ok && mp+1 > committed {
-			committed = mp + 1
+	default:
+		rs.Statements = st.Statements
+		rs.Ops = st.Ops
+		rs.PageImages = st.PageImages
+		rs.DiscardedBytes = st.DiscardedBytes
+		// A page belongs to the committed state if the checkpoint header
+		// counted it or a committed record landed on it. Anything past
+		// that is an uncommitted allocation (the file grows eagerly on
+		// append) — drop it so the heap matches exactly what the oracle
+		// would hold.
+		base := make(map[string]int64, len(st.Header))
+		for _, s := range st.Header {
+			base[s.Name] = s.Pages
 		}
-		if np := t.disk.NumPages(); np > committed {
-			if err := t.Heap.Truncate(committed); err != nil {
-				return err
+		for name, t := range db.tables {
+			committed := base[name] // 0 for tables created after the header was written
+			if mp, ok := st.MaxPage[name]; ok && mp+1 > committed {
+				committed = mp + 1
 			}
-			rs.TruncatedPages += np - committed
+			if np := t.disk.NumPages(); np > committed {
+				if err := t.Heap.Truncate(committed); err != nil {
+					return err
+				}
+				rs.TruncatedPages += np - committed
+			}
 		}
 	}
-
 	for name := range ap.touched {
 		t := db.tables[name]
 		if err := rebuildSMAs(t); err != nil {
 			return err
 		}
 		rs.SMAsRebuilt += len(t.smas)
-		for _, s := range t.smas {
-			if err := s.Save(db.smaDir(t.Name)); err != nil {
-				return err
-			}
-		}
-		if err := t.pool.FlushAll(); err != nil {
+		if err := db.persistLocked(t); err != nil {
 			return err
-		}
-		if dv := t.Heap.DeleteVector(); dv != nil {
-			if err := dv.Save(db.deletePath(t.Name)); err != nil {
-				return err
-			}
 		}
 	}
 	return nil
 }
 
-// rebuildSMAs recomputes every SMA of t from its heap in one pass. Unlike
-// repairSMAs (which detaches what it cannot rebuild, keeping a live session
-// answering), a rebuild failure here is fatal — recovery must not open a
-// database with missing aggregates the catalog promises.
+// rebuildSMAs recomputes every SMA of t from its heap in one pass and
+// marks the vectors for saving. Unlike repairSMAs (which detaches what it
+// cannot rebuild, keeping a live session answering), a rebuild failure here
+// is fatal — recovery must not open a database with missing aggregates the
+// catalog promises.
 func rebuildSMAs(t *Table) error {
+	if len(t.smas) == 0 {
+		return nil
+	}
 	names := make([]string, 0, len(t.smas))
 	defs := make([]core.Def, 0, len(t.smas))
 	for name, s := range t.smas {
@@ -477,29 +484,7 @@ func rebuildSMAs(t *Table) error {
 	for i, name := range names {
 		t.smas[name] = built[i]
 	}
-	return nil
-}
-
-// rebuildAllSMAsLocked handles the log-less unclean directory: with no
-// redo to replay, the heaps as found are the truth and every SMA vector
-// is recomputed from them (the saved SMA-files may predate appends the
-// crashed session flushed).
-func (db *DB) rebuildAllSMAsLocked(rs *RecoveryStats) error {
-	for _, name := range db.tableNames() {
-		t := db.tables[name]
-		if len(t.smas) == 0 {
-			continue
-		}
-		if err := rebuildSMAs(t); err != nil {
-			return err
-		}
-		rs.SMAsRebuilt += len(t.smas)
-		for _, s := range t.smas {
-			if err := s.Save(db.smaDir(t.Name)); err != nil {
-				return err
-			}
-		}
-	}
+	t.smaDirty = true
 	return nil
 }
 

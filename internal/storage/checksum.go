@@ -66,8 +66,10 @@ func (e *CorruptPageError) Error() string {
 	return fmt.Sprintf("storage: page %d of %s failed checksum verification", e.Page, e.Path)
 }
 
-// IsCorrupt reports whether err is (or wraps) a CorruptPageError.
+// IsCorrupt reports whether err is (or wraps) a CorruptPageError or a
+// CorruptFileError.
 func IsCorrupt(err error) bool {
-	var ce *CorruptPageError
-	return errors.As(err, &ce)
+	var pe *CorruptPageError
+	var fe *CorruptFileError
+	return errors.As(err, &pe) || errors.As(err, &fe)
 }

@@ -52,10 +52,8 @@ func (dv *DeleteVector) isDeleted(rid RID, perPage int) bool {
 // deleteVectorMagic heads the on-disk encoding.
 var deleteVectorMagic = [4]byte{'S', 'D', 'E', 'L'}
 
-// Save writes the vector to path (sorted ordinals, little endian). The
-// write goes through a fsynced temporary file renamed into place, so a
-// crash mid-save leaves either the old vector or the new one — never a
-// torn file.
+// Save writes the vector to path (sorted ordinals, little endian)
+// through WriteFile.
 func (dv *DeleteVector) Save(path string) error {
 	ords := make([]int64, 0, len(dv.dead))
 	for o := range dv.dead {
@@ -68,28 +66,13 @@ func (dv *DeleteVector) Save(path string) error {
 	for _, o := range ords {
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(o))
 	}
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(buf); err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
+	return WriteFile(path, buf)
 }
 
 // LoadDeleteVector reads a vector saved by Save; a missing file yields an
-// empty vector.
+// empty vector, a damaged one an error IsCorrupt recognises.
 func LoadDeleteVector(path string) (*DeleteVector, error) {
-	raw, err := os.ReadFile(path)
+	raw, err := ReadFile(path)
 	if os.IsNotExist(err) {
 		return NewDeleteVector(), nil
 	}

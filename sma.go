@@ -289,14 +289,16 @@ type ScrubReport = engine.ScrubReport
 // CorruptPage identifies one quarantined page.
 type CorruptPage = engine.CorruptPage
 
-// IsCorrupt reports whether err (or anything it wraps) is a page
-// checksum failure — the typed error a query returns when it needed a
-// quarantined page.
+// IsCorrupt reports whether err (or anything it wraps) is a checksum
+// failure: of a heap page — the typed error a query returns when it needed
+// a quarantined page — or of the catalog, an SMA-file or a delete vector,
+// which Open returns when it cannot rebuild the damaged file from the heap.
 func IsCorrupt(err error) bool { return storage.IsCorrupt(err) }
 
 // Scrub runs one verification pass now: every heap page checksum is
-// verified and every SMA file reloaded. Corrupt pages are quarantined
-// and degrade the database; the report lists everything found.
+// verified, and the catalog and every delete vector and SMA-file read
+// back. Corrupt pages are quarantined and degrade the database; the report
+// lists everything found.
 func (db *DB) Scrub(ctx context.Context) (*ScrubReport, error) { return db.eng.Scrub(ctx) }
 
 // Degraded returns nil on a healthy database, or an error wrapping
