@@ -1,11 +1,13 @@
 // Package lockorder enforces the engine's lock-acquisition discipline:
 //
-//  1. No disk read while holding the buffer pool's mutex. BufferPool.fetch
-//     deliberately registers the frame, unlocks, and only then calls
-//     DiskManager.ReadPage so concurrent misses overlap their I/O; a read
-//     added under bp.mu serializes the whole pool on one disk operation.
+//  1. No disk read while holding the buffer pool's mutex. The pool
+//     deliberately registers a miss's frames, unlocks, and only then reads
+//     them — one page or a run of pages — so concurrent misses overlap
+//     their I/O; a read added under bp.mu serializes the whole pool on one
+//     disk operation. Every DiskManager method whose name starts with
+//     "read" or "Read" (ReadPage, the run read readPages) is banned there.
 //     (Eviction write-back under the lock is the documented exception, so
-//     only ReadPage is banned.)
+//     writes are not.)
 //  2. Never call back into the buffer pool while holding a narrower
 //     storage-layer lock (the prefetcher's mark mutex, a frame-level
 //     lock): the pool's mutex is the outermost storage lock, and
@@ -27,6 +29,7 @@ package lockorder
 import (
 	"go/ast"
 	"go/types"
+	"strings"
 
 	"sma/internal/lint/analysis"
 	"sma/internal/lint/lintutil"
@@ -35,7 +38,7 @@ import (
 // Analyzer is the lockorder check.
 var Analyzer = &analysis.Analyzer{
 	Name: "lockorder",
-	Doc: "storage/engine lock discipline: no disk reads under the pool " +
+	Doc: "storage/engine lock discipline: no disk reads (of a page or a run) under the pool " +
 		"mutex, no pool calls under narrower storage locks, and no calls " +
 		"to methods that re-acquire a mutex already held",
 	Run: run,
@@ -279,11 +282,11 @@ func (c *checker) checkCall(call *ast.CallExpr, held map[mutexKey]bool) {
 		return
 	}
 	// Rule 1: disk read under the pool lock.
-	if recv.Obj().Name() == "DiskManager" && fn.Name() == "ReadPage" {
+	if recv.Obj().Name() == "DiskManager" && strings.HasPrefix(strings.ToLower(fn.Name()), "read") {
 		for key := range held {
 			if key.owner.Name() == "BufferPool" {
-				c.pass.Reportf(call.Pos(), "DiskManager.ReadPage while holding %s.%s: release the pool lock before physical reads",
-					key.owner.Name(), key.field)
+				c.pass.Reportf(call.Pos(), "DiskManager.%s while holding %s.%s: release the pool lock before physical reads",
+					fn.Name(), key.owner.Name(), key.field)
 			}
 		}
 	}

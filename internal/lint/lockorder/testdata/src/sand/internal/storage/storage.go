@@ -9,8 +9,9 @@ type PageID int64
 
 type DiskManager struct{}
 
-func (d *DiskManager) ReadPage(id PageID, buf []byte) error  { return nil }
-func (d *DiskManager) WritePage(id PageID, buf []byte) error { return nil }
+func (d *DiskManager) ReadPage(id PageID, buf []byte) error     { return nil }
+func (d *DiskManager) readPages(first PageID, buf []byte) error { return nil }
+func (d *DiskManager) WritePage(id PageID, buf []byte) error    { return nil }
 
 type Frame struct{ data [64]byte }
 
@@ -35,6 +36,25 @@ func (bp *BufferPool) fetchBad(id PageID) (*Frame, error) {
 	return fr, nil
 }
 
+// readRunBad reads a run of pages while holding the pool mutex: the run
+// read is a disk read like ReadPage.
+func (bp *BufferPool) readRunBad(first PageID, n int) error {
+	bp.mu.Lock()
+	defer bp.mu.Unlock()
+	buf := make([]byte, n*64)
+	return bp.disk.readPages(first, buf) // want `readPages while holding BufferPool.mu`
+}
+
+// readRunGood takes the run's frames under the lock, then reads.
+func (bp *BufferPool) readRunGood(first PageID, n int) error {
+	bp.mu.Lock()
+	for i := 0; i < n; i++ {
+		bp.frames[first+PageID(i)] = &Frame{}
+	}
+	bp.mu.Unlock()
+	return bp.disk.readPages(first, make([]byte, n*64))
+}
+
 // fetchGood registers the frame, releases the lock, then reads.
 func (bp *BufferPool) fetchGood(id PageID) (*Frame, error) {
 	bp.mu.Lock()
@@ -48,7 +68,7 @@ func (bp *BufferPool) fetchGood(id PageID) (*Frame, error) {
 }
 
 // evictGood writes back a dirty victim under the lock — the documented
-// exception: only ReadPage is banned under bp.mu.
+// exception: only reads are banned under bp.mu.
 func (bp *BufferPool) evictGood(id PageID) error {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()

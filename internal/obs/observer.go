@@ -106,7 +106,7 @@ func NewObserver(cfg Config) *Observer {
 		},
 		Storage: &StorageMetrics{
 			ReadSeconds: reg.Histogram("sma_storage_read_seconds",
-				"Physical page read latency (demand and prefetch reads).",
+				"Physical read latency, one sample per read call: a demand page or a prefetched run of pages.",
 				DefSecondsBuckets()),
 			PrefetchOccupancy: reg.Histogram("sma_storage_prefetch_window_occupancy",
 				"Pages in flight or unconsumed in the prefetch window, sampled per consumed page.",

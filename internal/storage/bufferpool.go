@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"cmp"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -78,18 +79,6 @@ func (s *PoolStats) Add(o PoolStats) {
 	s.CorruptPages += o.CorruptPages
 }
 
-// BufferPool caches pages of a single DiskManager with LRU replacement.
-// Pages are pinned while in use; unpinned frames are eviction candidates in
-// least-recently-used order. The bookkeeping allocates nothing per page:
-// the LRU list is threaded through the frames, a miss at capacity recycles
-// its victim's frame, and a read gets a completion signal only when a
-// second fetcher waits for it.
-//
-// The pool is safe for concurrent use: parallel partition workers pin
-// disjoint (and occasionally shared) pages simultaneously. Physical reads
-// happen outside the pool lock so concurrent misses overlap their I/O;
-// activity counters are atomic so stat bumps and snapshots never contend
-// on the pool mutex.
 // WriteBackHook intercepts in-place rewrites of dirty pages. The engine
 // implements it over the WAL: PageImage logs a full image of the page,
 // Barrier forces logged images to stable storage. Together they make a
@@ -100,11 +89,28 @@ type WriteBackHook interface {
 	Barrier() error
 }
 
+// BufferPool caches pages of a single DiskManager with LRU replacement.
+// Pages are pinned while in use; unpinned frames are eviction candidates in
+// least-recently-used order. Page ids are dense per file, so the page table
+// is a slice indexed by page id. The bookkeeping allocates nothing per
+// page: the LRU list is threaded through the frames, a miss at capacity
+// recycles its victim's frame, and a read gets a completion signal only
+// when a second fetcher waits for it.
+//
+// The pool is safe for concurrent use: parallel partition workers pin
+// disjoint (and occasionally shared) pages simultaneously. Physical reads
+// happen outside the pool lock so concurrent misses overlap their I/O;
+// activity counters are atomic so stat bumps and snapshots never contend
+// on the pool mutex. A demand miss and a prefetch run (readAhead) read
+// through one load.
 type BufferPool struct {
-	mu     sync.Mutex
-	disk   *DiskManager
-	cap    int
-	frames map[PageID]*Frame
+	mu   sync.Mutex
+	disk *DiskManager
+	cap  int
+	// frames is the page table: frames[id] is page id's frame, nil when
+	// the page is not resident. resident counts the non-nil entries.
+	frames   []*Frame
+	resident int
 	// The unpinned resident frames, most recently unpinned first; linked
 	// through Frame.prev/next.
 	lruFront, lruBack *Frame
@@ -126,7 +132,7 @@ type BufferPool struct {
 	// a torn page is expected there — the full-page image that heals it
 	// sits later in the log, and intermediate record-level redo may read
 	// the page first.
-	verify bool
+	verify atomic.Bool
 	// quarantined holds pages that failed verification. Every later
 	// fetch of a quarantined page fails fast with the recorded error —
 	// re-reading cannot help, and the rest of the pool keeps working.
@@ -145,9 +151,9 @@ type BufferPool struct {
 	corrupt      atomic.Int64
 
 	// Observability hooks, set once via SetObs before the pool sees
-	// concurrent traffic. Nil histograms are inert, so the disabled path
-	// costs one pointer test per physical read.
-	readLatency *obs.Histogram // physical read latency, demand + prefetch
+	// concurrent traffic. Nil histograms are inert; the disabled path
+	// costs a pointer test and a clock read per physical read call.
+	readLatency *obs.Histogram // physical read latency per read call, demand + prefetch
 	prefetchOcc *obs.Histogram // prefetch window occupancy per consumed page
 }
 
@@ -167,23 +173,19 @@ func NewBufferPool(disk *DiskManager, capacity int) *BufferPool {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &BufferPool{
+	bp := &BufferPool{
 		disk:        disk,
 		cap:         capacity,
-		frames:      make(map[PageID]*Frame, capacity),
-		verify:      true,
 		quarantined: make(map[PageID]*CorruptPageError),
 	}
+	bp.verify.Store(true)
+	return bp
 }
 
 // SetVerifyReads toggles checksum verification of physical reads.
 // Recovery disables it while torn pages may legitimately be read before
 // their healing full-page image is replayed.
-func (bp *BufferPool) SetVerifyReads(on bool) {
-	bp.mu.Lock()
-	bp.verify = on
-	bp.mu.Unlock()
-}
+func (bp *BufferPool) SetVerifyReads(on bool) { bp.verify.Store(on) }
 
 // SetCorruptionHandler installs a callback invoked (outside the pool
 // lock) whenever a page is newly quarantined. Call it before the pool
@@ -248,7 +250,7 @@ func (bp *BufferPool) EndBarrier() {
 // frames stay resident (still dirty), to be retried by later evictions,
 // FlushAll, or the next trim.
 func (bp *BufferPool) trimLocked() {
-	excess := len(bp.frames) - bp.cap
+	excess := bp.resident - bp.cap
 	if excess <= 0 {
 		return
 	}
@@ -278,7 +280,7 @@ func (bp *BufferPool) trimLocked() {
 			fr.dirty = false
 		}
 		bp.lruRemove(fr)
-		delete(bp.frames, fr.id)
+		bp.dropLocked(fr)
 		bp.evictions.Add(1)
 	}
 }
@@ -290,15 +292,15 @@ func (bp *BufferPool) trimLocked() {
 func (bp *BufferPool) Discard(id PageID) error {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
-	fr, ok := bp.frames[id]
-	if !ok {
+	fr := bp.frameLocked(id)
+	if fr == nil {
 		return nil
 	}
 	if fr.pins > 0 {
 		return fmt.Errorf("storage: discard of pinned page %d", id)
 	}
 	bp.lruRemove(fr)
-	delete(bp.frames, id)
+	bp.dropLocked(fr)
 	return nil
 }
 
@@ -311,136 +313,218 @@ func (bp *BufferPool) Disk() *DiskManager { return bp.disk }
 // FetchPage pins page id, reading it from disk on a miss.
 // The caller must UnpinPage it when done.
 func (bp *BufferPool) FetchPage(id PageID) (*Frame, error) {
-	fr, _, err := bp.fetch(id, false)
-	return fr, err
-}
-
-// fetch implements FetchPage. missed reports whether this call issued the
-// physical read. A prefetch wants the page resident, not pinned: it returns
-// no frame — at once when the page is resident or somebody is reading it —
-// and on a miss marks the frame, so the first later demand hit can be
-// attributed to readahead, and releases it inside the critical section that
-// ends the read.
-func (bp *BufferPool) fetch(id PageID, prefetch bool) (*Frame, bool, error) {
 	bp.mu.Lock()
 	if ce, ok := bp.quarantined[id]; ok {
 		bp.mu.Unlock()
-		return nil, false, ce
+		return nil, ce
 	}
-	if fr, ok := bp.frames[id]; ok {
+	if fr := bp.frameLocked(id); fr != nil {
 		bp.hits.Add(1)
-		if prefetch {
-			bp.mu.Unlock()
-			return nil, false, nil
-		}
 		if fr.prefetched {
 			fr.prefetched = false
 			bp.prefetchHits.Add(1)
 		}
 		bp.pinLocked(fr)
-		var loaded chan struct{}
-		if fr.loading {
-			if fr.loaded == nil {
-				fr.loaded = make(chan struct{})
-			}
-			loaded = fr.loaded
+		if !fr.loading {
+			bp.mu.Unlock()
+			return fr, nil
 		}
+		if fr.loaded == nil {
+			fr.loaded = make(chan struct{})
+		}
+		loaded := fr.loaded
 		bp.mu.Unlock()
-		if loaded != nil {
-			// Another goroutine is reading this page; wait for it. On
-			// failure the loader already deregistered the frame and zeroed
-			// its pins, so there is nothing to unpin here.
-			<-loaded
-			if fr.loadErr != nil {
-				return nil, false, fr.loadErr
-			}
+		// Another goroutine is reading this page; wait for it. On failure
+		// the loader already deregistered the frame and zeroed its pins,
+		// so there is nothing to unpin here.
+		<-loaded
+		if fr.loadErr != nil {
+			return nil, fr.loadErr
 		}
-		return fr, false, nil
+		return fr, nil
 	}
+	fr, err := bp.missLocked(id, false)
+	bp.mu.Unlock()
+	if err != nil {
+		return nil, err
+	}
+	run := [1]*Frame{fr}
+	if err := bp.load(run[:], nil, false); err != nil {
+		return nil, err
+	}
+	return fr, nil
+}
+
+// readAhead makes the pages of ids — ascending, at most prefetchRun — resident
+// without pinning them: it takes a frame for every missing page, unless
+// passed(i) under the lock, in one lock round and loads them through buf.
+// ok[i] reports whether page ids[i] is resident, or being read, afterwards;
+// read counts the pages it read, whose first demand hit is a prefetch hit.
+func (bp *BufferPool) readAhead(ids []PageID, ok []bool, buf []byte, passed func(i int) bool) (read int) {
+	var taken [prefetchRun]*Frame
+	var at [prefetchRun]int // frames[k] holds page ids[at[k]]
+	frames := taken[:0]
+	bp.mu.Lock()
+	for i, id := range ids {
+		ok[i] = false
+		if _, bad := bp.quarantined[id]; bad || passed(i) {
+			continue
+		}
+		if bp.frameLocked(id) != nil {
+			bp.hits.Add(1)
+			ok[i] = true
+		} else if fr, err := bp.missLocked(id, true); err == nil {
+			at[len(frames)] = i
+			frames = append(frames, fr)
+		}
+	}
+	bp.mu.Unlock()
+	if len(frames) == 0 {
+		return 0
+	}
+	bp.load(frames, buf, true) // the demand fetch repeats a failed read and reports it
+	for k, fr := range frames {
+		if fr != nil {
+			ok[at[k]] = true
+			read++
+		}
+	}
+	return read
+}
+
+// missLocked counts a miss of page id and takes it a frame: registered, so
+// co-fetchers wait for its load; pinned, so it stays off the eviction list.
+func (bp *BufferPool) missLocked(id PageID, prefetch bool) (*Frame, error) {
 	bp.misses.Add(1)
+	if id < 0 || int(id) >= len(bp.frames) && int64(id) >= bp.disk.NumPages() {
+		return nil, fmt.Errorf("storage: fetch of page %d past the end of %s", id, bp.disk.Path())
+	}
 	fr, err := bp.victimLocked(id)
 	if err != nil {
-		bp.mu.Unlock()
-		return nil, false, err
+		return nil, err
 	}
-	// Read outside the lock so concurrent misses on different pages overlap
-	// their I/O. The frame is registered and pinned and marked loading:
-	// co-fetchers of the same page wait for the read rather than racing a
-	// second one, and the pin keeps the frame off the eviction list.
 	fr.loading = true
-	fr.loadErr = nil
 	fr.prefetched = prefetch
 	if prefetch {
 		bp.prefetched.Add(1)
 	}
-	verify := bp.verify
-	bp.mu.Unlock()
-
-	// If the read panics (a fault-injection hook, or a bug in a lower
-	// layer), deregister the frame and wake co-fetchers before the panic
-	// propagates: a statement-level panic boundary above must not leave
-	// other goroutines wedged on the loaded channel forever.
-	completed := false
-	defer func() {
-		if completed {
-			return
-		}
-		bp.mu.Lock()
-		delete(bp.frames, id)
-		fr.pins = 0
-		fr.loadErr = fmt.Errorf("storage: read of page %d aborted by panic", id)
-		bp.loadDoneLocked(fr)
-	}()
-
-	if bp.readLatency != nil {
-		t0 := time.Now()
-		err = bp.disk.ReadPage(id, fr.data[:])
-		bp.readLatency.ObserveDuration(time.Since(t0))
-	} else {
-		err = bp.disk.ReadPage(id, fr.data[:])
-	}
-	// The checksum is computed before the lock is retaken: it is most of
-	// what there is to do per page besides the read itself, and every other
-	// fetch would wait for it.
-	corrupt := err == nil && verify && !VerifyPage(fr.data[:])
-	bp.mu.Lock()
-	var notify func(PageID)
-	if corrupt {
-		ce := &CorruptPageError{Path: bp.disk.Path(), Page: id}
-		bp.quarantined[id] = ce
-		bp.corrupt.Add(1)
-		notify = bp.onCorrupt
-		err = ce
-	}
-	if err != nil {
-		// Discard the frame; waiters observe loadErr and give up their pins
-		// collectively (the frame is no longer resident).
-		delete(bp.frames, id)
-		fr.pins = 0
-		fr.loadErr = err
-	} else if prefetch {
-		bp.unpinLocked(fr)
-	}
-	completed = true
-	bp.loadDoneLocked(fr)
-	if notify != nil {
-		notify(id)
-	}
-	if err != nil || prefetch {
-		return nil, err == nil, err
-	}
-	return fr, true, nil
+	return fr, nil
 }
 
-// loadDoneLocked ends fr's read: it clears the loading mark, releases
-// bp.mu, and wakes the co-fetchers, if any waited.
-func (bp *BufferPool) loadDoneLocked(fr *Frame) {
-	loaded := fr.loaded
-	fr.loading, fr.loaded = false, nil
-	bp.mu.Unlock()
-	if loaded != nil {
-		close(loaded)
+// load reads the pages of frames — taken by missLocked, in ascending page
+// order — outside the pool lock, one read per stretch of consecutive pages;
+// a stretch of several is read into buf, then copied to its frames. Each
+// checksum is verified before the lock is retaken: it is most of the work
+// per page besides the read, and every other fetch would wait for it. One
+// lock round ends all the loads, and a prefetch load unpins its pages. It
+// returns the first failure; a failed page does not fail its neighbours.
+func (bp *BufferPool) load(frames []*Frame, buf []byte, prefetch bool) error {
+	// If a read panics (a fault hook, or a bug below), deregister the frames
+	// and wake co-fetchers before the panic propagates to a statement's panic
+	// boundary: no goroutine may be left waiting on loaded forever.
+	completed := false
+	defer func() {
+		if !completed {
+			bp.mu.Lock()
+			for _, fr := range frames {
+				fr.loadErr = fmt.Errorf("storage: read of page %d aborted by panic", fr.id)
+			}
+			bp.endLoadsLocked(frames, false)
+		}
+	}()
+	verify := bp.verify.Load()
+	for i, j := 0, 1; i < len(frames); i = j {
+		for j = i + 1; j < len(frames) && frames[j].id == frames[j-1].id+1; j++ {
+		}
+		stretch, dst := frames[i:j], frames[i].data[:]
+		if len(stretch) > 1 {
+			dst = buf[:len(stretch)*PageSize]
+		}
+		t0 := time.Now()
+		err := bp.disk.readPages(stretch[0].id, dst)
+		if bp.readLatency != nil {
+			bp.readLatency.ObserveDuration(time.Since(t0))
+		}
+		for k, fr := range stretch {
+			if err == nil && len(stretch) > 1 {
+				copy(fr.data[:], dst[k*PageSize:])
+			}
+			switch {
+			case err != nil:
+				fr.loadErr = err
+			case verify && !VerifyPage(fr.data[:]):
+				fr.loadErr = &CorruptPageError{Path: bp.disk.Path(), Page: fr.id}
+			}
+		}
 	}
+	bp.mu.Lock()
+	completed = true
+	return bp.endLoadsLocked(frames, prefetch)
+}
+
+// endLoadsLocked ends the loads of frames and releases bp.mu. A failed frame
+// leaves the pool with its waiters' pins (they see loadErr) and becomes nil
+// in frames; a checksum failure quarantines its page. With unpin, a loaded
+// frame is released. Co-fetchers are woken, and onCorrupt told of each
+// quarantined page, after the unlock. It returns the first failure.
+func (bp *BufferPool) endLoadsLocked(frames []*Frame, unpin bool) (first error) {
+	var wake [prefetchRun]chan struct{}
+	var bad []PageID
+	for i, fr := range frames {
+		if fr.loadErr == nil {
+			if unpin {
+				bp.unpinLocked(fr)
+			}
+		} else {
+			if ce, ok := fr.loadErr.(*CorruptPageError); ok {
+				bp.quarantined[fr.id] = ce
+				bp.corrupt.Add(1)
+				bad = append(bad, fr.id)
+			}
+			first = cmp.Or(first, fr.loadErr)
+			bp.dropLocked(fr)
+			fr.pins = 0
+			frames[i] = nil
+		}
+		wake[i] = fr.loaded
+		fr.loading, fr.loaded = false, nil
+	}
+	notify := bp.onCorrupt
+	bp.mu.Unlock()
+	for _, ch := range wake[:len(frames)] {
+		if ch != nil {
+			close(ch)
+		}
+	}
+	for _, id := range bad {
+		if notify != nil {
+			notify(id)
+		}
+	}
+	return first
+}
+
+// frameLocked returns page id's frame, or nil when it is not resident.
+func (bp *BufferPool) frameLocked(id PageID) *Frame {
+	if id < 0 || int(id) >= len(bp.frames) {
+		return nil
+	}
+	return bp.frames[id]
+}
+
+// registerLocked enters fr into the page table under fr.id.
+func (bp *BufferPool) registerLocked(fr *Frame) {
+	for int(fr.id) >= len(bp.frames) {
+		bp.frames = append(bp.frames, nil)
+	}
+	bp.frames[fr.id] = fr
+	bp.resident++
+}
+
+// dropLocked removes fr from the page table.
+func (bp *BufferPool) dropLocked(fr *Frame) {
+	bp.frames[fr.id] = nil
+	bp.resident--
 }
 
 // NewPage allocates a fresh page, pins it, and returns the frame. The page
@@ -506,7 +590,7 @@ func (bp *BufferPool) lruRemove(fr *Frame) {
 // would leak its effects to disk. The returned frame is pinned and
 // registered under id, with stale contents.
 func (bp *BufferPool) victimLocked(id PageID) (*Frame, error) {
-	if len(bp.frames) >= bp.cap {
+	if bp.resident >= bp.cap {
 		var victim *Frame
 		for fr := bp.lruBack; fr != nil; fr = fr.prev {
 			if bp.barrier > 0 && fr.dirty && fr.epoch == bp.epoch {
@@ -523,7 +607,7 @@ func (bp *BufferPool) victimLocked(id PageID) (*Frame, error) {
 				// committed (or rolled back).
 				bp.overflows.Add(1)
 				fr := &Frame{id: id, pins: 1}
-				bp.frames[id] = fr
+				bp.registerLocked(fr)
 				return fr, nil
 			}
 			return nil, fmt.Errorf("storage: buffer pool exhausted: all %d frames pinned", bp.cap)
@@ -543,17 +627,17 @@ func (bp *BufferPool) victimLocked(id PageID) (*Frame, error) {
 			victim.dirty = false
 		}
 		bp.lruRemove(victim)
-		delete(bp.frames, victim.id)
+		bp.dropLocked(victim)
 		bp.evictions.Add(1)
 		victim.id = id
 		victim.pins = 1
 		victim.loadErr = nil
 		victim.prefetched = false
-		bp.frames[id] = victim
+		bp.registerLocked(victim)
 		return victim, nil
 	}
 	fr := &Frame{id: id, pins: 1}
-	bp.frames[id] = fr
+	bp.registerLocked(fr)
 	return fr, nil
 }
 
@@ -562,8 +646,8 @@ func (bp *BufferPool) victimLocked(id PageID) (*Frame, error) {
 func (bp *BufferPool) UnpinPage(id PageID) error {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
-	fr, ok := bp.frames[id]
-	if !ok {
+	fr := bp.frameLocked(id)
+	if fr == nil {
 		return fmt.Errorf("storage: unpin of non-resident page %d", id)
 	}
 	if fr.pins <= 0 {
@@ -571,6 +655,13 @@ func (bp *BufferPool) UnpinPage(id PageID) error {
 	}
 	bp.unpinLocked(fr)
 	return nil
+}
+
+// unpin releases one pin on fr, a frame the caller fetched and still pins.
+func (bp *BufferPool) unpin(fr *Frame) {
+	bp.mu.Lock()
+	bp.unpinLocked(fr)
+	bp.mu.Unlock()
 }
 
 // unpinLocked releases one pin on a pinned frame.
@@ -602,12 +693,12 @@ func (bp *BufferPool) FlushAll() error {
 	return bp.disk.Sync()
 }
 
-// flushLocked writes back every dirty frame under bp.mu, without the
-// trailing fsync.
+// flushLocked writes back every dirty frame under bp.mu, in ascending page
+// order, without the trailing fsync.
 func (bp *BufferPool) flushLocked() error {
 	var dirty []*Frame
 	for _, fr := range bp.frames {
-		if fr.dirty {
+		if fr != nil && fr.dirty {
 			dirty = append(dirty, fr)
 		}
 	}
@@ -639,7 +730,7 @@ func (bp *BufferPool) DropAll() error {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
 	for id, fr := range bp.frames {
-		if fr.pins > 0 {
+		if fr != nil && fr.pins > 0 {
 			return fmt.Errorf("storage: DropAll with page %d still pinned", id)
 		}
 	}
@@ -649,7 +740,8 @@ func (bp *BufferPool) DropAll() error {
 	if err := bp.disk.Sync(); err != nil {
 		return err
 	}
-	bp.frames = make(map[PageID]*Frame, bp.cap)
+	clear(bp.frames)
+	bp.resident = 0
 	bp.lruFront, bp.lruBack = nil, nil
 	return nil
 }
@@ -683,5 +775,5 @@ func (bp *BufferPool) ResetStats() {
 func (bp *BufferPool) Resident() int {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
-	return len(bp.frames)
+	return bp.resident
 }

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"sma/internal/tuple"
@@ -273,6 +275,49 @@ func TestFlushAllSyncs(t *testing.T) {
 	}
 	if dm.Syncs() != before+2 {
 		t.Fatalf("DropAll did not fsync")
+	}
+}
+
+// TestFlushWritesInPageOrder: FlushAll and DropAll write the dirty pages
+// back in ascending page order, however they were dirtied.
+func TestFlushWritesInPageOrder(t *testing.T) {
+	const numPages = 32
+	dm := newDisk(t)
+	bp := NewBufferPool(dm, numPages)
+	for i := 0; i < numPages; i++ {
+		fr, err := bp.NewPage()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := bp.UnpinPage(fr.ID()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var written []PageID
+	dm.SetFault(func(op string, id PageID) error {
+		if op == "write" {
+			written = append(written, id)
+		}
+		return nil
+	})
+	for _, flush := range []func() error{bp.FlushAll, bp.DropAll} {
+		written = written[:0]
+		for _, i := range rand.New(rand.NewSource(1)).Perm(numPages) {
+			fr, err := bp.FetchPage(PageID(i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			fr.MarkDirty()
+			if err := bp.UnpinPage(fr.ID()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := flush(); err != nil {
+			t.Fatal(err)
+		}
+		if len(written) != numPages || !slices.IsSorted(written) {
+			t.Errorf("pages written back in the order %v, want 0 to %d ascending", written, numPages-1)
+		}
 	}
 }
 

@@ -126,41 +126,54 @@ func (d *DiskManager) NumPages() int64 {
 	return d.numPages
 }
 
-// ReadPage reads page id into buf (which must be PageSize bytes).
+// ReadPage reads page id into buf (which must be PageSize bytes). It is the
+// one-page case of readPages.
 func (d *DiskManager) ReadPage(id PageID, buf []byte) error {
 	if len(buf) != PageSize {
 		return fmt.Errorf("storage: ReadPage buffer has %d bytes, want %d", len(buf), PageSize)
 	}
+	return d.readPages(id, buf)
+}
+
+// readPages reads the len(buf)/PageSize consecutive pages from first on
+// into buf with one positioned read. The fault hook, the read count and the
+// simulated latency are per page; the run counts as one seek (none if it
+// continues the previous read) and then sequential reads.
+func (d *DiskManager) readPages(first PageID, buf []byte) error {
+	n := int64(len(buf) / PageSize)
 	d.mu.Lock()
-	if int64(id) < 0 || int64(id) >= d.numPages {
-		n := d.numPages
+	if first < 0 || int64(first)+n > d.numPages {
+		num := d.numPages
 		d.mu.Unlock()
-		return fmt.Errorf("storage: read page %d out of range [0,%d)", id, n)
+		return fmt.Errorf("storage: read pages [%d,%d) out of range [0,%d)", first, int64(first)+n, num)
 	}
-	lat := d.readLatency
-	if id == d.lastRead+1 {
+	lat := time.Duration(n) * d.readLatency
+	if first == d.lastRead+1 {
 		d.seqReads++
 	} else {
 		d.randReads++
 		lat += d.seekLatency
 	}
-	d.lastRead = id
-	d.reads++
+	d.seqReads += n - 1
+	d.lastRead = first + PageID(n-1)
+	d.reads += n
 	fault := d.fault
 	d.mu.Unlock()
 
 	if fault != nil {
-		if err := fault("read", id); err != nil {
-			return err
+		for id := first; id < first+PageID(n); id++ {
+			if err := fault("read", id); err != nil {
+				return err
+			}
 		}
 	}
 	// A page past the end of the file was allocated and never written
 	// back: it reads as the empty page it was born as (as does one in a
 	// hole that a later page's write-back left behind it).
-	if n, err := d.f.ReadAt(buf, int64(id)*PageSize); err == io.EOF {
-		clear(buf[n:])
+	if k, err := d.f.ReadAt(buf, int64(first)*PageSize); err == io.EOF {
+		clear(buf[k:])
 	} else if err != nil {
-		return fmt.Errorf("storage: read page %d of %s: %w", id, d.path, err)
+		return fmt.Errorf("storage: read pages [%d,%d) of %s: %w", first, int64(first)+n, d.path, err)
 	}
 	simulateLatency(lat)
 	return nil

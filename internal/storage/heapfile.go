@@ -245,7 +245,7 @@ func (h *HeapFile) ReadPageInto(p PageID, dst []byte) ([]byte, int, error) {
 	if err != nil {
 		return dst, 0, err
 	}
-	defer h.pool.UnpinPage(p)
+	defer h.pool.unpin(fr)
 	data := fr.Data()
 	n := pageCount(data)
 	rs := h.schema.RecordSize()

@@ -14,21 +14,26 @@ import (
 //
 // The window is positional: a reader takes sequence index i only while
 // i < consumed + window, where consumed counts the pages the scan has
-// claimed. Readers take a short run of in-window positions at a time
-// under one lock and mark them started there, and they never take a
-// position behind the cursor: a batch scan reads a batch's worth of pages
-// in one burst, overtaking the readers, and a reader that then swept
-// through the pages the scan already passed would still be behind at the
-// next burst. Skipping to the cursor puts the readers back in front within
-// one window, and keeps the started set to at most window pages. The
-// window simultaneously bounds the in-flight reads and prevents the
-// prefetcher from evicting its own earlier pages on pools smaller than the
-// page sequence. Prefetch and demand fetch coalesce in the pool: a demand
+// claimed. Readers take a run of up to prefetchRun in-window positions at a
+// time under one lock, mark them there, and read the run's missing pages
+// into the pool with one read per stretch of consecutive pages
+// (BufferPool.readAhead). They never take a position behind the cursor: a
+// batch scan reads a batch's worth of pages in one burst, overtaking the
+// readers, and a reader that then swept through the pages the scan already
+// passed would still be behind at the next burst. Skipping to the cursor
+// puts the readers back in front within one window. The window
+// simultaneously bounds the in-flight reads and prevents the prefetcher
+// from evicting its own earlier pages on pools smaller than the page
+// sequence. Prefetch and demand fetch coalesce in the pool: a demand
 // FetchPage that arrives while the prefetch read is in flight waits for it
 // instead of issuing a second physical read.
 //
-// Prefetch reads pin their frame only for the duration of the read and
-// unpin it immediately after, so a prefetched-but-never-pinned page is an
+// The consumer's claim takes no lock: it takes its hit from the ring of
+// marks with a compare-and-swap and advances consumed atomically, and it
+// takes mu only while a reader is parked, to wake it.
+//
+// Prefetch reads pin their frames only for the duration of the read and
+// unpin them immediately after, so a prefetched-but-never-pinned page is an
 // ordinary eviction candidate. close stops the readers and waits for
 // in-flight reads to land; after close returns the prefetcher holds no
 // pins and no read is in flight, so the pool can be dropped or the disk
@@ -42,30 +47,32 @@ type prefetcher struct {
 
 	mu   sync.Mutex
 	cond *sync.Cond
-	next int64 // next sequence index to hand to a reader
-	// consumed counts the pages the consumer has claimed: the cursor's
-	// position, past the page it is reading. It and closed are written
-	// under mu; readers also look at them without, between the pages of a
-	// run.
+	// next is the next sequence index to hand to a reader, advanced under
+	// mu; consumed counts the pages the consumer has claimed (the cursor's
+	// position); closed is set under mu. All three are read without mu.
+	next     atomic.Int64
 	consumed atomic.Int64
 	closed   atomic.Bool
-	waiting  int                 // readers blocked on cond
-	started  map[PageID]struct{} // pages a reader took before the scan reached them
+	waiting  atomic.Int32 // readers parked on cond
+	// marks is a ring of window slots: slot i%window holds i+1 while a
+	// reader has position i. A mark left behind by a position the cursor
+	// passed never matches a later position of the same slot.
+	marks []atomic.Int64
 
 	issued atomic.Int64 // physical reads this prefetcher triggered
 	wg     sync.WaitGroup
 }
 
-// prefetchReaders caps the concurrent prefetch reads; beyond a handful the
-// simulated (and real) disks serialize anyway. A prefetcher never starts
-// more readers than its window or its page sequence can occupy.
-const prefetchReaders = 8
+// prefetchReaders caps the concurrent prefetch reads: reads from the OS
+// cache cost CPU, and on two cores eight readers mostly contended with each
+// other. A prefetcher never starts more readers than its window or its page
+// sequence can occupy.
+const prefetchReaders = 2
 
-// prefetchRun is how many consecutive positions a reader takes at a time:
-// long enough that readers and consumer meet at the lock once per few
-// pages rather than once per page, short enough that the readers share a
-// window between them.
-const prefetchRun = 4
+// prefetchRun is how many consecutive positions a reader takes, and reads,
+// at a time: long enough that one read serves several pages, short enough
+// that the readers share a window between them.
+const prefetchRun = 8
 
 // startPrefetch launches background readers over the page sequence the
 // spans describe (in order), keeping at most window pages ahead of the
@@ -85,12 +92,12 @@ func (bp *BufferPool) startPrefetch(spans []PageSpan, window int) *prefetcher {
 		return nil
 	}
 	p := &prefetcher{
-		bp:      bp,
-		spans:   spans,
-		cum:     cum,
-		total:   total,
-		window:  int64(window),
-		started: make(map[PageID]struct{}, window),
+		bp:     bp,
+		spans:  spans,
+		cum:    cum,
+		total:  total,
+		window: int64(window),
+		marks:  make([]atomic.Int64, window),
 	}
 	p.cond = sync.NewCond(&p.mu)
 	readers := int(min(prefetchReaders, p.window, total))
@@ -112,122 +119,109 @@ func (p *prefetcher) pageAt(i int64) PageID {
 // the window, a run at most.
 func (p *prefetcher) runLocked() (lo, hi int64) {
 	consumed := p.consumed.Load()
-	lo = max(p.next, consumed)
+	lo = max(p.next.Load(), consumed)
 	return lo, min(lo+prefetchRun, consumed+p.window, p.total)
 }
 
 // claimRun hands a reader its next run of pages — positions lo onwards,
-// appended to run — marked started, waiting while the window is exhausted.
-// It returns no pages when the sequence is done or the prefetcher closed.
+// appended to run — marked, waiting while the window is exhausted. It
+// returns no pages when the sequence is done or the prefetcher closed.
 func (p *prefetcher) claimRun(run []PageID) (int64, []PageID) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for {
-		if p.closed.Load() || max(p.next, p.consumed.Load()) >= p.total {
+		if p.closed.Load() || max(p.next.Load(), p.consumed.Load()) >= p.total {
 			return 0, nil
 		}
 		lo, hi := p.runLocked()
 		if lo < hi {
 			for i := lo; i < hi; i++ {
-				id := p.pageAt(i)
-				p.started[id] = struct{}{}
-				run = append(run, id)
+				p.marks[i%p.window].Store(i + 1)
+				run = append(run, p.pageAt(i))
 			}
-			p.next = hi
+			p.next.Store(hi)
 			return lo, run
 		}
-		p.waiting++
-		p.cond.Wait()
-		p.waiting--
+		// Announce the wait, then look again: a claim that opened the
+		// window after the first look is seen by the second, or sees the
+		// announcement and takes mu to wake us, which waits for cond.Wait.
+		p.waiting.Add(1)
+		if lo, hi = p.runLocked(); lo >= hi && !p.closed.Load() {
+			p.cond.Wait()
+		}
+		p.waiting.Add(-1)
 	}
 }
 
-// reader pulls in-window pages into the pool. A page is marked when the
+// reader pulls in-window runs into the pool. A position is marked when the
 // reader takes it, before its read starts: a scan that arrives meanwhile
 // either coalesces with the read in flight or finds the page a moment
 // before the reader does, and the prefetcher counts as having got there
-// first. The mark is rolled back when the prefetch fails, so a failed
-// prefetch is never reported as a hit and the consumer does a (correct)
-// demand fetch of its own. A page the cursor has passed since the run was
-// taken is left alone: the scan read it, and by the time a reader that was
-// off the processor for a while got to it, it could be evicted again. close
-// ends a run between two pages.
+// first.
 func (p *prefetcher) reader() {
 	defer p.wg.Done()
-	var buf [prefetchRun]PageID
+	var ids [prefetchRun]PageID
+	var buf [prefetchRun * PageSize]byte // on the stack: a run's pages land here
 	for {
-		lo, run := p.claimRun(buf[:0])
+		lo, run := p.claimRun(ids[:0])
 		if run == nil {
 			return
 		}
-		for i, id := range run {
-			switch {
-			case p.closed.Load():
-				p.unmark(run[i:])
-				return
-			case lo+int64(i) < p.consumed.Load():
-			case !p.prefetchPage(id):
-				p.unmark(run[i : i+1])
+		p.fill(lo, run, buf[:])
+	}
+}
+
+// fill reads the run of pages at positions lo onwards into the pool, unless
+// the prefetcher closed, and takes back the marks of those that did not
+// make it: a failed prefetch is no hit, and the consumer's demand fetch
+// repeats the read and surfaces its error, or re-raises its panic (a fault
+// hook, a bug below) inside the statement's panic boundary; a reader that
+// let the panic escape would take the process down. The load has freed the
+// run's frames by then. A position the cursor has passed is left alone: the
+// scan read it, and a reader that was off the processor for a while could
+// find it evicted again. The pool asks under its lock, so the answer holds
+// until the page's frame is taken.
+func (p *prefetcher) fill(lo int64, run []PageID, buf []byte) {
+	var ok [prefetchRun]bool
+	defer func() {
+		recover()
+		for i := range run {
+			if pos := lo + int64(i); !ok[i] {
+				p.marks[pos%p.window].CompareAndSwap(pos+1, 0) // unless the slot moved on
 			}
 		}
-	}
-}
-
-// unmark takes back the started marks of pages that were not prefetched.
-func (p *prefetcher) unmark(ids []PageID) {
-	p.mu.Lock()
-	for _, id := range ids {
-		delete(p.started, id)
-	}
-	p.mu.Unlock()
-}
-
-// prefetchPage makes page id resident, reporting whether it is — or will
-// be: somebody else may be reading it right now — without holding it.
-// Failures are swallowed here because the query path reports them: the
-// demand fetch repeats a failed read and surfaces its error, and it
-// re-raises a panic (a fault-injection hook, or a bug in a lower layer) on
-// the statement's own goroutine, inside the statement's panic boundary — a
-// reader goroutine that let it escape would take the whole process down
-// instead. fetch has already deregistered the frame and woken co-fetchers
-// by the time the panic arrives here.
-func (p *prefetcher) prefetchPage(id PageID) (ok bool) {
-	defer func() {
-		if recover() != nil {
-			ok = false
-		}
 	}()
-	_, missed, err := p.bp.fetch(id, true)
-	if missed {
-		p.issued.Add(1)
+	if !p.closed.Load() {
+		passed := func(i int) bool { return lo+int64(i) < p.consumed.Load() }
+		p.issued.Add(int64(p.bp.readAhead(run, ok[:len(run)], buf, passed)))
 	}
-	return err == nil
 }
 
-// claim reports whether the prefetcher reached id, the page at the cursor,
+// claim reports whether the prefetcher reached the page at the cursor
 // before the consumer — the page is resident or its read is in flight or
 // about to start, so the consumer either hits directly or coalesces with
 // the read instead of paying a synchronous one (a prefetch hit from the
-// scan's point of view) — forgets the page, and slides the window past it.
-// The consumer claims each page of the sequence, in order, before it reads
-// it. Readers blocked on a full window are woken once a run's worth of it
-// has opened, not at every page.
-func (p *prefetcher) claim(id PageID) bool {
-	p.mu.Lock()
-	_, hit := p.started[id]
-	delete(p.started, id)
+// scan's point of view) — and slides the window past it. The consumer
+// claims each page of the sequence, in order, before it reads it. The hit
+// is taken before consumed moves: until then no reader may take the
+// position that shares the page's slot. Readers parked on a full window
+// are woken once a run's worth of it has opened, not at every page.
+func (p *prefetcher) claim() bool {
+	pos := p.consumed.Load()
+	hit := p.marks[pos%p.window].CompareAndSwap(pos+1, 0)
 	consumed := p.consumed.Add(1)
-	occ := p.next - consumed
-	lo, hi := p.runLocked()
-	wake := p.waiting > 0 && (hi-lo >= min(prefetchRun, p.window) || hi == p.total)
-	p.mu.Unlock()
-	if wake {
-		p.cond.Broadcast()
-	}
 	// Sample window occupancy — pages the readers took ahead of the cursor —
 	// once per consumed page. Nil histogram (observability off) is inert.
-	if occ >= 0 {
+	if occ := p.next.Load() - consumed; occ >= 0 {
 		p.bp.prefetchOcc.Observe(float64(occ))
+	}
+	if p.waiting.Load() > 0 {
+		p.mu.Lock()
+		lo, hi := p.runLocked()
+		p.mu.Unlock()
+		if hi-lo >= min(prefetchRun, p.window) || hi == p.total {
+			p.cond.Broadcast()
+		}
 	}
 	return hit
 }

@@ -1,11 +1,14 @@
 package storage
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"sma/internal/obs"
 )
 
 // prefetchDisk allocates n pages with a recognizable first byte each.
@@ -60,7 +63,7 @@ func TestPrefetchWindowAndHits(t *testing.T) {
 	hits := 0
 	for i := 0; i < numPages; i++ {
 		id := PageID(i)
-		if p.claim(id) {
+		if p.claim() {
 			hits++
 		}
 		fr, err := bp.FetchPage(id)
@@ -173,8 +176,10 @@ func TestPrefetcherCloseReleasesPool(t *testing.T) {
 // covers that goroutine. The reader must swallow it like a read error: the
 // failed pages are not claimable as hits, the demand fetch re-raises the
 // fault on its caller's goroutine, Close drains, and no frame stays pinned.
+// A reader's unit in flight is a run, so the fault strikes once per run —
+// at the run's first page — not once per position.
 func TestPrefetchReaderContainsPanickingRead(t *testing.T) {
-	const numPages, window = 8, 4
+	const numPages, window = 16, 8
 	dm := prefetchDisk(t, numPages)
 	bp := NewBufferPool(dm, 16)
 	var faulted atomic.Int64
@@ -190,10 +195,15 @@ func TestPrefetchReaderContainsPanickingRead(t *testing.T) {
 	if p == nil {
 		t.Fatal("startPrefetch returned nil for a valid window")
 	}
-	for deadline := time.Now().Add(5 * time.Second); faulted.Load() < window; time.Sleep(time.Millisecond) {
+	// Both in-window runs fail, and with the window taken every reader parks.
+	readers := int32(min(prefetchReaders, window))
+	for deadline := time.Now().Add(5 * time.Second); p.waiting.Load() < readers; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
-			t.Fatalf("readers attempted %d of %d in-window reads", faulted.Load(), window)
+			t.Fatalf("%d of %d readers parked after %d faults", p.waiting.Load(), readers, faulted.Load())
 		}
+	}
+	if got, want := faulted.Load(), int64((window+prefetchRun-1)/prefetchRun); got != want {
+		t.Errorf("the fault struck %d times, want once for each of the %d runs in the window", got, want)
 	}
 
 	// The demand fetch meets the same fault on the caller's goroutine,
@@ -212,7 +222,7 @@ func TestPrefetchReaderContainsPanickingRead(t *testing.T) {
 
 	p.close()
 	for id := PageID(0); id < numPages; id++ {
-		if p.claim(id) {
+		if p.claim() {
 			t.Errorf("page %d: a failed prefetch is claimable as a hit", id)
 		}
 	}
@@ -298,7 +308,7 @@ func TestPoolMissAllocatesNothingAtCapacity(t *testing.T) {
 		t.Fatal(err)
 	}
 	bp.mu.Lock()
-	_, stillThere := bp.frames[oldest]
+	stillThere := bp.frames[oldest] != nil
 	bp.mu.Unlock()
 	if stillThere {
 		t.Errorf("page %d, the least recently used, survived an eviction", oldest)
@@ -367,9 +377,8 @@ func TestCoFetchersShareOneRead(t *testing.T) {
 // by passing 400 pages while their reads are held up, as a batch scan
 // passes a batch's worth in one burst — gets them back in front within one
 // window: they take up at the cursor instead of sweeping through what the
-// scan has passed. So no page behind the cursor is read beyond the one read
-// each reader had in flight, the window ahead is read, and the started set
-// never holds more than a window of pages.
+// scan has passed. So no page behind the cursor is read beyond the run each
+// reader had in flight, and the window ahead is read.
 func TestPrefetcherSkipsToTheCursor(t *testing.T) {
 	const numPages, window, passed = 1000, 16, 400
 	dm := prefetchDisk(t, numPages)
@@ -391,13 +400,8 @@ func TestPrefetcherSkipsToTheCursor(t *testing.T) {
 	parked := func(at int64) {
 		t.Helper()
 		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
-			p.mu.Lock()
-			next, waiting, started := p.next, p.waiting, len(p.started)
-			p.mu.Unlock()
+			next, waiting := p.next.Load(), int(p.waiting.Load())
 			if next == at && waiting == readers {
-				if started > window {
-					t.Fatalf("started set holds %d pages, window is %d", started, window)
-				}
 				return
 			}
 			if time.Now().After(deadline) {
@@ -409,24 +413,18 @@ func TestPrefetcherSkipsToTheCursor(t *testing.T) {
 
 	gate.Lock()
 	for i := 0; i < passed; i++ {
-		p.claim(PageID(i))
-		p.mu.Lock()
-		started := len(p.started)
-		p.mu.Unlock()
-		if started > window {
-			t.Fatalf("at page %d the started set holds %d pages, window is %d", i, started, window)
-		}
+		p.claim()
 	}
 	gate.Unlock()
 	parked(passed + window)
 	// A reader woken during the burst took one run and got as far as the
-	// gate with its first page; the rest of that run the cursor had passed.
-	if got, max := int(p.issued.Load()), window+readers+window; got > max {
+	// gate with it: a run's worth of reads in flight per reader.
+	if got, max := int(p.issued.Load()), window+readers*prefetchRun+window; got > max {
 		t.Errorf("readers issued %d reads, want at most %d: they swept through pages the cursor had passed", got, max)
 	}
 	hits := 0
 	for i := passed; i < passed+window; i++ {
-		if p.claim(PageID(i)) {
+		if p.claim() {
 			hits++
 		}
 		fr, err := bp.FetchPage(PageID(i))
@@ -442,5 +440,203 @@ func TestPrefetcherSkipsToTheCursor(t *testing.T) {
 	}
 	if hits != window {
 		t.Errorf("%d of the %d pages after the burst were prefetched", hits, window)
+	}
+}
+
+// none passes no page of a run read.
+func none(int) bool { return false }
+
+// TestRunReadQuarantinesOnlyTheCorruptPage: a page that fails its checksum
+// in the middle of a run read is the only page of the run that fails. It is
+// quarantined once, its neighbours are resident and intact, and a demand
+// fetch of it reports the damage.
+func TestRunReadQuarantinesOnlyTheCorruptPage(t *testing.T) {
+	dm := prefetchDisk(t, prefetchRun)
+	corruptPageByte(t, dm.Path(), 1, 2000)
+	bp := NewBufferPool(dm, 2*prefetchRun)
+	var notified []PageID
+	bp.SetCorruptionHandler(func(id PageID) { notified = append(notified, id) })
+
+	ids := []PageID{0, 1, 2, 3}
+	ok := make([]bool, len(ids))
+	if read := bp.readAhead(ids, ok, make([]byte, prefetchRun*PageSize), none); read != len(ids)-1 {
+		t.Errorf("run read reports %d pages read, want %d", read, len(ids)-1)
+	}
+	for i, id := range ids {
+		if ok[i] != (id != 1) {
+			t.Errorf("page %d: ok = %v", id, ok[i])
+		}
+	}
+	if len(notified) != 1 || notified[0] != 1 {
+		t.Errorf("corruption handler calls = %v, want [1]", notified)
+	}
+	if reads, _ := dm.Stats(); reads != int64(len(ids)) {
+		t.Errorf("%d physical page reads, want %d", reads, len(ids))
+	}
+	for _, id := range []PageID{0, 2, 3} {
+		fr, err := bp.FetchPage(id)
+		if err != nil {
+			t.Fatalf("neighbour %d: %v", id, err)
+		}
+		if fr.Data()[0] != byte(id) {
+			t.Errorf("neighbour %d has wrong contents", id)
+		}
+		if err := bp.UnpinPage(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if reads, _ := dm.Stats(); reads != int64(len(ids)) {
+		t.Errorf("the neighbours were read again: %d physical page reads", reads)
+	}
+	var ce *CorruptPageError
+	if _, err := bp.FetchPage(1); !errors.As(err, &ce) || ce.Page != 1 {
+		t.Errorf("demand fetch of the corrupt page: %v", err)
+	}
+	if got := bp.Stats().CorruptPages; got != 1 {
+		t.Errorf("CorruptPages = %d, want 1", got)
+	}
+	if err := bp.DropAll(); err != nil {
+		t.Errorf("a pin is left: %v", err)
+	}
+}
+
+// TestRunReadSplitsAtResidentPages: a resident page inside a run is not
+// read again, and it splits the run into one read before it and one after.
+// The pool's and the disk's counters count pages; the read-latency
+// histogram takes one sample per read call.
+func TestRunReadSplitsAtResidentPages(t *testing.T) {
+	dm := prefetchDisk(t, prefetchRun)
+	bp := NewBufferPool(dm, 2*prefetchRun)
+	calls := obs.NewRegistry().Histogram("read_seconds", "read calls", obs.DefSecondsBuckets())
+	bp.SetObs(&obs.StorageMetrics{ReadSeconds: calls})
+	if _, err := bp.FetchPage(2); err != nil {
+		t.Fatal(err)
+	}
+	if err := bp.UnpinPage(2); err != nil {
+		t.Fatal(err)
+	}
+	before := bp.Stats()
+
+	ids := []PageID{0, 1, 2, 3}
+	ok := make([]bool, len(ids))
+	if read := bp.readAhead(ids, ok, make([]byte, prefetchRun*PageSize), none); read != 3 {
+		t.Errorf("run read reports %d pages read, want 3", read)
+	}
+	for i, id := range ids {
+		if !ok[i] {
+			t.Errorf("page %d is not resident after the run read", id)
+		}
+	}
+	if got := calls.Count(); got != 1+2 {
+		t.Errorf("%d read calls, want 1 for the demand fetch and 2 for the run split at page 2", got)
+	}
+	if reads, _ := dm.Stats(); reads != 1+3 {
+		t.Errorf("disk counts %d page reads, want 4", reads)
+	}
+	st := bp.Stats()
+	if st.Misses-before.Misses != 3 || st.Prefetched-before.Prefetched != 3 || st.Hits-before.Hits != 1 {
+		t.Errorf("pool counters moved %+v -> %+v, want 3 misses, 3 prefetched, 1 hit", before, st)
+	}
+	for _, id := range ids {
+		fr, err := bp.FetchPage(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fr.Data()[0] != byte(id) {
+			t.Errorf("page %d has wrong contents", id)
+		}
+		if err := bp.UnpinPage(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := bp.Stats().PrefetchHits; got != 3 {
+		t.Errorf("%d prefetch hits, want the 3 pages the run read", got)
+	}
+}
+
+// TestRunReadLeavesPassedPages: the pages of a run the cursor has passed by
+// the time the pool lock is taken are not read; the scan read them.
+func TestRunReadLeavesPassedPages(t *testing.T) {
+	dm := prefetchDisk(t, prefetchRun)
+	bp := NewBufferPool(dm, 2*prefetchRun)
+	ids := []PageID{0, 1, 2, 3}
+	ok := make([]bool, len(ids))
+	if read := bp.readAhead(ids, ok, make([]byte, prefetchRun*PageSize), func(i int) bool { return i < 2 }); read != 2 {
+		t.Errorf("run read reports %d pages read, want 2", read)
+	}
+	for i, id := range ids {
+		if ok[i] != (i >= 2) || (bp.frames[id] != nil) != (i >= 2) {
+			t.Errorf("page %d: ok = %v, resident = %v", id, ok[i], bp.frames[id] != nil)
+		}
+	}
+	if reads, _ := dm.Stats(); reads != 2 {
+		t.Errorf("%d physical page reads, want 2", reads)
+	}
+}
+
+// TestRunReadChargesPerPage: a read of several pages is one seek followed
+// by sequential reads, and the simulated latency is charged per page.
+func TestRunReadChargesPerPage(t *testing.T) {
+	dm := prefetchDisk(t, 16)
+	buf := make([]byte, 4*PageSize)
+	if err := dm.readPages(5, buf); err != nil {
+		t.Fatal(err)
+	}
+	if seq, rnd := dm.SeqRandReads(); seq != 3 || rnd != 1 {
+		t.Errorf("pages 5-8 in one read: %d sequential, %d random; want 3, 1", seq, rnd)
+	}
+	if err := dm.readPages(9, buf[:2*PageSize]); err != nil {
+		t.Fatal(err)
+	}
+	if seq, rnd := dm.SeqRandReads(); seq != 5 || rnd != 1 {
+		t.Errorf("then pages 9-10: %d sequential, %d random; want 5, 1", seq, rnd)
+	}
+	if reads, _ := dm.Stats(); reads != 6 {
+		t.Errorf("%d page reads, want 6", reads)
+	}
+	for i := 0; i < 2; i++ {
+		if buf[i*PageSize] != byte(9+i) {
+			t.Errorf("page %d of the read has wrong contents", 9+i)
+		}
+	}
+
+	const lat = 2 * time.Millisecond
+	dm.SetReadLatency(lat)
+	start := time.Now()
+	if err := dm.readPages(0, buf); err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took < 4*lat {
+		t.Errorf("a 4-page read took %v, want at least 4 × %v", took, lat)
+	}
+	if err := dm.readPages(14, buf); err == nil {
+		t.Error("a read past the end of the file succeeded")
+	}
+}
+
+// TestStaleMarkIsNoHit: a mark a reader leaves for a position the cursor
+// has already passed stays in its ring slot, and the position that next
+// uses the slot, a window later, is not a hit because of it.
+func TestStaleMarkIsNoHit(t *testing.T) {
+	const window = 4
+	p := &prefetcher{
+		bp:     NewBufferPool(newDisk(t), 8),
+		total:  4 * window,
+		window: window,
+		marks:  make([]atomic.Int64, window),
+	}
+	p.claim() // position 0
+	p.claim() // position 1
+	// A reader took position 1 just after the cursor passed it.
+	p.marks[1%window].Store(1 + 1)
+	for pos := 2; pos < 2*window; pos++ {
+		if p.claim() {
+			t.Errorf("position %d is a hit with no reader at it", pos)
+		}
+	}
+	// A live mark is a hit.
+	p.marks[(2*window)%window].Store(2*window + 1)
+	if !p.claim() {
+		t.Errorf("position %d is no hit though a reader took it", 2*window)
 	}
 }

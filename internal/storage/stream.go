@@ -57,7 +57,7 @@ func (s *PageStream) Read(ctx context.Context, dst []byte, room int) ([]byte, in
 				return dst, n, err
 			}
 		}
-		if s.pf != nil && s.pf.claim(s.next) {
+		if s.pf != nil && s.pf.claim() {
 			s.hits++
 		}
 		var k int
