@@ -85,8 +85,7 @@ func refold(h *storage.HeapFile, smas []*SMA, b int, recs []byte) ([]byte, error
 	for _, s := range smas {
 		if b < s.NumBuckets {
 			for _, g := range s.files {
-				g.Vec.Set(b, 0)
-				g.Present.Set(b, false)
+				g.clear(b)
 			}
 		}
 		for b >= s.NumBuckets {
@@ -105,11 +104,17 @@ func (s *SMA) OnAppend(h *storage.HeapFile, t tuple.Tuple, rid storage.RID) erro
 
 // Verify checks the SMA against a fresh build over the heap file, bit for
 // bit, returning the first discrepancy found. Appends and refolds fold
-// every entry exactly as a build does, so there is no tolerance. It is
-// used by tests and by `smactl verify`.
+// every entry exactly as a build does, so there is no tolerance. Every
+// settled level-2 block must equal a fresh derivation from level 1 too. It
+// is used by tests and by `smactl verify`.
 func (s *SMA) Verify(h *storage.HeapFile) error {
 	if err := s.checkFiles(); err != nil {
 		return err
+	}
+	for _, g := range s.files {
+		if err := g.checkSummary(); err != nil {
+			return errf("sma %s: %w", s.Def.Name, err)
+		}
 	}
 	fresh, err := Build(h, s.Def)
 	if err != nil {

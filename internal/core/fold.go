@@ -1,6 +1,9 @@
 package core
 
-import "math/bits"
+import (
+	"math"
+	"math/bits"
+)
 
 // FoldRange advances a running aggregate with the entries of buckets
 // [lo, hi) in which the group is present, in ascending bucket order: Min
@@ -11,8 +14,18 @@ import "math/bits"
 //
 // This is the inner loop of SMA_GAggr over a run of qualifying buckets: the
 // presence bitmap is read a word at a time, an all-absent word is skipped
-// and an all-present one runs as a dense loop over the typed entries.
+// and an all-present one runs as a dense loop over the typed entries. A sum
+// or count from bucket 0 with acc +0 takes the whole presence words below
+// hi from the level-2 summary, which folded them with this very loop in
+// this very order, and folds only the tail: the answer is bit-identical.
+// Any other start would regroup float additions, so it folds every entry.
 func (g *GroupFile) FoldRange(kind AggKind, lo, hi int, acc float64, seen bool) (float64, bool) {
+	if lo == 0 && (kind == Sum || kind == Count) && math.Float64bits(acc) == 0 {
+		if k := min(hi, g.Present.n) / blockLen; k > 0 {
+			b := g.summary()[k-1]
+			lo, acc, seen = k*blockLen, b.sum, seen || b.seen
+		}
+	}
 	switch v := g.Vec; v.typ {
 	case EInt32:
 		return foldRange(kind, v.i32, g.Present, lo, hi, acc, seen)

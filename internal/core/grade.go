@@ -418,6 +418,13 @@ func fill(out []Grade, g Grade) {
 // lo, a presence word at a time, preferring min/max SMAs and falling back
 // to a count-group-by-A SMA where min/max information is absent or
 // indecisive and the bucket's grade is needed.
+//
+// A comparison with a constant first grades a whole presence word by its
+// level-2 bounds, when every bucket of the word has a min and a max entry.
+// Each bucket's [min, max] lies within the word's (the min and the max SMA
+// fold the same rows, so no bucket's min exceeds its max), so a word the
+// bounds qualify or disqualify gives each of its buckets the grade the
+// bucket's own bounds give it; an undecided word is graded bucket by bucket.
 func (g *Grader) gradeAtomRange(a *pred.Atom, lo int, out []Grade, need []bool) {
 	minA, maxA := g.mins[a.Col], g.maxs[a.Col]
 	minB, maxB := g.mins[a.RightCol], g.maxs[a.RightCol]
@@ -425,15 +432,24 @@ func (g *Grader) gradeAtomRange(a *pred.Atom, lo int, out []Grade, need []bool) 
 	var mnA, mxA, mnB, mxB bounds
 	for len(out) > 0 {
 		n := min(len(out), 64-lo&63)
-		minA.wordBounds(false, lo, n, &mnA)
-		maxA.wordBounds(true, lo, n, &mxA)
-		if a.RightCol != "" {
+		var word Grade // the grade of the whole presence word, if it has one
+		if n == blockLen && a.RightCol == "" {
+			word = gradeBlock(minA, maxA, lo/blockLen, a.Op, a.Value)
+		}
+		switch {
+		case word != Ambivalent:
+			fill(out[:n], word)
+		case a.RightCol != "":
+			minA.wordBounds(false, lo, n, &mnA)
+			maxA.wordBounds(true, lo, n, &mxA)
 			minB.wordBounds(false, lo, n, &mnB)
 			maxB.wordBounds(true, lo, n, &mxB)
 			for i := range out[:n] {
 				out[i] = gradeColCol(mnA.at(i), mxA.at(i), mnB.at(i), mxB.at(i), a.Op)
 			}
-		} else {
+		default:
+			minA.wordBounds(false, lo, n, &mnA)
+			maxA.wordBounds(true, lo, n, &mxA)
 			for i := range out[:n] {
 				out[i] = gradeConst(mnA.at(i), mxA.at(i), a.Op, a.Value)
 				if out[i] == Ambivalent && counts != nil && (need == nil || need[i]) {
@@ -446,6 +462,20 @@ func (g *Grader) gradeAtomRange(a *pred.Atom, lo int, out []Grade, need []bool) 
 			need = need[n:]
 		}
 	}
+}
+
+// gradeBlock grades presence word k against A op c by the level-2 bounds
+// of A's min and max SMAs: Ambivalent unless both bound every bucket of it.
+func gradeBlock(minA, maxA *SMA, k int, op pred.CmpOp, c float64) Grade {
+	mn, ok := minA.blockBounds(false, k)
+	if !ok {
+		return Ambivalent
+	}
+	mx, ok := maxA.blockBounds(true, k)
+	if !ok {
+		return Ambivalent
+	}
+	return gradeConst(bound{mn, true}, bound{mx, true}, op, c)
 }
 
 // gradeByValueCounts grades bucket b of a count(*) SMA grouped by exactly

@@ -1,6 +1,8 @@
 package core_test
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -58,13 +60,25 @@ func fuzzPred(data *[]byte, depth int) pred.Predicate {
 // bucket contents, predicate trees and sets of available SMAs:
 //
 //   - GradeAll(p)[b] == Grade(b, p) for every bucket (the whole-vector pass
-//     and the one-bucket case are the same function);
+//     and the one-bucket case are the same function, although only the
+//     former grades a whole presence word by its level-2 summary);
 //   - soundness (§3.1): a disqualified bucket holds no tuple satisfying p,
 //     a qualified bucket only tuples satisfying it.
 //
-// Rows are (A, B, group) byte triples, four to a bucket; smaMask picks which
-// of min(A), max(A), min(B), max(B), count(*) group by A the grader gets and
-// whether the SMAs on A are grouped by G.
+// Both hold after the build, again after rows are appended, after a bucket
+// in the middle is updated and refolded and after one is emptied, so a
+// summary that missed a change shows as a grade of its own.
+//
+// Rows are (A, B, group) byte triples, four to a bucket; byte 0xFF stands
+// for NaN and 0xFE for -0, every other byte b for b mod 64. smaMask picks
+// which of min(A), max(A), min(B), max(B), count(*) group by A the grader
+// gets and whether the SMAs on A are grouped by G.
+//
+// A NaN that is not the first value of its bucket does not reach the
+// bucket's min or max entry, so the min/max rules can grade a bucket that
+// holds one Qualifies for a comparison NaN fails. Soundness is therefore
+// checked on the buckets without NaN; the agreement of the two gradings is
+// checked on all of them.
 func FuzzGradeAll(f *testing.F) {
 	// Seeds: the data shape and predicates of TestQuickGradeSoundness
 	// (clustered A, noisy B; random trees over both), more than 64 buckets
@@ -81,6 +95,31 @@ func FuzzGradeAll(f *testing.F) {
 	}
 	f.Add([]byte{1, 2, 0, 3, 4, 1}, []byte{6, 1, 0, 0, 40, 5, 0x12}, byte(0x1f)) // And(A = 12, A >= B)
 	f.Add([]byte{}, []byte{10}, byte(0x1f))                                      // no buckets, True
+	// Seeds over more than four whole presence words of A sorted in runs
+	// of 40 rows (ten buckets), so most words grade whole, with -0 and +0
+	// planted in the first two words and a NaN in the third and the fifth:
+	// a constant atom on A of every operator, and a tree.
+	for i, mask := range []byte{0x03, 0x23, 0x1f, 0x3f} {
+		rows := make([]byte, 0, 3*1200)
+		for r := 0; r < 1200; r++ {
+			a := byte(r / 40)
+			switch {
+			case r == 700, r == 1100:
+				a = 0xFF // NaN
+			case r < 512 && r%89 == 7:
+				a = 0xFE // -0
+			case r < 512 && r%83 == 9:
+				a = 0
+			}
+			rows = append(rows, a, byte(rng.Intn(100)), byte(rng.Intn(2)))
+		}
+		for op := byte(0); op < 6; op++ {
+			f.Add(rows, []byte{0, op << 1, byte(2*(3+5*int(op)+i) + 16)}, mask)
+		}
+		p := make([]byte, 24)
+		rng.Read(p)
+		f.Add(rows, p, mask)
+	}
 
 	schema := tuple.MustSchema([]tuple.Column{
 		{Name: "A", Type: tuple.TFloat64},
@@ -88,17 +127,29 @@ func FuzzGradeAll(f *testing.F) {
 		{Name: "G", Type: tuple.TChar, Len: 1},
 		{Name: "PAD", Type: tuple.TChar, Len: (storage.PageSize-16)/4 - 17}, // 4 tuples per page
 	})
+	value := func(b byte) float64 {
+		switch b {
+		case 0xFF:
+			return math.NaN()
+		case 0xFE:
+			return math.Copysign(0, -1)
+		}
+		return float64(b % 64)
+	}
 	f.Fuzz(func(t *testing.T, rows, predBytes []byte, smaMask byte) {
 		if len(rows) > 3*1200 {
 			rows = rows[:3*1200]
 		}
 		h := testutil.NewHeap(t, schema, 1, 64)
 		tp := tuple.NewTuple(schema)
-		for ; len(rows) >= 3; rows = rows[3:] {
-			tp.SetFloat64(0, float64(rows[0]%64))
-			tp.SetFloat64(1, float64(rows[1]%64))
-			tp.SetChar(2, string(rune('x'+rows[2]%2)))
-			if _, err := h.Append(tp); err != nil {
+		setRow := func(r []byte) tuple.Tuple {
+			tp.SetFloat64(0, value(r[0]))
+			tp.SetFloat64(1, value(r[1]))
+			tp.SetChar(2, string(rune('x'+r[2]%2)))
+			return tp
+		}
+		for r := rows; len(r) >= 3; r = r[3:] {
+			if _, err := h.Append(setRow(r)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -119,31 +170,85 @@ func FuzzGradeAll(f *testing.F) {
 				smas = append(smas, build(t, h, def))
 			}
 		}
-		g := core.NewGrader(smas...)
 
 		p := fuzzPred(&predBytes, 4)
 		if err := p.Bind(schema); err != nil {
 			t.Fatal(err)
 		}
-		all := g.GradeAll(p)
-		if len(smas) > 0 && len(all) != h.NumBuckets() {
-			t.Fatalf("GradeAll returned %d grades for %d buckets", len(all), h.NumBuckets())
-		}
-		for b, grade := range all {
-			if one := g.Grade(b, p); one != grade {
-				t.Fatalf("bucket %d: GradeAll says %s, Grade says %s, for %s", b, grade, one, p)
+		check := func(when string) {
+			t.Helper()
+			g := core.NewGrader(smas...)
+			all := g.GradeAll(p)
+			if len(smas) > 0 && len(all) != h.NumBuckets() {
+				t.Fatalf("%s: GradeAll returned %d grades for %d buckets", when, len(all), h.NumBuckets())
 			}
-			err := h.ScanBucket(b, func(tp tuple.Tuple, _ storage.RID) error {
-				if sat := p.Eval(tp); (grade == core.Qualifies && !sat) || (grade == core.Disqualifies && sat) {
-					t.Errorf("bucket %d graded %s for %s, but a tuple (A=%v, B=%v) evaluates to %v",
-						b, grade, p, tp.Float64(0), tp.Float64(1), sat)
+			for b, grade := range all {
+				if one := g.Grade(b, p); one != grade {
+					t.Fatalf("%s: bucket %d: GradeAll says %s, Grade says %s, for %s", when, b, grade, one, p)
 				}
-				return nil
-			})
+				bad, nan := "", false // the first tuple the grade is wrong for
+				err := h.ScanBucket(b, func(tp tuple.Tuple, _ storage.RID) error {
+					x, y := tp.Float64(0), tp.Float64(1)
+					nan = nan || x != x || y != y
+					if sat := p.Eval(tp); bad == "" && ((grade == core.Qualifies && !sat) || (grade == core.Disqualifies && sat)) {
+						bad = fmt.Sprintf("a tuple (A=%v, B=%v) evaluates to %v", x, y, sat)
+					}
+					return nil
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if bad != "" && !nan {
+					t.Errorf("%s: bucket %d graded %s for %s, but %s", when, b, grade, p, bad)
+				}
+			}
+		}
+		check("after build")
+		if len(rows) < 3 {
+			return
+		}
+
+		// Appends: the first rows again, into the last bucket and past it.
+		for r := rows[:min(len(rows), 3*70)]; len(r) >= 3; r = r[3:] {
+			rid, err := h.Append(setRow(r))
 			if err != nil {
 				t.Fatal(err)
 			}
+			for _, s := range smas {
+				if err := s.OnAppend(h, tp, rid); err != nil {
+					t.Fatal(err)
+				}
+			}
 		}
+		check("after append")
+
+		// A refold: the middle bucket's first row takes the last input row's
+		// values with A and B swapped.
+		last := rows[len(rows)/3*3-3:]
+		rid := storage.RID{Page: storage.PageID(h.NumPages() / 2)}
+		if err := h.Update(rid, setRow([]byte{last[1], last[0], last[2]})); err != nil {
+			t.Fatal(err)
+		}
+		if err := core.Refold(h, smas, []int{h.BucketOf(rid.Page)}); err != nil {
+			t.Fatal(err)
+		}
+		check("after refold")
+
+		// An emptied bucket has no entry in any SMA-file: its word is graded
+		// bucket by bucket.
+		if h.NumPages() < 2 {
+			return
+		}
+		page := storage.PageID(h.NumPages() / 4)
+		for slot := 0; slot < 4; slot++ {
+			if _, err := h.Delete(storage.RID{Page: page, Slot: slot}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := core.Refold(h, smas, []int{h.BucketOf(page)}); err != nil {
+			t.Fatal(err)
+		}
+		check("after emptying a bucket")
 	})
 }
 

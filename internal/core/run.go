@@ -41,8 +41,7 @@ func (s *SMA) compileRun() error {
 // openBucket appends one absent entry to every SMA-file.
 func (s *SMA) openBucket() {
 	for _, g := range s.files {
-		g.Vec.Append(0)
-		g.Present.Append(false)
+		g.appendAbsent()
 	}
 	s.NumBuckets++
 }
@@ -148,12 +147,13 @@ func (s *SMA) fileOf(raw, rec []byte) *GroupFile {
 // entry sets it, every other one goes through the aggregate's step at the
 // entry's own width, exactly what one OnAppend per record did.
 func (g *GroupFile) fold(b int, agg AggKind, vals []float64, n int) {
+	g.invalidate(b)
 	if !g.Present.Get(b) {
-		g.Present.Set(b, true)
+		g.Present.set(b, true)
 		if agg == Count {
-			g.Vec.Set(b, 1)
+			g.Vec.set(b, 1)
 		} else {
-			g.Vec.Set(b, vals[0])
+			g.Vec.set(b, vals[0])
 			vals = vals[1:]
 		}
 		n--
@@ -170,7 +170,7 @@ func (g *GroupFile) fold(b int, agg AggKind, vals []float64, n int) {
 
 // foldEntry is the typed loop of fold: the running value stays in a
 // register, widened to float64 for every step and narrowed back as
-// Vector.Set narrows.
+// Vector.set narrows.
 func foldEntry[T int32 | int64 | float64](p *T, agg AggKind, vals []float64, n int) {
 	cur := *p
 	switch agg {

@@ -20,6 +20,12 @@ type GroupFile struct {
 	// min/max entries of absent buckets are meaningless and must be
 	// skipped during grading and aggregation.
 	Present *Bitmap
+
+	// l2 is the level-2 summary (summary.go), derived from Vec and
+	// Present. A new or loaded file starts with an empty summary; after
+	// that level 1 changes only through appendAbsent, clear and fold, and
+	// each lowers its watermark.
+	l2 summary
 }
 
 // ValueAt returns the aggregate for bucket b and whether it is present.
@@ -28,6 +34,20 @@ func (g *GroupFile) ValueAt(b int) (float64, bool) {
 		return 0, false
 	}
 	return g.Vec.Get(b), true
+}
+
+// appendAbsent opens one more bucket in g, absent.
+func (g *GroupFile) appendAbsent() {
+	g.invalidate(g.Present.n)
+	g.Vec.append(0)
+	g.Present.append(false)
+}
+
+// clear makes bucket b absent, the first step of its refold.
+func (g *GroupFile) clear(b int) {
+	g.invalidate(b)
+	g.Vec.set(b, 0)
+	g.Present.set(b, false)
 }
 
 // SMA is a built Small Materialized Aggregate over one relation: the
@@ -111,8 +131,7 @@ func (s *SMA) Groups(visit func(g *GroupFile) error) error {
 func (s *SMA) addGroup(key GroupKey, vals []GroupVal, backfill int) *GroupFile {
 	g := &GroupFile{Key: key, Vals: vals, Vec: NewVector(s.elem), Present: NewBitmap()}
 	for i := 0; i < backfill; i++ {
-		g.Vec.Append(0)
-		g.Present.Append(false)
+		g.appendAbsent()
 	}
 	s.groups[key] = g
 	at := sort.Search(len(s.files), func(i int) bool { return s.files[i].Key >= key })

@@ -68,8 +68,8 @@ func (v *Vector) Len() int {
 	}
 }
 
-// Append adds a value, narrowing it to the element type.
-func (v *Vector) Append(x float64) {
+// append adds a value, narrowing it to the element type.
+func (v *Vector) append(x float64) {
 	switch v.typ {
 	case EInt32:
 		v.i32 = append(v.i32, int32(x))
@@ -92,8 +92,8 @@ func (v *Vector) Get(i int) float64 {
 	}
 }
 
-// Set overwrites entry i.
-func (v *Vector) Set(i int, x float64) {
+// set overwrites entry i.
+func (v *Vector) set(i int, x float64) {
 	switch v.typ {
 	case EInt32:
 		v.i32[i] = int32(x)
@@ -168,8 +168,8 @@ func NewBitmap() *Bitmap { return &Bitmap{} }
 // Len returns the number of bits tracked.
 func (b *Bitmap) Len() int { return b.n }
 
-// Append adds one bit.
-func (b *Bitmap) Append(set bool) {
+// append adds one bit.
+func (b *Bitmap) append(set bool) {
 	i := b.n
 	b.n++
 	if i/64 >= len(b.words) {
@@ -194,8 +194,8 @@ func (b *Bitmap) bits(lo, n int) uint64 {
 	return b.words[lo>>6] >> (lo & 63) & (^uint64(0) >> (64 - n))
 }
 
-// Set sets bit i to v; i must be < Len.
-func (b *Bitmap) Set(i int, v bool) {
+// set sets bit i to v; i must be < Len.
+func (b *Bitmap) set(i int, v bool) {
 	if i < 0 || i >= b.n {
 		panic(fmt.Sprintf("core: bitmap index %d out of range [0,%d)", i, b.n))
 	}

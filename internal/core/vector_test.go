@@ -23,7 +23,7 @@ func TestVectorTypes(t *testing.T) {
 			t.Errorf("%s: type/width wrong", tc.typ)
 		}
 		for _, x := range tc.vals {
-			v.Append(x)
+			v.append(x)
 		}
 		if v.Len() != len(tc.vals) {
 			t.Fatalf("%s: Len = %d", tc.typ, v.Len())
@@ -36,9 +36,9 @@ func TestVectorTypes(t *testing.T) {
 		if v.SizeBytes() != int64(len(tc.vals)*tc.width) {
 			t.Errorf("%s: SizeBytes = %d", tc.typ, v.SizeBytes())
 		}
-		v.Set(0, 7)
+		v.set(0, 7)
 		if v.Get(0) != 7 {
-			t.Errorf("%s: Set failed", tc.typ)
+			t.Errorf("%s: set failed", tc.typ)
 		}
 	}
 }
@@ -49,7 +49,7 @@ func TestVectorEncodeDecode(t *testing.T) {
 		v := NewVector(typ)
 		rng := rand.New(rand.NewSource(int64(typ)))
 		for i := 0; i < 1000; i++ {
-			v.Append(float64(rng.Intn(100000) - 50000))
+			v.append(float64(rng.Intn(100000) - 50000))
 		}
 		buf := v.encode(nil)
 		back, n, err := decodeVector(typ, v.Len(), buf)
@@ -74,7 +74,7 @@ func TestBitmap(t *testing.T) {
 	b := NewBitmap()
 	pattern := []bool{true, false, true, true, false}
 	for i := 0; i < 200; i++ {
-		b.Append(pattern[i%len(pattern)])
+		b.append(pattern[i%len(pattern)])
 	}
 	if b.Len() != 200 {
 		t.Fatalf("Len = %d", b.Len())
@@ -92,13 +92,13 @@ func TestBitmap(t *testing.T) {
 	if b.Count() != count {
 		t.Errorf("Count = %d, want %d", b.Count(), count)
 	}
-	b.Set(0, false)
+	b.set(0, false)
 	if b.Get(0) {
-		t.Errorf("Set(0,false) failed")
+		t.Errorf("set(0,false) failed")
 	}
-	b.Set(1, true)
+	b.set(1, true)
 	if !b.Get(1) {
-		t.Errorf("Set(1,true) failed")
+		t.Errorf("set(1,true) failed")
 	}
 	if b.Get(-1) || b.Get(10_000) {
 		t.Errorf("out-of-range Get should be false")
@@ -108,10 +108,10 @@ func TestBitmap(t *testing.T) {
 func TestBitmapSetPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Errorf("Set out of range should panic")
+			t.Errorf("set out of range should panic")
 		}
 	}()
-	NewBitmap().Set(0, true)
+	NewBitmap().set(0, true)
 }
 
 // TestQuickBitmapRoundTrip: encode/decode preserves random bit patterns of
@@ -120,7 +120,7 @@ func TestQuickBitmapRoundTrip(t *testing.T) {
 	f := func(bits []bool) bool {
 		b := NewBitmap()
 		for _, x := range bits {
-			b.Append(x)
+			b.append(x)
 		}
 		buf := b.encode(nil)
 		back, _, err := decodeBitmap(len(bits), buf)

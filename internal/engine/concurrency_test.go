@@ -4,11 +4,14 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
 
 	"sma/internal/engine"
+	"sma/internal/planner"
+	"sma/internal/tpcd"
 	"sma/internal/tuple"
 )
 
@@ -162,4 +165,117 @@ func TestConcurrentDMLAndParallelReaders(t *testing.T) {
 		t.Error(err)
 	}
 	verifyAll(t, db, "EVENTS")
+}
+
+// TestLevel2FirstUseUnderConcurrentReaders: a write lowers the level-2
+// watermarks of the SMA-files it changes (appends and a bucket refold), and
+// the first readers after it extend the summaries at once — Query 1, whose
+// grading takes whole presence words and whose sums fold from bucket 0, a
+// grouped aggregate with no predicate, and both at dop 2, whose partitions
+// fold the same files. Every answer must equal the one a serial run gives
+// once the summaries have settled. Run it with -race.
+func TestLevel2FirstUseUnderConcurrentReaders(t *testing.T) {
+	db := openLineItem(t, 0.002, tpcd.OrderSorted)
+	for _, ddl := range []string{
+		"define sma min select min(L_SHIPDATE) from LINEITEM",
+		"define sma max select max(L_SHIPDATE) from LINEITEM",
+		"define sma count select count(*) from LINEITEM group by L_RETURNFLAG, L_LINESTATUS",
+		"define sma qty select sum(L_QUANTITY) from LINEITEM group by L_RETURNFLAG, L_LINESTATUS",
+		"define sma ext select sum(L_EXTENDEDPRICE) from LINEITEM group by L_RETURNFLAG, L_LINESTATUS",
+		"define sma extdis select sum(L_EXTENDEDPRICE * (1 - L_DISCOUNT)) from LINEITEM group by L_RETURNFLAG, L_LINESTATUS",
+	} {
+		exec(t, db, ddl)
+	}
+	const q1 = `select L_RETURNFLAG, L_LINESTATUS, sum(L_QUANTITY) as SUM_QTY, sum(L_EXTENDEDPRICE) as SUM_BASE,
+		sum(L_EXTENDEDPRICE * (1 - L_DISCOUNT)) as SUM_DISC, avg(L_QUANTITY) as AVG_QTY, count(*) as COUNT_ORDER
+		from LINEITEM where L_SHIPDATE <= date '1998-09-02' group by L_RETURNFLAG, L_LINESTATUS`
+	const all = `select L_RETURNFLAG, sum(L_EXTENDEDPRICE) as SUM_BASE, count(*) as N
+		from LINEITEM group by L_RETURNFLAG`
+	type query struct {
+		sql string
+		dop int
+	}
+	queries := []query{{q1, 1}, {all, 1}, {q1, 2}, {all, 2}}
+	// answer renders every value exactly (%v prints the shortest float that
+	// reads back to the same bits), in a deterministic row order.
+	answer := func(q query) (string, error) {
+		cur, err := db.QueryContext(context.Background(), q.sql, engine.WithDOP(q.dop))
+		if err != nil {
+			return "", err
+		}
+		defer cur.Close()
+		if s := cur.Plan().Strategy; s != planner.StrategySMAGAggr {
+			return "", fmt.Errorf("%s at dop %d planned as %v, want SMA_GAggr", q.sql, q.dop, s)
+		}
+		var rows []string
+		for {
+			vals, ok, err := cur.Next()
+			if err != nil {
+				return "", err
+			}
+			if !ok {
+				break
+			}
+			rows = append(rows, fmt.Sprint(vals...))
+		}
+		sort.Strings(rows)
+		return strings.Join(rows, "\n"), nil
+	}
+	var insert strings.Builder // 40 rows shipped last: they extend the last buckets
+	insert.WriteString("insert into LINEITEM values ")
+	for i := 0; i < 40; i++ {
+		if i > 0 {
+			insert.WriteString(", ")
+		}
+		fmt.Fprintf(&insert, "(%d, 1, 1, 1, %d, %d.25, 0.0%d, 0.02, '%c', 'F', date '1998-11-%02d', date '1998-12-01', date '1998-12-02', 'NONE', 'MAIL', 'late')",
+			900000+i, 1+i%50, 1000+i, i%10, "ANR"[i%3], 1+i%28)
+	}
+	writes := []string{
+		insert.String(),
+		"update LINEITEM set L_QUANTITY = L_QUANTITY + 1, L_EXTENDEDPRICE = L_EXTENDEDPRICE * 1.5 where L_SHIPDATE >= date '1994-03-01' and L_SHIPDATE < date '1994-03-08'",
+		"delete from LINEITEM where L_SHIPDATE >= date '1996-01-01' and L_SHIPDATE < date '1996-01-05'",
+	}
+	const readers = 4
+	for _, w := range writes {
+		exec(t, db, w)
+		got := make([][]string, readers)
+		errs := make([]error, readers)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for r := 0; r < readers; r++ {
+			wg.Add(1)
+			go func(r int) {
+				defer wg.Done()
+				<-start
+				for i := range queries {
+					q := queries[(i+r)%len(queries)] // each reader starts elsewhere
+					a, err := answer(q)
+					if err != nil {
+						errs[r] = err
+						return
+					}
+					got[r] = append(got[r], a)
+				}
+			}(r)
+		}
+		close(start)
+		wg.Wait()
+		for r, err := range errs {
+			if err != nil {
+				t.Fatalf("after %q, reader %d: %v", w, r, err)
+			}
+		}
+		for i, q := range queries {
+			want, err := answer(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for r := range got {
+				if a := got[r][(i-r%len(queries)+len(queries))%len(queries)]; a != want {
+					t.Errorf("after %q, reader %d at dop %d: first-use answer\n%s\nserial answer\n%s", w, r, q.dop, a, want)
+				}
+			}
+		}
+	}
+	verifyAll(t, db, "LINEITEM")
 }
