@@ -357,7 +357,9 @@ func TestTornWALTail(t *testing.T) {
 // must read the page: never with fewer rows. The flip is found by a Scrub
 // right after Open or, without one, by the statement under test, which
 // may find it through one of its prefetch readers. A healthy table answers
-// throughout.
+// throughout. An UPDATE and a DELETE whose qualifying scan must read the
+// page fail with the corrupt-page error and write nothing: with the byte
+// flipped back, the table reads as before and every SMA verifies.
 func TestBitFlipReadsAroundCorruption(t *testing.T) {
 	const pages, bad = 40, 20
 	dir := t.TempDir()
@@ -435,13 +437,21 @@ func TestBitFlipReadsAroundCorruption(t *testing.T) {
 			}
 		}
 	}
+	const content = "select K, count(*) as C, sum(V) as S, max(V) as M from T where V >= 0 group by K"
+	wantContent, err := collectEngine(db, content)
+	if err != nil {
+		t.Fatal(err)
+	}
 	heap := tbl.Disk().Path()
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := chaos.FlipByte(heap, bad*storage.PageSize+100, 0x20); err != nil {
-		t.Fatal(err)
+	flip := func() {
+		if err := chaos.FlipByte(heap, bad*storage.PageSize+100, 0x20); err != nil {
+			t.Fatal(err)
+		}
 	}
+	flip()
 
 	for _, verify := range []bool{true, false} {
 		for _, s := range shapes {
@@ -477,6 +487,47 @@ func TestBitFlipReadsAroundCorruption(t *testing.T) {
 					}
 				})
 			}
+		}
+	}
+
+	for _, verify := range []bool{true, false} {
+		for _, sql := range []string{"update T set V = V + 1 where " + pagesWhere(bad-1, bad+1), "delete from T where " + pagesWhere(bad-1, bad+1)} {
+			t.Run(fmt.Sprintf("verify=%v/%.6s", verify, sql), func(t *testing.T) {
+				db, err := engine.Open(dir, engine.Options{BucketPages: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if verify {
+					if _, err := db.Scrub(context.Background()); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if _, err := db.ExecContext(context.Background(), sql); !storage.IsCorrupt(err) {
+					t.Fatalf("%.50s: error %v, want a corrupt-page error", sql, err)
+				}
+				if err := db.Close(); err != nil {
+					t.Fatal(err)
+				}
+				flip()
+				defer flip()
+				db, err = engine.Open(dir, engine.Options{BucketPages: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer db.Close()
+				if rows, err := collectEngine(db, content); err != nil || fmt.Sprint(rows) != fmt.Sprint(wantContent) {
+					t.Fatalf("after the failed statement: %v (error %v), want %v", rows, err, wantContent)
+				}
+				tbl, err := db.Table("T")
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, s := range tbl.SMAs() {
+					if err := tbl.VerifySMA(s.Def.Name); err != nil {
+						t.Errorf("VerifySMA(%s): %v", s.Def.Name, err)
+					}
+				}
+			})
 		}
 	}
 }

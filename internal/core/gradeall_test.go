@@ -187,10 +187,10 @@ func FuzzGradeAll(f *testing.F) {
 					t.Fatalf("%s: bucket %d: GradeAll says %s, Grade says %s, for %s", when, b, grade, one, p)
 				}
 				bad, nan := "", false // the first tuple the grade is wrong for
-				err := h.ScanBucket(b, func(tp tuple.Tuple, _ storage.RID) error {
+				err := testutil.BucketRecords(h, b, func(tp tuple.Tuple, _ storage.RID) error {
 					x, y := tp.Float64(0), tp.Float64(1)
 					nan = nan || x != x || y != y
-					if sat := p.Eval(tp); bad == "" && ((grade == core.Qualifies && !sat) || (grade == core.Disqualifies && sat)) {
+					if sat := testutil.EvalPred(p, tp); bad == "" && ((grade == core.Qualifies && !sat) || (grade == core.Disqualifies && sat)) {
 						bad = fmt.Sprintf("a tuple (A=%v, B=%v) evaluates to %v", x, y, sat)
 					}
 					return nil

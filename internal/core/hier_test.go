@@ -218,8 +218,8 @@ func FuzzTwoLevelGrade(f *testing.F) {
 						b, len(grades), tl.Fanout, grade, want, atom)
 				}
 			}
-			err := h.ScanBucket(b, func(tp tuple.Tuple, _ storage.RID) error {
-				if sat := atom.Eval(tp); (grade == core.Qualifies && !sat) || (grade == core.Disqualifies && sat) {
+			err := testutil.BucketRecords(h, b, func(tp tuple.Tuple, _ storage.RID) error {
+				if sat := testutil.EvalPred(atom, tp); (grade == core.Qualifies && !sat) || (grade == core.Disqualifies && sat) {
 					t.Errorf("bucket %d graded %s for %s, but a tuple (A=%v) evaluates to %v",
 						b, grade, atom, tp.Float64(0), sat)
 				}

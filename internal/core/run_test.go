@@ -114,7 +114,7 @@ func reference(t *testing.T, h *storage.HeapFile, s *core.SMA) map[core.GroupKey
 		}
 		v := 0.0
 		if s.Def.Expr != nil {
-			v = s.Def.Expr.Eval(tp)
+			v = testutil.EvalExpr(s.Def.Expr, tp)
 		}
 		refStep(&out[key][h.BucketOf(rid.Page)], s.ElemType(), s.Def.Agg, v)
 		return nil

@@ -154,7 +154,7 @@ func TestSemiJoinPredicateResidual(t *testing.T) {
 		}
 		for _, a := range []float64{5, 10, 15, 20, 25} {
 			tp.SetFloat64(0, a)
-			if got, want := p.Eval(tp), semiJoinBaseline(a, svals, op); got != want {
+			if got, want := testutil.EvalPred(p, tp), semiJoinBaseline(a, svals, op); got != want {
 				t.Errorf("op %s a=%g: residual %v, naive %v", op, a, got, want)
 			}
 		}

@@ -98,8 +98,8 @@ func TestQuickGradeSoundness(t *testing.T) {
 			for b := 0; b < h.NumBuckets(); b++ {
 				grade := g.Grade(b, p)
 				sound := true
-				err := h.ScanBucket(b, func(t tuple.Tuple, _ storage.RID) error {
-					sat := p.Eval(t)
+				err := testutil.BucketRecords(h, b, func(t tuple.Tuple, _ storage.RID) error {
+					sat := testutil.EvalPred(p, t)
 					if grade == core.Qualifies && !sat {
 						sound = false
 					}

@@ -4,9 +4,11 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"sma/internal/core"
 	"sma/internal/exec"
+	"sma/internal/expr"
 	"sma/internal/parser"
 	"sma/internal/pred"
 	"sma/internal/stats"
@@ -225,58 +227,97 @@ func repairSMAs(t *Table, hookErr error) error {
 	return hookErr
 }
 
-// qualifying is the qualifying scan of UPDATE and DELETE, the paper's
-// SMA_Scan (Fig. 6): it binds p to t, grades t's buckets against it with
-// the table's SMAs and visits the rows satisfying p (every row when p is
-// nil) in physical order. A disqualified bucket is never read, a
-// qualifying one is visited whole, and p is evaluated only in ambivalent
-// buckets. The context is checked once per bucket. The pages it read and
-// the buckets' grades go on the statement's record.
-func qualifying(ctx context.Context, t *Table, p pred.Predicate, rec *stats.Record, visit func(tuple.Tuple, storage.RID) error) error {
-	if p != nil {
-		if err := p.Bind(t.Schema); err != nil {
-			return err
+// changeWhere runs an UPDATE — sets holds its SET clauses, at least one —
+// or, with sets nil, a DELETE of every tuple of the table matching where
+// (all tuples when nil). The statement's commit then refolds each bucket it
+// touched in every SMA of the table.
+//
+// The rows are found by the queries' own SMA_Scan (Fig. 6),
+// exec.BatchSMAScan with the table's SMAs: a disqualified bucket is never
+// read, and the selection kernels run the predicate only in ambivalent
+// ones. The pages come through the page stream, prefetched, with the
+// context checked before every page, and each row carries its RID from the
+// page read. The pages read and pruned and the buckets' grades go on the
+// statement's record.
+//
+// The write lock is held for the whole statement. Every match is collected
+// — its RID and, for an UPDATE, its old and new images packed into two
+// arenas, the SET clauses evaluated against the old image as SQL prescribes
+// — before any tuple is written, so an update can never re-qualify a row it
+// already rewrote (the Halloween problem), and a SET-evaluation error (type
+// range, NaN) leaves the table untouched. The context is checked before
+// every write. The statement is atomic: an error after the first write —
+// cancellation, I/O, failed SMA maintenance — restores every rewritten
+// tuple's old image and unmarks every deleted one. Numeric assignments into
+// integer and date columns truncate toward zero.
+func (db *DB) changeWhere(ctx context.Context, table string, where pred.Predicate, sets []parser.SetClause, rec *stats.Record) (int64, commit, error) {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	if err := db.checkOpen(); err != nil {
+		return 0, commit{}, err
+	}
+	t, err := db.table(table)
+	if err != nil {
+		return 0, commit{}, err
+	}
+	var l *setList
+	if sets != nil {
+		if l, err = compileSets(t.Schema, sets); err != nil {
+			return 0, commit{}, err
 		}
 	}
-	grades := exec.GradeBuckets(core.NewGrader(t.SMAs()...), p, nil, t.Heap.NumBuckets())
-	gc := core.CountGrades(grades)
-	rec.Qualify, rec.Disqualify, rec.Ambivalent = int64(gc.Qualifying), int64(gc.Disqualifying), int64(gc.Ambivalent)
-	rec.PagesPruned = rec.Disqualify * int64(t.BucketPages)
-	var g core.Grade
-	keep := func(tp tuple.Tuple, rid storage.RID) error {
-		if g == core.Ambivalent && !p.Eval(tp) {
-			return nil
+	var rids []storage.RID
+	var olds, news []byte
+	scan := exec.NewBatchSMAScan(t.Heap, where, core.NewGrader(t.SMAs()...), db.pl.Exec)
+	scan.Ctx, scan.RIDs = ctx, true
+	err = scan.Open()
+	for err == nil {
+		var b *exec.Batch
+		if b, err = scan.NextBatch(); b == nil {
+			break
 		}
-		return visit(tp, rid)
+		// One allocation per batch at most: appending record by record
+		// would regrow the arena many times over.
+		from := len(olds)
+		rids = slices.Grow(rids, len(b.Sel))
+		if l != nil {
+			olds = slices.Grow(olds, len(b.Sel)*t.Schema.RecordSize())
+		}
+		for _, i := range b.Sel {
+			rids = append(rids, b.RID(i))
+			if l != nil {
+				olds = append(olds, b.Tuple(i).Data...)
+			}
+		}
+		if l != nil {
+			news = append(news, olds[from:]...)
+			err = l.apply(news[from:])
+		}
 	}
-	for b := range grades {
-		if g = grades[b]; g == core.Disqualifies {
-			continue
-		}
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		first, last := t.Heap.BucketRange(b)
-		rec.PagesRead += int64(last-first) + 1
-		if err := t.Heap.ScanBucket(b, keep); err != nil {
-			return err
-		}
+	scan.Close()
+	st := scan.Stats()
+	rec.PagesRead, rec.PagesPruned = int64(st.PagesRead), int64(st.PagesPruned)
+	rec.Qualify, rec.Disqualify, rec.Ambivalent = int64(st.Qualifying), int64(st.Disqualifying), int64(st.Ambivalent)
+	if err != nil {
+		return 0, commit{}, err
 	}
-	return nil
-}
 
-// applyRows runs n journaled mutations of t as one statement — the rows of
-// an UPDATE or DELETE — checking the context before each. Any error rolls
-// the statement back. Callers hold db.mu.
-func (db *DB) applyRows(ctx context.Context, t *Table, n int, mutate func(j *stmtJournal, i int) error) (int64, commit, error) {
 	j, err := db.beginStmt(t)
 	if err != nil {
 		return 0, commit{}, err
 	}
-	for i := 0; i < n; i++ {
+	rs := t.Schema.RecordSize()
+	image := func(arena []byte, i int) tuple.Tuple {
+		return tuple.Tuple{Schema: t.Schema, Data: arena[i*rs : (i+1)*rs]}
+	}
+	for i, rid := range rids {
 		err := ctx.Err()
-		if err == nil {
-			err = mutate(j, i)
+		switch {
+		case err != nil:
+		case l == nil:
+			err = j.delete(rid)
+		default:
+			err = j.update(rid, image(olds, i), image(news, i))
 		}
 		if err != nil {
 			return 0, commit{}, db.abortStmt(j, err)
@@ -286,103 +327,41 @@ func (db *DB) applyRows(ctx context.Context, t *Table, n int, mutate func(j *stm
 	if err != nil {
 		return 0, commit{}, err
 	}
-	return int64(n), c, nil
+	return int64(len(rids)), c, nil
 }
 
-// pendingUpdate is one matched tuple of an UPDATE: the record's position
-// plus its old and new images, copied out of page memory. Computing every
-// new image before any write-back keeps SET-evaluation errors (type range,
-// NaN) from leaving a half-updated table.
-type pendingUpdate struct {
-	rid      storage.RID
-	old, new tuple.Tuple
+// setList is an UPDATE's SET clauses compiled against a table's schema. A
+// CHAR clause writes its string; every other clause — a date string as its
+// day number — is a node of one vector program, computed a batch at a time
+// with the float64 operations of the scans' folds.
+type setList struct {
+	schema  *tuple.Schema
+	clauses []setClause
+	prog    expr.Program
+	vals    []float64 // the program's value vectors
 }
 
-// updateWhere overwrites every tuple matching the predicate (all tuples
-// when nil) with the SET clauses evaluated against the old tuple image, as
-// SQL prescribes; the statement's commit then refolds each bucket it
-// touched in every SMA of the table.
-//
-// The write lock is held for the whole statement. Matches are collected
-// before any tuple is modified, so an update can never re-qualify a row it
-// already rewrote (the Halloween problem); the context is checked at every
-// bucket of the qualifying scan and before every write-back. The statement
-// is atomic: an error after the first write-back — including cancellation
-// and failed SMA maintenance — restores every rewritten tuple's old image.
-// Numeric assignments into integer and date columns truncate toward zero.
-func (db *DB) updateWhere(ctx context.Context, s *parser.UpdateStmt, rec *stats.Record) (int64, commit, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if err := db.checkOpen(); err != nil {
-		return 0, commit{}, err
-	}
-	t, err := db.table(s.Table)
-	if err != nil {
-		return 0, commit{}, err
-	}
-	apply, err := compileSets(t.Schema, s.Sets)
-	if err != nil {
-		return 0, commit{}, err
-	}
-	var pending []pendingUpdate
-	err = qualifying(ctx, t, s.Where, rec, func(tp tuple.Tuple, rid storage.RID) error {
-		old := tp.Copy()
-		newT, err := apply(old)
-		if err != nil {
-			return err
-		}
-		pending = append(pending, pendingUpdate{rid: rid, old: old, new: newT})
-		return nil
-	})
-	if err != nil {
-		return 0, commit{}, err
-	}
-	return db.applyRows(ctx, t, len(pending), func(j *stmtJournal, i int) error {
-		return j.update(pending[i].rid, pending[i].old, pending[i].new)
-	})
+// setClause is one compiled SET clause: a CHAR column's string (node -1),
+// or the program node of a numeric column with the exclusive value range
+// of an integer or date column (both 0 for float64).
+type setClause struct {
+	col        int
+	str        string
+	node       int32
+	lo, hiExcl float64
 }
 
-// deleteWhere removes every tuple matching the predicate (all tuples when
-// nil); the statement's commit then refolds each bucket it touched in
-// every SMA of the table. It holds the write lock for the whole operation;
-// the context is checked at every bucket of the qualifying scan and before
-// every delete. The statement is atomic: an error partway through —
-// cancellation, I/O, failed SMA maintenance — unmarks every tuple this
-// statement deleted.
-func (db *DB) deleteWhere(ctx context.Context, s *parser.DeleteStmt, rec *stats.Record) (int64, commit, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if err := db.checkOpen(); err != nil {
-		return 0, commit{}, err
-	}
-	t, err := db.table(s.Table)
-	if err != nil {
-		return 0, commit{}, err
-	}
-	var rids []storage.RID
-	err = qualifying(ctx, t, s.Where, rec, func(_ tuple.Tuple, rid storage.RID) error {
-		rids = append(rids, rid)
-		return nil
-	})
-	if err != nil {
-		return 0, commit{}, err
-	}
-	return db.applyRows(ctx, t, len(rids), func(j *stmtJournal, i int) error { return j.delete(rids[i]) })
-}
-
-// compileSets type-checks the SET clauses against the schema and returns a
-// function computing the new tuple image from an old one. String right-hand
-// sides serve CHAR and date columns; everything else needs a scalar
-// expression, bound here once for the whole statement.
-func compileSets(s *tuple.Schema, sets []parser.SetClause) (func(old tuple.Tuple) (tuple.Tuple, error), error) {
-	compiled := make([]func(dst, old tuple.Tuple) error, 0, len(sets))
+// compileSets type-checks the SET clauses against the schema. String
+// right-hand sides serve CHAR and date columns; everything else needs a
+// scalar expression, compiled here once for the whole statement.
+func compileSets(s *tuple.Schema, sets []parser.SetClause) (*setList, error) {
+	l := &setList{schema: s}
 	for _, sc := range sets {
 		i := s.ColumnIndex(sc.Col)
 		if i < 0 {
 			return nil, fmt.Errorf("engine: unknown column %q in SET", sc.Col)
 		}
-		col := s.Column(i)
-		var set func(dst, old tuple.Tuple) error
+		col, c, e := s.Column(i), setClause{col: i, node: -1}, sc.Expr
 		switch {
 		case col.Type == tuple.TChar:
 			if sc.Str == nil {
@@ -391,54 +370,57 @@ func compileSets(s *tuple.Schema, sets []parser.SetClause) (func(old tuple.Tuple
 			if len(*sc.Str) > col.Len {
 				return nil, fmt.Errorf("engine: value %q exceeds char(%d) column %s", *sc.Str, col.Len, col.Name)
 			}
-			v := *sc.Str
-			set = func(dst, _ tuple.Tuple) error {
-				dst.SetChar(i, v)
-				return nil
-			}
+			c.str = *sc.Str
+			l.clauses = append(l.clauses, c)
+			continue
 		case sc.Str != nil && col.Type == tuple.TDate:
 			d, err := tuple.ParseDate(*sc.Str)
 			if err != nil {
 				return nil, fmt.Errorf("engine: column %s: %w", col.Name, err)
 			}
-			set = func(dst, _ tuple.Tuple) error {
-				dst.SetInt32(i, d)
-				return nil
-			}
+			e = expr.NewConst(float64(d))
 		case sc.Str != nil:
 			return nil, fmt.Errorf("engine: column %s (type %s) cannot be set from string %q",
 				col.Name, col.Type, *sc.Str)
-		default:
-			if err := sc.Expr.Bind(s); err != nil {
-				return nil, err
-			}
-			e, lo, hiExcl := sc.Expr, 0.0, 0.0
-			switch col.Type {
-			case tuple.TInt32, tuple.TDate:
-				lo, hiExcl = math.MinInt32, maxInt32Excl
-			case tuple.TInt64:
-				lo, hiExcl = math.MinInt64, maxInt64Excl
-			}
-			set = func(dst, old tuple.Tuple) error {
-				v := e.Eval(old)
-				if lo != 0 || hiExcl != 0 {
-					if math.IsNaN(v) || v < lo || v >= hiExcl {
-						return fmt.Errorf("engine: value %g out of range for column %s", v, col.Name)
-					}
-				}
-				dst.SetNumeric(i, v)
-				return nil
-			}
 		}
-		compiled = append(compiled, set)
+		var err error
+		if c.node, err = l.prog.Add(e, s); err != nil {
+			return nil, err
+		}
+		switch col.Type {
+		case tuple.TInt32, tuple.TDate:
+			c.lo, c.hiExcl = math.MinInt32, maxInt32Excl
+		case tuple.TInt64:
+			c.lo, c.hiExcl = math.MinInt64, maxInt64Excl
+		}
+		l.clauses = append(l.clauses, c)
 	}
-	return func(old tuple.Tuple) (tuple.Tuple, error) {
-		dst := old.Copy()
-		for _, set := range compiled {
-			if err := set(dst, old); err != nil {
-				return tuple.Tuple{}, err
+	return l, nil
+}
+
+// apply turns the packed old images in recs into the new ones, in place:
+// the clauses in order, record by record, every expression evaluated
+// against the old image.
+func (l *setList) apply(recs []byte) error {
+	rs := l.schema.RecordSize()
+	n := len(recs) / rs
+	vecs := l.prog.Eval(&l.vals, recs, rs, nil, n)
+	for r := 0; r < n; r++ {
+		dst := tuple.Tuple{Schema: l.schema, Data: recs[r*rs : (r+1)*rs]}
+		for _, c := range l.clauses {
+			if c.node < 0 {
+				dst.SetChar(c.col, c.str)
+				continue
 			}
+			vals, v := l.prog.Value(c.node, vecs, n)
+			if vals != nil {
+				v = vals[r]
+			}
+			if (c.lo != 0 || c.hiExcl != 0) && (math.IsNaN(v) || v < c.lo || v >= c.hiExcl) {
+				return fmt.Errorf("engine: value %g out of range for column %s", v, l.schema.Column(c.col).Name)
+			}
+			dst.SetNumeric(c.col, v)
 		}
-		return dst, nil
-	}, nil
+	}
+	return nil
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"sma/internal/engine"
+	"sma/internal/obs"
 	"sma/internal/storage"
 	"sma/internal/tpcd"
 	"sma/internal/tuple"
@@ -316,14 +317,37 @@ func TestUpdateSetForms(t *testing.T) {
 	verifyAll(t, db, "EVENTS")
 }
 
+// statementPages returns the pages the one statement since the last
+// "reset stats" that read any page says it read and pruned, from
+// sma_stat_statements (the database needs an observer).
+func statementPages(t testing.TB, db *engine.DB) (read, pruned int64) {
+	t.Helper()
+	row := queryOne(t, db, "select PAGES_READ, PAGES_PRUNED from sma_stat_statements where PAGES_READ >= 1")
+	if _, err := fmt.Sscan(row[0]+" "+row[1], &read, &pruned); err != nil {
+		t.Fatal(err)
+	}
+	return read, pruned
+}
+
 // TestDMLReadsOnlySurvivingBuckets: on a shipdate-sorted LINEITEM with the
-// min/max shipdate SMAs, a one-month UPDATE and a one-month DELETE fetch
+// min/max shipdate SMAs, a one-month UPDATE and a one-month DELETE read
 // exactly the pages of the buckets that hold a shipdate in the month —
-// worked out from the heap itself, not from the grader — plus one fetch
-// per row they write, the refold of each bucket they wrote in, and the
-// journal's snapshot of the tail page. A full scan would read every page.
+// worked out from the heap itself, not from the grader — and prune the
+// rest; their pool fetches are those pages plus one fetch per row they
+// write, the refold of each bucket they wrote in, and the journal's
+// snapshot of the tail page. A full scan would read every page. The fetch
+// count is exact with prefetch on too: the table is resident, so no
+// prefetcher starts, and none of its readers counts a pool hit of its own.
 func TestDMLReadsOnlySurvivingBuckets(t *testing.T) {
-	db := openLineItem(t, 0.002, tpcd.OrderSorted)
+	for _, window := range []int{-1, 0} {
+		t.Run(fmt.Sprintf("prefetch=%d", window), func(t *testing.T) {
+			dmlReadsOnlySurvivingBuckets(t, window)
+		})
+	}
+}
+
+func dmlReadsOnlySurvivingBuckets(t *testing.T, window int) {
+	db := openLineItemWith(t, 0.002, tpcd.OrderSorted, engine.Options{Obs: obs.NewObserver(obs.Config{}), PrefetchWindow: window})
 	exec(t, db, "define sma min select min(L_SHIPDATE) from LINEITEM")
 	exec(t, db, "define sma max select max(L_SHIPDATE) from LINEITEM")
 	tbl, err := db.Table("LINEITEM")
@@ -342,19 +366,21 @@ func TestDMLReadsOnlySurvivingBuckets(t *testing.T) {
 		for b := 0; b < tbl.Heap.NumBuckets(); b++ {
 			var bucketRows int64
 			mn, mx := int32(math.MaxInt32), int32(math.MinInt32)
-			if err := tbl.Heap.ScanBucket(b, func(tp tuple.Tuple, _ storage.RID) error {
-				d := tp.Int32(ship)
-				mn, mx = min(mn, d), max(mx, d)
-				if d >= lo && d < hi {
-					bucketRows++
+			first, last := tbl.Heap.BucketRange(b)
+			for p := first; p <= last; p++ {
+				if err := tbl.Heap.PageRecords(p, func(tp tuple.Tuple, _ storage.RID) error {
+					d := tp.Int32(ship)
+					mn, mx = min(mn, d), max(mx, d)
+					if d >= lo && d < hi {
+						bucketRows++
+					}
+					return nil
+				}); err != nil {
+					t.Fatal(err)
 				}
-				return nil
-			}); err != nil {
-				t.Fatal(err)
 			}
 			// The SMAs rule a bucket out when its maximum is before the
 			// month or its minimum after it.
-			first, last := tbl.Heap.BucketRange(b)
 			if mx >= lo && mn < hi {
 				surviving += int64(last-first) + 1
 			}
@@ -363,6 +389,8 @@ func TestDMLReadsOnlySurvivingBuckets(t *testing.T) {
 			}
 			rows += bucketRows
 		}
+		pages := tbl.Heap.NumPages()
+		exec(t, db, "reset stats")
 		before := tbl.Pool().Stats()
 		res := exec(t, db, c.sql)
 		after := tbl.Pool().Stats()
@@ -370,11 +398,16 @@ func TestDMLReadsOnlySurvivingBuckets(t *testing.T) {
 		if res.RowsAffected != rows || rows == 0 {
 			t.Fatalf("%s: %d rows affected, the heap holds %d in the month", c.sql, res.RowsAffected, rows)
 		}
+		read, pruned := statementPages(t, db)
+		if read != surviving || read+pruned != pages {
+			t.Errorf("%s: the statement read %d pages and pruned %d, want the %d surviving pages of %d and the rest",
+				c.sql, read, pruned, surviving, pages)
+		}
 		if want := surviving + rows + refolded + 1; fetches != want {
 			t.Errorf("%s: %d page fetches, want %d (%d surviving pages of %d, %d rows written, %d refolded, the tail)",
-				c.sql, fetches, want, surviving, tbl.Heap.NumPages(), rows, refolded)
+				c.sql, fetches, want, surviving, pages, rows, refolded)
 		}
-		t.Logf("%s: %d page fetches for %d rows; the table has %d pages", c.sql, fetches, rows, tbl.Heap.NumPages())
+		t.Logf("%s: %d page fetches for %d rows; the table has %d pages", c.sql, fetches, rows, pages)
 		verifyAll(t, db, "LINEITEM")
 	}
 }

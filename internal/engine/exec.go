@@ -91,10 +91,10 @@ func (db *DB) execStmt(ctx context.Context, st *statement) (sma *core.SMA, err e
 		st.RowsAffected, c, err = db.insertInto(ctx, s)
 	case *parser.UpdateStmt:
 		st.Kind, st.Table = "update", s.Table
-		st.RowsAffected, c, err = db.updateWhere(ctx, s, &st.Record)
+		st.RowsAffected, c, err = db.changeWhere(ctx, s.Table, s.Where, s.Sets, &st.Record)
 	case *parser.DeleteStmt:
 		st.Kind, st.Table = "delete", s.Table
-		st.RowsAffected, c, err = db.deleteWhere(ctx, s, &st.Record)
+		st.RowsAffected, c, err = db.changeWhere(ctx, s.Table, s.Where, nil, &st.Record)
 	default:
 		return nil, fmt.Errorf("engine: unsupported statement %T", parsed)
 	}

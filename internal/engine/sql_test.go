@@ -12,7 +12,13 @@ import (
 // openLineItem loads a LINEITEM table into a fresh engine.
 func openLineItem(t testing.TB, sf float64, order tpcd.Order) *engine.DB {
 	t.Helper()
-	db, err := engine.Open(t.TempDir(), engine.Options{})
+	return openLineItemWith(t, sf, order, engine.Options{})
+}
+
+// openLineItemWith is openLineItem on a database opened with opts.
+func openLineItemWith(t testing.TB, sf float64, order tpcd.Order, opts engine.Options) *engine.DB {
+	t.Helper()
+	db, err := engine.Open(t.TempDir(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -180,16 +180,12 @@ func (s *statement) settle() {
 		return
 	}
 	s.Kind, s.DOP = plan.StrategyName(), plan.DOP
-	var bucketPages int64 = 1
-	if plan.Heap != nil {
-		bucketPages = int64(plan.Heap.BucketPages)
-	}
 	ss, _ := plan.ScanStats()
 	s.PagesRead = int64(ss.PagesRead)
 	s.Qualify = int64(ss.Qualifying)
 	s.Disqualify = int64(ss.Disqualifying)
 	s.Ambivalent = int64(ss.Ambivalent)
-	s.PagesPruned = s.Disqualify * bucketPages
+	s.PagesPruned = int64(ss.PagesPruned)
 	s.work = plan.Work()
 	s.settlePhases(ss)
 	if plan.Mem != nil || s.db.opts.Obs == nil {
@@ -219,7 +215,7 @@ func (s *statement) settle() {
 	// Per-SMA effectiveness: what each consulted SMA alone would
 	// disqualify, from the attribution cache.
 	if len(plan.SelSMAs) > 0 {
-		s.SMAs = s.db.smaAttribution(s.sql, plan, bucketPages)
+		s.SMAs = s.db.smaAttribution(s.sql, plan)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -525,12 +526,17 @@ func TestStatementWALTrafficIsItsOwn(t *testing.T) {
 // cost a warm SMA-answered aggregate at most this many allocations over
 // the same statement with no observer. (Timing a ~40 µs statement on a
 // shared runner cannot resolve a sub-microsecond budget; allocation
-// counts repeat exactly.)
+// counts repeat exactly.) Each side counts the least of many single
+// statements, taken in turns: a pooled object the runtime dropped — the
+// race detector drops a quarter of them at random, a collection all — is
+// re-allocated by the statement that meets it, on either side, and is not
+// the observer's. An average over many statements would charge those
+// drops to the side that pools more.
 func TestObserverAllocBudget(t *testing.T) {
 	const budget = 6
 	const q = "select REGION, sum(AMOUNT) from SALES where SALE_DATE <= date '2021-03-31' group by REGION"
-	allocs := func(db *engine.DB) float64 {
-		defer db.Close()
+	prepare := func(db *engine.DB) func() {
+		t.Cleanup(func() { db.Close() })
 		for _, ddl := range []string{
 			"define sma dmin select min(SALE_DATE) from SALES",
 			"define sma dmax select max(SALE_DATE) from SALES",
@@ -551,11 +557,15 @@ func TestObserverAllocBudget(t *testing.T) {
 			}
 		}
 		run() // warm: fingerprint and attribution caches, metric label series
-		return testing.AllocsPerRun(200, run)
+		return run
 	}
 	off, _ := openSales(t, t.TempDir())
-	on := openObsSales(t, t.TempDir())
-	a, b := allocs(off), allocs(on)
+	runOff, runOn := prepare(off), prepare(openObsSales(t, t.TempDir()))
+	a, b := math.Inf(1), math.Inf(1)
+	for round := 0; round < 50; round++ {
+		a = min(a, testing.AllocsPerRun(1, runOff))
+		b = min(b, testing.AllocsPerRun(1, runOn))
+	}
 	t.Logf("allocations per warm SMA_GAggr statement: observer off %.0f, on %.0f", a, b)
 	if b-a > budget {
 		t.Errorf("the observer costs %.0f allocations per statement (off %.0f, on %.0f), budget %d", b-a, a, b, budget)

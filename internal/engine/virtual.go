@@ -146,27 +146,35 @@ func (db *DB) invalidateSMAAttribution() {
 // predicate it costs nothing to build. The caller's read lock on db.mu
 // keeps writers out between the grading sweep and the store, so a
 // computed entry cannot be stale by the time it lands in the cache.
-func (db *DB) smaAttribution(key string, plan *planner.Plan, bucketPages int64) []stats.SMAUse {
+func (db *DB) smaAttribution(key string, plan *planner.Plan) []stats.SMAUse {
 	db.attrMu.Lock()
 	uses, ok := db.attrCache[key]
 	db.attrMu.Unlock()
 	if ok {
 		return uses
 	}
-	if plan.Strategy == planner.StrategyFullScan {
-		bucketPages = 0
-	}
 	uses = make([]stats.SMAUse, 0, len(plan.SelSMAs))
 	for _, s := range plan.SelSMAs {
+		grades := core.NewGrader(s).GradeAll(plan.Query.Where)
 		var disq int64
-		for _, gr := range core.NewGrader(s).GradeAll(plan.Query.Where) {
+		for _, gr := range grades {
 			if gr == core.Disqualifies {
 				disq++
 			}
 		}
+		// A short last bucket saves only the pages it has.
+		bp := int64(plan.Heap.BucketPages)
+		pages := disq * bp
+		if n := len(grades); n > 0 && grades[n-1] == core.Disqualifies {
+			first, last := plan.Heap.BucketRange(n - 1)
+			pages -= bp - int64(last-first) - 1
+		}
+		if plan.Strategy == planner.StrategyFullScan {
+			pages = 0
+		}
 		uses = append(uses, stats.SMAUse{
 			Name: s.Def.Name, Column: smaColumn(s.Def), Kind: s.Def.Agg.String(),
-			Disqualified: disq, PagesSaved: disq * bucketPages,
+			Disqualified: disq, PagesSaved: pages,
 		})
 	}
 	db.attrMu.Lock()

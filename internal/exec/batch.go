@@ -66,6 +66,7 @@ type Batch struct {
 	data    []byte
 	recSize int
 	n       int
+	rids    []storage.RID // the records' positions, when the scan collects them
 
 	// Working memory of the selection and fold kernels. It lives here, not
 	// in the operators, because batches are pooled: a statement that
@@ -92,10 +93,15 @@ func (b *Batch) Tuple(i int32) tuple.Tuple {
 	return tuple.Tuple{Schema: b.Schema, Data: b.data[off : off+b.recSize]}
 }
 
+// RID returns the heap position of record i. Only the batches of a scan
+// asked for positions (BatchSMAScan.RIDs) carry them.
+func (b *Batch) RID(i int32) storage.RID { return b.rids[i] }
+
 // reset empties the batch for refilling.
 func (b *Batch) reset() {
 	b.data = b.data[:0]
 	b.Sel = b.Sel[:0]
+	b.rids = b.rids[:0]
 	b.n = 0
 }
 

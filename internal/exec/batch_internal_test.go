@@ -6,6 +6,7 @@ import (
 	"sma/internal/core"
 	"sma/internal/expr"
 	"sma/internal/pred"
+	"sma/internal/testutil"
 	"sma/internal/tuple"
 )
 
@@ -52,7 +53,7 @@ func fillTestBatch(t *testing.T, n, k int) (*Batch, *tuple.Schema) {
 }
 
 // naiveAdd folds one tuple into acc the plain way, spec by spec, through
-// expr.Eval: the reference the vector fold is compared against.
+// testutil.EvalExpr: the reference the vector fold is compared against.
 func naiveAdd(acc *Partial, specs []AggSpec, t tuple.Tuple) {
 	acc.Count++
 	for i, sp := range specs {
@@ -60,13 +61,13 @@ func naiveAdd(acc *Partial, specs []AggSpec, t tuple.Tuple) {
 		case AggCount:
 			acc.Aggs[i]++
 		case AggSum, AggAvg:
-			acc.Aggs[i] += sp.Arg.Eval(t)
+			acc.Aggs[i] += testutil.EvalExpr(sp.Arg, t)
 		case AggMin:
-			if v := sp.Arg.Eval(t); !acc.Seen[i] || v < acc.Aggs[i] {
+			if v := testutil.EvalExpr(sp.Arg, t); !acc.Seen[i] || v < acc.Aggs[i] {
 				acc.Aggs[i] = v
 			}
 		case AggMax:
-			if v := sp.Arg.Eval(t); !acc.Seen[i] || v > acc.Aggs[i] {
+			if v := testutil.EvalExpr(sp.Arg, t); !acc.Seen[i] || v > acc.Aggs[i] {
 				acc.Aggs[i] = v
 			}
 		}

@@ -112,7 +112,7 @@ func TestBatchSMAScanEqualsRowScan(t *testing.T) {
 		}
 		st, ref := scan.Stats(), refGrades(t, h, grader, p)
 		if st.Qualifying != ref.Qualifying || st.Disqualifying != ref.Disqualifying ||
-			st.Ambivalent != ref.Ambivalent || st.PagesRead != ref.PagesRead {
+			st.Ambivalent != ref.Ambivalent || st.PagesRead != ref.PagesRead || st.PagesPruned != ref.PagesPruned {
 			t.Logf("seed %d: scan stats %+v vs graded %+v", seed, st, ref)
 			return false
 		}

@@ -72,6 +72,9 @@ type BatchSMAScan struct {
 	// carries pre-computed grades, saving the grading pass in Open.
 	Buckets []int
 	Grades  []core.Grade
+	// RIDs makes every batch carry the heap position of each record
+	// (Batch.RID), read with the page: what UPDATE and DELETE write back to.
+	RIDs bool
 	// Opts carries the batch size and prefetch window.
 	Opts ExecOptions
 
@@ -116,9 +119,13 @@ func NewBatchSMAScan(h *storage.HeapFile, p pred.Predicate, grader *core.Grader,
 // pre-computed grades when given), and starts reading the runs that
 // survive.
 func (s *BatchSMAScan) Open() error {
-	return s.open(s.H, s.Ctx, s.Pred, s.Opts, surviving, func(runs []run) []run {
+	err := s.open(s.H, s.Ctx, s.Pred, s.Opts, surviving, func(runs []run) []run {
 		return cutRuns(runs, s.H, s.Grader, s.Pred, s.Buckets, s.Grades)
 	})
+	if err == nil && s.RIDs {
+		s.rids = &s.batch.rids
+	}
+	return err
 }
 
 // run is a stretch of pages a scan reads under one grade: a maximal
@@ -178,6 +185,7 @@ type runScan struct {
 	stream storage.PageStream
 	cap    int
 	batch  *Batch
+	rids   *[]storage.RID // the batch's positions, when it collects them
 	stats  ScanStats
 }
 
@@ -223,7 +231,7 @@ func (s *runScan) NextBatch() (*Batch, error) {
 				break // grade class changed: flush the batch first
 			}
 			filtered = needPred
-			data, n, err := s.stream.Read(s.ctx, b.data, s.cap-b.n)
+			data, n, err := s.stream.Read(s.ctx, b.data, s.cap-b.n, s.rids)
 			b.data, b.n = data, b.n+n
 			if err != nil {
 				return nil, err
@@ -271,11 +279,11 @@ func (s *runScan) tally(p storage.PageID) {
 		r := &s.runs[s.at]
 		if p <= r.pages.Last {
 			n := min(r.hi-r.lo, max(0, s.h.BucketOf(p)+1-r.lo))
-			s.stats.count(r.grade, n-s.done)
+			s.stats.count(s.h, r, s.done, n)
 			s.done = n
 			return
 		}
-		s.stats.count(r.grade, r.hi-r.lo-s.done)
+		s.stats.count(s.h, r, s.done, r.hi-r.lo)
 	}
 }
 

@@ -84,33 +84,6 @@ func TestQuickSMAGAggrEqualsGAggr(t *testing.T) {
 	}
 }
 
-// clonePred rebuilds a predicate so the two plans don't share bound state.
-func clonePred(p pred.Predicate) pred.Predicate {
-	switch x := p.(type) {
-	case *pred.Atom:
-		if x.RightCol != "" {
-			return pred.NewColAtom(x.Col, x.Op, x.RightCol)
-		}
-		return pred.NewAtom(x.Col, x.Op, x.Value)
-	case *pred.And:
-		kids := make([]pred.Predicate, len(x.Kids))
-		for i, k := range x.Kids {
-			kids[i] = clonePred(k)
-		}
-		return pred.NewAnd(kids...)
-	case *pred.Or:
-		kids := make([]pred.Predicate, len(x.Kids))
-		for i, k := range x.Kids {
-			kids[i] = clonePred(k)
-		}
-		return pred.NewOr(kids...)
-	case *pred.Not:
-		return pred.NewNot(clonePred(x.Kid))
-	default:
-		return p
-	}
-}
-
 // TestQuickSMAScanEqualsFilteredScan: the Fig.-6 operator returns exactly
 // the reference filter's tuple sequence for random predicates and bucket
 // sizes.

@@ -191,7 +191,7 @@ func TestSMAScanGradesInOpenThenPrefetches(t *testing.T) {
 	// A page read that takes a millisecond lets the readahead get in front
 	// of the cursor; from the OS cache the scan would outrun it.
 	h.Pool().Disk().SetReadLatency(time.Millisecond)
-	scan := exec.NewBatchSMAScan(h, clonePred(p), grader, exec.ExecOptions{PrefetchWindow: 4})
+	scan := exec.NewBatchSMAScan(h, p, grader, exec.ExecOptions{PrefetchWindow: 4})
 	got := collectBatched(t, scan)
 	if !tuplesEqual(got, want) {
 		t.Fatalf("prefetching scan returned %d tuples, synchronous scan %d", len(got), len(want))

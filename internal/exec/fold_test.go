@@ -90,6 +90,8 @@ func referenceFold(t *testing.T, h *storage.HeapFile, p pred.Predicate, specs []
 		switch grade {
 		case core.Disqualifies:
 			stats.Disqualifying++
+			first, last := h.BucketRange(b)
+			stats.PagesPruned += int(last-first) + 1
 		case core.Qualifies:
 			stats.Qualifying++
 			for i := range specs {
@@ -123,8 +125,8 @@ func referenceFold(t *testing.T, h *storage.HeapFile, p pred.Predicate, specs []
 			stats.Ambivalent++
 			first, last := h.BucketRange(b)
 			stats.PagesRead += int(last-first) + 1
-			err := h.ScanBucket(b, func(tp tuple.Tuple, _ storage.RID) error {
-				if p != nil && !p.Eval(tp) {
+			err := testutil.BucketRecords(h, b, func(tp tuple.Tuple, _ storage.RID) error {
+				if p != nil && !testutil.EvalPred(p, tp) {
 					return nil
 				}
 				var key core.GroupKey
@@ -393,7 +395,7 @@ func TestFoldBitIdenticalToBucketMajorReference(t *testing.T) {
 					samePartials(t, what, op.Partials(), want)
 					st := op.Stats()
 					if st.Qualifying != wantStats.Qualifying || st.Disqualifying != wantStats.Disqualifying ||
-						st.Ambivalent != wantStats.Ambivalent || st.PagesRead != wantStats.PagesRead {
+						st.Ambivalent != wantStats.Ambivalent || st.PagesRead != wantStats.PagesRead || st.PagesPruned != wantStats.PagesPruned {
 						t.Errorf("%s: stats %+v, want %+v", what, st, wantStats)
 					}
 					if err := op.Close(); err != nil {

@@ -14,6 +14,7 @@ import (
 
 	"sma/internal/core"
 	"sma/internal/expr"
+	"sma/internal/storage"
 	"sma/internal/tuple"
 )
 
@@ -189,18 +190,6 @@ func (g *Partial) finish(specs []AggSpec) {
 	}
 }
 
-// CloneSpecs deep-copies aggregate specs, including their expression
-// trees, so each parallel worker binds private copies (expression Bind
-// writes column indexes and would race on shared specs).
-func CloneSpecs(specs []AggSpec) []AggSpec {
-	out := make([]AggSpec, len(specs))
-	for i, s := range specs {
-		s.Arg = expr.Clone(s.Arg)
-		out[i] = s
-	}
-	return out
-}
-
 // ScanStats reports the bucket classification observed by an SMA scan,
 // plus the batch and prefetch activity of the read path.
 type ScanStats struct {
@@ -208,6 +197,9 @@ type ScanStats struct {
 	Disqualifying int
 	Ambivalent    int
 	PagesRead     int // heap pages fetched (disqualified buckets cost none)
+	// PagesPruned counts the pages of the disqualified buckets reached: the
+	// pages the grades saved, a short last bucket counted by its own pages.
+	PagesPruned int
 	// Batches counts the tuple batches the scans produced.
 	Batches int
 	// PagesPrefetched counts the pages the asynchronous prefetcher read
@@ -225,16 +217,25 @@ func (s *ScanStats) Add(o ScanStats) {
 	s.Disqualifying += o.Disqualifying
 	s.Ambivalent += o.Ambivalent
 	s.PagesRead += o.PagesRead
+	s.PagesPruned += o.PagesPruned
 	s.Batches += o.Batches
 	s.PagesPrefetched += o.PagesPrefetched
 	s.PrefetchHits += o.PrefetchHits
 }
 
-// count adds n buckets of grade g to the classification.
-func (s *ScanStats) count(g core.Grade, n int) {
-	switch g {
+// count adds the buckets [from, to) of run r, counted from its first
+// bucket, to the classification; a disqualified run's pages of them go to
+// PagesPruned.
+func (s *ScanStats) count(h *storage.HeapFile, r *run, from, to int) {
+	n := to - from
+	switch r.grade {
 	case core.Disqualifies:
 		s.Disqualifying += n
+		if n > 0 { // the run's buckets are consecutive on disk; its span ends with the file
+			first := r.pages.First + storage.PageID(from*h.BucketPages)
+			last := min(r.pages.First+storage.PageID(to*h.BucketPages)-1, r.pages.Last)
+			s.PagesPruned += int(last-first) + 1
+		}
 	case core.Qualifies:
 		s.Qualifying += n
 	default:

@@ -96,7 +96,7 @@ func naiveFold(t testing.TB, h *storage.HeapFile, p pred.Predicate, specs []AggS
 	groups := make(map[core.GroupKey]*Partial)
 	for pg := first; pg < end; pg++ {
 		err := h.PageRecords(pg, func(tp tuple.Tuple, _ storage.RID) error {
-			if p != nil && !p.Eval(tp) {
+			if p != nil && !testutil.EvalPred(p, tp) {
 				return nil
 			}
 			var key core.GroupKey
@@ -210,7 +210,7 @@ func TestFoldKernelsBitIdenticalToNaiveFold(t *testing.T) {
 				for pi, newPred := range preds {
 					// The whole relation, and the halves two workers would take.
 					for _, rg := range [][2]storage.PageID{{0, pages}, {0, pages / 2}, {pages / 2, pages}} {
-						refSpecs := CloneSpecs(specs)
+						refSpecs := specs
 						for i := range refSpecs {
 							if err := refSpecs[i].Validate(h.Schema()); err != nil {
 								t.Fatal(err)
@@ -228,7 +228,7 @@ func TestFoldKernelsBitIdenticalToNaiveFold(t *testing.T) {
 								deletes, name, groupBy, pi, batch, rg)
 							scan := NewBatchTableScan(h, newPred(), ExecOptions{BatchSize: batch, PrefetchWindow: -1})
 							scan.StartPage, scan.EndPage = rg[0], rg[1]
-							ga := NewBatchGAggr(scan, h.Schema(), CloneSpecs(specs), groupBy)
+							ga := NewBatchGAggr(scan, h.Schema(), specs, groupBy)
 							ga.KeepPartials = true
 							if err := ga.Open(); err != nil {
 								t.Fatalf("%s: %v", what, err)
@@ -434,7 +434,7 @@ func FuzzSelectKernel(f *testing.F) {
 		}
 		var want []int32
 		for i := 0; i < n; i++ {
-			if p.Eval(b.Tuple(int32(i))) {
+			if testutil.EvalPred(p, b.Tuple(int32(i))) {
 				want = append(want, int32(i))
 			}
 		}

@@ -9,23 +9,24 @@ import (
 	"sma/internal/exec"
 	"sma/internal/pred"
 	"sma/internal/storage"
+	"sma/internal/testutil"
 	"sma/internal/tuple"
 )
 
 // refTuples is the reference filter the scans are compared against: one
-// pass over HeapFile.Scan, no operator of package exec involved. It returns
+// pass over HeapFile.Scan through testutil.EvalPred, no operator of
+// package exec involved. It returns
 // copies of the tuples satisfying p (nil: all), in physical order.
 func refTuples(t testing.TB, h *storage.HeapFile, p pred.Predicate) []tuple.Tuple {
 	t.Helper()
 	if p != nil {
-		p = clonePred(p)
 		if err := p.Bind(h.Schema()); err != nil {
 			t.Fatal(err)
 		}
 	}
 	var out []tuple.Tuple
 	if err := h.Scan(func(tp tuple.Tuple, _ storage.RID) error {
-		if p == nil || p.Eval(tp) {
+		if p == nil || testutil.EvalPred(p, tp) {
 			out = append(out, tp.Copy())
 		}
 		return nil
@@ -41,7 +42,6 @@ func refTuples(t testing.TB, h *storage.HeapFile, p pred.Predicate) []tuple.Tupl
 // divided last, and a global aggregate over nothing is one zero row.
 func refRows(t testing.TB, h *storage.HeapFile, p pred.Predicate, specs []exec.AggSpec, groupBy []string) []exec.Row {
 	t.Helper()
-	specs = exec.CloneSpecs(specs)
 	for i := range specs {
 		if err := specs[i].Validate(h.Schema()); err != nil {
 			t.Fatal(err)
@@ -76,13 +76,13 @@ func refRows(t testing.TB, h *storage.HeapFile, p pred.Predicate, specs []exec.A
 			case exec.AggCount:
 				r.Aggs[i]++
 			case exec.AggSum, exec.AggAvg:
-				r.Aggs[i] += sp.Arg.Eval(tp)
+				r.Aggs[i] += testutil.EvalExpr(sp.Arg, tp)
 			case exec.AggMin:
-				if v := sp.Arg.Eval(tp); counts[key] == 0 || v < r.Aggs[i] {
+				if v := testutil.EvalExpr(sp.Arg, tp); counts[key] == 0 || v < r.Aggs[i] {
 					r.Aggs[i] = v
 				}
 			case exec.AggMax:
-				if v := sp.Arg.Eval(tp); counts[key] == 0 || v > r.Aggs[i] {
+				if v := testutil.EvalExpr(sp.Arg, tp); counts[key] == 0 || v > r.Aggs[i] {
 					r.Aggs[i] = v
 				}
 			}
@@ -131,7 +131,6 @@ func sameRows(t testing.TB, got, want []exec.Row, tol float64) bool {
 // buckets it does not disqualify.
 func refGrades(t testing.TB, h *storage.HeapFile, g *core.Grader, p pred.Predicate) exec.ScanStats {
 	t.Helper()
-	p = clonePred(p)
 	if err := p.Bind(h.Schema()); err != nil {
 		t.Fatal(err)
 	}
@@ -141,6 +140,7 @@ func refGrades(t testing.TB, h *storage.HeapFile, g *core.Grader, p pred.Predica
 		switch gr {
 		case core.Disqualifies:
 			st.Disqualifying++
+			st.PagesPruned += int(last-first) + 1
 			continue
 		case core.Qualifies:
 			st.Qualifying++

@@ -225,7 +225,7 @@ func (g *SMAGAggr) Open() error {
 		if err := ctxErr(g.Ctx); err != nil {
 			return err
 		}
-		g.scan.stats.count(r.grade, r.hi-r.lo)
+		g.scan.stats.count(g.H, &r, 0, r.hi-r.lo)
 		switch r.grade {
 		case core.Disqualifies: // "do nothing"
 		case core.Qualifies:
@@ -244,7 +244,7 @@ func (g *SMAGAggr) Open() error {
 			for p, ok := g.scan.stream.Next(); ok && p <= r.pages.Last; p, ok = g.scan.stream.Next() {
 				start := time.Now()
 				batch.reset()
-				if batch.data, batch.n, err = g.scan.stream.Read(g.Ctx, batch.data, g.scan.cap); err != nil {
+				if batch.data, batch.n, err = g.scan.stream.Read(g.Ctx, batch.data, g.scan.cap, nil); err != nil {
 					return err
 				}
 				if batch.n == 0 {

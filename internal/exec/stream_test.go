@@ -202,11 +202,29 @@ func TestPageStreamContractAcrossScanShapes(t *testing.T) {
 		return last, batches, !ok, nil
 	}
 	goroutines := runtime.NumGoroutine()
+	// tally adds scan position i of c, graded g, to st: a disqualified
+	// bucket's pages are pruned.
+	tally := func(st *ScanStats, c streamCase, i int, g core.Grade) {
+		b := i
+		if c.buckets != nil {
+			b = c.buckets[i]
+		}
+		switch g {
+		case core.Disqualifies:
+			first, last := h.BucketRange(b)
+			st.Disqualifying++
+			st.PagesPruned += int(last-first) + 1
+		case core.Qualifies:
+			st.Qualifying++
+		default:
+			st.Ambivalent++
+		}
+	}
 
 	for _, c := range cases {
 		var want ScanStats
-		for _, g := range c.grades {
-			want.count(g, 1)
+		for i, g := range c.grades {
+			tally(&want, c, i, g)
 		}
 		position := make(map[storage.PageID]int, len(c.survivors))
 		for i, p := range c.survivors {
@@ -236,7 +254,8 @@ func TestPageStreamContractAcrossScanShapes(t *testing.T) {
 					}
 					mu.Unlock()
 					if st.PagesRead != len(c.survivors) || st.Qualifying != want.Qualifying ||
-						st.Disqualifying != want.Disqualifying || st.Ambivalent != want.Ambivalent {
+						st.Disqualifying != want.Disqualifying || st.Ambivalent != want.Ambivalent ||
+						st.PagesPruned != want.PagesPruned {
 						t.Errorf("stats %+v, want %d pages and grades %+v", st, len(c.survivors), want)
 					}
 					if window < 0 && st.PagesPrefetched != 0 {
@@ -273,12 +292,12 @@ func TestPageStreamContractAcrossScanShapes(t *testing.T) {
 									b = c.buckets[i]
 								}
 								if first, _ := h.BucketRange(b); first <= limit {
-									reached.count(g, 1)
+									tally(&reached, c, i, g)
 								}
 							}
 						}
 						if st.Qualifying != reached.Qualifying || st.Disqualifying != reached.Disqualifying ||
-							st.Ambivalent != reached.Ambivalent {
+							st.Ambivalent != reached.Ambivalent || st.PagesPruned != reached.PagesPruned {
 							t.Errorf("closed after %d batches and %d pages: grades %+v, want %+v", batches, st.PagesRead, st, reached)
 						}
 					}

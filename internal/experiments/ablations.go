@@ -226,7 +226,8 @@ func RunE10(base Config) (E10Result, error) {
 	r.ScanTime = time.Since(start)
 	r.ScanPages, _ = e.Disk().Stats()
 
-	// SMA plan: grade buckets via SemiJoinGrade, then scan only the rest.
+	// SMA plan: grade buckets via SemiJoinGrade, then scan only the rest
+	// through SMA_Scan with those grades.
 	if err := e.GoCold(); err != nil {
 		return r, err
 	}
@@ -234,33 +235,17 @@ func RunE10(base Config) (E10Result, error) {
 	nb := e.LineItem.NumBuckets()
 	r.BucketsTotal = nb
 	start = time.Now()
-	var got int
-	for b := 0; b < nb; b++ {
-		grade := core.SemiJoinGrade(g, b, "L_SHIPDATE", pred.Le, jb)
-		switch grade {
-		case core.Disqualifies:
+	grades := make([]core.Grade, nb)
+	for b := range grades {
+		if grades[b] = core.SemiJoinGrade(g, b, "L_SHIPDATE", pred.Le, jb); grades[b] == core.Disqualifies {
 			r.BucketsPruned++
-			continue
-		case core.Qualifies:
-			if err := e.LineItem.ScanBucket(b, func(t tuple.Tuple, _ storage.RID) error {
-				got++
-				return nil
-			}); err != nil {
-				return r, err
-			}
-		default:
-			if err := residual.Bind(e.LineItem.Schema()); err != nil {
-				return r, err
-			}
-			if err := e.LineItem.ScanBucket(b, func(t tuple.Tuple, _ storage.RID) error {
-				if residual.Eval(t) {
-					got++
-				}
-				return nil
-			}); err != nil {
-				return r, err
-			}
 		}
+	}
+	scan := exec.NewBatchSMAScan(e.LineItem, residual, g, noPrefetch)
+	scan.Grades = grades
+	got, err := countTuples(scan)
+	if err != nil {
+		return r, err
 	}
 	r.SMATime = time.Since(start)
 	r.SMAPagesRead, _ = e.Disk().Stats()

@@ -1,7 +1,8 @@
 // Package expr implements scalar arithmetic expressions over tuples, the
 // value domain of SMA aggregates: column references, numeric constants and
 // the operators + - * /. This is exactly what the paper's Query-1 SMAs
-// need, e.g. sum(L_EXTENDEDPRICE * (1 - L_DISCOUNT) * (1 + L_TAX)).
+// need, e.g. sum(L_EXTENDEDPRICE * (1 - L_DISCOUNT) * (1 + L_TAX)). An
+// expression is immutable once built; Program evaluates it.
 package expr
 
 import (
@@ -12,52 +13,43 @@ import (
 	"sma/internal/tuple"
 )
 
-// Expr is a scalar expression evaluated against a tuple to a float64.
+// Expr is a scalar expression over a tuple's numeric columns, valued in
+// float64. It is immutable after parsing; a Program compiles it against a
+// schema to evaluate it.
 type Expr interface {
-	// Eval computes the expression value for t.
-	Eval(t tuple.Tuple) float64
 	// Columns appends the names of referenced columns to dst.
 	Columns(dst []string) []string
 	// String renders the expression in SQL-ish syntax.
 	String() string
-	// Bind resolves column references against s, returning an error for
-	// unknown or non-numeric columns. Bind must be called before Eval.
+	// Bind checks the column references against s, returning an error for
+	// unknown or non-numeric columns. It writes nothing.
 	Bind(s *tuple.Schema) error
 }
 
 // Col is a reference to a numeric column.
 type Col struct {
 	Name string
-	idx  int
 }
 
-// NewCol creates an unbound column reference.
-func NewCol(name string) *Col { return &Col{Name: name, idx: -1} }
+// NewCol creates a column reference.
+func NewCol(name string) *Col { return &Col{Name: name} }
 
-// Bind resolves the column index in s.
+// Bind checks that the column exists in s and is numeric.
 func (c *Col) Bind(s *tuple.Schema) error {
-	i := s.ColumnIndex(c.Name)
+	_, err := numericCol(s, c.Name)
+	return err
+}
+
+// numericCol resolves name in s to a numeric column's index.
+func numericCol(s *tuple.Schema, name string) (int, error) {
+	i := s.ColumnIndex(name)
 	if i < 0 {
-		return fmt.Errorf("expr: unknown column %q", c.Name)
+		return -1, fmt.Errorf("expr: unknown column %q", name)
 	}
 	if !s.Column(i).Type.Numeric() {
-		return fmt.Errorf("expr: column %q has non-numeric type %s", c.Name, s.Column(i).Type)
+		return -1, fmt.Errorf("expr: column %q has non-numeric type %s", name, s.Column(i).Type)
 	}
-	c.idx = i
-	return nil
-}
-
-// Eval returns the column value as float64.
-func (c *Col) Eval(t tuple.Tuple) float64 {
-	if c.idx < 0 {
-		// Late bind against the tuple's schema; callers should Bind first.
-		i := t.Schema.ColumnIndex(c.Name)
-		if i < 0 {
-			panic(fmt.Sprintf("expr: unbound column %q", c.Name))
-		}
-		c.idx = i
-	}
-	return t.Numeric(c.idx)
+	return i, nil
 }
 
 // Columns appends the column name.
@@ -74,9 +66,6 @@ func NewConst(v float64) *Const { return &Const{Value: v} }
 
 // Bind is a no-op for literals.
 func (c *Const) Bind(*tuple.Schema) error { return nil }
-
-// Eval returns the literal value.
-func (c *Const) Eval(tuple.Tuple) float64 { return c.Value }
 
 // Columns returns dst unchanged.
 func (c *Const) Columns(dst []string) []string { return dst }
@@ -132,29 +121,12 @@ func Mul(l, r Expr) *Binary { return NewBinary(OpMul, l, r) }
 // Div returns l / r.
 func Div(l, r Expr) *Binary { return NewBinary(OpDiv, l, r) }
 
-// Bind binds both operands.
+// Bind checks both operands.
 func (b *Binary) Bind(s *tuple.Schema) error {
 	if err := b.Left.Bind(s); err != nil {
 		return err
 	}
 	return b.Right.Bind(s)
-}
-
-// Eval computes the operation.
-func (b *Binary) Eval(t tuple.Tuple) float64 {
-	l, r := b.Left.Eval(t), b.Right.Eval(t)
-	switch b.Op {
-	case OpAdd:
-		return l + r
-	case OpSub:
-		return l - r
-	case OpMul:
-		return l * r
-	case OpDiv:
-		return l / r
-	default:
-		panic("expr: invalid operator")
-	}
 }
 
 // Columns appends columns from both operands.
@@ -183,29 +155,8 @@ func ColumnsOf(e Expr) []string {
 	return out
 }
 
-// Clone returns a deep copy of e, binding state included, so parallel
-// workers can Bind and Eval private copies without racing on a shared
-// expression tree.
-func Clone(e Expr) Expr {
-	switch x := e.(type) {
-	case nil:
-		return nil
-	case *Col:
-		c := *x
-		return &c
-	case *Const:
-		c := *x
-		return &c
-	case *Binary:
-		return &Binary{Op: x.Op, Left: Clone(x.Left), Right: Clone(x.Right)}
-	default:
-		return e
-	}
-}
-
-// Equal reports structural equality of two expressions, ignoring binding
-// state. It is used to match query aggregate expressions against SMA
-// definitions in the catalog.
+// Equal reports structural equality of two expressions. It is used to
+// match query aggregate expressions against SMA definitions in the catalog.
 func Equal(a, b Expr) bool {
 	switch x := a.(type) {
 	case *Col:

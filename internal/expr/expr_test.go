@@ -26,10 +26,27 @@ func row(t testing.TB, a, b float64) tuple.Tuple {
 	return tp
 }
 
+// eval computes e for the one record tp through a Program, the evaluator
+// every consumer of an expression runs.
+func eval(t testing.TB, e Expr, tp tuple.Tuple) float64 {
+	t.Helper()
+	var p Program
+	node, err := p.Add(e, tp.Schema)
+	if err != nil {
+		t.Fatalf("%s: %v", e, err)
+	}
+	var scratch []float64
+	vals, c := p.Value(node, p.Eval(&scratch, tp.Data, len(tp.Data), nil, 1), 1)
+	if vals != nil {
+		return vals[0]
+	}
+	return c
+}
+
 func TestEvalArithmetic(t *testing.T) {
 	tp := row(t, 10, 4)
-	// Runtime (non-constant-folded) float arithmetic, matching Eval's
-	// left-to-right evaluation.
+	// Runtime (non-constant-folded) float arithmetic, matching the
+	// program's left-to-right evaluation.
 	ten, disc, tax := 10.0, 0.1, 0.05
 	q1shape := ten * (1 - disc) * (1 + tax)
 	cases := []struct {
@@ -50,7 +67,7 @@ func TestEvalArithmetic(t *testing.T) {
 		if err := tc.e.Bind(tp.Schema); err != nil {
 			t.Fatalf("bind %s: %v", tc.e, err)
 		}
-		if got := tc.e.Eval(tp); got != tc.want {
+		if got := eval(t, tc.e, tp); got != tc.want {
 			t.Errorf("%s = %v, want %v", tc.e, got, tc.want)
 		}
 	}
@@ -109,7 +126,7 @@ func TestDateColumnEval(t *testing.T) {
 	if err := e.Bind(tp.Schema); err != nil {
 		t.Fatal(err)
 	}
-	if got := e.Eval(tp); got != float64(tuple.MustParseDate("1997-04-30")) {
+	if got := eval(t, e, tp); got != float64(tuple.MustParseDate("1997-04-30")) {
 		t.Errorf("date eval = %v", got)
 	}
 }
@@ -130,7 +147,7 @@ func TestQuickEvalMatchesGo(t *testing.T) {
 		tp.SetFloat64(0, a)
 		tp.SetFloat64(1, b)
 		want := a * (1 - b) * (1 + b)
-		got := e.Eval(tp)
+		got := eval(t, e, tp)
 		return got == want || (math.IsNaN(got) && math.IsNaN(want))
 	}
 	if err := quick.Check(f, nil); err != nil {

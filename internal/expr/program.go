@@ -49,9 +49,11 @@ type progNode struct {
 // (Equal) are one node, so Query 1's L_EXTENDEDPRICE*(1-L_DISCOUNT), wanted
 // by two sums, and the columns it shares with three more aggregates are
 // each computed once per evaluation. Every node performs the float64
-// operation Eval performs, so the values are bit-identical to
-// tuple-at-a-time evaluation. It is the one vector evaluator of the tree:
-// the scan operators fold batches through it and the SMAs their bucket runs.
+// operation its expression node names, on the column value tuple.Numeric
+// reads, so a value does not depend on how the tree was shared or folded.
+// It is the one expression evaluator of the tree: the scan operators fold
+// batches through it, the SMAs their bucket runs and UPDATE its SET
+// clauses, and the parser folds constant sub-trees with it.
 //
 // A Program must not be copied once an expression was added: its first
 // nodes live in the value itself, so a statement that compiles a handful
@@ -81,12 +83,9 @@ func (p *Program) Add(e Expr, s *tuple.Schema) (int32, error) {
 	n := progNode{e: e, vec: -1}
 	switch x := e.(type) {
 	case *Col:
-		i := s.ColumnIndex(x.Name)
-		if i < 0 {
-			return 0, fmt.Errorf("expr: unknown column %q", x.Name)
-		}
-		if !s.Column(i).Type.Numeric() {
-			return 0, fmt.Errorf("expr: column %q has non-numeric type %s", x.Name, s.Column(i).Type)
+		i, err := numericCol(s, x.Name)
+		if err != nil {
+			return 0, err
 		}
 		n.op, n.off, n.typ = opCol, s.ColumnOffset(i), s.Column(i).Type
 	case *Const:

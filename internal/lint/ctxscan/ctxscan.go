@@ -49,7 +49,7 @@ const storageSuffix = "internal/storage"
 var ioMethods = map[string]map[string]bool{
 	"HeapFile": {
 		"ReadPageInto": true, "OpenPage": true, "PageRecords": true,
-		"ScanBucket": true, "Scan": true, "Get": true, "Append": true,
+		"Scan": true, "Get": true, "Append": true,
 		"Update": true, "Delete": true, "NumRecords": true,
 	},
 	"BufferPool": {"FetchPage": true, "NewPage": true},

@@ -163,12 +163,9 @@ func (a *Agg) Open() error {
 	err := Run(a.Ctx, len(units), func(ctx context.Context, i int) error {
 		row := &a.work.Workers[i]
 		defer func(t0 time.Time) { row.Busy = time.Since(t0) }(time.Now())
-		// Each worker evaluates private clones of the predicate and the
-		// aggregate expressions: Bind writes column indexes, which must
-		// not race across workers.
+		// The workers share the predicate and the specs: a parsed
+		// statement is immutable, and each worker compiles its own kernels.
 		w := a.Source
-		w.Pred = pred.Clone(a.Pred)
-		w.Specs = exec.CloneSpecs(a.Specs)
 		w.Ctx, w.Exec = ctx, workerOpts
 		op, src := w.Pipeline(units[i], true)
 		if err := op.Open(); err != nil {

@@ -749,11 +749,20 @@ func atomize(left expr.Expr, op pred.CmpOp, right expr.Expr) (pred.Predicate, er
 	}
 }
 
-// foldConst evaluates an expression containing no column references.
+// foldConst evaluates an expression containing no column references; the
+// program folds a constant tree into its root node.
 func foldConst(e expr.Expr) (float64, bool) {
+	if c, ok := e.(*expr.Const); ok {
+		return c.Value, true
+	}
 	if len(expr.ColumnsOf(e)) > 0 {
 		return 0, false
 	}
-	var empty tuple.Tuple
-	return e.Eval(empty), true
+	var p expr.Program
+	node, err := p.Add(e, nil)
+	if err != nil {
+		return 0, false
+	}
+	_, v := p.Value(node, nil, 0)
+	return v, true
 }

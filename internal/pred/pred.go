@@ -1,12 +1,16 @@
 // Package pred implements selection predicates: the paper's atomic
 // comparisons (A = c, A <= c, A < c, A >= c, A > c, and the column-column
 // forms A <= B, A < B) plus conjunction, disjunction and negation. Bucket
-// grading over these predicates lives in internal/core; this package owns
-// representation and tuple-level evaluation.
+// grading over these predicates lives in internal/core and their
+// evaluation in the selection kernels of internal/exec; this package owns
+// the representation. A predicate is immutable once built: Bind validates
+// it against a schema and writes nothing, so one parsed predicate is shared
+// by every goroutine that grades or scans with it.
 package pred
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 
 	"sma/internal/tuple"
@@ -82,11 +86,11 @@ func (op CmpOp) Flip() CmpOp {
 	}
 }
 
-// Predicate is a boolean condition on a tuple.
+// Predicate is a boolean condition on a tuple. It is immutable after
+// parsing.
 type Predicate interface {
-	// Eval decides the predicate for t. Bind must have been called.
-	Eval(t tuple.Tuple) bool
-	// Bind resolves column references against s.
+	// Bind checks that every column the predicate names exists in s and is
+	// comparable. It writes nothing.
 	Bind(s *tuple.Schema) error
 	// String renders the predicate in SQL-ish syntax.
 	String() string
@@ -100,79 +104,41 @@ type Atom struct {
 	Op       CmpOp
 	RightCol string  // col-col comparison when non-empty
 	Value    float64 // constant otherwise
-
-	leftIdx, rightIdx int
-	bound             bool
 }
 
 // NewAtom builds a column-vs-constant atom.
 func NewAtom(col string, op CmpOp, value float64) *Atom {
-	return &Atom{Col: strings.ToUpper(col), Op: op, Value: value, leftIdx: -1, rightIdx: -1}
+	return &Atom{Col: strings.ToUpper(col), Op: op, Value: value}
 }
 
 // NewColAtom builds a column-vs-column atom (the paper's A <= B form).
 func NewColAtom(col string, op CmpOp, rightCol string) *Atom {
-	return &Atom{Col: strings.ToUpper(col), Op: op, RightCol: strings.ToUpper(rightCol), leftIdx: -1, rightIdx: -1}
+	return &Atom{Col: strings.ToUpper(col), Op: op, RightCol: strings.ToUpper(rightCol)}
 }
 
 // CharConst converts a single character to the constant domain, for
 // predicates on CHAR(1) columns such as L_RETURNFLAG = 'R'.
 func CharConst(c byte) float64 { return float64(c) }
 
-// colValue extracts a comparable float64 from column i of t, treating
-// CHAR(1) columns as their byte value.
-func colValue(t tuple.Tuple, i int) float64 {
-	c := t.Schema.Column(i)
-	if c.Type == tuple.TChar {
-		return float64(t.CharByte(i))
-	}
-	return t.Numeric(i)
-}
-
-// bindCol resolves name in s and checks it is comparable.
-func bindCol(s *tuple.Schema, name string) (int, error) {
+// checkCol checks that name is a column of s and comparable.
+func checkCol(s *tuple.Schema, name string) error {
 	i := s.ColumnIndex(name)
 	if i < 0 {
-		return -1, fmt.Errorf("pred: unknown column %q", name)
+		return fmt.Errorf("pred: unknown column %q", name)
 	}
 	c := s.Column(i)
 	if !c.Type.Numeric() && !(c.Type == tuple.TChar && c.Len == 1) {
-		return -1, fmt.Errorf("pred: column %q (type %s, len %d) is not comparable", name, c.Type, c.Len)
+		return fmt.Errorf("pred: column %q (type %s, len %d) is not comparable", name, c.Type, c.Len)
 	}
-	return i, nil
-}
-
-// Bind resolves the atom's column references.
-func (a *Atom) Bind(s *tuple.Schema) error {
-	i, err := bindCol(s, a.Col)
-	if err != nil {
-		return err
-	}
-	a.leftIdx = i
-	if a.RightCol != "" {
-		j, err := bindCol(s, a.RightCol)
-		if err != nil {
-			return err
-		}
-		a.rightIdx = j
-	}
-	a.bound = true
 	return nil
 }
 
-// Eval evaluates the comparison on t.
-func (a *Atom) Eval(t tuple.Tuple) bool {
-	if !a.bound {
-		if err := a.Bind(t.Schema); err != nil {
-			panic(err)
-		}
+// Bind checks the atom's column references.
+func (a *Atom) Bind(s *tuple.Schema) error {
+	if err := checkCol(s, a.Col); err != nil || a.RightCol == "" {
+		return err
 	}
-	l := colValue(t, a.leftIdx)
-	r := a.Value
-	if a.RightCol != "" {
-		r = colValue(t, a.rightIdx)
-	}
-	return a.Op.Compare(l, r)
+	return checkCol(s, a.RightCol)
 }
 
 // String renders the atom.
@@ -189,25 +155,8 @@ type And struct{ Kids []Predicate }
 // NewAnd conjoins the given predicates.
 func NewAnd(kids ...Predicate) *And { return &And{Kids: kids} }
 
-// Bind binds every conjunct.
-func (p *And) Bind(s *tuple.Schema) error {
-	for _, k := range p.Kids {
-		if err := k.Bind(s); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Eval is true when every conjunct holds.
-func (p *And) Eval(t tuple.Tuple) bool {
-	for _, k := range p.Kids {
-		if !k.Eval(t) {
-			return false
-		}
-	}
-	return true
-}
+// Bind checks every conjunct.
+func (p *And) Bind(s *tuple.Schema) error { return bindAll(p.Kids, s) }
 
 // String renders the conjunction.
 func (p *And) String() string { return joinKids(p.Kids, " AND ") }
@@ -218,25 +167,8 @@ type Or struct{ Kids []Predicate }
 // NewOr disjoins the given predicates.
 func NewOr(kids ...Predicate) *Or { return &Or{Kids: kids} }
 
-// Bind binds every disjunct.
-func (p *Or) Bind(s *tuple.Schema) error {
-	for _, k := range p.Kids {
-		if err := k.Bind(s); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Eval is true when any disjunct holds.
-func (p *Or) Eval(t tuple.Tuple) bool {
-	for _, k := range p.Kids {
-		if k.Eval(t) {
-			return true
-		}
-	}
-	return false
-}
+// Bind checks every disjunct.
+func (p *Or) Bind(s *tuple.Schema) error { return bindAll(p.Kids, s) }
 
 // String renders the disjunction.
 func (p *Or) String() string { return joinKids(p.Kids, " OR ") }
@@ -247,11 +179,8 @@ type Not struct{ Kid Predicate }
 // NewNot negates p.
 func NewNot(p Predicate) *Not { return &Not{Kid: p} }
 
-// Bind binds the negated predicate.
+// Bind checks the negated predicate.
 func (p *Not) Bind(s *tuple.Schema) error { return p.Kid.Bind(s) }
-
-// Eval inverts the child.
-func (p *Not) Eval(t tuple.Tuple) bool { return !p.Kid.Eval(t) }
 
 // String renders the negation.
 func (p *Not) String() string { return "NOT (" + p.Kid.String() + ")" }
@@ -262,11 +191,17 @@ type True struct{}
 // Bind is a no-op.
 func (True) Bind(*tuple.Schema) error { return nil }
 
-// Eval is always true.
-func (True) Eval(tuple.Tuple) bool { return true }
-
 // String renders TRUE.
 func (True) String() string { return "TRUE" }
+
+func bindAll(kids []Predicate, s *tuple.Schema) error {
+	for _, k := range kids {
+		if err := k.Bind(s); err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
 func joinKids(kids []Predicate, sep string) string {
 	parts := make([]string, len(kids))
@@ -274,37 +209,6 @@ func joinKids(kids []Predicate, sep string) string {
 		parts[i] = "(" + k.String() + ")"
 	}
 	return strings.Join(parts, sep)
-}
-
-// Clone returns a deep copy of p. Binding state is copied too, so a clone
-// of a bound predicate is immediately evaluable; re-binding the clone never
-// touches the original. Parallel partition workers evaluate clones so that
-// Bind's index writes cannot race on a shared plan predicate.
-func Clone(p Predicate) Predicate {
-	switch x := p.(type) {
-	case nil:
-		return nil
-	case *Atom:
-		c := *x
-		return &c
-	case *And:
-		kids := make([]Predicate, len(x.Kids))
-		for i, k := range x.Kids {
-			kids[i] = Clone(k)
-		}
-		return &And{Kids: kids}
-	case *Or:
-		kids := make([]Predicate, len(x.Kids))
-		for i, k := range x.Kids {
-			kids[i] = Clone(k)
-		}
-		return &Or{Kids: kids}
-	case *Not:
-		return &Not{Kid: Clone(x.Kid)}
-	default:
-		// Stateless predicates (True) are safe to share.
-		return p
-	}
 }
 
 // Atoms collects every atomic comparison in p, in syntax order.
@@ -344,14 +248,6 @@ func Columns(p Predicate) []string {
 	for c := range set {
 		out = append(out, c)
 	}
-	sortStrings(out)
+	sort.Strings(out)
 	return out
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }

@@ -18,15 +18,6 @@ func schema(t testing.TB) *tuple.Schema {
 	})
 }
 
-func row(t testing.TB, a, b float64, f byte) tuple.Tuple {
-	t.Helper()
-	tp := tuple.NewTuple(schema(t))
-	tp.SetFloat64(0, a)
-	tp.SetFloat64(1, b)
-	tp.SetChar(3, string(f))
-	return tp
-}
-
 func TestCmpOps(t *testing.T) {
 	cases := []struct {
 		op   CmpOp
@@ -56,58 +47,6 @@ func TestFlip(t *testing.T) {
 					t.Errorf("Flip(%s) broken for c=%v a=%v", op, c, a)
 				}
 			}
-		}
-	}
-}
-
-func TestAtomEval(t *testing.T) {
-	tp := row(t, 10, 20, 'R')
-	cases := []struct {
-		p    Predicate
-		want bool
-	}{
-		{NewAtom("A", Le, 10), true},
-		{NewAtom("A", Lt, 10), false},
-		{NewAtom("a", Ge, 5), true}, // case-insensitive
-		{NewColAtom("A", Lt, "B"), true},
-		{NewColAtom("B", Lt, "A"), false},
-		{NewAtom("F", Eq, CharConst('R')), true},
-		{NewAtom("F", Eq, CharConst('N')), false},
-	}
-	for _, tc := range cases {
-		if err := tc.p.Bind(tp.Schema); err != nil {
-			t.Fatalf("bind %s: %v", tc.p, err)
-		}
-		if got := tc.p.Eval(tp); got != tc.want {
-			t.Errorf("%s = %v, want %v", tc.p, got, tc.want)
-		}
-	}
-}
-
-func TestBoolEval(t *testing.T) {
-	tp := row(t, 10, 20, 'R')
-	lt := NewAtom("A", Lt, 15) // true
-	gt := NewAtom("A", Gt, 15) // false
-	cases := []struct {
-		p    Predicate
-		want bool
-	}{
-		{NewAnd(lt, NewAtom("B", Eq, 20)), true},
-		{NewAnd(lt, gt), false},
-		{NewOr(gt, lt), true},
-		{NewOr(gt, gt), false},
-		{NewNot(gt), true},
-		{NewNot(lt), false},
-		{True{}, true},
-		{NewAnd(), true}, // empty conjunction is vacuously true
-		{NewOr(), false}, // empty disjunction is vacuously false
-	}
-	for _, tc := range cases {
-		if err := tc.p.Bind(tp.Schema); err != nil {
-			t.Fatalf("bind: %v", err)
-		}
-		if got := tc.p.Eval(tp); got != tc.want {
-			t.Errorf("%s = %v, want %v", tc.p, got, tc.want)
 		}
 	}
 }
@@ -151,30 +90,6 @@ func TestString(t *testing.T) {
 	got := p.String()
 	if got != "(A <= 5) AND (NOT (A < B))" {
 		t.Errorf("String = %q", got)
-	}
-}
-
-// TestQuickDeMorgan property-tests ¬(p ∧ q) ≡ (¬p) ∨ (¬q) over random rows.
-func TestQuickDeMorgan(t *testing.T) {
-	s := schema(t)
-	f := func(a, b float64, c1, c2 float64) bool {
-		tp := tuple.NewTuple(s)
-		tp.SetFloat64(0, a)
-		tp.SetFloat64(1, b)
-		p := NewAtom("A", Le, c1)
-		q := NewAtom("B", Gt, c2)
-		lhs := NewNot(NewAnd(p, q))
-		rhs := NewOr(NewNot(p), NewNot(q))
-		if err := lhs.Bind(s); err != nil {
-			return false
-		}
-		if err := rhs.Bind(s); err != nil {
-			return false
-		}
-		return lhs.Eval(tp) == rhs.Eval(tp)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 

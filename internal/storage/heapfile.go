@@ -241,6 +241,12 @@ func (h *HeapFile) PageRecords(p PageID, visit func(t tuple.Tuple, rid RID) erro
 // the copy is a single memcpy of the page's record area. This is the
 // page-decode step of the scan operators.
 func (h *HeapFile) ReadPageInto(p PageID, dst []byte) ([]byte, int, error) {
+	return h.readPage(p, dst, nil)
+}
+
+// readPage is ReadPageInto that also appends the position of every record
+// it appends to *rids, when rids is non-nil.
+func (h *HeapFile) readPage(p PageID, dst []byte, rids *[]RID) ([]byte, int, error) {
 	fr, err := h.pool.FetchPage(p)
 	if err != nil {
 		return dst, 0, err
@@ -249,31 +255,24 @@ func (h *HeapFile) ReadPageInto(p PageID, dst []byte) ([]byte, int, error) {
 	data := fr.Data()
 	n := pageCount(data)
 	rs := h.schema.RecordSize()
-	if h.deletes == nil || h.deletes.Len() == 0 {
+	if rids == nil && (h.deletes == nil || h.deletes.Len() == 0) {
 		dst = append(dst, data[pageHeaderSize:pageHeaderSize+n*rs]...)
 		return dst, n, nil
 	}
 	live := 0
 	for s := 0; s < n; s++ {
-		if !h.isLive(RID{Page: p, Slot: s}) {
+		rid := RID{Page: p, Slot: s}
+		if !h.isLive(rid) {
 			continue
 		}
 		off := pageHeaderSize + s*rs
 		dst = append(dst, data[off:off+rs]...)
+		if rids != nil {
+			*rids = append(*rids, rid)
+		}
 		live++
 	}
 	return dst, live, nil
-}
-
-// ScanBucket visits every record in bucket b in physical order.
-func (h *HeapFile) ScanBucket(b int, visit func(t tuple.Tuple, rid RID) error) error {
-	first, last := h.BucketRange(b)
-	for p := first; p <= last; p++ {
-		if err := h.PageRecords(p, visit); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // TailState captures the append position of the heap — the page count

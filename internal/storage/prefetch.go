@@ -78,8 +78,9 @@ const prefetchRun = 8
 // spans describe (in order), keeping at most window pages ahead of the
 // pages the caller claims. The window is clamped to half the pool capacity
 // so prefetch can never starve demand fetches of frames. A clamped-to-zero
-// window or a sequence of at most one page — whose demand read is that
-// read already — returns nil: no prefetcher.
+// window, a sequence of at most one page — whose demand read is that read
+// already — or one whose pages are all in the pool returns nil: no
+// prefetcher.
 func (bp *BufferPool) startPrefetch(spans []PageSpan, window int) *prefetcher {
 	window = min(window, bp.cap/2)
 	var total int64
@@ -88,7 +89,7 @@ func (bp *BufferPool) startPrefetch(spans []PageSpan, window int) *prefetcher {
 		total += max(0, int64(s.Last-s.First)+1)
 		cum[i] = total
 	}
-	if window <= 0 || total < 2 {
+	if window <= 0 || total < 2 || bp.allResident(spans) {
 		return nil
 	}
 	p := &prefetcher{
@@ -106,6 +107,24 @@ func (bp *BufferPool) startPrefetch(spans []PageSpan, window int) *prefetcher {
 		go p.reader()
 	}
 	return p
+}
+
+// allResident reports whether every page of spans is in the pool or being
+// loaded into it. Such a sequence has nothing to read ahead: readers
+// started over it would only take the pool's lock and the processor from
+// the scan. The walk stops at the first page missing, so a cold sequence
+// costs one lookup.
+func (bp *BufferPool) allResident(spans []PageSpan) bool {
+	bp.mu.Lock()
+	defer bp.mu.Unlock()
+	for _, s := range spans {
+		for id := s.First; id <= s.Last; id++ {
+			if bp.frameLocked(id) == nil {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // pageAt maps a sequence index to its page id via the cumulative counts.

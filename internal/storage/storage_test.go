@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"context"
 	"math/rand"
 	"path/filepath"
 	"testing"
@@ -313,19 +314,46 @@ func TestHeapBuckets(t *testing.T) {
 	if first != 4 || last != 4 {
 		t.Errorf("BucketRange(2) = [%d,%d], want [4,4] (clamped)", first, last)
 	}
-	// ScanBucket covers exactly the bucket's tuples.
-	var seen int
-	if err := h.ScanBucket(1, func(tp tuple.Tuple, rid RID) error {
-		if h.BucketOf(rid.Page) != 1 {
-			t.Fatalf("tuple from wrong bucket")
+	// A stream over the bucket's pages reads exactly its tuples, each with
+	// its own position, and skips a deleted one.
+	lo, hi := h.BucketRange(1)
+	readBucket := func() (recs []byte, rids []RID) {
+		var s PageStream
+		s.Open(h, []PageSpan{{First: lo, Last: hi}}, 0)
+		defer s.Close()
+		for _, ok := s.Next(); ok; _, ok = s.Next() {
+			var err error
+			if recs, _, err = s.Read(context.Background(), recs, per, &rids); err != nil {
+				t.Fatal(err)
+			}
 		}
-		seen++
-		return nil
-	}); err != nil {
+		return recs, rids
+	}
+	rs := h.Schema().RecordSize()
+	check := func(recs []byte, rids []RID, want int) {
+		t.Helper()
+		if len(rids) != want || len(recs) != want*rs {
+			t.Fatalf("bucket 1 read %d positions and %d records, want %d", len(rids), len(recs)/rs, want)
+		}
+		for i, rid := range rids {
+			got := tuple.Tuple{Schema: h.Schema(), Data: recs[i*rs : (i+1)*rs]}
+			if stored, err := h.Get(rid); h.BucketOf(rid.Page) != 1 || err != nil || string(stored.Data) != string(got.Data) {
+				t.Fatalf("position %d is %v, not the record read (%v)", i, rid, err)
+			}
+		}
+	}
+	recs, rids := readBucket()
+	check(recs, rids, per*2)
+	gone := rids[per+3]
+	if _, err := h.Delete(gone); err != nil {
 		t.Fatal(err)
 	}
-	if seen != per*2 {
-		t.Errorf("bucket 1 has %d tuples, want %d", seen, per*2)
+	recs, rids = readBucket()
+	check(recs, rids, per*2-1)
+	for _, rid := range rids {
+		if rid == gone {
+			t.Fatalf("deleted %v read", gone)
+		}
 	}
 }
 

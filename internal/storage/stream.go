@@ -44,12 +44,13 @@ func (s *PageStream) enter(i int) {
 func (s *PageStream) Next() (id PageID, ok bool) { return s.next, s.span < len(s.spans) }
 
 // Read appends the live records of the stream's next pages to dst and
-// returns the extended slice and the number of records appended. It stops
+// returns the extended slice and the number of records appended; when rids
+// is non-nil, each record's position goes to *rids in the same order. It stops
 // at the end of the cursor's span, before a page that might not fit in room
 // records, and at the first error. Before every page it checks ctx (a nil
 // ctx is never cancelled), claims the page from the prefetcher, and counts
 // it.
-func (s *PageStream) Read(ctx context.Context, dst []byte, room int) ([]byte, int, error) {
+func (s *PageStream) Read(ctx context.Context, dst []byte, room int, rids *[]RID) ([]byte, int, error) {
 	per, n := s.h.RecordsPerPage(), 0
 	for s.span < len(s.spans) && n+per <= room {
 		if ctx != nil {
@@ -62,7 +63,7 @@ func (s *PageStream) Read(ctx context.Context, dst []byte, room int) ([]byte, in
 		}
 		var k int
 		var err error
-		if dst, k, err = s.h.ReadPageInto(s.next, dst); err != nil {
+		if dst, k, err = s.h.readPage(s.next, dst, rids); err != nil {
 			return dst, n, err
 		}
 		n += k

@@ -29,7 +29,7 @@ func TestPageStreamReadAllocatesNothing(t *testing.T) {
 	var n int
 	read := func() {
 		var err error
-		if dst, n, err = s.Read(ctx, dst[:0], 2*per); err != nil {
+		if dst, n, err = s.Read(ctx, dst[:0], 2*per, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
