@@ -120,7 +120,7 @@ func main() {
 		fmt.Printf("dropped sma %s on %s\n", args[2], args[1])
 	case "scrub":
 		// scrub: verify every heap page checksum and read back the
-		// catalog, delete vectors and SMA-files. Exit 1 on any finding,
+		// catalog and SMA-files. Exit 1 on any finding,
 		// so cron jobs and CI can alert on the status code alone; only
 		// corrupt pages degrade the database.
 		rep, err := db.Scrub(context.Background())

@@ -66,7 +66,7 @@ func main() {
 	logLevel := flag.String("log-level", "info", "structured log level: debug, info, warn, or error")
 	slowQuery := flag.Duration("slow-query", 0, "slow-query log threshold; queries at or above it log at warn with their SQL (0 disables)")
 	debugAddr := flag.String("debug-addr", "", "optional private listen address serving net/http/pprof and a runtime/metrics dump under /debug/")
-	verifyOnOpen := flag.Bool("verify-on-open", false, "run one scrub pass (every page checksum; catalog, delete vectors and SMA-files read back) after open, before serving; corruption starts the server degraded (read-only)")
+	verifyOnOpen := flag.Bool("verify-on-open", false, "run one scrub pass (every page checksum; catalog and SMA-files read back) after open, before serving; corruption starts the server degraded (read-only)")
 	scrubEvery := flag.Duration("scrub-every", 0, "background scrub interval; each pass re-verifies every page and SMA file (0 disables)")
 	stmtDeadline := flag.Duration("statement-deadline", 0, "server bound on every statement's execution; one that exceeds it answers 504 and counts in watchdog_cancels (0 disables)")
 	flag.Parse()

@@ -1,6 +1,7 @@
 // Maintenance: SMAs stay consistent under inserts, updates, and deletes —
 // the paper's "cheap to maintain" property ("At most one additional page
-// access is needed for an updated tuple"), extended with delete vectors.
+// access is needed for an updated tuple"), extended to deletes, which
+// mark their record in its page.
 // The whole lifecycle runs through the public SQL surface: multi-row
 // INSERT, predicate UPDATE and DELETE all flow through the unified exec
 // entrypoint, and every statement maintains the table's SMAs
@@ -115,8 +116,9 @@ func main() {
 	fmt.Printf("SQL update touched %d tuples\n", res.RowsAffected)
 	report("after 500 updates")
 
-	// Targeted deletes go through the delete vector; per-bucket counts and
-	// sums decrement directly, min/max deletions rescan at most one bucket.
+	// Targeted deletes mark their records in their heap pages; per-bucket
+	// counts and sums decrement directly, min/max deletions rescan at most
+	// one bucket.
 	res, err = db.Exec("delete from EVENTS where N < 250 or (N >= 2000 and N < 2250)")
 	if err != nil {
 		log.Fatal(err)

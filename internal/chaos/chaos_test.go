@@ -530,6 +530,64 @@ func TestBitFlipReadsAroundCorruption(t *testing.T) {
 			})
 		}
 	}
+
+	// A flip in a page's delete marks: the first half of page marked is
+	// deleted, and flipping the mark of its first slot would bring that row
+	// back.
+	// The page checksum covers the marks, so a statement that reads the
+	// page fails with the corrupt-page error and one that skips it answers
+	// as before the flip: none answers with the row.
+	const marked = 30
+	flip() // page bad heals
+	if db, err = engine.Open(dir, engine.Options{BucketPages: 1}); err != nil {
+		t.Fatal(err)
+	}
+	exec(fmt.Sprintf("delete from T where D >= date '%s' and D <= date '%s'", day(marked*per), day(marked*per+per/2)))
+	markedSQL := []string{
+		"select K, max(V) as M, count(*) as C from T where " + pagesWhere(marked-1, marked+1) + " group by K",
+		"select K, max(V) as M from T group by K",
+		"select K, sum(V) as S, count(*) as C from T where " + upTo(5) + " group by K",
+	}
+	wantMarked := make(map[string][][]string)
+	for _, sql := range markedSQL {
+		if wantMarked[sql], err = collectEngine(db, sql); err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := chaos.FlipByte(heap, int64((marked+1)*storage.PageSize-(per+7)/8), 0x01); err != nil {
+		t.Fatal(err)
+	}
+	for _, verify := range []bool{true, false} {
+		t.Run(fmt.Sprintf("verify=%v/marks", verify), func(t *testing.T) {
+			db, err := engine.Open(dir, engine.Options{BucketPages: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			if verify {
+				if _, err := db.Scrub(context.Background()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if (db.Degraded() != nil) != verify {
+				t.Fatalf("degraded after open: %v, want %v", db.Degraded(), verify)
+			}
+			for i, sql := range markedSQL {
+				rows, err := collectEngine(db, sql)
+				switch {
+				case err != nil && !storage.IsCorrupt(err):
+					t.Fatalf("%s: %v, want the rows from before the flip or a corrupt-page error", sql, err)
+				case err == nil && fmt.Sprint(rows) != fmt.Sprint(wantMarked[sql]):
+					t.Fatalf("%s: %v, want %v from before the flip", sql, rows, wantMarked[sql])
+				case (err == nil) != (i == 2):
+					t.Fatalf("%s: error %v; only the query that skips page %d may answer", sql, err, marked)
+				}
+			}
+		})
+	}
 }
 
 // TestStalledSyncIsSlowNotStuck: a disk whose fsyncs stall must make the

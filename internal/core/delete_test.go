@@ -40,7 +40,7 @@ func TestOnDeleteAllKinds(t *testing.T) {
 	}
 	del := func(i int) {
 		t.Helper()
-		if _, err := h.Delete(rids[i]); err != nil {
+		if err := h.Delete(rids[i]); err != nil {
 			t.Fatal(err)
 		}
 		if err := core.Refold(h, smas, []int{h.BucketOf(rids[i].Page)}); err != nil {
@@ -79,7 +79,7 @@ func TestQuickDeleteEquivalence(t *testing.T) {
 				i := rng.Intn(len(live))
 				rid := live[i]
 				live = append(live[:i], live[i+1:]...)
-				if _, err := h.Delete(rid); err != nil {
+				if err := h.Delete(rid); err != nil {
 					return false
 				}
 				if err := core.Refold(h, smas, []int{h.BucketOf(rid.Page)}); err != nil {

@@ -121,7 +121,7 @@ func checkMaintainedPrefixes(t *testing.T) {
 		{Name: "K", Type: tuple.TChar, Len: 1},
 		{Name: "N", Type: tuple.TInt64},
 		{Name: "V", Type: tuple.TFloat64},
-		{Name: "PAD", Type: tuple.TChar, Len: (storage.PageSize-16)/8 - 21}, // 8 tuples per page
+		{Name: "PAD", Type: tuple.TChar, Len: testutil.RecordSize(8) - 21}, // 8 tuples per page
 	})
 	h := testutil.NewHeap(t, schema, 1, 64)
 	rng := rand.New(rand.NewSource(12))
@@ -168,7 +168,7 @@ func checkMaintainedPrefixes(t *testing.T) {
 		t.Helper()
 		var err error
 		if del {
-			_, err = h.Delete(rid)
+			err = h.Delete(rid)
 		} else {
 			err = h.Update(rid, row(k))
 		}
@@ -208,7 +208,7 @@ func checkMaintainedPrefixes(t *testing.T) {
 func TestSMAFilesStayInKeyOrder(t *testing.T) {
 	schema := tuple.MustSchema([]tuple.Column{
 		{Name: "K", Type: tuple.TInt32},
-		{Name: "PAD", Type: tuple.TChar, Len: (storage.PageSize-16)/8 - 4}, // 8 tuples per page
+		{Name: "PAD", Type: tuple.TChar, Len: testutil.RecordSize(8) - 4}, // 8 tuples per page
 	})
 	h := testutil.NewHeap(t, schema, 1, 64)
 	rng := rand.New(rand.NewSource(5))

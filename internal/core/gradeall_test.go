@@ -125,7 +125,7 @@ func FuzzGradeAll(f *testing.F) {
 		{Name: "A", Type: tuple.TFloat64},
 		{Name: "B", Type: tuple.TFloat64},
 		{Name: "G", Type: tuple.TChar, Len: 1},
-		{Name: "PAD", Type: tuple.TChar, Len: (storage.PageSize-16)/4 - 17}, // 4 tuples per page
+		{Name: "PAD", Type: tuple.TChar, Len: testutil.RecordSize(4) - 17}, // 4 tuples per page
 	})
 	value := func(b byte) float64 {
 		switch b {
@@ -241,7 +241,7 @@ func FuzzGradeAll(f *testing.F) {
 		}
 		page := storage.PageID(h.NumPages() / 4)
 		for slot := 0; slot < 4; slot++ {
-			if _, err := h.Delete(storage.RID{Page: page, Slot: slot}); err != nil {
+			if err := h.Delete(storage.RID{Page: page, Slot: slot}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -264,7 +264,7 @@ func BenchmarkGradeAll(b *testing.B) {
 	schema := tuple.MustSchema([]tuple.Column{
 		{Name: "D", Type: tuple.TDate},
 		{Name: "F", Type: tuple.TInt32},
-		{Name: "PAD", Type: tuple.TChar, Len: (storage.PageSize-16)/2 - 8}, // 2 tuples per page
+		{Name: "PAD", Type: tuple.TChar, Len: testutil.RecordSize(2) - 8}, // 2 tuples per page
 	})
 	h := testutil.NewHeap(b, schema, 1, 64)
 	tp := tuple.NewTuple(schema)

@@ -192,7 +192,7 @@ func FuzzTwoLevelGrade(f *testing.F) {
 			}
 		}
 		for _, rid := range dead {
-			if _, err := h.Delete(rid); err != nil {
+			if err := h.Delete(rid); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -235,7 +235,7 @@ func TestRunKernelEqualsRowHooks(t *testing.T) {
 						continue // deleted, or a slot past the last page's end
 					}
 					if rng.Intn(2) == 0 {
-						_, err = h.Delete(rid)
+						err = h.Delete(rid)
 					} else {
 						err = h.Update(rid, randomRecord(rng, schema, total))
 					}
@@ -265,7 +265,7 @@ func TestRunKernelEqualsRowHooks(t *testing.T) {
 					if _, err := h.Get(rid); err != nil {
 						continue // deleted already, or past the last page's end
 					}
-					if _, err := h.Delete(rid); err != nil {
+					if err := h.Delete(rid); err != nil {
 						t.Fatal(err)
 					}
 				}

@@ -95,7 +95,7 @@ func (db *DB) saveCatalog() error {
 }
 
 // loadCatalog restores tables and SMAs from the catalog JSON, if present.
-// A damaged catalog or delete vector fails it with an error
+// A damaged catalog fails it with an error
 // storage.IsCorrupt recognises; a damaged SMA-file is rebuilt from the heap.
 func (db *DB) loadCatalog() error {
 	data, err := storage.ReadFile(filepath.Join(db.dir, catalogFile))

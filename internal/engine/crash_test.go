@@ -31,6 +31,24 @@ func heapSnapshot(t *testing.T, tbl *Table) string {
 	return b.String()
 }
 
+// countLive returns the table's record count after checking it against
+// the rows a scan of every page finds live.
+func countLive(t *testing.T, tbl *Table) int64 {
+	t.Helper()
+	n, err := tbl.Heap.NumRecords()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var live int64
+	if err := tbl.Heap.Scan(func(tuple.Tuple, storage.RID) error { live++; return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if n != live {
+		t.Fatalf("NumRecords = %d, but %d rows are live", n, live)
+	}
+	return n
+}
+
 func verifySMAs(t *testing.T, tbl *Table) {
 	t.Helper()
 	for _, s := range tbl.SMAs() {
@@ -667,6 +685,11 @@ func TestUncleanOpenWithoutLog(t *testing.T) {
 		t.Fatal("log-less recovery lost rows that were on disk")
 	}
 	verifySMAs(t, tbl)
+	// 30 seeded, 10 of kind C deleted, 40 inserted: the deleted count was
+	// recounted from the pages.
+	if n := countLive(t, tbl); n != 60 {
+		t.Fatalf("%d records after the log-less recovery, want 60", n)
+	}
 
 	// The rebuilt SMA-files were saved: a clean reopen loads them.
 	if err := db.Close(); err != nil {
@@ -678,6 +701,89 @@ func TestUncleanOpenWithoutLog(t *testing.T) {
 	defer db.Close()
 	if tbl, err = db.Table("EVENTS"); err != nil {
 		t.Fatal(err)
+	}
+	verifySMAs(t, tbl)
+	if n := countLive(t, tbl); n != 60 {
+		t.Fatalf("%d records after a clean reopen, want 60", n)
+	}
+}
+
+// TestDeletedCountOnEveryOpen: NumRecords is the heap's slot count less a
+// deleted count that no page read recomputes, so each way Open can start
+// must arrive at the right count. A clean reopen takes it from the
+// checkpoint header and reads no page but the last. A crash recovery adds
+// one per replayed delete record to the checkpoint's count, not one per
+// mark it changes: with a pool of 4 pages, pages the DELETE marked are
+// written back, marks and all, before the crash, and counting changed
+// marks would miss them. (The log-less recovery is
+// TestUncleanOpenWithoutLog.)
+func TestDeletedCountOnEveryOpen(t *testing.T) {
+	opts := Options{BucketPages: 1, PoolPages: 4, AllowUnsafeCrash: true}
+	dir := t.TempDir()
+	db, err := Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seedEvents(t, db, 270)
+	ctx := context.Background()
+	if _, err := db.ExecContext(ctx, "delete from EVENTS where KIND = 'C'"); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	if db, err = Open(dir, opts); err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := db.Table("EVENTS")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := tbl.Heap.NumRecords(); err != nil || n != 180 {
+		t.Fatalf("NumRecords after a clean reopen = %d (%v), want 180", n, err)
+	}
+	if reads, _ := tbl.disk.Stats(); reads > 1 {
+		t.Fatalf("a clean Open and NumRecords read %d pages, want at most the last", reads)
+	}
+	countLive(t, tbl)
+
+	// A committed DELETE after the checkpoint, then a scan through the
+	// small pool that writes its marked pages back.
+	if _, err := db.ExecContext(ctx, "delete from EVENTS where KIND = 'A' and TS <= date '2024-01-05'"); err != nil {
+		t.Fatal(err)
+	}
+	want := countLive(t, tbl)
+	if want >= 180 {
+		t.Fatalf("the second DELETE left %d records", want)
+	}
+	var marked int
+	var page [storage.PageSize]byte
+	for p := int64(0); p < tbl.disk.NumPages(); p++ {
+		if err := tbl.disk.ReadPage(storage.PageID(p), page[:]); err != nil {
+			t.Fatal(err)
+		}
+		marked += int(page[2]) | int(page[3])<<8
+	}
+	if marked <= 90 {
+		t.Fatalf("%d marks on disk before the crash: no page of the second DELETE was written back", marked)
+	}
+	if err := db.Crash(); err != nil {
+		t.Fatal(err)
+	}
+
+	if db, err = Open(dir, opts); err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if rs := db.RecoveryStats(); !rs.Performed || rs.Statements != 1 {
+		t.Fatalf("recovery stats = %+v, want the DELETE replayed", rs)
+	}
+	if tbl, err = db.Table("EVENTS"); err != nil {
+		t.Fatal(err)
+	}
+	if n := countLive(t, tbl); n != want {
+		t.Fatalf("%d records after recovery, want %d", n, want)
 	}
 	verifySMAs(t, tbl)
 }

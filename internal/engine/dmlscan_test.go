@@ -13,6 +13,7 @@ import (
 	"sma/internal/engine"
 	"sma/internal/obs"
 	"sma/internal/storage"
+	"sma/internal/testutil"
 	"sma/internal/tuple"
 )
 
@@ -27,7 +28,7 @@ func openDated(t *testing.T, pages int, opts engine.Options) (*engine.DB, *engin
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { db.Close() })
-	exec(t, db, fmt.Sprintf("create table T (D date, V float64, PAD char(%d))", (storage.PageSize-16)/8-12))
+	exec(t, db, fmt.Sprintf("create table T (D date, V float64, PAD char(%d))", testutil.RecordSize(8)-12))
 	var b strings.Builder
 	b.WriteString("insert into T values ")
 	for r := 0; r < 8*pages; r++ {

@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -228,6 +229,8 @@ func Open(dir string, opts Options) (*DB, error) {
 		for _, t := range db.tables {
 			t.pool.SetVerifyReads(true)
 		}
+	} else if err := db.loadDeletedLocked(); err != nil {
+		return fail(err)
 	}
 	w, err := wal.Create(db.walPath(), db.tableStatesLocked(), wal.Grouped())
 	if err != nil {
@@ -242,6 +245,31 @@ func Open(dir string, opts Options) (*DB, error) {
 		db.startScrubber()
 	}
 	return db, nil
+}
+
+// loadDeletedLocked gives every table, on a clean Open, the deleted-record
+// count the last Close wrote into the log's checkpoint header. A directory
+// with no log (a new one) has its pages counted. A log of an older format
+// fails the Open: its heap pages are of another layout.
+func (db *DB) loadDeletedLocked() error {
+	states, err := wal.ReadHeader(db.walPath())
+	if errors.Is(err, fs.ErrNotExist) {
+		for _, t := range db.tables {
+			if err := t.Heap.Recount(); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	if err != nil {
+		return fmt.Errorf("engine: open %s: %w", db.dir, err)
+	}
+	for _, s := range states {
+		if t, ok := db.tables[s.Name]; ok {
+			t.Heap.SetDeleted(s.Deleted)
+		}
+	}
+	return nil
 }
 
 // Dir returns the database directory.
@@ -289,9 +317,10 @@ func (db *DB) registerPoolMetrics() {
 		sample(func(s storage.PoolStats) int64 { return s.CorruptPages }))
 }
 
-// Close checkpoints and closes every table: heap pages are flushed and
-// fsynced, delete vectors and incrementally-maintained SMA vectors are
-// saved, and the redo log is truncated. Only when every step succeeded is
+// Close checkpoints and closes every table: heap pages (with their delete
+// marks) are flushed and fsynced, incrementally-maintained SMA vectors are
+// saved, and the redo log is truncated to a header of each table's page
+// and deleted-record counts. Only when every step succeeded is
 // the directory marked clean; any failure leaves the dirty marker in
 // place so the next Open replays the log instead of trusting partially-
 // written files. Close is idempotent: a second call is a no-op and
@@ -339,11 +368,6 @@ func (db *DB) checkOpen() error {
 	return nil
 }
 
-// deletePath returns the delete-vector sidecar path of a table.
-func (db *DB) deletePath(name string) string {
-	return filepath.Join(db.dir, strings.ToLower(name)+".del")
-}
-
 // tablePath returns the page-file path of a table.
 func (db *DB) tablePath(name string) string {
 	return filepath.Join(db.dir, strings.ToLower(name)+".tbl")
@@ -376,14 +400,6 @@ func (db *DB) openTable(name string, schema *tuple.Schema, bucketPages int) (*Ta
 		Name: strings.ToUpper(name), Schema: schema, Heap: heap,
 		BucketPages: bucketPages, db: db, disk: dm, pool: pool,
 		smas: make(map[string]*core.SMA),
-	}
-	dv, err := storage.LoadDeleteVector(db.deletePath(t.Name))
-	if err != nil {
-		dm.Close()
-		return nil, err
-	}
-	if dv.Len() > 0 {
-		heap.SetDeleteVector(dv)
 	}
 	if db.wal != nil {
 		pool.SetWriteBackHook(&walHook{log: db.wal, table: t.Name})
@@ -569,7 +585,7 @@ func (t *Table) smaInfos() []SMAInfo {
 }
 
 // NumRecords counts the table's live records (deleted tuples excluded)
-// under the read lock: one read of the tail page, less the delete vector.
+// under the read lock: one read of the tail page, less the deleted count.
 func (t *Table) NumRecords() (int64, error) {
 	t.db.mu.RLock()
 	defer t.db.mu.RUnlock()

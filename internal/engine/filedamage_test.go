@@ -14,11 +14,11 @@ import (
 	"sma/internal/storage"
 )
 
-// The files beside the heap — SMA-files, delete vectors, the catalog —
-// carry a checksum trailer. One flipped bit in any of them must end in the
-// right answer (an SMA-file is rebuilt from the heap at Open) or a typed
-// error (Open fails with IsCorrupt), and Scrub on an open database must
-// list the damaged file.
+// The files beside the heap — SMA-files and the catalog — carry a checksum
+// trailer. One flipped bit in any of them must end in the right answer (an
+// SMA-file is rebuilt from the heap at Open) or a typed error (Open fails
+// with IsCorrupt), and Scrub on an open database must list the damaged
+// file. Delete marks live in the heap pages, under the page checksum.
 
 // flipBit XORs mask into byte off of the file at path and returns the
 // file's original bytes.
@@ -136,36 +136,73 @@ func TestFlippedSMAFileIsRebuilt(t *testing.T) {
 	}
 }
 
-// TestFlippedDeleteVectorFailsOpen: A = 0..9 are deleted; flipping bit 4
-// of the first ordinal would bring row 0 back and hide row 16 (sum(B) 719,
-// min(A) 0). A delete vector cannot be rebuilt, so Open fails with
-// IsCorrupt; Scrub on an open database lists the file.
-func TestFlippedDeleteVectorFailsOpen(t *testing.T) {
+// TestFlippedDeleteMarkIsCorruptPage: A = 0..9 are deleted, their marks
+// in the one heap page. Flipping the mark of row 0 would bring it back
+// (min(A) 10 → 0), but the page checksum covers the marks: Open
+// succeeds, Scrub quarantines that page and degrades the database, and a
+// query that must read it fails with IsCorrupt instead of answering with
+// the row.
+func TestFlippedDeleteMarkIsCorruptPage(t *testing.T) {
 	dir := t.TempDir()
 	seedT(t, dir, "delete from T where A < 10")
-	path := filepath.Join(dir, "t.del")
-	// Magic (4 bytes) and count (4 bytes), then the sorted ordinals.
-	orig := flipBit(t, path, 8, 0x10)
-	if db, err := engine.Open(dir, engine.Options{}); !storage.IsCorrupt(err) {
-		if err == nil {
-			db.Close()
-		}
-		t.Fatalf("Open over a flipped delete vector: %v, want a corrupt-file error", err)
-	}
-	if err := os.WriteFile(path, orig, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
 	db, err := engine.Open(dir, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer db.Close()
+	tbl, err := db.Table("T")
+	if err != nil {
+		t.Fatal(err)
+	}
+	heap, per := tbl.Disk().Path(), tbl.Heap.RecordsPerPage()
 	if got := queryRow(t, db, "select sum(B) as S, min(A) as M from T", "FullScan+GAggr"); got[0] != "735" || got[1] != "10" {
 		t.Fatalf("sum(B), min(A) = %v, want 735, 10", got)
 	}
-	flipBit(t, path, 8, 0x10)
-	scrubLists(t, db, "T delete vector")
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// The marks end the page, one bit per slot: slot 0 is the low bit of
+	// the first mark byte.
+	flipBit(t, heap, storage.PageSize-(per+7)/8, 0x01)
+
+	db, err = engine.Open(dir, engine.Options{})
+	if err != nil {
+		t.Fatalf("Open over a flipped delete mark: %v", err)
+	}
+	defer db.Close()
+	rep, err := db.Scrub(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Corrupt) != 1 || rep.Corrupt[0] != (engine.CorruptPage{Table: "T", Page: 0}) || len(rep.Errors) != 0 {
+		t.Fatalf("scrub report %+v, want page 0 of T corrupt and nothing else", rep)
+	}
+	if db.Degraded() == nil {
+		t.Fatal("a corrupt page left the database healthy")
+	}
+	if res, err := engine.Collect(db, "select sum(B) as S, min(A) as M from T"); !storage.IsCorrupt(err) {
+		t.Fatalf("query over the flipped mark: %v (error %v), want a corrupt-page error", res, err)
+	}
+}
+
+// TestOlderDirectoryFailsOpen: a directory written before heap pages held
+// their delete marks kept them in a t.del beside the heap and a version-1
+// log. Open refuses it with an error that says so, rather than opening it
+// without its deletes.
+func TestOlderDirectoryFailsOpen(t *testing.T) {
+	dir := t.TempDir()
+	seedT(t, dir, "delete from T where A < 10")
+	flipBit(t, filepath.Join(dir, engine.WALFileName), 4, '1'^'2') // "SWAL2" → "SWAL1"
+	if err := os.WriteFile(filepath.Join(dir, "t.del"), []byte("SDEL"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	db, err := engine.Open(dir, engine.Options{})
+	if err == nil {
+		db.Close()
+		t.Fatal("Open of an older directory succeeded")
+	}
+	if !strings.Contains(err.Error(), "older version") {
+		t.Fatalf("Open of an older directory: %v, want an error naming an older version", err)
+	}
 }
 
 // TestFlippedCatalogFailsOpen: flipping one bit turns `"len": 10` of a

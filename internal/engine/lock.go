@@ -11,7 +11,7 @@ import (
 // directory. Open acquires an exclusive lock on it and Close releases it,
 // so two processes can never have the same directory open at once: the
 // second Open fails fast instead of both engines maintaining the same
-// SMA-files and delete vectors into corruption.
+// SMA-files into corruption.
 //
 // The sentinel's CONTENT doubles as the clean-shutdown marker: Open writes
 // the holder's PID (making the file non-empty) and only a fully successful
@@ -74,7 +74,7 @@ func acquireDirLock(dir string) (*dirLock, bool, error) {
 }
 
 // markClean truncates the sentinel, recording that every durable structure
-// (heap pages, delete vectors, SMA-files, catalog) is consistent on disk
+// (heap pages, SMA-files, catalog) is consistent on disk
 // and the WAL has been checkpointed. Only a fully successful Close calls
 // it; any failure leaves the dirty marker so the next Open runs recovery.
 func (l *dirLock) markClean() error {

@@ -21,18 +21,18 @@ type ScrubReport struct {
 	// Corrupt lists the pages whose checksum verification failed. Every
 	// page here is quarantined and the database is degraded.
 	Corrupt []CorruptPage `json:"corrupt,omitempty"`
-	// Errors lists everything else: raw read failures, and a catalog,
-	// delete vector or SMA-file that no longer loads. None of these
-	// degrades the database: the next Open rebuilds a damaged SMA-file
-	// from the heap and fails on a damaged catalog or delete vector.
+	// Errors lists everything else: raw read failures, and a catalog or
+	// SMA-file that no longer loads. None of these degrades the database:
+	// the next Open rebuilds a damaged SMA-file from the heap and fails on
+	// a damaged catalog.
 	Errors []string `json:"errors,omitempty"`
 }
 
 // Clean reports whether the pass found nothing wrong.
 func (r *ScrubReport) Clean() bool { return len(r.Corrupt) == 0 && len(r.Errors) == 0 }
 
-// Scrub verifies every heap page checksum and reads back the catalog and
-// every delete vector and SMA-file, returning what it found. Corrupt pages
+// Scrub verifies every heap page checksum (delete marks included) and reads
+// back the catalog and every SMA-file, returning what it found. Corrupt pages
 // are quarantined and flip the database into degraded read-only mode,
 // exactly as a query hitting them would — scrubbing just finds them before
 // a query does. The pass reads pages raw (outside the buffer pool, so it cannot evict the working
@@ -138,9 +138,6 @@ func (db *DB) scrubRun(ctx context.Context, rep *ScrubReport, name string, from 
 	// The files beside the heap: prove each one still loads from disk.
 	// The in-memory state may be ahead of the files between checkpoints,
 	// so the check is the checksum and the structure, not the content.
-	if _, err := storage.LoadDeleteVector(db.deletePath(t.Name)); err != nil {
-		rep.Errors = append(rep.Errors, fmt.Sprintf("%s delete vector: %v", name, err))
-	}
 	for _, s := range t.SMAs() {
 		if err := ctx.Err(); err != nil {
 			return false, err

@@ -34,12 +34,14 @@ func (h *walHook) PageImage(id storage.PageID, data []byte) error {
 
 func (h *walHook) Barrier() error { return h.log.SyncForWriteback() }
 
-// tableStatesLocked snapshots every table's on-disk page count, the
-// baseline a WAL checkpoint header records; callers hold db.mu.
+// tableStatesLocked snapshots every table's on-disk page count and
+// deleted-record count, the baseline a WAL checkpoint header records;
+// callers hold db.mu.
 func (db *DB) tableStatesLocked() []wal.TableState {
 	states := make([]wal.TableState, 0, len(db.tables))
 	for _, name := range db.tableNames() {
-		states = append(states, wal.TableState{Name: name, Pages: db.tables[name].disk.NumPages()})
+		t := db.tables[name]
+		states = append(states, wal.TableState{Name: name, Pages: t.disk.NumPages(), Deleted: t.Heap.Deleted()})
 	}
 	return states
 }
@@ -138,7 +140,7 @@ func (j *stmtJournal) update(rid storage.RID, old, new tuple.Tuple) error {
 
 // delete marks rid through the journal and notes the bucket to refold.
 func (j *stmtJournal) delete(rid storage.RID) error {
-	if _, err := j.t.Heap.Delete(rid); err != nil {
+	if err := j.t.Heap.Delete(rid); err != nil {
 		return err
 	}
 	j.deletes = append(j.deletes, rid)
@@ -166,7 +168,9 @@ func (j *stmtJournal) touch(rid storage.RID) {
 func (db *DB) rollbackStmt(j *stmtJournal) error {
 	var firstErr error
 	for i := len(j.deletes) - 1; i >= 0; i-- {
-		j.t.Heap.Undelete(j.deletes[i])
+		if err := j.t.Heap.Undelete(j.deletes[i]); err != nil && firstErr == nil {
+			firstErr = err
+		}
 	}
 	for i := len(j.updates) - 1; i >= 0; i-- {
 		u := j.updates[i]
@@ -324,18 +328,13 @@ func (db *DB) checkpointLocked() error {
 	return db.wal.Checkpoint(db.tableStatesLocked())
 }
 
-// persistLocked puts one table on stable storage: heap pages flushed and
-// fsynced, the delete vector saved, and the SMA-files saved when the
+// persistLocked puts one table on stable storage: heap pages (with their
+// delete marks) flushed and fsynced, and the SMA-files saved when the
 // vectors changed since they were last. Checkpoint and recovery both
 // persist a table through it. Callers hold db.mu.
 func (db *DB) persistLocked(t *Table) error {
 	if err := t.pool.FlushAll(); err != nil {
 		return err
-	}
-	if dv := t.Heap.DeleteVector(); dv != nil {
-		if err := dv.Save(db.deletePath(t.Name)); err != nil {
-			return err
-		}
 	}
 	if t.smaDirty {
 		for _, s := range t.smas {
@@ -376,6 +375,10 @@ type RecoveryStats struct {
 type replayApplier struct {
 	db      *DB
 	touched map[string]bool
+	// deleted counts each table's replayed delete records: one record,
+	// one deleted row, whether or not its mark had already reached the
+	// page on disk.
+	deleted map[string]int64
 }
 
 func (a *replayApplier) ApplyOp(op wal.Op) error {
@@ -386,8 +389,8 @@ func (a *replayApplier) ApplyOp(op wal.Op) error {
 	a.touched[op.Table] = true
 	rid := storage.RID{Page: storage.PageID(op.Page), Slot: op.Slot}
 	if op.IsDelete() {
-		t.Heap.ApplyDelete(rid)
-		return nil
+		a.deleted[op.Table]++
+		return t.Heap.ApplyDelete(rid)
 	}
 	return t.Heap.ApplyAt(rid, op.Data)
 }
@@ -404,21 +407,26 @@ func (a *replayApplier) ApplyPageImage(table string, page int64, data []byte) er
 // recoverLocked brings an uncleanly-shut-down directory back to the last
 // committed statement: replay the log's committed prefix into the heaps,
 // truncate pages no committed statement wrote, rebuild the SMA vectors of
-// every touched table from its recovered heap, and persist it. With no log
-// to replay, the heaps as found are the truth and every table counts as
-// touched: its saved SMA-files may predate appends the crashed session
-// flushed. Runs inside Open before the fresh log is created; any error
+// every touched table from its recovered heap, and persist it. Each table's
+// deleted count is the checkpoint's plus the delete records replayed. With
+// no log to replay, the heaps as found are the truth and every table counts
+// as touched — its saved SMA-files may predate appends the crashed session
+// flushed — and its deleted records are counted from its pages. Runs inside
+// Open before the fresh log is created; any error
 // fails the Open (the dirty marker stays, so the next Open retries).
 func (db *DB) recoverLocked() error {
 	rs := &db.recovery
 	rs.Performed = true
-	ap := &replayApplier{db: db, touched: make(map[string]bool)}
+	ap := &replayApplier{db: db, touched: make(map[string]bool), deleted: make(map[string]int64)}
 	st, err := wal.Replay(db.walPath(), ap)
 	switch {
 	case errors.Is(err, fs.ErrNotExist):
 		rs.WALMissing = true
-		for name := range db.tables {
+		for name, t := range db.tables {
 			ap.touched[name] = true
+			if err := t.Heap.Recount(); err != nil {
+				return err
+			}
 		}
 	case err != nil:
 		return fmt.Errorf("engine: wal replay: %w", err)
@@ -432,12 +440,13 @@ func (db *DB) recoverLocked() error {
 		// that is an uncommitted allocation (the file grows eagerly on
 		// append) — drop it so the heap matches exactly what the oracle
 		// would hold.
-		base := make(map[string]int64, len(st.Header))
+		base := make(map[string]wal.TableState, len(st.Header))
 		for _, s := range st.Header {
-			base[s.Name] = s.Pages
+			base[s.Name] = s
 		}
 		for name, t := range db.tables {
-			committed := base[name] // 0 for tables created after the header was written
+			t.Heap.SetDeleted(base[name].Deleted + ap.deleted[name])
+			committed := base[name].Pages // 0 for tables created after the header was written
 			if mp, ok := st.MaxPage[name]; ok && mp+1 > committed {
 				committed = mp + 1
 			}

@@ -36,7 +36,7 @@ func deleteEveryNth(t *testing.T, h *storage.HeapFile, n int) {
 		t.Fatal(err)
 	}
 	for i := 0; i < len(rids); i += n {
-		if _, err := h.Delete(rids[i]); err != nil {
+		if err := h.Delete(rids[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -281,7 +281,7 @@ func TestDefaultReadaheadCoversTheBatch(t *testing.T) {
 	const perPage, pages = 32, 4000
 	schema := tuple.MustSchema([]tuple.Column{
 		{Name: "V", Type: tuple.TInt32},
-		{Name: "PAD", Type: tuple.TChar, Len: (storage.PageSize-16)/perPage - 4},
+		{Name: "PAD", Type: tuple.TChar, Len: testutil.RecordSize(perPage) - 4},
 	})
 	h := testutil.NewHeap(t, schema, 1, 1024)
 	tp := tuple.NewTuple(schema)

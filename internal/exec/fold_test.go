@@ -157,7 +157,7 @@ func foldSchema(perPage int) *tuple.Schema {
 		{Name: "VF", Type: tuple.TFloat64},
 		{Name: "VI", Type: tuple.TInt64},
 		{Name: "VD", Type: tuple.TInt32},
-		{Name: "PAD", Type: tuple.TChar, Len: (storage.PageSize-16)/perPage - fixed},
+		{Name: "PAD", Type: tuple.TChar, Len: testutil.RecordSize(perPage) - fixed},
 	})
 }
 
@@ -425,7 +425,7 @@ func q1Fixture(t testing.TB) (*SMAGAggr, int) {
 		{Name: "E", Type: tuple.TFloat64},
 		{Name: "DI", Type: tuple.TFloat64},
 		{Name: "T", Type: tuple.TFloat64},
-		{Name: "PAD", Type: tuple.TChar, Len: (storage.PageSize-16)/perPage - 38},
+		{Name: "PAD", Type: tuple.TChar, Len: testutil.RecordSize(perPage) - 38},
 	})
 	h := testutil.NewHeap(t, schema, 1, 64)
 	rng := rand.New(rand.NewSource(7))

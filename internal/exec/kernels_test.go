@@ -35,7 +35,7 @@ func kernelSchema() *tuple.Schema {
 		{Name: "C", Type: tuple.TChar, Len: 1},
 		{Name: "K", Type: tuple.TInt32},
 		{Name: "W", Type: tuple.TChar, Len: 12},
-		{Name: "PAD", Type: tuple.TChar, Len: (storage.PageSize-16)/kernelPerPage - fixed},
+		{Name: "PAD", Type: tuple.TChar, Len: testutil.RecordSize(kernelPerPage) - fixed},
 	})
 }
 
@@ -199,7 +199,7 @@ func TestFoldKernelsBitIdenticalToNaiveFold(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, rid := range rids {
-				if _, err := h.Delete(rid); err != nil {
+				if err := h.Delete(rid); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -63,7 +63,7 @@ func TestPageStreamContractAcrossScanShapes(t *testing.T) {
 		{Name: "F", Type: tuple.TFloat64},
 		{Name: "G", Type: tuple.TChar, Len: 1},
 		{Name: "V", Type: tuple.TFloat64},
-		{Name: "PAD", Type: tuple.TChar, Len: (storage.PageSize-16)/perPage - 17},
+		{Name: "PAD", Type: tuple.TChar, Len: testutil.RecordSize(perPage) - 17},
 	})
 	h := testutil.NewHeap(t, schema, bucketPages, 4*pages)
 	tp := tuple.NewTuple(schema)

@@ -2,7 +2,7 @@
 // SQL dialect of the real engine, plus a seeded randomized workload
 // generator. Together they form a differential testing harness: the same
 // statement stream is fed to the SMA engine (with its bucket grading,
-// incremental maintenance, delete vectors, and parallel execution) and to
+// incremental maintenance, in-page delete marks, and parallel execution) and to
 // this oracle (a plain slice of rows evaluated by full scans), and every
 // result must match exactly.
 //

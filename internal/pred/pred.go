@@ -10,7 +10,6 @@ package pred
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"sma/internal/tuple"
@@ -232,22 +231,5 @@ func Atoms(p Predicate) []*Atom {
 		}
 	}
 	walk(p)
-	return out
-}
-
-// Columns returns the sorted, de-duplicated set of columns referenced by p.
-func Columns(p Predicate) []string {
-	set := map[string]bool{}
-	for _, a := range Atoms(p) {
-		set[a.Col] = true
-		if a.RightCol != "" {
-			set[a.RightCol] = true
-		}
-	}
-	out := make([]string, 0, len(set))
-	for c := range set {
-		out = append(out, c)
-	}
-	sort.Strings(out)
 	return out
 }

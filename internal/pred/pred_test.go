@@ -64,7 +64,7 @@ func TestBindErrors(t *testing.T) {
 	}
 }
 
-func TestAtomsAndColumns(t *testing.T) {
+func TestAtoms(t *testing.T) {
 	p := NewOr(
 		NewAnd(NewAtom("A", Le, 1), NewAtom("B", Gt, 2)),
 		NewNot(NewColAtom("D", Lt, "A")),
@@ -73,14 +73,9 @@ func TestAtomsAndColumns(t *testing.T) {
 	if len(atoms) != 3 {
 		t.Fatalf("Atoms = %d, want 3", len(atoms))
 	}
-	cols := Columns(p)
-	want := []string{"A", "B", "D"}
-	if len(cols) != len(want) {
-		t.Fatalf("Columns = %v", cols)
-	}
-	for i := range want {
-		if cols[i] != want[i] {
-			t.Errorf("Columns[%d] = %s, want %s", i, cols[i], want[i])
+	for i, col := range []string{"A", "B", "D"} {
+		if atoms[i].Col != col {
+			t.Errorf("Atoms[%d] is on %s, want %s", i, atoms[i].Col, col)
 		}
 	}
 }

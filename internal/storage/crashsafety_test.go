@@ -526,24 +526,31 @@ func TestUndeleteAndApplyDelete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Undelete(rid) {
-		t.Fatal("undelete of live record reported true")
+	if err := h.Undelete(rid); err == nil {
+		t.Fatal("undelete of a live record succeeded")
 	}
-	if _, err := h.Delete(rid); err != nil {
+	if err := h.Delete(rid); err != nil {
 		t.Fatal(err)
 	}
-	if !h.Undelete(rid) {
-		t.Fatal("undelete of deleted record reported false")
+	if err := h.Undelete(rid); err != nil {
+		t.Fatal(err)
 	}
 	if _, err := h.Get(rid); err != nil {
 		t.Fatalf("record still dead after undelete: %v", err)
 	}
-	h.ApplyDelete(rid)
-	h.ApplyDelete(rid) // idempotent
+	if h.Deleted() != 0 {
+		t.Fatalf("deleted count %d after delete and undelete", h.Deleted())
+	}
+	for i := 0; i < 2; i++ { // idempotent
+		if err := h.ApplyDelete(rid); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if _, err := h.Get(rid); err == nil {
 		t.Fatal("record live after ApplyDelete")
 	}
-	if h.DeleteVector().Len() != 1 {
-		t.Fatalf("vector len = %d", h.DeleteVector().Len())
+	// Redo counts nothing: recovery counts the log's delete records.
+	if h.Deleted() != 0 {
+		t.Fatalf("ApplyDelete counted: deleted count %d", h.Deleted())
 	}
 }

@@ -1,7 +1,7 @@
 package storage
 
 import (
-	"path/filepath"
+	"encoding/binary"
 	"testing"
 
 	"sma/internal/tuple"
@@ -19,14 +19,10 @@ func TestDeleteBasics(t *testing.T) {
 		}
 		rids = append(rids, rid)
 	}
-	old, err := h.Delete(rids[10])
-	if err != nil {
+	if err := h.Delete(rids[10]); err != nil {
 		t.Fatal(err)
 	}
-	if old.Int64(0) != 10 {
-		t.Errorf("Delete returned %d, want the prior image 10", old.Int64(0))
-	}
-	if _, err := h.Delete(rids[10]); err == nil {
+	if err := h.Delete(rids[10]); err == nil {
 		t.Errorf("double delete should fail")
 	}
 	if _, err := h.Get(rids[10]); err == nil {
@@ -68,7 +64,7 @@ func TestDeleteCursorSkips(t *testing.T) {
 		rids = append(rids, rid)
 	}
 	for _, i := range []int{0, 3, 9} {
-		if _, err := h.Delete(rids[i]); err != nil {
+		if err := h.Delete(rids[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -93,36 +89,90 @@ func TestDeleteCursorSkips(t *testing.T) {
 	}
 }
 
-func TestDeleteVectorPersistence(t *testing.T) {
-	dv := NewDeleteVector()
-	rids := []RID{{Page: 0, Slot: 1}, {Page: 5, Slot: 0}, {Page: 5, Slot: 7}}
-	for _, rid := range rids {
-		if !dv.markDeleted(rid, 100) {
-			t.Fatalf("mark %v failed", rid)
-		}
-	}
-	path := filepath.Join(t.TempDir(), "t.del")
-	if err := dv.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	back, err := LoadDeleteVector(path)
+// TestDeleteMarksLiveInThePage: a delete marks its slot in the page and
+// counts it in the page header, and nowhere else. One heap holds a marked
+// page beside unmarked ones; each reads back its live records, from the
+// pool and again from disk through a fresh pool, where the page verifies
+// and the heap's count is recovered from the pages alone.
+func TestDeleteMarksLiveInThePage(t *testing.T) {
+	dm := newDisk(t)
+	h, err := NewHeapFile(NewBufferPool(dm, 8), twoColSchema(t), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Len() != 3 {
-		t.Fatalf("loaded %d entries", back.Len())
-	}
-	for _, rid := range rids {
-		if !back.isDeleted(rid, 100) {
-			t.Errorf("%v lost in round trip", rid)
+	per := h.RecordsPerPage()
+	tp := tuple.NewTuple(h.Schema())
+	for i := 0; i < 3*per; i++ {
+		tp.SetInt64(0, int64(i))
+		if _, err := h.Append(tp); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if back.isDeleted(RID{Page: 1, Slot: 1}, 100) {
-		t.Errorf("phantom delete")
+	gone := map[int]bool{0: true, 7: true, 8: true, per - 1: true}
+	for s := range gone {
+		if err := h.Delete(RID{Page: 1, Slot: s}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	// Missing file loads empty.
-	empty, err := LoadDeleteVector(filepath.Join(t.TempDir(), "none.del"))
-	if err != nil || empty.Len() != 0 {
-		t.Errorf("missing file should load empty: %v %d", err, empty.Len())
+	check := func(h *HeapFile, when string) {
+		t.Helper()
+		rs := h.Schema().RecordSize()
+		for p := PageID(0); p < 3; p++ {
+			buf, n, err := h.ReadPageInto(p, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want []int64
+			for s := 0; s < per; s++ {
+				if p != 1 || !gone[s] {
+					want = append(want, int64(p)*int64(per)+int64(s))
+				}
+			}
+			if n != len(want) || len(buf) != n*rs {
+				t.Fatalf("%s: page %d read %d records in %d bytes, want %d", when, p, n, len(buf), len(want))
+			}
+			for i, v := range want {
+				if got := (tuple.Tuple{Schema: h.Schema(), Data: buf[i*rs : (i+1)*rs]}).Int64(0); got != v {
+					t.Fatalf("%s: page %d record %d = %d, want %d", when, p, i, got, v)
+				}
+			}
+		}
+		if n, err := h.NumRecords(); err != nil || n != int64(3*per-len(gone)) {
+			t.Fatalf("%s: NumRecords = %d (%v), want %d", when, n, err, 3*per-len(gone))
+		}
+	}
+	check(h, "pooled")
+	if err := h.Pool().FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	var page [PageSize]byte
+	if err := dm.ReadPage(1, page[:]); err != nil {
+		t.Fatal(err)
+	}
+	if !VerifyPage(page[:]) || binary.LittleEndian.Uint16(page[2:]) != uint16(len(gone)) {
+		t.Fatalf("page 1 on disk: verifies %v, dead count %d, want true and %d", VerifyPage(page[:]), binary.LittleEndian.Uint16(page[2:]), len(gone))
+	}
+	back, err := NewHeapFile(NewBufferPool(dm, 8), twoColSchema(t), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := back.Recount(); err != nil {
+		t.Fatal(err)
+	}
+	check(back, "from disk")
+}
+
+// TestPageGeometry: a page holds the most records whose bytes and delete
+// marks fit beside the 16-byte header.
+func TestPageGeometry(t *testing.T) {
+	for _, c := range []struct{ size, per int }{{128, 31}, {21, 193}, {16, 253}, {509, 8}, {510, 7}, {4079, 1}} {
+		schema := tuple.MustSchema([]tuple.Column{{Name: "C", Type: tuple.TChar, Len: c.size}})
+		h, err := NewHeapFile(NewBufferPool(newDisk(t), 4), schema, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := h.RecordsPerPage(); got != c.per {
+			t.Errorf("%d-byte records: %d per page, want %d", c.size, got, c.per)
+		}
 	}
 }

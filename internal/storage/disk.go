@@ -13,6 +13,7 @@ import (
 	"io"
 	"os"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -31,8 +32,10 @@ type DiskManager struct {
 	path string
 	// numPages counts the pages that exist: those in the file plus those
 	// AllocatePage reserved, which live in the buffer pool until their
-	// first write-back. filePages is what the file itself holds.
-	numPages  int64
+	// first write-back. It changes only under mu and is read without it,
+	// so per-bucket loops over NumPages take no lock. filePages is what
+	// the file itself holds.
+	numPages  atomic.Int64
 	filePages int64
 
 	// readLatency, if non-zero, is added to every physical page read to
@@ -79,7 +82,9 @@ func OpenDiskManager(path string) (*DiskManager, error) {
 		return nil, fmt.Errorf("storage: %s has size %d, not a multiple of the page size", path, st.Size())
 	}
 	n := st.Size() / PageSize
-	return &DiskManager{f: f, path: path, numPages: n, filePages: n, lastRead: -1}, nil
+	d := &DiskManager{f: f, path: path, filePages: n, lastRead: -1}
+	d.numPages.Store(n)
+	return d, nil
 }
 
 // SetReadLatency installs a simulated per-page read delay (0 disables).
@@ -120,11 +125,7 @@ func (d *DiskManager) Path() string { return d.path }
 
 // NumPages returns the current number of pages: the file's plus those
 // allocated and not yet written back.
-func (d *DiskManager) NumPages() int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.numPages
-}
+func (d *DiskManager) NumPages() int64 { return d.numPages.Load() }
 
 // ReadPage reads page id into buf (which must be PageSize bytes). It is the
 // one-page case of readPages.
@@ -142,8 +143,7 @@ func (d *DiskManager) ReadPage(id PageID, buf []byte) error {
 func (d *DiskManager) readPages(first PageID, buf []byte) error {
 	n := int64(len(buf) / PageSize)
 	d.mu.Lock()
-	if first < 0 || int64(first)+n > d.numPages {
-		num := d.numPages
+	if num := d.numPages.Load(); first < 0 || int64(first)+n > num {
 		d.mu.Unlock()
 		return fmt.Errorf("storage: read pages [%d,%d) out of range [0,%d)", first, int64(first)+n, num)
 	}
@@ -219,13 +219,13 @@ func (d *DiskManager) WritePage(id PageID, buf []byte) error {
 	}
 	StampPage(buf)
 	d.mu.Lock()
-	if int64(id) < 0 || int64(id) > d.numPages {
-		n := d.numPages
+	n := d.numPages.Load()
+	if int64(id) < 0 || int64(id) > n {
 		d.mu.Unlock()
 		return fmt.Errorf("storage: write page %d out of range [0,%d]", id, n)
 	}
-	if int64(id) == d.numPages {
-		d.numPages++
+	if int64(id) == n {
+		d.numPages.Store(n + 1)
 	}
 	d.filePages = max(d.filePages, int64(id)+1)
 	d.writes++
@@ -246,8 +246,7 @@ func (d *DiskManager) WritePage(id PageID, buf []byte) error {
 func (d *DiskManager) AllocatePage() (PageID, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.numPages++
-	return PageID(d.numPages - 1), nil
+	return PageID(d.numPages.Add(1) - 1), nil
 }
 
 // Stats returns the number of physical page reads and writes so far.
@@ -294,8 +293,8 @@ func (d *DiskManager) Truncate(pages int64) error {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if pages < 0 || pages > d.numPages {
-		return fmt.Errorf("storage: truncate to %d pages out of range [0,%d]", pages, d.numPages)
+	if n := d.numPages.Load(); pages < 0 || pages > n {
+		return fmt.Errorf("storage: truncate to %d pages out of range [0,%d]", pages, n)
 	}
 	if pages < d.filePages { // pages never written back have nothing to cut
 		if err := d.f.Truncate(pages * PageSize); err != nil {
@@ -303,7 +302,7 @@ func (d *DiskManager) Truncate(pages int64) error {
 		}
 		d.filePages = pages
 	}
-	d.numPages = pages
+	d.numPages.Store(pages)
 	if int64(d.lastRead) >= pages {
 		d.lastRead = -1
 	}

@@ -8,8 +8,8 @@ import (
 	"path/filepath"
 )
 
-// The files beside the heap files and the redo log — the catalog, the
-// SMA-files and the delete vectors — are written and read whole through
+// The files beside the heap files and the redo log — the catalog and the
+// SMA-files — are written and read whole through
 // WriteFile and ReadFile, each keeping its own body format. The body is
 // followed by a 4-byte little-endian CRC-32C trailer (the codec of page
 // checksums and WAL frames), so a flipped bit, a torn write or a

@@ -3,13 +3,17 @@ package storage
 import (
 	"encoding/binary"
 	"fmt"
+	"sync/atomic"
 
 	"sma/internal/tuple"
 )
 
 // pageHeaderSize reserves bytes at the start of every heap page for the
-// record count (bytes 0-1), the page checksum (bytes 4-7, see
-// checksum.go) plus padding for future use.
+// record count (bytes 0-1), the count of deleted records (bytes 2-3), the
+// page checksum (bytes 4-7, see checksum.go) plus padding for future use.
+// Records follow in slot order; the page ends in its delete marks, one bit
+// per slot (set: deleted). A delete touches the one page that holds the
+// record, and the checksum covers its mark like any other byte.
 const pageHeaderSize = 16
 
 // RID identifies a record by page and slot within that page.
@@ -27,9 +31,8 @@ func (r RID) String() string { return fmt.Sprintf("(%d,%d)", r.Page, r.Slot) }
 // BucketPages consecutive pages; SMA entries correspond positionally to
 // these buckets.
 type HeapFile struct {
-	pool    *BufferPool
-	schema  *tuple.Schema
-	deletes *DeleteVector // nil when no record was ever deleted
+	pool   *BufferPool
+	schema *tuple.Schema
 
 	// BucketPages is the number of consecutive pages per SMA bucket.
 	// The paper: "Examples of buckets are single pages or consecutive
@@ -37,6 +40,10 @@ type HeapFile struct {
 	BucketPages int
 
 	perPage int // records per page
+	marks   int // offset of the delete marks in a page
+	// deleted counts the records marked deleted in the whole file, so
+	// NumRecords reads no page but the last.
+	deleted atomic.Int64
 }
 
 // NewHeapFile wraps an open page file as a heap of records with the given
@@ -45,11 +52,16 @@ func NewHeapFile(pool *BufferPool, schema *tuple.Schema, bucketPages int) (*Heap
 	if bucketPages < 1 {
 		return nil, fmt.Errorf("storage: bucketPages must be >= 1, got %d", bucketPages)
 	}
-	per := (PageSize - pageHeaderSize) / schema.RecordSize()
-	if per < 1 {
-		return nil, fmt.Errorf("storage: record size %d does not fit in a page", schema.RecordSize())
+	// The most records whose bytes and marks fit beside the header.
+	rs := schema.RecordSize()
+	per := (PageSize - pageHeaderSize) / rs
+	for per > 0 && pageHeaderSize+per*rs+(per+7)/8 > PageSize {
+		per--
 	}
-	return &HeapFile{pool: pool, schema: schema, BucketPages: bucketPages, perPage: per}, nil
+	if per < 1 {
+		return nil, fmt.Errorf("storage: record size %d does not fit in a page", rs)
+	}
+	return &HeapFile{pool: pool, schema: schema, BucketPages: bucketPages, perPage: per, marks: PageSize - (per+7)/8}, nil
 }
 
 // Schema returns the record schema.
@@ -91,6 +103,15 @@ func pageCount(data []byte) int {
 
 func setPageCount(data []byte, n int) {
 	binary.LittleEndian.PutUint16(data, uint16(n))
+}
+
+func deadCount(data []byte) int {
+	return int(binary.LittleEndian.Uint16(data[2:]))
+}
+
+// dead reports whether slot s of the page image data is marked deleted.
+func (h *HeapFile) dead(data []byte, s int) bool {
+	return data[h.marks+s/8]&(1<<(s%8)) != 0
 }
 
 // Append adds a record to the end of the file and returns its RID: the
@@ -156,7 +177,7 @@ func (h *HeapFile) Get(rid RID) (tuple.Tuple, error) {
 	if rid.Slot < 0 || rid.Slot >= n {
 		return tuple.Tuple{}, fmt.Errorf("storage: slot %d out of range [0,%d) on page %d", rid.Slot, n, rid.Page)
 	}
-	if !h.isLive(rid) {
+	if h.dead(fr.Data(), rid.Slot) {
 		return tuple.Tuple{}, fmt.Errorf("storage: record %v is deleted", rid)
 	}
 	off := pageHeaderSize + rid.Slot*h.schema.RecordSize()
@@ -188,8 +209,8 @@ func (h *HeapFile) Update(rid RID, t tuple.Tuple) error {
 // fills the last page before allocating a new one, so every page but the
 // last is exactly full: the count costs at most one page read (the last
 // page), which keeps callers like a server's /status cheap no matter how
-// large the relation is. Deletes only mark the delete vector and never
-// shrink a page's slot count, so subtracting the vector length is exact.
+// large the relation is. Deletes only mark their slot and never shrink a
+// page's slot count, so subtracting the deleted count is exact.
 func (h *HeapFile) NumRecords() (int64, error) {
 	np := h.NumPages()
 	var total int64
@@ -204,10 +225,7 @@ func (h *HeapFile) NumRecords() (int64, error) {
 			return 0, err
 		}
 	}
-	if h.deletes != nil {
-		total -= int64(h.deletes.Len())
-	}
-	return total, nil
+	return total - h.deleted.Load(), nil
 }
 
 // PageRecords pins page p and returns its record count. The caller provides
@@ -219,16 +237,15 @@ func (h *HeapFile) PageRecords(p PageID, visit func(t tuple.Tuple, rid RID) erro
 		return err
 	}
 	defer h.pool.UnpinPage(p)
-	n := pageCount(fr.Data())
-	rs := h.schema.RecordSize()
+	data := fr.Data()
+	n, rs := pageCount(data), h.schema.RecordSize()
 	for s := 0; s < n; s++ {
-		rid := RID{Page: p, Slot: s}
-		if !h.isLive(rid) {
+		if h.dead(data, s) {
 			continue
 		}
 		off := pageHeaderSize + s*rs
-		t := tuple.Tuple{Schema: h.schema, Data: fr.Data()[off : off+rs]}
-		if err := visit(t, rid); err != nil {
+		t := tuple.Tuple{Schema: h.schema, Data: data[off : off+rs]}
+		if err := visit(t, RID{Page: p, Slot: s}); err != nil {
 			return err
 		}
 	}
@@ -237,7 +254,7 @@ func (h *HeapFile) PageRecords(p PageID, visit func(t tuple.Tuple, rid RID) erro
 
 // ReadPageInto appends the live records of page p to dst and returns the
 // extended slice plus the number of records appended. The page is pinned
-// only for the duration of the copy; when the heap has no deleted records
+// only for the duration of the copy; when the page has no deleted records
 // the copy is a single memcpy of the page's record area. This is the
 // page-decode step of the scan operators.
 func (h *HeapFile) ReadPageInto(p PageID, dst []byte) ([]byte, int, error) {
@@ -255,24 +272,110 @@ func (h *HeapFile) readPage(p PageID, dst []byte, rids *[]RID) ([]byte, int, err
 	data := fr.Data()
 	n := pageCount(data)
 	rs := h.schema.RecordSize()
-	if rids == nil && (h.deletes == nil || h.deletes.Len() == 0) {
+	marked := deadCount(data) > 0
+	if rids == nil && !marked {
 		dst = append(dst, data[pageHeaderSize:pageHeaderSize+n*rs]...)
 		return dst, n, nil
 	}
 	live := 0
 	for s := 0; s < n; s++ {
-		rid := RID{Page: p, Slot: s}
-		if !h.isLive(rid) {
+		if marked && h.dead(data, s) {
 			continue
 		}
 		off := pageHeaderSize + s*rs
 		dst = append(dst, data[off:off+rs]...)
 		if rids != nil {
-			*rids = append(*rids, rid)
+			*rids = append(*rids, RID{Page: p, Slot: s})
 		}
 		live++
 	}
 	return dst, live, nil
+}
+
+// Delete marks the record at rid deleted: one bit and the dead count of its
+// page, which is then dirty. Deleting an already-deleted or out-of-range
+// record fails.
+func (h *HeapFile) Delete(rid RID) error { return h.setMark(rid, true) }
+
+// Undelete clears the delete mark of rid, reversing a Delete during
+// statement rollback. Clearing a record that is not marked fails.
+func (h *HeapFile) Undelete(rid RID) error { return h.setMark(rid, false) }
+
+// setMark is Delete (dead) and Undelete: it fails unless the mark changes,
+// and keeps the file's deleted count.
+func (h *HeapFile) setMark(rid RID, dead bool) error {
+	d, err := h.mark(rid, dead, false)
+	if err == nil && d == 0 {
+		err = fmt.Errorf("storage: delete mark of record %v is already %v", rid, dead)
+	}
+	h.deleted.Add(int64(d))
+	return err
+}
+
+// ApplyDelete marks rid deleted — the idempotent redo used by WAL replay:
+// re-marking a marked record (a page written back after the checkpoint
+// already holds the mark) is a no-op, not an error. It counts nothing;
+// recovery sets the count from the log (SetDeleted). The slot is checked
+// against the page's capacity, not its record count: before a full-page
+// image heals it, a torn page's count may be garbage.
+func (h *HeapFile) ApplyDelete(rid RID) error {
+	_, err := h.mark(rid, true, true)
+	return err
+}
+
+// mark sets (dead) or clears the delete mark of rid's slot, keeping the
+// page's dead count, and returns the change of that count: +1, -1, or 0
+// when the mark already was as asked. redo bounds the slot by the page's
+// capacity instead of its record count.
+func (h *HeapFile) mark(rid RID, dead, redo bool) (int, error) {
+	fr, err := h.pool.FetchPage(rid.Page)
+	if err != nil {
+		return 0, err
+	}
+	defer h.pool.unpin(fr)
+	data := fr.Data()
+	n := pageCount(data)
+	if redo {
+		n = h.perPage
+	}
+	if rid.Slot < 0 || rid.Slot >= n {
+		return 0, fmt.Errorf("storage: slot %d out of range [0,%d) on page %d", rid.Slot, n, rid.Page)
+	}
+	if h.dead(data, rid.Slot) == dead {
+		return 0, nil
+	}
+	d := 1
+	if !dead {
+		d = -1
+	}
+	data[h.marks+rid.Slot/8] ^= 1 << (rid.Slot % 8)
+	binary.LittleEndian.PutUint16(data[2:], uint16(deadCount(data)+d))
+	fr.MarkDirty()
+	return d, nil
+}
+
+// Deleted returns the number of records marked deleted in the file.
+func (h *HeapFile) Deleted() int64 { return h.deleted.Load() }
+
+// SetDeleted sets the deleted count, which the heap keeps across Delete
+// and Undelete but cannot know of pages it did not mark: Open takes it
+// from the log's checkpoint header plus the deletes it replays.
+func (h *HeapFile) SetDeleted(n int64) { h.deleted.Store(n) }
+
+// Recount sets the deleted count from every page's dead count — one read
+// of every page, for a recovery with no log to count from.
+func (h *HeapFile) Recount() error {
+	var n int64
+	for p := PageID(0); int64(p) < h.NumPages(); p++ {
+		fr, err := h.pool.FetchPage(p)
+		if err != nil {
+			return err
+		}
+		n += int64(deadCount(fr.Data()))
+		h.pool.unpin(fr)
+	}
+	h.deleted.Store(n)
+	return nil
 }
 
 // TailState captures the append position of the heap — the page count

@@ -345,7 +345,7 @@ func TestHeapBuckets(t *testing.T) {
 	recs, rids := readBucket()
 	check(recs, rids, per*2)
 	gone := rids[per+3]
-	if _, err := h.Delete(gone); err != nil {
+	if err := h.Delete(gone); err != nil {
 		t.Fatal(err)
 	}
 	recs, rids = readBucket()

@@ -55,10 +55,10 @@ func Fig1Dates() []string {
 // helper uses a padded schema sized to exactly three records per page.
 func LoadFig1(t testing.TB) *storage.HeapFile {
 	t.Helper()
-	// Pad the record so exactly 3 fit into a page: (4096-16)/3 = 1360.
+	// Pad the record so exactly 3 fit into a page.
 	schema := tuple.MustSchema([]tuple.Column{
 		{Name: "L_SHIPDATE", Type: tuple.TDate},
-		{Name: "PAD", Type: tuple.TChar, Len: 1356},
+		{Name: "PAD", Type: tuple.TChar, Len: RecordSize(3) - 4},
 	})
 	h := NewHeap(t, schema, 1, 64)
 	tp := tuple.NewTuple(schema)
@@ -80,8 +80,7 @@ func LoadFig1(t testing.TB) *storage.HeapFile {
 // buckets from few tuples.
 func PaddedFloatSchema(t testing.TB, perPage int) *tuple.Schema {
 	t.Helper()
-	const usable = storage.PageSize - 16 // page header
-	pad := usable/perPage - 8
+	pad := RecordSize(perPage) - 8
 	if pad <= 0 {
 		t.Fatalf("perPage %d too large", perPage)
 	}
@@ -89,6 +88,13 @@ func PaddedFloatSchema(t testing.TB, perPage int) *tuple.Schema {
 		{Name: "A", Type: tuple.TFloat64},
 		{Name: "PAD", Type: tuple.TChar, Len: pad},
 	})
+}
+
+// RecordSize returns the largest record size of which perPage records fit
+// in a heap page: the page less its 16-byte header and one delete mark per
+// record.
+func RecordSize(perPage int) int {
+	return (storage.PageSize - 16 - (perPage+7)/8) / perPage
 }
 
 // AppendFloats appends values into column A of a heap using a padded or

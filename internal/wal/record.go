@@ -54,8 +54,10 @@ const (
 // to read gigabytes.
 const maxBody = 8 << 10
 
-// headerMagic identifies a log file and its format version.
-var headerMagic = [6]byte{'S', 'W', 'A', 'L', '1', '\n'}
+// headerMagic identifies a log file and its format version. Version 2
+// carries each table's deleted-record count, and came with the heap pages
+// that hold their own delete marks.
+var headerMagic = [6]byte{'S', 'W', 'A', 'L', '2', '\n'}
 
 // crcTable is the Castagnoli polynomial, hardware-accelerated on the
 // platforms this engine targets.
@@ -65,13 +67,15 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 func crcChecksum(body []byte) uint32 { return crc32.Checksum(body, crcTable) }
 
 // TableState is one table's committed extent at checkpoint time: its
-// page count after every dirty page was flushed and fsynced. Recovery
-// truncates each table back to max(checkpoint pages, highest replayed
-// page + 1), discarding pages allocated by statements that never
-// committed.
+// page count after every dirty page was flushed and fsynced, and the
+// number of its records marked deleted. Recovery truncates each table
+// back to max(checkpoint pages, highest replayed page + 1), discarding
+// pages allocated by statements that never committed, and counts its
+// deleted records from Deleted plus the delete records it replays.
 type TableState struct {
-	Name  string
-	Pages int64
+	Name    string
+	Pages   int64
+	Deleted int64
 }
 
 // Op is one logical redo operation delivered to an Applier.
@@ -153,6 +157,7 @@ func encodeHeader(states []TableState) []byte {
 		payload = binary.LittleEndian.AppendUint16(payload, uint16(len(st.Name)))
 		payload = append(payload, st.Name...)
 		payload = binary.LittleEndian.AppendUint64(payload, uint64(st.Pages))
+		payload = binary.LittleEndian.AppendUint64(payload, uint64(st.Deleted))
 	}
 	out := make([]byte, 0, len(headerMagic)+8+len(payload))
 	out = append(out, headerMagic[:]...)
@@ -169,6 +174,9 @@ func decodeHeader(raw []byte) (states []TableState, off int64, err error) {
 		return nil, 0, fmt.Errorf("wal: short header (%d bytes)", len(raw))
 	}
 	if [6]byte(raw[:6]) != headerMagic {
+		if [4]byte(raw[:4]) == [4]byte(headerMagic[:4]) {
+			return nil, 0, fmt.Errorf("wal: log format %q, want %q: the directory was written by an older version of this engine; regenerate it", raw[:5], headerMagic[:5])
+		}
 		return nil, 0, fmt.Errorf("wal: bad magic %q", raw[:6])
 	}
 	crc := binary.LittleEndian.Uint32(raw[6:])
@@ -190,14 +198,15 @@ func decodeHeader(raw []byte) (states []TableState, off int64, err error) {
 			return nil, 0, fmt.Errorf("wal: truncated header state")
 		}
 		nameLen := int(binary.LittleEndian.Uint16(payload))
-		if len(payload) < 2+nameLen+8 {
+		if len(payload) < 2+nameLen+16 {
 			return nil, 0, fmt.Errorf("wal: truncated header state")
 		}
 		states = append(states, TableState{
-			Name:  string(payload[2 : 2+nameLen]),
-			Pages: int64(binary.LittleEndian.Uint64(payload[2+nameLen:])),
+			Name:    string(payload[2 : 2+nameLen]),
+			Pages:   int64(binary.LittleEndian.Uint64(payload[2+nameLen:])),
+			Deleted: int64(binary.LittleEndian.Uint64(payload[2+nameLen+8:])),
 		})
-		payload = payload[2+nameLen+8:]
+		payload = payload[2+nameLen+16:]
 	}
 	return states, int64(14 + plen), nil
 }

@@ -53,6 +53,17 @@ func Replay(path string, a Applier) (*ReplayStats, error) {
 	return ReplayBytes(raw, a)
 }
 
+// ReadHeader returns the table states of the checkpoint header of the log
+// at path: what a clean Close left, with nothing after it to replay.
+func ReadHeader(path string) ([]TableState, error) {
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	states, _, err := decodeHeader(raw)
+	return states, err
+}
+
 // ReplayBytes is Replay over an in-memory log image; the fuzz harness
 // drives it directly.
 func ReplayBytes(raw []byte, a Applier) (*ReplayStats, error) {

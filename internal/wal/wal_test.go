@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -57,7 +58,7 @@ func mustCreate(t *testing.T, path string, states []TableState, p SyncPolicy) *L
 
 func TestRoundTrip(t *testing.T) {
 	path := logPath(t)
-	states := []TableState{{Name: "T", Pages: 3}, {Name: "U", Pages: 0}}
+	states := []TableState{{Name: "T", Pages: 3, Deleted: 5}, {Name: "U", Pages: 0}}
 	l := mustCreate(t, path, states, Grouped())
 
 	b := l.NewBatch()
@@ -258,7 +259,7 @@ func TestCheckpointTruncatesAndReleasesWaiters(t *testing.T) {
 		}
 	}
 	before := l.Size()
-	newStates := []TableState{{Name: "T", Pages: 4}}
+	newStates := []TableState{{Name: "T", Pages: 4, Deleted: 2}}
 	if err := l.Checkpoint(newStates); err != nil {
 		t.Fatalf("Checkpoint: %v", err)
 	}
@@ -274,8 +275,38 @@ func TestCheckpointTruncatesAndReleasesWaiters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Statements != 0 || len(st.Header) != 1 || st.Header[0].Pages != 4 {
+	if st.Statements != 0 || len(st.Header) != 1 || st.Header[0] != newStates[0] {
 		t.Fatalf("post-checkpoint stats = %+v", st)
+	}
+	if states, err := ReadHeader(path); err != nil || len(states) != 1 || states[0] != newStates[0] {
+		t.Fatalf("ReadHeader = %+v, %v", states, err)
+	}
+}
+
+// TestOlderLogFormatIsRefused: a log whose header is version 1, written
+// before the heap pages held their own delete marks, is refused with an
+// error that says so rather than replayed over pages of another layout.
+func TestOlderLogFormatIsRefused(t *testing.T) {
+	path := logPath(t)
+	l := mustCreate(t, path, []TableState{{Name: "T", Pages: 1}}, Grouped())
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	copy(raw, "SWAL1\n")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, read := range []func() error{
+		func() error { _, err := ReadHeader(path); return err },
+		func() error { _, err := Replay(path, &memApplier{}); return err },
+	} {
+		if err := read(); err == nil || !strings.Contains(err.Error(), "older version") {
+			t.Fatalf("version-1 log: %v, want an error naming an older version", err)
+		}
 	}
 }
 

@@ -206,8 +206,8 @@ type TraceNode = obs.TraceNode
 // Dir returns the database directory.
 func (db *DB) Dir() string { return db.eng.Dir() }
 
-// Close flushes and closes every table, persisting delete vectors. Close
-// is idempotent: a second call is a no-op. Close blocks until open cursors
+// Close flushes and closes every table, persisting its heap pages and SMAs.
+// Close is idempotent: a second call is a no-op. Close blocks until open cursors
 // release their read locks.
 func (db *DB) Close() error { return db.eng.Close() }
 
@@ -291,13 +291,12 @@ type CorruptPage = engine.CorruptPage
 
 // IsCorrupt reports whether err (or anything it wraps) is a checksum
 // failure: of a heap page — the typed error a query returns when it needed
-// a quarantined page — or of the catalog, an SMA-file or a delete vector,
-// which Open returns when it cannot rebuild the damaged file from the heap.
+// a quarantined page — or of the catalog or an SMA-file, which Open returns
+// when it cannot rebuild the damaged file from the heap.
 func IsCorrupt(err error) bool { return storage.IsCorrupt(err) }
 
 // Scrub runs one verification pass now: every heap page checksum is
-// verified, and the catalog and every delete vector and SMA-file read
-// back. Corrupt pages are quarantined and degrade the database; the report
+// verified, and the catalog and every SMA-file read back. Corrupt pages are quarantined and degrade the database; the report
 // lists everything found.
 func (db *DB) Scrub(ctx context.Context) (*ScrubReport, error) { return db.eng.Scrub(ctx) }
 
