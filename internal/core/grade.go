@@ -323,145 +323,197 @@ func loadBounds[T int32 | int64 | float64](vals []T, m uint64, upper bool, out *
 // Grade classifies bucket b against predicate p: the one-bucket case of
 // GradeAll.
 func (g *Grader) Grade(b int, p pred.Predicate) Grade {
-	var out [1]Grade
-	g.gradeRange(p, b, out[:], nil)
-	return out[0]
+	var out [1]Run
+	return g.gradeRuns(p, b, b+1, out[:0])[0].Grade
 }
 
-// GradeAll grades every bucket and returns the slice of grades.
-func (g *Grader) GradeAll(p pred.Predicate) []Grade {
-	out := make([]Grade, g.numBuckets)
-	g.gradeRange(p, 0, out, nil)
+// Run is a stretch of consecutive buckets [Lo, Hi) that share one grade.
+// Bucket numbers are 32-bit: a run list is the one grading structure a
+// statement allocates, and it stays half the size.
+type Run struct {
+	Lo, Hi int32
+	Grade  Grade
+}
+
+// Len returns the number of buckets in the run.
+func (r Run) Len() int { return int(r.Hi - r.Lo) }
+
+// addRun appends buckets [lo, hi) graded gr to runs, extending the last
+// run instead when it ends at lo with the same grade. An empty stretch adds
+// nothing.
+func addRun(runs []Run, lo, hi int, gr Grade) []Run {
+	if lo >= hi {
+		return runs
+	}
+	if n := len(runs); n > 0 && int(runs[n-1].Hi) == lo && runs[n-1].Grade == gr {
+		runs[n-1].Hi = int32(hi)
+		return runs
+	}
+	return append(runs, Run{Lo: int32(lo), Hi: int32(hi), Grade: gr})
+}
+
+// RunsOf folds per-bucket grades into runs: grades[i] is the grade of
+// bucket buckets[i], or of bucket i when buckets is nil. The buckets must
+// ascend; a gap between them is a gap between runs.
+func RunsOf(buckets []int, grades []Grade) []Run {
+	var out []Run
+	for i := 0; i < len(grades); {
+		lo := i
+		if buckets != nil {
+			lo = buckets[i]
+		}
+		j := i + 1
+		for j < len(grades) && grades[j] == grades[i] && (buckets == nil || buckets[j] == lo+j-i) {
+			j++
+		}
+		out = append(out, Run{Lo: int32(lo), Hi: int32(lo + j - i), Grade: grades[i]})
+		i = j
+	}
 	return out
 }
 
-// gradeRange grades the len(out) buckets from lo on against p. Each atom
-// is resolved to its SMAs once and graded over the whole range; And, Or
-// and Not combine their operands' vectors element-wise with the §3.1
-// partition algebra. It never errs toward Qualifies/Disqualifies: anything
-// it cannot decide contributes Ambivalent. A non-nil need marks the buckets
-// whose grade the caller will use: a sibling operand has already settled
-// the others, so they may be left at whatever the min/max SMAs say.
-func (g *Grader) gradeRange(p pred.Predicate, lo int, out []Grade, need []bool) {
+// GradeAll grades every bucket the grader's SMAs cover and returns the run
+// list: sorted, maximal (no two adjacent runs share a grade) and covering
+// [0, NumBuckets()) without a gap.
+func (g *Grader) GradeAll(p pred.Predicate) []Run {
+	return g.gradeRuns(p, 0, g.numBuckets, nil)
+}
+
+// RunsFor grades the nb buckets of a relation against p: GradeAll cut or
+// extended to nb buckets, where the stretch the SMAs do not cover is one
+// Ambivalent run — missing information degrades to inspection, never to a
+// wrong skip. A nil predicate qualifies every bucket.
+func (g *Grader) RunsFor(p pred.Predicate, nb int) []Run {
+	if p == nil {
+		return addRun(nil, 0, nb, Qualifies)
+	}
+	n := min(g.numBuckets, nb)
+	return addRun(g.gradeRuns(p, 0, n, nil), n, nb, Ambivalent)
+}
+
+// gradeRuns grades buckets [lo, hi) against p into the run list it returns,
+// reusing out's array. Each atom is resolved to its SMAs once and graded
+// over the whole stretch; Not flips its operand's runs, and And and Or
+// merge their operands' run lists with the §3.1 partition algebra. It never
+// errs toward Qualifies/Disqualifies: anything it cannot decide contributes
+// Ambivalent.
+func (g *Grader) gradeRuns(p pred.Predicate, lo, hi int, out []Run) []Run {
+	out = out[:0]
 	switch q := p.(type) {
 	case *pred.Atom:
-		g.gradeAtomRange(q, lo, out, need)
+		return g.gradeAtomRuns(q, lo, hi, out)
 	case *pred.And:
-		g.combineRange(q.Kids, true, lo, out, need)
+		return g.combineRuns(q.Kids, true, lo, hi, out)
 	case *pred.Or:
-		g.combineRange(q.Kids, false, lo, out, need)
+		return g.combineRuns(q.Kids, false, lo, hi, out)
 	case *pred.Not:
-		g.gradeRange(q.Kid, lo, out, need)
-		for i, k := range out {
-			out[i] = k.not()
+		out = g.gradeRuns(q.Kid, lo, hi, out)
+		for i := range out {
+			out[i].Grade = out[i].Grade.not()
 		}
+		return out
 	case pred.True, *pred.True:
-		fill(out, Qualifies)
+		return addRun(out, lo, hi, Qualifies)
 	default:
-		fill(out, Ambivalent)
+		return addRun(out, lo, hi, Ambivalent)
 	}
 }
 
-// combineRange grades a conjunction (conj) or disjunction of kids into out.
-// A bucket one operand disqualifies (conj) or qualifies (disjunction) is
-// settled whatever the later operands say — the per-bucket short-circuit —
-// so where value-count SMAs make an atom cost a walk over all their
-// SMA-files per bucket, later kids are asked only for the unsettled ones.
-func (g *Grader) combineRange(kids []pred.Predicate, conj bool, lo int, out []Grade, need []bool) {
-	settled := Qualifies
+// combineRuns grades a conjunction (conj) or disjunction of kids over
+// [lo, hi). A bucket one operand disqualifies (conj) or qualifies
+// (disjunction) is settled whatever the later operands say — the
+// per-bucket short-circuit — so where value-count SMAs make an atom cost a
+// walk over all their SMA-files per bucket, later kids are graded only over
+// the runs still open. Without them a kid is graded over the whole stretch
+// at once and its runs are merged.
+func (g *Grader) combineRuns(kids []pred.Predicate, conj bool, lo, hi int, out []Run) []Run {
+	settled, op := Qualifies, Grade.or
 	if conj {
-		settled = Disqualifies
+		settled, op = Disqualifies, Grade.and
 	}
 	if len(kids) == 0 {
 		// The empty conjunction holds everywhere, the empty disjunction nowhere.
-		fill(out, settled.not())
-		return
+		return addRun(out, lo, hi, settled.not())
 	}
-	g.gradeRange(kids[0], lo, out, need)
-	if len(kids) == 1 {
-		return
-	}
-	kid := make([]Grade, len(out))
-	var open []bool
-	if len(g.counts) > 0 {
-		open = make([]bool, len(out))
-	}
+	acc := g.gradeRuns(kids[0], lo, hi, out)
+	var kid, next []Run
+	perRun := len(g.counts) > 0
 	for _, k := range kids[1:] {
-		if open != nil {
-			left := false
-			for i, h := range out {
-				open[i] = h != settled && (need == nil || need[i])
-				left = left || open[i]
+		if len(acc) == 1 && acc[0].Grade == settled {
+			break
+		}
+		if !perRun {
+			kid = g.gradeRuns(k, lo, hi, kid)
+		}
+		next = next[:0]
+		j := 0 // kid[:j] end at or before the current run
+		for _, r := range acc {
+			if r.Grade == settled {
+				next = addRun(next, int(r.Lo), int(r.Hi), settled)
+				continue
 			}
-			if !left {
-				return
+			if perRun {
+				kid, j = g.gradeRuns(k, int(r.Lo), int(r.Hi), kid), 0
+			}
+			for j < len(kid) && kid[j].Hi <= r.Lo {
+				j++
+			}
+			for i := j; i < len(kid) && kid[i].Lo < r.Hi; i++ {
+				next = addRun(next, int(max(kid[i].Lo, r.Lo)), int(min(kid[i].Hi, r.Hi)), op(r.Grade, kid[i].Grade))
 			}
 		}
-		g.gradeRange(k, lo, kid, open)
-		for i, h := range kid {
-			if conj {
-				out[i] = out[i].and(h)
-			} else {
-				out[i] = out[i].or(h)
-			}
-		}
+		acc, next = next, acc
 	}
+	return acc
 }
 
-func fill(out []Grade, g Grade) {
-	for i := range out {
-		out[i] = g
-	}
-}
-
-// gradeAtomRange grades one atomic comparison over the buckets starting at
-// lo, a presence word at a time, preferring min/max SMAs and falling back
-// to a count-group-by-A SMA where min/max information is absent or
-// indecisive and the bucket's grade is needed.
+// gradeAtomRuns grades one atomic comparison over buckets [lo, hi), a
+// presence word at a time, preferring min/max SMAs and falling back to a
+// count-group-by-A SMA where min/max information is absent or indecisive.
 //
 // A comparison with a constant first grades a whole presence word by its
 // level-2 bounds, when every bucket of the word has a min and a max entry.
 // Each bucket's [min, max] lies within the word's (the min and the max SMA
 // fold the same rows, so no bucket's min exceeds its max), so a word the
-// bounds qualify or disqualify gives each of its buckets the grade the
-// bucket's own bounds give it; an undecided word is graded bucket by bucket.
-func (g *Grader) gradeAtomRange(a *pred.Atom, lo int, out []Grade, need []bool) {
+// bounds qualify or disqualify is one run with the grade each of its
+// buckets' own bounds give it; an undecided word is graded bucket by
+// bucket, and its grades fold into runs as they are produced.
+func (g *Grader) gradeAtomRuns(a *pred.Atom, lo, hi int, out []Run) []Run {
 	minA, maxA := g.mins[a.Col], g.maxs[a.Col]
 	minB, maxB := g.mins[a.RightCol], g.maxs[a.RightCol]
 	counts := g.counts[a.Col]
 	var mnA, mxA, mnB, mxB bounds
-	for len(out) > 0 {
-		n := min(len(out), 64-lo&63)
+	for lo < hi {
+		n := min(hi-lo, 64-lo&63)
 		var word Grade // the grade of the whole presence word, if it has one
 		if n == blockLen && a.RightCol == "" {
 			word = gradeBlock(minA, maxA, lo/blockLen, a.Op, a.Value)
 		}
 		switch {
 		case word != Ambivalent:
-			fill(out[:n], word)
+			out = addRun(out, lo, lo+n, word)
 		case a.RightCol != "":
 			minA.wordBounds(false, lo, n, &mnA)
 			maxA.wordBounds(true, lo, n, &mxA)
 			minB.wordBounds(false, lo, n, &mnB)
 			maxB.wordBounds(true, lo, n, &mxB)
-			for i := range out[:n] {
-				out[i] = gradeColCol(mnA.at(i), mxA.at(i), mnB.at(i), mxB.at(i), a.Op)
+			for i := range n {
+				out = addRun(out, lo+i, lo+i+1, gradeColCol(mnA.at(i), mxA.at(i), mnB.at(i), mxB.at(i), a.Op))
 			}
 		default:
 			minA.wordBounds(false, lo, n, &mnA)
 			maxA.wordBounds(true, lo, n, &mxA)
-			for i := range out[:n] {
-				out[i] = gradeConst(mnA.at(i), mxA.at(i), a.Op, a.Value)
-				if out[i] == Ambivalent && counts != nil && (need == nil || need[i]) {
-					out[i] = gradeByValueCounts(counts, lo+i, a.Op, a.Value)
+			for i := range n {
+				gr := gradeConst(mnA.at(i), mxA.at(i), a.Op, a.Value)
+				if gr == Ambivalent && counts != nil {
+					gr = gradeByValueCounts(counts, lo+i, a.Op, a.Value)
 				}
+				out = addRun(out, lo+i, lo+i+1, gr)
 			}
 		}
-		lo, out = lo+n, out[n:]
-		if need != nil {
-			need = need[n:]
-		}
+		lo += n
 	}
+	return out
 }
 
 // gradeBlock grades presence word k against A op c by the level-2 bounds
@@ -517,18 +569,6 @@ func gradeByValueCounts(s *SMA, b int, op pred.CmpOp, c float64) Grade {
 	return Disqualifies
 }
 
-// PadGrades cuts or extends a whole-vector grading pass to nb buckets. A
-// bucket beyond the vector — one the SMAs do not cover — is Ambivalent:
-// missing information degrades to inspection, never to a wrong skip.
-func PadGrades(grades []Grade, nb int) []Grade {
-	if len(grades) >= nb {
-		return grades[:nb]
-	}
-	out := make([]Grade, nb) // the zero Grade is Ambivalent
-	copy(out, grades)
-	return out
-}
-
 // GradeCounts summarizes a grading pass; the planner uses it for the
 // breakeven decision (Fig. 5: SMAs stop paying off at ≈25% ambivalent
 // buckets).
@@ -549,17 +589,17 @@ func (c GradeCounts) AmbivalentFrac() float64 {
 	return float64(c.Ambivalent) / float64(c.Total())
 }
 
-// CountGrades tallies a grade slice.
-func CountGrades(grades []Grade) GradeCounts {
+// CountGrades sums the lengths of a run list's runs by grade.
+func CountGrades(runs []Run) GradeCounts {
 	var c GradeCounts
-	for _, g := range grades {
-		switch g {
+	for _, r := range runs {
+		switch n := r.Len(); r.Grade {
 		case Qualifies:
-			c.Qualifying++
+			c.Qualifying += n
 		case Disqualifies:
-			c.Disqualifying++
+			c.Disqualifying += n
 		default:
-			c.Ambivalent++
+			c.Ambivalent += n
 		}
 	}
 	return c

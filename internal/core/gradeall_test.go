@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"sma/internal/core"
@@ -59,13 +60,16 @@ func fuzzPred(data *[]byte, depth int) pred.Predicate {
 // FuzzGradeAll checks the grader against the tuples themselves, for fuzzed
 // bucket contents, predicate trees and sets of available SMAs:
 //
-//   - GradeAll(p)[b] == Grade(b, p) for every bucket (the whole-vector pass
-//     and the one-bucket case are the same function, although only the
-//     former grades a whole presence word by its level-2 summary);
+//   - GradeAll(p) is a run list: sorted, maximal (no two adjacent runs
+//     share a grade) and covering every bucket without a gap, and RunsFor
+//     cuts it or extends it with one Ambivalent run;
+//   - every bucket's run grade is Grade(b, p) (the run pass and the
+//     one-bucket case are the same function, although only the former
+//     grades a whole presence word by its level-2 summary);
 //   - soundness (§3.1): a disqualified bucket holds no tuple satisfying p,
 //     a qualified bucket only tuples satisfying it.
 //
-// Both hold after the build, again after rows are appended, after a bucket
+// All hold after the build, again after rows are appended, after a bucket
 // in the middle is updated and refolded and after one is emptied, so a
 // summary that missed a change shows as a grade of its own.
 //
@@ -76,9 +80,11 @@ func fuzzPred(data *[]byte, depth int) pred.Predicate {
 //
 // A NaN that is not the first value of its bucket does not reach the
 // bucket's min or max entry, so the min/max rules can grade a bucket that
-// holds one Qualifies for a comparison NaN fails. Soundness is therefore
-// checked on the buckets without NaN; the agreement of the two gradings is
-// checked on all of them.
+// holds one Qualifies for a comparison NaN fails. The engine refuses NaN at
+// every write (INSERT, Table.Append and UPDATE), so no table holds one;
+// this heap is written below the engine, and soundness is checked on the
+// buckets without NaN, while the agreement of the two gradings is checked
+// on all of them.
 func FuzzGradeAll(f *testing.F) {
 	// Seeds: the data shape and predicates of TestQuickGradeSoundness
 	// (clustered A, noisy B; random trees over both), more than 64 buckets
@@ -178,11 +184,18 @@ func FuzzGradeAll(f *testing.F) {
 		check := func(when string) {
 			t.Helper()
 			g := core.NewGrader(smas...)
-			all := g.GradeAll(p)
-			if len(smas) > 0 && len(all) != h.NumBuckets() {
-				t.Fatalf("%s: GradeAll returned %d grades for %d buckets", when, len(all), h.NumBuckets())
+			nb := g.NumBuckets()
+			if len(smas) > 0 && nb != h.NumBuckets() {
+				t.Fatalf("%s: the grader covers %d buckets of %d", when, nb, h.NumBuckets())
 			}
-			for b, grade := range all {
+			grades := runGrades(t, g.GradeAll(p), nb)
+			for _, n := range []int{nb / 2, nb + 2} {
+				want := append(grades[:min(n, nb):min(n, nb)], make([]core.Grade, max(0, n-nb))...) // the zero Grade is Ambivalent
+				if got := runGrades(t, g.RunsFor(p, n), n); !slices.Equal(got, want) {
+					t.Fatalf("%s: RunsFor(%d) grades %v, want %v", when, n, got, want)
+				}
+			}
+			for b, grade := range grades {
 				if one := g.Grade(b, p); one != grade {
 					t.Fatalf("%s: bucket %d: GradeAll says %s, Grade says %s, for %s", when, b, grade, one, p)
 				}
@@ -252,6 +265,29 @@ func FuzzGradeAll(f *testing.F) {
 	})
 }
 
+// runGrades checks that runs is a run list over buckets [0, nb) — sorted,
+// maximal and covering every bucket without a gap — and returns its grades
+// a bucket at a time.
+func runGrades(t *testing.T, runs []core.Run, nb int) []core.Grade {
+	t.Helper()
+	out := make([]core.Grade, 0, nb)
+	for i, r := range runs {
+		if int(r.Lo) != len(out) || r.Hi <= r.Lo {
+			t.Fatalf("run %d is [%d, %d) after %d buckets: %v", i, r.Lo, r.Hi, len(out), runs)
+		}
+		if i > 0 && runs[i-1].Grade == r.Grade {
+			t.Fatalf("runs %d and %d are both %s: not maximal: %v", i-1, i, r.Grade, runs)
+		}
+		for range r.Len() {
+			out = append(out, r.Grade)
+		}
+	}
+	if len(out) != nb {
+		t.Fatalf("runs cover %d of %d buckets: %v", len(out), nb, runs)
+	}
+	return out
+}
+
 // BenchmarkGradeAll times one grading pass over 4 096 one-page buckets of
 // sorted dates. minmax is the Query 1 shape: a date cutoff graded against
 // ungrouped min and max SMAs (one ambivalent bucket at the cutoff).
@@ -299,4 +335,4 @@ func BenchmarkGradeAll(b *testing.B) {
 		core.GradeCounts{Disqualifying: 4095, Ambivalent: 1})
 }
 
-var gradeSink []core.Grade
+var gradeSink []core.Run

@@ -150,10 +150,13 @@ func TestQuickTwoLevelEquivalence(t *testing.T) {
 //   - soundness (§3.1) against the tuples: a disqualified bucket holds no
 //     tuple satisfying the atom, a qualified bucket only tuples satisfying
 //     it;
-//   - GradeAtom equals the flat Grader.Grade on every bucket with a present
-//     SMA entry. A bucket whose rows are all deleted has none: the flat
-//     grader leaves it ambivalent, while a decided level-2 run decides it
-//     too, which is sound because it holds no tuple.
+//   - the flat Grader.GradeAll is a run list over every bucket (sorted,
+//     maximal, without a gap) whose run grade is Grader.Grade on every
+//     bucket, as FuzzGradeAll checks it;
+//   - GradeAtom equals that run grade on every bucket with a present SMA
+//     entry. A bucket whose rows are all deleted has none: the flat grader
+//     leaves it ambivalent, while a decided level-2 run decides it too,
+//     which is sound because it holds no tuple.
 //
 // Rows are (value, deleted) byte pairs, four to a bucket; a pair whose
 // second byte is odd is deleted after loading, so some buckets empty out.
@@ -211,9 +214,13 @@ func FuzzTwoLevelGrade(f *testing.F) {
 			t.Fatal(err)
 		}
 		flat := core.NewGrader(mn, mx)
+		runs := runGrades(t, flat.GradeAll(atom), tl.NumBuckets())
 		for b, grade := range grades {
+			if one := flat.Grade(b, atom); one != runs[b] {
+				t.Fatalf("bucket %d: flat GradeAll says %s, Grade says %s, for %s", b, runs[b], one, atom)
+			}
 			if _, present := mn.BucketMin(b); present {
-				if want := flat.Grade(b, atom); grade != want {
+				if want := runs[b]; grade != want {
 					t.Fatalf("bucket %d of %d, fanout %d: two-level %s, flat %s, for %s",
 						b, len(grades), tl.Fanout, grade, want, atom)
 				}

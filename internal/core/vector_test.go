@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -166,13 +167,23 @@ func TestParseAggKind(t *testing.T) {
 	}
 }
 
-// TestGradeCounts checks the tally helper.
+// TestGradeCounts checks the run list helpers and the tally: per-bucket
+// grades fold into maximal runs, a gap in the buckets ends a run, and the
+// counts are run-length sums.
 func TestGradeCounts(t *testing.T) {
-	c := CountGrades([]Grade{Qualifies, Ambivalent, Disqualifies, Ambivalent})
-	if c.Qualifying != 1 || c.Disqualifying != 1 || c.Ambivalent != 2 {
+	runs := RunsOf(nil, []Grade{Qualifies, Ambivalent, Ambivalent, Disqualifies, Ambivalent})
+	want := []Run{{0, 1, Qualifies}, {1, 3, Ambivalent}, {3, 4, Disqualifies}, {4, 5, Ambivalent}}
+	if !slices.Equal(runs, want) {
+		t.Errorf("RunsOf = %v, want %v", runs, want)
+	}
+	if got := RunsOf([]int{2, 3, 5}, []Grade{Qualifies, Qualifies, Qualifies}); !slices.Equal(got, []Run{{2, 4, Qualifies}, {5, 6, Qualifies}}) {
+		t.Errorf("RunsOf over a gap = %v", got)
+	}
+	c := CountGrades(runs)
+	if c.Qualifying != 1 || c.Disqualifying != 1 || c.Ambivalent != 3 {
 		t.Errorf("counts = %+v", c)
 	}
-	if c.Total() != 4 || c.AmbivalentFrac() != 0.5 {
+	if c.Total() != 5 || c.AmbivalentFrac() != 0.6 {
 		t.Errorf("derived = %d / %g", c.Total(), c.AmbivalentFrac())
 	}
 	var zero GradeCounts

@@ -38,7 +38,7 @@ func TestEngineDeleteMaintainsSMAs(t *testing.T) {
 	}
 }
 
-// TestEngineDeletePersistence: the delete vector survives reopen.
+// TestEngineDeletePersistence: delete marks survive reopen.
 func TestEngineDeletePersistence(t *testing.T) {
 	dir := t.TempDir()
 	db, tbl := openSales(t, dir)

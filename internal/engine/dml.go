@@ -70,9 +70,12 @@ func (db *DB) insertInto(ctx context.Context, s *parser.InsertStmt) (int64, comm
 // appendRows appends the packed records recs to t as one statement, a page
 // run at a time, checking the context before each run; any error rolls the
 // statement back. It is the one append path: INSERT and Table.Append both
-// run it. It returns the first record's position and the statement's
-// commit. Callers hold db.mu.
+// run it, and it refuses a NaN before touching the table. It returns the
+// first record's position and the statement's commit. Callers hold db.mu.
 func (db *DB) appendRows(ctx context.Context, t *Table, recs []byte) (storage.RID, commit, error) {
+	if err := refuseNaN(t.Schema, recs); err != nil {
+		return storage.RID{}, commit{}, err
+	}
 	j, err := db.beginStmt(t)
 	if err != nil {
 		return storage.RID{}, commit{}, err
@@ -99,6 +102,30 @@ func (db *DB) appendRows(ctx context.Context, t *Table, recs []byte) (storage.RI
 		return storage.RID{}, commit{}, err
 	}
 	return first, c, nil
+}
+
+// refuseNaN returns an error naming the first float64 column that holds a
+// NaN in the packed records recs. No comparison with a NaN holds, so a NaN
+// never becomes its bucket's min or max entry, and the bucket could be
+// graded qualifying for a predicate the NaN fails: no write may store one.
+func refuseNaN(s *tuple.Schema, recs []byte) error {
+	rs := s.RecordSize()
+	for i := 0; i < s.NumColumns(); i++ {
+		if s.Column(i).Type != tuple.TFloat64 {
+			continue
+		}
+		for r := 0; r < len(recs); r += rs {
+			if v := (tuple.Tuple{Schema: s, Data: recs[r : r+rs]}).Float64(i); v != v {
+				return errNaN(s.Column(i).Name)
+			}
+		}
+	}
+	return nil
+}
+
+// errNaN is the error of a write that would store a NaN in column col.
+func errNaN(col string) error {
+	return fmt.Errorf("engine: column %s cannot hold NaN", col)
 }
 
 // insertColumnOrder maps the statement's column list (or the schema order
@@ -400,7 +427,8 @@ func compileSets(s *tuple.Schema, sets []parser.SetClause) (*setList, error) {
 
 // apply turns the packed old images in recs into the new ones, in place:
 // the clauses in order, record by record, every expression evaluated
-// against the old image.
+// against the old image. A value outside an integer or date column's
+// range, or a NaN in any column, fails the statement.
 func (l *setList) apply(recs []byte) error {
 	rs := l.schema.RecordSize()
 	n := len(recs) / rs
@@ -418,6 +446,9 @@ func (l *setList) apply(recs []byte) error {
 			}
 			if (c.lo != 0 || c.hiExcl != 0) && (math.IsNaN(v) || v < c.lo || v >= c.hiExcl) {
 				return fmt.Errorf("engine: value %g out of range for column %s", v, l.schema.Column(c.col).Name)
+			}
+			if math.IsNaN(v) {
+				return errNaN(l.schema.Column(c.col).Name)
 			}
 			dst.SetNumeric(c.col, v)
 		}

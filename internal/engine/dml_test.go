@@ -153,6 +153,56 @@ func TestInsertColumnListAndErrors(t *testing.T) {
 	}
 }
 
+// TestNaNIsRefusedAtEveryWrite: no write stores a NaN in a float column,
+// so no bucket's min or max entry can miss one. Table.Append (the append
+// path INSERT shares) and UPDATE refuse it with an error naming the column
+// and leave the table as it was; an INSERT cannot spell a NaN at all.
+func TestNaNIsRefusedAtEveryWrite(t *testing.T) {
+	db := openEvents(t)
+	exec(t, db, `insert into EVENTS values
+		(date '2024-01-01', 'B', 2.5, 1, 'p'),
+		(date '2024-01-02', 'A', 0, 2, 'p')`)
+	exec(t, db, "define sma vmin select min(VALUE) from EVENTS")
+	exec(t, db, "define sma vmax select max(VALUE) from EVENTS")
+	unchanged := func(what string) {
+		t.Helper()
+		verifyAll(t, db, "EVENTS")
+		if row := queryOne(t, db, "select count(*), sum(VALUE), min(VALUE) from EVENTS"); strings.Join(row, " ") != "2 2.5000 0" {
+			t.Errorf("%s: the table changed: %v", what, row)
+		}
+	}
+
+	tbl, err := db.Table("EVENTS")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tp := tuple.NewTuple(tbl.Schema)
+	tp.SetInt32(0, tuple.MustParseDate("2024-01-03"))
+	tp.SetChar(1, "C")
+	tp.SetFloat64(2, math.NaN())
+	if _, err := tbl.Append(tp); err == nil || !strings.Contains(err.Error(), "VALUE") {
+		t.Errorf("Table.Append of a NaN: err = %v, want one naming VALUE", err)
+	}
+	unchanged("Table.Append")
+
+	for _, bad := range []string{
+		"insert into EVENTS values (date '2024-01-03', 'C', nan, 3, 'p')",
+		"insert into EVENTS values (date '2024-01-03', 'C', 'NaN', 3, 'p')",
+	} {
+		if _, err := db.ExecContext(context.Background(), bad); err == nil {
+			t.Errorf("%s: no error", bad)
+		}
+	}
+	unchanged("INSERT")
+
+	// 0/0 is NaN in the second row, after the first has been rewritten.
+	_, err = db.ExecContext(context.Background(), "update EVENTS set VALUE = VALUE / VALUE")
+	if err == nil || !strings.Contains(err.Error(), "VALUE") || !strings.Contains(err.Error(), "NaN") {
+		t.Errorf("UPDATE to a NaN: err = %v, want one naming VALUE and NaN", err)
+	}
+	unchanged("UPDATE")
+}
+
 // TestUpdateMovesBoundaryValue: updating the tuple that carries a bucket's
 // min (or max) leaves the statement-end refold to re-derive the next-best
 // value from the bucket.

@@ -155,18 +155,13 @@ func (db *DB) smaAttribution(key string, plan *planner.Plan) []stats.SMAUse {
 	}
 	uses = make([]stats.SMAUse, 0, len(plan.SelSMAs))
 	for _, s := range plan.SelSMAs {
-		grades := core.NewGrader(s).GradeAll(plan.Query.Where)
-		var disq int64
-		for _, gr := range grades {
-			if gr == core.Disqualifies {
-				disq++
-			}
-		}
+		runs := core.NewGrader(s).GradeAll(plan.Query.Where)
+		disq := int64(core.CountGrades(runs).Disqualifying)
 		// A short last bucket saves only the pages it has.
 		bp := int64(plan.Heap.BucketPages)
 		pages := disq * bp
-		if n := len(grades); n > 0 && grades[n-1] == core.Disqualifies {
-			first, last := plan.Heap.BucketRange(n - 1)
+		if n := len(runs); n > 0 && runs[n-1].Grade == core.Disqualifies {
+			first, last := plan.Heap.BucketRange(int(runs[n-1].Hi) - 1)
 			pages -= bp - int64(last-first) - 1
 		}
 		if plan.Strategy == planner.StrategyFullScan {

@@ -47,7 +47,7 @@ func (s *BatchTableScan) Open() error {
 	}
 	pages := storage.PageSpan{First: s.StartPage, Last: end - 1}
 	return s.open(s.H, s.Ctx, s.Pred, s.Opts, surviving, func(runs []run) []run {
-		return append(runs, run{grade: core.Ambivalent, pages: pages})
+		return append(runs, run{Run: core.Run{Grade: core.Ambivalent}, pages: pages})
 	})
 }
 
@@ -66,10 +66,13 @@ type BatchSMAScan struct {
 	Grader *core.Grader
 	// Ctx, when set, is checked before every page read.
 	Ctx context.Context
-	// Buckets, when non-nil, restricts the scan to the given ascending
-	// bucket numbers (one partition of the parallel subsystem); Grades,
-	// when non-nil, runs parallel to Buckets (or to all buckets) and
-	// carries pre-computed grades, saving the grading pass in Open.
+	// Runs, when non-nil, are the graded runs the scan covers, in bucket
+	// order: the planner's grading pass, or one partition of the parallel
+	// subsystem (which may have gaps). Buckets and Grades are the same input
+	// a bucket at a time, Grades[i] grading bucket Buckets[i] (bucket i when
+	// Buckets is nil); they are read when Runs is nil, and without Grades
+	// Open grades the buckets listed, or every bucket.
+	Runs    []core.Run
 	Buckets []int
 	Grades  []core.Grade
 	// RIDs makes every batch carry the heap position of each record
@@ -81,46 +84,18 @@ type BatchSMAScan struct {
 	runScan
 }
 
-// GradeBuckets returns one grade per scan position — the buckets listed in
-// buckets, or buckets 0..nb-1 when it is nil — from a single GradeAll pass
-// over the grader's SMA vectors. A nil predicate qualifies every bucket; a
-// bucket the SMAs do not cover is Ambivalent (core.PadGrades).
-func GradeBuckets(g *core.Grader, p pred.Predicate, buckets []int, nb int) []core.Grade {
-	if buckets != nil {
-		nb = len(buckets)
-	}
-	if p == nil {
-		out := make([]core.Grade, nb)
-		for i := range out {
-			out[i] = core.Qualifies
-		}
-		return out
-	}
-	all := g.GradeAll(p)
-	if buckets == nil {
-		return core.PadGrades(all, nb)
-	}
-	out := make([]core.Grade, nb)
-	for i, b := range buckets {
-		if b < len(all) {
-			out[i] = all[b]
-		}
-	}
-	return out
-}
-
 // NewBatchSMAScan creates the operator. grader must cover the heap's
-// buckets unless pre-computed Grades are supplied.
+// buckets unless pre-computed Runs are supplied.
 func NewBatchSMAScan(h *storage.HeapFile, p pred.Predicate, grader *core.Grader, opts ExecOptions) *BatchSMAScan {
 	return &BatchSMAScan{H: h, Pred: p, Grader: grader, Opts: opts}
 }
 
 // Open binds and compiles the predicate, grades the buckets (reusing
-// pre-computed grades when given), and starts reading the runs that
+// pre-computed runs when given), and starts reading the runs that
 // survive.
 func (s *BatchSMAScan) Open() error {
 	err := s.open(s.H, s.Ctx, s.Pred, s.Opts, surviving, func(runs []run) []run {
-		return cutRuns(runs, s.H, s.Grader, s.Pred, s.Buckets, s.Grades)
+		return spanRuns(runs, s.H, gradedRuns(s.H, s.Grader, s.Pred, s.Runs, s.Buckets, s.Grades))
 	})
 	if err == nil && s.RIDs {
 		s.rids = &s.batch.rids
@@ -128,44 +103,45 @@ func (s *BatchSMAScan) Open() error {
 	return err
 }
 
-// run is a stretch of pages a scan reads under one grade: a maximal
-// sequence of equally graded buckets [lo, hi) that are consecutive on disk,
-// or a full scan's page range, which no SMA graded and which covers no
-// bucket to count.
+// run is a stretch of pages a scan reads under one grade: a graded run of
+// buckets with the pages they cover, or a full scan's page range, which no
+// SMA graded and which covers no bucket to count.
 type run struct {
-	grade  core.Grade
-	lo, hi int
-	pages  storage.PageSpan
+	core.Run
+	pages storage.PageSpan
 }
 
-// cutRuns appends to runs the run list of a scan's positions — the buckets
-// listed in buckets, or every bucket of h when it is nil: maximal runs of
-// equal grade over consecutive buckets; a bucket subset may have gaps, and
-// no run spans one. grades, when non-nil, carries the positions' grades;
-// otherwise the grader grades them.
-func cutRuns(runs []run, h *storage.HeapFile, g *core.Grader, p pred.Predicate, buckets []int, grades []core.Grade) []run {
-	nb := h.NumBuckets()
-	if buckets != nil {
-		nb = len(buckets)
-	}
-	if grades == nil {
-		grades = GradeBuckets(g, p, buckets, nb)
-	}
-	for i := 0; i < nb; {
-		lo := i
-		if buckets != nil {
-			lo = buckets[i]
+// gradedRuns returns the runs an SMA operator covers: runs when given,
+// else the listed buckets (every bucket of h when buckets is nil) with the
+// given grades, or graded against p when grades is nil, folded into runs.
+func gradedRuns(h *storage.HeapFile, g *core.Grader, p pred.Predicate, runs []core.Run, buckets []int, grades []core.Grade) []core.Run {
+	switch {
+	case runs != nil:
+		return runs
+	case grades == nil && buckets == nil:
+		return g.RunsFor(p, h.NumBuckets())
+	case grades == nil:
+		all := g.RunsFor(p, h.NumBuckets())
+		grades = make([]core.Grade, len(buckets))
+		for i, j := 0, 0; i < len(buckets); i++ {
+			for int(all[j].Hi) <= buckets[i] {
+				j++
+			}
+			grades[i] = all[j].Grade
 		}
-		j := i + 1
-		for j < nb && grades[j] == grades[i] && (buckets == nil || buckets[j] == lo+j-i) {
-			j++
-		}
-		first, _ := h.BucketRange(lo)
-		_, last := h.BucketRange(lo + j - i - 1)
-		runs = append(runs, run{grade: grades[i], lo: lo, hi: lo + j - i, pages: storage.PageSpan{First: first, Last: last}})
-		i = j
 	}
-	return runs
+	return core.RunsOf(buckets, grades)
+}
+
+// spanRuns appends graded runs to out with the pages they cover: the only
+// thing a scan adds to the grader's run list.
+func spanRuns(out []run, h *storage.HeapFile, runs []core.Run) []run {
+	for _, r := range runs {
+		first, _ := h.BucketRange(int(r.Lo))
+		_, last := h.BucketRange(int(r.Hi) - 1)
+		out = append(out, run{Run: r, pages: storage.PageSpan{First: first, Last: last}})
+	}
+	return out
 }
 
 // runScan reads the pages of a run list through one storage.PageStream
@@ -203,7 +179,7 @@ func (s *runScan) open(h *storage.HeapFile, ctx context.Context, p pred.Predicat
 	b := getBatch(h.Schema(), s.cap)
 	b.runs, b.spans = cut(b.runs[:0]), b.spans[:0]
 	for _, r := range b.runs {
-		if read(r.grade) {
+		if read(r.Grade) {
 			b.spans = append(b.spans, r.pages)
 		}
 	}
@@ -226,7 +202,7 @@ func (s *runScan) NextBatch() (*Batch, error) {
 		filtered := false
 		for b.n+per <= s.cap && s.reach() {
 			r := &s.runs[s.at]
-			needPred := s.sel != nil && r.grade != core.Qualifies
+			needPred := s.sel != nil && r.Grade != core.Qualifies
 			if b.n > 0 && needPred != filtered {
 				break // grade class changed: flush the batch first
 			}
@@ -278,12 +254,12 @@ func (s *runScan) tally(p storage.PageID) {
 	for ; s.at < len(s.runs); s.at, s.done = s.at+1, 0 {
 		r := &s.runs[s.at]
 		if p <= r.pages.Last {
-			n := min(r.hi-r.lo, max(0, s.h.BucketOf(p)+1-r.lo))
+			n := min(r.Len(), max(0, s.h.BucketOf(p)+1-int(r.Lo)))
 			s.stats.count(s.h, r, s.done, n)
 			s.done = n
 			return
 		}
-		s.stats.count(s.h, r, s.done, r.hi-r.lo)
+		s.stats.count(s.h, r, s.done, r.Len())
 	}
 }
 

@@ -387,7 +387,7 @@ func TestFoldBitIdenticalToBucketMajorReference(t *testing.T) {
 					op := NewSMAGAggr(h, newPred(), specs, gr.query, grader, aggSMAs, fx["count"])
 					op.Buckets, op.Grades, op.KeepPartials = part.buckets, part.grades, true
 					if pi == 0 {
-						op.Grades = nil // grade through GradeBuckets
+						op.Grades = nil // graded in Open
 					}
 					if err := op.Open(); err != nil {
 						t.Fatalf("%s: %v", what, err)

@@ -228,7 +228,7 @@ func (s *ScanStats) Add(o ScanStats) {
 // PagesPruned.
 func (s *ScanStats) count(h *storage.HeapFile, r *run, from, to int) {
 	n := to - from
-	switch r.grade {
+	switch r.Grade {
 	case core.Disqualifies:
 		s.Disqualifying += n
 		if n > 0 { // the run's buckets are consecutive on disk; its span ends with the file

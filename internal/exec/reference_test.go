@@ -127,27 +127,29 @@ func sameRows(t testing.TB, got, want []exec.Row, tol float64) bool {
 }
 
 // refGrades reports what a scan of h under p should count: the bucket
-// classification from the grader's own GradeAll pass and the pages of the
-// buckets it does not disqualify.
+// classification from the grader's own run list, a bucket at a time, and
+// the pages of the buckets it does not disqualify.
 func refGrades(t testing.TB, h *storage.HeapFile, g *core.Grader, p pred.Predicate) exec.ScanStats {
 	t.Helper()
 	if err := p.Bind(h.Schema()); err != nil {
 		t.Fatal(err)
 	}
 	var st exec.ScanStats
-	for b, gr := range core.PadGrades(g.GradeAll(p), h.NumBuckets()) {
-		first, last := h.BucketRange(b)
-		switch gr {
-		case core.Disqualifies:
-			st.Disqualifying++
-			st.PagesPruned += int(last-first) + 1
-			continue
-		case core.Qualifies:
-			st.Qualifying++
-		default:
-			st.Ambivalent++
+	for _, r := range g.RunsFor(p, h.NumBuckets()) {
+		for b := int(r.Lo); b < int(r.Hi); b++ {
+			first, last := h.BucketRange(b)
+			switch r.Grade {
+			case core.Disqualifies:
+				st.Disqualifying++
+				st.PagesPruned += int(last-first) + 1
+				continue
+			case core.Qualifies:
+				st.Qualifying++
+			default:
+				st.Ambivalent++
+			}
+			st.PagesRead += int(last-first) + 1
 		}
-		st.PagesRead += int(last-first) + 1
 	}
 	return st
 }

@@ -42,10 +42,9 @@ type SMAGAggr struct {
 	// before every ambivalent page read during init(), so a cancelled query
 	// aborts the aggregation pass with the context's error.
 	Ctx context.Context
-	// Buckets, when non-nil, restricts the operator to the given ascending
-	// bucket numbers (one partition of the parallel subsystem). Grades,
-	// when non-nil, runs parallel to Buckets (or to all buckets when
-	// Buckets is nil) and carries pre-computed grades, saving re-grading.
+	// Runs, Buckets and Grades are what the operator covers, as for
+	// BatchSMAScan: the graded runs, or the same a bucket at a time.
+	Runs    []core.Run
 	Buckets []int
 	Grades  []core.Grade
 	// KeepPartials makes Open keep the merge-ready per-group state instead
@@ -214,7 +213,7 @@ func (g *SMAGAggr) Open() error {
 	// touches, and the grades name them before the first access.
 	ambivalent := func(gr core.Grade) bool { return gr == core.Ambivalent }
 	if err := g.scan.open(g.H, g.Ctx, g.Pred, g.Opts, ambivalent, func(runs []run) []run {
-		return cutRuns(runs, g.H, g.Grader, g.Pred, g.Buckets, g.Grades)
+		return spanRuns(runs, g.H, gradedRuns(g.H, g.Grader, g.Pred, g.Runs, g.Buckets, g.Grades))
 	}); err != nil {
 		return err
 	}
@@ -225,11 +224,11 @@ func (g *SMAGAggr) Open() error {
 		if err := ctxErr(g.Ctx); err != nil {
 			return err
 		}
-		g.scan.stats.count(g.H, &r, 0, r.hi-r.lo)
-		switch r.grade {
+		g.scan.stats.count(g.H, &r, 0, r.Len())
+		switch r.Grade {
 		case core.Disqualifies: // "do nothing"
 		case core.Qualifies:
-			g.advanceRun(r.lo, r.hi)
+			g.advanceRun(int(r.Lo), int(r.Hi))
 		default:
 			if folder == nil {
 				if folder, err = newGroupFolder(g.schema, g.Specs, g.gx, g.groups); err != nil {

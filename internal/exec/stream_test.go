@@ -125,7 +125,7 @@ func TestPageStreamContractAcrossScanShapes(t *testing.T) {
 		cases = append(cases, streamCase{name: fmt.Sprintf("SMA_Scan/all/%d", k),
 			make: func(ctx context.Context, opts ExecOptions) streamOp {
 				s := NewBatchSMAScan(h, everything(), grader, opts)
-				s.Ctx, s.Grades = ctx, all
+				s.Ctx, s.Runs = ctx, core.RunsOf(nil, all)
 				return s
 			}, grades: all, survivors: pagesOf(nil, all, scanned)})
 
@@ -150,7 +150,7 @@ func TestPageStreamContractAcrossScanShapes(t *testing.T) {
 		cases = append(cases, streamCase{name: fmt.Sprintf("SMA_GAggr/%d", k),
 			make: func(ctx context.Context, opts ExecOptions) streamOp {
 				g := NewSMAGAggr(h, everything(), specs, []string{"G"}, grader, []*core.SMA{smas[2], smas[3]}, nil)
-				g.Ctx, g.Buckets, g.Grades, g.Opts, g.KeepPartials = ctx, aggBuckets, aggGrades, opts, true
+				g.Ctx, g.Runs, g.Opts, g.KeepPartials = ctx, core.RunsOf(aggBuckets, aggGrades), opts, true
 				return g
 			}, buckets: aggBuckets, grades: aggGrades,
 			survivors: pagesOf(aggBuckets, aggGrades, func(g core.Grade) bool { return g == core.Ambivalent })})

@@ -123,10 +123,12 @@ func RunE9(base Config, deltaDays int, fanouts []int) (E9Result, error) {
 		if err != nil {
 			return r, err
 		}
-		for b := range grades {
-			if grades[b] != flat[b] {
-				return r, fmt.Errorf("E9: hierarchical grade of bucket %d (%s) differs from flat (%s)",
-					b, grades[b], flat[b])
+		for _, run := range flat {
+			for b := int(run.Lo); b < int(run.Hi); b++ {
+				if grades[b] != run.Grade {
+					return r, fmt.Errorf("E9: hierarchical grade of bucket %d (%s) differs from flat (%s)",
+						b, grades[b], run.Grade)
+				}
 			}
 		}
 		row := E9Row{
@@ -242,7 +244,7 @@ func RunE10(base Config) (E10Result, error) {
 		}
 	}
 	scan := exec.NewBatchSMAScan(e.LineItem, residual, g, noPrefetch)
-	scan.Grades = grades
+	scan.Runs = core.RunsOf(nil, grades)
 	got, err := countTuples(scan)
 	if err != nil {
 		return r, err

@@ -48,8 +48,8 @@ const storageSuffix = "internal/storage"
 // deliberately absent.
 var ioMethods = map[string]map[string]bool{
 	"HeapFile": {
-		"ReadPageInto": true, "OpenPage": true, "PageRecords": true,
-		"Scan": true, "Get": true, "Append": true,
+		"ReadPageInto": true, "PageRecords": true,
+		"Scan": true, "Get": true, "Append": true, "AppendRun": true,
 		"Update": true, "Delete": true, "NumRecords": true,
 	},
 	"BufferPool": {"FetchPage": true, "NewPage": true},

@@ -95,11 +95,7 @@ func goodDone(ctx context.Context, h *storage.HeapFile, pages []storage.PageID) 
 			return ctx.Err()
 		default:
 		}
-		cur, err := h.OpenPage(p)
-		if err != nil {
-			return err
-		}
-		if err := cur.Close(); err != nil {
+		if _, _, err := h.ReadPageInto(p, nil); err != nil {
 			return err
 		}
 	}

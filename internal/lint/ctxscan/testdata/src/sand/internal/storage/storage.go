@@ -21,7 +21,6 @@ func (h *HeapFile) NumPages() int64                    { return h.pages }
 func (h *HeapFile) BucketRange(b int) (PageID, PageID) { return 0, 0 }
 
 func (h *HeapFile) ReadPageInto(p PageID, dst []byte) ([]byte, int, error) { return dst, 0, nil }
-func (h *HeapFile) OpenPage(p PageID) (*PageCursor, error)                 { return &PageCursor{}, nil }
 func (h *HeapFile) Delete(rid RID) (Tuple, error)                          { return Tuple{}, nil }
 func (h *HeapFile) Append(t Tuple) (RID, error)                            { return RID{}, nil }
 func (h *HeapFile) Scan(visit func(t Tuple, rid RID) error) error          { return nil }
@@ -36,11 +35,6 @@ func (h *HeapFile) scanAll(dst []byte) ([]byte, error) {
 	}
 	return dst, nil
 }
-
-type PageCursor struct{}
-
-func (c *PageCursor) Next() (Tuple, bool) { return Tuple{}, false }
-func (c *PageCursor) Close() error        { return nil }
 
 type Frame struct{}
 

@@ -33,9 +33,9 @@ const (
 )
 
 // Unit is the part of the relation one pipeline covers: a partition's
-// buckets and grades for the SMA modes, a page range for ModeScan. The zero
-// Unit is the whole relation, graded by the pipeline itself; a whole-
-// relation Unit may still carry pre-computed Grades.
+// graded runs for the SMA modes, a page range for ModeScan. The zero Unit
+// is the whole relation, graded by the pipeline itself; a whole-relation
+// Unit may still carry pre-computed Runs.
 type Unit struct {
 	Partition
 	PageRange
@@ -90,14 +90,14 @@ func (s *Source) Pipeline(u Unit, keep bool) (Fold, exec.StatsReporter) {
 	case ModeSMAGAggr:
 		op := exec.NewSMAGAggr(s.Heap, s.Pred, s.Specs, s.GroupBy, s.Grader, s.AggSMAs, s.CountSMA)
 		op.Ctx = s.Ctx
-		op.Buckets, op.Grades = u.Buckets, u.Grades
+		op.Runs = u.Runs
 		op.KeepPartials = keep
 		op.Opts = s.Exec
 		return op, op
 	case ModeSMAScan:
 		scan := exec.NewBatchSMAScan(s.Heap, s.Pred, s.Grader, s.Exec)
 		scan.Ctx = s.Ctx
-		scan.Buckets, scan.Grades = u.Buckets, u.Grades
+		scan.Runs = u.Runs
 		return gaggr(scan, s.Heap.Schema())
 	case ModeMem:
 		scan := exec.NewMemScan(s.Mem.Schema, s.Mem.Tuples, s.Pred)
@@ -132,9 +132,9 @@ type scanOp interface {
 type Agg struct {
 	Source
 
-	// Pregraded, when it covers the heap's buckets, is the grade vector the
+	// Pregraded, when it covers the heap's buckets, is the run list the
 	// planner already computed for this query; it saves the grading pass.
-	Pregraded []core.Grade
+	Pregraded []core.Run
 	// DOP is the requested degree of parallelism (values < 1 mean 1); the
 	// effective degree is capped by the surviving buckets or pages. Each
 	// worker's prefetch window is derated by the partition count so
@@ -197,8 +197,8 @@ func (a *Agg) Open() error {
 }
 
 // partition cuts the relation into the units the workers run: page ranges
-// for ModeScan; for the SMA modes the buckets are graded once and the
-// disqualifying ones dropped before dispatch.
+// for ModeScan; for the SMA modes the buckets are graded once into runs and
+// the disqualifying ones dropped before dispatch.
 func (a *Agg) partition() []Unit {
 	var units []Unit
 	if a.Mode == ModeScan {
@@ -207,18 +207,18 @@ func (a *Agg) partition() []Unit {
 		}
 		return units
 	}
-	grades := a.Pregraded
-	if len(grades) != a.Heap.NumBuckets() {
-		grades = PreGrade(a.Heap, a.Grader, a.Pred)
+	runs, nb := a.Pregraded, a.Heap.NumBuckets()
+	if len(runs) == 0 || int(runs[len(runs)-1].Hi) != nb {
+		runs = a.Grader.RunsFor(a.Pred, nb)
 	}
 	// Disqualified buckets are never dispatched; account for them here so
 	// the merged stats match a serial run.
-	for _, g := range grades {
-		if g == core.Disqualifies {
-			a.stats.Disqualifying++
+	for _, r := range runs {
+		if r.Grade == core.Disqualifies {
+			a.stats.Disqualifying += r.Len()
 		}
 	}
-	for _, p := range PartitionBuckets(a.Heap, grades, a.DOP, a.Mode == ModeSMAGAggr) {
+	for _, p := range PartitionRuns(a.Heap, runs, a.DOP, a.Mode == ModeSMAGAggr) {
 		units = append(units, Unit{Partition: p})
 	}
 	return units

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -12,6 +14,7 @@ import (
 	"sma/internal/engine"
 	"sma/internal/obs"
 	"sma/internal/parallel"
+	"sma/internal/testutil"
 	"sma/internal/tpcd"
 	"sma/internal/tuple"
 )
@@ -498,6 +501,95 @@ func TestPartitionBuckets(t *testing.T) {
 		if n > totalAmb/2 {
 			t.Errorf("smaAnswered split: partition %d holds %d of %d ambivalent buckets (page I/O not spread)",
 				i, n, totalAmb)
+		}
+	}
+}
+
+// TestPartitionRunsCutsWhereBucketsDo checks PartitionRuns against the
+// bucket-at-a-time split below, which weighs and cuts after every surviving
+// bucket: over random grade patterns, degrees and both weightings, on a
+// heap of three-page buckets whose last bucket is short, both give the same
+// buckets with the same grades, partition by partition, and the same pages.
+func TestPartitionRunsCutsWhereBucketsDo(t *testing.T) {
+	schema := testutil.PaddedFloatSchema(t, 4)
+	h := testutil.NewHeap(t, schema, 3, 256)
+	tp := tuple.NewTuple(schema)
+	for i := 0; i < 4*(3*40+2); i++ { // 40 whole buckets and one of two pages
+		if _, err := h.Append(tp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	nb := h.NumBuckets()
+	type part struct {
+		buckets []int
+		grades  []core.Grade
+		pages   int64
+	}
+	bucketAtATime := func(grades []core.Grade, dop int, smaAnswered bool) []part {
+		var total int64
+		survivors := 0
+		weight := func(b int) (pages, w int64) {
+			first, last := h.BucketRange(b)
+			pages = int64(last-first) + 1
+			if smaAnswered && grades[b] == core.Qualifies {
+				return pages, 1
+			}
+			return pages, 64 * pages
+		}
+		for b, g := range grades {
+			if g != core.Disqualifies {
+				_, w := weight(b)
+				total += w
+				survivors++
+			}
+		}
+		dop = min(dop, survivors)
+		var parts []part
+		var cur part
+		var cum int64
+		for b, g := range grades {
+			if g == core.Disqualifies {
+				continue
+			}
+			pages, w := weight(b)
+			cur.buckets, cur.grades, cur.pages = append(cur.buckets, b), append(cur.grades, g), cur.pages+pages
+			if cum += w; len(parts) < dop-1 && cum*int64(dop) >= total*int64(len(parts)+1) {
+				parts, cur = append(parts, cur), part{}
+			}
+		}
+		if len(cur.buckets) > 0 {
+			parts = append(parts, cur)
+		}
+		return parts
+	}
+	rng := rand.New(rand.NewSource(41))
+	for trial := 0; trial < 300; trial++ {
+		grades := make([]core.Grade, 0, nb)
+		for len(grades) < nb {
+			g := core.Grade(rng.Intn(3))
+			for n := 1 + rng.Intn([]int{2, 8, 30}[rng.Intn(3)]); n > 0 && len(grades) < nb; n-- {
+				grades = append(grades, g)
+			}
+		}
+		dop, smaAnswered := 1+rng.Intn(6), rng.Intn(2) == 0
+		want := bucketAtATime(grades, dop, smaAnswered)
+		var got []part
+		for _, p := range parallel.PartitionRuns(h, core.RunsOf(nil, grades), dop, smaAnswered) {
+			q := part{pages: p.Pages}
+			for _, r := range p.Runs {
+				for b := int(r.Lo); b < int(r.Hi); b++ {
+					q.buckets, q.grades = append(q.buckets, b), append(q.grades, r.Grade)
+				}
+			}
+			got = append(got, q)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("trial %d (dop %d, smaAnswered %v): %d partitions, want %d", trial, dop, smaAnswered, len(got), len(want))
+		}
+		for i := range want {
+			if !slices.Equal(got[i].buckets, want[i].buckets) || !slices.Equal(got[i].grades, want[i].grades) || got[i].pages != want[i].pages {
+				t.Fatalf("trial %d (dop %d, smaAnswered %v): partition %d is %+v, want %+v", trial, dop, smaAnswered, i, got[i], want[i])
+			}
 		}
 	}
 }

@@ -131,9 +131,10 @@ type Plan struct {
 	// that measure its time (see ScanStats and Work).
 	statsSrc exec.StatsReporter
 	workSrc  interface{ Work() exec.Work }
-	// gradeVec is the full bucket grading computed for the cost estimate;
-	// the parallel executor reuses it instead of grading again.
-	gradeVec []core.Grade
+	// runs is the grading pass computed for the cost estimate, one run list
+	// over the heap's buckets; the scan operators and the parallel
+	// executor reuse it instead of grading again.
+	runs []core.Run
 }
 
 // StrategyName renders the strategy for display. Projection plans carry
@@ -344,13 +345,13 @@ func (pl *Planner) PlanMem(q *parser.Query, rel *exec.MemRelation) (*Plan, error
 }
 
 // grade runs the grading pass — the in-memory sweep over the SMA vectors
-// the paper's plan generation hinges on — and keeps the vector, its counts
-// and its time on the plan.
+// the paper's plan generation hinges on — over the heap's buckets, and
+// keeps the runs, their counts and its time on the plan.
 func (p *Plan) grade(w pred.Predicate) {
 	start := time.Now()
-	p.gradeVec = p.Grader.GradeAll(w)
+	p.runs = p.Grader.RunsFor(w, p.Heap.NumBuckets())
 	p.GradeTime = time.Since(start)
-	p.Grades = core.CountGrades(p.gradeVec)
+	p.Grades = core.CountGrades(p.runs)
 }
 
 // planQuery picks the strategy; PlanQuery adds the degree of parallelism.
@@ -378,8 +379,8 @@ func (pl *Planner) planQuery(q *parser.Query, heap *storage.HeapFile, smas []*co
 		return plan, nil
 	}
 
-	// Grade all buckets (an in-memory pass over the SMA vectors); the
-	// vector is kept for the parallel executor.
+	// Grade all buckets (an in-memory pass over the SMA vectors); the runs
+	// are kept for the executors.
 	if q.Where != nil {
 		plan.grade(q.Where)
 	} else {
@@ -511,18 +512,6 @@ func (pl *Planner) planProjection(q *parser.Query, heap *storage.HeapFile, smas 
 // rather than aggregation rows (RowIterator).
 func (p *Plan) IsProjection() bool { return p.Query.IsProjection() }
 
-// serialGrades returns the grade vector computed during planning, padded
-// to the heap's bucket count (missing information degrades to Ambivalent,
-// never to a wrong skip), or nil when planning did not grade. Serial scan
-// operators reuse it instead of grading again, which also hands the
-// prefetcher the surviving page set before the first page access.
-func (p *Plan) serialGrades() []core.Grade {
-	if p.gradeVec == nil {
-		return nil
-	}
-	return core.PadGrades(p.gradeVec, p.Heap.NumBuckets())
-}
-
 // modeOf maps each strategy to the pipeline the parallel package builds
 // for it.
 var modeOf = [...]parallel.Mode{
@@ -560,11 +549,11 @@ func (p *Plan) RowIterator(ctx context.Context) (exec.RowIter, error) {
 
 	var it exec.RowIter
 	if p.DOP > 1 {
-		op := &parallel.Agg{Source: src, Pregraded: p.gradeVec, DOP: p.DOP}
+		op := &parallel.Agg{Source: src, Pregraded: p.runs, DOP: p.DOP}
 		p.statsSrc, p.workSrc, it = op, op, op
 	} else {
 		var whole parallel.Unit
-		whole.Grades = p.serialGrades()
+		whole.Runs = p.runs
 		fold, stats := src.Pipeline(whole, false)
 		p.statsSrc, p.workSrc, it = stats, fold, fold
 	}
@@ -604,7 +593,7 @@ func (p *Plan) TupleIterator(ctx context.Context) (exec.TupleIter, error) {
 	case StrategySMAScan:
 		op := exec.NewBatchSMAScan(p.Heap, p.Query.Where, p.Grader, onePage)
 		op.Ctx = ctx
-		op.Grades = p.serialGrades()
+		op.Runs = p.runs
 		scan, schema = op, p.Heap.Schema()
 	default:
 		op := exec.NewBatchTableScan(p.Heap, p.Query.Where, onePage)

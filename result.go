@@ -2,6 +2,8 @@ package sma
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"strconv"
 	"strings"
 )
@@ -41,28 +43,59 @@ func Collect(rows *Rows) (res *Result, err error) {
 	return res, nil
 }
 
-// renderValue formats one cursor value for display. Aggregates follow the
-// engine's historical formatting (integral floats trimmed, else 4
-// decimals); other floats use the shortest representation.
-func renderValue(v any, isAgg bool) string {
+// appendValue appends one cursor value rendered for display to dst.
+// Aggregates follow the engine's historical formatting (integral floats
+// trimmed, else 4 decimals); other floats use the shortest representation.
+func appendValue(dst []byte, v any, isAgg bool) []byte {
 	switch x := v.(type) {
 	case string:
-		return x
+		return append(dst, x...)
 	case int64:
-		return strconv.FormatInt(x, 10)
+		return strconv.AppendInt(dst, x, 10)
 	case int32: // date columns
-		return Date(x).String()
+		return append(dst, Date(x).String()...)
 	case float64:
 		if isAgg {
 			if x == float64(int64(x)) {
-				return strconv.FormatInt(int64(x), 10)
+				return strconv.AppendInt(dst, int64(x), 10)
 			}
-			return fmt.Sprintf("%.4f", x)
+			return appendAggregate(dst, x)
 		}
-		return strconv.FormatFloat(x, 'g', -1, 64)
+		return strconv.AppendFloat(dst, x, 'g', -1, 64)
 	default:
-		return fmt.Sprint(x)
+		return fmt.Append(dst, x)
 	}
+}
+
+// appendAggregate appends x with four decimals to dst: the bytes of
+// fmt.Sprintf("%.4f", x), which is x's exact binary value rounded to four
+// decimals, half to even. strconv computes that through its multi-precision
+// decimal path; here it is one integer product. A normal x is m·2^-s for a
+// 53-bit m; with 4 <= s <= 64 (2^-12 <= |x| < 2^49), m·10^4 fits 128 bits
+// and q = m·10^4 >> s fits 63, so q is the integer part of |x|·10^4 and the
+// s bits shifted out are the exact fraction it drops: rounding q on them
+// gives the four decimals exactly. Every other x — zero, subnormals, the
+// rest below 2^-12, 2^49 and above, infinities, NaN — is formatted by
+// strconv's 'f' path.
+func appendAggregate(dst []byte, x float64) []byte {
+	fb := math.Float64bits(x)
+	s := 1075 - int(fb>>52&0x7ff) // |x| = m·2^-s for a normal x
+	if s < 4 || s > 64 {
+		return strconv.AppendFloat(dst, x, 'f', 4, 64)
+	}
+	m := fb&(1<<52-1) | 1<<52
+	hi, lo := bits.Mul64(m, 10000)
+	q := hi<<(64-s) | lo>>s
+	rest, half := lo&(1<<s-1), uint64(1)<<(s-1)
+	if rest > half || rest == half && q&1 == 1 {
+		q++
+	}
+	if x < 0 {
+		dst = append(dst, '-')
+	}
+	dst = strconv.AppendUint(dst, q/10000, 10)
+	f := q % 10000
+	return append(dst, '.', byte('0'+f/1000), byte('0'+f/100%10), byte('0'+f/10%10), byte('0'+f%10))
 }
 
 // String renders the result as an aligned text table.

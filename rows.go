@@ -20,6 +20,10 @@ type Rows struct {
 	vals []any
 	err  error
 	done bool
+	// cells and ends are RowStrings' scratch: the row's rendered bytes and
+	// where each cell ends in them.
+	cells []byte
+	ends  []int
 }
 
 // Columns returns the output column names in select-list order.
@@ -158,16 +162,24 @@ func (r *Rows) Scan(dest ...any) error {
 
 // RowStrings renders the current row with the engine's display rules —
 // the same rendering Collect uses: aggregates with integral values trimmed
-// ("4" not "4.0000"), dates as "YYYY-MM-DD". Serving layers stream these
-// strings so every consumer of a result sees identical bytes.
+// ("4" not "4.0000"), other aggregates with the bytes of fmt's "%.4f",
+// dates as "YYYY-MM-DD". Serving layers stream these strings so every
+// consumer of a result sees identical bytes. The row's cells share one
+// allocation.
 func (r *Rows) RowStrings() ([]string, error) {
 	if r.vals == nil {
 		return nil, fmt.Errorf("sma: RowStrings called without a successful Next")
 	}
-	out := make([]string, len(r.vals))
+	b, ends := r.cells[:0], r.ends[:0]
 	for i, v := range r.vals {
-		out[i] = renderValue(v, r.cols[i].IsAgg)
+		b = appendValue(b, v, r.cols[i].IsAgg)
+		ends = append(ends, len(b))
 	}
+	all, out, start := string(b), make([]string, len(r.vals)), 0
+	for i, end := range ends {
+		out[i], start = all[start:end], end
+	}
+	r.cells, r.ends = b, ends
 	return out, nil
 }
 
