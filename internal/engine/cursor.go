@@ -62,6 +62,7 @@ type Cursor struct {
 	// that finish hands back through st.end.
 	st   *statement
 	cols []ColInfo
+	row  []any // the row Next fills, one value per column
 
 	// Aggregation mode.
 	rows     exec.RowIter
@@ -113,6 +114,7 @@ func newCursor(ctx context.Context, st *statement) (*Cursor, error) {
 			return nil, err
 		}
 		c.tuples = it
+		c.row = make([]any, len(c.cols))
 		return c, nil
 	}
 
@@ -147,6 +149,7 @@ func newCursor(ctx context.Context, st *statement) (*Cursor, error) {
 		return nil, err
 	}
 	c.rows = it
+	c.row = make([]any, len(c.cols))
 	return c, nil
 }
 
@@ -174,11 +177,11 @@ func (c *Cursor) TraceNode() *obs.TraceNode { return c.st.trace }
 func (c *Cursor) QueryID() string { return c.st.qid }
 
 // Next returns the next result row as typed values (see ColInfo), or
-// ok=false at end of stream or on error. The returned slice is reused
-// across calls in projection mode only for its backing tuple memory — the
-// values themselves are plain Go scalars safe to retain. When the stream
-// ends (ok=false), the database read lock is released; Close afterwards is
-// a no-op.
+// ok=false at end of stream or on error. The cursor fills one slice for
+// every row, so the returned slice is valid until the next call of Next: a
+// caller that keeps a row copies it. The values themselves are plain Go
+// scalars safe to retain. When the stream ends (ok=false), the database
+// read lock is released; Close afterwards is a no-op.
 func (c *Cursor) Next() (row []any, ok bool, err error) {
 	// Panic boundary: a panic in the iterator pipeline ends the stream
 	// with a typed error (releasing the read lock) instead of unwinding
@@ -203,16 +206,16 @@ func (c *Cursor) Next() (row []any, ok bool, err error) {
 		if c.lineIdx >= len(c.lines) {
 			return nil, false, c.finish(nil)
 		}
-		line := c.lines[c.lineIdx]
+		c.row[0] = c.lines[c.lineIdx]
 		c.lineIdx++
-		return []any{line}, true, nil
+		return c.row, true, nil
 	}
 	if c.tuples != nil {
 		t, ok, err := c.tuples.Next()
 		if err != nil || !ok {
 			return nil, false, c.finish(err)
 		}
-		out := make([]any, len(c.tupIdx))
+		out := c.row
 		for i, j := range c.tupIdx {
 			out[i] = tupleValue(t, j)
 		}
@@ -223,7 +226,7 @@ func (c *Cursor) Next() (row []any, ok bool, err error) {
 	if err != nil || !ok {
 		return nil, false, c.finish(err)
 	}
-	out := make([]any, len(c.cols))
+	out := c.row
 	for i, ci := range c.cols {
 		if ci.IsAgg {
 			continue // filled below, in aggregate order
@@ -401,6 +404,7 @@ func newTextCursor(st *statement, lines []string) *Cursor {
 	return &Cursor{
 		st:   st,
 		cols: []ColInfo{{Name: "QUERY PLAN", Type: tuple.TChar}},
+		row:  make([]any, 1),
 		text: true, lines: lines,
 	}
 }

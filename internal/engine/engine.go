@@ -31,7 +31,6 @@ import (
 	"sma/internal/obs"
 	"sma/internal/parser"
 	"sma/internal/planner"
-	"sma/internal/stats"
 	"sma/internal/storage"
 	"sma/internal/tuple"
 	"sma/internal/wal"
@@ -163,21 +162,20 @@ type DB struct {
 	scrubMu     sync.Mutex
 	lastScrub   *ScrubReport
 
-	// Per-SMA attribution cache for the stats collector, keyed by
-	// (table, predicate). The solo-grading sweep behind sma_stat_smas is
-	// O(buckets) per SMA, far too slow to repeat on every execution of a
-	// hot fingerprint; entries are cleared by every write statement and
-	// by SMA DDL, and cursors compute-and-store under db.mu's read lock,
-	// so a stale entry can never be observed.
-	attrMu    sync.Mutex
-	attrCache map[string][]stats.SMAUse
-
-	// Statement-fingerprint cache, keyed by raw SQL. Normalizing costs a
-	// full lex (microseconds), real overhead for sub-millisecond
-	// statements that repeat; fingerprints are pure functions of the
-	// text, so entries never invalidate — the map is just bounded.
-	fpMu    sync.Mutex
-	fpCache map[string]fpEntry
+	// stmts is the statement cache: the raw SQL of a read, up to
+	// stmtCacheMaxLen bytes, to its fingerprint and normal form, parsed
+	// query, plan template and per-SMA attribution, at most stmtCacheMax
+	// entries. A repeated read skips the normalizing lex and the parse
+	// always, and planning and grading while the entry's epoch is current.
+	// Exec statements are not stored (a load's unique INSERT texts would
+	// only churn the map), nor plans over virtual tables, which scan a
+	// snapshot taken at plan time.
+	stmts stmtCache
+	// epoch counts the changes that can make a plan template or an
+	// attribution stale: every write statement (beginStmt, so rollbacks
+	// and Table.Append too), CREATE TABLE and SMA DDL bump it under the
+	// write lock; readers compare it under the read lock.
+	epoch uint64
 }
 
 // Open opens (or initializes) a database directory. Open takes an
@@ -199,7 +197,8 @@ func Open(dir string, opts Options) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	db := &DB{dir: dir, opts: opts, tables: make(map[string]*Table), pl: planner.New(), lock: lock}
+	db := &DB{dir: dir, opts: opts, tables: make(map[string]*Table), pl: planner.New(), lock: lock,
+		stmts: stmtCache{max: stmtCacheMax}}
 	db.pl.DOP = opts.Parallelism
 	db.pl.Exec = exec.ExecOptions{
 		BatchSize:      opts.BatchSize,
@@ -431,6 +430,7 @@ func (db *DB) CreateTable(name string, cols []tuple.Column) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	db.epoch++
 	if err := db.saveCatalog(); err != nil {
 		return nil, err
 	}
@@ -646,7 +646,7 @@ func (db *DB) DefineSMADef(def core.Def) (*core.SMA, error) {
 		return nil, err
 	}
 	t.smas[def.Name] = s
-	db.invalidateSMAAttribution()
+	db.epoch++
 	if err := db.saveCatalog(); err != nil {
 		return nil, err
 	}
@@ -672,7 +672,7 @@ func (db *DB) DropSMA(table, name string) error {
 		return fmt.Errorf("engine: no sma %s on %s", name, t.Name)
 	}
 	delete(t.smas, name)
-	db.invalidateSMAAttribution()
+	db.epoch++
 	paths, err := filepath.Glob(filepath.Join(db.smaDir(t.Name), name+".g*.smaf"))
 	if err != nil {
 		return err
@@ -692,25 +692,53 @@ func (db *DB) Plan(sql string) (*planner.Plan, error) {
 	if err := db.checkOpen(); err != nil {
 		return nil, err
 	}
-	return db.planLocked(&statement{sql: sql})
+	return db.planLocked(&statement{sql: sql, entry: db.stmts.get(sql)})
 }
 
-// planLocked parses and plans the statement's query under a held lock,
-// charging the parse, plan and grade phases on its clock.
+// planLocked plans the statement's query under a held lock through its
+// statement cache entry, charging the parse, plan and grade phases on its
+// clock: a template built at the current epoch is copied — no parse, no
+// planning, no grading, and the grade phase keeps its counts at no time; an
+// older entry's query is planned again without a parse; without an entry
+// the text is parsed and planned. The last two leave a new entry.
 func (db *DB) planLocked(s *statement) (*planner.Plan, error) {
-	q, err := parser.ParseQuery(s.sql)
-	s.mark(obs.PhaseParse)
-	if err != nil {
-		return nil, err
+	e := s.entry
+	var plan *planner.Plan
+	if e != nil && e.plan != nil && e.epoch == db.epoch {
+		s.clock.Lap(obs.PhaseParse, 0)
+		plan = new(planner.Plan)
+		*plan = *e.plan
+		plan.GradeTime = 0
+		s.mark(obs.PhasePlan)
+	} else {
+		var q *parser.Query
+		if e != nil {
+			q = e.query
+			s.clock.Lap(obs.PhaseParse, 0)
+		} else {
+			var err error
+			q, err = parser.ParseQuery(s.sql)
+			s.mark(obs.PhaseParse)
+			if err != nil {
+				return nil, err
+			}
+		}
+		var err error
+		plan, err = db.planQuery(q)
+		s.mark(obs.PhasePlan)
+		if err != nil {
+			return nil, err
+		}
+		e = db.remember(s, q, plan)
 	}
-	plan, err := db.planQuery(q)
-	s.mark(obs.PhasePlan)
-	if err == nil && plan.GradeTime > 0 {
+	s.entry = e
+	// The template's grade time says whether planning graded; a copy's is 0.
+	if e.plan != nil && e.plan.GradeTime > 0 {
 		s.clock.Carve(obs.PhasePlan, obs.PhaseGrade, plan.GradeTime)
 		g := &s.clock.Phase[obs.PhaseGrade]
 		g.Qualify, g.Disqualify, g.Ambivalent = int64(plan.Grades.Qualifying), int64(plan.Grades.Disqualifying), int64(plan.Grades.Ambivalent)
 	}
-	return plan, err
+	return plan, nil
 }
 
 // planQuery plans a parsed query over a virtual or a stored table. Caller

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strconv"
 
+	"sma/internal/obs"
 	"sma/internal/planner"
 	"sma/internal/storage"
 	"sma/internal/tuple"
@@ -60,6 +61,19 @@ func Collect(db *DB, sql string, opts ...QueryOption) (*Collected, error) {
 		}
 		res.Rows = append(res.Rows, row)
 	}
+}
+
+// Cached reports whether the statement cache spared the query its parse —
+// a plan template copied, or a cached parse planned again: the record's
+// parse phase took no time. A parse that ran took some.
+func (c *Cursor) Cached() bool { return c.st.clock.Phase[obs.PhaseParse].Dur == 0 }
+
+// ForgetStatements empties the statement cache, so the next read of any
+// text is parsed and planned as on a database that never saw it.
+func (db *DB) ForgetStatements() {
+	db.stmts.mu.Lock()
+	db.stmts.m = nil
+	db.stmts.mu.Unlock()
 }
 
 // SetWALFault installs fn before every fsync of the database's redo log,

@@ -8,6 +8,7 @@ import (
 
 	"sma/internal/exec"
 	"sma/internal/obs"
+	"sma/internal/parser"
 	"sma/internal/planner"
 	"sma/internal/pred"
 	"sma/internal/stats"
@@ -32,6 +33,7 @@ type statement struct {
 	qid   string
 	start time.Time
 	act   int64         // activity-registry token
+	entry *stmtEntry    // a query's statement cache entry: looked up by begin, current once planned
 	plan  *planner.Plan // the executed plan of a query, once there is one
 	work  exec.Work     // what the plan's pipeline measured, settled at end
 	// clock is the phase vector of a query, lap the end of the phase last
@@ -61,6 +63,7 @@ func (db *DB) begin(ctx context.Context, sql string, query, traced bool) (contex
 	activity := "exec"
 	if query {
 		s.Kind, activity = "none", "query"
+		s.entry = db.stmts.get(sql)
 	}
 	if o := db.opts.Obs; o != nil {
 		// Prefer an id the serving layer already stamped on the context so
@@ -68,7 +71,11 @@ func (db *DB) begin(ctx context.Context, sql string, query, traced bool) (contex
 		if s.qid = obs.QueryIDFrom(ctx); s.qid == "" {
 			s.qid = o.NextQueryID()
 		}
-		s.Fingerprint, s.Norm = db.fingerprint(sql)
+		if s.entry != nil {
+			s.Fingerprint, s.Norm = s.entry.fp, s.entry.norm
+		} else {
+			s.Fingerprint, s.Norm = parser.Fingerprint(sql)
+		}
 		s.act = o.Stats.BeginActivity(activity, sql, s.Fingerprint)
 	}
 	s.start, s.traced = time.Now(), traced
@@ -213,9 +220,9 @@ func (s *statement) settle() {
 		s.FilterCols = mergeFilterCol(s.FilterCols, a.RightCol, lMax, lMin)
 	}
 	// Per-SMA effectiveness: what each consulted SMA alone would
-	// disqualify, from the attribution cache.
-	if len(plan.SelSMAs) > 0 {
-		s.SMAs = s.db.smaAttribution(s.sql, plan)
+	// disqualify, computed once per statement cache entry.
+	if s.entry != nil {
+		s.SMAs = s.entry.uses
 	}
 }
 

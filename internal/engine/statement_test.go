@@ -263,6 +263,42 @@ func checkTrace(t *testing.T, cur *engine.Cursor, rows int64) {
 	}
 }
 
+// sameRecord holds a query's second run, from the statement cache, to its
+// first: the same plan, the same scan counters, and — traced — the same
+// phases with the same counters, the grade phase's §3.1 counts included;
+// only the times may differ.
+func sameRecord(t *testing.T, sql string, first, second *engine.Cursor) {
+	t.Helper()
+	a, _ := first.Stats()
+	b, _ := second.Stats()
+	if a.Qualifying != b.Qualifying || a.Disqualifying != b.Disqualifying || a.Ambivalent != b.Ambivalent || a.PagesRead != b.PagesRead {
+		t.Errorf("%s: cached run's stats %+v, first run's %+v", sql, b, a)
+	}
+	p, q := first.Plan(), second.Plan()
+	if p.StrategyName() != q.StrategyName() || p.DOP != q.DOP || p.Grades != q.Grades || p.CostSMA != q.CostSMA {
+		t.Errorf("%s: cached plan %s (dop %d, %+v), first %s (dop %d, %+v)", sql,
+			q.StrategyName(), q.DOP, q.Grades, p.StrategyName(), p.DOP, p.Grades)
+	}
+	x, y := first.TraceNode(), second.TraceNode()
+	if x == nil || y == nil {
+		return
+	}
+	shape := func(n *obs.TraceNode) string {
+		var b strings.Builder
+		for _, ph := range n.Children {
+			c := ph.Counters
+			if ph.Name != "stream" && ph.Name != "merge" && ph.Name != "scan" {
+				c.Rows = 0 // rows a virtual table's fold groups may differ
+			}
+			fmt.Fprintf(&b, "%s %+v\n", ph.Name, c)
+		}
+		return b.String()
+	}
+	if shape(x) != shape(y) {
+		t.Errorf("%s: cached run's trace\n%s\nfirst run's\n%s", sql, y.Render(), x.Render())
+	}
+}
+
 func (h *history) exec(sql string) {
 	h.t.Helper()
 	h.execWhere(sql, "", "")
@@ -337,9 +373,10 @@ func TestEverySurfaceAgrees(t *testing.T) {
 		noTable = "select count(*) from NOPE"
 		badIns  = "insert into SALES values (1)"
 	)
-	// Every shape runs untraced and traced: history.query holds each trace
-	// to its cursor's stats, and the cursors' totals are held to
-	// sma_stat_statements below.
+	// Every shape runs untraced and traced, twice each: parsed and planned,
+	// then from the statement cache. history.query holds each trace to its
+	// cursor's stats, sameRecord holds the second run to the first, and the
+	// cursors' totals are held to sma_stat_statements below.
 	for _, c := range []struct {
 		sql, strategy string
 		dop           int
@@ -348,14 +385,25 @@ func TestEverySurfaceAgrees(t *testing.T) {
 		{proj, "SMA_Scan", 1}, {mem, "MemScan", 1}, {par, "FullScan+GAggr", 2},
 	} {
 		for _, traced := range []bool{false, true} {
-			plan := h.query(c.sql, "", 0, engine.WithDOP(c.dop), engine.WithTrace(traced)).Plan()
+			db.ForgetStatements()
+			miss := h.query(c.sql, "", 0, engine.WithDOP(c.dop), engine.WithTrace(traced))
+			hit := h.query(c.sql, "", 0, engine.WithDOP(c.dop), engine.WithTrace(traced))
+			if miss.Cached() || !hit.Cached() {
+				t.Fatalf("%s: parse skipped %v, then %v; want false, then true", c.sql, miss.Cached(), hit.Cached())
+			}
+			sameRecord(t, c.sql, miss, hit)
+			plan := hit.Plan()
 			if plan.StrategyName() != c.strategy || plan.DOP != c.dop {
 				t.Fatalf("%s: strategy %s at dop %d, want %s at dop %d", c.sql, plan.StrategyName(), plan.DOP, c.strategy, c.dop)
 			}
 		}
 	}
-	// EXPLAIN ANALYZE is the inner query's record under another renderer.
-	h.query("explain analyze "+gaggr, gaggr, 2)
+	// EXPLAIN ANALYZE is the inner query's record under another renderer,
+	// the §3.1 grades of a cached plan included.
+	explained := h.query("explain analyze "+gaggr, gaggr, 2)
+	if g := explained.TraceNode().Find("grade"); g == nil || g.Qualify+g.Disqualify+g.Ambivalent == 0 {
+		t.Errorf("explain analyze of a cached plan shows no grades:\n%s", explained.TraceNode().Render())
+	}
 
 	h.exec("insert into SALES values (date '2022-01-01', 'N', 1.5), (date '2022-01-02', 'S', 2.5)")
 	h.execWhere("update SALES set AMOUNT = AMOUNT + 1 where SALE_DATE >= date '2022-01-01'",
@@ -556,7 +604,7 @@ func TestObserverAllocBudget(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		run() // warm: fingerprint and attribution caches, metric label series
+		run() // warm: the statement cache, metric label series
 		return run
 	}
 	off, _ := openSales(t, t.TempDir())

@@ -102,7 +102,7 @@ func (db *DB) beginStmt(t *Table) (*stmtJournal, error) {
 	if err != nil {
 		return nil, err
 	}
-	db.invalidateSMAAttribution()
+	db.epoch++
 	t.pool.BeginBarrier()
 	return &stmtJournal{t: t, tail: tail, batch: db.wal.NewBatch()}, nil
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -14,7 +13,6 @@ import (
 	"sma/internal/engine"
 	"sma/internal/oracle"
 	"sma/internal/storage"
-	"sma/internal/tuple"
 )
 
 var errInjected = errors.New("injected disk fault")
@@ -27,30 +25,6 @@ var verifyQueries = []string{
 	"select D, K, V, N from W",
 	"select K, sum(V) as SV from W group by K",
 	"select K, count(*) as C from W group by K",
-}
-
-// renderVal formats one cursor value with the engine's display rules
-// (what sma.Collect applies), so rendered rows compare exactly against
-// the oracle's.
-func renderVal(v any, isAgg bool) string {
-	switch x := v.(type) {
-	case string:
-		return x
-	case int64:
-		return strconv.FormatInt(x, 10)
-	case int32: // date columns
-		return tuple.FormatDate(x)
-	case float64:
-		if isAgg {
-			if x == float64(int64(x)) {
-				return strconv.FormatInt(int64(x), 10)
-			}
-			return fmt.Sprintf("%.4f", x)
-		}
-		return strconv.FormatFloat(x, 'g', -1, 64)
-	default:
-		return fmt.Sprint(x)
-	}
 }
 
 // collectEngine drains one query — aggregate or streaming projection —
@@ -73,7 +47,7 @@ func collectEngine(db *engine.DB, sql string) ([][]string, error) {
 		}
 		out := make([]string, len(vals))
 		for i, v := range vals {
-			out[i] = renderVal(v, infos[i].IsAgg)
+			out[i] = oracle.RenderValue(v, infos[i].IsAgg)
 		}
 		rows = append(rows, out)
 	}

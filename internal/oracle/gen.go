@@ -21,6 +21,12 @@ type Op struct {
 // hundred operations the planner is steered through all three strategies
 // (FullScan, SMA_GAggr, SMA_Scan) while the table churns underneath it.
 //
+// A run of writes and DDL is followed, before the next fresh query, by the
+// last two query texts again — the older once, the newer twice — so the
+// engine's statement cache sees the same text across every kind of change
+// (planned again from its cached parse) and twice between changes (its
+// plan template reused).
+//
 // Floating-point values are restricted to multiples of 0.5 with bounded
 // magnitude and updates are additive, so every SUM/AVG both engines
 // compute is exact regardless of accumulation order — parallel partial
@@ -32,6 +38,10 @@ type Gen struct {
 	smas []smaDef // live SMAs
 	seq  int      // SMA name sequence
 	day  int      // monotone insert-date cursor (see insertDate)
+
+	recent  [2]string // the last two fresh query texts, newer last
+	wrote   bool      // a write or DDL since the last fresh query
+	pending []string  // queries to issue before drawing again
 }
 
 // smaDef tracks one live SMA so query generation can emit aggregations
@@ -70,6 +80,26 @@ func (g *Gen) Setup() []string {
 
 // Next produces the next operation of the stream.
 func (g *Gen) Next() Op {
+	if len(g.pending) == 0 {
+		op := g.draw()
+		if !op.IsQuery {
+			g.wrote = true
+			return op
+		}
+		if g.wrote && g.recent[0] != "" {
+			g.pending = append(g.pending, g.recent[0], g.recent[1], g.recent[1])
+		}
+		g.pending = append(g.pending, op.SQL)
+		g.recent[0], g.recent[1] = g.recent[1], op.SQL
+		g.wrote = false
+	}
+	sql := g.pending[0]
+	g.pending = g.pending[1:]
+	return Op{SQL: sql, IsQuery: true}
+}
+
+// draw produces a fresh operation.
+func (g *Gen) draw() Op {
 	switch r := g.rnd.Intn(100); {
 	case r < 24:
 		return Op{SQL: g.insert()}

@@ -652,6 +652,28 @@ func renderCol(c tuple.Column, v val) string {
 	}
 }
 
+// RenderValue formats one value of the engine's cursor rows by the rules
+// the oracle renders its own results with, so a drained engine result
+// compares with the oracle's string for string; isAgg marks an aggregate
+// column.
+func RenderValue(v any, isAgg bool) string {
+	switch x := v.(type) {
+	case string:
+		return x
+	case int64:
+		return strconv.FormatInt(x, 10)
+	case int32: // date columns
+		return tuple.FormatDate(x)
+	case float64:
+		if isAgg {
+			return renderAgg(x)
+		}
+		return strconv.FormatFloat(x, 'g', -1, 64)
+	default:
+		return fmt.Sprint(x)
+	}
+}
+
 // renderAgg renders an aggregate value: integral floats trimmed, else four
 // decimals, matching the engine's display rule.
 func renderAgg(v float64) string {

@@ -94,7 +94,7 @@ func runQuery(t *testing.T, db *engine.DB, sql string, dop int) ([][]any, string
 		if !ok {
 			break
 		}
-		rows = append(rows, vals)
+		rows = append(rows, append([]any(nil), vals...))
 	}
 	return rows, cur.Plan().StrategyName()
 }
