@@ -78,10 +78,11 @@ type Batch struct {
 	i32  []int32   // group ids; candidate lists of nested Or/Not predicates
 	mark []bool    // record marks of nested Or/Not predicates, all false at rest
 
-	// The run list of the scan that leased the batch, and the page spans its
-	// stream reads.
+	// The run list of the scan that leased the batch, the page spans its
+	// stream reads, and the stream's pin list: one batch's pages at most.
 	runs  []run
 	spans []storage.PageSpan
+	pins  []*storage.Frame
 }
 
 // Len returns the number of decoded records (before selection).

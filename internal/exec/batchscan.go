@@ -148,9 +148,12 @@ func spanRuns(out []run, h *storage.HeapFile, runs []core.Run) []run {
 // into a reusable batch. The heap scans pull its batches with NextBatch:
 // disqualified runs are never read, and only runs that do not fully qualify
 // get the predicate. A batch never mixes pages that need the predicate with
-// pages that do not, and it spans the disqualified gaps between runs. No
-// page stays pinned between calls. SMA_GAggr reads its ambivalent runs'
-// batches from the stream itself.
+// pages that do not, and it spans the disqualified gaps between runs. The
+// stream pins a batch's pages a lock round at a time, with the batch's pin
+// list, and NextBatch releases them before it returns: no page stays
+// pinned between calls. SMA_GAggr reads its ambivalent runs' batches from
+// the stream itself, all inside its Open, whose deferred Close releases the
+// pins.
 type runScan struct {
 	h      *storage.HeapFile
 	ctx    context.Context
@@ -183,8 +186,11 @@ func (s *runScan) open(h *storage.HeapFile, ctx context.Context, p pred.Predicat
 			b.spans = append(b.spans, r.pages)
 		}
 	}
+	if pages := s.cap / per; cap(b.pins) < pages {
+		b.pins = make([]*storage.Frame, 0, pages)
+	}
 	s.batch, s.runs = b, b.runs
-	s.stream.Open(h, b.spans, opts.Readahead(per))
+	s.stream.Open(h, b.spans, opts.Readahead(per), b.pins)
 	return nil
 }
 
@@ -200,6 +206,7 @@ func (s *runScan) NextBatch() (*Batch, error) {
 		b := s.batch
 		b.reset()
 		filtered := false
+		var err error
 		for b.n+per <= s.cap && s.reach() {
 			r := &s.runs[s.at]
 			needPred := s.sel != nil && r.Grade != core.Qualifies
@@ -207,10 +214,10 @@ func (s *runScan) NextBatch() (*Batch, error) {
 				break // grade class changed: flush the batch first
 			}
 			filtered = needPred
-			data, n, err := s.stream.Read(s.ctx, b.data, s.cap-b.n, s.rids)
-			b.data, b.n = data, b.n+n
-			if err != nil {
-				return nil, err
+			var n int
+			b.data, n, err = s.stream.Read(s.ctx, b.data, s.cap-b.n, s.rids)
+			if b.n += n; err != nil {
+				break
 			}
 			// Count what the read passed: up to the page before the cursor,
 			// or the whole run when the cursor left it.
@@ -219,6 +226,11 @@ func (s *runScan) NextBatch() (*Batch, error) {
 				last = p - 1
 			}
 			s.tally(last)
+		}
+		// The batch holds copies: the pages pinned for it go back now.
+		s.stream.Release()
+		if err != nil {
+			return nil, err
 		}
 		if b.n == 0 {
 			return nil, nil

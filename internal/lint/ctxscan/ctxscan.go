@@ -52,8 +52,8 @@ var ioMethods = map[string]map[string]bool{
 		"Scan": true, "Get": true, "Append": true, "AppendRun": true,
 		"Update": true, "Delete": true, "NumRecords": true,
 	},
-	"BufferPool": {"FetchPage": true, "NewPage": true},
-	"PageStream": {"Read": true},
+	"BufferPool": {"FetchPage": true, "NewPage": true, "pinAhead": true, "release": true},
+	"PageStream": {"Read": true, "Release": true},
 }
 
 func run(pass *analysis.Pass) error {

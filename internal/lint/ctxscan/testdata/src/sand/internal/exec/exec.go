@@ -131,6 +131,24 @@ func goodStreamLoop(ctx context.Context, st *storage.PageStream) error {
 	}
 }
 
+// badReleaseLoop hands the pool back a stream's pinned batch, batch after
+// batch, with no context in reach.
+func badReleaseLoop(st *storage.PageStream, batches int) {
+	for i := 0; i < batches; i++ {
+		st.Release() // want `without a per-iteration context check`
+	}
+}
+
+// goodReleaseLoop checks the statement's context before each release.
+func goodReleaseLoop(ctx context.Context, st *storage.PageStream) error {
+	for {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		st.Release()
+	}
+}
+
 // goodMetadataLoop touches only cheap accessors; no check required.
 func goodMetadataLoop(h *storage.HeapFile, buckets []int) int64 {
 	var total int64

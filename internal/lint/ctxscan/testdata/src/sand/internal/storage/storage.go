@@ -40,13 +40,48 @@ type Frame struct{}
 
 type BufferPool struct{}
 
-func (bp *BufferPool) FetchPage(id PageID) (*Frame, error) { return &Frame{}, nil }
-func (bp *BufferPool) UnpinPage(id PageID) error           { return nil }
+func (bp *BufferPool) FetchPage(id PageID) (*Frame, error)     { return &Frame{}, nil }
+func (bp *BufferPool) UnpinPage(id PageID) error               { return nil }
+func (bp *BufferPool) pinAhead(s *PageStream, limit int) error { return nil }
+func (bp *BufferPool) release(s *PageStream)                   {}
 
 // PageStream mirrors the scans' page loop.
 type PageStream struct {
 	h         *HeapFile
+	bp        *BufferPool
 	next, end PageID
+}
+
+// Release mirrors the stream's release of its pinned batch.
+func (s *PageStream) Release() { s.bp.release(s) }
+
+// readPinned pins a batch of pages per pool lock round and checks the
+// context it is handed before every page without taking the context's
+// mutex: a receive from Done, and Err only for the cause.
+func (s *PageStream) readPinned(ctx context.Context) error {
+	done := ctx.Done()
+	for ; s.next < s.end; s.next++ {
+		select {
+		case <-done:
+			return ctx.Err()
+		default:
+		}
+		if err := s.bp.pinAhead(s, 8); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// pinUnchecked is handed the statement's context and pins batch after batch
+// regardless.
+func (s *PageStream) pinUnchecked(ctx context.Context) error {
+	for ; s.next < s.end; s.next++ {
+		if err := s.bp.pinAhead(s, 8); err != nil { // want `without a per-iteration context check`
+			return err
+		}
+	}
+	return nil
 }
 
 // Read checks the context it is handed before every page.

@@ -25,12 +25,10 @@ type Frame struct {
 
 	// loading is set while the page image is being read from disk (outside
 	// the pool lock). A co-fetcher of the same page does not issue a second
-	// read: it installs loaded if nobody has yet — so a read nobody waits
-	// for allocates no channel — and blocks on it; the loader closes it when
-	// the read completes. loadErr carries the read error, published before
-	// the close.
+	// read: it waits on the pool's loadDone until the loader clears loading,
+	// so a wait allocates nothing. loadErr carries the read error, set
+	// before loading is cleared.
 	loading bool
-	loaded  chan struct{}
 	loadErr error
 
 	// prefetched marks a frame whose read was issued by a prefetcher and
@@ -94,15 +92,17 @@ type WriteBackHook interface {
 // least-recently-used order. Page ids are dense per file, so the page table
 // is a slice indexed by page id. The bookkeeping allocates nothing per
 // page: the LRU list is threaded through the frames, a miss at capacity
-// recycles its victim's frame, and a read gets a completion signal only
-// when a second fetcher waits for it.
+// recycles its victim's frame, and a fetcher that waits for another's read
+// of its page waits on the pool's condition variable.
 //
 // The pool is safe for concurrent use: parallel partition workers pin
 // disjoint (and occasionally shared) pages simultaneously. Physical reads
 // happen outside the pool lock so concurrent misses overlap their I/O;
 // activity counters are atomic so stat bumps and snapshots never contend
 // on the pool mutex. A demand miss and a prefetch run (readAhead) read
-// through one load.
+// through one load. A page stream pins and releases pages a batch at a
+// time (pinAhead, release): one lock round per batch of resident pages,
+// not two per page, so scans running side by side do not take turns on mu.
 type BufferPool struct {
 	mu   sync.Mutex
 	disk *DiskManager
@@ -114,6 +114,10 @@ type BufferPool struct {
 	// The unpinned resident frames, most recently unpinned first; linked
 	// through Frame.prev/next.
 	lruFront, lruBack *Frame
+	// loadDone is broadcast, on mu, when loads end while loadWaiters
+	// co-fetchers wait for a frame's loading to clear.
+	loadDone    sync.Cond
+	loadWaiters int
 
 	// hook, when non-nil, runs before every dirty page write-back.
 	hook WriteBackHook
@@ -178,6 +182,7 @@ func NewBufferPool(disk *DiskManager, capacity int) *BufferPool {
 		cap:         capacity,
 		quarantined: make(map[PageID]*CorruptPageError),
 	}
+	bp.loadDone.L = &bp.mu
 	bp.verify.Store(true)
 	return bp
 }
@@ -314,6 +319,11 @@ func (bp *BufferPool) Disk() *DiskManager { return bp.disk }
 // The caller must UnpinPage it when done.
 func (bp *BufferPool) FetchPage(id PageID) (*Frame, error) {
 	bp.mu.Lock()
+	return bp.fetchLocked(id)
+}
+
+// fetchLocked is FetchPage entered with bp.mu held; it releases the lock.
+func (bp *BufferPool) fetchLocked(id PageID) (*Frame, error) {
 	if ce, ok := bp.quarantined[id]; ok {
 		bp.mu.Unlock()
 		return nil, ce
@@ -325,21 +335,18 @@ func (bp *BufferPool) FetchPage(id PageID) (*Frame, error) {
 			bp.prefetchHits.Add(1)
 		}
 		bp.pinLocked(fr)
-		if !fr.loading {
-			bp.mu.Unlock()
-			return fr, nil
+		// While another goroutine reads this page, wait for it. On failure
+		// the loader has deregistered the frame and zeroed its pins, so
+		// there is nothing to unpin here.
+		for fr.loading {
+			bp.loadWaiters++
+			bp.loadDone.Wait()
+			bp.loadWaiters--
 		}
-		if fr.loaded == nil {
-			fr.loaded = make(chan struct{})
-		}
-		loaded := fr.loaded
+		err := fr.loadErr
 		bp.mu.Unlock()
-		// Another goroutine is reading this page; wait for it. On failure
-		// the loader already deregistered the frame and zeroed its pins,
-		// so there is nothing to unpin here.
-		<-loaded
-		if fr.loadErr != nil {
-			return nil, fr.loadErr
+		if err != nil {
+			return nil, err
 		}
 		return fr, nil
 	}
@@ -465,10 +472,9 @@ func (bp *BufferPool) load(frames []*Frame, buf []byte, prefetch bool) error {
 // endLoadsLocked ends the loads of frames and releases bp.mu. A failed frame
 // leaves the pool with its waiters' pins (they see loadErr) and becomes nil
 // in frames; a checksum failure quarantines its page. With unpin, a loaded
-// frame is released. Co-fetchers are woken, and onCorrupt told of each
-// quarantined page, after the unlock. It returns the first failure.
+// frame is released. Co-fetchers are woken, and onCorrupt is told of each
+// quarantined page after the unlock. It returns the first failure.
 func (bp *BufferPool) endLoadsLocked(frames []*Frame, unpin bool) (first error) {
-	var wake [prefetchRun]chan struct{}
 	var bad []PageID
 	for i, fr := range frames {
 		if fr.loadErr == nil {
@@ -486,16 +492,13 @@ func (bp *BufferPool) endLoadsLocked(frames []*Frame, unpin bool) (first error) 
 			fr.pins = 0
 			frames[i] = nil
 		}
-		wake[i] = fr.loaded
-		fr.loading, fr.loaded = false, nil
+		fr.loading = false
+	}
+	if bp.loadWaiters > 0 {
+		bp.loadDone.Broadcast()
 	}
 	notify := bp.onCorrupt
 	bp.mu.Unlock()
-	for _, ch := range wake[:len(frames)] {
-		if ch != nil {
-			close(ch)
-		}
-	}
 	for _, id := range bad {
 		if notify != nil {
 			notify(id)
@@ -662,6 +665,67 @@ func (bp *BufferPool) unpin(fr *Frame) {
 	bp.mu.Lock()
 	bp.unpinLocked(fr)
 	bp.mu.Unlock()
+}
+
+// pinAhead is a page stream's lock round, taken once the pages it pinned
+// are read: it releases them and pins the resident, loaded pages of the
+// stream's sequence from its cursor on, across span ends, up to limit. A
+// page that is not resident, or whose read is still in flight, ends the
+// batch; when that is the cursor's own page, the same round fetches it as
+// FetchPage does, as a miss or by waiting for the read in flight.
+func (bp *BufferPool) pinAhead(s *PageStream, limit int) error {
+	bp.mu.Lock()
+	bp.releaseLocked(s)
+	for span, id := s.span, s.next; len(s.pins) < limit && span < len(s.spans); {
+		fr := bp.frameLocked(id)
+		if fr == nil || fr.loading {
+			break
+		}
+		bp.pinLocked(fr)
+		s.pins = append(s.pins, fr)
+		if id < s.spans[span].Last {
+			id++
+		} else {
+			span, id = s.first(span + 1)
+		}
+	}
+	if len(s.pins) > 0 {
+		bp.mu.Unlock()
+		return nil
+	}
+	fr, err := bp.fetchLocked(s.next)
+	if err != nil {
+		return err
+	}
+	s.pins, s.fetched = append(s.pins, fr), true
+	return nil
+}
+
+// release drops the pins of a page stream's batch (see pinAhead).
+func (bp *BufferPool) release(s *PageStream) {
+	bp.mu.Lock()
+	bp.releaseLocked(s)
+	bp.mu.Unlock()
+}
+
+// releaseLocked empties the pin list of s, unpinning its frames in order, so
+// they reach the LRU list in the order a one-page-at-a-time reader would have
+// unpinned them. A page counts as a pool hit, and as a prefetch hit when a
+// prefetcher loaded it, when it is read, not when it is pinned: each page s
+// read counts here, but for one it fetched, which the fetch counted.
+func (bp *BufferPool) releaseLocked(s *PageStream) {
+	for i, fr := range s.pins {
+		if i < s.at && fr.prefetched {
+			fr.prefetched = false
+			bp.prefetchHits.Add(1)
+		}
+		bp.unpinLocked(fr)
+	}
+	if !s.fetched && s.at > 0 {
+		bp.hits.Add(int64(s.at))
+	}
+	clear(s.pins)
+	s.pins, s.at, s.fetched = s.pins[:0], 0, false
 }
 
 // unpinLocked releases one pin on a pinned frame.

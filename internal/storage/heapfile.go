@@ -269,13 +269,21 @@ func (h *HeapFile) readPage(p PageID, dst []byte, rids *[]RID) ([]byte, int, err
 		return dst, 0, err
 	}
 	defer h.pool.unpin(fr)
+	dst, n := h.copyPage(fr, dst, rids)
+	return dst, n, nil
+}
+
+// copyPage is readPage's copy step, from the page image of fr, which the
+// caller pins: it appends the live records to dst, and their positions to
+// *rids when rids is non-nil, and returns the extended slice and the number
+// of records appended.
+func (h *HeapFile) copyPage(fr *Frame, dst []byte, rids *[]RID) ([]byte, int) {
 	data := fr.Data()
 	n := pageCount(data)
 	rs := h.schema.RecordSize()
 	marked := deadCount(data) > 0
 	if rids == nil && !marked {
-		dst = append(dst, data[pageHeaderSize:pageHeaderSize+n*rs]...)
-		return dst, n, nil
+		return append(dst, data[pageHeaderSize:pageHeaderSize+n*rs]...), n
 	}
 	live := 0
 	for s := 0; s < n; s++ {
@@ -285,11 +293,11 @@ func (h *HeapFile) readPage(p PageID, dst []byte, rids *[]RID) ([]byte, int, err
 		off := pageHeaderSize + s*rs
 		dst = append(dst, data[off:off+rs]...)
 		if rids != nil {
-			*rids = append(*rids, RID{Page: p, Slot: s})
+			*rids = append(*rids, RID{Page: fr.id, Slot: s})
 		}
 		live++
 	}
-	return dst, live, nil
+	return dst, live
 }
 
 // Delete marks the record at rid deleted: one bit and the dead count of its

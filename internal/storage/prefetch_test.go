@@ -316,8 +316,7 @@ func TestPoolMissAllocatesNothingAtCapacity(t *testing.T) {
 }
 
 // TestCoFetchersShareOneRead: fetchers that arrive while a page is being
-// read wait for that read instead of issuing their own, though the signal
-// they wait on exists only from the first of them on.
+// read wait for that read instead of issuing their own.
 func TestCoFetchersShareOneRead(t *testing.T) {
 	dm := prefetchDisk(t, 4)
 	bp := NewBufferPool(dm, 4)

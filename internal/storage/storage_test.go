@@ -319,7 +319,7 @@ func TestHeapBuckets(t *testing.T) {
 	lo, hi := h.BucketRange(1)
 	readBucket := func() (recs []byte, rids []RID) {
 		var s PageStream
-		s.Open(h, []PageSpan{{First: lo, Last: hi}}, 0)
+		s.Open(h, []PageSpan{{First: lo, Last: hi}}, 0, make([]*Frame, 0, 2))
 		defer s.Close()
 		for _, ok := s.Next(); ok; _, ok = s.Next() {
 			var err error

@@ -21,7 +21,7 @@ func TestPageStreamReadAllocatesNothing(t *testing.T) {
 		}
 	}
 	var s PageStream
-	s.Open(h, []PageSpan{{First: 0, Last: 20}, {First: 25, Last: pages - 1}}, 0)
+	s.Open(h, []PageSpan{{First: 0, Last: 20}, {First: 25, Last: pages - 1}}, 0, make([]*Frame, 0, 2))
 	defer s.Close()
 	per := h.RecordsPerPage()
 	dst := make([]byte, 0, 2*per*h.Schema().RecordSize())
