@@ -52,25 +52,27 @@ type ColInfo struct {
 }
 
 // Cursor is a streaming query result: it pulls rows one at a time from the
-// exec-layer iterator pipeline and holds the database read lock until
-// released. Rows carry typed values (see ColInfo), not rendered strings.
+// exec-layer iterator pipeline. Rows carry typed values (see ColInfo), not
+// rendered strings.
 //
-// The lock is released by Close, or automatically when the stream ends
-// (exhaustion or error). A Cursor is not safe for concurrent use.
+// A projection's cursor holds the database read lock until released: by
+// Close, or automatically when the stream ends (exhaustion or error). An
+// aggregation's cursor releases it as soon as its pipeline is open, since
+// by then every page it reads has been read and the rows are computed; a
+// client that stops reading one delays no writer. A Cursor is not safe for
+// concurrent use.
 type Cursor struct {
 	// st is the statement's record: its plan, id, trace, and the read lock
 	// that finish hands back through st.end.
-	st   *statement
-	cols []ColInfo
-	row  []any // the row Next fills, one value per column
+	st  *statement
+	lay *cursorLayout
+	row []any // the row Next fills, one value per column
 
 	// Aggregation mode.
-	rows     exec.RowIter
-	groupPos []int // per select item: index into Row.Vals, -1 for aggregates
+	rows exec.RowIter
 
 	// Projection mode.
 	tuples exec.TupleIter
-	tupIdx []int // per select item: column index into the scan tuple
 
 	// Text mode (EXPLAIN): the cursor streams pre-rendered lines through
 	// a single "QUERY PLAN" column and holds no database lock.
@@ -81,30 +83,68 @@ type Cursor struct {
 	released bool
 }
 
-// newCursor builds and opens the iterator pipeline for a planned query.
-// The statement holds db.mu.RLock; on error the caller ends it.
-func newCursor(ctx context.Context, st *statement) (*Cursor, error) {
-	db, plan := st.db, st.plan
-	c := &Cursor{st: st}
-	var schema *tuple.Schema
-	if plan.Mem != nil {
-		schema = plan.Mem.Schema
-	} else {
-		t, err := db.table(plan.Query.Table)
-		if err != nil {
-			return nil, err
-		}
-		schema = t.Schema
-	}
+// cursorLayout is where a query's output columns come from: their
+// metadata, and per select item the group-key position (aggregation) or
+// the scan tuple's column (projection). It depends only on the query and
+// the table's schema, so the statement cache entry keeps it for every
+// cursor of its plan, and it is read-only.
+type cursorLayout struct {
+	cols     []ColInfo
+	groupPos []int // aggregation, per select item: index into Row.Vals, -1 for aggregates
+	tupIdx   []int // projection, per select item: column index into the scan tuple
+	err      error // why no cursor can be built for the query
+}
+
+// newCursorLayout lays out the output of plan's query over schema.
+func newCursorLayout(plan *planner.Plan, schema *tuple.Schema) *cursorLayout {
+	l := &cursorLayout{}
 	if plan.IsProjection() {
 		// The planner already validated the projection columns.
 		cols := plan.Query.ProjColumns(schema)
-		c.tupIdx = make([]int, len(cols))
+		l.tupIdx = make([]int, len(cols))
+		l.cols = make([]ColInfo, len(cols))
 		for i, name := range cols {
 			j := schema.ColumnIndex(name)
-			c.tupIdx[i] = j
-			c.cols = append(c.cols, ColInfo{Name: name, Type: schema.Column(j).Type})
+			l.tupIdx[i] = j
+			l.cols[i] = ColInfo{Name: name, Type: schema.Column(j).Type}
 		}
+		return l
+	}
+	// Aggregation: column metadata follows the select list; group-by
+	// values are located by their position in the group key.
+	l.groupPos = make([]int, len(plan.Query.Items))
+	l.cols = make([]ColInfo, len(plan.Query.Items))
+	for i, it := range plan.Query.Items {
+		if it.IsAgg {
+			l.groupPos[i] = -1
+			l.cols[i] = ColInfo{Name: it.Agg.Name, Type: tuple.TFloat64, IsAgg: true}
+			continue
+		}
+		for k, g := range plan.Query.GroupBy {
+			if strings.EqualFold(g, it.Col) {
+				l.groupPos[i] = k
+				break
+			}
+		}
+		j := schema.ColumnIndex(it.Col)
+		if j < 0 {
+			return &cursorLayout{err: fmt.Errorf("engine: unknown column %q in select list", it.Col)}
+		}
+		l.cols[i] = ColInfo{Name: it.Col, Type: schema.Column(j).Type}
+	}
+	return l
+}
+
+// newCursor builds and opens the iterator pipeline for a planned query,
+// laid out as its statement cache entry says. The statement holds
+// db.mu.RLock; on error the caller ends it.
+func newCursor(ctx context.Context, st *statement) (*Cursor, error) {
+	plan, lay := st.plan, st.entry.layout
+	if lay.err != nil {
+		return nil, lay.err
+	}
+	c := &Cursor{st: st, lay: lay}
+	if plan.IsProjection() {
 		it, err := plan.TupleIterator(ctx)
 		if err != nil {
 			return nil, err
@@ -114,29 +154,8 @@ func newCursor(ctx context.Context, st *statement) (*Cursor, error) {
 			return nil, err
 		}
 		c.tuples = it
-		c.row = make([]any, len(c.cols))
+		c.row = make([]any, len(lay.cols))
 		return c, nil
-	}
-
-	// Aggregation mode: column metadata follows the select list; group-by
-	// values are located by their position in the group key.
-	groupIdx := map[string]int{}
-	for i, g := range plan.Query.GroupBy {
-		groupIdx[strings.ToUpper(g)] = i
-	}
-	c.groupPos = make([]int, len(plan.Query.Items))
-	for i, it := range plan.Query.Items {
-		if it.IsAgg {
-			c.groupPos[i] = -1
-			c.cols = append(c.cols, ColInfo{Name: it.Agg.Name, Type: tuple.TFloat64, IsAgg: true})
-			continue
-		}
-		c.groupPos[i] = groupIdx[it.Col]
-		j := schema.ColumnIndex(it.Col)
-		if j < 0 {
-			return nil, fmt.Errorf("engine: unknown column %q in select list", it.Col)
-		}
-		c.cols = append(c.cols, ColInfo{Name: it.Col, Type: schema.Column(j).Type})
 	}
 	it, err := plan.RowIterator(ctx)
 	if err != nil {
@@ -149,12 +168,13 @@ func newCursor(ctx context.Context, st *statement) (*Cursor, error) {
 		return nil, err
 	}
 	c.rows = it
-	c.row = make([]any, len(c.cols))
+	c.row = make([]any, len(lay.cols))
 	return c, nil
 }
 
-// Columns returns the output column metadata.
-func (c *Cursor) Columns() []ColInfo { return c.cols }
+// Columns returns the output column metadata. Every cursor of one cached
+// plan shares the slice: callers must not modify it.
+func (c *Cursor) Columns() []ColInfo { return c.lay.cols }
 
 // Plan returns the executed physical plan (diagnostics).
 func (c *Cursor) Plan() *planner.Plan { return c.st.plan }
@@ -216,7 +236,7 @@ func (c *Cursor) Next() (row []any, ok bool, err error) {
 			return nil, false, c.finish(err)
 		}
 		out := c.row
-		for i, j := range c.tupIdx {
+		for i, j := range c.lay.tupIdx {
 			out[i] = tupleValue(t, j)
 		}
 		c.st.Rows++
@@ -227,11 +247,11 @@ func (c *Cursor) Next() (row []any, ok bool, err error) {
 		return nil, false, c.finish(err)
 	}
 	out := c.row
-	for i, ci := range c.cols {
+	for i, ci := range c.lay.cols {
 		if ci.IsAgg {
 			continue // filled below, in aggregate order
 		}
-		gv := r.Vals[c.groupPos[i]]
+		gv := r.Vals[c.lay.groupPos[i]]
 		if gv.IsStr {
 			out[i] = gv.Str
 			continue
@@ -246,7 +266,7 @@ func (c *Cursor) Next() (row []any, ok bool, err error) {
 		}
 	}
 	aggIdx := 0
-	for i, ci := range c.cols {
+	for i, ci := range c.lay.cols {
 		if ci.IsAgg {
 			out[i] = r.Aggs[aggIdx]
 			aggIdx++
@@ -301,10 +321,11 @@ func (c *Cursor) finish(cause error) error {
 func (c *Cursor) Close() error { return c.finish(nil) }
 
 // QueryContext parses, plans, and begins executing a SELECT, returning a
-// streaming cursor. The database read lock is held from here until the
-// cursor is closed (or exhausted), so concurrent DDL and data modification
-// cannot mutate SMA vectors mid-query (parallel partition workers read
-// under the same lock). The context is threaded into the scan operators
+// streaming cursor. The database read lock is held from here until an
+// aggregation's pipeline is open, or a projection's cursor is closed (or
+// exhausted), so concurrent DDL and data modification cannot mutate SMA
+// vectors or pages mid-read (parallel partition workers read under the
+// same lock). The context is threaded into the scan operators
 // and checked on every bucket/page: cancelling it makes QueryContext (or a
 // subsequent Next) fail with the context's error, and under parallelism
 // the first failing worker cancels its siblings the same way.
@@ -359,6 +380,11 @@ func (db *DB) openCursor(ctx context.Context, st *statement, cfg queryConfig) (c
 		db.opts.Obs.Logger().Warn("query failed", "qid", st.qid, "err", err, "sql", st.sql)
 		return nil, err
 	}
+	if !plan.IsProjection() {
+		// The aggregation's Open read every page it reads and computed
+		// every row: what the cursor hands out from here is its own.
+		st.unlock()
+	}
 	return cur, nil
 }
 
@@ -398,12 +424,15 @@ func (db *DB) explainContext(ctx context.Context, inner string, analyze bool, op
 	return newTextCursor(cur.st, lines), nil
 }
 
+// textLayout is the one column of a text cursor.
+var textLayout = &cursorLayout{cols: []ColInfo{{Name: "QUERY PLAN", Type: tuple.TChar}}}
+
 // newTextCursor builds a lock-free cursor streaming pre-rendered lines
 // through a single QUERY PLAN column.
 func newTextCursor(st *statement, lines []string) *Cursor {
 	return &Cursor{
 		st:   st,
-		cols: []ColInfo{{Name: "QUERY PLAN", Type: tuple.TChar}},
+		lay:  textLayout,
 		row:  make([]any, 1),
 		text: true, lines: lines,
 	}

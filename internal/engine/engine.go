@@ -174,7 +174,12 @@ type DB struct {
 	// epoch counts the changes that can make a plan template or an
 	// attribution stale: every write statement (beginStmt, so rollbacks
 	// and Table.Append too), CREATE TABLE and SMA DDL bump it under the
-	// write lock; readers compare it under the read lock.
+	// write lock; readers compare it under the read lock. A template's
+	// AggSMAs and its binding's SMA-files hold only while it stands still,
+	// so nothing may replace an SMA or add an SMA-file without moving it:
+	// maintenance, refolds and repairSMAs' rebuild run inside a statement
+	// beginStmt counted, and the rebuilds of Open (a damaged SMA-file,
+	// recovery) run before any plan exists.
 	epoch uint64
 }
 

@@ -43,8 +43,9 @@ type statement struct {
 	lap    time.Time
 	traced bool
 	trace  *obs.TraceNode
-	// locked records that the statement holds db.mu in read mode (a query
-	// from planning until its stream ends); end releases it.
+	// locked records that the statement holds db.mu in read mode: a query
+	// from planning until its pipeline is open (an aggregation) or its
+	// stream ends (a projection); unlock or end releases it.
 	locked bool
 	done   bool
 }
@@ -91,6 +92,14 @@ func (s *statement) rlock() {
 	s.lap = time.Now()
 }
 
+// unlock releases the read lock the statement holds, if it does.
+func (s *statement) unlock() {
+	if s.locked {
+		s.locked = false
+		s.db.mu.RUnlock()
+	}
+}
+
 // mark charges the time since the last mark to phase p.
 func (s *statement) mark(p obs.Phase) {
 	now := time.Now()
@@ -102,8 +111,9 @@ func (s *statement) mark(p obs.Phase) {
 // success): the record is completed from the plan, a traced query's clock
 // is rendered into its trace, and — the only place any of this happens — the
 // activity is deregistered, the collector, the engine metric families and
-// the log absorb the record, and the read lock is released. Idempotent,
-// so a cursor's Close after its stream ended is harmless.
+// the log absorb the record, and the read lock is released if the
+// statement still holds it. Idempotent, so a cursor's Close after its
+// stream ended is harmless.
 func (s *statement) end(err error) {
 	if s.done {
 		return
@@ -172,15 +182,15 @@ func (s *statement) end(err error) {
 			log.Log(context.Background(), level, msg, attrs...)
 		}
 	}
-	if s.locked {
-		s.db.mu.RUnlock()
-	}
+	s.unlock()
 }
 
 // settle completes a query's record from its executed plan — the strategy,
-// the merged scan statistics, the phase counters — read under the read lock
-// the statement still holds, which the per-SMA attribution needs. The
-// statement's own WAL traffic was recorded as it committed.
+// the merged scan statistics, the phase counters — and the per-SMA
+// attribution its statement cache entry computed under the lock. It reads
+// no database state, so an aggregation that released the read lock when
+// its pipeline opened settles without it. The statement's own WAL traffic
+// was recorded as it committed.
 func (s *statement) settle() {
 	plan := s.plan
 	if plan == nil {

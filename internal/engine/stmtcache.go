@@ -31,10 +31,14 @@ type stmtEntry struct {
 	// (Bind writes nothing).
 	query *parser.Query
 	// plan is the plan template as the planner left it — strategy, SMAs,
-	// grades and their runs, cost — before any pipeline was built from it;
-	// nil over a virtual table, whose plan holds a snapshot taken when it
-	// is built.
+	// grades and their runs, cost, and an aggregation's binding (its
+	// checks, SMA-file sources, fold and selection programs) — before any
+	// pipeline was built from it; nil over a virtual table, whose plan
+	// holds a snapshot taken when it is built.
 	plan *planner.Plan
+	// layout is where the cursor's columns come from (see cursorLayout),
+	// shared by every cursor of the entry.
+	layout *cursorLayout
 	// uses is the per-SMA attribution of the plan (see smaAttribution),
 	// nil without an observer.
 	uses []stats.SMAUse
@@ -85,7 +89,10 @@ func (db *DB) remember(s *statement, q *parser.Query, plan *planner.Plan) *stmtE
 	if db.opts.Obs != nil && e.norm == "" {
 		e.fp, e.norm = parser.Fingerprint(s.sql)
 	}
-	if plan.Mem == nil {
+	if plan.Mem != nil {
+		e.layout = newCursorLayout(plan, plan.Mem.Schema)
+	} else {
+		e.layout = newCursorLayout(plan, plan.Heap.Schema())
 		tmpl := *plan // the caller's copy gets the pipeline
 		e.plan = &tmpl
 		if db.opts.Obs != nil && len(plan.SelSMAs) > 0 {

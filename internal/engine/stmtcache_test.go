@@ -48,13 +48,15 @@ func runCached(t *testing.T, db *DB, sql string) cachedRun {
 
 // TestStatementCacheFollowsEveryChange sends one text before and after
 // every kind of change that can make a plan stale — an INSERT that opens a
-// bucket, an UPDATE that moves a bucket's minimum, a DELETE that empties a
-// bucket, an INSERT rolled back after SMA maintenance ran (its SMAs
-// rebuilt), DROP SMA and DEFINE SMA — and requires, each time, that the
-// text is planned again from its cached parse, that its template is reused
-// while nothing changes, and that both answer as a cache that never saw the
-// text does, strategy included. A statistics read sent twice sees the
-// first one counted.
+// bucket, an INSERT of a new group key (a new SMA-file in every grouped
+// SMA, which the template's binding does not name), an UPDATE that moves a
+// bucket's minimum, an UPDATE that moves a row between groups, a DELETE
+// that empties a bucket, an INSERT rolled back after SMA maintenance ran
+// (its SMAs rebuilt), DROP SMA and DEFINE SMA — and requires, each time,
+// that the text is planned again from its cached parse, that its template
+// is reused while nothing changes, and that both answer as a cache that
+// never saw the text does, strategy included. A statistics read sent twice
+// sees the first one counted.
 func TestStatementCacheFollowsEveryChange(t *testing.T) {
 	db, err := Open(t.TempDir(), Options{BucketPages: 1, Obs: obs.NewObserver(obs.Config{})})
 	if err != nil {
@@ -132,8 +134,27 @@ func TestStatementCacheFollowsEveryChange(t *testing.T) {
 	}
 	check("an INSERT that opens a bucket", "SMA_GAggr", true)
 
+	files := func() (n int) {
+		for _, name := range []string{"cnt", "sv"} {
+			n += tbl.smas[name].NumFiles()
+		}
+		return n
+	}
+	before := files()
+	exec("insert into T values (date '2024-01-05', 'D', 0.25, 'x')")
+	if after := files(); after != before+2 {
+		t.Fatalf("%d SMA-files after a new group's INSERT, %d before; want one more in each grouped SMA", after, before)
+	}
+	check("an INSERT of a new group key", "SMA_GAggr", true)
+	if !strings.Contains("\n"+last, "\nD1 0.25") {
+		t.Fatalf("after an INSERT of a new group key: no row of group D in\n%s", last)
+	}
+
 	exec("update T set D = date '2024-01-02' where D = date '" + day(80) + "'")
 	check("an UPDATE that moves a bucket's minimum", "SMA_GAggr", true)
+
+	exec("update T set K = 'B' where D = date '" + day(10) + "' and K = 'A'")
+	check("an UPDATE that moves a row between groups", "SMA_GAggr", true)
 
 	exec("delete from T where D >= date '2024-01-07' and D <= date '2024-01-09'")
 	check("a DELETE that empties a bucket", "SMA_GAggr", true)
@@ -260,6 +281,139 @@ func TestStatementCacheConcurrentReadersAndWriter(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+}
+
+// TestStatementCacheSharedBindingUnderWriters: readers at dop 1 and dop 2
+// send one grouped SMA_GAggr text — every read between two writes planned
+// from one template, its binding shared by the readers and by both workers
+// of a dop-2 read — while a writer's inserts each add a group, a new
+// SMA-file in every grouped SMA. Every answer must be the oracle's after
+// some number of the writes between those committed when the read began
+// and those sent when it ended: a binding kept past a write would miss the
+// new group's SMA-file, and one shared unsafely would mix groups.
+func TestStatementCacheSharedBindingUnderWriters(t *testing.T) {
+	db, err := Open(t.TempDir(), Options{BucketPages: 1, Obs: obs.NewObserver(obs.Config{})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	ctx := context.Background()
+	o := oracle.New()
+	apply := func(sql string) {
+		t.Helper()
+		if _, err := db.ExecContext(ctx, sql); err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		if _, err := o.Exec(sql); err != nil {
+			t.Fatalf("oracle: %s: %v", sql, err)
+		}
+	}
+	day := func(d int) string { return tuple.FormatDate(tuple.DateFromYMD(2024, 1, 1) + int32(d)) }
+	// 100 buckets of nine rows, four a day: up to the cutoff day they
+	// qualify, the one holding it is ambivalent, the rest disqualify.
+	vals := make([]string, 900)
+	for i := range vals {
+		vals[i] = fmt.Sprintf("(date '%s', 'K%02d', %d.5, 'x')", day(i/4), i%3, i%8)
+	}
+	for _, sql := range []string{
+		"create table T (D date, K char(3), V float64, PAD char(400))",
+		"insert into T values " + strings.Join(vals, ", "),
+		"define sma dmin select min(D) from T",
+		"define sma dmax select max(D) from T",
+		"define sma cnt select count(*) from T group by K",
+		"define sma sv select sum(V) from T group by K",
+	} {
+		apply(sql)
+	}
+	const q = "select K, count(*), sum(V), avg(V) from T where D <= date '2024-06-30' group by K order by K"
+	// Each write adds a group with rows inside the range; every fourth
+	// also adds a row past it, which makes its bucket ambivalent.
+	const writes = 24
+	inserts := make([]string, writes)
+	answers := make([]string, writes+1) // answers[k]: after k writes
+	answer := func() string {
+		t.Helper()
+		res, err := o.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprint(res.Rows)
+	}
+	answers[0] = answer()
+	for w := range inserts {
+		rows := fmt.Sprintf("(date '%s', 'N%02d', %d.25, 'y'), (date '%s', 'N%02d', 2, 'y'), (date '%s', 'K01', 1, 'y')",
+			day(30+w), w, w, day(60+w), w, day(90+w))
+		if w%4 == 3 {
+			rows += fmt.Sprintf(", (date '%s', 'N%02d', 3, 'y')", day(200+w), w)
+		}
+		inserts[w] = "insert into T values " + rows
+		if _, err := o.Exec(inserts[w]); err != nil {
+			t.Fatal(err)
+		}
+		answers[w+1] = answer()
+	}
+
+	var sent, committed atomic.Int64
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	errs := make(chan error, 5)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer close(done)
+		for _, sql := range inserts {
+			sent.Add(1)
+			if _, err := db.ExecContext(ctx, sql); err != nil {
+				errs <- err
+				return
+			}
+			committed.Add(1)
+		}
+	}()
+	var reads atomic.Int64
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func(dop int) {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				lo := committed.Load()
+				res, err := Collect(db, q, WithDOP(dop))
+				if err != nil {
+					errs <- err
+					return
+				}
+				if s := res.Plan.StrategyName(); s != "SMA_GAggr" {
+					errs <- fmt.Errorf("%s planned as %s", q, s)
+					return
+				}
+				got, hi := fmt.Sprint(res.Rows), sent.Load()
+				ok := false
+				for k := lo; k <= hi && !ok; k++ {
+					ok = got == answers[k]
+				}
+				if !ok {
+					errs <- fmt.Errorf("dop %d read\n%s\nwhich is no oracle answer after %d to %d writes (after %d: %s)",
+						dop, got, lo, hi, lo, answers[lo])
+					return
+				}
+				reads.Add(1)
+			}
+		}(1 + r%2)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	t.Logf("%d reads beside %d writes", reads.Load(), writes)
+	if reads.Load() == 0 {
+		t.Error("no read finished beside the writer")
 	}
 }
 

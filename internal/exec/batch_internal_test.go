@@ -20,14 +20,15 @@ func mustBindPred(t *testing.T, schema *tuple.Schema) pred.Predicate {
 	return p
 }
 
-// mustFolder compiles specs into a folder over a fresh groups map.
-func mustFolder(t *testing.T, schema *tuple.Schema, specs []AggSpec, gx *core.Extractor) *groupFolder {
+// mustFolder compiles specs grouped by groupBy into a folder over a fresh
+// groups map.
+func mustFolder(t *testing.T, schema *tuple.Schema, specs []AggSpec, groupBy []string) *groupFolder {
 	t.Helper()
-	f, err := newGroupFolder(schema, specs, gx, nil)
+	p, err := compileFold(schema, specs, groupBy)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return f
+	return newGroupFolder(p, nil)
 }
 
 // fillTestBatch packs n synthetic records into a leased batch: a CHAR(1)
@@ -91,17 +92,13 @@ func TestGroupFolderMatchesRowAccumulation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	gx, err := core.NewExtractor(schema, []string{"G"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	folder := mustFolder(t, schema, specs, gx)
+	folder := mustFolder(t, schema, specs, []string{"G"})
 	folder.fold(b)
 
 	want := make(map[core.GroupKey]*Partial)
 	for i := 0; i < b.Len(); i++ {
 		tp := b.Tuple(int32(i))
-		vals := gx.Vals(tp)
+		vals := folder.gx.Vals(tp)
 		key := core.MakeGroupKey(vals)
 		acc := want[key]
 		if acc == nil {
@@ -152,11 +149,7 @@ func TestBatchFoldZeroAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	gx, err := core.NewExtractor(schema, []string{"G"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	folder := mustFolder(t, schema, specs, gx)
+	folder := mustFolder(t, schema, specs, []string{"G"})
 	folder.fold(b) // warm-up creates the groups and sizes the scratch buffers
 
 	if avg := testing.AllocsPerRun(10, func() { folder.fold(b) }); avg != 0 {
@@ -173,11 +166,7 @@ func TestBatchFoldZeroAllocs(t *testing.T) {
 	// So must one whose groups (1 024 of them, 8 bytes of key and 5) miss
 	// the probe table on every record and resolve through the canonical key.
 	for _, cols := range [][]string{{"A"}, {"B", "G"}} {
-		gx, err := core.NewExtractor(schema, cols)
-		if err != nil {
-			t.Fatal(err)
-		}
-		many := mustFolder(t, schema, specs, gx)
+		many := mustFolder(t, schema, specs, cols)
 		many.fold(b)
 		if len(many.groups) != 1024 {
 			t.Fatalf("group by %v: %d groups, want 1024", cols, len(many.groups))

@@ -8,10 +8,12 @@ import (
 // BatchGAggr is Dayal's grouping-with-aggregation operator computed by hash
 // aggregation over a batch input: the non-SMA baseline of "Query 1 without
 // SMAs" (above a BatchTableScan) and the aggregation above a BatchSMAScan.
-// Open compiles the aggregate arguments into one vector program and drains
-// the input batch by batch, folding the selected tuples of each batch into
-// the mergeable per-group Partials (see groupFolder; no allocation per
-// batch). It is a pipeline breaker, like SMA_GAggr in the paper, and supports
+// Open drains the input batch by batch, folding the selected tuples of each
+// batch into the mergeable per-group Partials through one vector program of
+// the aggregate arguments (see groupFolder; no allocation per batch). The
+// program is the plan's binding when Bound is set, shared by every
+// execution and parallel worker; else Open compiles it with BindGAggr. It
+// is a pipeline breaker, like SMA_GAggr in the paper, and supports
 // KeepPartials for the parallel workers.
 type BatchGAggr struct {
 	Input   BatchIter
@@ -20,6 +22,9 @@ type BatchGAggr struct {
 	// KeepPartials makes Open keep the merge-ready per-group state instead
 	// of finishing it into rows; retrieve it with Partials before Close.
 	KeepPartials bool
+	// Bound, when set, is the binding of Specs and GroupBy over the input's
+	// schema, made by BindGAggr; Open uses it instead of compiling them.
+	Bound *AggBinding
 
 	schema *tuple.Schema
 	folder *groupFolder
@@ -35,21 +40,14 @@ func NewBatchGAggr(input BatchIter, schema *tuple.Schema, specs []AggSpec, group
 
 // Open consumes the entire input and computes all groups.
 func (g *BatchGAggr) Open() error {
-	for i := range g.Specs {
-		if err := g.Specs[i].Validate(g.schema); err != nil {
+	b := g.Bound
+	if b == nil {
+		var err error
+		if b, err = BindGAggr(g.schema, nil, g.Specs, g.GroupBy); err != nil {
 			return err
 		}
 	}
-	var gx *core.Extractor
-	var err error
-	if len(g.GroupBy) > 0 {
-		if gx, err = core.NewExtractor(g.schema, g.GroupBy); err != nil {
-			return err
-		}
-	}
-	if g.folder, err = newGroupFolder(g.schema, g.Specs, gx, nil); err != nil {
-		return err
-	}
+	g.folder = newGroupFolder(b.fold, nil)
 	g.work = Work{}
 	if err := g.work.timed(g.Input.Open); err != nil {
 		return err

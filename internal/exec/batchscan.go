@@ -29,6 +29,10 @@ type BatchTableScan struct {
 	EndPage   storage.PageID
 	// Opts carries the batch size and prefetch window.
 	Opts ExecOptions
+	// Bound, when set, is the plan's binding of Pred over the heap's
+	// schema (see AggBinding): Open takes its selection kernels instead of
+	// compiling Pred.
+	Bound *AggBinding
 
 	runScan
 }
@@ -38,17 +42,22 @@ func NewBatchTableScan(h *storage.HeapFile, p pred.Predicate, opts ExecOptions) 
 	return &BatchTableScan{H: h, Pred: p, Opts: opts}
 }
 
-// Open binds and compiles the predicate and starts reading the scan's page
-// range as one run.
+// Open binds and compiles the predicate, unless Bound has, and starts
+// reading the scan's page range as one run.
 func (s *BatchTableScan) Open() error {
+	sel, err := s.Bound.selection(s.Pred, s.H.Schema())
+	if err != nil {
+		return err
+	}
 	end := s.EndPage
 	if end == 0 || int64(end) > s.H.NumPages() {
 		end = storage.PageID(s.H.NumPages())
 	}
 	pages := storage.PageSpan{First: s.StartPage, Last: end - 1}
-	return s.open(s.H, s.Ctx, s.Pred, s.Opts, surviving, func(runs []run) []run {
+	s.open(s.H, s.Ctx, sel, s.Opts, surviving, func(runs []run) []run {
 		return append(runs, run{Run: core.Run{Grade: core.Ambivalent}, pages: pages})
 	})
+	return nil
 }
 
 // BatchSMAScan is the paper's SMA_Scan operator (Fig. 6), whose "three
@@ -80,6 +89,10 @@ type BatchSMAScan struct {
 	RIDs bool
 	// Opts carries the batch size and prefetch window.
 	Opts ExecOptions
+	// Bound, when set, is the plan's binding of Pred over the heap's
+	// schema (see AggBinding): Open takes its selection kernels instead of
+	// compiling Pred.
+	Bound *AggBinding
 
 	runScan
 }
@@ -90,17 +103,21 @@ func NewBatchSMAScan(h *storage.HeapFile, p pred.Predicate, grader *core.Grader,
 	return &BatchSMAScan{H: h, Pred: p, Grader: grader, Opts: opts}
 }
 
-// Open binds and compiles the predicate, grades the buckets (reusing
-// pre-computed runs when given), and starts reading the runs that
-// survive.
+// Open binds and compiles the predicate, unless Bound has, grades the
+// buckets (reusing pre-computed runs when given), and starts reading the
+// runs that survive.
 func (s *BatchSMAScan) Open() error {
-	err := s.open(s.H, s.Ctx, s.Pred, s.Opts, surviving, func(runs []run) []run {
+	sel, err := s.Bound.selection(s.Pred, s.H.Schema())
+	if err != nil {
+		return err
+	}
+	s.open(s.H, s.Ctx, sel, s.Opts, surviving, func(runs []run) []run {
 		return spanRuns(runs, s.H, gradedRuns(s.H, s.Grader, s.Pred, s.Runs, s.Buckets, s.Grades))
 	})
-	if err == nil && s.RIDs {
+	if s.RIDs {
 		s.rids = &s.batch.rids
 	}
-	return err
+	return nil
 }
 
 // run is a stretch of pages a scan reads under one grade: a graded run of
@@ -168,15 +185,11 @@ type runScan struct {
 	stats  ScanStats
 }
 
-// open binds and compiles the predicate, leases the batch, lets cut append
-// the run list to the batch's, and opens the stream over the pages of the
-// runs whose grade read accepts, reading ahead as opts says.
-func (s *runScan) open(h *storage.HeapFile, ctx context.Context, p pred.Predicate, opts ExecOptions,
-	read func(core.Grade) bool, cut func([]run) []run) error {
-	sel, err := compileSelect(p, h.Schema())
-	if err != nil {
-		return err
-	}
+// open leases the batch, lets cut append the run list to the batch's, and
+// opens the stream over the pages of the runs whose grade read accepts,
+// reading ahead as opts says; sel is the compiled predicate.
+func (s *runScan) open(h *storage.HeapFile, ctx context.Context, sel *selProgram, opts ExecOptions,
+	read func(core.Grade) bool, cut func([]run) []run) {
 	per := h.RecordsPerPage()
 	*s = runScan{h: h, ctx: ctx, sel: sel, cap: batchCap(opts, per)}
 	b := getBatch(h.Schema(), s.cap)
@@ -191,7 +204,6 @@ func (s *runScan) open(h *storage.HeapFile, ctx context.Context, p pred.Predicat
 	}
 	s.batch, s.runs = b, b.runs
 	s.stream.Open(h, b.spans, opts.Readahead(per), b.pins)
-	return nil
 }
 
 // surviving accepts the runs a scan reads: all but the disqualified.

@@ -3,11 +3,8 @@ package exec
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
 
 	"sma/internal/core"
-	"sma/internal/expr"
-	"sma/internal/tuple"
 )
 
 // groupCacheSize bounds the raw-key probe table. Warehouse group-bys
@@ -35,26 +32,21 @@ type groupState struct {
 //
 // Between fold calls nothing but the id assignment is kept: SMA_GAggr
 // advances the same Partials from SMA entries between two ambivalent
-// buckets, and whatever it wrote is what the next fold loads. A folder
-// belongs to one operator; parallel workers each build their own. Its
-// per-record scratch is the batch's; its per-group state starts out in
-// arrays inside the folder, so a statement that inspects one bucket of a
-// handful of groups allocates the folder and its program, nothing else.
+// buckets, and whatever it wrote is what the next fold loads. The compiled
+// program is the binding's, shared; a folder belongs to one operator, and
+// parallel workers each build their own. Its per-record scratch is the
+// batch's; its per-group state starts out in arrays inside the folder, so
+// a statement that inspects one bucket of a handful of groups allocates
+// the folder, nothing else.
 type groupFolder struct {
-	specs  []AggSpec
-	gx     *core.Extractor // nil for a global aggregate
+	*foldProgram
 	groups map[core.GroupKey]*Partial
-
-	prog expr.Program
-	arg  []int32 // per spec: its argument's node, -1 for COUNT(*)
 
 	// Group resolution. A record's raw group-column bytes resolve through
 	// a small probe table — packed into a uint64 when they fit — and only
 	// a miss builds the canonical key and consults the groups map. Two raw
 	// keys of one canonical group (two NaN encodings; int64s that round to
 	// one float64) meet there and share an id.
-	regions  []core.ColRegion // gx.Regions()
-	rawWidth int
 	keyBuf   []byte
 	probeN   int
 	probeAt  int                    // next entry to replace once the table is full
@@ -70,39 +62,19 @@ type groupFolder struct {
 	keyArr     [64]byte
 }
 
-// newGroupFolder compiles the specs' arguments against schema and prepares
-// a folder over an existing groups map (shared with SMA-side advancement
-// in SMA_GAggr) or a fresh one when groups is nil.
-func newGroupFolder(schema *tuple.Schema, specs []AggSpec, gx *core.Extractor, groups map[core.GroupKey]*Partial) (*groupFolder, error) {
+// newGroupFolder prepares a folder of the compiled fold p over an existing
+// groups map (shared with SMA-side advancement in SMA_GAggr) or a fresh
+// one when groups is nil.
+func newGroupFolder(p *foldProgram, groups map[core.GroupKey]*Partial) *groupFolder {
 	if groups == nil {
 		groups = make(map[core.GroupKey]*Partial)
 	}
-	f := &groupFolder{specs: specs, gx: gx, groups: groups, arg: make([]int32, len(specs))}
+	f := &groupFolder{foldProgram: p, groups: groups}
 	f.gs, f.touched, f.keyBuf = f.gsArr[:0], f.touchedArr[:0], f.keyArr[:0]
-	for i, sp := range specs {
-		f.arg[i] = -1
-		if sp.Arg == nil || sp.Func == AggCount {
-			continue
-		}
-		var err error
-		if f.arg[i], err = f.prog.Add(sp.Arg, schema); err != nil {
-			var unsupported *expr.UnsupportedNodeError
-			if errors.As(err, &unsupported) {
-				err = &UnsupportedNodeError{Kind: "expression", Node: unsupported.Node}
-			}
-			return nil, err
-		}
+	if p.rawWidth > 8 {
+		f.probeRaw = make([]byte, groupCacheSize*p.rawWidth)
 	}
-	if gx != nil {
-		f.regions = gx.Regions()
-		for _, reg := range f.regions {
-			f.rawWidth += reg.Width
-		}
-		if f.rawWidth > 8 {
-			f.probeRaw = make([]byte, groupCacheSize*f.rawWidth)
-		}
-	}
-	return f, nil
+	return f
 }
 
 // idOf returns acc's id, assigning the next one at first sight. The id is

@@ -297,15 +297,12 @@ func TestFoldSeesWhatOthersWroteBetweenBatches(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	gx, err := core.NewExtractor(schema, []string{"G"})
+	fp, err := compileFold(schema, specs, []string{"G"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	groups := make(map[core.GroupKey]*Partial)
-	f, err := newGroupFolder(schema, specs, gx, groups)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := newGroupFolder(fp, groups)
 	f.fold(b)
 	// Somebody else advances group A and creates group Z.
 	keyA := core.MakeGroupKey([]core.GroupVal{core.StrVal("A")})
@@ -330,9 +327,9 @@ func TestFoldSeesWhatOthersWroteBetweenBatches(t *testing.T) {
 	for _, batch := range []*Batch{z, b} {
 		for _, i := range batch.Sel {
 			tp := batch.Tuple(i)
-			w := want[gx.Key(tp)]
+			w := want[f.gx.Key(tp)]
 			naiveAdd(&w, specs, tp)
-			want[gx.Key(tp)] = w
+			want[f.gx.Key(tp)] = w
 		}
 	}
 	for k, w := range want {

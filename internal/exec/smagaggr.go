@@ -2,16 +2,11 @@ package exec
 
 import (
 	"context"
-	"fmt"
-	"sort"
-	"strings"
 	"time"
 
 	"sma/internal/core"
-	"sma/internal/expr"
 	"sma/internal/pred"
 	"sma/internal/storage"
-	"sma/internal/tuple"
 )
 
 // SMAGAggr is the paper's SMA_GAggr operator (Fig. 7): it computes a
@@ -20,6 +15,13 @@ import (
 // buckets without touching their pages. Only ambivalent buckets are
 // inspected tuple by tuple. The operator is a pipeline breaker: init()
 // computes the whole result, next() merely returns one group after another.
+//
+// What its parameters fix — the checks of the specs against the SMAs, the
+// SMA-files resolved to their query-level groups, the fold and selection
+// programs — is an AggBinding: the plan's, when Bound is set, which every
+// execution and every parallel worker shares; else Open binds them itself
+// with BindSMAGAggr. Open then allocates only the statement's accumulators,
+// groups map, batch and page stream.
 type SMAGAggr struct {
 	H       *storage.HeapFile
 	Pred    pred.Predicate // nil: every bucket qualifies
@@ -38,6 +40,10 @@ type SMAGAggr struct {
 	// contain a count(*) and if averages are demanded by the query, we add
 	// it").
 	CountSMA *core.SMA
+	// Bound, when set, is the binding of the fields above, made by
+	// BindSMAGAggr from the same values; Open uses it instead of binding
+	// them again.
+	Bound *AggBinding
 	// Ctx, when set, is checked once per run of equally graded buckets and
 	// before every ambivalent page read during init(), so a cancelled query
 	// aborts the aggregation pass with the context's error.
@@ -56,41 +62,17 @@ type SMAGAggr struct {
 	// vector, vector fold) and the asynchronous prefetch of their pages.
 	Opts ExecOptions
 
-	schema *tuple.Schema
-	gx     *core.Extractor
-
-	// The resolved fold: the query-level groups the SMA-files roll up into,
-	// and every SMA-file bound to the accumulator slot it advances. Sources
-	// that share a slot and a target (a grouping finer than the query's)
-	// are adjacent, in SMA-file order.
-	targets []foldTarget
-	sources []foldSource
-
+	b *AggBinding // the binding of the last Open
+	// accs holds, per target of the binding, its accumulator once it has
+	// one: it appears with the first contribution, so a group with nothing
+	// in the surviving buckets yields no row.
+	accs   []*Partial
 	groups map[core.GroupKey]*Partial
 	out    []Row
 	pos    int
 	scan   runScan // the ambivalent runs' pages, during Open
 	work   Work
 }
-
-// foldTarget is one query-level group that SMA-files contribute to. Its
-// accumulator appears with the first contribution, so a group with nothing
-// in the surviving buckets yields no row.
-type foldTarget struct {
-	key  core.GroupKey
-	vals []core.GroupVal
-	acc  *Partial
-}
-
-// foldSource binds one SMA-file to what it advances: slot is the spec
-// position, or countSlot for the AVG divisor.
-type foldSource struct {
-	gf     *core.GroupFile
-	target int32
-	slot   int32
-}
-
-const countSlot = -1
 
 // NewSMAGAggr constructs the operator; see the field docs for parameters.
 func NewSMAGAggr(h *storage.HeapFile, p pred.Predicate, specs []AggSpec, groupBy []string,
@@ -99,126 +81,28 @@ func NewSMAGAggr(h *storage.HeapFile, p pred.Predicate, specs []AggSpec, groupBy
 		Grader: grader, AggSMAs: aggSMAs, CountSMA: countSMA}
 }
 
-// addSources validates that s's grouping is equal to or finer than the
-// query grouping and binds each of its SMA-files to slot of the query-level
-// group it rolls up into.
-func (g *SMAGAggr) addSources(s *core.SMA, slot int32, index map[core.GroupKey]int32, pos []int) error {
-	same := len(s.Def.GroupBy) == len(g.GroupBy) // same columns in the same order
-	for i, q := range g.GroupBy {
-		found := -1
-		for j, c := range s.Def.GroupBy {
-			if strings.EqualFold(q, c) {
-				found = j
-				break
-			}
-		}
-		if found < 0 {
-			return fmt.Errorf("exec: sma %s groups by (%s), which does not cover query group-by column %s",
-				s.Def.Name, strings.Join(s.Def.GroupBy, ","), q)
-		}
-		pos[i] = found
-		same = same && found == i
-	}
-	first := len(g.sources)
-	err := s.Groups(func(gf *core.GroupFile) error {
-		key, vals := gf.Key, gf.Vals
-		if !same {
-			vals = make([]core.GroupVal, len(pos))
-			for i, j := range pos {
-				vals[i] = gf.Vals[j]
-			}
-			key = core.MakeGroupKey(vals)
-		}
-		t, ok := index[key]
-		if !ok {
-			t = int32(len(g.targets))
-			index[key] = t
-			g.targets = append(g.targets, foldTarget{key: key, vals: vals})
-		}
-		g.sources = append(g.sources, foldSource{gf: gf, target: t, slot: slot})
-		return nil
-	})
-	if !same {
-		// Several files may share a target now: make them adjacent,
-		// keeping SMA-file order among them.
-		added := g.sources[first:]
-		sort.SliceStable(added, func(i, j int) bool { return added[i].target < added[j].target })
-	}
-	return err
-}
-
 // Open computes the result, the paper's three phases: initialize, advance
 // per bucket, post-process averages.
 func (g *SMAGAggr) Open() error {
-	g.schema = g.H.Schema()
-	var err error
-	for i := range g.Specs {
-		if err := g.Specs[i].Validate(g.schema); err != nil {
+	b := g.Bound
+	if b == nil {
+		var err error
+		if b, err = BindSMAGAggr(g.H, g.Pred, g.Specs, g.GroupBy, g.AggSMAs, g.CountSMA); err != nil {
 			return err
 		}
 	}
-	if len(g.AggSMAs) != len(g.Specs) {
-		return fmt.Errorf("exec: %d aggregate SMAs for %d specs", len(g.AggSMAs), len(g.Specs))
-	}
-	needCount := false
-	files := 0 // SMA-files to bind
-	for i := range g.Specs {
-		s := g.AggSMAs[i]
-		if s == nil {
-			return fmt.Errorf("exec: spec %s has no aggregate SMA", g.Specs[i])
-		}
-		if want := g.Specs[i].Func.NeededSMAKind(); s.Def.Agg != want {
-			return fmt.Errorf("exec: spec %s needs a %s SMA, got %s (%s)", g.Specs[i], want, s.Def.Agg, s.Def.Name)
-		}
-		if g.Specs[i].Arg != nil && !expr.Equal(g.Specs[i].Arg, s.Def.Expr) {
-			return fmt.Errorf("exec: spec %s does not match sma %s over %s",
-				g.Specs[i], s.Def.Name, s.Def.ExprString())
-		}
-		if g.Specs[i].Func == AggAvg {
-			needCount = true
-		}
-		files += s.NumFiles()
-	}
-	if needCount && g.CountSMA == nil {
-		return fmt.Errorf("exec: AVG aggregates require a count SMA")
-	}
-
-	if len(g.GroupBy) > 0 {
-		g.gx, err = core.NewExtractor(g.schema, g.GroupBy)
-		if err != nil {
-			return err
-		}
-	}
-	if g.CountSMA != nil {
-		files += g.CountSMA.NumFiles()
-	}
-	g.targets = nil
-	g.sources = make([]foldSource, 0, files)
-	index := make(map[core.GroupKey]int32)
-	pos := make([]int, len(g.GroupBy))
-	for i, s := range g.AggSMAs {
-		if err := g.addSources(s, int32(i), index, pos); err != nil {
-			return err
-		}
-	}
-	if g.CountSMA != nil {
-		if err := g.addSources(g.CountSMA, countSlot, index, pos); err != nil {
-			return err
-		}
-	}
-
+	g.b = b
+	g.accs = make([]*Partial, len(b.targets))
 	g.groups = make(map[core.GroupKey]*Partial)
 	g.work = Work{}
 	// The ambivalent runs' pages are the only ones this operator ever
 	// touches, and the grades name them before the first access.
 	ambivalent := func(gr core.Grade) bool { return gr == core.Ambivalent }
-	if err := g.scan.open(g.H, g.Ctx, g.Pred, g.Opts, ambivalent, func(runs []run) []run {
+	g.scan.open(g.H, g.Ctx, b.sel, g.Opts, ambivalent, func(runs []run) []run {
 		return spanRuns(runs, g.H, gradedRuns(g.H, g.Grader, g.Pred, g.Runs, g.Buckets, g.Grades))
-	}); err != nil {
-		return err
-	}
+	})
 	defer g.scan.Close()
-	var folder *groupFolder // compiled for the first ambivalent run
+	var folder *groupFolder // made for the first ambivalent run
 
 	for _, r := range g.scan.runs {
 		if err := ctxErr(g.Ctx); err != nil {
@@ -231,9 +115,7 @@ func (g *SMAGAggr) Open() error {
 			g.advanceRun(int(r.Lo), int(r.Hi))
 		default:
 			if folder == nil {
-				if folder, err = newGroupFolder(g.schema, g.Specs, g.gx, g.groups); err != nil {
-					return err
-				}
+				folder = newGroupFolder(b.fold, g.groups)
 			}
 			// Inspect the run batch by batch: pages decode into the reusable
 			// batch, the compiled predicate narrows the selection vector, and
@@ -243,6 +125,7 @@ func (g *SMAGAggr) Open() error {
 			for p, ok := g.scan.stream.Next(); ok && p <= r.pages.Last; p, ok = g.scan.stream.Next() {
 				start := time.Now()
 				batch.reset()
+				var err error
 				if batch.data, batch.n, err = g.scan.stream.Read(g.Ctx, batch.data, g.scan.cap, nil); err != nil {
 					return err
 				}
@@ -281,17 +164,18 @@ func (g *SMAGAggr) Work() Work { return g.work }
 // bucket-at-a-time pass adds them in: floating-point results do not depend
 // on how the buckets fall into runs.
 func (g *SMAGAggr) advanceRun(lo, hi int) {
-	for i := 0; i < len(g.sources); {
-		src := g.sources[i]
+	sources := g.b.sources
+	for i := 0; i < len(sources); {
+		src := sources[i]
 		j := i + 1
-		for j < len(g.sources) && g.sources[j].slot == src.slot && g.sources[j].target == src.target {
+		for j < len(sources) && sources[j].slot == src.slot && sources[j].target == src.target {
 			j++
 		}
 		if j-i == 1 {
 			g.advanceFile(src, lo, hi)
 		} else {
 			for b := lo; b < hi; b++ {
-				for _, s := range g.sources[i:j] {
+				for _, s := range sources[i:j] {
 					g.advanceFile(s, b, b+1)
 				}
 			}
@@ -302,15 +186,11 @@ func (g *SMAGAggr) advanceRun(lo, hi int) {
 
 // advanceFile folds buckets [lo, hi) of one SMA-file into its slot.
 func (g *SMAGAggr) advanceFile(src foldSource, lo, hi int) {
-	t := &g.targets[src.target]
-	if t.acc == nil {
+	acc := g.accs[src.target]
+	if acc == nil {
 		// An ambivalent bucket may have created the group meanwhile.
-		t.acc = g.groups[t.key]
-	}
-	acc := t.acc
-	kind := core.Count
-	if src.slot != countSlot {
-		kind = g.Specs[src.slot].Func.NeededSMAKind()
+		acc = g.groups[g.b.targets[src.target].key]
+		g.accs[src.target] = acc
 	}
 	var cur float64
 	var seen bool
@@ -321,13 +201,14 @@ func (g *SMAGAggr) advanceFile(src foldSource, lo, hi int) {
 			cur, seen = acc.Aggs[src.slot], acc.Seen[src.slot]
 		}
 	}
-	v, any := src.gf.FoldRange(kind, lo, hi, cur, seen)
+	v, any := src.gf.FoldRange(src.kind, lo, hi, cur, seen)
 	if !any {
 		return // nothing present, and nothing seen before either
 	}
 	if acc == nil {
+		t := &g.b.targets[src.target]
 		acc = newGroupAcc(t.vals, len(g.Specs))
-		t.acc, g.groups[t.key] = acc, acc
+		g.accs[src.target], g.groups[t.key] = acc, acc
 	}
 	if src.slot == countSlot {
 		acc.Count = v
@@ -348,7 +229,7 @@ func (g *SMAGAggr) Next() (Row, bool, error) {
 
 // Close drops the result.
 func (g *SMAGAggr) Close() error {
-	g.targets, g.sources = nil, nil
+	g.b, g.accs = nil, nil
 	g.groups = nil
 	g.out = nil
 	return nil

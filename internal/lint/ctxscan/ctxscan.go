@@ -10,9 +10,11 @@
 // statement's context before every page; an execution-layer loop that
 // pulls pages through it must hand it a context it has in reach.
 //
-// The invariant comes from the engine's locking design: queries and DML
-// hold the database read/write lock for their whole run, so a scan that
-// ignores its context pins the lock until it finishes the relation. Every
+// The invariant comes from the engine's locking design: every scan runs
+// under the database read or write lock — a query's from its planning
+// until its pipeline is open (an aggregation) or its stream ends (a
+// projection), DML's for the whole statement — so a scan that ignores its
+// context pins the lock until it finishes the relation. Every
 // bucket/page loop checking ctx is what makes client disconnects and
 // server drains bounded-latency operations.
 package ctxscan

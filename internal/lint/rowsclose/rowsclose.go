@@ -1,8 +1,11 @@
 // Package rowsclose enforces the cursor-hygiene rule of the public API:
 // a value obtained from QueryContext/Cursor-style calls — any call whose
 // first result is a *Rows or *Cursor with a Close method — must be closed
-// on every path, because an unclosed cursor holds the database read lock
-// and blocks all DML and DDL indefinitely.
+// on every path, because an unclosed projection cursor holds the database
+// read lock and blocks all DML and DDL indefinitely. An aggregation's
+// cursor lets the lock go once its pipeline is open, but it too stays a
+// live statement until closed: listed in the activity table, absent from
+// the statistics.
 //
 // Accepted disciplines: `defer v.Close()`, an explicit Close on every
 // path, returning the value to the caller, storing it into a struct
@@ -24,7 +27,7 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "rowsclose",
 	Doc: "callers of QueryContext/Cursor must Close the result on all " +
-		"paths (the cursor pins the database read lock until closed)",
+		"paths (a projection's cursor pins the database read lock until closed)",
 	Run: run,
 }
 

@@ -51,7 +51,9 @@ type Fold interface {
 }
 
 // Source describes what every pipeline of a query computes: the relation,
-// the selection, the aggregates, and the SMAs that serve them.
+// the selection, the aggregates, and the SMAs that serve them. Bound is
+// their binding, made once per plan: the Source is copied for every
+// worker, and every copy shares it.
 type Source struct {
 	Mode    Mode
 	Heap    *storage.HeapFile
@@ -65,6 +67,13 @@ type Source struct {
 	// AggSMAs and CountSMA parameterize ModeSMAGAggr (see exec.SMAGAggr).
 	AggSMAs  []*core.SMA
 	CountSMA *core.SMA
+	// Bound, when set, is the binding of the fields above
+	// (exec.BindSMAGAggr for ModeSMAGAggr, exec.BindGAggr over the heap's
+	// schema for the scan modes): every operator of every pipeline takes
+	// its checks and compiled programs from it and binds nothing in Open.
+	// Nil for ModeMem, and when the plan did not bind; each operator then
+	// binds in its Open.
+	Bound *exec.AggBinding
 
 	// Ctx, when set, cancels the pipeline at its next bucket or page
 	// boundary.
@@ -84,6 +93,7 @@ func (s *Source) Pipeline(u Unit, keep bool) (Fold, exec.StatsReporter) {
 	gaggr := func(scan scanOp, schema *tuple.Schema) (Fold, exec.StatsReporter) {
 		ga := exec.NewBatchGAggr(scan, schema, s.Specs, s.GroupBy)
 		ga.KeepPartials = keep
+		ga.Bound = s.Bound
 		return ga, scan
 	}
 	switch s.Mode {
@@ -93,11 +103,13 @@ func (s *Source) Pipeline(u Unit, keep bool) (Fold, exec.StatsReporter) {
 		op.Runs = u.Runs
 		op.KeepPartials = keep
 		op.Opts = s.Exec
+		op.Bound = s.Bound
 		return op, op
 	case ModeSMAScan:
 		scan := exec.NewBatchSMAScan(s.Heap, s.Pred, s.Grader, s.Exec)
 		scan.Ctx = s.Ctx
 		scan.Runs = u.Runs
+		scan.Bound = s.Bound
 		return gaggr(scan, s.Heap.Schema())
 	case ModeMem:
 		scan := exec.NewMemScan(s.Mem.Schema, s.Mem.Tuples, s.Pred)
@@ -108,6 +120,7 @@ func (s *Source) Pipeline(u Unit, keep bool) (Fold, exec.StatsReporter) {
 		scan := exec.NewBatchTableScan(s.Heap, s.Pred, s.Exec)
 		scan.Ctx = s.Ctx
 		scan.StartPage, scan.EndPage = u.First, u.Last
+		scan.Bound = s.Bound
 		return gaggr(scan, s.Heap.Schema())
 	}
 }
@@ -163,8 +176,8 @@ func (a *Agg) Open() error {
 	err := Run(a.Ctx, len(units), func(ctx context.Context, i int) error {
 		row := &a.work.Workers[i]
 		defer func(t0 time.Time) { row.Busy = time.Since(t0) }(time.Now())
-		// The workers share the predicate and the specs: a parsed
-		// statement is immutable, and each worker compiles its own kernels.
+		// The workers share the predicate, the specs and the plan's
+		// binding of them: a parsed statement and a binding are immutable.
 		w := a.Source
 		w.Ctx, w.Exec = ctx, workerOpts
 		op, src := w.Pipeline(units[i], true)

@@ -18,7 +18,11 @@
 // parallel.Source.Pipeline — inline over the whole relation when serial,
 // once per partition under parallel.Agg — and Plan.TupleIterator builds
 // every projection shape as a one-page-batch scan under exec.BatchToTuples,
-// the only place tuples appear.
+// the only place tuples appear. An aggregation plan over a heap is bound
+// when it is made (exec.AggBinding): the checks of its aggregates and
+// SMAs, its SMA-files resolved to their groups and its compiled fold and
+// selection programs are made once, and every pipeline built from the plan
+// or a copy of it shares them.
 package planner
 
 import (
@@ -85,7 +89,9 @@ func (s Strategy) String() string {
 	}
 }
 
-// Plan is an executable physical plan.
+// Plan is an executable physical plan. A Plan copied by value shares what
+// its planning fixed — the grades, the aggregate specs and their binding —
+// and each copy records the pipeline built from it on its own.
 type Plan struct {
 	Query    *parser.Query
 	Strategy Strategy
@@ -135,6 +141,12 @@ type Plan struct {
 	// over the heap's buckets; the scan operators and the parallel
 	// executor reuse it instead of grading again.
 	runs []core.Run
+	// specs are the query's aggregates in select-list order; bound is
+	// their binding to the heap and the chosen SMAs, made with the plan —
+	// nil over a memory relation, or when binding failed: the pipeline's
+	// operators then bind in their Open and report the error there.
+	specs []exec.AggSpec
+	bound *exec.AggBinding
 }
 
 // StrategyName renders the strategy for display. Projection plans carry
@@ -294,16 +306,38 @@ func selectionSMAPages(sel []*core.SMA) int64 {
 	return total
 }
 
-// PlanQuery builds the cheapest plan for q over heap with the given SMAs
-// and picks its degree of parallelism from the planner's configured DOP.
+// PlanQuery builds the cheapest plan for q over heap with the given SMAs,
+// binds an aggregation plan's pipeline (see Plan.RowIterator), and picks
+// its degree of parallelism from the planner's configured DOP.
 func (pl *Planner) PlanQuery(q *parser.Query, heap *storage.HeapFile, smas []*core.SMA) (*Plan, error) {
 	plan, err := pl.planQuery(q, heap, smas)
 	if err != nil {
 		return nil, err
 	}
+	if !plan.IsProjection() {
+		plan.bind()
+	}
 	plan.DOP = pl.ChooseDOP(plan, pl.DOP)
 	plan.Exec = pl.Exec
 	return plan, nil
+}
+
+// bind makes the binding every pipeline of an aggregation plan shares:
+// BindSMAGAggr over the chosen SMAs for SMA_GAggr, BindGAggr over the
+// heap's schema for the scan strategies — the functions the operators run
+// in Open when they have none. A binding that fails is not kept, so the
+// error comes from the pipeline's Open, as it does without a binding.
+func (p *Plan) bind() {
+	var b *exec.AggBinding
+	var err error
+	if p.Strategy == StrategySMAGAggr {
+		b, err = exec.BindSMAGAggr(p.Heap, p.Query.Where, p.specs, p.Query.GroupBy, p.AggSMAs, p.CountSMA)
+	} else {
+		b, err = exec.BindGAggr(p.Heap.Schema(), p.Query.Where, p.specs, p.Query.GroupBy)
+	}
+	if err == nil {
+		p.bound = b
+	}
 }
 
 // PlanMem plans a query over an in-memory relation — the virtual system
@@ -341,6 +375,7 @@ func (pl *Planner) PlanMem(q *parser.Query, rel *exec.MemRelation) (*Plan, error
 		DOP:      1,
 		Exec:     pl.Exec,
 		Reason:   "virtual system table; in-memory snapshot scan",
+		specs:    q.AggSpecs(),
 	}, nil
 }
 
@@ -360,7 +395,7 @@ func (pl *Planner) planQuery(q *parser.Query, heap *storage.HeapFile, smas []*co
 		return pl.planProjection(q, heap, smas)
 	}
 	specs := q.AggSpecs()
-	plan := &Plan{Query: q, Heap: heap}
+	plan := &Plan{Query: q, Heap: heap, specs: specs}
 	grader := core.NewGrader(smas...)
 	plan.Grader = grader
 
@@ -527,12 +562,13 @@ var modeOf = [...]parallel.Mode{
 // is one parallel.Source pipeline over the whole relation, run inline;
 // with DOP > 1 the same pipeline runs once per bucket (or page-range)
 // partition and the partial aggregates are merged into one sorted stream,
-// so the rows are the same for any DOP.
+// so the rows are the same for any DOP. Every pipeline shares the plan's
+// binding: opening one of a bound plan binds nothing.
 func (p *Plan) RowIterator(ctx context.Context) (exec.RowIter, error) {
 	if p.IsProjection() {
 		return nil, fmt.Errorf("planner: projection plans stream tuples; use TupleIterator")
 	}
-	specs := p.Query.AggSpecs()
+	specs := p.specs
 	src := parallel.Source{
 		Mode:     modeOf[p.Strategy],
 		Heap:     p.Heap,
@@ -543,6 +579,7 @@ func (p *Plan) RowIterator(ctx context.Context) (exec.RowIter, error) {
 		Grader:   p.Grader,
 		AggSMAs:  p.AggSMAs,
 		CountSMA: p.CountSMA,
+		Bound:    p.bound,
 		Ctx:      ctx,
 		Exec:     p.Exec,
 	}

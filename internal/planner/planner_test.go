@@ -1,6 +1,7 @@
 package planner_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -265,5 +266,52 @@ func TestPlannerEqualityViaCountSMA(t *testing.T) {
 	}
 	if rows[0].Aggs[0] != want[0].Aggs[0] {
 		t.Errorf("count %v != %v", rows[0].Aggs[0], want[0].Aggs[0])
+	}
+}
+
+// TestAggregationPlansAreBound: every aggregation strategy over a heap
+// leaves its plan bound, and a plan copied as the statement cache copies
+// its template shares the binding and answers as the original does. A
+// projection has none, nor has an aggregation that does not bind: its
+// pipeline's Open reports the binding's error instead.
+func TestAggregationPlansAreBound(t *testing.T) {
+	h := newLineItem(t, tpcd.OrderSorted, 0.002)
+	smas := q1SMAs(t, h)
+	for _, c := range []struct{ sql, strategy string }{
+		{q1SQL, "SMA_GAggr"},
+		{"select L_RETURNFLAG, max(L_TAX) from LINEITEM where L_SHIPDATE <= date '1992-03-01' group by L_RETURNFLAG", "SMA_Scan+GAggr"},
+		{"select L_LINESTATUS, count(*) from LINEITEM where L_QUANTITY > 10 group by L_LINESTATUS", "FullScan+GAggr"},
+	} {
+		p := plan(t, c.sql, h, smas)
+		if p.StrategyName() != c.strategy || p.Binding() == nil {
+			t.Fatalf("%s: %s, bound %v; want %s, bound", c.sql, p.StrategyName(), p.Binding() != nil, c.strategy)
+		}
+		cp := *p
+		if cp.Binding() != p.Binding() {
+			t.Fatalf("%s: a copied plan has a binding of its own", c.sql)
+		}
+		want, err := execute(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := execute(&cp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) || len(want) == 0 {
+			t.Errorf("%s: the copy answered %v, the plan %v", c.sql, got, want)
+		}
+	}
+	if p := plan(t, "select L_ORDERKEY from LINEITEM where L_SHIPDATE <= date '1992-03-01'", h, smas); p.Binding() != nil {
+		t.Errorf("a projection plan is bound")
+	}
+	// A CHAR column has no vector kernel: binding fails, and so does Open.
+	p := plan(t, "select sum(L_RETURNFLAG) from LINEITEM", h, smas)
+	if p.Binding() != nil {
+		t.Fatalf("sum over a CHAR column bound")
+	}
+	_, bindErr := exec.BindGAggr(h.Schema(), nil, p.Query.AggSpecs(), nil)
+	if _, err := execute(p); err == nil || bindErr == nil || err.Error() != bindErr.Error() {
+		t.Errorf("Open of an unbound plan: %v; binding: %v", err, bindErr)
 	}
 }

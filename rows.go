@@ -11,9 +11,10 @@ import (
 // Rows is a streaming query cursor in the style of database/sql: call Next
 // until it returns false, Scan inside the loop, then check Err and Close.
 // Rows pulls from the exec-layer iterator pipeline one row at a time; the
-// full result is never materialized by the cursor. The database read lock
-// is held while the cursor is open and released by Close or when the
-// stream ends.
+// full result is never materialized by the cursor. A projection's cursor
+// holds the database read lock while it is open and releases it by Close
+// or when the stream ends; an aggregation computes its rows before
+// QueryContext returns and holds the lock no longer.
 type Rows struct {
 	cur  *engine.Cursor
 	cols []engine.ColInfo
@@ -134,8 +135,8 @@ func (r *Rows) Next() bool {
 // context.DeadlineExceeded).
 func (r *Rows) Err() error { return r.err }
 
-// Close releases the cursor and the database read lock. Close is
-// idempotent and safe after the stream has ended.
+// Close releases the cursor and, for a projection, the database read lock.
+// Close is idempotent and safe after the stream has ended.
 func (r *Rows) Close() error { return r.cur.Close() }
 
 // Scan copies the current row into dest, one pointer per column. Supported

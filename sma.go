@@ -24,9 +24,11 @@
 // Queries stream: QueryContext returns a cursor that pulls from the
 // exec-layer iterator pipeline one row at a time, carrying typed values
 // (int64, float64, string, Date) rather than rendered strings. The
-// database read lock is held while a cursor is open and released on Close
-// (or when the stream ends), so hold cursors briefly and never run DDL on
-// the same goroutine before closing an open cursor. Cancelling the
+// database read lock is held while a projection's cursor is open and
+// released on Close (or when the stream ends), so hold cursors briefly and
+// never run DDL on the same goroutine before closing an open cursor; an
+// aggregation computes its rows inside QueryContext and releases the lock
+// before it returns. Cancelling the
 // query's context aborts scans at the next bucket or page boundary.
 //
 // Below the cursor there is one execution pipeline: operators exchange
@@ -168,8 +170,9 @@ func WithQueryParallelism(n int) QueryOption { return engine.WithDOP(n) }
 func WithQueryTrace() QueryOption { return engine.WithTrace(true) }
 
 // DB is an embedded warehouse instance rooted at a directory. A DB is safe
-// for concurrent use: queries hold a read lock while their cursor is open,
-// DDL and data modification take the write lock.
+// for concurrent use: queries hold a read lock while they read pages (a
+// projection until its cursor is closed or drained), DDL and data
+// modification take the write lock.
 type DB struct {
 	eng *engine.DB
 }
@@ -207,8 +210,8 @@ type TraceNode = obs.TraceNode
 func (db *DB) Dir() string { return db.eng.Dir() }
 
 // Close flushes and closes every table, persisting its heap pages and SMAs.
-// Close is idempotent: a second call is a no-op. Close blocks until open cursors
-// release their read locks.
+// Close is idempotent: a second call is a no-op. Close blocks until open
+// projection cursors release their read locks.
 func (db *DB) Close() error { return db.eng.Close() }
 
 // Tables returns a catalog snapshot: every table in name order with its
@@ -328,8 +331,8 @@ func (db *DB) Table(name string) (*Table, error) {
 // scan operators and checked on every bucket/page: cancelling it aborts
 // the query mid-flight with context.Canceled (or DeadlineExceeded); under
 // parallel execution the first failing worker cancels its siblings the
-// same way. The caller must Close the returned Rows to release the read
-// lock.
+// same way. The caller must Close the returned Rows to end the statement
+// and, for a projection, release the read lock.
 func (db *DB) QueryContext(ctx context.Context, query string, opts ...QueryOption) (*Rows, error) {
 	cur, err := db.eng.QueryContext(ctx, query, opts...)
 	if err != nil {
