@@ -697,7 +697,7 @@ func (db *DB) Plan(sql string) (*planner.Plan, error) {
 	if err := db.checkOpen(); err != nil {
 		return nil, err
 	}
-	return db.planLocked(&statement{sql: sql, entry: db.stmts.get(sql)})
+	return db.planLocked(&statement{db: db, sql: sql, entry: db.stmts.get(sql)})
 }
 
 // planLocked plans the statement's query under a held lock through its
@@ -719,10 +719,11 @@ func (db *DB) planLocked(s *statement) (*planner.Plan, error) {
 		var q *parser.Query
 		if e != nil {
 			q = e.query
+			s.Fingerprint, s.Norm = e.fp, e.norm
 			s.clock.Lap(obs.PhaseParse, 0)
 		} else {
 			var err error
-			q, err = parser.ParseQuery(s.sql)
+			q, err = s.parseQuery()
 			s.mark(obs.PhaseParse)
 			if err != nil {
 				return nil, err

@@ -60,7 +60,7 @@ func (db *DB) execStmt(ctx context.Context, st *statement) (sma *core.SMA, err e
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	parsed, err := parser.ParseStatement(st.sql)
+	parsed, err := st.parse()
 	if err != nil {
 		return nil, err
 	}

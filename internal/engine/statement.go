@@ -53,7 +53,10 @@ type statement struct {
 // begin opens the record of one statement and returns the context it
 // runs under (Background for a nil one). The in-flight statement is
 // registered before planning so the activity table's own snapshot —
-// materialized at plan time — includes the query reading it.
+// materialized at plan time — includes the query reading it. Its text is
+// not read here: a read the statement cache holds takes the entry's
+// fingerprint, any other statement the one its parse writes (parsed), and
+// end fingerprints a text that never reached its parse.
 // Every begin is paired with exactly one end.
 func (db *DB) begin(ctx context.Context, sql string, query, traced bool) (context.Context, *statement) {
 	if ctx == nil {
@@ -74,14 +77,43 @@ func (db *DB) begin(ctx context.Context, sql string, query, traced bool) (contex
 		}
 		if s.entry != nil {
 			s.Fingerprint, s.Norm = s.entry.fp, s.entry.norm
-		} else {
-			s.Fingerprint, s.Norm = parser.Fingerprint(sql)
 		}
 		s.act = o.Stats.BeginActivity(activity, sql, s.Fingerprint)
 	}
 	s.start, s.traced = time.Now(), traced
 	s.lap = s.start
 	return ctx, s
+}
+
+// parse parses the statement's text, with the fingerprint and normal form
+// of its record when there is an observer to read them: they come from the
+// parse's own token stream (Fingerprint's for a text that does not parse),
+// and the statement's activity row takes the fingerprint.
+func (s *statement) parse() (parser.Statement, error) {
+	o := s.db.opts.Obs
+	if o == nil {
+		return parser.ParseStatement(s.sql)
+	}
+	st, fp, norm, err := parser.ParseStatementFingerprint(s.sql)
+	s.parsed(o, fp, norm)
+	return st, err
+}
+
+// parseQuery is parse for the text of a read.
+func (s *statement) parseQuery() (*parser.Query, error) {
+	o := s.db.opts.Obs
+	if o == nil {
+		return parser.ParseQuery(s.sql)
+	}
+	q, fp, norm, err := parser.ParseQueryFingerprint(s.sql)
+	s.parsed(o, fp, norm)
+	return q, err
+}
+
+// parsed records the fingerprint and normal form a parse wrote.
+func (s *statement) parsed(o *obs.Observer, fp uint64, norm string) {
+	s.Fingerprint, s.Norm = fp, norm
+	o.Stats.SetActivityFingerprint(s.act, fp)
 }
 
 // rlock takes the database read lock for the statement; end releases it.
@@ -133,6 +165,10 @@ func (s *statement) end(err error) {
 		s.trace = s.clock.Trace(s.sql, s.Kind, s.DOP, s.Dur, workers)
 	}
 	if o := s.db.opts.Obs; o != nil {
+		if s.Norm == "" {
+			// Cancelled, refused or panicked before its text was parsed.
+			s.Fingerprint, s.Norm = parser.Fingerprint(s.sql)
+		}
 		o.Stats.EndActivity(s.act)
 		if s.Kind != "reset stats" { // don't repopulate what reset just cleared
 			o.Stats.Record(&s.Record)
@@ -165,7 +201,7 @@ func (s *statement) end(err error) {
 		// The log record is built only for a logger that will take it: most
 		// statements are neither slow nor logged at debug level.
 		if log := o.Logger(); log.Enabled(context.Background(), level) {
-			attrs := []any{"qid", s.qid, "dur", s.Dur}
+			attrs := []any{"qid", s.qid, "fingerprint", fmt.Sprintf("%016x", s.Fingerprint), "dur", s.Dur}
 			buckets := fmt.Sprintf("%d/%d/%d", s.Qualify, s.Disqualify, s.Ambivalent)
 			if s.Query {
 				attrs = append(attrs, "strategy", s.Kind, "rows", s.Rows, "buckets", buckets)

@@ -3,8 +3,10 @@ package engine_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"log/slog"
 	"math"
 	"strings"
 	"sync"
@@ -504,6 +506,141 @@ func TestEverySurfaceAgrees(t *testing.T) {
 		if got := testutil.Metric(t, expo, series); got != n {
 			t.Errorf("%s = %d, statements reported %d", series, got, n)
 		}
+	}
+}
+
+// TestEverySurfaceFingerprints: the fingerprint a statement's parse writes
+// is the one parser.Fingerprint gives its text, on every surface that shows
+// one — sma_stat_statements, the statement's sma_stat_activity row once it
+// is parsed, and the slow log — for a load statement, an UPDATE, reads the
+// statement cache misses, EXPLAIN through either entrypoint, and texts that
+// do not parse (or lex), which are recorded under Fingerprint's normal form.
+func TestEverySurfaceFingerprints(t *testing.T) {
+	var logBuf bytes.Buffer
+	o := obs.NewObserver(obs.Config{
+		Logger:    slog.New(slog.NewJSONHandler(&logBuf, nil)),
+		SlowQuery: time.Nanosecond, // every statement is logged with its text
+	})
+	db, err := engine.Open(t.TempDir(), engine.Options{Obs: o})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	ctx := context.Background()
+	if _, err := db.ExecContext(ctx, "create table SALES (SALE_DATE date, REGION char(1), AMOUNT float64)"); err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	b.WriteString("INSERT INTO Sales VALUES ")
+	for r := 0; r < 100; r++ {
+		if r > 0 {
+			b.WriteString(", ")
+		}
+		fmt.Fprintf(&b, "(DATE '2022-01-%02d', '%c', -%d.%d)", 1+r%28, "NS"[r%2], r, r%10)
+	}
+	b.WriteString("; -- a load statement")
+	var (
+		load     = b.String()
+		update   = "Update SALES set AMOUNT = AMOUNT + 1 where SALE_DATE >= date '2022-01-15'"
+		sel      = "select REGION, sum(AMOUNT) from SALES where SALE_DATE <= DATE '2022-01-20' group by REGION;"
+		activity = "select KIND, FINGERPRINT, SQL_TEXT from sma_stat_activity"
+		explain  = "explain select count(*) from SALES"
+		badParse = "select REGION from SALES where"
+		badLex   = "update SALES set REGION = 'unterminated"
+	)
+
+	// Each write waits out a stalled fsync, parsed, while its activity row
+	// is read.
+	db.SetWALFault(chaos.Stall("sync", 20*time.Millisecond))
+	for _, sql := range []string{load, update} {
+		done := make(chan error, 1)
+		go func() {
+			_, err := db.ExecContext(ctx, sql)
+			done <- err
+		}()
+		fp, _ := parser.Fingerprint(sql)
+		var got string // the statement's activity row's fingerprint, once parsed
+		for got == "" {
+			for _, row := range mustQuery(t, db, activity) {
+				if row[0].(string) == "exec" && row[1].(string) != fmt.Sprintf("%016x", 0) {
+					got = row[1].(string)
+				}
+			}
+			if got == "" {
+				select {
+				case err := <-done:
+					t.Fatalf("%.40s...: ended (%v), never in sma_stat_activity with a fingerprint", sql, err)
+				default:
+				}
+			}
+		}
+		if got != fmt.Sprintf("%016x", fp) {
+			t.Errorf("%.40s...: sma_stat_activity fingerprint %s, parser.Fingerprint %016x", sql, got, fp)
+		}
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+	db.SetWALFault(nil)
+
+	// A read the statement cache misses finds itself in the activity
+	// snapshot it plans from, parsed.
+	db.ForgetStatements()
+	own, _ := parser.Fingerprint(activity)
+	if row := find(mustQuery(t, db, activity), 0, "query"); row == nil || row[1].(string) != fmt.Sprintf("%016x", own) {
+		t.Errorf("a cache-missing read's own activity row is %v, want fingerprint %016x", row, own)
+	}
+	mustQuery(t, db, sel)
+	mustQuery(t, db, "explain analyze "+sel) // recorded as sel, now from the cache
+	if _, err := db.ExecContext(ctx, explain); err == nil {
+		t.Fatal("EXPLAIN through ExecContext accepted")
+	}
+	if _, err := db.ExecContext(ctx, badParse); err == nil {
+		t.Fatal("a text that does not parse ran")
+	}
+	if _, err := db.QueryContext(ctx, badParse); err == nil {
+		t.Fatal("a text that does not parse ran")
+	}
+	if _, err := db.ExecContext(ctx, badLex); err == nil {
+		t.Fatal("a text that does not lex ran")
+	}
+
+	stmts := mustQuery(t, db, "select FINGERPRINT, CALLS, ERRORS, QUERY from sma_stat_statements")
+	// calls and errors of each text; the activity read ran as often as
+	// the writes took to show up.
+	for sql, want := range map[string]string{
+		load: "1 0", update: "1 0", activity: "", sel: "2 0",
+		explain: "1 1", badParse: "2 2", badLex: "1 1",
+	} {
+		fp, norm := parser.Fingerprint(sql)
+		row := find(stmts, 0, fmt.Sprintf("%016x", fp))
+		if row == nil {
+			t.Errorf("%.40s: no sma_stat_statements row under %016x", sql, fp)
+			continue
+		}
+		got := fmt.Sprint(row[1], " ", row[2])
+		if strings.TrimSpace(row[3].(string)) != norm[:min(len(norm), 96)] || want != "" && got != want {
+			t.Errorf("%.40s: sma_stat_statements row %v, want calls and errors %q, normal form %q", sql, row, want, norm)
+		}
+	}
+
+	// The slow log names each statement's text and fingerprint.
+	logged := 0
+	for _, line := range strings.Split(strings.TrimSpace(logBuf.String()), "\n") {
+		var rec struct{ Msg, SQL, Fingerprint string }
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("%v: %s", err, line)
+		}
+		if !strings.HasPrefix(rec.Msg, "slow ") {
+			continue
+		}
+		logged++
+		if fp, _ := parser.Fingerprint(rec.SQL); rec.Fingerprint != fmt.Sprintf("%016x", fp) {
+			t.Errorf("slow log: %.40s under %s, parser.Fingerprint %016x", rec.SQL, rec.Fingerprint, fp)
+		}
+	}
+	if logged == 0 {
+		t.Fatalf("no slow-log lines:\n%s", logBuf.String())
 	}
 }
 

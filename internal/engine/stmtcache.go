@@ -23,8 +23,9 @@ const stmtCacheMaxLen = 1 << 10
 // stmtEntry is what the statement cache knows about one read's text. It is
 // immutable once stored: a newer plan is a new entry.
 type stmtEntry struct {
-	// fp and norm are the text's fingerprint and normal form (zero on a
-	// database without an observer, which never reads them).
+	// fp and norm are the text's fingerprint and normal form, written by
+	// the parse that made query (zero on a database without an observer,
+	// which never reads them).
 	fp   uint64
 	norm string
 	// query is the parsed statement, shared by every plan built from it
@@ -81,14 +82,12 @@ func (c *stmtCache) put(sql string, e *stmtEntry) {
 	c.mu.Unlock()
 }
 
-// remember builds the entry of a query just planned at the current epoch
-// and offers it to the cache. Caller holds db.mu (either mode), so the
+// remember builds the entry of a query just planned at the current epoch,
+// under the fingerprint its parse gave the statement, and offers it to the
+// cache. Caller holds db.mu (either mode), so the
 // epoch cannot move between the planning and the store.
 func (db *DB) remember(s *statement, q *parser.Query, plan *planner.Plan) *stmtEntry {
 	e := &stmtEntry{fp: s.Fingerprint, norm: s.Norm, query: q, epoch: db.epoch}
-	if db.opts.Obs != nil && e.norm == "" {
-		e.fp, e.norm = parser.Fingerprint(s.sql)
-	}
 	if plan.Mem != nil {
 		e.layout = newCursorLayout(plan, plan.Mem.Schema)
 	} else {

@@ -56,12 +56,23 @@ func isIdentByte(b byte) bool {
 }
 
 // parseExplain parses "explain [analyze] <select>" for ParseStatement.
-func parseExplain(src string) (Statement, error) {
-	inner, analyze, ok := SplitExplain(src)
+// The inner SELECT is parsed on its own, and its normal form follows
+// "explain [analyze]": the keywords are the text's first tokens.
+func (p *parser) parseExplain() (Statement, error) {
+	inner, analyze, ok := SplitExplain(p.src)
 	if !ok {
 		return nil, fmt.Errorf("parser: malformed EXPLAIN statement")
 	}
-	q, err := ParseQuery(inner)
+	in := newParser(inner)
+	in.record = p.record
+	if in.record {
+		in.norm.write("explain", false)
+		if analyze {
+			in.norm.write(" analyze", false)
+		}
+	}
+	q, err := in.parseQuery()
+	p.norm = in.norm
 	if err != nil {
 		return nil, err
 	}

@@ -30,21 +30,23 @@ func loadInsert(rng *rand.Rand, rows int) string {
 }
 
 // BenchmarkParseInsert is the parser's share of an ingest statement: a
-// 100-row, 16-column INSERT validated from text to literal vector.
+// 100-row, 16-column INSERT validated from text to literal vector, with the
+// fingerprint and normal form the engine records, in one scan.
 func BenchmarkParseInsert(b *testing.B) {
 	sql := loadInsert(rand.New(rand.NewSource(1)), 100)
 	b.SetBytes(int64(len(sql)))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		st, err := ParseStatement(sql)
-		if err != nil || st.(*InsertStmt).NumRows() != 100 {
-			b.Fatalf("%v", err)
+		st, _, norm, err := ParseStatementFingerprint(sql)
+		if err != nil || st.(*InsertStmt).NumRows() != 100 || len(norm) > 200 {
+			b.Fatalf("%v (normal form %d bytes)", err, len(norm))
 		}
 	}
 }
 
-// BenchmarkFingerprintInsert is the other scan an ingest statement pays:
-// its fingerprint, which the engine does not cache for text this long.
+// BenchmarkFingerprintInsert is the scan an ingest statement no longer
+// pays: Fingerprint, the reference normal form, on its own. The engine
+// runs it only for a text that does not parse.
 func BenchmarkFingerprintInsert(b *testing.B) {
 	sql := loadInsert(rand.New(rand.NewSource(1)), 100)
 	b.SetBytes(int64(len(sql)))
@@ -229,4 +231,45 @@ func FuzzInsertValues(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestParseNumberMatchesParseFloat: a number token converts to the float64
+// strconv.ParseFloat reads from it, bit for bit, on either side of the
+// fast path's limits of 15 significant and 22 fractional digits.
+func TestParseNumberMatchesParseFloat(t *testing.T) {
+	same := func(s string) {
+		t.Helper()
+		got, err := parseNumber(s)
+		want, wantErr := strconv.ParseFloat(s, 64)
+		if math.Float64bits(got) != math.Float64bits(want) || (err == nil) != (wantErr == nil) {
+			t.Fatalf("parseNumber(%q) = %v (%v), strconv.ParseFloat %v (%v)", s, got, err, want, wantErr)
+		}
+	}
+	for _, s := range []string{
+		"0", "0.0", "00", "5.", ".5", "0.5", "000012.500", "4.35", "0.1", "0.3", "1.7976931348623157",
+		"123456789012345", "999999999999999", "0.000000000000001", "99999999999999.9", // 15 digits
+		"1234567890123456", "9999999999999999", "9007199254740993", "0.1234567890123456", // 16 digits
+		"1.0000000000000000000001", "0.0000000000000000000001", "0.00000000000000000000001", // 22, 23 after the point
+		"100000000000000000000000", strings.Repeat("9", 400), "." + strings.Repeat("0", 400) + "1",
+	} {
+		same(s)
+	}
+	rng := rand.New(rand.NewSource(1))
+	digits := func(n int) string {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = byte('0' + rng.Intn(10))
+		}
+		return string(b)
+	}
+	for i := 0; i < 200_000; i++ {
+		ip, fp := digits(rng.Intn(19)), digits(rng.Intn(26))
+		switch {
+		case rng.Intn(4) == 0 && ip != "":
+			same(ip)
+		case ip == "" && fp == "":
+		default:
+			same(ip + "." + fp)
+		}
+	}
 }

@@ -61,11 +61,14 @@ var class = func() (c [256]uint8) {
 	return c
 }()
 
-// mark is a parser position: where the scan stands and the token read
-// ahead. Restoring one is how the grammar's two ambiguities backtrack.
+// mark is a parser position: where the scan stands, the token read ahead
+// and how much normal form the tokens before it wrote. Restoring one is how
+// the grammar's two ambiguities backtrack.
 type mark struct {
-	pos int
-	tok token
+	pos    int
+	tok    token
+	norm   int
+	folded bool
 }
 
 // parser is a pull scanner over the source bytes with one token of
@@ -78,6 +81,12 @@ type parser struct {
 	// lexErr is the lexical error behind a tokBad look-ahead; errorf reports
 	// it in place of the syntax error the bad token would cause.
 	lexErr error
+	// record makes advance write the normal form of each token it consumes
+	// to norm (see emit); folded says the look-ahead is the string of a
+	// DATE literal whose "?" is written already.
+	record bool
+	folded bool
+	norm   normBuf
 }
 
 // newParser starts a scan of src with its first token read ahead.
@@ -91,8 +100,11 @@ func (p *parser) peek() token { return p.tok }
 func (p *parser) next() token { t := p.tok; p.advance(); return t }
 func (p *parser) atEOF() bool { return p.tok.kind == tokEOF }
 
-func (p *parser) mark() mark   { return mark{p.pos, p.tok} }
-func (p *parser) reset(m mark) { p.pos, p.tok = m.pos, m.tok }
+func (p *parser) mark() mark { return mark{p.pos, p.tok, p.norm.len(), p.folded} }
+func (p *parser) reset(m mark) {
+	p.pos, p.tok, p.folded = m.pos, m.tok, m.folded
+	p.norm.truncate(m.norm)
+}
 
 // bad ends the scan at a lexical error: the look-ahead becomes a tokBad
 // that matches nothing, so the grammar fails where it stands.
@@ -104,8 +116,20 @@ func (p *parser) bad(start int, format string, args ...any) {
 	p.tok = token{kind: tokBad, text: p.src[start:min(start+1, len(p.src))], pos: start}
 }
 
-// advance scans the next token into p.tok.
+// advance consumes the look-ahead: it scans the next token into p.tok and,
+// when the parse records its normal form, writes the consumed one's.
 func (p *parser) advance() {
+	if !p.record {
+		p.scan()
+		return
+	}
+	t := p.tok
+	p.scan()
+	p.emit(t)
+}
+
+// scan reads the next token into p.tok.
+func (p *parser) scan() {
 	src, i := p.src, p.pos
 	// Whitespace and "--" line comments.
 	for i < len(src) {

@@ -21,6 +21,12 @@ import "strings"
 //
 // The statement is scanned once, a token at a time, into a buffer the size
 // of the normal form: a 20 KB load statement costs its scan and ~100 bytes.
+//
+// Normalize is the reference for the normal form, and the fallback for a
+// text that does not parse. A text that parses gets the same normal form
+// from the parse's own token stream (ParseStatementFingerprint,
+// ParseQueryFingerprint, whose rules are emit's), so it is not scanned a
+// second time; FuzzParseNormalForm holds the two to each other.
 func Normalize(sql string) string {
 	var arr [256]byte
 	p := newParser(sql)
@@ -72,16 +78,20 @@ func (p *parser) normalToken(buf []byte) []byte {
 		p.advance()
 		return append(buf, '?')
 	case t.kind == tokIdent:
-		for i := 0; i < len(t.text); i++ {
-			c := t.text[i]
-			if 'A' <= c && c <= 'Z' {
-				c += 'a' - 'A'
-			}
-			buf = append(buf, c)
-		}
+		buf = append(buf, t.text...)
+		lower(buf[len(buf)-len(t.text):])
 		return buf
 	}
 	return append(buf, t.text...)
+}
+
+// lower lower-cases the ASCII letters of b in place.
+func lower(b []byte) {
+	for i, c := range b {
+		if 'A' <= c && c <= 'Z' {
+			b[i] = c + 'a' - 'A'
+		}
+	}
 }
 
 // normalValues normalizes the groups of a VALUES list, the first token of
@@ -160,9 +170,131 @@ func (p *parser) normalGroup(buf []byte, emit bool) (_ []byte, arity int) {
 // must not be persisted to disk.
 func Fingerprint(sql string) (uint64, string) {
 	n := Normalize(sql)
+	return hash(n), n
+}
+
+// hash is FNV-1a over a normal form.
+func hash(n string) uint64 {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(n); i++ {
 		h = (h ^ uint64(n[i])) * 1099511628211
 	}
-	return h, n
+	return h
+}
+
+// ParseStatementFingerprint is ParseStatement that also returns the
+// statement's fingerprint and normal form, the ones Fingerprint(src)
+// returns: a text that parses is read once, its normal form written from
+// the tokens the parse consumes. A text that does not parse gets
+// Fingerprint's.
+func ParseStatementFingerprint(src string) (Statement, uint64, string, error) {
+	p := newParser(src)
+	p.record = true
+	st, err := p.parseStatement()
+	fp, norm := p.fingerprint(err)
+	return st, fp, norm, err
+}
+
+// ParseQueryFingerprint is ParseQuery with the fingerprint and normal form
+// of ParseStatementFingerprint.
+func ParseQueryFingerprint(src string) (*Query, uint64, string, error) {
+	p := newParser(src)
+	p.record = true
+	q, err := p.parseQuery()
+	fp, norm := p.fingerprint(err)
+	return q, fp, norm, err
+}
+
+// fingerprint returns the fingerprint and normal form of a recorded parse
+// that ended with err: what it wrote when it succeeded, Fingerprint's when
+// it failed, since a failed parse may stop anywhere in the text.
+func (p *parser) fingerprint(err error) (uint64, string) {
+	if err != nil {
+		return Fingerprint(p.src)
+	}
+	n := p.norm.String()
+	return hash(n), n
+}
+
+// normBuf is the normal form a recording parse writes: in the parser's own
+// array while it fits, which keeps a parser on its caller's stack, and on
+// the heap once it outgrows it.
+type normBuf struct {
+	arr [256]byte
+	n   int    // bytes in arr
+	big []byte // the whole normal form, once it outgrew arr
+}
+
+func (b *normBuf) len() int {
+	if b.big != nil {
+		return len(b.big)
+	}
+	return b.n
+}
+
+// truncate drops what was written after the first n bytes.
+func (b *normBuf) truncate(n int) {
+	if b.big != nil {
+		b.big = b.big[:n]
+	} else {
+		b.n = n
+	}
+}
+
+// write appends s, lower-cased if lowered is set.
+func (b *normBuf) write(s string, lowered bool) {
+	if b.big == nil && b.n+len(s) > len(b.arr) {
+		b.big = append(make([]byte, 0, 2*len(b.arr)+len(s)), b.arr[:b.n]...)
+	}
+	var dst []byte
+	if b.big != nil {
+		b.big = append(b.big, s...)
+		dst = b.big[len(b.big)-len(s):]
+	} else {
+		dst = b.arr[b.n : b.n+len(s)]
+		b.n += copy(dst, s)
+	}
+	if lowered {
+		lower(dst)
+	}
+}
+
+func (b *normBuf) String() string {
+	if b.big != nil {
+		return string(b.big)
+	}
+	return string(b.arr[:b.n])
+}
+
+// emit writes the normal form of t, a token the parse has just consumed,
+// p.tok being the token after it. These are normalToken's rules applied a
+// token at a time as the grammar reads: a literal is "?", DATE '...' one
+// "?", a keyword or identifier lower case, and a trailing ";" nothing. A
+// parse that backtracks truncates what it wrote (reset). An INSERT stops
+// recording after its first VALUES group: the parse rejects a later group
+// of another arity, and Normalize drops every one of the same.
+func (p *parser) emit(t token) {
+	switch {
+	case t.kind == tokEOF, t.kind == tokBad:
+		return
+	case p.folded: // the string of a DATE literal
+		p.folded = false
+		return
+	case t.kind == tokSymbol && t.text == ";" && p.tok.kind == tokEOF:
+		return
+	}
+	if p.norm.len() > 0 {
+		p.norm.write(" ", false)
+	}
+	switch {
+	case t.kind == tokNumber, t.kind == tokString:
+		p.norm.write("?", false)
+	case t.kind == tokIdent && p.tok.kind == tokString && strings.EqualFold(t.text, "date"):
+		p.norm.write("?", false)
+		p.folded = true
+	case t.kind == tokIdent:
+		p.norm.write(t.text, true)
+	default:
+		p.norm.write(t.text, false)
+	}
 }

@@ -1,6 +1,8 @@
 package parser
 
 import (
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -202,4 +204,79 @@ func itoa(v int64) string {
 		}
 	}
 	return string(b[i:])
+}
+
+// normalFormSeeds exercise what the parse's normal form must get right: a
+// load statement, DATE and negated literals, comments, case, a trailing
+// ";", EXPLAIN, and the two places the grammar backtracks (a parenthesized
+// predicate against a parenthesized expression, and UPDATE's bare string).
+var normalFormSeeds = []string{
+	"INSERT INTO T VALUES (1, 'a'), (-2.5, date '2024-01-01') , ('x', - - 3);",
+	"insert into t (b, a) values (date '2024-01-02', -0.5), ('2024-01-03', 7.)",
+	"insert into values (a) values (.5), (1)",
+	"insert into T values (1) -- one row\n;",
+	"-- leading\nSeLeCt Sum(AMOUNT) from Sales where Sale_Date <= DATE '1995-06-17'; -- trailing",
+	"select * from sales where amount > 99.5 and region = 'N' or not d >= date '2021-01-01';",
+	"select count(*) from t where (a > 1 and (b < 2 or c = 3))",
+	"select count(*) from t where (a + 1) * 2 > (3)",
+	"select count(*) from t where ((a)) = (b)",
+	"select k, sum(v) from t where v >= 1 group by k having sum > -2 order by k limit 10",
+	"select d from w where d <= date '2024-11-19' order by d desc limit 3",
+	"update T set G = 'B', D = date '2024-06-01', A = A + 1 where B >= 10",
+	"update T set G = 'B'; ",
+	"update T set D = '2024-01-01' where K = 'x'",
+	"delete from T where A <= -5 and B <> 'x';",
+	"explain select count(*) from T where D <= date '2024-01-01'",
+	"EXPLAIN ANALYZE select K, sum(V) from W group by K;",
+	"explain\tanalyze\nselect * from T -- c",
+	"define sma m select min(L_SHIPDATE) from LINEITEM group by L_RETURNFLAG",
+	"drop sma m on T",
+	"create table T (A date, B char(3), C float64)",
+	"reset stats;",
+	"select date from t where date = date '2024-01-01'",
+	"select sum(v + interval '30' day) from w",
+	"select * from t where a = 1;;",
+	"select 'unterminated from t",
+}
+
+// FuzzParseNormalForm: a parse writes the normal form and fingerprint that
+// Fingerprint, the reference, gives its text, whichever entrypoint parses
+// it, and recording them changes nothing about what is parsed. A text the
+// parse rejects gets Fingerprint's too.
+func FuzzParseNormalForm(f *testing.F) {
+	for _, seeds := range [][]string{normalFormSeeds, statementSeeds, querySeeds, smaDefSeeds} {
+		for _, s := range seeds {
+			f.Add(s)
+		}
+	}
+	// A normal form longer than the parser's own buffer, backtracking on
+	// both sides of where it spills.
+	f.Add("select count(*) from t where " + strings.Repeat("(a > 1 and (b + 1) < 2) or ", 12) + "c = 3")
+	rng := rand.New(rand.NewSource(1))
+	for _, rows := range []int{1, 3} {
+		f.Add(loadInsert(rng, rows))
+		f.Add(loadInsert(rng, rows) + ";")
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		fp, norm := Fingerprint(src)
+		check := func(entry string, got any, gotFP uint64, gotNorm string, err error, want any, wantErr error) {
+			t.Helper()
+			if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
+				t.Fatalf("%s(%q): error %v, unrecorded parse %v", entry, src, err, wantErr)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s(%q): recorded parse %+v, unrecorded %+v", entry, src, got, want)
+			}
+			if gotFP != fp || gotNorm != norm {
+				t.Fatalf("%s(%q) (err %v): normal form %q (%016x), Fingerprint's %q (%016x)",
+					entry, src, err, gotNorm, gotFP, norm, fp)
+			}
+		}
+		st, sfp, snorm, err := ParseStatementFingerprint(src)
+		want, wantErr := ParseStatement(src)
+		check("ParseStatementFingerprint", st, sfp, snorm, err, want, wantErr)
+		q, qfp, qnorm, err := ParseQueryFingerprint(src)
+		wantQ, wantErr := ParseQuery(src)
+		check("ParseQueryFingerprint", q, qfp, qnorm, err, wantQ, wantErr)
+	})
 }

@@ -569,7 +569,7 @@ func (p *parser) parseFactor() (expr.Expr, error) {
 		return expr.Sub(expr.NewConst(0), e), nil
 	case t.kind == tokNumber:
 		p.advance()
-		v, err := strconv.ParseFloat(t.text, 64)
+		v, err := parseNumber(t.text)
 		if err != nil {
 			return nil, fmt.Errorf("parser: bad number %q: %w", t.text, err)
 		}
@@ -610,6 +610,44 @@ func (p *parser) parseFactor() (expr.Expr, error) {
 	default:
 		return nil, p.errorf("parser: unexpected token %q at offset %d", t.text, t.pos)
 	}
+}
+
+// pow10 holds the powers of ten a float64 represents exactly.
+var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
+	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
+
+// parseNumber converts a number token, digits with at most one '.'. One of
+// at most 15 significant digits and at most 22 after the point is its
+// integer mantissa over a power of ten: both are exact float64s, so the
+// quotient is the correctly rounded value, the one strconv.ParseFloat
+// returns (Clinger's fast path). Longer ones go to strconv.ParseFloat.
+func parseNumber(s string) (float64, error) {
+	var m uint64
+	sig, frac := 0, -1 // frac counts the digits after the point, once there is one
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		switch {
+		case c == '.' && frac < 0:
+			frac = 0
+			continue
+		case c < '0' || c > '9':
+			return strconv.ParseFloat(s, 64)
+		}
+		if frac >= 0 {
+			frac++
+		}
+		if m == 0 && c == '0' {
+			continue // a leading zero
+		}
+		if sig++; sig > 15 {
+			return strconv.ParseFloat(s, 64)
+		}
+		m = m*10 + uint64(c-'0')
+	}
+	if frac > 22 {
+		return strconv.ParseFloat(s, 64)
+	}
+	return float64(m) / pow10[max(frac, 0)], nil
 }
 
 // constFromString converts a string literal: a date when it parses as one,

@@ -128,7 +128,7 @@ func (p *parser) parseStatement() (Statement, error) {
 		}
 		return &SelectStmt{Query: q}, nil
 	case p.isKeyword("explain"):
-		return parseExplain(p.src)
+		return p.parseExplain()
 	case p.isKeyword("define"):
 		def, err := p.parseSMADef()
 		if err != nil {
@@ -320,6 +320,8 @@ func (p *parser) parseInsert() (Statement, error) {
 			return nil, err
 		}
 		if rows == 0 {
+			// The normal form ends with the first group (see emit).
+			p.record = false
 			st.Arity = len(st.Values)
 			if next := p.peek(); next.kind == tokSymbol && next.text == "," {
 				// Later groups mostly look like the first: size the vector
@@ -360,7 +362,7 @@ func (p *parser) parseLiteral() (Literal, error) {
 		return lit, nil
 	case t.kind == tokNumber:
 		p.advance()
-		v, err := strconv.ParseFloat(t.text, 64)
+		v, err := parseNumber(t.text)
 		if err != nil {
 			return Literal{}, fmt.Errorf("parser: bad number %q at offset %d: %w", t.text, t.pos, err)
 		}

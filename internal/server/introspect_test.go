@@ -97,7 +97,10 @@ func TestIntrospectionOverWire(t *testing.T) {
 // TestEverySurfaceAgrees: what the NDJSON trailers reported, statement by
 // statement, is what the trace frames, sma_stat_statements and the
 // /metrics families show — to the row, page and bucket, failed statements
-// included.
+// included. Every text sent, loads, an UPDATE, an EXPLAIN sent to /exec and
+// texts that do not parse among them, is found in sma_stat_statements
+// under parser.Fingerprint of the text (the trailer carries no
+// fingerprint).
 func TestEverySurfaceAgreesOverWire(t *testing.T) {
 	ts := startServer(t, nil, server.Config{})
 	ctx := context.Background()
@@ -106,6 +109,7 @@ func TestEverySurfaceAgreesOverWire(t *testing.T) {
 	inserts := int64(1)
 	// Enough pages that selective predicates prune and two workers split a
 	// scan: 20 statements of 300 rows, dates ascending.
+	var load string
 	for s := 0; s < 20; s++ {
 		var b strings.Builder
 		b.WriteString("insert into S values ")
@@ -116,7 +120,10 @@ func TestEverySurfaceAgreesOverWire(t *testing.T) {
 			}
 			fmt.Fprintf(&b, "(date '2024-%02d-%02d', '%c', %d)", 3+i/2000, 1+i/80%25, "AB"[i%2], i%7)
 		}
-		if _, err := c.Exec(ctx, b.String()); err != nil {
+		if load = b.String(); s == 0 {
+			load += ";"
+		}
+		if _, err := c.Exec(ctx, load); err != nil {
 			t.Fatal(err)
 		}
 		inserts++
@@ -199,6 +206,25 @@ func TestEverySurfaceAgreesOverWire(t *testing.T) {
 		t.Fatal("short insert accepted")
 	}
 	inserts++
+	// Texts the engine fingerprints from their parse, or, when they do not
+	// parse, with parser.Fingerprint: each is found under the latter.
+	const (
+		update   = "Update S set V = V + 1 where D >= DATE '2024-05-20' -- a write"
+		explain  = "explain select count(*) from S"
+		badParse = "select K from S where"
+	)
+	if _, err := c.Exec(ctx, update); err != nil {
+		t.Fatal(err)
+	}
+	for _, sql := range []string{explain, badParse} {
+		if _, err := c.Exec(ctx, sql); err == nil {
+			t.Fatalf("%s: ran through /exec", sql)
+		}
+	}
+	if _, err := c.Query(ctx, badParse); err == nil {
+		t.Fatalf("%s: ran through /query", badParse)
+	}
+	strategies["none"]++
 	history := []string{grouped, ranged, full, proj, mem, par}
 	var stmts [][]string
 	rows, err := c.Query(ctx, "select fingerprint, calls, errors, rows, pages_read, qualify, disqualify, ambivalent from sma_stat_statements")
@@ -234,10 +260,19 @@ func TestEverySurfaceAgreesOverWire(t *testing.T) {
 			t.Errorf("%s: sma_stat_statements [%s], trailers reported [%s]", sql, got, exp)
 		}
 	}
-	for _, sql := range []string{noTable, badIns} {
+	for _, sql := range []string{noTable, badIns, explain} {
 		if got := rowFor(sql); got != "1 1 0 0 0 0 0" {
 			t.Errorf("%s: sma_stat_statements [%s], want one call, one error", sql, got)
 		}
+	}
+	if got := rowFor(badParse); got != "2 2 0 0 0 0 0" {
+		t.Errorf("%s: sma_stat_statements [%s], want two calls, two errors", badParse, got)
+	}
+	if got := rowFor(load); got != fmt.Sprint(inserts-1, " 0 0 0 0 0 0") { // all but badIns share one
+		t.Errorf("the inserts: sma_stat_statements [%s], want %d calls", got, inserts-1)
+	}
+	if got := rowFor(update); !strings.HasPrefix(got, "1 0 ") {
+		t.Errorf("%s: sma_stat_statements [%s], want one call", update, got)
 	}
 
 	expo := fetchMetrics(t, ts.Base)

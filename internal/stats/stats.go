@@ -363,7 +363,7 @@ func (c *Collector) RecordMaint(table, name string, n int64) {
 }
 
 // BeginActivity registers an in-flight statement and returns a token for
-// EndActivity.
+// EndActivity. Its fingerprint may be 0 until SetActivityFingerprint.
 func (c *Collector) BeginActivity(kind, sql string, fp uint64) int64 {
 	if c == nil {
 		return 0
@@ -374,6 +374,19 @@ func (c *Collector) BeginActivity(kind, sql string, fp uint64) int64 {
 	c.acts[id] = &Activity{ID: id, Kind: kind, Fingerprint: fp, SQL: sql, Start: time.Now()}
 	c.actMu.Unlock()
 	return id
+}
+
+// SetActivityFingerprint sets the fingerprint of a statement registered by
+// BeginActivity, known once its text is parsed.
+func (c *Collector) SetActivityFingerprint(id int64, fp uint64) {
+	if c == nil || id == 0 {
+		return
+	}
+	c.actMu.Lock()
+	if a := c.acts[id]; a != nil {
+		a.Fingerprint = fp
+	}
+	c.actMu.Unlock()
 }
 
 // EndActivity removes a statement registered by BeginActivity.
