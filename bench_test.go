@@ -448,7 +448,7 @@ func BenchmarkParallelQ1FullScanDisk(b *testing.B) {
 		b.Run(fmt.Sprintf("dop=%d", dop), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				if err := tbl.Pool().DropAll(); err != nil {
+				if err := tbl.Heap.Pool().DropAll(); err != nil {
 					b.Fatal(err)
 				}
 				b.StartTimer()
@@ -502,13 +502,13 @@ func BenchmarkQuery1ExecModeColdDisk(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		if err := tbl.Pool().DropAll(); err != nil {
+		if err := tbl.Heap.Pool().DropAll(); err != nil {
 			b.Fatal(err)
 		}
 		b.StartTimer()
 		drainQ1(b, db, 1)
 	}
-	st := tbl.Pool().Stats()
+	st := tbl.Heap.Pool().Stats()
 	b.ReportMetric(float64(tbl.Heap.NumPages()), "pages")
 	b.ReportMetric(float64(st.PrefetchHits)/float64(b.N), "prefetch-hits/op")
 }

@@ -294,12 +294,21 @@ func (r *Rows) Stats() (Stats, bool) {
 // and the stream has ended; nil otherwise.
 func (r *Rows) Trace() *TraceNode { return r.trace }
 
-// Close releases the HTTP connection. Closing before the stream is
-// drained disconnects, which cancels the query server-side.
+// Close releases the HTTP connection. Once the trailer has been read it
+// first reads what is left of the body (at most drainLimit bytes), so the
+// connection goes back to the client's pool for the next request. Closing
+// before the trailer disconnects, which cancels the query server-side.
 func (r *Rows) Close() error {
 	r.done = true
+	if r.trl != nil {
+		_, _ = io.CopyN(io.Discard, r.body, drainLimit)
+	}
 	return r.body.Close()
 }
+
+// drainLimit bounds what Close reads after the trailer: the end of the
+// chunked body, not a stream that went on.
+const drainLimit = 4 << 10
 
 func (r *Rows) fail(err error) {
 	r.err = err

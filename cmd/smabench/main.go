@@ -26,15 +26,15 @@ import (
 // it so the set is discoverable without reading the source.
 var experimentCatalog = []struct{ ID, Desc string }{
 	{"e1", "Table 1: SMA sizes for the paper's eight Query-1 SMAs"},
-	{"e2", "Table 2: Query 1 via SMA_GAggr vs sequential scan"},
-	{"e3", "Table 3: selection queries via SMA_Scan"},
+	{"e2", "space: SMAs vs a B+-tree on L_SHIPDATE"},
+	{"e3", "materialized data cube storage model vs SMAs"},
 	{"e4", "Table 4: Query 1 with delta-day selection window"},
 	{"e5", "Figure 5: cost crossover as the ambivalent fraction grows"},
 	{"e6", "Figure 1: SMA file layout walkthrough"},
-	{"e7", "§4 ablation: bucket size sweep"},
-	{"e8", "§4 ablation: degree-of-parallelism sweep"},
-	{"e9", "§4 ablation: batch size sweep"},
-	{"e10", "§4 ablation: maintenance cost under appends"},
+	{"e7", "Figure 2: implicit (diagonal) clustering per data order"},
+	{"e8", "§4 ablation: bucket-size trade-off on diagonally clustered data"},
+	{"e9", "§4 ablation: two-level SMAs, level-1 I/O saved per fanout"},
+	{"e10", "§4 ablation: semi-join SMAs, LINEITEM ⋉ early ORDERS on L_SHIPDATE <= O_ORDERDATE"},
 	{"e11", "§4 ablation: SMA scan vs index plan by selectivity"},
 	{"obs", "observability + stats overhead vs disabled (timing advisory; fails on diverging answers)"},
 	{"chaos", "availability under injected faults and crashes"},
@@ -190,13 +190,6 @@ func runTables(cfg experiments.Config, delta int, run func(string) bool) error {
 		fmt.Println(res.Render())
 	}
 	return nil
-}
-
-func min(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 func fatal(err error) {

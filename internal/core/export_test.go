@@ -12,3 +12,29 @@ func (g *GroupFile) AppendEntry(v float64, present bool) {
 	g.Vec.set(b, v)
 	g.Present.set(b, present)
 }
+
+// Count returns the number of set bits.
+func (b *Bitmap) Count() int {
+	total := 0
+	for _, w := range b.words {
+		for ; w != 0; w &= w - 1 {
+			total++
+		}
+	}
+	return total
+}
+
+// NumBuckets returns the bucket count covered by the grader's SMAs.
+func (g *Grader) NumBuckets() int { return g.numBuckets }
+
+// ElemType returns the storage type of the SMA's entries.
+func (s *SMA) ElemType() ElemType { return s.elem }
+
+// GroupKeys returns the group keys in deterministic order.
+func (s *SMA) GroupKeys() []GroupKey {
+	out := make([]GroupKey, len(s.files))
+	for i, g := range s.files {
+		out[i] = g.Key
+	}
+	return out
+}

@@ -245,9 +245,6 @@ func NewGrader(smas ...*SMA) *Grader {
 	return g
 }
 
-// NumBuckets returns the bucket count covered by the grader's SMAs.
-func (g *Grader) NumBuckets() int { return g.numBuckets }
-
 // HasSelectionSMA reports whether any atom of p can be graded by the
 // available SMAs (i.e. whether an SMA scan can prune anything at all).
 func (g *Grader) HasSelectionSMA(p pred.Predicate) bool {

@@ -120,11 +120,6 @@ func NewExtractor(s *tuple.Schema, cols []string) (*Extractor, error) {
 	return g, nil
 }
 
-// Cols returns the schema column indexes of the group-by columns, in
-// group-by order. The batched aggregation uses them to compare raw group
-// bytes without building keys.
-func (g *Extractor) Cols() []int { return g.idx }
-
 // Regions returns the byte regions of the group-by columns within a packed
 // record, in group-by order: what resolves a record's group from its raw
 // bytes without decoding a value.

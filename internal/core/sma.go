@@ -95,23 +95,8 @@ func newSMA(def Def, schema *tuple.Schema, bucketPages int) (*SMA, error) {
 	return s, nil
 }
 
-// ElemType returns the storage type of the SMA's entries.
-func (s *SMA) ElemType() ElemType { return s.elem }
-
-// Schema returns the schema the SMA is bound to.
-func (s *SMA) Schema() *tuple.Schema { return s.schema }
-
 // NumFiles returns the number of SMA-files (one per group).
 func (s *SMA) NumFiles() int { return len(s.groups) }
-
-// GroupKeys returns the group keys in deterministic order.
-func (s *SMA) GroupKeys() []GroupKey {
-	out := make([]GroupKey, len(s.files))
-	for i, g := range s.files {
-		out[i] = g.Key
-	}
-	return out
-}
 
 // Group returns the SMA-file for key (nil if the group never occurred).
 func (s *SMA) Group(key GroupKey) *GroupFile { return s.groups[key] }

@@ -206,17 +206,6 @@ func (b *Bitmap) set(i int, v bool) {
 	}
 }
 
-// Count returns the number of set bits.
-func (b *Bitmap) Count() int {
-	total := 0
-	for _, w := range b.words {
-		for ; w != 0; w &= w - 1 {
-			total++
-		}
-	}
-	return total
-}
-
 // encode appends the bitmap words to dst.
 func (b *Bitmap) encode(dst []byte) []byte {
 	for _, w := range b.words {

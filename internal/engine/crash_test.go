@@ -511,7 +511,7 @@ func TestRecoveryAcrossRecordShapes(t *testing.T) {
 		b := l.NewBatch()
 		for rows > 0 {
 			op := ops[0]
-			if ops = ops[1:]; op.Count < 1 || !op.IsInsert() {
+			if ops = ops[1:]; op.Count < 1 || op.IsDelete() {
 				t.Fatalf("unexpected record in an insert-only log: %+v", op)
 			}
 			rs := len(op.Data) / op.Count

@@ -441,9 +441,9 @@ func dmlReadsOnlySurvivingBuckets(t *testing.T, window int) {
 		}
 		pages := tbl.Heap.NumPages()
 		exec(t, db, "reset stats")
-		before := tbl.Pool().Stats()
+		before := tbl.Heap.Pool().Stats()
 		res := exec(t, db, c.sql)
-		after := tbl.Pool().Stats()
+		after := tbl.Heap.Pool().Stats()
 		fetches := after.Hits + after.Misses - before.Hits - before.Misses
 		if res.RowsAffected != rows || rows == 0 {
 			t.Fatalf("%s: %d rows affected, the heap holds %d in the month", c.sql, res.RowsAffected, rows)
@@ -489,7 +489,7 @@ func BenchmarkDML(b *testing.B) {
 		return db, tbl
 	}
 	fetches := func(tbl *engine.Table) int64 {
-		s := tbl.Pool().Stats()
+		s := tbl.Heap.Pool().Stats()
 		return s.Hits + s.Misses
 	}
 	month := func(i int) string {

@@ -155,7 +155,7 @@ func dmlScanContract(t *testing.T, db *engine.DB, tbl *engine.Table, sql string,
 	// forgets the reads so far.
 	cold := func() {
 		t.Helper()
-		if err := tbl.Pool().DropAll(); err != nil {
+		if err := tbl.Heap.Pool().DropAll(); err != nil {
 			t.Fatal(err)
 		}
 		exec(t, db, "reset stats")

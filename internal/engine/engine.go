@@ -24,6 +24,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"sma/internal/core"
@@ -141,6 +142,10 @@ type DB struct {
 	lock   *dirLock
 	wal    *wal.Log
 	closed bool
+	// syncFault, when set, runs with op "sync" before each statement waits
+	// for its commit to be durable; tests stall it so that writers overlap
+	// in group commit. Read without db.mu.
+	syncFault atomic.Pointer[storage.FaultFn]
 	// failed poisons the database after a rollback or log append failed:
 	// the in-memory state may no longer match what recovery would
 	// reconstruct, so writes are refused until the directory is reopened.
@@ -609,24 +614,11 @@ func (db *DB) PoolStats() storage.PoolStats {
 	return out
 }
 
-// Pool exposes the table's buffer pool (benchmarks use it for cold/warm
-// control and I/O statistics).
-func (t *Table) Pool() *storage.BufferPool { return t.pool }
-
 // Disk exposes the table's disk manager.
 func (t *Table) Disk() *storage.DiskManager { return t.disk }
 
-// DefineSMA parses a "define sma" statement, bulkloads the SMA, persists
-// its SMA-files, and registers it in the catalog.
-func (db *DB) DefineSMA(ddl string) (*core.SMA, error) {
-	def, err := parser.ParseSMADef(ddl)
-	if err != nil {
-		return nil, err
-	}
-	return db.DefineSMADef(def)
-}
-
-// DefineSMADef is DefineSMA for an already-constructed definition.
+// DefineSMADef bulkloads the SMA of a parsed "define sma" statement,
+// persists its SMA-files, and registers it in the catalog.
 func (db *DB) DefineSMADef(def core.Def) (*core.SMA, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()

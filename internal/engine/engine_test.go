@@ -310,8 +310,8 @@ func TestEngineOptionsDefaults(t *testing.T) {
 	if tbl.BucketPages != 1 {
 		t.Errorf("default bucket pages = %d", tbl.BucketPages)
 	}
-	if tbl.Pool().Capacity() != 2048 {
-		t.Errorf("default pool = %d pages, want 2048 (the paper's 8 MB)", tbl.Pool().Capacity())
+	if tbl.Heap.Pool().Capacity() != 2048 {
+		t.Errorf("default pool = %d pages, want 2048 (the paper's 8 MB)", tbl.Heap.Pool().Capacity())
 	}
 }
 

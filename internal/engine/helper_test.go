@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"strconv"
 
+	"sma/internal/core"
 	"sma/internal/obs"
+	"sma/internal/parser"
 	"sma/internal/planner"
 	"sma/internal/storage"
 	"sma/internal/tuple"
@@ -76,13 +78,27 @@ func (db *DB) ForgetStatements() {
 	db.stmts.mu.Unlock()
 }
 
-// SetWALFault installs fn before every fsync of the database's redo log,
-// with op "sync" (see wal.Log.SetFault; nil removes it), so tests can stall
-// the group-commit barrier with the fault plans of package chaos.
+// SetWALFault installs fn to run, with op "sync", before every statement's
+// wait for its commit to be durable (nil removes it), so tests can stall
+// writers between commit and group commit with the fault plans of package
+// chaos; an error it returns is the statement's.
 func (db *DB) SetWALFault(fn storage.FaultFn) {
 	if fn == nil {
-		db.wal.SetFault(nil)
+		db.syncFault.Store(nil)
 		return
 	}
-	db.wal.SetFault(func(op string) error { return fn(op, 0) })
+	db.syncFault.Store(&fn)
+}
+
+// DefineSMA parses a "define sma" statement and defines the SMA it names.
+func (db *DB) DefineSMA(ddl string) (*core.SMA, error) {
+	st, err := parser.ParseStatement(ddl)
+	if err != nil {
+		return nil, err
+	}
+	def, ok := st.(*parser.DefineSMAStmt)
+	if !ok {
+		return nil, fmt.Errorf("not a define sma statement: %q", ddl)
+	}
+	return db.DefineSMADef(def.Def)
 }

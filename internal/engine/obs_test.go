@@ -11,6 +11,7 @@ import (
 
 	"sma/internal/engine"
 	"sma/internal/obs"
+	"sma/internal/testutil"
 )
 
 // drainCursor pulls a cursor to the end, returning the rows and the
@@ -275,7 +276,7 @@ func TestObserverMetrics(t *testing.T) {
 	if err := db.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if err := obs.ValidateExposition(buf.Bytes()); err != nil {
+	if err := testutil.ValidateExposition(buf.Bytes()); err != nil {
 		t.Fatalf("engine exposition invalid: %v\n%s", err, buf.String())
 	}
 	for _, want := range []string{

@@ -105,7 +105,7 @@ func TestIdleProjectionCursorPinsNoPage(t *testing.T) {
 	if _, ok, err := cur.Next(); !ok || err != nil {
 		t.Fatalf("first row: ok=%v err=%v", ok, err)
 	}
-	if err := tbl.Pool().DropAll(); err != nil {
+	if err := tbl.Heap.Pool().DropAll(); err != nil {
 		t.Fatalf("open cursor holds a pin: %v", err)
 	}
 	rest, err := drainCursor(t, cur)

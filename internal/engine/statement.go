@@ -70,11 +70,7 @@ func (db *DB) begin(ctx context.Context, sql string, query, traced bool) (contex
 		s.entry = db.stmts.get(sql)
 	}
 	if o := db.opts.Obs; o != nil {
-		// Prefer an id the serving layer already stamped on the context so
-		// engine and request logs correlate.
-		if s.qid = obs.QueryIDFrom(ctx); s.qid == "" {
-			s.qid = o.NextQueryID()
-		}
+		s.qid = o.NextQueryID()
 		if s.entry != nil {
 			s.Fingerprint, s.Norm = s.entry.fp, s.entry.norm
 		}

@@ -549,7 +549,7 @@ func TestEverySurfaceFingerprints(t *testing.T) {
 		badLex   = "update SALES set REGION = 'unterminated"
 	)
 
-	// Each write waits out a stalled fsync, parsed, while its activity row
+	// Each write waits out a stall before its durability wait, parsed, while its activity row
 	// is read.
 	db.SetWALFault(chaos.Stall("sync", 20*time.Millisecond))
 	for _, sql := range []string{load, update} {
@@ -648,8 +648,8 @@ func TestEverySurfaceFingerprints(t *testing.T) {
 // its own commit frame and the fsync it led, so over concurrent writers the
 // statements' WAL_BYTES and WAL_SYNCS — summed over sma_stat_statements, and
 // over the ExecResults — are exactly the log's Bytes and Syncs deltas. A
-// stalled fsync keeps every barrier in flight while other writers commit
-// and wait; checkpoints, whose page images are no statement's, are kept out
+// stall between each commit and its durability wait lets other writers
+// commit and lead the fsync that covers it; checkpoints, whose page images are no statement's, are kept out
 // of the way.
 func TestStatementWALTrafficIsItsOwn(t *testing.T) {
 	db, err := engine.Open(t.TempDir(), engine.Options{Obs: obs.NewObserver(obs.Config{}), CheckpointBytes: 1 << 30})

@@ -241,6 +241,11 @@ func (db *DB) commitStmt(j *stmtJournal) (commit, error) {
 // won the race after our commit — both flush and sync the log before
 // closing it, so the statement is already durable.
 func (db *DB) waitDurable(c commit) (led bool, err error) {
+	if f := db.syncFault.Load(); f != nil && c.seq != 0 {
+		if err := (*f)("sync", 0); err != nil {
+			return false, err
+		}
+	}
 	led, err = db.wal.Await(c.seq)
 	if errors.Is(err, wal.ErrClosed) {
 		return false, nil

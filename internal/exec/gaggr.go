@@ -1,38 +1,43 @@
 package exec
 
 import (
-	"fmt"
 	"sort"
 
 	"sma/internal/core"
-	"sma/internal/tuple"
 )
 
 // FinishPartials runs the post-processing phase over (possibly merged)
-// partial group states and emits rows in key order. For a global aggregate
-// (no GROUP BY, global=true) with empty input, one all-zero row is
-// emitted, matching SQL COUNT semantics well enough for this engine.
-// The partials are finished in place.
+// partial group states and emits rows in group-value order (lessVals, the
+// encoded key breaking ties): the ORDER BY of the grouping columns that
+// TPC-D Query 1 asks for. For a global aggregate (no GROUP BY,
+// global=true) with empty input, one all-zero row is emitted, matching SQL
+// COUNT semantics well enough for this engine. The partials are finished
+// in place.
 func FinishPartials(groups map[core.GroupKey]*Partial, specs []AggSpec, global bool) []Row {
 	if global && len(groups) == 0 {
 		groups[""] = newGroupAcc(nil, len(specs))
 	}
-	keys := make([]core.GroupKey, 0, len(groups))
-	for k := range groups {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	out := make([]Row, 0, len(keys))
-	for _, k := range keys {
-		acc := groups[k]
+	out := make([]Row, 0, len(groups))
+	for k, acc := range groups {
 		acc.finish(specs)
 		out = append(out, Row{Key: k, Vals: acc.Vals, Aggs: acc.Aggs})
 	}
+	sort.Slice(out, func(i, j int) bool {
+		a, b := &out[i], &out[j]
+		if lessVals(a.Vals, b.Vals) {
+			return true
+		}
+		if lessVals(b.Vals, a.Vals) {
+			return false
+		}
+		return a.Key < b.Key
+	})
 	return out
 }
 
 // SortRows is an ORDER BY over aggregation rows; it sorts by the group-by
-// values (ascending), which is what TPC-D Query 1 requires.
+// values (ascending), which is what TPC-D Query 1 requires. FinishPartials
+// already emits rows in this order, so the engine's plans do without it.
 type SortRows struct {
 	Input RowIter
 
@@ -101,8 +106,8 @@ func (s *SortRows) Close() error {
 	return nil
 }
 
-// CollectRows drains a RowIter, returning all rows; a convenience for tests
-// and examples.
+// CollectRows drains a RowIter, returning all rows: how the paper's
+// experiments and the benchmark's layer walk read an operator tree.
 func CollectRows(it RowIter) ([]Row, error) {
 	if err := it.Open(); err != nil {
 		return nil, err
@@ -119,40 +124,4 @@ func CollectRows(it RowIter) ([]Row, error) {
 		}
 		out = append(out, r)
 	}
-}
-
-// CollectTuples drains a TupleIter, copying each tuple (scan pipelines
-// return tuples that alias their batch buffer).
-func CollectTuples(it TupleIter) ([]tuple.Tuple, error) {
-	if err := it.Open(); err != nil {
-		return nil, err
-	}
-	defer it.Close()
-	var out []tuple.Tuple
-	for {
-		t, ok, err := it.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return out, nil
-		}
-		out = append(out, t.Copy())
-	}
-}
-
-// RowString renders a row for display.
-func RowString(r Row) string {
-	s := "["
-	for i, v := range r.Vals {
-		if i > 0 {
-			s += " "
-		}
-		s += v.String()
-	}
-	s += " |"
-	for _, a := range r.Aggs {
-		s += fmt.Sprintf(" %.4f", a)
-	}
-	return s + "]"
 }

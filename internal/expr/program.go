@@ -64,10 +64,8 @@ type Program struct {
 	arr   [12]progNode // Query 1's eight aggregates are nine nodes
 }
 
-// Len returns the number of nodes; Vectors the number that fill a vector
-// (constants, folded constant sub-trees included, fill none).
-func (p *Program) Len() int     { return len(p.nodes) }
-func (p *Program) Vectors() int { return p.nvec }
+// Len returns the number of nodes.
+func (p *Program) Len() int { return len(p.nodes) }
 
 // Add compiles e against s, reusing the node of an equal sub-tree, and
 // returns its node index.

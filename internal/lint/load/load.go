@@ -3,7 +3,8 @@
 // -deps -json` for build-system truth (file sets, import maps, dependency
 // order) and then type-checks every package in that order from source,
 // including the standard-library closure — the offline equivalent of
-// golang.org/x/tools/go/packages.Load with NeedTypes|NeedSyntax.
+// golang.org/x/tools/go/packages.Load with NeedTypes|NeedSyntax (and
+// Config.Tests, as Loader.Tests).
 package load
 
 import (
@@ -18,6 +19,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"runtime"
+	"strings"
 )
 
 // Package is one loaded package with its syntax and type information.
@@ -52,6 +54,7 @@ type listedPackage struct {
 	GoFiles    []string
 	Standard   bool
 	DepOnly    bool
+	ForTest    string
 	ImportMap  map[string]string
 	Error      *struct{ Err string }
 }
@@ -82,8 +85,30 @@ func (m *mapImporter) Import(path string) (*types.Package, error) {
 // dependency order. The returned slice preserves `go list -deps` order
 // (dependencies first); callers typically filter on !Standard && !DepOnly.
 func Load(fset *token.FileSet, dir string, patterns ...string) ([]*Package, error) {
-	args := append([]string{"list", "-deps", "-json=ImportPath,Dir,GoFiles,Standard,DepOnly,ImportMap,Error"}, patterns...)
-	cmd := exec.Command("go", args...)
+	return (&Loader{Fset: fset}).Load(dir, patterns...)
+}
+
+// A Loader type-checks packages across Load calls: a package an earlier
+// call checked is reused by import path, so loading a second module that
+// depends on the first (bench/ on the root) checks only its own packages.
+type Loader struct {
+	Fset *token.FileSet
+	// Tests adds the test variants of every matched package: "p [p.test]"
+	// with p's _test.go files, and the external "p_test [p.test]".
+	Tests bool
+
+	checked map[string]*Package
+	imp     *mapImporter
+}
+
+// Load is the package-level Load over the loader's file set, reusing
+// what earlier calls checked.
+func (l *Loader) Load(dir string, patterns ...string) ([]*Package, error) {
+	args := []string{"list", "-deps", "-json=ImportPath,Dir,GoFiles,Standard,DepOnly,ForTest,ImportMap,Error"}
+	if l.Tests {
+		args = append(args, "-test")
+	}
+	cmd := exec.Command("go", append(args, patterns...)...)
 	cmd.Dir = dir
 	cmd.Env = append(os.Environ(), "CGO_ENABLED=0")
 	var stderr bytes.Buffer
@@ -103,10 +128,17 @@ func Load(fset *token.FileSet, dir string, patterns ...string) ([]*Package, erro
 		if lp.Error != nil {
 			return nil, fmt.Errorf("load: %s: %s", lp.ImportPath, lp.Error.Err)
 		}
+		// A test binary's generated main lives in the build cache.
+		if lp.ForTest == "" && strings.HasSuffix(lp.ImportPath, ".test") {
+			continue
+		}
 		listed = append(listed, lp)
 	}
 
-	imp := &mapImporter{pkgs: make(map[string]*types.Package, len(listed))}
+	if l.imp == nil {
+		l.checked = make(map[string]*Package, len(listed))
+		l.imp = &mapImporter{pkgs: make(map[string]*types.Package, len(listed))}
+	}
 	var out2 []*Package
 	for _, lp := range listed {
 		p := &Package{
@@ -116,19 +148,23 @@ func Load(fset *token.FileSet, dir string, patterns ...string) ([]*Package, erro
 			DepOnly:   lp.DepOnly,
 			importMap: lp.ImportMap,
 		}
-		if lp.ImportPath == "unsafe" {
-			p.Types = types.Unsafe
-			imp.pkgs[lp.ImportPath] = types.Unsafe
+		if prev := l.checked[lp.ImportPath]; prev != nil {
+			p.GoFiles, p.Syntax, p.Types, p.TypesInfo = prev.GoFiles, prev.Syntax, prev.Types, prev.TypesInfo
 			out2 = append(out2, p)
 			continue
 		}
-		for _, f := range lp.GoFiles {
-			p.GoFiles = append(p.GoFiles, filepath.Join(lp.Dir, f))
+		if lp.ImportPath == "unsafe" {
+			p.Types = types.Unsafe
+		} else {
+			for _, f := range lp.GoFiles {
+				p.GoFiles = append(p.GoFiles, filepath.Join(lp.Dir, f))
+			}
+			if err := checkPackage(l.Fset, p, l.imp); err != nil {
+				return nil, err
+			}
 		}
-		if err := checkPackage(fset, p, imp); err != nil {
-			return nil, err
-		}
-		imp.pkgs[p.PkgPath] = p.Types
+		l.imp.pkgs[p.PkgPath] = p.Types
+		l.checked[p.PkgPath] = p
 		out2 = append(out2, p)
 	}
 	return out2, nil

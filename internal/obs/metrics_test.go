@@ -1,60 +1,9 @@
 package obs
 
 import (
-	"strings"
 	"testing"
 	"time"
 )
-
-// TestExpositionRoundTrip renders a registry exercising every metric
-// kind and validates it with the strict parser.
-func TestExpositionRoundTrip(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("t_requests_total", "Requests served.")
-	c.Add(3)
-	cv := r.CounterVec("t_queries_total", "Queries by strategy.", "strategy")
-	cv.With("SMA_GAggr").Add(2)
-	cv.With("FullScan+GAggr").Inc()
-	g := r.Gauge("t_sessions", "Active sessions.")
-	g.Set(4)
-	r.GaugeFunc("t_uptime_seconds", "Uptime.", func() float64 { return 12.5 })
-	r.CounterFunc("t_pool_hits_total", "Pool hits.", func() float64 { return 99 })
-	h := r.Histogram("t_read_seconds", "Read latency.", []float64{0.001, 0.01, 0.1})
-	h.Observe(0.0005)
-	h.Observe(0.05)
-	h.Observe(5)
-	hv := r.HistogramVec("t_route_seconds", "Per-route latency.", []float64{0.01, 0.1}, "route")
-	hv.With("/query").ObserveDuration(20 * time.Millisecond)
-	// A label value needing escaping.
-	cv.With("weird\"strategy\\with\nnewline").Inc()
-
-	var b strings.Builder
-	if err := r.WritePrometheus(&b); err != nil {
-		t.Fatalf("WritePrometheus: %v", err)
-	}
-	out := b.String()
-	if err := ValidateExposition([]byte(out)); err != nil {
-		t.Fatalf("exposition does not validate: %v\n%s", err, out)
-	}
-	for _, want := range []string{
-		"# HELP t_requests_total Requests served.",
-		"# TYPE t_requests_total counter",
-		"t_requests_total 3",
-		`t_queries_total{strategy="SMA_GAggr"} 2`,
-		`t_queries_total{strategy="weird\"strategy\\with\nnewline"} 1`,
-		"t_sessions 4",
-		"t_uptime_seconds 12.5",
-		"t_pool_hits_total 99",
-		`t_read_seconds_bucket{le="0.001"} 1`,
-		`t_read_seconds_bucket{le="+Inf"} 3`,
-		"t_read_seconds_count 3",
-		`t_route_seconds_bucket{route="/query",le="0.1"} 1`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("exposition missing %q\n%s", want, out)
-		}
-	}
-}
 
 // TestHistogramCumulative checks bucket accounting.
 func TestHistogramCumulative(t *testing.T) {
@@ -117,39 +66,4 @@ func TestRegistryPanics(t *testing.T) {
 	mustPanic("no help", func() { r.Counter("ok3_total", "") })
 	mustPanic("bad bounds", func() { r.Histogram("ok4", "x", []float64{2, 1}) })
 	mustPanic("label arity", func() { r.CounterVec("ok5_total", "x", "a").With("1", "2") })
-}
-
-// TestValidateExpositionRejects feeds the strict parser the specific
-// malformations the hand-rendered endpoint could produce.
-func TestValidateExpositionRejects(t *testing.T) {
-	cases := map[string]string{
-		"no trailing newline":  "# HELP a_total x\n# TYPE a_total counter\na_total 1",
-		"sample without TYPE":  "a_total 1\n",
-		"TYPE without HELP":    "# TYPE a_total counter\na_total 1\n",
-		"HELP after TYPE":      "# TYPE a_total counter\n# HELP a_total x\na_total 1\n",
-		"bad metric name":      "# HELP a-b x\n# TYPE a-b counter\na-b 1\n",
-		"bad value":            "# HELP a_total x\n# TYPE a_total counter\na_total one\n",
-		"duplicate family":     "# HELP a x\n# TYPE a counter\na 1\n# HELP a x\n# TYPE a counter\na 2\n",
-		"duplicate sample":     "# HELP a x\n# TYPE a counter\na 1\na 2\n",
-		"unquoted label":       "# HELP a x\n# TYPE a counter\na{l=v} 1\n",
-		"bad escape":           "# HELP a x\n# TYPE a counter\na{l=\"\\t\"} 1\n",
-		"foreign sample":       "# HELP a x\n# TYPE a counter\nb_total 1\n",
-		"histogram no inf":     "# HELP h x\n# TYPE h histogram\nh_bucket{le=\"1\"} 1\nh_sum 1\nh_count 1\n",
-		"histogram no sum":     "# HELP h x\n# TYPE h histogram\nh_bucket{le=\"1\"} 1\nh_bucket{le=\"+Inf\"} 1\nh_count 1\n",
-		"histogram count skew": "# HELP h x\n# TYPE h histogram\nh_bucket{le=\"1\"} 1\nh_bucket{le=\"+Inf\"} 2\nh_sum 1\nh_count 3\n",
-		"histogram not cum":    "# HELP h x\n# TYPE h histogram\nh_bucket{le=\"1\"} 5\nh_bucket{le=\"2\"} 3\nh_bucket{le=\"+Inf\"} 5\nh_sum 1\nh_count 5\n",
-		"blank line":           "# HELP a x\n# TYPE a counter\n\na 1\n",
-		"empty":                "",
-	}
-	for name, in := range cases {
-		if err := ValidateExposition([]byte(in)); err == nil {
-			t.Errorf("%s: validator accepted malformed input:\n%s", name, in)
-		}
-	}
-
-	good := "# HELP a_total x\n# TYPE a_total counter\na_total 1\n" +
-		"# HELP h x\n# TYPE h histogram\nh_bucket{le=\"1\"} 1\nh_bucket{le=\"+Inf\"} 2\nh_sum 3.5\nh_count 2\n"
-	if err := ValidateExposition([]byte(good)); err != nil {
-		t.Errorf("validator rejected conforming input: %v", err)
-	}
 }

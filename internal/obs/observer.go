@@ -171,23 +171,3 @@ func (discardHandler) Enabled(context.Context, slog.Level) bool  { return false 
 func (discardHandler) Handle(context.Context, slog.Record) error { return nil }
 func (discardHandler) WithAttrs([]slog.Attr) slog.Handler        { return discardHandler{} }
 func (discardHandler) WithGroup(string) slog.Handler             { return discardHandler{} }
-
-// ctxKey keys the query id context value.
-type ctxKey int
-
-const queryIDKey ctxKey = 0
-
-// WithQueryID returns a context carrying the query id; the server tags
-// request contexts so engine logs correlate with request logs.
-func WithQueryID(ctx context.Context, id string) context.Context {
-	return context.WithValue(ctx, queryIDKey, id)
-}
-
-// QueryIDFrom extracts the query id from a context ("" when absent).
-func QueryIDFrom(ctx context.Context) string {
-	if ctx == nil {
-		return ""
-	}
-	id, _ := ctx.Value(queryIDKey).(string)
-	return id
-}

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"context"
 	"encoding/json"
 	"strings"
 	"sync"
@@ -158,43 +157,4 @@ func TestTraceRenderAndJSON(t *testing.T) {
 	if back.Find("worker").PagesRead != 7 {
 		t.Fatal("JSON round trip lost counters")
 	}
-}
-
-// TestObserverBasics exercises ids, context propagation, and the
-// registered families.
-func TestObserverBasics(t *testing.T) {
-	o := NewObserver(Config{})
-	if id := o.NextQueryID(); id != "q1" {
-		t.Fatalf("first id %q", id)
-	}
-	if id := o.NextQueryID(); id != "q2" {
-		t.Fatalf("second id %q", id)
-	}
-	ctx := WithQueryID(context.Background(), "q9")
-	if got := QueryIDFrom(ctx); got != "q9" {
-		t.Fatalf("ctx id %q", got)
-	}
-	if QueryIDFrom(context.Background()) != "" {
-		t.Fatal("background ctx has an id")
-	}
-	o.Engine.Queries.With("SMA_GAggr").Inc()
-	o.Engine.QuerySeconds.With("SMA_GAggr").Observe(0.01)
-	o.Storage.ReadSeconds.Observe(0.001)
-	o.Parallel.PartitionSkew.Observe(1.2)
-	var b strings.Builder
-	if err := o.Reg.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	if err := ValidateExposition([]byte(b.String())); err != nil {
-		t.Fatalf("observer registry exposition invalid: %v", err)
-	}
-	// Nil observer is inert.
-	var nilO *Observer
-	if nilO.NextQueryID() != "" {
-		t.Fatal("nil observer minted an id")
-	}
-	if nilO.Logger() == nil {
-		t.Fatal("nil observer logger is nil")
-	}
-	nilO.Logger().Info("dropped")
 }

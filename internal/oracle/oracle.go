@@ -615,7 +615,7 @@ func havingValue(t *table, q *parser.Query, specs []exec.AggSpec, g *group, name
 }
 
 // lessGroupVals orders groups by their group-by values, strings before
-// numbers, mirroring the engine's SortRows.
+// numbers, mirroring the order exec.FinishPartials emits.
 func lessGroupVals(t *table, a, b *group) bool {
 	for i := range a.vals {
 		if i >= len(b.vals) {

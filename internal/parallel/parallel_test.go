@@ -334,7 +334,7 @@ func TestParallelCancellation(t *testing.T) {
 	}
 
 	// Calibrate: a full parallel cold run.
-	if err := tbl.Pool().DropAll(); err != nil {
+	if err := tbl.Heap.Pool().DropAll(); err != nil {
 		t.Fatal(err)
 	}
 	start := time.Now()
@@ -343,7 +343,7 @@ func TestParallelCancellation(t *testing.T) {
 	}
 	full := time.Since(start)
 
-	if err := tbl.Pool().DropAll(); err != nil {
+	if err := tbl.Heap.Pool().DropAll(); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())

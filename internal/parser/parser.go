@@ -152,12 +152,6 @@ func (p *parser) expectIdent() (string, error) {
 	return t.text, nil
 }
 
-// ParseSMADef parses the paper's "define sma" DDL into a core.Def.
-func ParseSMADef(src string) (core.Def, error) {
-	p := newParser(src)
-	return p.parseSMADef()
-}
-
 func (p *parser) parseSMADef() (core.Def, error) {
 	if err := p.expectKeyword("define"); err != nil {
 		return core.Def{}, err

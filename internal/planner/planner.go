@@ -597,7 +597,6 @@ func (p *Plan) RowIterator(ctx context.Context) (exec.RowIter, error) {
 	if len(p.Query.Having) > 0 {
 		it = exec.NewHavingFilter(it, p.Query.GroupBy, specs, p.Query.Having)
 	}
-	it = exec.NewSortRows(it)
 	if p.Query.Limit >= 0 {
 		it = exec.NewLimitRows(it, p.Query.Limit)
 	}

@@ -39,11 +39,7 @@ func q1SMAs(t testing.TB, h *storage.HeapFile) []*core.SMA {
 	}
 	var out []*core.SMA
 	for _, ddl := range defs {
-		def, err := parser.ParseSMADef(ddl)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, err := core.Build(h, def)
+		s, err := core.Build(h, parseSMADef(t, ddl))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -240,11 +236,7 @@ func TestPlanExplain(t *testing.T) {
 func TestPlannerEqualityViaCountSMA(t *testing.T) {
 	h := newLineItem(t, tpcd.OrderSorted, 0.001)
 	var smas []*core.SMA
-	def, err := parser.ParseSMADef("define sma rfcount select count(*) from LINEITEM group by L_RETURNFLAG")
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := core.Build(h, def)
+	s, err := core.Build(h, parseSMADef(t, "define sma rfcount select count(*) from LINEITEM group by L_RETURNFLAG"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,4 +306,14 @@ func TestAggregationPlansAreBound(t *testing.T) {
 	if _, err := execute(p); err == nil || bindErr == nil || err.Error() != bindErr.Error() {
 		t.Errorf("Open of an unbound plan: %v; binding: %v", err, bindErr)
 	}
+}
+
+// parseSMADef parses one "define sma" statement.
+func parseSMADef(t testing.TB, ddl string) core.Def {
+	t.Helper()
+	st, err := parser.ParseStatement(ddl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st.(*parser.DefineSMAStmt).Def
 }

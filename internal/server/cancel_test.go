@@ -4,10 +4,12 @@ import (
 	"context"
 	"net/http"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
 	"sma/client"
+	"sma/internal/chaos"
 	"sma/internal/server"
 )
 
@@ -72,5 +74,43 @@ func TestClientDisconnectCancelsQuery(t *testing.T) {
 		buf := make([]byte, 1<<20)
 		t.Fatalf("goroutine leak after disconnect: %d -> %d\n%s",
 			base, n, buf[:runtime.Stack(buf, true)])
+	}
+}
+
+// TestClientReusesItsConnection: a query read to its trailer and closed
+// hands its connection back to the client's pool, so 200 sequential
+// queries with one idle connection allowed open exactly one. Closing
+// before the trailer disconnects instead (TestClientDisconnectCancelsQuery).
+func TestClientReusesItsConnection(t *testing.T) {
+	ts := startServer(t, nil, server.Config{})
+	ctx := context.Background()
+	setup := client.New(ts.Base)
+	for _, sql := range []string{
+		"create table S (K int, V float64)",
+		"insert into S values (1, 1.5), (2, 2.5), (3, 3.5), (1, 4.5)",
+	} {
+		if _, err := setup.Exec(ctx, sql); err != nil {
+			t.Fatal(err)
+		}
+	}
+	proxy, err := chaos.NewProxy(strings.TrimPrefix(ts.Base, "http://"), 1, chaos.ProxyConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer proxy.Close()
+	tr := &http.Transport{MaxIdleConnsPerHost: 1}
+	defer tr.CloseIdleConnections()
+	c := client.New("http://"+proxy.Addr(), client.WithHTTPClient(&http.Client{Transport: tr}))
+	for i := 0; i < 200; i++ {
+		sql := "select K, sum(V) as S from S group by K"
+		if i%2 == 1 {
+			sql = "select K, V from S where V > 2"
+		}
+		if _, err := drainQuery(c, sql); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := proxy.Accepted(); n != 1 {
+		t.Errorf("200 sequential queries opened %d connections, want 1", n)
 	}
 }

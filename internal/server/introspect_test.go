@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"sma/client"
-	"sma/internal/obs"
 	"sma/internal/parser"
 	"sma/internal/server"
 	"sma/internal/testutil"
@@ -398,7 +397,7 @@ func TestMetricsExpositionWhileDegraded(t *testing.T) {
 	}
 
 	body := fetchMetrics(t, ts.Base)
-	if err := obs.ValidateExposition(body); err != nil {
+	if err := testutil.ValidateExposition(body); err != nil {
 		t.Fatalf("/metrics invalid while degraded: %v\n%s", err, body)
 	}
 	if !strings.Contains(string(body), "sma_uptime_seconds") {
@@ -422,7 +421,7 @@ func TestMetricsExpositionWhileDraining(t *testing.T) {
 	}
 
 	body := fetchMetrics(t, ts.Base)
-	if err := obs.ValidateExposition(body); err != nil {
+	if err := testutil.ValidateExposition(body); err != nil {
 		t.Fatalf("/metrics invalid while draining: %v\n%s", err, body)
 	}
 }

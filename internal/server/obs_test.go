@@ -8,8 +8,8 @@ import (
 	"testing"
 
 	"sma/client"
-	"sma/internal/obs"
 	"sma/internal/server"
+	"sma/internal/testutil"
 )
 
 // seedSmall creates a tiny table through the wire.
@@ -134,7 +134,7 @@ func TestMetricsExposition(t *testing.T) {
 	rows.Close()
 
 	body := fetchMetrics(t, ts.Base)
-	if err := obs.ValidateExposition(body); err != nil {
+	if err := testutil.ValidateExposition(body); err != nil {
 		t.Fatalf("/metrics is not a valid exposition: %v\n%s", err, body)
 	}
 	for _, want := range []string{

@@ -28,11 +28,6 @@ func IsVirtual(name string) bool {
 	return false
 }
 
-// VirtualNames lists the introspection tables in catalog order.
-func VirtualNames() []string {
-	return []string{TableStatements, TableSMAs, TableTables, TableActivity, TableAdvisor}
-}
-
 // Relation is a materialized virtual-table snapshot.
 type Relation struct {
 	Name   string

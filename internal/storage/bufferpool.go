@@ -201,18 +201,6 @@ func (bp *BufferPool) SetCorruptionHandler(fn func(PageID)) {
 	bp.mu.Unlock()
 }
 
-// Quarantined returns the ids of pages currently quarantined for failing
-// checksum verification.
-func (bp *BufferPool) Quarantined() []PageID {
-	bp.mu.Lock()
-	defer bp.mu.Unlock()
-	ids := make([]PageID, 0, len(bp.quarantined))
-	for id := range bp.quarantined {
-		ids = append(ids, id)
-	}
-	return ids
-}
-
 // SetWriteBackHook installs the dirty write-back interceptor. Call it
 // before the pool sees concurrent traffic.
 func (bp *BufferPool) SetWriteBackHook(h WriteBackHook) {
@@ -833,11 +821,4 @@ func (bp *BufferPool) ResetStats() {
 	bp.prefetched.Store(0)
 	bp.prefetchHits.Store(0)
 	bp.overflows.Store(0)
-}
-
-// Resident returns the number of pages currently cached.
-func (bp *BufferPool) Resident() int {
-	bp.mu.Lock()
-	defer bp.mu.Unlock()
-	return bp.resident
 }

@@ -199,13 +199,6 @@ func simulateLatency(lat time.Duration) {
 	}
 }
 
-// SeqRandReads returns the sequential / random split of physical reads.
-func (d *DiskManager) SeqRandReads() (seq, random int64) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.seqReads, d.randReads
-}
-
 // WritePage writes buf (PageSize bytes) to page id, which must be within the
 // file or exactly one past the end (append). The page checksum is stamped
 // into buf's header before the write, so every page image that reaches

@@ -86,7 +86,11 @@ func colValue(t tuple.Tuple, name string) float64 {
 		panic(fmt.Sprintf("testutil: unknown column %q", name))
 	}
 	if t.Schema.Column(i).Type == tuple.TChar {
-		return float64(t.CharByte(i))
+		// A CHAR column reads as its first byte, a blank when it is empty.
+		if b := t.CharBytes(i); len(b) > 0 {
+			return float64(b[0])
+		}
+		return ' '
 	}
 	return t.Numeric(i)
 }

@@ -1,6 +1,7 @@
 // Package testutil provides shared helpers for the test suites: temporary
 // heap files, small canned relations (including the paper's Figure 1
-// example), tolerance comparison, and reading a metrics exposition.
+// example), tolerance comparison, and reading and validating a metrics
+// exposition.
 package testutil
 
 import (

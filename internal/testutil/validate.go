@@ -1,13 +1,23 @@
-package obs
+package testutil
 
 import (
 	"fmt"
+	"regexp"
 	"strconv"
 	"strings"
 )
 
+// The metric-name and label-name grammars of the exposition format, kept
+// apart from package obs's own so the reference parser shares nothing with
+// the code it checks.
+var (
+	metricNameRE = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)
+	labelNameRE  = regexp.MustCompile(`^[a-zA-Z_][a-zA-Z0-9_]*$`)
+)
+
 // ValidateExposition is a strict parser for the Prometheus text
-// exposition format (version 0.0.4). It enforces the rules the
+// exposition format (version 0.0.4), the reference the tests of obs,
+// engine and server hold /metrics to. It enforces the rules the
 // hand-rendered /metrics endpoint used to get wrong:
 //
 //   - every sample belongs to a family announced by # HELP and # TYPE

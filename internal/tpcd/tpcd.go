@@ -435,16 +435,3 @@ func (o *OrderRow) FillTuple(t tuple.Tuple) {
 	t.SetInt32(4, o.OrderDate)
 	t.SetInt32(5, o.ShipPriority)
 }
-
-// LoadOrders generates ORDERS data and appends it to the heap file.
-func LoadOrders(h *storage.HeapFile, cfg Config) (int, error) {
-	rows := GenOrders(cfg)
-	t := tuple.NewTuple(h.Schema())
-	for i := range rows {
-		rows[i].FillTuple(t)
-		if _, err := h.Append(t); err != nil {
-			return i, err
-		}
-	}
-	return len(rows), nil
-}

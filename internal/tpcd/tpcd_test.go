@@ -171,7 +171,7 @@ func TestFillTupleRoundTrip(t *testing.T) {
 		li.FillTuple(tp)
 		if tp.Int64(0) != li.OrderKey ||
 			tp.Float64(4) != li.Quantity ||
-			tp.CharByte(8) != li.ReturnFlag ||
+			tp.Char(8) != string(li.ReturnFlag) ||
 			tp.Int32(10) != li.ShipDate {
 			t.Fatalf("tuple round trip failed for %+v -> %s", li, tp)
 		}

@@ -163,13 +163,6 @@ func (t Tuple) CharBytes(i int) []byte {
 	return b
 }
 
-// CharByte returns the first byte of a TChar column; convenient for the
-// one-character flag columns of LINEITEM.
-func (t Tuple) CharByte(i int) byte {
-	c := t.Schema.cols[i]
-	return t.Data[c.offset]
-}
-
 // Numeric reads any numeric column (int32/int64/float64/date) as a float64.
 // This is the value domain used by expressions and SMA aggregates.
 func (t Tuple) Numeric(i int) float64 {

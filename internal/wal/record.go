@@ -90,10 +90,8 @@ type Op struct {
 	Data  []byte // Count tuple images for insert/update; nil for delete
 }
 
-// IsInsert, IsUpdate, IsDelete name the op kind without exporting the
-// record-type bytes. An insert run is an insert of Count tuples.
-func (o Op) IsInsert() bool { return o.Type == recInsert || o.Type == recInsertRun }
-func (o Op) IsUpdate() bool { return o.Type == recUpdate }
+// IsDelete reports whether the op is a delete; replay applies every other
+// op, an insert run's Count images or an update's one, at its slots.
 func (o Op) IsDelete() bool { return o.Type == recDelete }
 
 // beginRecord reserves a record's frame in dst; the caller appends the body

@@ -110,8 +110,7 @@ type Log struct {
 	size   int64
 	dirty  bool // bytes appended since the last fsync
 	closed bool
-	spare  []byte             // the last committed batch's buffer, for the next NewBatch
-	fault  func(string) error // runs before every fsync; see SetFault
+	spare  []byte // the last committed batch's buffer, for the next NewBatch
 
 	syncMu    sync.Mutex // guards the fields below; never held with mu
 	syncCond  *sync.Cond
@@ -305,33 +304,18 @@ func (l *Log) flushAndSync() (uint64, error) {
 	target := l.seq
 	l.dirty = false
 	err := l.w.Flush()
-	f, fault := l.f, l.fault
+	f := l.f
 	if err != nil {
 		l.dirty = true
 		l.mu.Unlock()
 		return 0, err
 	}
 	l.mu.Unlock()
-	if fault != nil {
-		if err := fault("sync"); err != nil {
-			return 0, err
-		}
-	}
 	if err := f.Sync(); err != nil {
 		return 0, err
 	}
 	l.nSyncs.Add(1)
 	return target, nil
-}
-
-// SetFault installs fn to run before every fsync of the log with op
-// "sync" (nil removes it); an error it returns fails the fsync. Tests
-// stall or break the log's barrier with it, as storage.DiskManager's
-// SetFault does for page I/O.
-func (l *Log) SetFault(fn func(op string) error) {
-	l.mu.Lock()
-	l.fault = fn
-	l.mu.Unlock()
 }
 
 // Sync forces everything appended so far to stable storage, whether or not
