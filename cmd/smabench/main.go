@@ -33,8 +33,8 @@ var experimentCatalog = []struct{ ID, Desc string }{
 	{"e6", "Figure 1: SMA file layout walkthrough"},
 	{"e7", "Figure 2: implicit (diagonal) clustering per data order"},
 	{"e8", "§4 ablation: bucket-size trade-off on diagonally clustered data"},
-	{"e9", "§4 ablation: two-level SMAs, level-1 I/O saved per fanout"},
-	{"e10", "§4 ablation: semi-join SMAs, LINEITEM ⋉ early ORDERS on L_SHIPDATE <= O_ORDERDATE"},
+	{"e9", "§4 ablation: hierarchical SMAs, presence words the level-2 summary decides and level-1 entries it spares"},
+	{"e10", "§4 ablation: semi-join SMAs, LINEITEM ⋉ early ORDERS on L_SHIPDATE <= O_ORDERDATE reduced to L_SHIPDATE <= max(O_ORDERDATE)"},
 	{"e11", "§4 ablation: SMA scan vs index plan by selectivity"},
 	{"obs", "observability + stats overhead vs disabled (timing advisory; fails on diverging answers)"},
 	{"chaos", "availability under injected faults and crashes"},
@@ -117,11 +117,14 @@ func main() {
 	}
 	if run("e9") {
 		ok = true
-		res, err := experiments.RunE9(cfg, *delta, []int{8, 32, 128})
+		diag := cfg
+		diag.Order = tpcd.OrderDiagonal
+		e, err := experiments.NewEnv(diag)
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Println(res.Render())
+		fmt.Println(experiments.RunE9(e, *delta).Render())
+		e.Close()
 	}
 	if run("e10") {
 		ok = true

@@ -3,8 +3,8 @@
 // SMAs skip buckets that cannot contain semi-join partners. The example
 // runs the whole reduction through the public sma API: the minimax bounds
 // come from a streaming aggregate query on S, the reduced predicate runs
-// as an ordinary SMA-graded query on R. (The lower-level per-bucket
-// machinery lives in internal/core; cmd/smabench -exp e10 measures it.)
+// as an ordinary SMA-graded query on R, graded by the same pass as any
+// other predicate. cmd/smabench -exp e10 measures the reduction.
 //
 //	go run ./examples/semijoin
 package main

@@ -15,6 +15,7 @@
 //   - the §3.1 bucket-grading rules (qualifying / disqualifying /
 //     ambivalent) including the AND/OR partition algebra, grading through
 //     grouped min/max SMAs, and grading through count-group-by-A SMAs
-//   - hierarchical (two-level) SMAs (§4)
-//   - semi-join SMAs (§4)
+//   - hierarchical SMAs (§4): an in-memory level-2 summary per SMA-file,
+//     one entry per 64-bucket presence word, that grades and folds whole
+//     words
 package core

@@ -74,7 +74,9 @@ func fuzzPred(data *[]byte, depth int) pred.Predicate {
 // summary that missed a change shows as a grade of its own.
 //
 // Rows are (A, B, group) byte triples, four to a bucket; byte 0xFF stands
-// for NaN and 0xFE for -0, every other byte b for b mod 64. smaMask picks
+// for NaN and 0xFE for -0, every other byte b for b mod 64. The group
+// byte's low bit picks the group and its bit 1 deletes the row before the
+// build, so a bucket can have no entry from the start. smaMask picks
 // which of min(A), max(A), min(B), max(B), count(*) group by A the grader
 // gets and whether the SMAs on A are grouped by G.
 //
@@ -126,6 +128,24 @@ func FuzzGradeAll(f *testing.F) {
 		rng.Read(p)
 		f.Add(rows, p, mask)
 	}
+	// Seeds with about a third of the rows deleted before the build and
+	// buckets 62 to 65 emptied, so empty buckets lie on both sides of a
+	// presence-word edge: A <= 24 under min(A) and max(A) alone, and a tree
+	// under every SMA.
+	for _, mask := range []byte{0x03, 0x1f} {
+		rows := make([]byte, 0, 3*400)
+		for r := 0; r < 400; r++ {
+			del := byte(0)
+			if rng.Intn(3) == 0 || r/4 >= 62 && r/4 < 66 {
+				del = 2
+			}
+			rows = append(rows, byte(r/8+rng.Intn(6)), byte(rng.Intn(100)), del|byte(rng.Intn(2)))
+		}
+		f.Add(rows, []byte{0, 3 << 1, 64}, mask)
+		p := make([]byte, 24)
+		rng.Read(p)
+		f.Add(rows, p, mask)
+	}
 
 	schema := tuple.MustSchema([]tuple.Column{
 		{Name: "A", Type: tuple.TFloat64},
@@ -154,8 +174,18 @@ func FuzzGradeAll(f *testing.F) {
 			tp.SetChar(2, string(rune('x'+r[2]%2)))
 			return tp
 		}
+		dead := make(map[storage.RID]bool)
 		for r := rows; len(r) >= 3; r = r[3:] {
-			if _, err := h.Append(setRow(r)); err != nil {
+			rid, err := h.Append(setRow(r))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r[2]&2 != 0 {
+				dead[rid] = true
+			}
+		}
+		for rid := range dead {
+			if err := h.Delete(rid); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -254,8 +284,10 @@ func FuzzGradeAll(f *testing.F) {
 		}
 		page := storage.PageID(h.NumPages() / 4)
 		for slot := 0; slot < 4; slot++ {
-			if err := h.Delete(storage.RID{Page: page, Slot: slot}); err != nil {
-				t.Fatal(err)
+			if rid := (storage.RID{Page: page, Slot: slot}); !dead[rid] {
+				if err := h.Delete(rid); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
 		if err := core.Refold(h, smas, []int{h.BucketOf(page)}); err != nil {

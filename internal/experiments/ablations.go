@@ -7,6 +7,7 @@ import (
 
 	"sma/internal/core"
 	"sma/internal/exec"
+	"sma/internal/expr"
 	"sma/internal/pred"
 	"sma/internal/storage"
 	"sma/internal/tpcd"
@@ -81,84 +82,63 @@ func (r E8Result) Render() string {
 	return b.String()
 }
 
-// --- E9: hierarchical SMAs (§4) ----------------------------------------------
+// --- E9: the level-2 summary (§4) -------------------------------------------
 
-// E9Row is one fanout of the hierarchical ablation.
-type E9Row struct {
-	Fanout        int
-	RunsDecided   int
-	L1Read        int
-	L1Total       int
-	SavedPct      float64
-	Level2Entries int
-}
-
-// E9Result is the hierarchical-SMA ablation.
+// E9Result is the hierarchical-SMA ablation: how many presence words the
+// level-2 summary decides for Query 1's shipdate atom, and so how many
+// level-1 entries the grader still reads.
 type E9Result struct {
-	SF   float64
-	Rows []E9Row
+	SF           float64
+	Words        int // full 64-bucket presence words
+	WordsDecided int // full words graded by their level-2 entry alone
+	L1Read       int // level-1 entries read: every bucket outside a decided word
+	L1Total      int // level-1 entries a flat pass reads: every bucket
 }
 
-// RunE9 builds two-level SMAs at several fanouts over diagonally clustered
-// data and measures how much level-1 I/O the second level avoids.
-func RunE9(base Config, deltaDays int, fanouts []int) (E9Result, error) {
-	base = base.withDefaults()
-	cfg := base
-	cfg.Order = tpcd.OrderDiagonal
-	e, err := NewEnv(cfg)
-	if err != nil {
-		return E9Result{}, err
+// SavedPct is the share of level-1 entries the decided words spare.
+func (r E9Result) SavedPct() float64 {
+	return 100 * (1 - float64(r.L1Read)/float64(max(r.L1Total, 1)))
+}
+
+// RunE9 grades Query 1's shipdate atom over e's buckets (the paper's
+// setting is diagonally clustered data) with Grader.GradeAll and counts the
+// full presence words that lie inside one qualifying or disqualifying run.
+//
+// The count is what level 2 decided: GradeAll grades a full word by its
+// level-2 bounds before it reads level 1, and every bucket's [min, max]
+// lies inside its word's bounds. Under a monotone comparison such as the
+// atom's <=, a word whose buckets all grade the same is therefore graded
+// that way by its bounds too, and a word its bounds decide is one run.
+func RunE9(e *Env, deltaDays int) E9Result {
+	const wordLen = 64 // buckets per presence word, each one level-2 entry
+	g := e.Grader()
+	nb := e.LineItem.NumBuckets()
+	r := E9Result{SF: e.Cfg.SF, Words: nb / wordLen, L1Total: nb}
+	for _, run := range g.GradeAll(Q1Pred(deltaDays)) {
+		if run.Grade == core.Ambivalent {
+			continue
+		}
+		first := (int(run.Lo) + wordLen - 1) / wordLen
+		last := min(int(run.Hi)/wordLen, r.Words)
+		r.WordsDecided += max(0, last-first)
 	}
-	defer e.Close()
-	r := E9Result{SF: base.SF}
-	atom := Q1Pred(deltaDays).(*pred.Atom)
-	flat := e.Grader().GradeAll(atom)
-	for _, f := range fanouts {
-		tl, err := core.NewTwoLevel(e.SMAs["min"], e.SMAs["max"], f)
-		if err != nil {
-			return r, err
-		}
-		grades := make([]core.Grade, tl.NumBuckets())
-		stats, err := tl.GradeAtom(atom, grades)
-		if err != nil {
-			return r, err
-		}
-		for _, run := range flat {
-			for b := int(run.Lo); b < int(run.Hi); b++ {
-				if grades[b] != run.Grade {
-					return r, fmt.Errorf("E9: hierarchical grade of bucket %d (%s) differs from flat (%s)",
-						b, grades[b], run.Grade)
-				}
-			}
-		}
-		row := E9Row{
-			Fanout:        f,
-			RunsDecided:   stats.RunsDecided,
-			L1Read:        stats.L1EntriesRead,
-			L1Total:       stats.L1EntriesTotal,
-			Level2Entries: tl.NumRuns(),
-		}
-		if stats.L1EntriesTotal > 0 {
-			row.SavedPct = 100 * (1 - float64(stats.L1EntriesRead)/float64(stats.L1EntriesTotal))
-		}
-		r.Rows = append(r.Rows, row)
-	}
-	return r, nil
+	r.L1Read = nb - wordLen*r.WordsDecided
+	return r
 }
 
 // Render prints the ablation.
 func (r E9Result) Render() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "E9 — hierarchical (two-level) SMAs (§4), SF %.3g\n", r.SF)
-	fmt.Fprintf(&b, "  %8s %12s %12s %12s %12s\n", "fanout", "L2 entries", "runs decided", "L1 read", "L1 saved")
-	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "  %8d %12d %12d %12d %11.1f%%\n",
-			row.Fanout, row.Level2Entries, row.RunsDecided, row.L1Read, row.SavedPct)
-	}
+	fmt.Fprintf(&b, "E9 — hierarchical SMAs (§4): the level-2 summary on Query 1's shipdate atom, SF %.3g\n", r.SF)
+	fmt.Fprintf(&b, "  presence words decided at level 2: %d / %d\n", r.WordsDecided, r.Words)
+	fmt.Fprintf(&b, "  level-1 entries read: %d / %d (%.1f%% saved)\n", r.L1Read, r.L1Total, r.SavedPct())
 	return b.String()
 }
 
 // --- E10: semi-join SMAs (§4) --------------------------------------------------
+
+// e10Cut ends S: the orders placed up to it.
+var e10Cut = tuple.MustParseDate("1992-09-30")
 
 // E10Result is the semi-join reduction experiment.
 type E10Result struct {
@@ -174,8 +154,9 @@ type E10Result struct {
 
 // RunE10 evaluates the §4 pattern "select R.* from R, S where R.A θ S.B" as
 // a semi-join: LINEITEM rows whose shipdate precedes at least one early
-// order's date. The SMA plan grades LINEITEM buckets against the minimax of
-// S.B before touching them.
+// order's date. For θ = <= a row has a partner exactly when R.A <= max(S.B),
+// so the semi-join reduces to an ordinary atom: the SMA plan grades it over
+// LINEITEM's buckets before touching them, as a query's plan does.
 func RunE10(base Config) (E10Result, error) {
 	base = base.withDefaults()
 	cfg := base
@@ -199,52 +180,52 @@ func RunE10(base Config) (E10Result, error) {
 	if err != nil {
 		return r, err
 	}
-	cut := tuple.MustParseDate("1992-09-30")
 	ot := tuple.NewTuple(tpcd.OrdersSchema())
 	for _, o := range tpcd.GenOrders(tpcd.Config{ScaleFactor: base.SF, Seed: base.Seed}) {
-		if o.OrderDate <= cut {
+		if o.OrderDate <= e10Cut {
 			o.FillTuple(ot)
 			if _, err := sHeap.Append(ot); err != nil {
 				return r, err
 			}
 		}
 	}
-	jb, err := core.ComputeJoinBounds(sHeap, "O_ORDERDATE")
+	// max(S.B) and |S| from one batch aggregate over S.
+	sAgg, err := exec.CollectRows(exec.NewBatchGAggr(exec.NewBatchTableScan(sHeap, nil, noPrefetch),
+		sHeap.Schema(), []exec.AggSpec{
+			{Func: exec.AggMax, Arg: expr.NewCol("O_ORDERDATE"), Name: "MX"},
+			{Func: exec.AggCount, Name: "N"},
+		}, nil))
 	if err != nil {
 		return r, err
 	}
+	if len(sAgg) != 1 || sAgg[0].Aggs[1] == 0 {
+		return r, fmt.Errorf("E10: S is empty")
+	}
+	reduced := pred.NewAtom("L_SHIPDATE", pred.Le, sAgg[0].Aggs[0])
 
-	// Baseline: sequential scan of LINEITEM with the residual predicate
-	// (the reduction L_SHIPDATE <= max(S.B) is exact for <=).
-	residual := core.SemiJoinPredicate("L_SHIPDATE", pred.Le, jb)
+	// Baseline: sequential scan of LINEITEM with the reduced predicate.
 	if err := e.GoCold(); err != nil {
 		return r, err
 	}
 	start := time.Now()
-	base1, err := countTuples(exec.NewBatchTableScan(e.LineItem, residual, noPrefetch))
+	base1, err := countTuples(exec.NewBatchTableScan(e.LineItem, reduced, noPrefetch))
 	if err != nil {
 		return r, err
 	}
 	r.ScanTime = time.Since(start)
 	r.ScanPages, _ = e.Disk().Stats()
 
-	// SMA plan: grade buckets via SemiJoinGrade, then scan only the rest
-	// through SMA_Scan with those grades.
+	// SMA plan: grade the reduced atom into runs, then scan only the
+	// undisqualified ones through SMA_Scan.
 	if err := e.GoCold(); err != nil {
 		return r, err
 	}
 	g := e.Grader()
-	nb := e.LineItem.NumBuckets()
-	r.BucketsTotal = nb
+	r.BucketsTotal = e.LineItem.NumBuckets()
 	start = time.Now()
-	grades := make([]core.Grade, nb)
-	for b := range grades {
-		if grades[b] = core.SemiJoinGrade(g, b, "L_SHIPDATE", pred.Le, jb); grades[b] == core.Disqualifies {
-			r.BucketsPruned++
-		}
-	}
-	scan := exec.NewBatchSMAScan(e.LineItem, residual, g, noPrefetch)
-	scan.Runs = core.RunsOf(nil, grades)
+	scan := exec.NewBatchSMAScan(e.LineItem, reduced, g, noPrefetch)
+	scan.Runs = g.RunsFor(reduced, r.BucketsTotal)
+	r.BucketsPruned = core.CountGrades(scan.Runs).Disqualifying
 	got, err := countTuples(scan)
 	if err != nil {
 		return r, err
@@ -263,7 +244,7 @@ func (r E10Result) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "E10 — semi-join SMAs (§4): LINEITEM ⋉ (early ORDERS) on L_SHIPDATE <= O_ORDERDATE, SF %.3g\n", r.SF)
 	fmt.Fprintf(&b, "  selected rows: %d\n", r.SelectedRows)
-	fmt.Fprintf(&b, "  buckets pruned by minimax(S.B): %d / %d (%.1f%%)\n",
+	fmt.Fprintf(&b, "  buckets pruned by L_SHIPDATE <= max(S.B): %d / %d (%.1f%%)\n",
 		r.BucketsPruned, r.BucketsTotal, 100*float64(r.BucketsPruned)/float64(max(r.BucketsTotal, 1)))
 	fmt.Fprintf(&b, "  pages read: scan %d vs SMA %d;  time: scan %s vs SMA %s\n",
 		r.ScanPages, r.SMAPagesRead,

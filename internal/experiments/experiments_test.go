@@ -216,22 +216,26 @@ func TestE8BucketTradeoff(t *testing.T) {
 	}
 }
 
-// TestE9HierarchySaves: two-level grading reads far fewer L1 entries.
+// TestE9HierarchySaves: the level-2 summary decides all but one full
+// presence word of Query 1's shipdate atom on diagonal data, so grading
+// reads few level-1 entries.
 func TestE9HierarchySaves(t *testing.T) {
 	cfg := tinyCfg()
 	cfg.SF = 0.005
-	r, err := RunE9(cfg, 90, []int{8, 64})
-	if err != nil {
-		t.Fatal(err)
+	cfg.Order = tpcd.OrderDiagonal
+	r := RunE9(newTestEnv(t, cfg), 90)
+	if r.WordsDecided != 14 || r.Words != 15 || r.L1Read != 72 || r.L1Total != 968 {
+		t.Errorf("%d of %d words decided, %d of %d level-1 entries read; want 14 of 15 and 72 of 968",
+			r.WordsDecided, r.Words, r.L1Read, r.L1Total)
 	}
-	for _, row := range r.Rows {
-		if row.SavedPct < 50 {
-			t.Errorf("fanout %d saved only %.1f%% of L1 reads", row.Fanout, row.SavedPct)
-		}
+	if r.SavedPct() < 50 {
+		t.Errorf("level 2 saved only %.1f%% of level-1 reads", r.SavedPct())
 	}
 }
 
-// TestE10SemiJoinPrunes: most LINEITEM buckets are pruned for the narrow S.
+// TestE10SemiJoinPrunes: most LINEITEM buckets are pruned for the narrow S,
+// and the reduced plan selects exactly the rows a nested-loop semi-join
+// over the generated rows finds.
 func TestE10SemiJoinPrunes(t *testing.T) {
 	cfg := tinyCfg()
 	cfg.SF = 0.005
@@ -247,6 +251,26 @@ func TestE10SemiJoinPrunes(t *testing.T) {
 	}
 	if r.SMAPagesRead >= r.ScanPages {
 		t.Errorf("SMA plan read %d pages, scan %d", r.SMAPagesRead, r.ScanPages)
+	}
+
+	gen := tpcd.Config{ScaleFactor: cfg.SF, Seed: cfg.Seed}
+	var s []int32
+	for _, o := range tpcd.GenOrders(gen) {
+		if o.OrderDate <= e10Cut {
+			s = append(s, o.OrderDate)
+		}
+	}
+	want := 0
+	for _, li := range tpcd.GenLineItems(gen) {
+		for _, b := range s {
+			if li.ShipDate <= b {
+				want++
+				break
+			}
+		}
+	}
+	if r.SelectedRows != want {
+		t.Errorf("SMA semi-join selected %d rows, nested loop %d", r.SelectedRows, want)
 	}
 }
 

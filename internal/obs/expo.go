@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -55,9 +54,6 @@ func (f *family) write(w *bufio.Writer) error {
 		switch f.typ {
 		case "histogram":
 			f.writeHistogram(w, s)
-		case "gauge":
-			fmt.Fprintf(w, "%s%s %s\n", f.name, renderLabels(f.labels, s.labelVals, "", ""),
-				formatValue(math.Float64frombits(s.gaugeBits.Load())))
 		default: // counter
 			fmt.Fprintf(w, "%s%s %d\n", f.name, renderLabels(f.labels, s.labelVals, "", ""),
 				s.counter.Load())

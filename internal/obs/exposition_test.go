@@ -18,8 +18,7 @@ func TestExpositionRoundTrip(t *testing.T) {
 	cv := r.CounterVec("t_queries_total", "Queries by strategy.", "strategy")
 	cv.With("SMA_GAggr").Add(2)
 	cv.With("FullScan+GAggr").Inc()
-	g := r.Gauge("t_sessions", "Active sessions.")
-	g.Set(4)
+	r.GaugeFunc("t_sessions", "Active sessions.", func() float64 { return 4 })
 	r.GaugeFunc("t_uptime_seconds", "Uptime.", func() float64 { return 12.5 })
 	r.CounterFunc("t_pool_hits_total", "Pool hits.", func() float64 { return 99 })
 	h := r.Histogram("t_read_seconds", "Read latency.", []float64{0.001, 0.01, 0.1})

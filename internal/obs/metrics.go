@@ -40,7 +40,7 @@ type Registry struct {
 type family struct {
 	name   string
 	help   string
-	typ    string // "counter", "gauge", or "histogram"
+	typ    string // "counter", "gauge" (callback families only) or "histogram"
 	labels []string
 
 	mu     sync.Mutex
@@ -53,7 +53,6 @@ type family struct {
 type series struct {
 	labelVals []string
 	counter   atomic.Int64
-	gaugeBits atomic.Uint64 // float64 bits for gauges
 	hist      *Histogram
 }
 

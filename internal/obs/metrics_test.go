@@ -27,7 +27,6 @@ func TestHistogramCumulative(t *testing.T) {
 // TestNilMetricHandles verifies the disabled path: nil handles are inert.
 func TestNilMetricHandles(t *testing.T) {
 	var c *Counter
-	var g *Gauge
 	var h *Histogram
 	var cv *CounterVec
 	var hv *HistogramVec
@@ -36,7 +35,6 @@ func TestNilMetricHandles(t *testing.T) {
 	if c.Value() != 0 {
 		t.Fatal("nil counter has a value")
 	}
-	g.Set(3)
 	h.Observe(1)
 	h.ObserveDuration(time.Second)
 	if h.Count() != 0 {

@@ -60,7 +60,10 @@ func TestPublicSurface(t *testing.T) {
 // interface of the program declares (standard library included): a
 // method such as String or Close may be reached through an interface
 // the scan cannot follow. A name is reached when a non-test file of a
-// production package refers to it, its own package included. Production
+// production package refers to it, its own package included. A type's own
+// declarations (its type spec, its methods and its constructors, the
+// functions of its package that return it) do not reach it; a use of one
+// of its methods or constructors anywhere else does. Production
 // packages are sma, sma/client, cmd/* but smabench, and internal/* but
 // experiments, btree, cube, lint and testutil. Each golden line names one
 // unreached name and the packages that still use it: non-production
@@ -160,22 +163,46 @@ func unreachedNames(t *testing.T) []string {
 			continue
 		}
 		path, _, _ := strings.Cut(p.PkgPath, " ")
-		for id, obj := range p.TypesInfo.Uses {
-			key := nameKey(obj)
-			if !scanned[key] {
-				continue
-			}
-			user := path
-			if strings.HasSuffix(l.Fset.File(id.Pos()).Name(), "_test.go") {
+		for _, f := range p.Syntax {
+			user := path // "" for a production file
+			switch {
+			case strings.HasSuffix(l.Fset.File(f.Pos()).Name(), "_test.go"):
 				user = strings.TrimSuffix(path, "_test") + " (tests)"
-			} else if productionPackage(path) {
-				reached[key] = true
-				continue
+			case productionPackage(path):
+				user = ""
 			}
-			if users[key] == nil {
-				users[key] = make(map[string]bool)
+			use := func(key string) {
+				switch {
+				case !scanned[key]:
+				case user == "":
+					reached[key] = true
+				default:
+					if users[key] == nil {
+						users[key] = make(map[string]bool)
+					}
+					users[key][user] = true
+				}
 			}
-			users[key][user] = true
+			for _, d := range f.Decls {
+				ownedParts(p.TypesInfo, d, func(part ast.Node, own []*types.TypeName) {
+					ast.Inspect(part, func(n ast.Node) bool {
+						id, ok := n.(*ast.Ident)
+						if !ok || p.TypesInfo.Uses[id] == nil {
+							return true
+						}
+						obj := p.TypesInfo.Uses[id]
+						if _, ok := obj.(*types.TypeName); !ok {
+							use(nameKey(obj))
+						}
+						for _, tn := range ownerTypes(obj) {
+							if !slices.Contains(own, tn) {
+								use(nameKey(tn))
+							}
+						}
+						return true
+					})
+				})
+			}
 		}
 	}
 	var lines []string
@@ -195,6 +222,62 @@ func unreachedNames(t *testing.T) []string {
 	}
 	slices.Sort(lines)
 	return lines
+}
+
+// ownedParts calls visit with each part of the top-level declaration d and
+// the types the part belongs to: a type spec belongs to its type, a method
+// to its receiver's type, and a function to the types of its own package
+// it returns (it is their constructor). A use of a type inside a part that
+// belongs to it does not reach it.
+func ownedParts(info *types.Info, d ast.Decl, visit func(ast.Node, []*types.TypeName)) {
+	switch d := d.(type) {
+	case *ast.FuncDecl:
+		visit(d, ownerTypes(info.Defs[d.Name]))
+	case *ast.GenDecl:
+		if d.Tok != token.TYPE {
+			visit(d, nil)
+			return
+		}
+		for _, spec := range d.Specs {
+			ts := spec.(*ast.TypeSpec)
+			visit(ts, ownerTypes(info.Defs[ts.Name]))
+		}
+	}
+}
+
+// ownerTypes returns the types a use of obj reaches: a type itself, a
+// method's receiver type, or the types of its own package a function
+// returns. Any other object reaches none.
+func ownerTypes(obj types.Object) []*types.TypeName {
+	named := func(t types.Type) *types.TypeName {
+		if ptr, ok := t.(*types.Pointer); ok {
+			t = ptr.Elem()
+		}
+		if n, ok := t.(*types.Named); ok {
+			return n.Origin().Obj()
+		}
+		return nil
+	}
+	switch obj := obj.(type) {
+	case *types.TypeName:
+		return []*types.TypeName{obj}
+	case *types.Func:
+		sig := obj.Origin().Type().(*types.Signature)
+		if recv := sig.Recv(); recv != nil {
+			if tn := named(recv.Type()); tn != nil {
+				return []*types.TypeName{tn}
+			}
+			return nil
+		}
+		var out []*types.TypeName
+		for i := range sig.Results().Len() {
+			if tn := named(sig.Results().At(i).Type()); tn != nil && tn.Pkg() == obj.Pkg() {
+				out = append(out, tn)
+			}
+		}
+		return out
+	}
+	return nil
 }
 
 // nameKey names a package-level object or method of internal/ the way the
